@@ -3,16 +3,25 @@
 //
 //	ATOM001  a variable/field is accessed both through sync/atomic and
 //	         plainly — the plain access races with the atomic ones
-//	ATOM002  Cond.Broadcast/Signal without the gate lock held around it
+//	ATOM002  Cond.Broadcast/Signal without the gate lock held around it,
+//	         or Cond.Wait on a counted gate without registering first
 //	ATOM003  a waitGate-style wake() with no atomic publish before it
 //
 // The join handshake (internal/core) communicates through published
 // atomics plus a waitGate: waiters spin on atomic predicates and park
 // under the gate lock; wakers must store the new state atomically
-// BEFORE taking the gate lock and broadcasting, or a waiter can check
-// stale state, park, and miss the wakeup forever. ATOM002/ATOM003
-// encode exactly that protocol; ATOM001 is the general mixed-access
-// race that also breaks it.
+// BEFORE calling wake, or a waiter can check stale state, park, and miss
+// the wakeup forever. The same holds for the worker's task slot: the
+// slot's plain fields are written first, then the ready flag is stored
+// atomically, then the gate is woken.
+//
+// wake has a fast path: it reads the gate's waiter count and skips
+// lock+broadcast when nobody is registered. That is only sound if every
+// waiter registers in that count — under the gate lock, before its last
+// predicate check and its Cond.Wait — so a gate whose wake returns early
+// on `count.Load() == 0` (a "counted gate") makes an unregistered
+// Cond.Wait a lost wakeup. ATOM002/ATOM003 encode exactly that protocol;
+// ATOM001 is the general mixed-access race that also breaks it.
 //
 // Neutral contexts do not count as plain accesses for ATOM001: slicing
 // (re-slices the header), len/cap, composite-literal construction, and
@@ -43,10 +52,11 @@ var Analyzer = &analysis.Analyzer{
 
 func run(pass *analysis.Pass) error {
 	checkMixed(pass)
+	counts := waiterCounts(pass)
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				checkWakeOrder(pass, fd.Body)
+				checkWakeOrder(pass, fd.Body, counts)
 			}
 		}
 	}
@@ -188,14 +198,81 @@ func baseVar(info *types.Info, e ast.Expr) *types.Var {
 
 // --- ATOM002/ATOM003: waitGate wake ordering ---
 
+// waiterCounts finds the package's counted gates: for every wake method
+// of a gate-shaped type whose body returns early on
+// `recv.count.Load() == 0`, it maps the gate's struct type to that count
+// field.
+func waiterCounts(pass *analysis.Pass) map[*types.Struct]*types.Var {
+	info := pass.TypesInfo
+	counts := make(map[*types.Struct]*types.Var)
+	for _, file := range pass.Files {
+		for _, decl := range file.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil || fd.Recv == nil || fd.Name.Name != "wake" || len(fd.Recv.List) != 1 {
+				continue
+			}
+			st := gateStruct(info.TypeOf(fd.Recv.List[0].Type))
+			if st == nil {
+				continue
+			}
+			for _, stmt := range fd.Body.List {
+				ifs, ok := stmt.(*ast.IfStmt)
+				if !ok || ifs.Init != nil || len(ifs.Body.List) != 1 {
+					continue
+				}
+				if _, ok := ifs.Body.List[0].(*ast.ReturnStmt); !ok {
+					continue
+				}
+				cmp, ok := ast.Unparen(ifs.Cond).(*ast.BinaryExpr)
+				if !ok || cmp.Op != token.EQL {
+					continue
+				}
+				if lit, ok := ast.Unparen(cmp.Y).(*ast.BasicLit); !ok || lit.Value != "0" {
+					continue
+				}
+				call, ok := ast.Unparen(cmp.X).(*ast.CallExpr)
+				if !ok || methodName(call) != "Load" {
+					continue
+				}
+				if f := atomicField(info, call); f != nil {
+					counts[st] = f
+				}
+			}
+		}
+	}
+	return counts
+}
+
+// atomicField resolves recv.field in a recv.field.Method() call on a
+// sync/atomic value type to the field's variable.
+func atomicField(info *types.Info, call *ast.CallExpr) *types.Var {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return nil
+	}
+	fn, ok := info.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
+		return nil
+	}
+	field, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
+	if !ok {
+		return nil
+	}
+	v, _ := info.Uses[field.Sel].(*types.Var)
+	return v
+}
+
 // checkWakeOrder enforces, per function body, that Cond.Broadcast/Signal
-// runs between Lock and Unlock (ATOM002) and that a wake() on a
-// gate-shaped type has an atomic publish lexically before it (ATOM003).
-func checkWakeOrder(pass *analysis.Pass, body *ast.BlockStmt) {
+// runs between Lock and Unlock and that a Cond.Wait on a counted gate is
+// preceded, under the lock, by an Add on the gate's waiter count
+// (ATOM002), and that a wake() on a gate-shaped type has an atomic
+// publish lexically before it (ATOM003).
+func checkWakeOrder(pass *analysis.Pass, body *ast.BlockStmt, counts map[*types.Struct]*types.Var) {
 	info := pass.TypesInfo
 	var (
 		locks, unlocks, publishes []token.Pos
 		deferredUnlock            bool
+		registers                 = make(map[*types.Var][]token.Pos)
 	)
 	type wakeCall struct {
 		call *ast.CallExpr
@@ -222,6 +299,14 @@ func checkWakeOrder(pass *analysis.Pass, body *ast.BlockStmt) {
 		case "Broadcast", "Signal":
 			if isCondMethod(info, call) {
 				wakes = append(wakes, wakeCall{call, true})
+			}
+		case "Wait":
+			if isCondMethod(info, call) {
+				checkRegistered(pass, call, counts, locks, registers)
+			}
+		case "Add":
+			if f := atomicField(info, call); f != nil {
+				registers[f] = append(registers[f], call.Pos())
 			}
 		case "wake":
 			if isGateMethod(info, call) {
@@ -267,6 +352,35 @@ func checkWakeOrder(pass *analysis.Pass, body *ast.BlockStmt) {
 	}
 }
 
+// checkRegistered reports a Cond.Wait on a counted gate that no Add on the
+// gate's waiter count precedes under the lock. locks and registers hold
+// the positions seen so far in the function, which the inspection visits
+// in source order.
+func checkRegistered(pass *analysis.Pass, wait *ast.CallExpr, counts map[*types.Struct]*types.Var, locks []token.Pos, registers map[*types.Var][]token.Pos) {
+	// wait is g.cond.Wait(): the gate is the cond field's owner.
+	sel, ok := ast.Unparen(wait.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return
+	}
+	cond, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
+	if !ok {
+		return
+	}
+	count := counts[gateStruct(pass.TypesInfo.TypeOf(cond.X))]
+	if count == nil {
+		return
+	}
+	for _, add := range registers[count] {
+		for _, lock := range locks {
+			if lock < add {
+				return
+			}
+		}
+	}
+	pass.Reportf(wait.Pos(), CodeBareWake,
+		"Cond.Wait on a counted gate without %s.Add under the lock first; wake skips the broadcast while the count reads zero, so an unregistered waiter sleeps forever", count.Name())
+}
+
 func methodName(call *ast.CallExpr) string {
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		return sel.Sel.Name
@@ -292,28 +406,30 @@ func isCondMethod(info *types.Info, call *ast.CallExpr) bool {
 // type that embeds a sync.Cond (the waitGate shape).
 func isGateMethod(info *types.Info, call *ast.CallExpr) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	t := info.TypeOf(sel.X)
+	return ok && gateStruct(info.TypeOf(sel.X)) != nil
+}
+
+// gateStruct returns the struct behind t (or *t) when it has a sync.Cond
+// field — the waitGate shape — and nil otherwise.
+func gateStruct(t types.Type) *types.Struct {
 	if t == nil {
-		return false
+		return nil
 	}
 	if ptr, ok := t.(*types.Pointer); ok {
 		t = ptr.Elem()
 	}
 	st, ok := t.Underlying().(*types.Struct)
 	if !ok {
-		return false
+		return nil
 	}
 	for i := 0; i < st.NumFields(); i++ {
 		ft := st.Field(i).Type()
 		if named, ok := ft.(*types.Named); ok &&
 			named.Obj().Name() == "Cond" && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == "sync" {
-			return true
+			return st
 		}
 	}
-	return false
+	return nil
 }
 
 // isAtomicValueMethod reports whether call is a mutating method of an

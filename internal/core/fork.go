@@ -21,12 +21,25 @@ func (t *Thread) childrenRef() *[]childRef {
 
 // ForkHandle is the window between MUTLS_get_CPU and MUTLS_speculate: the
 // parent stores the child's live-ins through it (the generated proxy
-// function) and then starts the speculation.
+// function) and then starts the speculation. The handle lives in the
+// forking Thread and is reused by that thread's next Fork, so it must not
+// be kept past Start. It records the epoch it claimed the CPU under: every
+// use after Start, or after the claim was abandoned and the CPU released,
+// panics instead of touching a CPU that may be someone else's by then.
 type ForkHandle struct {
 	t       *Thread
 	child   *cpu
+	epoch   uint64
 	started bool
 	nSaved  int
+}
+
+// check panics when the fork window is closed: Start already ran, or the
+// CPU has been released since the claim.
+func (h *ForkHandle) check(op string) {
+	if h.started || h.child.td.epoch() != h.epoch {
+		panic("core: " + op + " on a fork handle whose window has closed")
+	}
 }
 
 // Fork is __builtin_MUTLS_fork(p, model): it claims an IDLE virtual CPU for
@@ -70,9 +83,9 @@ func (t *Thread) Fork(ranks []Rank, p int, model Model) *ForkHandle {
 
 	cost := t.clock.Model
 	t.clock.Charge(vclock.FindCPU, cost.FindCPUCost)
-	stop := t.clock.Span(vclock.FindCPU)
-	child := t.rt.claimIdleCPU(t.clock.Now())
-	stop()
+	sw := t.clock.Start(vclock.FindCPU)
+	child := t.rt.claimIdleCPU(sw.Started())
+	sw.Stop()
 	if child == nil {
 		return nil
 	}
@@ -107,7 +120,8 @@ func (t *Thread) Fork(ranks []Rank, p int, model Model) *ForkHandle {
 	case MixedLinear:
 		t.rt.linearInsert(t.rank, ref)
 	}
-	h := &ForkHandle{t: t, child: child}
+	h := &t.fork
+	*h = ForkHandle{t: t, child: child, epoch: ref.epoch}
 	t.openFork = h
 	return h
 }
@@ -181,9 +195,7 @@ func (h *ForkHandle) Rank() Rank { return h.child.td.rank }
 
 // setRegvar is MUTLS_set_regvar_*: the proxy function saving one live-in.
 func (h *ForkHandle) setRegvar(slot int, v uint64) {
-	if h.started {
-		panic("core: SetRegvar after Start")
-	}
+	h.check("SetRegvar")
 	if err := h.child.lb.SetRegvar(slot, v); err != nil {
 		// Too many live variables: the paper's speculator pass reports an
 		// error and speculation fails; surface it as a panic since it is a
@@ -212,9 +224,7 @@ func (h *ForkHandle) SetRegvarAddr(slot int, v mem.Addr) { h.setRegvar(slot, uin
 // SetStackvar is MUTLS_set_stackvar_*: it copies the stack variable at
 // homeAddr into the child's LocalBuffer.
 func (h *ForkHandle) SetStackvar(slot int, homeAddr mem.Addr, size int) {
-	if h.started {
-		panic("core: SetStackvar after Start")
-	}
+	h.check("SetStackvar")
 	data := make([]byte, size)
 	h.t.LoadBytes(homeAddr, data)
 	if err := h.child.lb.SetStackvar(slot, homeAddr, data); err != nil {
@@ -228,9 +238,7 @@ func (h *ForkHandle) SetStackvar(slot int, homeAddr mem.Addr, size int) {
 // and sets the CPU RUNNING. The child enters through the stub, fetching its
 // live-ins with Thread.GetRegvar*.
 func (h *ForkHandle) Start(region RegionFunc) {
-	if h.started {
-		panic("core: Start called twice")
-	}
+	h.check("Start")
 	h.started = true
 	if h.t.openFork == h {
 		h.t.openFork = nil
@@ -241,8 +249,14 @@ func (h *ForkHandle) Start(region RegionFunc) {
 	if fa := h.child.freeAt.Load(); fa > startAt {
 		startAt = fa
 	}
-	h.child.td.state.Store(cpuRunning)
-	h.child.tasks <- specTask{region: region, startAt: startAt}
+	c := h.child
+	c.td.state.Store(cpuRunning)
+	// The worker's share of the active count, taken on its behalf before it
+	// can possibly finish.
+	h.t.rt.active.Add(1)
+	c.task = specTask{region: region, startAt: startAt}
+	c.taskReady.Store(true)
+	c.td.gate.wake()
 }
 
 // getRegvar is MUTLS_get_regvar_* on the child side (the stub), or the

@@ -3,51 +3,181 @@ package core
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
+	"time"
 )
 
-// gateSpin is the number of scheduler-yield probes a waiter burns before
-// parking. The spin prefix keeps the common case — the awaited flag is
-// published within a few scheduler quanta — free of lock traffic, while
-// long waits (virtual CPUs outnumbering GOMAXPROCS, a child still deep in
-// its region) park the goroutine instead of churning the run queue.
-const gateSpin = 64
+// The hand-off rule. The paper's join (§IV-E) is a flag-based barrier:
+// both sides stay on their CPUs and watch sync_status / valid_status. A
+// goroutine that parks instead pays a futex sleep, a halted core to wake
+// and a scheduler round trip — tens of microseconds on a small VM, more
+// than most speculations on a fine-grained loop are worth. A waitGate
+// therefore spins before it parks, for as long as parking would cost (the
+// ski-rental rule: total cost stays within 2x of the optimum whatever the
+// wait turns out to be), and it learns that cost itself: every wake that
+// finds a parked waiter stamps the clock, and the resumed waiter folds
+// stamp -> running-again into the gate's EWMA.
+//
+// Spinning is only free while nobody else wants the core, so a spin phase
+// is entered (and continued) only while the process has a spare proc —
+// see Runtime.spareProc.
 
-// waitGate parks a goroutine until a predicate over published atomics
-// holds. It replaces the runtime.Gosched() spin loops of the join
-// handshake: a spinning waiter occupies a real CPU the awaited thread may
-// need, which on hosts with fewer cores than virtual CPUs turns every
-// join into a scheduler fight. The zero value is not ready; call init
-// before use (NewRuntime does).
+const (
+	// spinBurst is the number of predicate probes between two scheduler
+	// yields of a spin phase. The yield keeps a spinner from holding a P
+	// against a runnable goroutine the accounting does not see (an HTTP
+	// handler, the garbage collector).
+	spinBurst = 128
+	// initParkCost seeds a gate's resume-latency EWMA before the first
+	// measured park.
+	initParkCost = 20 * time.Microsecond
+	// minSpinBudget and maxSpinBudget clamp the spin phase: the floor keeps
+	// a few lucky fast resumes from talking the gate out of spinning at
+	// all, the cap bounds what one wait can burn when a resume was slow
+	// because the host was busy, not because parking is dear.
+	minSpinBudget = 10 * time.Microsecond
+	maxSpinBudget = 100 * time.Microsecond
+)
+
+// procBusy counts, process-wide, the runtime threads that hold a CPU right
+// now: non-speculative threads inside RunCtx and workers, minus the ones
+// parked on a gate. A spinning waiter stays counted — it is on a CPU. The
+// count is only written where a goroutine parks, resumes, or a run or
+// worker starts and ends, so reading it in the spin loop is a shared-line
+// load.
+var procBusy atomic.Int32
+
+// BusyThreads reports the process-wide number of runtime threads executing
+// or spinning (not parked) — 0 when every runtime in the process is idle.
+func BusyThreads() int { return int(procBusy.Load()) }
+
+// gateEpoch anchors the gates' monotonic clock.
+var gateEpoch = time.Now()
+
+func gateNow() int64 { return int64(time.Since(gateEpoch)) }
+
+// waitGate blocks a goroutine until a predicate over published atomics
+// holds: a time-bounded spin, then a park on the condition variable. The
+// zero value is not ready; call init before use (NewRuntime does).
 type waitGate struct {
 	mu   sync.Mutex
 	cond sync.Cond
+
+	// parked counts waiters that are inside the lock, registered before
+	// their final predicate check. wake skips lock+broadcast when it reads
+	// zero: registration and the waker's publish are both sequentially
+	// consistent atomics, so either the waker sees the registration or the
+	// waiter's check sees the publish.
+	parked atomic.Int32
+	// wakeStamp is gateNow at the last wake that found a parked waiter;
+	// parkCost is the EWMA (alpha 1/8) of stamp -> waiter running again.
+	wakeStamp atomic.Int64
+	parkCost  atomic.Int64
+
+	// Hand-off counters, always on: waits that entered the spin phase,
+	// spin phases the predicate ended, and waits that slept.
+	spins    atomic.Int64
+	spinHits atomic.Int64
+	parks    atomic.Int64
 }
 
-func (g *waitGate) init() { g.cond.L = &g.mu }
+func (g *waitGate) init() {
+	g.cond.L = &g.mu
+	g.parkCost.Store(int64(initParkCost))
+}
+
+// budget is the length of a spin phase: twice the measured resume latency
+// (a park also costs going to sleep and the waker's futex call, and the
+// wait a spinner covers is typically one resume latency long itself when
+// the other side did park), clamped.
+func (g *waitGate) budget() int64 {
+	b := 2 * g.parkCost.Load()
+	if b < int64(minSpinBudget) {
+		return int64(minSpinBudget)
+	}
+	if b > int64(maxSpinBudget) {
+		return int64(maxSpinBudget)
+	}
+	return b
+}
 
 // wait returns once pred() holds. pred must read only atomics: it is
-// called both outside and inside the gate lock.
-func (g *waitGate) wait(pred func() bool) {
-	for i := 0; i < gateSpin; i++ {
-		if pred() {
-			return
-		}
-		runtime.Gosched()
+// called both outside and inside the gate lock. maySpin says whether the
+// caller may burn the gate's budget before parking; it is asked again at
+// every yield, so a spinner gives up as soon as the answer changes. The
+// caller must be counted in procBusy.
+func (g *waitGate) wait(pred func() bool, maySpin func() bool) {
+	if pred() {
+		return
 	}
+	if maySpin() {
+		g.spins.Add(1)
+		deadline := gateNow() + g.budget()
+		for {
+			for i := 0; i < spinBurst; i++ {
+				if pred() {
+					g.spinHits.Add(1)
+					return
+				}
+			}
+			runtime.Gosched()
+			if gateNow() > deadline || !maySpin() {
+				break
+			}
+		}
+	}
+	procBusy.Add(-1)
 	g.mu.Lock()
+	g.parked.Add(1)
+	slept := false
 	for !pred() {
 		g.cond.Wait()
+		slept = true
 	}
+	g.parked.Add(-1)
 	g.mu.Unlock()
+	procBusy.Add(1)
+	if slept {
+		g.parks.Add(1)
+		// Clamp the sample: a resume that took milliseconds met a busy
+		// host, and one such outlier must not pin the budget at its cap.
+		d := gateNow() - g.wakeStamp.Load()
+		if d > 4*int64(maxSpinBudget) {
+			d = 4 * int64(maxSpinBudget)
+		}
+		if d > 0 {
+			old := g.parkCost.Load()
+			g.parkCost.Store(old + (d-old)/8)
+		}
+	}
 }
 
 // wake unparks all waiters. The caller must publish the state the
-// waiters' predicates read (an atomic store) BEFORE calling wake: the
-// broadcast is taken under the gate lock, so a waiter has either already
-// observed the new state or is parked and receives the broadcast — the
-// store-check-park gap of a bare signal cannot lose the wakeup.
+// waiters' predicates read (an atomic store) BEFORE calling wake: a waiter
+// registers in parked under the gate lock before its final check, so it
+// has either observed the new state, or is registered and receives the
+// broadcast — the store-check-park gap of a bare signal cannot lose the
+// wakeup. With no registered waiter the call is one atomic load.
 func (g *waitGate) wake() {
+	if g.parked.Load() == 0 {
+		return
+	}
+	g.wakeStamp.Store(gateNow())
 	g.mu.Lock()
 	g.cond.Broadcast()
 	g.mu.Unlock()
+}
+
+// spareProc reports whether a waiting thread of this runtime may spin:
+// the threads on a CPU (the caller among them) must not outnumber the
+// procs, and there must be a second proc for the awaited thread to run on.
+func (rt *Runtime) spareProc() bool {
+	return rt.procs > 1 && int(procBusy.Load()) <= rt.procs
+}
+
+// idleSpin is the worker mailbox's spin rule: a worker that has just
+// finished a speculation waits for the next fork on its CPU only while a
+// run is in flight — a drained runtime and an idle pool never spin.
+func (rt *Runtime) idleSpin() bool {
+	return rt.running.Load() && rt.spareProc()
 }

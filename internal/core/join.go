@@ -62,10 +62,58 @@ type JoinResult struct {
 	ReadSetPeak  int
 	WriteSetPeak int
 
-	regs    []uint64
-	regLive []bool
-	frames  []lbuf.FrameRecord
-	ptrMap  func(mem.Addr) (mem.Addr, bool)
+	// The child's saved entry-frame registers, live slots only, as (slot,
+	// value) pairs: the first inlineRegs in place (every loop, reduction
+	// and pipeline driver saves fewer), the rest spilled. The inline part
+	// is an array, not a slice of it: a JoinResult is returned by value.
+	nRegs  int
+	inline [inlineRegs]regPair
+	spill  []regPair
+
+	frames []lbuf.FrameRecord
+	// ptrs are the child's stack-variable mappings, snapshotted so pointer
+	// translation works after the CPU is reclaimed; nil without stackvars.
+	ptrs []lbuf.PtrMapping
+}
+
+// inlineRegs is the number of restored registers a JoinResult carries
+// without allocating.
+const inlineRegs = 8
+
+// regPair is one restored register.
+type regPair struct {
+	slot int32
+	val  uint64
+}
+
+// setRegs copies the live entry-frame registers of the child's LocalBuffer
+// and returns how many there are.
+func (r *JoinResult) setRegs(lb *lbuf.Buffer) int {
+	for _, s := range lb.EntryLive() {
+		p := regPair{slot: s, val: lb.EntryReg(s)}
+		if r.nRegs < inlineRegs {
+			r.inline[r.nRegs] = p
+		} else {
+			r.spill = append(r.spill, p)
+		}
+		r.nRegs++
+	}
+	return r.nRegs
+}
+
+// lookup finds a restored register.
+func (r *JoinResult) lookup(slot int) (uint64, bool) {
+	for _, p := range r.inline[:min(r.nRegs, inlineRegs)] {
+		if int(p.slot) == slot {
+			return p.val, true
+		}
+	}
+	for _, p := range r.spill {
+		if int(p.slot) == slot {
+			return p.val, true
+		}
+	}
+	return 0, false
 }
 
 // ValidateRegvarInt64 is MUTLS_validate_local_int64: the joining thread
@@ -178,19 +226,32 @@ func (t *Thread) Join(ranks []Rank, p int) JoinResult {
 	td := &child.td
 	cost := t.clock.Model
 
-	// Signal SYNC and wait for valid_status (the flag-based barrier; a
-	// short spin, then parked on the child's gate).
+	// Signal SYNC and wait for valid_status (the flag-based barrier: a
+	// time-bounded spin on the child's gate, parked only past it).
 	t.clock.Charge(vclock.Join, cost.SyncCost)
-	td.syncTime.Store(t.clock.Now())
+	waitStart := t.clock.Now()
+	td.syncTime.Store(waitStart)
 	if !td.signal(ref.epoch, syncSync) {
 		// A third party squashed the child first (linear cascade), or the
 		// epoch is stale because the squashed child already self-released:
 		// the speculation is gone either way.
 		return JoinResult{Status: JoinRolledBack, Reason: RollbackNoSync}
 	}
-	idleStop := t.clock.Span(vclock.Idle)
-	td.gate.wait(func() bool { return td.validStatus.Load() != validNull })
-	idleStop()
+	td.gate.wait(func() bool { return td.validStatus.Load() != validNull }, t.rt.spareProc)
+	if t.clock.Mode == vclock.Real {
+		// The wait up to the child's valid_status stamp was for work still
+		// running: idle. Past the stamp the verdict was out and this thread
+		// was not yet running again — the hand-off's own latency: join.
+		now, pub := t.clock.Now(), td.validStamp
+		if pub < waitStart {
+			pub = waitStart
+		}
+		if pub > now {
+			pub = now
+		}
+		t.clock.Book(vclock.Idle, pub-waitStart)
+		t.clock.Book(vclock.Join, now-pub)
+	}
 	committed := td.validStatus.Load() == validCommit
 
 	// Adopt the child's children in both outcomes: local conflicts must not
@@ -221,18 +282,11 @@ func (t *Thread) Join(ranks []Rank, p int) JoinResult {
 	if committed {
 		res.Status = JoinCommitted
 		res.Counter = td.stopCounter
-		regs, live := child.lb.EntryRegs()
-		res.regs, res.regLive = regs, live
+		nLive := res.setRegs(child.lb)
 		res.frames = child.lb.Records()
-		nLive := 0
-		for _, l := range live {
-			if l {
-				nLive++
-			}
-		}
 		t.clock.Charge(vclock.Join, cost.RestoreLocal*vclock.Cost(nLive))
-		t.commitStackvars(child)
-		res.ptrMap = stackPtrMapper(child.lb)
+		res.ptrs = child.lb.PtrMappings()
+		t.commitStackvars(child, res.ptrs)
 	} else {
 		res.Status = JoinRolledBack
 		if td.model == MixedLinear {
@@ -288,8 +342,8 @@ func (t *Thread) SquashChildren(mark int) {
 
 // commitStackvars writes the child's final stack-variable bytes back to
 // their non-speculative homes (the parent side of MUTLS_get_stackvar_*).
-func (t *Thread) commitStackvars(child *cpu) {
-	for _, m := range child.lb.PtrMappings() {
+func (t *Thread) commitStackvars(child *cpu, ptrs []lbuf.PtrMapping) {
+	for _, m := range ptrs {
 		data, err := child.lb.EntryStackvarData(m.Slot)
 		if err != nil {
 			continue
@@ -298,18 +352,15 @@ func (t *Thread) commitStackvars(child *cpu) {
 	}
 }
 
-// stackPtrMapper snapshots the child's pointer mappings into a standalone
-// translation function usable after the CPU is reclaimed.
-func stackPtrMapper(lb *lbuf.Buffer) func(mem.Addr) (mem.Addr, bool) {
-	ms := lb.PtrMappings()
-	return func(p mem.Addr) (mem.Addr, bool) {
-		for _, m := range ms {
-			if m.Bound != mem.NilAddr && p >= m.Bound && p < m.Bound+mem.Addr(m.Size) {
-				return m.Home + (p - m.Bound), true
-			}
+// mapPtr translates a pointer into the child's speculative copy of a
+// buffered stack variable to the variable's non-speculative home.
+func (r *JoinResult) mapPtr(p mem.Addr) mem.Addr {
+	for _, m := range r.ptrs {
+		if m.Bound != mem.NilAddr && p >= m.Bound && p < m.Bound+mem.Addr(m.Size) {
+			return m.Home + (p - m.Bound)
 		}
-		return p, false
 	}
+	return p
 }
 
 // regvar fetches one restored local from the join result.
@@ -317,10 +368,11 @@ func (r *JoinResult) regvar(slot int) uint64 {
 	if r.Status != JoinCommitted {
 		panic("core: Regvar on a join that did not commit")
 	}
-	if slot < 0 || slot >= len(r.regs) || !r.regLive[slot] {
+	v, ok := r.lookup(slot)
+	if !ok {
 		panic(fmt.Sprintf("core: regvar slot %d was not saved by the region", slot))
 	}
-	return r.regs[slot]
+	return v
 }
 
 // RegvarInt64 restores an int64 the region saved before stopping.
@@ -338,18 +390,13 @@ func (r *JoinResult) RegvarFloat64(slot int) float64 {
 // the paper's pointer mapping mechanism: pointers into the speculative
 // stack are translated to the corresponding non-speculative stack variable.
 func (r *JoinResult) RegvarAddr(slot int) mem.Addr {
-	p := mem.Addr(r.regvar(slot))
-	if r.ptrMap != nil {
-		if mapped, ok := r.ptrMap(p); ok {
-			return mapped
-		}
-	}
-	return p
+	return r.mapPtr(mem.Addr(r.regvar(slot)))
 }
 
 // RegvarLive reports whether the region saved the given slot.
 func (r *JoinResult) RegvarLive(slot int) bool {
-	return slot >= 0 && slot < len(r.regLive) && r.regLive[slot]
+	_, ok := r.lookup(slot)
+	return ok
 }
 
 // Frames returns the child's nested frame records (outermost first) for

@@ -13,8 +13,8 @@ import (
 // it is still running. Counters are updated by the worker goroutines with
 // atomics, so the non-speculative thread may read them at any time; a read
 // taken right after Join returns is guaranteed to include the joined
-// execution (the join waits for the worker's record before reclaiming the
-// CPU).
+// execution (the worker folds it in before it publishes the verdict the
+// join waits for).
 
 // PointCounters is a snapshot of one fork/join point's live activity.
 type PointCounters struct {

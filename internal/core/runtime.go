@@ -112,33 +112,36 @@ type threadData struct {
 	parentRank atomic.Int32
 	// syncTime is the parent's clock when it signals SYNC (virtual mode).
 	syncTime atomic.Int64
-	// workerDone marks that the worker goroutine has finished all
-	// post-processing of the execution, so the parent may safely reset and
-	// reclaim the CPU (it prevents the parent from clearing sync_status
-	// while the worker is still reading it).
-	workerDone atomic.Bool
 
-	// gate parks whoever waits on this CPU's published flags: the parent
-	// waiting for validStatus or workerDone, the worker waiting for
-	// sync_status. Wakers call gate.wake after every store those waits
-	// observe (signal, validStatus, workerDone).
+	// gate blocks whoever waits on this CPU's published flags: the parent
+	// waiting for validStatus, the worker waiting for sync_status or for
+	// its next task. Wakers call gate.wake after every store those waits
+	// observe (signal, validStatus, the task slot, Close).
 	gate waitGate
 
 	// Owned by the speculating (child) thread while RUNNING; read by the
-	// parent after valid_status != NULL.
-	point        int
-	model        Model
-	children     []childRef
-	stopCounter  uint32
-	startTime    vclock.Cost
-	stopTime     vclock.Cost
-	finalTime    vclock.Cost
+	// parent after valid_status != NULL. Once valid_status is published the
+	// parent may reclaim the CPU and fork on it again at any moment, so the
+	// worker touches none of these fields past that store.
+	point       int
+	model       Model
+	children    []childRef
+	stopCounter uint32
+	startTime   vclock.Cost
+	stopTime    vclock.Cost
+	finalTime   vclock.Cost
+	// validStamp is the worker's clock at the valid_status store (real
+	// mode): the joiner splits its wait there into idle (the child was
+	// still working) and join (the verdict was out, the joiner not yet
+	// running).
+	validStamp   vclock.Cost
 	overflowStop bool
 	reason       RollbackReason
 	// readPeak/writePeak are the GlobalBuffer set sizes captured just
 	// before finalization: the execution's buffer-pressure high-water
-	// marks. buffersFinal guards against a second finalization of the
-	// same execution (self-rollback then NOSYNC) zeroing them.
+	// marks. buffersFinal (worker-only) guards against a second
+	// finalization of the same execution (self-rollback then NOSYNC)
+	// zeroing them.
 	readPeak     int
 	writePeak    int
 	buffersFinal bool
@@ -181,17 +184,29 @@ func tailWord(rank Rank, epoch uint64) uint64 {
 
 // cpu bundles one virtual CPU: its ThreadData, GlobalBuffer and LocalBuffer
 // (the paper's ThreadManager maintains exactly this triple per CPU), plus
-// the worker channel and the virtual time at which the CPU becomes free.
+// the worker's task slot and the virtual time at which the CPU becomes free.
 // The GlobalBuffer is held behind the gbuf.Backend interface, so the
 // buffering organization is a per-runtime choice (Options.GBuf.Backend).
 type cpu struct {
 	td     threadData
 	gb     gbuf.Backend
 	lb     *lbuf.Buffer
-	tasks  chan specTask
 	freeAt atomic.Int64 // virtual time when the CPU is next available
-	rng    splitMix64
-	stack  mem.Range // this CPU's speculative stack region
+
+	// The worker's mailbox: ForkHandle.Start fills task, sets taskReady and
+	// wakes td.gate; the worker clears taskReady when it takes the task. A
+	// CPU is claimed by one forker at a time and only after its previous
+	// task was taken, so the slot never holds two.
+	task      specTask
+	taskReady atomic.Bool
+
+	// The speculative thread and its clock, re-initialized per speculation
+	// instead of allocated.
+	thread Thread
+	clock  vclock.Clock
+
+	rng   splitMix64
+	stack mem.Range // this CPU's speculative stack region
 	// scratch backs the typed bulk accessors (Thread.LoadWords and
 	// friends); it persists across speculations so the range hot path
 	// stays alloc-free.
@@ -219,8 +234,11 @@ type cpu struct {
 
 // specTask is one speculation handed to a worker.
 type specTask struct {
-	region  RegionFunc
-	startAt vclock.Cost // child clock at entry (virtual mode)
+	region RegionFunc
+	// startAt is the child's clock at entry: the forker's clock at Start
+	// (real mode: the stamp the child's wake-up latency is measured from),
+	// or the CPU's later virtual free time.
+	startAt vclock.Cost
 }
 
 // RegionFunc is the speculative continuation: the code from a join point to
@@ -238,6 +256,9 @@ type Runtime struct {
 	space *mem.Space
 	cpus  []*cpu // index 0 unused; ranks are 1-based
 	epoch time.Time
+	// procs is GOMAXPROCS at construction: the bound of the spin rule
+	// (spareProc). Read once — runtime.GOMAXPROCS takes the scheduler lock.
+	procs int
 
 	// inOrderTail identifies the most speculative thread — the only one the
 	// in-order model allows to fork. It packs (epoch<<8 | rank); 0 means
@@ -257,10 +278,18 @@ type Runtime struct {
 	wg        sync.WaitGroup
 	closed    atomic.Bool
 
-	// active counts claimed-or-running virtual CPUs. Draining waits for it
-	// to reach zero: a sequential all-IDLE scan is not enough, because a
-	// not-yet-squashed thread can fork onto a CPU the scan already passed.
+	// active counts claimed virtual CPUs plus workers inside runSpec (a
+	// started speculation holds two shares: the CPU's, dropped when it is
+	// released, and the worker's, dropped when runSpec returns — the parent
+	// may release the CPU while the worker still clears its buffers).
+	// Draining waits for zero: a sequential all-IDLE scan is not enough,
+	// because a not-yet-squashed thread can fork onto a CPU the scan
+	// already passed.
 	active atomic.Int64
+
+	// running marks a run in flight (RunCtx entry to drained exit); idle
+	// workers spin for their next task only while it is set.
+	running atomic.Bool
 
 	// cancelled marks the in-flight run as cancelled (RunCtx context
 	// expiry or an explicit CancelRun): Fork refuses new speculation and
@@ -302,8 +331,8 @@ type Runtime struct {
 	// joiner's stores dirty the pages), so the split only adds overhead.
 	overlapValidation bool
 
-	// drainGate parks the non-speculative thread in drain until active
-	// reaches zero; releaseCPU wakes it after every decrement.
+	// drainGate blocks the non-speculative thread in drain until active
+	// reaches zero; every decrement wakes it.
 	drainGate waitGate
 
 	// Runaway-speculation watchdog (SpecDeadline > 0 only): wallEWMA keeps
@@ -331,6 +360,7 @@ func NewRuntime(opts Options) (*Runtime, error) {
 		space:     space,
 		cpus:      make([]*cpu, o.NumCPUs+1),
 		epoch:     time.Now(),
+		procs:     runtime.GOMAXPROCS(0),
 		heur:      newHeuristics(o),
 		live:      make([]livePoint, o.MaxPoints),
 		collector: stats.NewCollector(o.NumCPUs, o.CollectStats),
@@ -350,7 +380,7 @@ func NewRuntime(opts Options) (*Runtime, error) {
 		}
 		rt.stamps = ws
 		rt.markFn = ws.Mark
-		rt.overlapValidation = runtime.GOMAXPROCS(0) > 1
+		rt.overlapValidation = rt.procs > 1
 	}
 	if o.FaultPlan != nil {
 		// Heap-allocation injection: a tripped Alloc fails like an
@@ -383,7 +413,6 @@ func NewRuntime(opts Options) (*Runtime, error) {
 		c := &cpu{
 			gb:    gb,
 			lb:    lb,
-			tasks: make(chan specTask, 1),
 			rng:   newSplitMix64(o.Seed ^ (uint64(r) * 0x9E3779B97F4A7C15)),
 			stack: stack,
 		}
@@ -586,11 +615,10 @@ func (rt *Runtime) RunCtx(ctx context.Context, fn func(t *Thread)) (vclock.Cost,
 		// task, which happens after this write.
 		rt.epoch = time.Now()
 	}
-	model := rt.opts.Cost
 	t := &Thread{
 		rt:    rt,
 		rank:  0,
-		clock: vclock.NewClock(rt.opts.Timing, &model, rt.epoch),
+		clock: vclock.NewClock(rt.opts.Timing, &rt.opts.Cost, rt.epoch),
 		stack: mustStackRegion(rt.space, 0),
 	}
 	t.stackTop = t.stack.Start
@@ -608,11 +636,15 @@ func (rt *Runtime) RunCtx(ctx context.Context, fn func(t *Thread)) (vclock.Cost,
 	if ctx.Done() != nil {
 		stopWatch = rt.watchCancel(ctx)
 	}
+	procBusy.Add(1)
+	rt.running.Store(true)
 	err := rt.runNonSpec(t, fn)
 	if stopWatch != nil {
 		stopWatch()
 	}
 	rt.drain(t)
+	rt.running.Store(false)
+	procBusy.Add(-1)
 	rt.cancelled.Store(false)
 	runtime := t.clock.Now()
 	rt.collector.SetNonSpec(runtime, t.clock.Ledger())
@@ -734,7 +766,13 @@ func (rt *Runtime) drain(t *Thread) {
 		rt.cpus[c.rank].td.signal(c.epoch, syncNoSync)
 	}
 	t.children = t.children[:0]
-	rt.drainGate.wait(func() bool { return rt.active.Load() == 0 })
+	rt.drainGate.wait(rt.Quiescent, rt.spareProc)
+}
+
+// retire drops one share of the active count and wakes a draining thread.
+func (rt *Runtime) retire() {
+	rt.active.Add(-1)
+	rt.drainGate.wake()
 }
 
 // Stats summarizes the last Run. Only meaningful with CollectStats. The
@@ -747,7 +785,26 @@ func (rt *Runtime) Stats() *stats.Summary {
 		s.GBuf.Add(rt.cpus[r].gb.Counters())
 	}
 	s.PointsExhausted = rt.pointsExhausted.Load()
+	s.HandoffSpins, s.HandoffSpinHits, s.HandoffParks = rt.handoffCounts()
 	return s
+}
+
+// handoffCounts sums the gates' always-on counters; safe mid-run.
+func (rt *Runtime) handoffCounts() (spins, spinHits, parks int64) {
+	rt.eachGate(func(g *waitGate) {
+		spins += g.spins.Load()
+		spinHits += g.spinHits.Load()
+		parks += g.parks.Load()
+	})
+	return spins, spinHits, parks
+}
+
+// eachGate visits the drain gate and every virtual CPU's gate.
+func (rt *Runtime) eachGate(fn func(g *waitGate)) {
+	fn(&rt.drainGate)
+	for r := 1; r <= rt.opts.NumCPUs; r++ {
+		fn(&rt.cpus[r].td.gate)
+	}
 }
 
 // ResetStats clears collected statistics (execution records, the per-CPU
@@ -761,6 +818,11 @@ func (rt *Runtime) ResetStats() {
 		rt.live[i].reset()
 	}
 	rt.pointsExhausted.Store(0)
+	rt.eachGate(func(g *waitGate) {
+		g.spins.Store(0)
+		g.spinHits.Store(0)
+		g.parks.Store(0)
+	})
 }
 
 // Close shuts the workers down. The runtime must be idle (no outstanding
@@ -773,14 +835,16 @@ func (rt *Runtime) Close() {
 		close(rt.watchdogQuit)
 		<-rt.watchdogDone
 	}
+	// closed is what an idle worker's wait reads; it was published above.
 	for r := 1; r <= rt.opts.NumCPUs; r++ {
-		close(rt.cpus[r].tasks)
+		rt.cpus[r].td.gate.wake()
 	}
 	rt.wg.Wait()
 }
 
-// Quiescent reports whether no virtual CPU is claimed or running — the
-// precondition for Recycle and the pool's reuse-after-fault verification.
+// Quiescent reports whether no virtual CPU is claimed and no worker is
+// inside a speculation — the precondition for Recycle and the pool's
+// reuse-after-fault verification.
 func (rt *Runtime) Quiescent() bool { return rt.active.Load() == 0 }
 
 // watchdog is the runaway-speculation scanner (SpecDeadline > 0): it
@@ -827,12 +891,23 @@ func (rt *Runtime) watchdog() {
 	}
 }
 
-// worker is a virtual CPU's goroutine: it waits for speculations and runs
-// them through the stop/validate/commit protocol.
+// worker is a virtual CPU's goroutine: it waits on the CPU's gate for a
+// task in its slot and runs it through the stop/validate/commit protocol.
+// Between two speculations of a run it spins for the next fork (idleSpin)
+// before it parks, so a chain of forks on this CPU never pays a wake-up.
 func (rt *Runtime) worker(c *cpu) {
 	defer rt.wg.Done()
-	for task := range c.tasks {
+	procBusy.Add(1)
+	defer procBusy.Add(-1)
+	for {
+		c.td.gate.wait(func() bool { return c.taskReady.Load() || rt.closed.Load() }, rt.idleSpin)
+		if !c.taskReady.Load() {
+			return // closed
+		}
+		task := c.task
+		c.taskReady.Store(false)
 		rt.runSpec(c, task)
+		rt.retire()
 	}
 }
 
@@ -880,34 +955,50 @@ func runRegion(t *Thread, region RegionFunc) (out regionOutcome) {
 }
 
 // runSpec is the body of one speculative execution: stub entry, region,
-// stop, synchronize, validate, commit/rollback, finalize, publish.
+// stop, synchronize, validate, commit/rollback, publish, finalize.
+//
+// The verdict is published as soon as it exists. Everything the joiner
+// reads — final time (with the virtual finalize charge already booked),
+// set peaks, the live per-point counters — is written before the
+// valid_status store; clearing the buffers and logging the execution
+// record come after it, on this worker's time, while the joiner is
+// already running again. From that store on the parent may reclaim the
+// CPU and fork on it, so the tail works from locals and from state only
+// the worker owns (its GlobalBuffer, its clock, its record slice).
 func (rt *Runtime) runSpec(c *cpu, task specTask) {
-	model := rt.opts.Cost
-	t := &Thread{
+	t := &c.thread
+	c.clock.Init(rt.opts.Timing, &rt.opts.Cost, rt.epoch)
+	*t = Thread{
 		rt:          rt,
 		rank:        c.td.rank,
 		cpu:         c,
-		clock:       vclock.NewClock(rt.opts.Timing, &model, rt.epoch),
+		clock:       &c.clock,
 		stack:       c.stack,
+		stackTop:    c.stack.Start,
 		speculative: true,
 	}
-	t.stackTop = t.stack.Start
 	t.clock.SetNow(task.startAt)
-	c.td.buffersFinal = false
-	execStart := t.clock.Now()
-	c.td.startTime = execStart
+	// The execution occupies its CPU from the fork's Start stamp. Under
+	// real timing the gap up to here is the hand-off latency — the worker
+	// waking up or noticing the task — and is booked as fork time; under
+	// virtual timing the clock was just set to startAt and there is no gap.
+	execStart := task.startAt
+	t.clock.Book(vclock.Fork, t.clock.Now()-execStart)
+	td := &c.td
+	epoch := td.epoch()
+	td.buffersFinal = false
+	td.startTime = execStart
 	if rt.wallEWMA != nil {
 		// Publish this execution on the watchdog's scan surface. The
 		// wallStart store comes last: a non-zero wallStart tells the
 		// watchdog that specPoint is current and deadlineHit is clear.
 		c.deadlineHit.Store(false)
-		c.specPoint.Store(int32(c.td.point))
+		c.specPoint.Store(int32(td.point))
 		c.wallStart.Store(time.Now().UnixNano())
 	}
 
 	out := runRegion(t, task.region)
 
-	td := &c.td
 	if rt.wallEWMA != nil {
 		if s := c.wallStart.Swap(0); s != 0 {
 			// Fold the observed wall latency into the point's EWMA (alpha
@@ -931,21 +1022,27 @@ func (rt *Runtime) runSpec(c *cpu, task specTask) {
 			rt.heur.observeFault(td.point)
 		}
 		// Self-detected rollback (invalid address, overflow exhaustion,
-		// unsafe op): discard buffers now, publish ROLLBACK, then wait for
+		// unsafe op): publish ROLLBACK, discard the buffers, then wait for
 		// the verdict so children are handed to exactly one side. The
 		// overflow flag must be cleared here — it survives from this CPU's
 		// previous execution and would misbook the verdict wait as
-		// Overflow time.
-		rt.finalizeBuffers(t, c)
+		// Overflow time. Whatever the verdict, the execution counts as a
+		// rollback, so the live counters can be fed before the publish.
+		rt.bookFinalize(t, c)
 		td.overflowStop = false
 		td.reason = out.reason
 		td.stopCounter = 0
-		td.stopTime = t.clock.Now()
-		td.finalTime = t.clock.Now()
+		now := t.clock.Now()
+		td.stopTime, td.finalTime = now, now
+		rec := rt.observe(c, execStart, now, false)
 		td.state.Store(cpuReady)
-		td.validStatus.Store(validRollback)
-		td.gate.wake()
-		rt.awaitVerdict(t, c, execStart)
+		publishVerdict(td, now, validRollback)
+		rt.clearBuffers(t, c)
+		if rt.waitSync(t, c, epoch, vclock.Idle) == syncNoSync {
+			rt.finishNoSync(t, c, rec)
+			return
+		}
+		rt.logExec(t, rec)
 		return
 	}
 
@@ -957,49 +1054,71 @@ func (rt *Runtime) runSpec(c *cpu, task specTask) {
 	td.stopTime = t.clock.Now()
 	td.state.Store(cpuReady)
 
+	// A thread stopped by a hash-conflict overflow waits on overflow time.
+	waitPhase := vclock.Idle
+	if td.overflowStop {
+		waitPhase = vclock.Overflow
+	}
 	rt.preValidate(t, c)
-	verdict := rt.waitSync(t, c)
-	if verdict == syncNoSync {
-		rt.finishNoSync(t, c, execStart)
+	if rt.waitSync(t, c, epoch, waitPhase) == syncNoSync {
+		rt.bookFinalize(t, c)
+		rt.clearBuffers(t, c)
+		td.finalTime = t.clock.Now()
+		rt.finishNoSync(t, c, rt.observe(c, execStart, td.finalTime, false))
 		return
 	}
 
 	// Both threads have stopped: the speculative thread validates and
 	// commits or rolls back (paper §IV-E).
-	waitPhase := vclock.Idle
-	if td.overflowStop {
-		waitPhase = vclock.Overflow
-	}
 	t.clock.AdvanceTo(td.syncTime.Load(), waitPhase)
 
 	committed := rt.validateAndCommit(t, c)
-	rt.finalizeBuffers(t, c)
-	td.finalTime = t.clock.Now()
+	rt.bookFinalize(t, c)
+	now := t.clock.Now()
+	td.finalTime = now
+	rec := rt.observe(c, execStart, now, committed)
+	status := validRollback
 	if committed {
 		td.reason = RollbackNone
-		td.validStatus.Store(validCommit)
-	} else {
-		td.validStatus.Store(validRollback)
+		status = validCommit
 	}
-	td.gate.wake()
-	rt.record(t, c, execStart, committed)
-	// The parent adopts children, copies locals and reclaims the CPU once
-	// the worker signals it is done with the ThreadData.
-	td.workerDone.Store(true)
+	publishVerdict(td, now, status)
+	// The parent adopts children, copies locals and reclaims the CPU from
+	// here on; the rest is this worker's own housekeeping.
+	rt.clearBuffers(t, c)
+	rt.logExec(t, rec)
+}
+
+// publishVerdict stores valid_status — the release point of everything the
+// execution wrote to its ThreadData — stamped with the worker's clock, and
+// wakes the joiner.
+func publishVerdict(td *threadData, now vclock.Cost, status int32) {
+	td.validStamp = now
+	td.validStatus.Store(status)
 	td.gate.wake()
 }
 
-// waitSync waits (spin prefix, then parked) until the parent signals SYNC
-// or NOSYNC. In real mode the wait is booked as idle (or overflow) time.
-func (rt *Runtime) waitSync(t *Thread, c *cpu) uint64 {
-	phase := vclock.Idle
-	if c.td.overflowStop {
-		phase = vclock.Overflow
+// waitSync waits (time-bounded spin, then parked) until the parent signals
+// SYNC or NOSYNC on the execution's epoch and returns the signal. In real
+// mode the wait is booked to the given phase. The predicate keeps
+// the one word it loaded: a self-rolled-back execution has published its
+// verdict already, so after SYNC the parent may reclaim the CPU — bumping
+// the epoch and clearing sync_status — before this thread looks again. An
+// epoch that moved on therefore means SYNC: a NOSYNCed thread releases its
+// CPU itself.
+func (rt *Runtime) waitSync(t *Thread, c *cpu, epoch uint64, phase vclock.Phase) uint64 {
+	sw := t.clock.Start(phase)
+	null := epoch << syncStatusBits
+	var w uint64
+	c.td.gate.wait(func() bool {
+		w = c.td.syncWord.Load()
+		return w != null
+	}, rt.spareProc)
+	sw.Stop()
+	if w>>syncStatusBits != epoch {
+		return syncSync
 	}
-	stop := t.clock.Span(phase)
-	c.td.gate.wait(func() bool { return c.td.syncStatus() != syncNull })
-	stop()
-	return c.td.syncStatus()
+	return w & syncStatusMask
 }
 
 // preValidate runs the read-set walk optimistically, before the parent's
@@ -1015,45 +1134,27 @@ func (rt *Runtime) preValidate(t *Thread, c *cpu) {
 	if !rt.overlapValidation || c.td.syncStatus() != syncNull {
 		return
 	}
-	stop := t.clock.Span(vclock.Validation)
+	sw := t.clock.Start(vclock.Validation)
 	c.preSnap = rt.stamps.Snapshot()
 	c.preOK = c.gb.PreValidate()
 	c.preDone = true
-	stop()
+	sw.Stop()
 }
 
-// awaitVerdict handles the tail of a self-rolled-back execution: the parent
-// either SYNCs (and then adopts the children and reclaims the CPU) or
-// NOSYNCs (and the thread cleans up after itself).
-func (rt *Runtime) awaitVerdict(t *Thread, c *cpu, execStart vclock.Cost) {
-	verdict := rt.waitSync(t, c)
-	if verdict == syncNoSync {
-		rt.finishNoSync(t, c, execStart)
-		return
-	}
-	rt.record(t, c, execStart, false)
-	c.td.workerDone.Store(true)
-	c.td.gate.wake()
-}
-
-// finishNoSync is the self-cleanup path of a squashed thread: roll back,
-// squash the subtree, release the CPU.
-func (rt *Runtime) finishNoSync(t *Thread, c *cpu, execStart vclock.Cost) {
+// finishNoSync is the self-cleanup path of a squashed thread whose buffers
+// are already discarded: squash the subtree, log the execution, release
+// the CPU. The thread still owns its ThreadData here — nobody reclaims a
+// NOSYNCed CPU but its own worker.
+func (rt *Runtime) finishNoSync(t *Thread, c *cpu, rec stats.ExecRecord) {
 	td := &c.td
-	rt.finalizeBuffers(t, c)
 	for _, child := range td.children {
 		rt.cpus[child.rank].td.signal(child.epoch, syncNoSync)
 	}
 	td.children = td.children[:0]
 	td.reason = RollbackNoSync
-	td.finalTime = t.clock.Now()
 	rt.heur.observe(td.point, false)
 	rt.linearRemove(td.rank)
-	rt.record(t, c, execStart, false)
-	// The worker is releasing its own CPU; mark itself done so releaseCPU
-	// does not wait for anyone.
-	td.workerDone.Store(true)
-	td.gate.wake()
+	rt.logExec(t, rec)
 	rt.releaseCPU(c, td.finalTime)
 }
 
@@ -1090,7 +1191,7 @@ func (rt *Runtime) validateAndCommit(t *Thread, c *cpu) bool {
 			rt.CancelRun()
 		}
 	}
-	valStop := t.clock.Span(vclock.Validation)
+	sw := t.clock.Start(vclock.Validation)
 	var ok bool
 	if c.preDone && c.preOK {
 		// The optimistic pre-validation passed; re-check only the read-set
@@ -1102,64 +1203,78 @@ func (rt *Runtime) validateAndCommit(t *Thread, c *cpu) bool {
 		// have been overwritten since, so the full walk decides).
 		ok = c.gb.Validate()
 	}
-	valStop()
 	if !ok {
+		sw.Stop()
 		td.reason = RollbackValidation
 		return false
 	}
+	sw.Lap(vclock.Commit)
 	t.clock.Charge(vclock.Commit, vclock.Cost(writes)*model.CommitPerWord)
-	commitStop := t.clock.Span(vclock.Commit)
 	c.gb.Commit(rt.markFn)
-	commitStop()
+	sw.Stop()
 	return true
 }
 
-// finalizeBuffers clears the GlobalBuffer, booking the cost proportional to
-// the slots actually used. The set sizes at this point are the execution's
-// high-water marks (sets only grow during a region), so they are captured
-// here for the statistics record. A second call for the same execution (a
-// self-rolled-back thread that is then NOSYNCed) is a no-op, so the peaks
-// survive until record().
-func (rt *Runtime) finalizeBuffers(t *Thread, c *cpu) {
+// bookFinalize closes the execution's buffer accounting without touching
+// the buffers: the set sizes at this point are the execution's high-water
+// marks (sets only grow during a region), captured for the statistics
+// record, and the virtual-mode clearing cost — proportional to the slots
+// actually used — is charged, so the final time the verdict publishes
+// already includes it. A second call for the same execution is a no-op.
+func (rt *Runtime) bookFinalize(t *Thread, c *cpu) {
 	if c.td.buffersFinal {
 		return
 	}
 	c.td.buffersFinal = true
-	model := &rt.opts.Cost
 	reads, writes := c.gb.ReadSetSize(), c.gb.WriteSetSize()
 	c.td.readPeak, c.td.writePeak = reads, writes
-	t.clock.Charge(vclock.Finalize, vclock.Cost(reads+writes)*model.FinalizePerWord)
-	stop := t.clock.Span(vclock.Finalize)
-	c.gb.Finalize()
-	stop()
+	t.clock.Charge(vclock.Finalize, vclock.Cost(reads+writes)*rt.opts.Cost.FinalizePerWord)
 }
 
-// record emits the execution's statistics record and folds it into the
-// live per-point counters (the mid-run feedback surface).
-func (rt *Runtime) record(t *Thread, c *cpu, execStart vclock.Cost, committed bool) {
-	if p := c.td.point; p >= 0 && p < len(rt.live) {
-		rt.live[p].observe(committed, t.clock.Now()-execStart, c.td.readPeak, c.td.writePeak)
+// clearBuffers empties the GlobalBuffer, timing it as finalize under real
+// timing. It runs after the verdict is out, so it reads nothing of the
+// ThreadData.
+func (rt *Runtime) clearBuffers(t *Thread, c *cpu) {
+	sw := t.clock.Start(vclock.Finalize)
+	c.gb.Finalize()
+	sw.Stop()
+}
+
+// observe folds the finished execution into the live per-point counters
+// (the mid-run feedback surface — it must be complete before the verdict
+// publishes, because the joiner reads it right after Join) and returns the
+// statistics record for logExec, captured now because the ThreadData is
+// the parent's again once the verdict is out.
+func (rt *Runtime) observe(c *cpu, execStart, now vclock.Cost, committed bool) stats.ExecRecord {
+	td := &c.td
+	if p := td.point; p >= 0 && p < len(rt.live) {
+		rt.live[p].observe(committed, now-execStart, td.readPeak, td.writePeak)
 	}
-	rt.collector.Add(stats.ExecRecord{
-		Rank:         int(c.td.rank),
-		Point:        c.td.point,
+	return stats.ExecRecord{
+		Rank:         int(td.rank),
+		Point:        td.point,
 		Start:        execStart,
-		End:          t.clock.Now(),
-		Ledger:       t.clock.Ledger(),
 		Committed:    committed,
-		ReadSetPeak:  c.td.readPeak,
-		WriteSetPeak: c.td.writePeak,
-	})
+		ReadSetPeak:  td.readPeak,
+		WriteSetPeak: td.writePeak,
+	}
+}
+
+// logExec completes the execution's statistics record with its end time
+// and ledger and hands it to the collector.
+func (rt *Runtime) logExec(t *Thread, rec stats.ExecRecord) {
+	rec.End = t.clock.Now()
+	rec.Ledger = t.clock.Ledger()
+	rt.collector.Add(rec)
 }
 
 // releaseCPU returns a CPU to the IDLE pool at the given virtual free time,
-// updating the most-speculative pointer for the in-order policy. When
-// called by the parent (reclaim), it first waits for the worker to finish
-// its post-processing so no flag is reset under the worker's feet.
+// updating the most-speculative pointer for the in-order policy. The
+// caller owns the ThreadData: the joining parent after valid_status, a
+// NOSYNCed worker, or a forker abandoning its claim. The worker may still
+// be clearing its buffers — it holds its own share of the active count
+// and takes its next task only when done.
 func (rt *Runtime) releaseCPU(c *cpu, freeAt vclock.Cost) {
-	if c.td.state.Load() == cpuReady {
-		c.td.gate.wait(c.td.workerDone.Load)
-	}
 	c.freeAt.Store(freeAt)
 	// If the retiring thread was the in-order tail, the chain is fully
 	// collapsed (joins are sequential) — the non-speculative thread may
@@ -1167,14 +1282,11 @@ func (rt *Runtime) releaseCPU(c *cpu, freeAt vclock.Cost) {
 	rt.inOrderTail.CompareAndSwap(tailWord(c.td.rank, c.td.epoch()), 0)
 	c.td.validStatus.Store(validNull)
 	c.td.forceInvalid.Store(false)
-	c.td.workerDone.Store(false)
-	c.lb.Reset()
 	// Start a new generation: stale references to the old epoch can no
 	// longer signal this CPU.
 	c.td.bumpEpoch()
 	c.td.state.Store(cpuIdle)
-	rt.active.Add(-1)
-	rt.drainGate.wake()
+	rt.retire()
 }
 
 // linearInsert places a MixedLinear child immediately after its parent in

@@ -41,8 +41,11 @@ type Thread struct {
 	// published) and Start (task handed to the worker). A panic unwinding
 	// through that window would otherwise strand a claimed CPU — active
 	// incremented, no worker ever running — and hang the drain; the
-	// recover paths call abandonOpenFork to undo the claim.
+	// recover paths call abandonOpenFork to undo the claim. fork is the
+	// handle itself: a thread has one fork window open at a time, so each
+	// Fork re-initializes it instead of allocating one.
 	openFork *ForkHandle
+	fork     ForkHandle
 
 	// bulk is the non-speculative thread's typed-accessor scratch buffer;
 	// speculative threads use their CPU's persistent one (Thread.scratch).

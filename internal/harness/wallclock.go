@@ -78,6 +78,12 @@ type WallclockPoint struct {
 	// reported (minimum) run.
 	Commits   int `json:"commits"`
 	Rollbacks int `json:"rollbacks"`
+	// HandoffParks/HandoffSpinHits are the join protocol's hand-off
+	// counters of that run: waits that parked a goroutine against waits a
+	// bounded spin covered. Parks well below commits mean fork/joins stay
+	// out of the kernel.
+	HandoffParks    int64 `json:"handoff_parks"`
+	HandoffSpinHits int64 `json:"handoff_spin_hits"`
 }
 
 // WallclockResult is one workload's sweep.
@@ -240,6 +246,8 @@ func (h *Harness) wallclockWorkload(w *bench.Workload, cfg WallclockConfig) (Wal
 				pt.NS = m.Runtime
 				pt.Commits = m.Summary.Commits
 				pt.Rollbacks = m.Summary.Rollbacks
+				pt.HandoffParks = m.Summary.HandoffParks
+				pt.HandoffSpinHits = m.Summary.HandoffSpinHits
 			}
 		}
 		pt.Speedup = float64(res.SeqNS) / float64(pt.NS)

@@ -45,25 +45,48 @@ type Frame struct {
 	regs     []uint64
 	regLive  []bool
 	vars     []stackVar
+	// liveRegs/liveVars list the slots that went live, in first-store
+	// order: clearing a frame and copying its registers out touch only
+	// these, not the whole static arrays.
+	liveRegs []int32
+	liveVars []int32
 }
 
-func newFrame(funcID, callSite uint32, regSlots, stackSlots int) *Frame {
+func newFrame(regSlots, stackSlots int) *Frame {
 	return &Frame{
-		FuncID:   funcID,
-		CallSite: callSite,
-		regs:     make([]uint64, regSlots),
-		regLive:  make([]bool, regSlots),
-		vars:     make([]stackVar, stackSlots),
+		regs:    make([]uint64, regSlots),
+		regLive: make([]bool, regSlots),
+		vars:    make([]stackVar, stackSlots),
 	}
+}
+
+// clear empties the frame in place. Stack-variable byte buffers keep their
+// capacity for the next SetStackvar.
+func (f *Frame) clear() {
+	for _, s := range f.liveRegs {
+		f.regLive[s] = false
+		f.regs[s] = 0
+	}
+	f.liveRegs = f.liveRegs[:0]
+	for _, s := range f.liveVars {
+		v := &f.vars[s]
+		v.live = false
+		v.homeAddr, v.boundAddr = mem.NilAddr, mem.NilAddr
+		v.data = v.data[:0]
+	}
+	f.liveVars = f.liveVars[:0]
 }
 
 // Buffer is one thread's LocalBuffer: a stack of frames. Frame 0 is the
 // speculative entry frame; EnterPoint/ReturnPoint push and pop nested
-// frames as the speculative thread descends into function calls.
+// frames as the speculative thread descends into function calls. Popped
+// frames wait on a free list, so a buffer allocates a frame only the first
+// time a nesting depth is reached.
 type Buffer struct {
 	regSlots   int
 	stackSlots int
 	frames     []*Frame
+	free       []*Frame
 }
 
 // Config sizes a LocalBuffer.
@@ -83,14 +106,25 @@ func New(cfg Config) (*Buffer, error) {
 		return nil, fmt.Errorf("lbuf: invalid config %+v", cfg)
 	}
 	b := &Buffer{regSlots: cfg.RegSlots, stackSlots: cfg.StackSlots}
-	b.Reset()
+	b.frames = append(b.frames, newFrame(cfg.RegSlots, cfg.StackSlots))
 	return b, nil
 }
 
-// Reset discards every frame and restores the single empty entry frame.
+// Reset discards every nested frame and empties the entry frame in place:
+// only the slots that went live are cleared, nothing is allocated.
 func (b *Buffer) Reset() {
-	b.frames = b.frames[:0]
-	b.frames = append(b.frames, newFrame(0, 0, b.regSlots, b.stackSlots))
+	for len(b.frames) > 1 {
+		b.popFrame()
+	}
+	b.frames[0].clear()
+}
+
+// popFrame moves the innermost frame to the free list.
+func (b *Buffer) popFrame() {
+	n := len(b.frames) - 1
+	b.free = append(b.free, b.frames[n])
+	b.frames[n] = nil
+	b.frames = b.frames[:n]
 }
 
 // Depth returns the number of frames (1 = entry frame only).
@@ -107,7 +141,15 @@ func (b *Buffer) Entry() *Frame { return b.frames[0] }
 // synchronization counter of the enter point block in the caller, which the
 // non-speculative thread later uses to replicate the call chain.
 func (b *Buffer) PushFrame(funcID, callSite uint32) *Frame {
-	f := newFrame(funcID, callSite, b.regSlots, b.stackSlots)
+	var f *Frame
+	if n := len(b.free); n > 0 {
+		f = b.free[n-1]
+		b.free = b.free[:n-1]
+		f.clear()
+	} else {
+		f = newFrame(b.regSlots, b.stackSlots)
+	}
+	f.FuncID, f.CallSite = funcID, callSite
 	b.frames = append(b.frames, f)
 	return f
 }
@@ -120,7 +162,7 @@ func (b *Buffer) PopFrame() error {
 	if len(b.frames) == 1 {
 		return fmt.Errorf("lbuf: return from speculative entry frame")
 	}
-	b.frames = b.frames[:len(b.frames)-1]
+	b.popFrame()
 	return nil
 }
 
@@ -133,7 +175,10 @@ func (b *Buffer) SetRegvar(slot int, v uint64) error {
 		return fmt.Errorf("lbuf: register slot %d exceeds capacity %d", slot, len(f.regs))
 	}
 	f.regs[slot] = v
-	f.regLive[slot] = true
+	if !f.regLive[slot] {
+		f.regLive[slot] = true
+		f.liveRegs = append(f.liveRegs, int32(slot))
+	}
 	return nil
 }
 
@@ -167,7 +212,10 @@ func (b *Buffer) SetStackvar(slot int, homeAddr mem.Addr, data []byte) error {
 		return fmt.Errorf("lbuf: stack slot %d exceeds capacity %d", slot, len(f.vars))
 	}
 	v := &f.vars[slot]
-	v.live = true
+	if !v.live {
+		v.live = true
+		f.liveVars = append(f.liveVars, int32(slot))
+	}
 	v.homeAddr = homeAddr
 	v.boundAddr = mem.NilAddr
 	v.data = append(v.data[:0], data...)
@@ -240,10 +288,14 @@ type PtrMapping struct {
 	Size  int
 }
 
-// PtrMappings snapshots the entry frame's live stack variables.
+// PtrMappings snapshots the entry frame's live stack variables in slot
+// order; nil (and no allocation) when the frame buffers none.
 func (b *Buffer) PtrMappings() []PtrMapping {
 	f := b.frames[0]
-	var out []PtrMapping
+	if len(f.liveVars) == 0 {
+		return nil
+	}
+	out := make([]PtrMapping, 0, len(f.liveVars))
 	for i := range f.vars {
 		v := &f.vars[i]
 		if v.live {
@@ -278,6 +330,9 @@ type FrameRecord struct {
 // The parent replays them to replicate the speculative call chain
 // (MUTLS_synchronize_entry).
 func (b *Buffer) Records() []FrameRecord {
+	if len(b.frames) == 1 {
+		return nil
+	}
 	out := make([]FrameRecord, 0, len(b.frames)-1)
 	for _, f := range b.frames[1:] {
 		r := FrameRecord{
@@ -291,8 +346,12 @@ func (b *Buffer) Records() []FrameRecord {
 	return out
 }
 
-// EntryRegs snapshots the entry frame's register slots (values, liveness).
-func (b *Buffer) EntryRegs() ([]uint64, []bool) {
-	f := b.frames[0]
-	return append([]uint64(nil), f.regs...), append([]bool(nil), f.regLive...)
-}
+// EntryLive lists the entry frame's live register slots in first-store
+// order. The slice aliases the buffer: it is valid until the next Reset
+// and must not be modified. Together with EntryReg it lets the joining
+// thread copy only the registers the region actually saved.
+func (b *Buffer) EntryLive() []int32 { return b.frames[0].liveRegs }
+
+// EntryReg returns the value of an entry-frame register slot listed by
+// EntryLive.
+func (b *Buffer) EntryReg(slot int32) uint64 { return b.frames[0].regs[slot] }

@@ -211,8 +211,8 @@ func TestRecordsSnapshotNestedFrames(t *testing.T) {
 		t.Fatalf("inner record %+v", recs[1])
 	}
 	// Entry frame is reported separately.
-	regs, live := b.EntryRegs()
-	if regs[0] != 1 || !live[0] || live[1] {
+	live := b.EntryLive()
+	if len(live) != 1 || live[0] != 0 || b.EntryReg(0) != 1 {
 		t.Fatal("entry regs wrong")
 	}
 }
@@ -325,5 +325,66 @@ func TestQuickPointerMapping(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestResetClearsOnlyWhatWentLive: the entry frame is emptied in place —
+// same frame object, every live register and stack variable gone, nested
+// frames parked on the free list for the next PushFrame.
+func TestResetClearsOnlyWhatWentLive(t *testing.T) {
+	b := newTestBuffer(t)
+	entry := b.Entry()
+	b.SetRegvar(5, 50)
+	b.SetRegvar(2, 20)
+	b.SetRegvar(5, 51) // a second store to a live slot lists it once
+	if err := b.SetStackvar(1, 0x100, []byte{1, 2, 3, 4}); err != nil {
+		t.Fatal(err)
+	}
+	if live := b.EntryLive(); len(live) != 2 || live[0] != 5 || live[1] != 2 || b.EntryReg(5) != 51 {
+		t.Fatalf("live slots %v", live)
+	}
+	nested := b.PushFrame(7, 3)
+	nested.regs[0] = 99 // as a SetRegvar on the nested frame would
+	b.Reset()
+	if b.Entry() != entry {
+		t.Fatal("Reset replaced the entry frame instead of clearing it")
+	}
+	if b.Depth() != 1 || len(b.EntryLive()) != 0 || b.RegvarLive(5) || b.RegvarLive(2) {
+		t.Fatal("entry frame not empty after Reset")
+	}
+	if len(b.PtrMappings()) != 0 {
+		t.Fatal("stack variable survived Reset")
+	}
+	if _, err := b.GetStackvar(1, 0); err == nil {
+		t.Fatal("dead stack slot readable after Reset")
+	}
+	if got := b.PushFrame(8, 4); got != nested {
+		t.Fatal("PushFrame allocated although a popped frame was free")
+	} else if got.FuncID != 8 || got.CallSite != 4 || b.RegvarLive(0) {
+		t.Fatalf("recycled frame carries old state: %+v", got)
+	}
+}
+
+// TestSteadyStateDoesNotAllocate: after the first use at a given depth,
+// the per-speculation cycle — reset, save registers, nest, unwind — runs
+// without allocating.
+func TestSteadyStateDoesNotAllocate(t *testing.T) {
+	b := newTestBuffer(t)
+	cycle := func() {
+		b.Reset()
+		b.SetRegvar(0, 1)
+		b.SetRegvar(3, 2)
+		b.PushFrame(1, 1)
+		b.SetRegvar(1, 3)
+		b.PushFrame(2, 2)
+		b.PopFrame()
+		b.PopFrame()
+		for _, s := range b.EntryLive() {
+			_ = b.EntryReg(s)
+		}
+	}
+	cycle()
+	if a := testing.AllocsPerRun(100, cycle); a != 0 {
+		t.Fatalf("steady-state cycle allocates %v objects", a)
 	}
 }

@@ -90,6 +90,13 @@ type Server struct {
 	pfMu        sync.Mutex
 	pointFaults map[int]int64
 
+	// handoffParks and handoffSpinHits accumulate the leased runtimes'
+	// join-protocol hand-off counters the same way: waits that parked a
+	// goroutine against waits a bounded spin covered. A park share that
+	// climbs means requests are paying wake-up latency per fork/join.
+	handoffParks    atomic.Int64
+	handoffSpinHits atomic.Int64
+
 	// seqSums caches sequential reference checksums by kernel and size, so
 	// verification costs one extra run per distinct request shape, ever.
 	seqMu   sync.Mutex
@@ -162,12 +169,16 @@ func (s *Server) recovered(next http.Handler) http.Handler {
 // handler panics).
 func (s *Server) Faults() int64 { return s.faults.Load() }
 
-// absorbPointFaults folds the leased runtime's fault records — each
-// carries the fork point it was contained at — into the server's
+// absorbStats folds what the leased runtime counted for this request into
+// the server's lifetime aggregates: the hand-off counters, and the fault
+// records — each carries the fork point it was contained at — into the
 // per-point aggregate. Called just before a request releases its lease,
-// because Release recycles the runtime and resets its collector.
-func (s *Server) absorbPointFaults(rt *mutls.Runtime) {
-	recs := rt.Stats().Faults.Records
+// because Release recycles the runtime and resets its counters.
+func (s *Server) absorbStats(rt *mutls.Runtime) {
+	st := rt.Stats()
+	s.handoffParks.Add(st.HandoffParks)
+	s.handoffSpinHits.Add(st.HandoffSpinHits)
+	recs := st.Faults.Records
 	if len(recs) == 0 {
 		return
 	}
@@ -319,7 +330,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	rt := lease.Runtime()
 	// Registered after the Release defer so it runs first (LIFO): the
 	// records must be read before the recycle wipes them.
-	defer s.absorbPointFaults(rt)
+	defer s.absorbStats(rt)
 
 	want, err := s.seqChecksum(rt, name, k, size)
 	if err != nil {
@@ -372,19 +383,24 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 }
 
 // statsResponse is the /stats document: the pool's admission counters,
-// the server's contained-fault count, and the per-fork-point breakdown
-// of where those faults were contained (key "-1": outside any point).
+// the server's contained-fault count, the per-fork-point breakdown of
+// where those faults were contained (key "-1": outside any point), and
+// the join protocol's hand-off counters summed over all served requests.
 type statsResponse struct {
 	pool.Stats
-	Faults      int64            `json:"faults"`
-	PointFaults map[string]int64 `json:"point_faults"`
+	Faults          int64            `json:"faults"`
+	PointFaults     map[string]int64 `json:"point_faults"`
+	HandoffParks    int64            `json:"handoff_parks"`
+	HandoffSpinHits int64            `json:"handoff_spin_hits"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, statsResponse{
-		Stats:       s.pool.Stats(),
-		Faults:      s.faults.Load(),
-		PointFaults: s.PointFaults(),
+		Stats:           s.pool.Stats(),
+		Faults:          s.faults.Load(),
+		PointFaults:     s.PointFaults(),
+		HandoffParks:    s.handoffParks.Load(),
+		HandoffSpinHits: s.handoffSpinHits.Load(),
 	})
 }
 

@@ -138,6 +138,29 @@ func TestStatsAndHealthz(t *testing.T) {
 	}
 }
 
+// TestStatsCarriesHandoffCounters: the join protocol's hand-off counters
+// outlive the per-request recycle — every speculating request waits at
+// least once per fork/join, and each wait ends as a spin hit or a park.
+func TestStatsCarriesHandoffCounters(t *testing.T) {
+	_, ts := testServer(t, pool.Options{Runtimes: 1, HostBudget: 2, Runtime: mutls.Options{CPUs: 2}})
+	var r RunResponse
+	getJSON(t, ts.URL+"/run?kernel=mandelbrot", http.StatusOK, &r)
+	if r.Commits == 0 {
+		t.Fatal("request did not speculate")
+	}
+	var st struct {
+		HandoffParks    *int64 `json:"handoff_parks"`
+		HandoffSpinHits *int64 `json:"handoff_spin_hits"`
+	}
+	getJSON(t, ts.URL+"/stats", http.StatusOK, &st)
+	if st.HandoffParks == nil || st.HandoffSpinHits == nil {
+		t.Fatal("/stats lacks handoff_parks / handoff_spin_hits")
+	}
+	if *st.HandoffParks+*st.HandoffSpinHits == 0 {
+		t.Errorf("a request with %d commits left no hand-off trace", r.Commits)
+	}
+}
+
 // TestConcurrentBurst: a burst of mixed-kernel requests against a small
 // pool — all responses verified, pool drained afterwards.
 func TestConcurrentBurst(t *testing.T) {

@@ -198,6 +198,16 @@ type Summary struct {
 	// ResetStats).
 	PointsExhausted int64
 
+	// Hand-off counters of the join protocol's gates (filled by the
+	// runtime; counted without CollectStats, cumulative until ResetStats):
+	// waits that entered the time-bounded spin phase, spin phases the
+	// awaited flag ended, and waits that parked the goroutine. A fork/join
+	// between two threads that both have a core shows up as spin hits and
+	// no parks; parks on a fine-grained loop are lost wake-up latency.
+	HandoffSpins    int64
+	HandoffSpinHits int64
+	HandoffParks    int64
+
 	// Faults are the containment counters: speculative panics converted to
 	// rollbacks, non-speculative KernelPanics, watchdog deadline kills.
 	// Counted even without CollectStats; cumulative until ResetStats.

@@ -164,7 +164,18 @@ type Clock struct {
 // NewClock creates a clock at time zero. All clocks of one runtime share
 // the epoch so Real-mode Now values are comparable across threads.
 func NewClock(mode Mode, model *CostModel, epoch time.Time) *Clock {
-	return &Clock{Mode: mode, Model: model, epoch: epoch}
+	c := new(Clock)
+	c.Init(mode, model, epoch)
+	return c
+}
+
+// Init resets the clock to time zero with an empty ledger, in place: a
+// virtual CPU keeps one Clock and re-initializes it for every speculation
+// instead of allocating a new one.
+func (c *Clock) Init(mode Mode, model *CostModel, epoch time.Time) {
+	c.Mode, c.Model, c.epoch = mode, model, epoch
+	c.now = 0
+	c.ledger = Ledger{}
 }
 
 // Now returns the thread-local current time.
@@ -199,14 +210,56 @@ func (c *Clock) AdvanceTo(target Cost, p Phase) {
 	}
 }
 
-// Span starts a real-mode stopwatch for phase p; invoke the returned stop
-// function at the end of the phase. Virtual mode returns a no-op.
-func (c *Clock) Span(p Phase) func() {
-	if c.Mode == Virtual {
-		return func() {}
+// Book adds a measured real-mode interval to phase p — for gaps whose two
+// ends were stamped by different threads (a fork's Start stamp and the
+// child's first instruction), which no single stopwatch can bracket.
+// Virtual mode ignores it: virtual time only moves through Charge and
+// AdvanceTo.
+func (c *Clock) Book(p Phase, d Cost) {
+	if c.Mode == Real && d > 0 {
+		c.ledger[p] += d
 	}
-	start := time.Now()
-	return func() { c.ledger[p] += time.Since(start).Nanoseconds() }
+}
+
+// Stopwatch is a running measurement of one phase: a value, so starting
+// and stopping one allocates nothing. Under virtual timing it measures
+// nothing (phases are charged, not timed) but still reports the clock, so
+// callers read the time the same way in both modes.
+type Stopwatch struct {
+	c     *Clock
+	p     Phase
+	start Cost
+}
+
+// Start begins timing phase p.
+func (c *Clock) Start(p Phase) Stopwatch { return Stopwatch{c: c, p: p, start: c.Now()} }
+
+// Started returns the clock reading Start (or the last Lap) took.
+func (s Stopwatch) Started() Cost { return s.start }
+
+// Lap books the time since Start (or the last Lap) to the running phase
+// and continues on phase p — one clock reading where Stop and Start would
+// take two.
+func (s *Stopwatch) Lap(p Phase) {
+	now := s.c.Now()
+	s.c.Book(s.p, now-s.start)
+	s.p, s.start = p, now
+}
+
+// Stop books the time since Start (or the last Lap) to the running phase
+// and returns the clock reading it took.
+func (s Stopwatch) Stop() Cost {
+	now := s.c.Now()
+	s.c.Book(s.p, now-s.start)
+	return now
+}
+
+// Span is the closure form of Start: it returns the function that stops
+// the measurement. The closure is a heap object; hot paths hold the
+// Stopwatch value instead.
+func (c *Clock) Span(p Phase) func() {
+	sw := c.Start(p)
+	return func() { sw.Stop() }
 }
 
 // Ledger returns the accumulated phase ledger.

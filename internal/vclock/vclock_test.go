@@ -156,3 +156,83 @@ func TestQuickVirtualNowEqualsLedgerTotal(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestStopwatchBooksRealTimeByPhase(t *testing.T) {
+	m := DefaultCostModel()
+	c := NewClock(Real, &m, time.Now())
+	sw := c.Start(Validation)
+	if sw.Started() > c.Now() {
+		t.Fatal("stopwatch started in the future")
+	}
+	time.Sleep(2 * time.Millisecond)
+	sw.Lap(Commit)
+	time.Sleep(time.Millisecond)
+	end := sw.Stop()
+	l := c.Ledger()
+	if l[Validation] < int64(2*time.Millisecond) || l[Commit] < int64(time.Millisecond) {
+		t.Fatalf("ledger validation %d commit %d", l[Validation], l[Commit])
+	}
+	if l[Commit] != end-sw.Started() {
+		t.Fatalf("commit lap booked %d, ran %d", l[Commit], end-sw.Started())
+	}
+	if end > c.Now() {
+		t.Fatal("Stop returned a reading from the future")
+	}
+}
+
+func TestStopwatchIsInertUnderVirtualTiming(t *testing.T) {
+	m := DefaultCostModel()
+	c := NewClock(Virtual, &m, time.Now())
+	c.Charge(Work, 10)
+	sw := c.Start(Validation)
+	c.Charge(Validation, 5)
+	sw.Lap(Commit)
+	if end := sw.Stop(); end != 15 || sw.Started() != 15 {
+		t.Fatalf("virtual stopwatch read %d / %d, want the clock (15)", end, sw.Started())
+	}
+	if l := c.Ledger(); l[Validation] != 5 || l[Commit] != 0 || l.Total() != 15 {
+		t.Fatalf("virtual stopwatch booked time: %+v", l)
+	}
+}
+
+func TestBookIsRealModeOnly(t *testing.T) {
+	m := DefaultCostModel()
+	v := NewClock(Virtual, &m, time.Now())
+	v.Book(Fork, 100)
+	if v.Ledger()[Fork] != 0 || v.Now() != 0 {
+		t.Fatal("Book moved a virtual clock")
+	}
+	r := NewClock(Real, &m, time.Now())
+	r.Book(Fork, 100)
+	r.Book(Fork, -5)
+	if r.Ledger()[Fork] != 100 {
+		t.Fatalf("real Book: %d", r.Ledger()[Fork])
+	}
+}
+
+func TestInitRestartsClockInPlace(t *testing.T) {
+	m := DefaultCostModel()
+	c := NewClock(Virtual, &m, time.Now())
+	c.Charge(Work, 7)
+	c.Init(Virtual, &m, time.Now())
+	if l := c.Ledger(); c.Now() != 0 || l.Total() != 0 {
+		t.Fatal("Init kept time or ledger")
+	}
+}
+
+// The stopwatch is on the fork/join hot path (about eight per round trip
+// under real timing) and must not allocate.
+func TestStopwatchDoesNotAllocate(t *testing.T) {
+	m := DefaultCostModel()
+	c := NewClock(Real, &m, time.Now())
+	if a := testing.AllocsPerRun(100, func() {
+		sw := c.Start(Idle)
+		sw.Lap(Join)
+		sw.Stop()
+	}); a != 0 {
+		t.Fatalf("stopwatch allocates %v objects", a)
+	}
+	if c.Ledger()[Join] <= 0 {
+		t.Fatal("stopwatch booked nothing")
+	}
+}

@@ -269,13 +269,21 @@ func TestAdaptiveDeterministicSchedule(t *testing.T) {
 // small for the static split's chunks, every static speculation
 // overflow-rolls-back, while an adaptive policy with a matching pressure
 // threshold shrinks chunks until they fit and recovers commits with far
-// fewer rollbacks. (Virtual runtimes are not compared: they depend on
-// real-time fork availability and are too noisy under parallel tests.)
+// fewer rollbacks.
+//
+// The schedule is fixed so that both counts are the same on every run
+// (static 0 commits / 63 rollbacks, adaptive 118 / 4). One speculative CPU:
+// with more, the depth of each squashed chain depends on which workers the
+// host schedules in time. No coarsening (MaxRollbackRate 1 is never
+// exceeded): that response reads the live point counters, which include the
+// one speculation still in flight or not, depending on how far it got in
+// real time. What is left — buffer peaks and the non-speculative thread's
+// virtual clock — is a function of the schedule alone.
 func TestAdaptiveShrinksUnderBufferPressure(t *testing.T) {
 	const n = 4096
 	run := func(ck mutls.Chunker) (mutls.Cost, int, int, int64) {
 		rt, err := mutls.New(mutls.Options{
-			CPUs: 4, CollectStats: true, HeapBytes: 1 << 20,
+			CPUs: 1, CollectStats: true, HeapBytes: 1 << 20,
 			Buffering: mutls.Buffering{LogWords: 5, OverflowCap: 8},
 		})
 		if err != nil {
@@ -303,7 +311,7 @@ func TestAdaptiveShrinksUnderBufferPressure(t *testing.T) {
 		s := rt.Stats()
 		return tn, s.Commits, s.Rollbacks, sum
 	}
-	adaptive := mutls.AdaptivePolicy{PressureWords: 20, Window: 2}
+	adaptive := mutls.AdaptivePolicy{PressureWords: 20, Window: 2, MaxRollbackRate: 1}
 	_, staticCommits, staticRollbacks, staticSum := run(nil)
 	_, adaptCommits, adaptRollbacks, adaptSum := run(adaptive)
 	if staticSum != wantFill(n) || adaptSum != wantFill(n) {
