@@ -7,7 +7,7 @@ GO ?= go
 # checker vocabulary or the gate flaps across versions.
 STATICCHECK_VERSION ?= 2023.1.7
 
-.PHONY: all build test race vet vet-fast fmt mutls-vet staticcheck bench-smoke chaos
+.PHONY: all build test race race-repeat vet vet-fast fmt mutls-vet staticcheck smoke chaos loc
 
 # Seed for the deterministic fault-injection sweep; override to replay a
 # failing CI run: `make chaos CHAOS_SEED=<seed from the log>`.
@@ -23,6 +23,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# race-repeat reruns the packages whose tests are about interleavings: the
+# join protocol on 1, 2 and 4 procs, the pool and the serving layer.
+race-repeat:
+	$(GO) test -race -count=2 -cpu 1,2,4 ./internal/core
+	$(GO) test -race -count=2 ./mutls/pool ./internal/serve
 
 # vet is the consolidated static-analysis gate:
 #   1. gofmt       — formatting drift fails the build
@@ -61,11 +67,25 @@ mutls-vet:
 staticcheck:
 	staticcheck ./...
 
-bench-smoke:
-	$(GO) test -bench=. -benchtime=1x -run='^$$' .
+# smoke runs every benchmark, load generator and ablation table once, at
+# the smallest size: they must still build, run and verify their checksums.
+smoke:
+	$(GO) test -bench=. -benchtime=1x -run='^$$' . ./internal/gbuf ./internal/core ./internal/mem
+	$(GO) test -bench='ForkJoin|PipelineToken' -benchtime=1000x -run='^$$' ./internal/core ./mutls
+	$(GO) run -race ./cmd/mutls-load -c 32 -n 300 > /dev/null
+	$(GO) run ./cmd/mutls-bench -wallclock -quick > /dev/null
+	$(GO) run ./cmd/mutls-bench -fig gbuf -cpus 4
+	$(GO) run ./cmd/mutls-bench -fig chunks -cpus 4
+	$(GO) run ./cmd/mutls-bench -fig pipeline -cpus 4
 
 # chaos is the fault-injection smoke: seeded storms over the quick kernel
 # subset under the race detector, asserting checksum equivalence, typed
 # containment and zero goroutine leaks. Fully reproducible from the seed.
 chaos:
 	$(GO) run -race ./cmd/mutls-bench -chaos -quick -seed $(CHAOS_SEED)
+
+# loc reports the size ROADMAP aim 2 tracks: non-test Go outside the
+# benchmark and the analyzers' testdata, against the deletion round's target.
+loc:
+	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l); \
+	echo "non-test Go outside benchmark/ and testdata/: $$n lines (target 16500)"

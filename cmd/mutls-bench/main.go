@@ -25,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 
@@ -76,6 +77,21 @@ func main() {
 			os.Exit(2)
 		}
 		cfg.CPUAxis = axis
+	}
+	if *real || *wallclock && *cpus != "" {
+		// Wall-clock numbers mean something only while every virtual CPU
+		// has a proc to run on (the wall-clock suite clips its own default
+		// axis the same way).
+		procs := runtime.GOMAXPROCS(0)
+		clipped := harness.ClipAxis(cfg.CPUAxis, procs)
+		if len(clipped) == 0 {
+			fmt.Fprintf(os.Stderr, "no point of the CPU axis %v fits GOMAXPROCS=%d\n", cfg.CPUAxis, procs)
+			os.Exit(2)
+		}
+		if len(clipped) != len(cfg.CPUAxis) {
+			fmt.Fprintf(os.Stderr, "wall-clock timing: CPU axis %v clipped to %v (GOMAXPROCS=%d)\n", cfg.CPUAxis, clipped, procs)
+			cfg.CPUAxis = clipped
+		}
 	}
 	h := harness.New(cfg)
 

@@ -23,7 +23,7 @@ const (
 var shades = []byte(" .:-=+*#%@")
 
 func main() {
-	rt, err := mutls.New(mutls.Options{CPUs: 8, CollectStats: true})
+	rt, err := mutls.New(mutls.Options{CPUs: 8})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -21,7 +21,7 @@ import (
 const records = 256
 
 func main() {
-	rt, err := mutls.New(mutls.Options{CPUs: 4, CollectStats: true})
+	rt, err := mutls.New(mutls.Options{CPUs: 4})
 	if err != nil {
 		log.Fatal(err)
 	}

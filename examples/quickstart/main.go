@@ -14,7 +14,7 @@ import (
 )
 
 func main() {
-	rt, err := mutls.New(mutls.Options{CPUs: 2, CollectStats: true})
+	rt, err := mutls.New(mutls.Options{CPUs: 2})
 	if err != nil {
 		log.Fatal(err)
 	}

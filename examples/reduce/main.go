@@ -26,7 +26,6 @@ const (
 func main() {
 	rt, err := mutls.New(mutls.Options{
 		CPUs:                  4,
-		CollectStats:          true,
 		AdaptiveForkHeuristic: true,
 	})
 	if err != nil {

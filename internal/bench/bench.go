@@ -107,14 +107,10 @@ func MemoryIntensive() []*Workload { return []*Workload{FFT, MatMult, NQueen, TS
 // RunConfig bundles everything needed to execute a workload run,
 // expressed in public mutls types.
 type RunConfig struct {
-	CPUs   int
-	Size   Size
-	Model  mutls.Model
-	Timing mutls.TimingMode
-	// RealCPUCap passes through to mutls.Options.RealCPUCap (the Real-timing
-	// GOMAXPROCS clamp; RealCPUsUncapped disables it for correctness tests
-	// that need more virtual CPUs than the host has cores).
-	RealCPUCap   int
+	CPUs         int
+	Size         Size
+	Model        mutls.Model
+	Timing       mutls.TimingMode
 	Cost         mutls.CostModel
 	RollbackProb float64
 	Seed         uint64
@@ -148,9 +144,7 @@ func (cfg RunConfig) options(w *Workload) mutls.Options {
 	return mutls.Options{
 		CPUs:                  cfg.CPUs,
 		Timing:                cfg.Timing,
-		RealCPUCap:            cfg.RealCPUCap,
 		Cost:                  cfg.Cost,
-		CollectStats:          true,
 		StaticBytes:           1 << 16,
 		HeapBytes:             w.HeapBytes(cfg.Size),
 		StackBytes:            1 << 16,

@@ -128,8 +128,6 @@ func TestWorkloadsRealTiming(t *testing.T) {
 			t.Parallel()
 			cfg := ciConfig(w, 2)
 			cfg.Timing = mutls.Real
-			// End-to-end correctness on any host, independent of core count.
-			cfg.RealCPUCap = mutls.RealCPUsUncapped
 			if err := Verify(w, cfg); err != nil {
 				t.Fatal(err)
 			}

@@ -12,9 +12,8 @@ import (
 func newRT(t testing.TB, cpus int, tweak func(*Options)) *Runtime {
 	t.Helper()
 	o := Options{
-		NumCPUs:      cpus,
-		Timing:       vclock.Virtual,
-		CollectStats: true,
+		NumCPUs: cpus,
+		Timing:  vclock.Virtual,
 		Space: mem.SpaceConfig{
 			StaticBytes: 1 << 12,
 			HeapBytes:   1 << 18,

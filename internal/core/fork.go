@@ -46,8 +46,8 @@ func (h *ForkHandle) check(op string) {
 // a speculative thread at fork/join point p under the given forking model.
 // It returns nil — and the program simply continues non-speculatively — when
 // the point already has a thread (ranks[p] != 0), the model forbids this
-// thread from forking, the adaptive heuristic disabled the point, or no CPU
-// is IDLE. On success ranks[p] holds the child's rank and the child is
+// thread from forking, the point is disabled (by the adaptive heuristic or
+// by repeated faults), or no CPU is IDLE. On success ranks[p] holds the child's rank and the child is
 // pushed on this thread's children stack.
 func (t *Thread) Fork(ranks []Rank, p int, model Model) *ForkHandle {
 	if p < 0 || p >= len(ranks) || p >= t.rt.opts.MaxPoints {
@@ -57,7 +57,7 @@ func (t *Thread) Fork(ranks []Rank, p int, model Model) *ForkHandle {
 		return nil
 	}
 	t.injectAt(faultinject.SiteFork)
-	if !t.rt.heur.allow(p) {
+	if t.rt.points[p].disabled.Load() {
 		return nil
 	}
 	if t.rt.cancelled.Load() {
@@ -99,9 +99,7 @@ func (t *Thread) Fork(ranks []Rank, p int, model Model) *ForkHandle {
 	td.syncTime.Store(0)
 	td.stopCounter = 0
 	td.startTime = 0
-	td.stopTime = 0
 	td.finalTime = 0
-	td.overflowStop = false
 	td.reason = RollbackNone
 	td.children = td.children[:0]
 	for i := range td.forkLive {

@@ -144,7 +144,7 @@ func forkJoinEmpty(t0 *Thread, ranks []Rank) JoinStatus {
 // (the worker parks between them) and inside them (it spins).
 func TestTaskSlotNeverDoublesOrDrops(t *testing.T) {
 	for _, timing := range []vclock.Mode{vclock.Virtual, vclock.Real} {
-		rt := newRT(t, 1, func(o *Options) { o.Timing = timing; o.RealCPUCap = RealCPUsUncapped })
+		rt := newRT(t, 1, func(o *Options) { o.Timing = timing })
 		var ran atomic.Int64
 		started := 0
 		for run := 0; run < 20; run++ {
@@ -181,7 +181,7 @@ func TestTaskSlotNeverDoublesOrDrops(t *testing.T) {
 func TestCloseRacesSpinningWorker(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 50; i++ {
-		rt, err := NewRuntime(Options{NumCPUs: 2, Timing: vclock.Real, RealCPUCap: RealCPUsUncapped})
+		rt, err := NewRuntime(Options{NumCPUs: 2, Timing: vclock.Real})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -333,7 +333,7 @@ func TestJoinRestoresRegistersPastInline(t *testing.T) {
 // NOSYNC must reach them in either state, and a child that rolled itself
 // back must clean up after NOSYNC too.
 func TestSquashSpinningChild(t *testing.T) {
-	rt := newRT(t, 2, func(o *Options) { o.Timing = vclock.Real; o.RealCPUCap = RealCPUsUncapped })
+	rt := newRT(t, 2, func(o *Options) { o.Timing = vclock.Real })
 	for i := 0; i < 200; i++ {
 		rt.Run(func(t0 *Thread) {
 			ranks := make([]Rank, 2)
@@ -440,7 +440,7 @@ func cpuTime(t *testing.T) time.Duration {
 // next 100 ms the whole process uses under 2 ms of CPU and no thread is
 // counted busy.
 func TestIdleIsIdle(t *testing.T) {
-	rt := newRT(t, 2, func(o *Options) { o.Timing = vclock.Real; o.RealCPUCap = RealCPUsUncapped })
+	rt := newRT(t, 2, func(o *Options) { o.Timing = vclock.Real })
 	rt.Run(func(t0 *Thread) {
 		ranks := make([]Rank, 1)
 		for i := 0; i < 100; i++ {
@@ -480,7 +480,7 @@ func TestIdleIsIdle(t *testing.T) {
 // spinner would hold a proc a runnable thread needs.
 func TestNoSpinWhenOversubscribed(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	rt := newRT(t, 4, func(o *Options) { o.Timing = vclock.Real; o.RealCPUCap = RealCPUsUncapped })
+	rt := newRT(t, 4, func(o *Options) { o.Timing = vclock.Real })
 	var release atomic.Bool
 	defer release.Store(true) // a failing assertion must not strand the children
 	rt.Run(func(t0 *Thread) {
@@ -528,7 +528,7 @@ func TestNoSpinWhenOversubscribed(t *testing.T) {
 // thread it waits for.
 func TestSpinOffOnOneProc(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	rt := newRT(t, 1, func(o *Options) { o.Timing = vclock.Real; o.RealCPUCap = RealCPUsUncapped })
+	rt := newRT(t, 1, func(o *Options) { o.Timing = vclock.Real })
 	rt.Run(func(t0 *Thread) {
 		ranks := make([]Rank, 1)
 		for i := 0; i < 100; i++ {
@@ -544,7 +544,7 @@ func TestSpinOffOnOneProc(t *testing.T) {
 // slow hand-off: the child's wake-up shows as fork time in its own ledger
 // and the joiner's wait splits at the child's verdict stamp.
 func TestRealModeBooksHandoffLatency(t *testing.T) {
-	rt := newRT(t, 1, func(o *Options) { o.Timing = vclock.Real; o.RealCPUCap = RealCPUsUncapped })
+	rt := newRT(t, 1, func(o *Options) { o.Timing = vclock.Real })
 	rt.Run(func(t0 *Thread) {
 		ranks := make([]Rank, 1)
 		h := t0.Fork(ranks, 0, Mixed)
@@ -582,11 +582,7 @@ func TestRealModeBooksHandoffLatency(t *testing.T) {
 // allocate.
 func BenchmarkForkJoin(b *testing.B) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	rt := newRT(b, 1, func(o *Options) {
-		o.Timing = vclock.Real
-		o.RealCPUCap = RealCPUsUncapped
-		o.CollectStats = false
-	})
+	rt := newRT(b, 1, func(o *Options) { o.Timing = vclock.Real })
 	region := func(c *Thread) uint32 {
 		c.SaveRegvarInt64(1, c.GetRegvarInt64(0))
 		return 0

@@ -298,7 +298,6 @@ func (t *Thread) Join(ranks []Rank, p int) JoinResult {
 	if td.model == MixedLinear {
 		t.rt.linearRemove(want)
 	}
-	t.rt.heur.observe(td.point, committed)
 	t.rt.releaseCPU(child, td.finalTime)
 	return res
 }

@@ -6,15 +6,16 @@ import (
 	"repro/internal/vclock"
 )
 
-// This file surfaces per-point execution counters *mid-run*. The stats
-// collector only aggregates execution records post-hoc (stats.Summarize);
-// feedback-driven policies — adaptive chunk sizing in particular — need the
-// commit/rollback/latency profile of a fork point while the loop that owns
-// it is still running. Counters are updated by the worker goroutines with
-// atomics, so the non-speculative thread may read them at any time; a read
+// This file is the per-point half of the runtime's accounting: one atomic
+// struct per fork/join point, updated once per finished speculative
+// execution by the worker that ran it (the fold in runSpec) and read by
+// everything that asks about a point — PointCounters (the mid-run feedback
+// of adaptive chunk sizing), PointProfile and PointFaults, Summary.PerPoint,
+// the fork heuristic in Fork and the watchdog's deadline stretch. A read
 // taken right after Join returns is guaranteed to include the joined
-// execution (the worker folds it in before it publishes the verdict the
-// join waits for).
+// execution: the worker folds it in before it publishes the verdict the
+// join waits for. The cost is a handful of uncontended atomic adds per
+// execution and O(MaxPoints) memory for the life of the runtime.
 
 // PointCounters is a snapshot of one fork/join point's live activity.
 type PointCounters struct {
@@ -68,14 +69,62 @@ func (p PointCounters) Sub(base PointCounters) PointCounters {
 	}
 }
 
-// livePoint is the atomic backing store of one point's counters.
-type livePoint struct {
+// pointState is everything the runtime counts about one fork/join point.
+//
+// Reset rule: ResetStats zeroes the counts, latency sums and peaks — the
+// statistics. disabled, the fault count and the wall-latency EWMA are a
+// verdict on the driver run that owns the id, so they clear only when the
+// id changes hands (AllocPoint) or the namespace is recycled (ResetPoints);
+// the heuristic's sample window restarts on either.
+type pointState struct {
 	commits         atomic.Int64
 	rollbacks       atomic.Int64
 	commitLatency   atomic.Int64
 	rollbackLatency atomic.Int64
 	readPeak        atomic.Int64
 	writePeak       atomic.Int64
+
+	// faults counts contained panics (RollbackFault); at
+	// faultDisableThreshold the point is disabled.
+	faults atomic.Int64
+	// wallEWMA averages the regions' wall time in nanoseconds (alpha 1/8),
+	// kept only while the watchdog runs: it stretches the point's deadline.
+	wallEWMA atomic.Int64
+	// disabled refuses further forks on the point (Fork reads it).
+	disabled atomic.Bool
+	// windowCommits/windowRollbacks are the counts at the start of the
+	// adaptive heuristic's sample window: it judges the executions of the
+	// run that owns the id, not those of the id's previous owners.
+	windowCommits   atomic.Int64
+	windowRollbacks atomic.Int64
+}
+
+// The adaptive fork heuristic sketched as future work in §VI ("different
+// automatic fork heuristics"): once a point has heuristicMinSamples
+// executions and a rollback rate above heuristicMaxRollbackRate, further
+// speculation on it is refused — the program runs that region
+// non-speculatively.
+const (
+	heuristicMinSamples      = 8
+	heuristicMaxRollbackRate = 0.5
+)
+
+// faultDisableThreshold is the number of contained faults (panics
+// converted to RollbackFault) after which a fork point is refused
+// regardless of AdaptiveForkHeuristic: repeated faults mean the region
+// faults on correct re-execution schedules too, and a deterministically
+// faulting kernel must degrade to (correct) sequential execution instead
+// of squash-looping.
+const faultDisableThreshold = 3
+
+// execOutcome is what observe learns about one finished execution.
+type execOutcome struct {
+	committed bool
+	fault     bool        // the region panicked
+	latency   vclock.Cost // occupied interval, fork to verdict
+	wallNS    int64       // region wall time; 0 when the watchdog is off
+	readPeak  int
+	writePeak int
 }
 
 // atomicMax raises a to at least v.
@@ -88,45 +137,101 @@ func atomicMax(a *atomic.Int64, v int64) {
 	}
 }
 
-// observe folds one finished execution into the point's counters.
-func (lp *livePoint) observe(committed bool, latency vclock.Cost, readPeak, writePeak int) {
-	if committed {
-		lp.commits.Add(1)
-		lp.commitLatency.Add(int64(latency))
+// observe folds one finished execution into the point and re-evaluates
+// whether the point may still fork.
+func (ps *pointState) observe(o execOutcome, adaptive bool) {
+	if o.committed {
+		ps.commits.Add(1)
+		ps.commitLatency.Add(int64(o.latency))
 	} else {
-		lp.rollbacks.Add(1)
-		lp.rollbackLatency.Add(int64(latency))
+		ps.rollbacks.Add(1)
+		ps.rollbackLatency.Add(int64(o.latency))
 	}
-	atomicMax(&lp.readPeak, int64(readPeak))
-	atomicMax(&lp.writePeak, int64(writePeak))
+	atomicMax(&ps.readPeak, int64(o.readPeak))
+	atomicMax(&ps.writePeak, int64(o.writePeak))
+	if o.wallNS > 0 {
+		ps.wallEWMA.Add((o.wallNS - ps.wallEWMA.Load()) / 8)
+	}
+	if o.fault && ps.faults.Add(1) >= faultDisableThreshold {
+		ps.disabled.Store(true)
+	}
+	if adaptive {
+		c := ps.commits.Load() - ps.windowCommits.Load()
+		r := ps.rollbacks.Load() - ps.windowRollbacks.Load()
+		if c+r >= heuristicMinSamples && float64(r)/float64(c+r) > heuristicMaxRollbackRate {
+			ps.disabled.Store(true)
+		}
+	}
 }
 
-func (lp *livePoint) snapshot() PointCounters {
+func (ps *pointState) snapshot() PointCounters {
 	return PointCounters{
-		Commits:         lp.commits.Load(),
-		Rollbacks:       lp.rollbacks.Load(),
-		CommitLatency:   lp.commitLatency.Load(),
-		RollbackLatency: lp.rollbackLatency.Load(),
-		ReadSetPeak:     int(lp.readPeak.Load()),
-		WriteSetPeak:    int(lp.writePeak.Load()),
+		Commits:         ps.commits.Load(),
+		Rollbacks:       ps.rollbacks.Load(),
+		CommitLatency:   ps.commitLatency.Load(),
+		RollbackLatency: ps.rollbackLatency.Load(),
+		ReadSetPeak:     int(ps.readPeak.Load()),
+		WriteSetPeak:    int(ps.writePeak.Load()),
 	}
 }
 
-func (lp *livePoint) reset() {
-	lp.commits.Store(0)
-	lp.rollbacks.Store(0)
-	lp.commitLatency.Store(0)
-	lp.rollbackLatency.Store(0)
-	lp.readPeak.Store(0)
-	lp.writePeak.Store(0)
+// reset applies the struct's reset rule: the statistics for ResetStats, the
+// verdict on the id's owner for AllocPoint and ResetPoints.
+func (ps *pointState) reset(newOwner bool) {
+	if newOwner {
+		ps.faults.Store(0)
+		ps.wallEWMA.Store(0)
+		ps.disabled.Store(false)
+		ps.windowCommits.Store(ps.commits.Load())
+		ps.windowRollbacks.Store(ps.rollbacks.Load())
+		return
+	}
+	ps.commits.Store(0)
+	ps.rollbacks.Store(0)
+	ps.commitLatency.Store(0)
+	ps.rollbackLatency.Store(0)
+	ps.readPeak.Store(0)
+	ps.writePeak.Store(0)
+	ps.windowCommits.Store(0)
+	ps.windowRollbacks.Store(0)
+}
+
+// point returns fork/join point p's state, or nil when p is no point id.
+func (rt *Runtime) point(p int) *pointState {
+	if p < 0 || p >= len(rt.points) {
+		return nil
+	}
+	return &rt.points[p]
 }
 
 // PointCounters returns the live counters of fork/join point p. Unlike
 // Stats, it is safe and meaningful to call from the non-speculative thread
 // in the middle of a Run; counters accumulate until ResetStats.
 func (rt *Runtime) PointCounters(p int) PointCounters {
-	if p < 0 || p >= len(rt.live) {
+	ps := rt.point(p)
+	if ps == nil {
 		return PointCounters{}
 	}
-	return rt.live[p].snapshot()
+	return ps.snapshot()
+}
+
+// PointProfile reports a fork point's commits and rollbacks (the counts of
+// PointCounters) and whether the point is disabled — by the adaptive
+// heuristic or by repeated faults.
+func (rt *Runtime) PointProfile(p int) (commits, rollbacks int64, disabled bool) {
+	ps := rt.point(p)
+	if ps == nil {
+		return 0, 0, false
+	}
+	return ps.commits.Load(), ps.rollbacks.Load(), ps.disabled.Load()
+}
+
+// PointFaults reports how many contained faults point p accumulated since
+// its id last changed hands.
+func (rt *Runtime) PointFaults(p int) int64 {
+	ps := rt.point(p)
+	if ps == nil {
+		return 0
+	}
+	return ps.faults.Load()
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/faultinject"
@@ -24,16 +23,6 @@ type Options struct {
 	// Timing selects virtual (deterministic cost model) or real (wall
 	// clock) time.
 	Timing vclock.Mode
-
-	// RealCPUCap bounds NumCPUs under Real timing. Wall-clock results are
-	// only meaningful while every virtual CPU maps to a schedulable OS
-	// thread; beyond that the workers time-slice and the measured "speedup"
-	// is scheduler noise. Zero selects the default cap,
-	// runtime.GOMAXPROCS(0) at NewRuntime time; RealCPUsUncapped disables
-	// the clamp (oversubscription experiments, tests that need more virtual
-	// CPUs than the host has). Virtual timing is never capped — the modeled
-	// machine is independent of the host.
-	RealCPUCap int
 
 	// Cost prices runtime events under virtual timing. Zero value selects
 	// vclock.DefaultCostModel.
@@ -61,21 +50,10 @@ type Options struct {
 	// rollbacks.
 	Seed uint64
 
-	// CollectStats enables the per-thread ledgers and execution records
-	// that power Figures 5-9.
-	CollectStats bool
-
 	// AdaptiveForkHeuristic disables fork points whose observed rollback
-	// rate exceeds HeuristicMaxRollbackRate after HeuristicMinSamples
-	// executions (the paper's "different automatic fork heuristics" future
-	// work, §VI).
+	// rate exceeds one half after eight executions (the paper's "different
+	// automatic fork heuristics" future work, §VI).
 	AdaptiveForkHeuristic bool
-	// HeuristicMinSamples is the minimum executions before the heuristic
-	// may disable a point. Zero selects 8.
-	HeuristicMinSamples int
-	// HeuristicMaxRollbackRate is the rollback-rate threshold. Zero
-	// selects 0.5.
-	HeuristicMaxRollbackRate float64
 
 	// MaxPoints bounds fork/join point ids. Zero selects 64.
 	MaxPoints int
@@ -100,25 +78,10 @@ type Options struct {
 	FaultPlan *faultinject.Plan
 }
 
-// RealCPUsUncapped disables the Real-timing virtual-CPU clamp.
-const RealCPUsUncapped = -1
-
 // withDefaults fills zero values.
 func (o Options) withDefaults() (Options, error) {
 	if o.NumCPUs < 0 {
 		return o, fmt.Errorf("core: NumCPUs must be non-negative, got %d", o.NumCPUs)
-	}
-	if o.RealCPUCap < RealCPUsUncapped {
-		return o, fmt.Errorf("core: RealCPUCap must be non-negative or RealCPUsUncapped, got %d", o.RealCPUCap)
-	}
-	if o.Timing == vclock.Real && o.RealCPUCap != RealCPUsUncapped {
-		limit := o.RealCPUCap
-		if limit == 0 {
-			limit = runtime.GOMAXPROCS(0)
-		}
-		if o.NumCPUs > limit {
-			o.NumCPUs = limit
-		}
 	}
 	if o.Cost == (vclock.CostModel{}) {
 		o.Cost = vclock.DefaultCostModel()
@@ -134,12 +97,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.RollbackProb < 0 || o.RollbackProb > 1 {
 		return o, fmt.Errorf("core: RollbackProb %v outside [0,1]", o.RollbackProb)
-	}
-	if o.HeuristicMinSamples <= 0 {
-		o.HeuristicMinSamples = 8
-	}
-	if o.HeuristicMaxRollbackRate <= 0 {
-		o.HeuristicMaxRollbackRate = 0.5
 	}
 	if o.MaxPoints <= 0 {
 		o.MaxPoints = 64

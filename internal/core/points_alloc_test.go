@@ -83,17 +83,15 @@ func TestAllocPointDistinctRoundRobin(t *testing.T) {
 }
 
 // TestAllocPointResetsHeuristic: a point the adaptive fork heuristic
-// disabled for one loop must come back enabled (with a clean profile) when
-// the allocator recycles its id to a different run — otherwise an
-// unrelated loop inheriting the id would silently run serial forever.
+// disabled for one loop must come back enabled, with a fresh sample window,
+// when the allocator recycles its id to a different run — otherwise an
+// unrelated loop inheriting the id would silently run serial forever. The
+// statistics of the id's previous owner stay until ResetStats.
 func TestAllocPointResetsHeuristic(t *testing.T) {
-	rt := newRT(t, 1, func(o *Options) {
-		o.AdaptiveForkHeuristic = true
-		o.HeuristicMinSamples = 2
-		o.HeuristicMaxRollbackRate = 0.4
-	})
-	rt.heur.observe(5, false)
-	rt.heur.observe(5, false)
+	rt := newRT(t, 1, nil)
+	for i := 0; i < heuristicMinSamples; i++ {
+		rt.points[5].observe(execOutcome{}, true)
+	}
 	if _, _, disabled := rt.PointProfile(5); !disabled {
 		t.Fatal("rollback-heavy point was not disabled")
 	}
@@ -102,8 +100,14 @@ func TestAllocPointResetsHeuristic(t *testing.T) {
 			break
 		}
 	}
+	// The new owner's first rollback is judged alone, not on top of the
+	// old owner's.
+	rt.points[5].observe(execOutcome{}, true)
 	c, r, disabled := rt.PointProfile(5)
-	if disabled || c != 0 || r != 0 {
-		t.Fatalf("recycled point kept its old profile: commits=%d rollbacks=%d disabled=%v", c, r, disabled)
+	if disabled {
+		t.Fatal("recycled point inherited its previous owner's verdict")
+	}
+	if c != 0 || r != heuristicMinSamples+1 {
+		t.Fatalf("recycled point's statistics: commits=%d rollbacks=%d, want 0/%d", c, r, heuristicMinSamples+1)
 	}
 }

@@ -111,10 +111,7 @@ func TestConcurrentJoinersStress(t *testing.T) {
 	const cpus = 4
 	const rounds = 50
 	withProcs(t, 4)
-	rt := newRT(t, cpus, func(o *Options) {
-		o.Timing = vclock.Real
-		o.RealCPUCap = RealCPUsUncapped
-	})
+	rt := newRT(t, cpus, func(o *Options) { o.Timing = vclock.Real })
 	var got, want [cpus]int64
 	rt.Run(func(t0 *Thread) {
 		arr := t0.Alloc(8 * (cpus + 1))
@@ -160,39 +157,6 @@ func TestConcurrentJoinersStress(t *testing.T) {
 	})
 	if got != want {
 		t.Fatalf("committed increments %v, joins reported %v", got, want)
-	}
-}
-
-// TestRealCPUCap checks the GOMAXPROCS-aware clamp: Real timing caps
-// NumCPUs at the schedulable parallelism by default, explicit caps and
-// RealCPUsUncapped override it, and virtual timing is never clamped.
-func TestRealCPUCap(t *testing.T) {
-	build := func(o Options) *Runtime {
-		t.Helper()
-		o.CollectStats = false
-		o.Space = mem.SpaceConfig{StaticBytes: 1 << 12, HeapBytes: 1 << 14, StackBytes: 1 << 12}
-		rt, err := NewRuntime(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(rt.Close)
-		return rt
-	}
-	procs := runtime.GOMAXPROCS(0)
-	if got := build(Options{NumCPUs: procs + 7, Timing: vclock.Real}).NumCPUs(); got != procs {
-		t.Errorf("default Real cap: %d CPUs, want %d", got, procs)
-	}
-	if got := build(Options{NumCPUs: procs + 7, Timing: vclock.Real, RealCPUCap: RealCPUsUncapped}).NumCPUs(); got != procs+7 {
-		t.Errorf("uncapped Real: %d CPUs, want %d", got, procs+7)
-	}
-	if got := build(Options{NumCPUs: 8, Timing: vclock.Real, RealCPUCap: 2}).NumCPUs(); got != 2 {
-		t.Errorf("explicit cap: %d CPUs, want 2", got)
-	}
-	if got := build(Options{NumCPUs: procs + 7, Timing: vclock.Virtual}).NumCPUs(); got != procs+7 {
-		t.Errorf("virtual timing clamped to %d CPUs", got)
-	}
-	if _, err := NewRuntime(Options{NumCPUs: 2, RealCPUCap: -2}); err == nil {
-		t.Error("RealCPUCap -2 accepted")
 	}
 }
 

@@ -419,12 +419,7 @@ func TestOverflowExhaustionRollsBack(t *testing.T) {
 }
 
 func TestRealTimingMode(t *testing.T) {
-	rt := newRT(t, 2, func(o *Options) {
-		o.Timing = vclock.Real
-		// The test needs both virtual CPUs regardless of the host's core
-		// count; wall-clock fidelity is not what it measures.
-		o.RealCPUCap = RealCPUsUncapped
-	})
+	rt := newRT(t, 2, func(o *Options) { o.Timing = vclock.Real })
 	var sum int64
 	tn := rt.Run(func(t0 *Thread) {
 		arr := t0.Alloc(8 * 128)

@@ -128,23 +128,18 @@ type threadData struct {
 	children    []childRef
 	stopCounter uint32
 	startTime   vclock.Cost
-	stopTime    vclock.Cost
 	finalTime   vclock.Cost
 	// validStamp is the worker's clock at the valid_status store (real
 	// mode): the joiner splits its wait there into idle (the child was
 	// still working) and join (the verdict was out, the joiner not yet
 	// running).
-	validStamp   vclock.Cost
-	overflowStop bool
-	reason       RollbackReason
+	validStamp vclock.Cost
+	reason     RollbackReason
 	// readPeak/writePeak are the GlobalBuffer set sizes captured just
 	// before finalization: the execution's buffer-pressure high-water
-	// marks. buffersFinal (worker-only) guards against a second
-	// finalization of the same execution (self-rollback then NOSYNC)
-	// zeroing them.
-	readPeak     int
-	writePeak    int
-	buffersFinal bool
+	// marks.
+	readPeak  int
+	writePeak int
 	// forkRegs keeps the parent's fork-time register predictions for
 	// MUTLS_validate_local (separate from the LocalBuffer, which the child
 	// overwrites when saving its own locals at a stop point).
@@ -272,8 +267,7 @@ type Runtime struct {
 	linearMu sync.Mutex
 	linear   []childRef
 
-	heur      *heuristics
-	live      []livePoint // per-point mid-run counters (PointCounters)
+	points    []pointState // per-point accounting, see live.go
 	collector *stats.Collector
 	wg        sync.WaitGroup
 	closed    atomic.Bool
@@ -335,12 +329,9 @@ type Runtime struct {
 	// reaches zero; every decrement wakes it.
 	drainGate waitGate
 
-	// Runaway-speculation watchdog (SpecDeadline > 0 only): wallEWMA keeps
-	// a per-point EWMA of observed region wall latencies (nanoseconds) so
-	// the effective deadline adapts to legitimately slow points, and
-	// watchdogQuit/watchdogDone tear the scanner down in Close. All nil/
-	// empty when the watchdog is disabled.
-	wallEWMA     []atomic.Int64
+	// Runaway-speculation watchdog (SpecDeadline > 0 only):
+	// watchdogQuit/watchdogDone tear the scanner down in Close. Both nil
+	// when the watchdog is disabled.
 	watchdogQuit chan struct{}
 	watchdogDone chan struct{}
 }
@@ -361,9 +352,8 @@ func NewRuntime(opts Options) (*Runtime, error) {
 		cpus:      make([]*cpu, o.NumCPUs+1),
 		epoch:     time.Now(),
 		procs:     runtime.GOMAXPROCS(0),
-		heur:      newHeuristics(o),
-		live:      make([]livePoint, o.MaxPoints),
-		collector: stats.NewCollector(o.NumCPUs, o.CollectStats),
+		points:    make([]pointState, o.MaxPoints),
+		collector: stats.NewCollector(o.NumCPUs),
 	}
 	r0, err := space.StackRegion(0)
 	if err != nil {
@@ -428,7 +418,6 @@ func NewRuntime(opts Options) (*Runtime, error) {
 		go rt.worker(c)
 	}
 	if o.SpecDeadline > 0 && o.NumCPUs > 0 {
-		rt.wallEWMA = make([]atomic.Int64, o.MaxPoints)
 		rt.watchdogQuit = make(chan struct{})
 		rt.watchdogDone = make(chan struct{})
 		go rt.watchdog()
@@ -456,9 +445,9 @@ func (rt *Runtime) MaxPoints() int { return rt.opts.MaxPoints }
 // live PointCounters feedback of overlapping runs — a nested loop started
 // from the inline portion of an outer loop's body, or a pipeline's
 // per-stage points — does not mix rollback signals across loops. A
-// recycled id starts with a clean adaptive-heuristic profile (a point
-// disabled by one loop's rollbacks must not serialize the unrelated loop
-// that inherits the id).
+// recycled id starts enabled, with no faults and a fresh heuristic window
+// (a point disabled by one loop's rollbacks must not serialize the
+// unrelated loop that inherits the id); its counts stay until ResetStats.
 //
 // When every id is live — more than MaxPoints simultaneously live runs —
 // the allocator falls back to plain round-robin aliasing and counts the
@@ -485,7 +474,7 @@ func (rt *Runtime) AllocPoint() int {
 		rt.pointNext++
 	}
 	rt.pointMu.Unlock()
-	rt.heur.reset(p)
+	rt.points[p].reset(true)
 	return p
 }
 
@@ -517,7 +506,7 @@ func (rt *Runtime) PointsExhausted() int64 { return rt.pointsExhausted.Load() }
 
 // ResetPoints returns the point namespace to its initial state: no live
 // ids, allocation restarting at 0, exhaustion counter cleared, every
-// heuristic profile clean. It is part of the between-tenants recycle of a
+// point enabled again. It is part of the between-tenants recycle of a
 // pooled runtime and must only be called while the runtime is quiescent
 // (no driver run in flight).
 func (rt *Runtime) ResetPoints() {
@@ -529,8 +518,8 @@ func (rt *Runtime) ResetPoints() {
 	rt.pointNext = 0
 	rt.pointMu.Unlock()
 	rt.pointsExhausted.Store(0)
-	for p := 0; p < rt.opts.MaxPoints; p++ {
-		rt.heur.reset(p)
+	for p := range rt.points {
+		rt.points[p].reset(true)
 	}
 }
 
@@ -775,12 +764,21 @@ func (rt *Runtime) retire() {
 	rt.drainGate.wake()
 }
 
-// Stats summarizes the last Run. Only meaningful with CollectStats. The
-// GlobalBuffer counters are aggregated over all virtual CPUs; the runtime
-// must be quiescent (Run drains before returning). Like the execution
-// records, they accumulate until ResetStats.
+// Stats summarizes the executions since the last ResetStats, from the
+// per-CPU accumulators and the per-point counters. The GlobalBuffer
+// counters are aggregated over all virtual CPUs; the runtime must be
+// quiescent (Run drains before returning).
 func (rt *Runtime) Stats() *stats.Summary {
 	s := rt.collector.Summarize(rt.opts.NumCPUs)
+	for p := range rt.points {
+		if pc := rt.points[p].snapshot(); pc.Executions() > 0 {
+			s.PerPoint[p] = stats.PointStats{
+				Commits:   int(pc.Commits),
+				Rollbacks: int(pc.Rollbacks),
+				Runtime:   pc.CommitLatency + pc.RollbackLatency,
+			}
+		}
+	}
 	for r := 1; r <= rt.opts.NumCPUs; r++ {
 		s.GBuf.Add(rt.cpus[r].gb.Counters())
 	}
@@ -807,15 +805,16 @@ func (rt *Runtime) eachGate(fn func(g *waitGate)) {
 	}
 }
 
-// ResetStats clears collected statistics (execution records, the per-CPU
-// GlobalBuffer counters and the live per-point counters) between runs.
+// ResetStats clears collected statistics (the per-CPU accumulators and
+// GlobalBuffer counters, the per-point counts and peaks) between runs. A
+// disabled fork point stays disabled: see pointState.
 func (rt *Runtime) ResetStats() {
 	rt.collector.Reset()
 	for r := 1; r <= rt.opts.NumCPUs; r++ {
 		*rt.cpus[r].gb.Counters() = gbuf.Counters{}
 	}
-	for i := range rt.live {
-		rt.live[i].reset()
+	for p := range rt.points {
+		rt.points[p].reset(false)
 	}
 	rt.pointsExhausted.Store(0)
 	rt.eachGate(func(g *waitGate) {
@@ -878,12 +877,7 @@ func (rt *Runtime) watchdog() {
 			if s == 0 || c.deadlineHit.Load() {
 				continue
 			}
-			limit := int64(rt.opts.SpecDeadline)
-			if p := int(c.specPoint.Load()); p >= 0 && p < len(rt.wallEWMA) {
-				if adaptive := 8 * rt.wallEWMA[p].Load(); adaptive > limit {
-					limit = adaptive
-				}
-			}
+			limit := max(int64(rt.opts.SpecDeadline), 8*rt.points[c.specPoint.Load()].wallEWMA.Load())
 			if now-s > limit {
 				c.deadlineHit.Store(true)
 			}
@@ -955,16 +949,19 @@ func runRegion(t *Thread, region RegionFunc) (out regionOutcome) {
 }
 
 // runSpec is the body of one speculative execution: stub entry, region,
-// stop, synchronize, validate, commit/rollback, publish, finalize.
+// stop, synchronize, validate, commit/rollback — and then the fold, the one
+// place a finished execution is accounted, whichever way it ended (commit,
+// validated rollback, self-rollback, NOSYNC).
 //
-// The verdict is published as soon as it exists. Everything the joiner
-// reads — final time (with the virtual finalize charge already booked),
-// set peaks, the live per-point counters — is written before the
-// valid_status store; clearing the buffers and logging the execution
-// record come after it, on this worker's time, while the joiner is
-// already running again. From that store on the parent may reclaim the
-// CPU and fork on it, so the tail works from locals and from state only
-// the worker owns (its GlobalBuffer, its clock, its record slice).
+// The fold has two halves around the verdict, which is published as soon as
+// it exists. Everything the joiner reads — final time (with the virtual
+// finalize charge already booked), set peaks, the point's counters and
+// whether the point may still fork — is written before the valid_status
+// store; clearing the buffers and closing the execution into this CPU's
+// accumulator come after it, on this worker's time, while the joiner is
+// already running again. From that store on the parent may reclaim the CPU
+// and fork on it, so the second half works from locals and from state only
+// the worker owns (its GlobalBuffer, its clock, its accumulator).
 func (rt *Runtime) runSpec(c *cpu, task specTask) {
 	t := &c.thread
 	c.clock.Init(rt.opts.Timing, &rt.opts.Cost, rt.epoch)
@@ -986,9 +983,9 @@ func (rt *Runtime) runSpec(c *cpu, task specTask) {
 	t.clock.Book(vclock.Fork, t.clock.Now()-execStart)
 	td := &c.td
 	epoch := td.epoch()
-	td.buffersFinal = false
 	td.startTime = execStart
-	if rt.wallEWMA != nil {
+	watched := rt.watchdogQuit != nil
+	if watched {
 		// Publish this execution on the watchdog's scan surface. The
 		// wallStart store comes last: a non-zero wallStart tells the
 		// watchdog that specPoint is current and deadlineHit is clear.
@@ -999,18 +996,14 @@ func (rt *Runtime) runSpec(c *cpu, task specTask) {
 
 	out := runRegion(t, task.region)
 
-	if rt.wallEWMA != nil {
-		if s := c.wallStart.Swap(0); s != 0 {
-			// Fold the observed wall latency into the point's EWMA (alpha
-			// 1/8). Load/Store may lose a concurrent worker's update; the
-			// EWMA is an advisory deadline scale, not an exact count.
-			elapsed := time.Now().UnixNano() - s
-			if p := td.point; p >= 0 && p < len(rt.wallEWMA) {
-				old := rt.wallEWMA[p].Load()
-				rt.wallEWMA[p].Store(old + (elapsed-old)/8)
-			}
-		}
+	var wallNS int64
+	if watched {
+		wallNS = time.Now().UnixNano() - c.wallStart.Swap(0)
 	}
+
+	// Reach a verdict, or learn that the parent wants none.
+	verdict := validRollback
+	awaitSync := false
 	if out.rolledBack {
 		if out.reason == RollbackFault {
 			rt.collector.CountSpecPanic(stats.FaultRecord{
@@ -1019,74 +1012,78 @@ func (rt *Runtime) runSpec(c *cpu, task specTask) {
 				Value: fmt.Sprint(out.panicVal),
 				Stack: truncateStack(out.panicStack),
 			})
-			rt.heur.observeFault(td.point)
 		}
 		// Self-detected rollback (invalid address, overflow exhaustion,
-		// unsafe op): publish ROLLBACK, discard the buffers, then wait for
-		// the verdict so children are handed to exactly one side. The
-		// overflow flag must be cleared here — it survives from this CPU's
-		// previous execution and would misbook the verdict wait as
-		// Overflow time. Whatever the verdict, the execution counts as a
-		// rollback, so the live counters can be fed before the publish.
-		rt.bookFinalize(t, c)
-		td.overflowStop = false
+		// unsafe op, fault): ROLLBACK is published at once, and the thread
+		// then waits for the parent's signal so children are handed to
+		// exactly one side. Whatever the signal, the execution counts as a
+		// rollback.
 		td.reason = out.reason
 		td.stopCounter = 0
-		now := t.clock.Now()
-		td.stopTime, td.finalTime = now, now
-		rec := rt.observe(c, execStart, now, false)
 		td.state.Store(cpuReady)
-		publishVerdict(td, now, validRollback)
-		rt.clearBuffers(t, c)
-		if rt.waitSync(t, c, epoch, vclock.Idle) == syncNoSync {
-			rt.finishNoSync(t, c, rec)
-			return
+		awaitSync = true
+	} else {
+		// Stopped at a check point, barrier point, terminate point or the
+		// region's end. Publish the stop, pre-validate the read set while
+		// the parent is still running, then wait for the join signal. A
+		// thread stopped by a hash-conflict overflow waits on overflow time.
+		td.stopCounter = out.counter
+		waitPhase := vclock.Idle
+		if c.gb.MustStop() {
+			waitPhase = vclock.Overflow
 		}
-		rt.logExec(t, rec)
-		return
+		td.state.Store(cpuReady)
+		rt.preValidate(t, c)
+		if rt.waitSync(t, c, epoch, waitPhase) == syncNoSync {
+			verdict = validNull
+		} else {
+			// Both threads have stopped: the speculative thread validates
+			// and commits or rolls back (paper §IV-E).
+			t.clock.AdvanceTo(td.syncTime.Load(), waitPhase)
+			if rt.validateAndCommit(t, c) {
+				td.reason = RollbackNone
+				verdict = validCommit
+			}
+		}
 	}
 
-	// Stopped at a check point, barrier point, terminate point or the
-	// region's end. Publish the stop, pre-validate the read set while the
-	// parent is still running, then wait for the join signal.
-	td.stopCounter = out.counter
-	td.overflowStop = c.gb.MustStop()
-	td.stopTime = t.clock.Now()
-	td.state.Store(cpuReady)
-
-	// A thread stopped by a hash-conflict overflow waits on overflow time.
-	waitPhase := vclock.Idle
-	if td.overflowStop {
-		waitPhase = vclock.Overflow
-	}
-	rt.preValidate(t, c)
-	if rt.waitSync(t, c, epoch, waitPhase) == syncNoSync {
-		rt.bookFinalize(t, c)
-		rt.clearBuffers(t, c)
-		td.finalTime = t.clock.Now()
-		rt.finishNoSync(t, c, rt.observe(c, execStart, td.finalTime, false))
-		return
-	}
-
-	// Both threads have stopped: the speculative thread validates and
-	// commits or rolls back (paper §IV-E).
-	t.clock.AdvanceTo(td.syncTime.Load(), waitPhase)
-
-	committed := rt.validateAndCommit(t, c)
+	// The fold, first half: the point's counters, before the verdict.
 	rt.bookFinalize(t, c)
 	now := t.clock.Now()
 	td.finalTime = now
-	rec := rt.observe(c, execStart, now, committed)
-	status := validRollback
-	if committed {
-		td.reason = RollbackNone
-		status = validCommit
+	rec := stats.ExecRecord{
+		Rank:         int(td.rank),
+		Start:        execStart,
+		Committed:    verdict == validCommit,
+		ReadSetPeak:  td.readPeak,
+		WriteSetPeak: td.writePeak,
 	}
-	publishVerdict(td, now, status)
-	// The parent adopts children, copies locals and reclaims the CPU from
-	// here on; the rest is this worker's own housekeeping.
+	rt.points[td.point].observe(execOutcome{
+		committed: rec.Committed,
+		fault:     out.reason == RollbackFault,
+		latency:   now - execStart,
+		wallNS:    wallNS,
+		readPeak:  td.readPeak,
+		writePeak: td.writePeak,
+	}, rt.opts.AdaptiveForkHeuristic)
+	if verdict != validNull {
+		// The parent adopts children, copies locals and reclaims the CPU
+		// from here on; the rest is this worker's own housekeeping.
+		publishVerdict(td, now, verdict)
+	}
 	rt.clearBuffers(t, c)
-	rt.logExec(t, rec)
+	if awaitSync && rt.waitSync(t, c, epoch, vclock.Idle) == syncNoSync {
+		verdict = validNull
+	}
+	if verdict == validNull {
+		rt.finishNoSync(c)
+	}
+
+	// Second half: the occupied interval and its ledger, closed only now so
+	// that real-mode finalize time and the waits above are booked.
+	rec.End = t.clock.Now()
+	rec.Ledger = t.clock.Ledger()
+	rt.collector.Add(rec)
 }
 
 // publishVerdict stores valid_status — the release point of everything the
@@ -1141,20 +1138,17 @@ func (rt *Runtime) preValidate(t *Thread, c *cpu) {
 	sw.Stop()
 }
 
-// finishNoSync is the self-cleanup path of a squashed thread whose buffers
-// are already discarded: squash the subtree, log the execution, release
-// the CPU. The thread still owns its ThreadData here — nobody reclaims a
-// NOSYNCed CPU but its own worker.
-func (rt *Runtime) finishNoSync(t *Thread, c *cpu, rec stats.ExecRecord) {
+// finishNoSync is the self-cleanup of a squashed thread: squash the
+// subtree, release the CPU. The thread still owns its ThreadData here —
+// nobody reclaims a NOSYNCed CPU but its own worker.
+func (rt *Runtime) finishNoSync(c *cpu) {
 	td := &c.td
 	for _, child := range td.children {
 		rt.cpus[child.rank].td.signal(child.epoch, syncNoSync)
 	}
 	td.children = td.children[:0]
 	td.reason = RollbackNoSync
-	rt.heur.observe(td.point, false)
 	rt.linearRemove(td.rank)
-	rt.logExec(t, rec)
 	rt.releaseCPU(c, td.finalTime)
 }
 
@@ -1217,15 +1211,10 @@ func (rt *Runtime) validateAndCommit(t *Thread, c *cpu) bool {
 
 // bookFinalize closes the execution's buffer accounting without touching
 // the buffers: the set sizes at this point are the execution's high-water
-// marks (sets only grow during a region), captured for the statistics
-// record, and the virtual-mode clearing cost — proportional to the slots
-// actually used — is charged, so the final time the verdict publishes
-// already includes it. A second call for the same execution is a no-op.
+// marks (sets only grow during a region), and the virtual-mode clearing cost
+// — proportional to the slots actually used — is charged, so the final time
+// the verdict publishes already includes it.
 func (rt *Runtime) bookFinalize(t *Thread, c *cpu) {
-	if c.td.buffersFinal {
-		return
-	}
-	c.td.buffersFinal = true
 	reads, writes := c.gb.ReadSetSize(), c.gb.WriteSetSize()
 	c.td.readPeak, c.td.writePeak = reads, writes
 	t.clock.Charge(vclock.Finalize, vclock.Cost(reads+writes)*rt.opts.Cost.FinalizePerWord)
@@ -1238,34 +1227,6 @@ func (rt *Runtime) clearBuffers(t *Thread, c *cpu) {
 	sw := t.clock.Start(vclock.Finalize)
 	c.gb.Finalize()
 	sw.Stop()
-}
-
-// observe folds the finished execution into the live per-point counters
-// (the mid-run feedback surface — it must be complete before the verdict
-// publishes, because the joiner reads it right after Join) and returns the
-// statistics record for logExec, captured now because the ThreadData is
-// the parent's again once the verdict is out.
-func (rt *Runtime) observe(c *cpu, execStart, now vclock.Cost, committed bool) stats.ExecRecord {
-	td := &c.td
-	if p := td.point; p >= 0 && p < len(rt.live) {
-		rt.live[p].observe(committed, now-execStart, td.readPeak, td.writePeak)
-	}
-	return stats.ExecRecord{
-		Rank:         int(td.rank),
-		Point:        td.point,
-		Start:        execStart,
-		Committed:    committed,
-		ReadSetPeak:  td.readPeak,
-		WriteSetPeak: td.writePeak,
-	}
-}
-
-// logExec completes the execution's statistics record with its end time
-// and ledger and hands it to the collector.
-func (rt *Runtime) logExec(t *Thread, rec stats.ExecRecord) {
-	rec.End = t.clock.Now()
-	rec.Ledger = t.clock.Ledger()
-	rt.collector.Add(rec)
 }
 
 // releaseCPU returns a CPU to the IDLE pool at the given virtual free time,
@@ -1341,10 +1302,4 @@ func (rt *Runtime) linearSquash(r Rank) int {
 // String describes the runtime configuration.
 func (rt *Runtime) String() string {
 	return fmt.Sprintf("core.Runtime{cpus: %d, timing: %v}", rt.opts.NumCPUs, rt.opts.Timing)
-}
-
-// ExecRecords returns the collected execution records of a rank (debugging
-// and analysis aid; requires CollectStats).
-func (rt *Runtime) ExecRecords(rank int) []stats.ExecRecord {
-	return rt.collector.Records(rank)
 }

@@ -126,18 +126,26 @@ func (c WallclockConfig) defaults() WallclockConfig {
 		if c.Quick {
 			axis = []int{1, 2, 4}
 		}
-		// The ceiling is the schedulable parallelism, not the hardware core
-		// count: under a CPU quota (containers, CI runners) GOMAXPROCS is
-		// what the Go scheduler will actually run in parallel, and axis
-		// points beyond it would measure time-slicing noise.
-		max := runtime.GOMAXPROCS(0)
-		for _, p := range axis {
-			if p <= max || p <= 2 {
-				c.CPUAxis = append(c.CPUAxis, p)
-			}
-		}
+		c.CPUAxis = ClipAxis(axis, runtime.GOMAXPROCS(0))
 	}
 	return c
+}
+
+// ClipAxis drops the points of a total-CPU axis that the host cannot run in
+// parallel. The ceiling is the schedulable parallelism, not the hardware
+// core count: under a CPU quota (containers, CI runners) GOMAXPROCS is what
+// the Go scheduler will actually run in parallel, and wall-clock points
+// beyond it would measure time-slicing noise. Points up to two total CPUs
+// always stay, so a one-proc host still measures one speculative point
+// (which then validates overhead, not speedup).
+func ClipAxis(axis []int, procs int) []int {
+	var out []int
+	for _, p := range axis {
+		if p <= procs || p <= 2 {
+			out = append(out, p)
+		}
+	}
+	return out
 }
 
 // Wallclock runs the suite and writes the JSON report to out.

@@ -3,6 +3,8 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -59,5 +61,38 @@ func TestWallclockQuickSuite(t *testing.T) {
 	}
 	if len(want) != 0 {
 		t.Fatalf("missing workloads: %v", want)
+	}
+}
+
+// TestClipAxis: a wall-clock axis keeps the points the host can run in
+// parallel, always keeps the first speculative point, and never invents
+// one — this is the only host-width clamp; runtimes themselves take the
+// CPU count they are given in either timing mode.
+func TestClipAxis(t *testing.T) {
+	cases := []struct {
+		axis  []int
+		procs int
+		want  []int
+	}{
+		{DefaultCPUAxis, 2, []int{1, 2}},
+		{DefaultCPUAxis, 1, []int{1, 2}},
+		{DefaultCPUAxis, 8, []int{1, 2, 4, 8}},
+		{DefaultCPUAxis, 128, DefaultCPUAxis},
+		{[]int{16, 64}, 4, nil},
+		{[]int{3, 1, 6}, 4, []int{3, 1}},
+	}
+	for _, tc := range cases {
+		if got := ClipAxis(tc.axis, tc.procs); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("ClipAxis(%v, %d) = %v, want %v", tc.axis, tc.procs, got, tc.want)
+		}
+	}
+	// The suite's default axis goes through the same clip.
+	procs := runtime.GOMAXPROCS(0)
+	for _, quick := range []bool{false, true} {
+		for _, p := range (WallclockConfig{Quick: quick}).defaults().CPUAxis {
+			if p > procs && p > 2 {
+				t.Errorf("quick=%v: default axis point %d exceeds GOMAXPROCS %d", quick, p, procs)
+			}
+		}
 	}
 }

@@ -120,10 +120,6 @@ func New(opts Options) (*Server, error) {
 		}
 		opts.Pool.Runtime.HeapBytes = heap
 	}
-	if !opts.Pool.Runtime.CollectStats {
-		// The response reports commit/rollback activity.
-		opts.Pool.Runtime.CollectStats = true
-	}
 	p, err := pool.New(opts.Pool)
 	if err != nil {
 		return nil, err
@@ -172,10 +168,8 @@ func (s *Server) Faults() int64 { return s.faults.Load() }
 // absorbStats folds what the leased runtime counted for this request into
 // the server's lifetime aggregates: the hand-off counters, and the fault
 // records — each carries the fork point it was contained at — into the
-// per-point aggregate. Called just before a request releases its lease,
-// because Release recycles the runtime and resets its counters.
-func (s *Server) absorbStats(rt *mutls.Runtime) {
-	st := rt.Stats()
+// per-point aggregate.
+func (s *Server) absorbStats(st *mutls.Summary) {
 	s.handoffParks.Add(st.HandoffParks)
 	s.handoffSpinHits.Add(st.HandoffSpinHits)
 	recs := st.Faults.Records
@@ -328,46 +322,15 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	defer lease.Release()
 	rt := lease.Runtime()
-	// Registered after the Release defer so it runs first (LIFO): the
-	// records must be read before the recycle wipes them.
-	defer s.absorbStats(rt)
-
-	want, err := s.seqChecksum(rt, name, k, size)
-	if err != nil {
-		writeJSON(w, http.StatusServiceUnavailable, errResponse{Error: err.Error()})
-		return
-	}
-
-	var sum uint64
-	cost, err := rt.RunCtx(r.Context(), func(t *mutls.Thread) {
-		sum = k.Workload.Spec(t, size, bench.SpecOptions{Model: k.Workload.DefaultModel})
-	})
-	if err != nil {
-		var kp *mutls.KernelPanic
-		if errors.As(err, &kp) {
-			// The kernel itself panicked on the non-speculative thread. The
-			// run drained and the deferred Release recycles the runtime, so
-			// only this request is lost — answer it a 500 and count the
-			// fault. (Speculative panics never surface here: they are
-			// squashed and re-executed as misspeculation.)
-			s.faults.Add(1)
-			writeJSON(w, http.StatusInternalServerError, errResponse{
-				Error: fmt.Sprintf("kernel fault: %v", kp.Value),
-			})
-			return
-		}
-		// Cancelled or timed out mid-run; the deferred Release recycles the
-		// runtime, so the next tenant is unaffected.
-		writeJSON(w, http.StatusServiceUnavailable, errResponse{Error: err.Error()})
-		return
-	}
-	if sum != want {
-		writeJSON(w, http.StatusInternalServerError, errResponse{
-			Error: fmt.Sprintf("checksum mismatch: speculative %#x, sequential %#x", sum, want),
-		})
-		return
-	}
+	sum, cost, status, msg := s.runVerified(r.Context(), rt, name, k, size)
+	// Summarized once per request, before the deferred Release recycles the
+	// runtime and resets its counters.
 	st := rt.Stats()
+	s.absorbStats(st)
+	if status != http.StatusOK {
+		writeJSON(w, status, errResponse{Error: msg})
+		return
+	}
 	writeJSON(w, http.StatusOK, RunResponse{
 		Kernel:    name,
 		Size:      size,
@@ -380,6 +343,38 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		Commits:   int64(st.Commits),
 		Rollbacks: int64(st.Rollbacks),
 	})
+}
+
+// runVerified runs the kernel's TLS version on the leased runtime and
+// checks it against the sequential reference. A status other than 200
+// comes with the error message to answer the request with.
+func (s *Server) runVerified(ctx context.Context, rt *mutls.Runtime, name string, k Kernel, size bench.Size) (sum uint64, cost mutls.Cost, status int, msg string) {
+	want, err := s.seqChecksum(rt, name, k, size)
+	if err != nil {
+		return 0, 0, http.StatusServiceUnavailable, err.Error()
+	}
+	cost, err = rt.RunCtx(ctx, func(t *mutls.Thread) {
+		sum = k.Workload.Spec(t, size, bench.SpecOptions{Model: k.Workload.DefaultModel})
+	})
+	var kp *mutls.KernelPanic
+	switch {
+	case errors.As(err, &kp):
+		// The kernel itself panicked on the non-speculative thread. The run
+		// drained and the lease's Release recycles the runtime, so only
+		// this request is lost — answer it a 500 and count the fault.
+		// (Speculative panics never surface here: they are squashed and
+		// re-executed as misspeculation.)
+		s.faults.Add(1)
+		return 0, 0, http.StatusInternalServerError, fmt.Sprintf("kernel fault: %v", kp.Value)
+	case err != nil:
+		// Cancelled or timed out mid-run; Release recycles the runtime, so
+		// the next tenant is unaffected.
+		return 0, 0, http.StatusServiceUnavailable, err.Error()
+	case sum != want:
+		return 0, 0, http.StatusInternalServerError,
+			fmt.Sprintf("checksum mismatch: speculative %#x, sequential %#x", sum, want)
+	}
+	return sum, cost, http.StatusOK, ""
 }
 
 // statsResponse is the /stats document: the pool's admission counters,

@@ -1,7 +1,9 @@
-// Package stats aggregates per-thread execution records into the metrics
-// the paper reports: absolute speedup, critical path efficiency, speculative
-// path efficiency, power efficiency, parallel execution coverage (§V-B) and
-// the critical/speculative path breakdowns of Figures 8 and 9.
+// Package stats accumulates finished speculative executions into the
+// metrics the paper reports: absolute speedup, critical path efficiency,
+// speculative path efficiency, power efficiency, parallel execution coverage
+// (§V-B) and the critical/speculative path breakdowns of Figures 8 and 9.
+// Every one of them is a sum over executions, so the collector keeps sums —
+// one fixed-size accumulator per virtual CPU — and no per-execution storage.
 package stats
 
 import (
@@ -14,10 +16,11 @@ import (
 )
 
 // ExecRecord is one finished speculative execution: the interval it occupied
-// its virtual CPU and the phase ledger accumulated during it.
+// its virtual CPU and the phase ledger accumulated during it. It is the
+// argument of Collector.Add, which folds it into the CPU's accumulator and
+// keeps nothing of it.
 type ExecRecord struct {
 	Rank      int
-	Point     int // fork/join point id
 	Start     vclock.Cost
 	End       vclock.Cost
 	Ledger    vclock.Ledger
@@ -42,9 +45,7 @@ type FaultRecord struct {
 
 // FaultStats counts the containment events of a run: speculative panics
 // converted to rollbacks, non-speculative panics surfaced as KernelPanic
-// errors, and watchdog deadline kills. Unlike the execution records these
-// are counted even without CollectStats — a serving layer needs fault
-// visibility regardless of profiling.
+// errors, and watchdog deadline kills.
 type FaultStats struct {
 	SpecPanics    int64 `json:"spec_panics"`
 	KernelPanics  int64 `json:"kernel_panics"`
@@ -62,19 +63,31 @@ const MaxFaultRecords = 32
 // kills: a deadline kill is a schedule decision, not a fault capture).
 func (f *FaultStats) Total() int64 { return f.SpecPanics + f.KernelPanics }
 
-// Collector gathers records. Each virtual CPU appends only to its own slice
-// (no locking on the hot path); the non-speculative thread's ledger is set
-// once at the end of the run. Fault counts are mutex-guarded — faults are
-// rare by definition, so the lock never sits on a hot path.
+// Collector accumulates executions. Each virtual CPU's worker folds only
+// into its own accumulator (no locking, no atomics: Summarize reads them
+// once the run has drained); the non-speculative thread's ledger is set once
+// at the end of the run. Memory is O(CPUs) for the life of the collector,
+// whatever the number of executions. Fault counts are mutex-guarded — faults
+// are rare by definition, so the lock never sits on a hot path.
 type Collector struct {
-	Enabled bool
-	perCPU  [][]ExecRecord
+	perCPU []cpuAcc // index 0 unused; ranks are 1-based
 
 	nonSpecRuntime vclock.Cost
 	nonSpecLedger  vclock.Ledger
 
 	faultMu sync.Mutex
 	faults  FaultStats
+}
+
+// cpuAcc is one virtual CPU's sums over its finished executions: what
+// Summary reports of the speculative path.
+type cpuAcc struct {
+	runtime   vclock.Cost
+	ledger    vclock.Ledger // normalized, see Add
+	commits   int
+	rollbacks int
+	readPeak  int
+	writePeak int
 }
 
 // CountSpecPanic records a speculative panic contained as RollbackFault.
@@ -119,12 +132,12 @@ func (c *Collector) Faults() FaultStats {
 }
 
 // NewCollector creates a collector for ranks 1..numCPUs.
-func NewCollector(numCPUs int, enabled bool) *Collector {
-	return &Collector{Enabled: enabled, perCPU: make([][]ExecRecord, numCPUs+1)}
+func NewCollector(numCPUs int) *Collector {
+	return &Collector{perCPU: make([]cpuAcc, numCPUs+1)}
 }
 
-// Add normalizes and stores a record. Two normalizations happen here, both
-// mode-independent:
+// Add normalizes a record and folds it into its rank's accumulator. Two
+// normalizations happen here, both mode-independent:
 //
 //   - The residual of the occupied interval not booked to any phase is
 //     booked as work. In virtual mode the residual is zero (every advance is
@@ -133,17 +146,24 @@ func NewCollector(numCPUs int, enabled bool) *Collector {
 //   - Rolled-back executions convert their work into wasted work, the
 //     paper's Figure 9 category.
 func (c *Collector) Add(rec ExecRecord) {
-	if !c.Enabled || rec.Rank <= 0 || rec.Rank >= len(c.perCPU) {
+	if rec.Rank <= 0 || rec.Rank >= len(c.perCPU) {
 		return
 	}
 	if resid := rec.Runtime() - rec.Ledger.Total(); resid > 0 {
 		rec.Ledger[vclock.Work] += resid
 	}
-	if !rec.Committed {
+	a := &c.perCPU[rec.Rank]
+	if rec.Committed {
+		a.commits++
+	} else {
+		a.rollbacks++
 		rec.Ledger[vclock.Wasted] += rec.Ledger[vclock.Work]
 		rec.Ledger[vclock.Work] = 0
 	}
-	c.perCPU[rec.Rank] = append(c.perCPU[rec.Rank], rec)
+	a.runtime += rec.Runtime()
+	a.ledger.Add(&rec.Ledger)
+	a.readPeak = max(a.readPeak, rec.ReadSetPeak)
+	a.writePeak = max(a.writePeak, rec.WriteSetPeak)
 }
 
 // SetNonSpec records the non-speculative (critical path) thread's total
@@ -156,11 +176,9 @@ func (c *Collector) SetNonSpec(runtime vclock.Cost, ledger vclock.Ledger) {
 	c.nonSpecLedger = ledger
 }
 
-// Reset drops all records for a fresh run.
+// Reset zeroes every accumulator for a fresh run.
 func (c *Collector) Reset() {
-	for i := range c.perCPU {
-		c.perCPU[i] = c.perCPU[i][:0]
-	}
+	clear(c.perCPU)
 	c.nonSpecRuntime = 0
 	c.nonSpecLedger = vclock.Ledger{}
 	c.faultMu.Lock()
@@ -178,7 +196,9 @@ type Summary struct {
 	Executions     int
 	Commits        int
 	Rollbacks      int
-	PerPoint       map[int]PointStats
+	// PerPoint profiles the fork/join points that saw executions (filled by
+	// the runtime from its per-point counters, not by the collector).
+	PerPoint map[int]PointStats
 
 	// ReadSetPeak/WriteSetPeak are the maximum per-thread GlobalBuffer set
 	// sizes (words) observed across all executions: the buffer pressure
@@ -199,7 +219,7 @@ type Summary struct {
 	PointsExhausted int64
 
 	// Hand-off counters of the join protocol's gates (filled by the
-	// runtime; counted without CollectStats, cumulative until ResetStats):
+	// runtime; cumulative until ResetStats):
 	// waits that entered the time-bounded spin phase, spin phases the
 	// awaited flag ended, and waits that parked the goroutine. A fork/join
 	// between two threads that both have a core shows up as spin hits and
@@ -210,19 +230,19 @@ type Summary struct {
 
 	// Faults are the containment counters: speculative panics converted to
 	// rollbacks, non-speculative KernelPanics, watchdog deadline kills.
-	// Counted even without CollectStats; cumulative until ResetStats.
+	// Cumulative until ResetStats.
 	Faults FaultStats
 }
 
-// PointStats profiles one fork/join point, feeding the adaptive fork
-// heuristic and the ablation benches.
+// PointStats profiles one fork/join point. Runtime sums each execution's
+// fork-to-verdict latency.
 type PointStats struct {
 	Commits   int
 	Rollbacks int
 	Runtime   vclock.Cost
 }
 
-// Summarize folds the collected records.
+// Summarize adds up the per-CPU accumulators.
 func (c *Collector) Summarize(numCPUs int) *Summary {
 	s := &Summary{
 		NumCPUs:        numCPUs,
@@ -231,30 +251,16 @@ func (c *Collector) Summarize(numCPUs int) *Summary {
 		PerPoint:       map[int]PointStats{},
 		Faults:         c.Faults(),
 	}
-	for _, recs := range c.perCPU {
-		for i := range recs {
-			r := &recs[i]
-			s.SpecRuntime += r.Runtime()
-			s.SpecLedger.Add(&r.Ledger)
-			s.Executions++
-			ps := s.PerPoint[r.Point]
-			if r.Committed {
-				s.Commits++
-				ps.Commits++
-			} else {
-				s.Rollbacks++
-				ps.Rollbacks++
-			}
-			ps.Runtime += r.Runtime()
-			s.PerPoint[r.Point] = ps
-			if r.ReadSetPeak > s.ReadSetPeak {
-				s.ReadSetPeak = r.ReadSetPeak
-			}
-			if r.WriteSetPeak > s.WriteSetPeak {
-				s.WriteSetPeak = r.WriteSetPeak
-			}
-		}
+	for i := range c.perCPU {
+		a := &c.perCPU[i]
+		s.SpecRuntime += a.runtime
+		s.SpecLedger.Add(&a.ledger)
+		s.Commits += a.commits
+		s.Rollbacks += a.rollbacks
+		s.ReadSetPeak = max(s.ReadSetPeak, a.readPeak)
+		s.WriteSetPeak = max(s.WriteSetPeak, a.writePeak)
 	}
+	s.Executions = s.Commits + s.Rollbacks
 	return s
 }
 
@@ -360,12 +366,4 @@ func (s *Summary) PointsSorted() []int {
 	}
 	sort.Ints(ids)
 	return ids
-}
-
-// Records returns the stored execution records of one rank.
-func (c *Collector) Records(rank int) []ExecRecord {
-	if rank < 0 || rank >= len(c.perCPU) {
-		return nil
-	}
-	return c.perCPU[rank]
 }

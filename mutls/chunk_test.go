@@ -283,7 +283,7 @@ func TestAdaptiveShrinksUnderBufferPressure(t *testing.T) {
 	const n = 4096
 	run := func(ck mutls.Chunker) (mutls.Cost, int, int, int64) {
 		rt, err := mutls.New(mutls.Options{
-			CPUs: 1, CollectStats: true, HeapBytes: 1 << 20,
+			CPUs: 1, HeapBytes: 1 << 20,
 			Buffering: mutls.Buffering{LogWords: 5, OverflowCap: 8},
 		})
 		if err != nil {

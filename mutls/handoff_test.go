@@ -15,7 +15,7 @@ import (
 // two-thread shape every hand-off measurement here is about.
 func handoffRuntime(tb testing.TB, tweak func(*mutls.Options)) *mutls.Runtime {
 	tb.Helper()
-	opts := mutls.Options{CPUs: 1, Timing: mutls.Real, RealCPUCap: mutls.RealCPUsUncapped}
+	opts := mutls.Options{CPUs: 1, Timing: mutls.Real}
 	if tweak != nil {
 		tweak(&opts)
 	}
@@ -109,7 +109,6 @@ func TestStencilPipelineRarelyParks(t *testing.T) {
 	rt := handoffRuntime(t, func(o *mutls.Options) {
 		o.HeapBytes = bench.Stencil.HeapBytes(size)
 		o.RegSlots = 160
-		o.CollectStats = true
 	})
 	var want, got uint64
 	if _, err := rt.Run(func(th *mutls.Thread) { want = bench.Stencil.Seq(th, size) }); err != nil {

@@ -113,10 +113,6 @@ const (
 	Real    = vclock.Real
 )
 
-// RealCPUsUncapped disables the Real-timing virtual-CPU clamp
-// (Options.RealCPUCap).
-const RealCPUsUncapped = core.RealCPUsUncapped
-
 // CostModel prices runtime events under virtual timing.
 type CostModel = vclock.CostModel
 
@@ -166,13 +162,6 @@ type Options struct {
 	// Timing selects Virtual (default, deterministic) or Real time.
 	Timing TimingMode
 
-	// RealCPUCap bounds CPUs under Real timing: wall-clock numbers are only
-	// meaningful while every virtual CPU maps to a schedulable OS thread.
-	// Zero selects the default cap, runtime.GOMAXPROCS(0) at construction
-	// time; RealCPUsUncapped disables the clamp for oversubscription
-	// experiments. Virtual timing is never capped.
-	RealCPUCap int
-
 	// Cost prices runtime events under virtual timing. Zero selects
 	// DefaultCostModel.
 	Cost CostModel
@@ -188,13 +177,6 @@ type Options struct {
 	// backend with default sizing.
 	Buffering Buffering
 
-	// Deprecated: GBufLogWords and GBufOverflowCap are aliases for
-	// Buffering.LogWords and Buffering.OverflowCap (the openaddr backend's
-	// sizing), kept for programs written before the backend was pluggable.
-	// They are ignored when the corresponding Buffering field is set.
-	GBufLogWords    int
-	GBufOverflowCap int
-
 	// RegSlots and StackSlots size the per-CPU LocalBuffer frames.
 	RegSlots   int
 	StackSlots int
@@ -205,7 +187,8 @@ type Options struct {
 	RollbackProb float64
 	Seed         uint64
 
-	// CollectStats enables the ledgers and execution records behind Stats.
+	// CollectStats is accepted and ignored: statistics are always on, in
+	// fixed-size accumulators, so there is nothing left for it to enable.
 	CollectStats bool
 
 	// AdaptiveForkHeuristic disables fork points whose observed rollback
@@ -231,11 +214,9 @@ func (o Options) coreOptions() core.Options {
 	co := core.Options{
 		NumCPUs:               o.CPUs,
 		Timing:                o.Timing,
-		RealCPUCap:            o.RealCPUCap,
 		Cost:                  o.Cost,
 		RollbackProb:          o.RollbackProb,
 		Seed:                  o.Seed,
-		CollectStats:          o.CollectStats,
 		AdaptiveForkHeuristic: o.AdaptiveForkHeuristic,
 		SpecDeadline:          o.SpecDeadline,
 		FaultPlan:             o.FaultPlan,
@@ -254,19 +235,6 @@ func (o Options) coreOptions() core.Options {
 		}
 	}
 	co.GBuf = o.Buffering
-	// The deprecated aliases fill openaddr sizing the Buffering config
-	// leaves unset; remaining zero fields select the gbuf defaults. They
-	// are openaddr fields, so they apply only when that backend (or the
-	// empty default, which resolves to it) is selected — copying them into
-	// a chain/bitmap config would silently pollute that backend's sizing.
-	if co.GBuf.Backend == "" || co.GBuf.Backend == gbuf.DefaultBackend {
-		if co.GBuf.LogWords == 0 {
-			co.GBuf.LogWords = o.GBufLogWords
-		}
-		if co.GBuf.OverflowCap == 0 {
-			co.GBuf.OverflowCap = o.GBufOverflowCap
-		}
-	}
 	if o.RegSlots != 0 || o.StackSlots != 0 {
 		co.LBuf = lbuf.DefaultConfig()
 		if o.RegSlots != 0 {

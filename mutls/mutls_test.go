@@ -10,9 +10,8 @@ import (
 func newRuntime(t *testing.T, cpus int, extra func(*mutls.Options)) *mutls.Runtime {
 	t.Helper()
 	opts := mutls.Options{
-		CPUs:         cpus,
-		CollectStats: true,
-		HeapBytes:    1 << 20,
+		CPUs:      cpus,
+		HeapBytes: 1 << 20,
 	}
 	if extra != nil {
 		extra(&opts)
@@ -407,9 +406,9 @@ func TestPartialBufferOptions(t *testing.T) {
 		t.Fatalf("RegSlots-only options rejected: %v", err)
 	}
 	rt.Close()
-	rt, err = mutls.New(mutls.Options{CPUs: 2, GBufLogWords: 10})
+	rt, err = mutls.New(mutls.Options{CPUs: 2, Buffering: mutls.Buffering{LogWords: 10}})
 	if err != nil {
-		t.Fatalf("GBufLogWords-only options rejected: %v", err)
+		t.Fatalf("LogWords-only options rejected: %v", err)
 	}
 	rt.Close()
 }
@@ -470,46 +469,8 @@ func TestBufferingValidation(t *testing.T) {
 	}
 }
 
-// TestGBufAliasStillWorks: the deprecated GBufLogWords/GBufOverflowCap
-// fields keep configuring the openaddr backend, and an explicit Buffering
-// field wins over the alias.
-func TestGBufAliasStillWorks(t *testing.T) {
-	// Alias values flow into the real config: an out-of-range LogWords via
-	// the alias must error exactly like the Buffering field would.
-	if _, err := mutls.New(mutls.Options{CPUs: 2, GBufLogWords: 40}); err == nil {
-		t.Fatal("out-of-range GBufLogWords accepted through the alias")
-	}
-	// Buffering wins over the alias when both are set.
-	shadowed, err := mutls.New(mutls.Options{
-		CPUs:         2,
-		GBufLogWords: 40, // invalid, but shadowed by Buffering.LogWords
-		Buffering:    mutls.Buffering{LogWords: 10},
-	})
-	if err != nil {
-		t.Fatalf("Buffering.LogWords did not shadow the alias: %v", err)
-	}
-	shadowed.Close()
-	rt := newRuntime(t, 2, func(o *mutls.Options) {
-		o.GBufLogWords = 12
-		o.GBufOverflowCap = 32
-	})
-	const n, chunks = 1024, 8
-	want := int64(0)
-	for i := 0; i < n; i++ {
-		want += int64(i)*7 + 3
-	}
-	if got := forFill(rt, n, chunks, mutls.InOrder); got != want {
-		t.Fatalf("alias-configured runtime sum = %d, want %d", got, want)
-	}
-}
-
 func TestRealTiming(t *testing.T) {
-	rt := newRuntime(t, 2, func(o *mutls.Options) {
-		o.Timing = mutls.Real
-		// The test wants both virtual CPUs on any host; it checks results,
-		// not wall-clock fidelity.
-		o.RealCPUCap = mutls.RealCPUsUncapped
-	})
+	rt := newRuntime(t, 2, func(o *mutls.Options) { o.Timing = mutls.Real })
 	const n, chunks = 2048, 8
 	want := int64(0)
 	for i := 0; i < n; i++ {

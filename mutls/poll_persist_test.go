@@ -44,7 +44,7 @@ func TestPollEveryStopsParkedThreads(t *testing.T) {
 	const logWords = 5
 	const n = 512
 	rt, err := mutls.New(mutls.Options{
-		CPUs: 4, CollectStats: true, HeapBytes: 1 << 20,
+		CPUs: 4, HeapBytes: 1 << 20,
 		Buffering: mutls.Buffering{LogWords: logWords, OverflowCap: 64},
 	})
 	if err != nil {

@@ -85,7 +85,7 @@ func TestIdlePoolIsIdle(t *testing.T) {
 // on parked hand-offs alone.
 func TestConcurrentLeasesDoNotSpinPastTheProcs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	p, err := New(Options{Runtimes: 2, HostBudget: 4, Runtime: mutls.Options{CPUs: 2, Timing: mutls.Real, CollectStats: true}})
+	p, err := New(Options{Runtimes: 2, HostBudget: 4, Runtime: mutls.Options{CPUs: 2, Timing: mutls.Real}})
 	if err != nil {
 		t.Fatal(err)
 	}

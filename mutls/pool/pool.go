@@ -61,10 +61,8 @@ type Options struct {
 	QueueLimit int
 
 	// Runtime is the template every pooled runtime is built from.
-	// Runtime.CPUs is the per-lease speculation width (default 4). The
-	// Real-timing GOMAXPROCS clamp is disabled on pooled runtimes — the
-	// pool's HostBudget is the host-awareness mechanism, and double
-	// clamping would hide budget effects.
+	// Runtime.CPUs is the per-lease speculation width (default 4); the
+	// pool's HostBudget is what keeps the claimed width within the host.
 	Runtime mutls.Options
 }
 
@@ -84,7 +82,6 @@ func (o Options) withDefaults() Options {
 	if o.Runtime.CPUs <= 0 {
 		o.Runtime.CPUs = 4
 	}
-	o.Runtime.RealCPUCap = mutls.RealCPUsUncapped
 	return o
 }
 

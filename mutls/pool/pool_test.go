@@ -35,7 +35,7 @@ func testOptions() Options {
 		}
 	}
 	return Options{
-		Runtime: mutls.Options{CPUs: 4, HeapBytes: heap, CollectStats: true},
+		Runtime: mutls.Options{CPUs: 4, HeapBytes: heap},
 	}
 }
 
