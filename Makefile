@@ -75,7 +75,6 @@ smoke:
 	$(GO) run -race ./cmd/mutls-load -c 32 -n 300 > /dev/null
 	$(GO) run ./cmd/mutls-bench -wallclock -quick > /dev/null
 	$(GO) run ./cmd/mutls-bench -fig gbuf -cpus 4
-	$(GO) run ./cmd/mutls-bench -fig chunks -cpus 4
 	$(GO) run ./cmd/mutls-bench -fig pipeline -cpus 4
 
 # chaos is the fault-injection smoke: seeded storms over the quick kernel

@@ -1,6 +1,6 @@
 // Package repro's root benchmarks regenerate every table and figure of the
 // MUTLS paper as testing.B targets (go test -bench=.), plus the ablation
-// benches for the design choices DESIGN.md calls out. Each benchmark prints
+// benches for the runtime's design choices. Each benchmark prints
 // the regenerated rows once via b.Logf-style output to stdout is avoided;
 // instead the figures' data is produced through the harness and the bench
 // measures the time to regenerate it (the real, wall-clock cost of the
@@ -108,7 +108,7 @@ func BenchmarkWorkloadTSP(b *testing.B)        { benchWorkload(b, bench.TSP) }
 func BenchmarkWorkloadStencil(b *testing.B)    { benchWorkload(b, bench.Stencil) }
 func BenchmarkWorkloadFloatSum(b *testing.B)   { benchWorkload(b, bench.FloatSum) }
 
-// --- Ablations (DESIGN.md §6) ---
+// --- Ablations ---
 
 // BenchmarkAblation_TreeVsLinear compares the tree-form mixed model against
 // the Mitosis/POSH-style linear baseline under injected rollbacks: the

@@ -7,10 +7,8 @@
 //	mutls-bench                  # everything, quick sizes, virtual timing
 //	mutls-bench -fig 3           # one figure (1, 2 = tables; 3..11 = figures)
 //	mutls-bench -fig gbuf        # GlobalBuffer backend ablation table
-//	mutls-bench -fig chunks      # static vs adaptive chunk-sizing ablation
 //	mutls-bench -fig pipeline    # pipeline + float-reduction kernels, models x backends
 //	mutls-bench -gbuf chain      # run everything on the chain backend
-//	mutls-bench -chunks adaptive # feedback-driven chunk sizing for all runs
 //	mutls-bench -coverage        # the §V-B parallel coverage numbers
 //	mutls-bench -paper           # Table II problem sizes (slow)
 //	mutls-bench -cpus 1,2,4,64   # custom CPU axis
@@ -34,14 +32,13 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "", `regenerate one table (1,2), figure (3..11) or an ablation ("gbuf", "chunks", "pipeline"); empty = everything`)
+	fig := flag.String("fig", "", `regenerate one table (1,2), figure (3..11) or an ablation ("gbuf", "pipeline"); empty = everything`)
 	coverage := flag.Bool("coverage", false, "print the §V-B parallel execution coverage")
 	paper := flag.Bool("paper", false, "use the paper's Table II problem sizes")
 	cpus := flag.String("cpus", "", "comma-separated CPU axis (default 1,2,4,8,16,24,32,48,64)")
 	real := flag.Bool("real", false, "wall-clock timing instead of the virtual cost model")
 	seed := flag.Uint64("seed", 0, "seed for the forced-rollback generators")
 	gbufBackend := flag.String("gbuf", "", fmt.Sprintf("GlobalBuffer backend for all runs (one of %v)", mutls.Backends()))
-	chunks := flag.String("chunks", "", `chunk-sizing policy for all runs ("static" or "adaptive")`)
 	wallclock := flag.Bool("wallclock", false, "run the curated wall-clock suite (fixed sizes, warmup, host-parallelism sweep) and emit JSON")
 	chaos := flag.Bool("chaos", false, "run the deterministic fault-injection sweep (kernels x models x backends under seeded fault storms)")
 	quick := flag.Bool("quick", false, "with -wallclock or -chaos: CI-sized subset")
@@ -60,15 +57,6 @@ func main() {
 			os.Exit(2)
 		}
 		cfg.Buffering = mutls.Buffering{Backend: *gbufBackend}
-	}
-	switch *chunks {
-	case "", "static":
-		// the paper's static split, the default
-	case "adaptive":
-		cfg.Chunks = harness.AdaptiveChunker()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown chunk policy %q (valid: static, adaptive)\n", *chunks)
-		os.Exit(2)
 	}
 	if *cpus != "" {
 		axis, err := parseAxis(*cpus)
@@ -111,8 +99,6 @@ func main() {
 		err = h.All(os.Stdout)
 	case *fig == "gbuf":
 		err = h.FigGBuf(os.Stdout)
-	case *fig == "chunks":
-		err = h.FigChunks(os.Stdout)
 	case *fig == "pipeline":
 		err = h.FigPipeline(os.Stdout)
 	default:
@@ -154,11 +140,9 @@ func runWallclock(h *harness.Harness, wcfg harness.WallclockConfig, baselinePath
 func runFigure(h *harness.Harness, fig string) error {
 	n, err := strconv.Atoi(fig)
 	if err != nil {
-		return fmt.Errorf("unknown figure %q (valid: 0..11, gbuf, chunks, pipeline)", fig)
+		return fmt.Errorf("unknown figure %q (valid: 1..11, gbuf, pipeline)", fig)
 	}
 	switch n {
-	case 0: // the old int flag's "everything" value
-		return h.All(os.Stdout)
 	case 1:
 		harness.Table1(os.Stdout)
 		return nil
@@ -184,7 +168,7 @@ func runFigure(h *harness.Harness, fig string) error {
 	case 11:
 		return h.Fig11(os.Stdout)
 	}
-	return fmt.Errorf("unknown figure %d (valid: 0..11, gbuf, chunks, pipeline)", n)
+	return fmt.Errorf("unknown figure %d (valid: 1..11, gbuf, pipeline)", n)
 }
 
 func validBackend(name string) bool {

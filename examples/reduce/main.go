@@ -4,10 +4,7 @@
 // that the join validates with MUTLS_validate_local — a misprediction rolls
 // the speculation back and the chunk re-executes inline. With a constant
 // per-chunk increment the stride predictor locks on after two chunks and
-// most speculations commit. The continuation split is driven by the
-// feedback-driven AdaptivePolicy, which groups chunk indices per
-// speculation and resizes the groups from the rollback rate and commit
-// latency of earlier joins.
+// most speculations commit.
 package main
 
 import (
@@ -41,7 +38,7 @@ func main() {
 		}
 
 		total = mutls.Reduce(t, chunks, 0,
-			mutls.ReduceOptions{Predictor: mutls.Stride, Chunks: mutls.AdaptivePolicy{}},
+			mutls.ReduceOptions{Predictor: mutls.Stride},
 			func(c *mutls.Thread, idx int, acc int64) int64 {
 				for i := idx * per; i < (idx+1)*per; i++ {
 					if i%1024 == 0 {

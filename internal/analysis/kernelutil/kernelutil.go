@@ -47,9 +47,10 @@ type Kernel struct {
 	// LoopDriver reports a chunk/token-protocol driver (For/ForRange/
 	// Reduce*/Pipeline), directly or via an indirect parent.
 	LoopDriver bool
-	// DriverPolls is true when the driving call configures driver-side
-	// polling (ForOptions.PollEvery > 0), which sub-steps the kernel and
-	// polls between invocations.
+	// DriverPolls is true when the driving call is a ForRange that
+	// configures driver-side polling (ForOptions.PollEvery > 0), which
+	// sub-steps the kernel and polls between invocations. For speculates
+	// one index per fork, so its driver never reaches a poll.
 	DriverPolls bool
 }
 
@@ -152,7 +153,7 @@ func Find(pass *analysis.Pass) []Kernel {
 				if fn == nil || !driverFuncs[fn.Name()] || !isThreadFunc(fn.Type().(*types.Signature)) {
 					return true
 				}
-				polls := callSetsPollEvery(info, n, pollVars)
+				polls := fn.Name() == "ForRange" && callSetsPollEvery(info, n, pollVars)
 				for _, arg := range n.Args {
 					lit, ok := ast.Unparen(arg).(*ast.FuncLit)
 					if !ok {

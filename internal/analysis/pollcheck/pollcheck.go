@@ -8,8 +8,9 @@
 // cancellation (RunCtx deadlines unwind at polls). A loop is compliant
 // when its body contains a CheckPoint/CancelPoint call, calls a
 // same-package function that (transitively) polls, or when the driving
-// call itself configures ForOptions.PollEvery, which sub-steps the kernel
-// and polls between invocations.
+// ForRange call itself configures ForOptions.PollEvery, which sub-steps
+// the kernel and polls between invocations (For speculates one index per
+// fork: its driver has no sub-steps to poll between).
 //
 // The check applies to the chunk/token drivers (For, ForRange, Reduce,
 // ReduceFunc, ReduceFloat64, Pipeline) whose join protocol can commit a
@@ -71,7 +72,7 @@ func checkBody(pass *analysis.Pass, pollers map[*types.Func]bool, body *ast.Bloc
 		}
 		if usesThread(pass, loopBody) {
 			pass.Reportf(n.Pos(), Code,
-				"loop in speculative kernel has no reachable CheckPoint/CancelPoint poll; squash and cancellation stall until the chunk drains (poll in the loop, call a polling helper, or set ForOptions.PollEvery)")
+				"loop in speculative kernel has no reachable CheckPoint/CancelPoint poll; squash and cancellation stall until the chunk drains (poll in the loop, call a polling helper, or set ForOptions.PollEvery on a ForRange)")
 			return false // do not double-report its inner loops
 		}
 		return true

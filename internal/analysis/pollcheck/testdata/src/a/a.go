@@ -1,6 +1,7 @@
 // Package a is pollcheck golden testdata: kernels with poll-free loops
-// (flagged), polled loops, PollEvery-exempt drivers, polling helpers,
-// indirect kernels, tree-form regions and suppressed findings.
+// (flagged), polled loops, PollEvery on ForRange (exempt) and on For (not),
+// polling helpers, indirect kernels, tree-form regions and suppressed
+// findings.
 package a
 
 import "repro/mutls"
@@ -24,9 +25,11 @@ func polledOuter(t *mutls.Thread, base mutls.Addr, n int) {
 	})
 }
 
+// For speculates one index per fork, so its driver never polls: PollEvery
+// exempts nothing there.
 func pollEveryExempt(t *mutls.Thread, base mutls.Addr, n int) {
 	mutls.For(t, 4, mutls.ForOptions{PollEvery: 64}, func(c *mutls.Thread, idx int) {
-		for i := 0; i < n; i++ { // driver polls between sub-steps: clean
+		for i := 0; i < n; i++ { // want "POLL001"
 			c.StoreInt64(base, int64(i))
 		}
 	})
@@ -35,7 +38,24 @@ func pollEveryExempt(t *mutls.Thread, base mutls.Addr, n int) {
 func pollEveryVar(t *mutls.Thread, base mutls.Addr, n int) {
 	opts := mutls.ForOptions{PollEvery: 32}
 	mutls.For(t, 4, opts, func(c *mutls.Thread, idx int) {
-		for i := 0; i < n; i++ { // options variable sets PollEvery: clean
+		for i := 0; i < n; i++ { // want "POLL001"
+			c.StoreInt64(base, int64(i))
+		}
+	})
+}
+
+func pollEveryRangeExempt(t *mutls.Thread, base mutls.Addr, n int) {
+	mutls.ForRange(t, n, mutls.ForOptions{PollEvery: 64}, func(c *mutls.Thread, lo, hi int) {
+		for i := lo; i < hi; i++ { // driver polls between sub-steps: clean
+			c.StoreInt64(base, int64(i))
+		}
+	})
+}
+
+func pollEveryRangeVar(t *mutls.Thread, base mutls.Addr, n int) {
+	opts := mutls.ForOptions{PollEvery: 32}
+	mutls.ForRange(t, n, opts, func(c *mutls.Thread, lo, hi int) {
+		for i := lo; i < hi; i++ { // options variable sets PollEvery: clean
 			c.StoreInt64(base, int64(i))
 		}
 	})

@@ -53,25 +53,9 @@ type Workload struct {
 	Spec func(t *mutls.Thread, s Size, opts SpecOptions) uint64
 }
 
-// SpecOptions parameterizes a workload's TLS version: the forking model
-// and, for the loop benchmarks, the chunk-sizing policy of their For/
-// ForRange drives (nil keeps each workload's static paper split).
+// SpecOptions parameterizes a workload's TLS version: the forking model.
 type SpecOptions struct {
-	Model  mutls.Model
-	Chunks mutls.Chunker
-}
-
-// chunkerFor adapts a configured chunker to a workload's static policy: an
-// AdaptivePolicy without an explicit floor inherits the policy's
-// MinPerChunk — the workload's fork-amortization threshold — so feedback
-// never shrinks chunks below the size the static split considers worth a
-// fork. Other chunkers pass through unchanged.
-func chunkerFor(ck mutls.Chunker, p mutls.ChunkPolicy) mutls.Chunker {
-	if ap, ok := ck.(mutls.AdaptivePolicy); ok && ap.MinSize == 0 && p.MinPerChunk > 1 {
-		ap.MinSize = p.MinPerChunk
-		return ap
-	}
-	return ck
+	Model mutls.Model
 }
 
 // All lists the benchmarks in Table II order.
@@ -118,9 +102,6 @@ type RunConfig struct {
 	// Buffering selects the GlobalBuffer backend; zero selects the suite
 	// default (openaddr, 2^16 words, 256 overflow slots).
 	Buffering mutls.Buffering
-	// Chunks selects the loop benchmarks' chunk-sizing policy; nil keeps
-	// the static paper split.
-	Chunks mutls.Chunker
 	// Faults wires a deterministic fault-injection plan into the runtime
 	// (the chaos harness); nil injects nothing.
 	Faults *faultinject.Plan
@@ -192,7 +173,7 @@ func MeasureSpec(w *Workload, cfg RunConfig) (Measurement, error) {
 		return Measurement{}, err
 	}
 	defer rt.Close()
-	opts := SpecOptions{Model: cfg.Model, Chunks: cfg.Chunks}
+	opts := SpecOptions{Model: cfg.Model}
 	var sum uint64
 	tn, err := rt.Run(func(t *mutls.Thread) { sum = w.Spec(t, cfg.Size, opts) })
 	if err != nil {

@@ -100,26 +100,6 @@ func TestWorkloadsUnderInjectedRollbacks(t *testing.T) {
 	}
 }
 
-// Adaptive chunk sizing may change the schedule but never the result —
-// with and without the forced rollbacks that drive its feedback loop.
-func TestWorkloadsWithAdaptiveChunks(t *testing.T) {
-	for _, w := range Everything() {
-		w := w
-		t.Run(w.Name, func(t *testing.T) {
-			t.Parallel()
-			for _, prob := range []float64{0, 0.2} {
-				cfg := ciConfig(w, 4)
-				cfg.Chunks = mutls.AdaptivePolicy{}
-				cfg.RollbackProb = prob
-				cfg.Seed = 7
-				if err := Verify(w, cfg); err != nil {
-					t.Fatalf("prob=%v: %v", prob, err)
-				}
-			}
-		})
-	}
-}
-
 // Real (wall clock) timing mode end to end.
 func TestWorkloadsRealTiming(t *testing.T) {
 	for _, w := range Everything() {

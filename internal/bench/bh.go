@@ -346,14 +346,8 @@ func bhSeq(t *mutls.Thread, s Size) uint64 {
 func bhSpec(t *mutls.Thread, s Size, o SpecOptions) uint64 {
 	st := bhInit(t, s)
 	defer st.freeAll(t)
-	// Persist carries the adaptive chunk schedule across the per-time-step
-	// force loops; PollEvery stops parked/squashed chunks at body bounds.
-	opts := mutls.ForOptions{
-		Model:     o.Model,
-		Policy:    bhPolicy,
-		Chunker:   mutls.Persist(chunkerFor(o.Chunks, bhPolicy)),
-		PollEvery: 1,
-	}
+	// PollEvery stops parked/squashed chunks at body bounds.
+	opts := mutls.ForOptions{Model: o.Model, Policy: bhPolicy, PollEvery: 1}
 	for step := 0; step < s.Steps; step++ {
 		st.buildTree(t) // allocation-heavy: non-speculative by rule
 		mutls.ForRange(t, st.n, opts, func(c *mutls.Thread, lo, hi int) {

@@ -94,11 +94,7 @@ func floatSumSeq(t *mutls.Thread, s Size) uint64 {
 func floatSumSpec(t *mutls.Thread, s Size, o SpecOptions) uint64 {
 	arr := floatSumFill(t, s)
 	defer t.Free(arr)
-	opts := mutls.ReduceFloatOptions{
-		Model:     o.Model,
-		Predictor: mutls.Stride,
-		Chunks:    o.Chunks,
-	}
+	opts := mutls.ReduceFloatOptions{Model: o.Model, Predictor: mutls.Stride}
 	acc := mutls.ReduceFloat64(t, floatSumChunks, floatSumInit, opts,
 		func(c *mutls.Thread, idx int, acc float64) float64 {
 			return floatSumChunk(c, arr, s.N, idx, acc)

@@ -82,7 +82,7 @@ func mandelSpec(t *mutls.Thread, s Size, o SpecOptions) uint64 {
 	img := t.Alloc(8 * s.N * s.N)
 	defer t.Free(img)
 	chunks := mandelPolicy.Chunks(s.N)
-	opts := mutls.ForOptions{Model: o.Model, Chunker: o.Chunks}
+	opts := mutls.ForOptions{Model: o.Model}
 	mutls.For(t, chunks, opts, func(c *mutls.Thread, idx int) {
 		mandelRows(c, img, s, idx, chunks)
 	})

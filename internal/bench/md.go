@@ -145,16 +145,9 @@ func mdSeq(t *mutls.Thread, s Size) uint64 {
 func mdSpec(t *mutls.Thread, s Size, o SpecOptions) uint64 {
 	st := mdInit(t, s)
 	defer st.free(t)
-	// Persist carries the adaptive controller's learned chunk size across
-	// the per-time-step ForRange runs (instead of re-learning the schedule
-	// every step); PollEvery lets parked and squashed chunks stop at a
-	// particle boundary instead of draining.
-	opts := mutls.ForOptions{
-		Model:     o.Model,
-		Policy:    mdPolicy,
-		Chunker:   mutls.Persist(chunkerFor(o.Chunks, mdPolicy)),
-		PollEvery: 1,
-	}
+	// PollEvery lets parked and squashed chunks stop at a particle boundary
+	// instead of draining.
+	opts := mutls.ForOptions{Model: o.Model, Policy: mdPolicy, PollEvery: 1}
 	for step := 0; step < s.Steps; step++ {
 		// The O(N²) force loop is the speculated loop; the O(N) integration
 		// is too small to amortize a fork and runs non-speculatively.

@@ -74,7 +74,7 @@ func x3p1Seq(t *mutls.Thread, s Size) uint64 {
 func x3p1Spec(t *mutls.Thread, s Size, o SpecOptions) uint64 {
 	out := t.Alloc(8 * x3p1Chunks)
 	defer t.Free(out)
-	opts := mutls.ForOptions{Model: o.Model, Chunker: o.Chunks}
+	opts := mutls.ForOptions{Model: o.Model}
 	mutls.For(t, x3p1Chunks, opts, func(c *mutls.Thread, idx int) {
 		c.StoreInt64(out+mem.Addr(8*idx), collatzWork(c, s, idx))
 	})

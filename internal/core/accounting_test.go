@@ -6,8 +6,8 @@ import (
 	"repro/internal/stats"
 )
 
-// TestPointViewsAgree: PointCounters, PointProfile, PointFaults and
-// Summary.PerPoint are views of one per-point store, so after a run that
+// TestPointViewsAgree: PointProfile, PointFaults and Summary.PerPoint are
+// views of one per-point store, so after a run that
 // ends executions every way there is — commit, validated rollback,
 // contained fault, NOSYNC — they report the same numbers, and ResetStats
 // clears them together. What ResetStats leaves alone is the verdict on the
@@ -50,12 +50,13 @@ func TestPointViewsAgree(t *testing.T) {
 		t0.SquashChildren(mark)
 	})
 
-	want := map[int]PointCounters{
-		0: {Commits: 3, Rollbacks: 2},
-		1: {Rollbacks: faultDisableThreshold - 1},
-		2: {Rollbacks: 1},
+	type counts struct{ commits, rollbacks int64 }
+	want := map[int]counts{
+		0: {commits: 3, rollbacks: 2},
+		1: {rollbacks: faultDisableThreshold - 1},
+		2: {rollbacks: 1},
 	}
-	check := func(when string, want map[int]PointCounters) {
+	check := func(when string, want map[int]counts) {
 		t.Helper()
 		s := rt.Stats()
 		if len(s.PerPoint) != len(want) {
@@ -63,24 +64,17 @@ func TestPointViewsAgree(t *testing.T) {
 		}
 		var commits, rollbacks int
 		for p := 0; p < 3; p++ {
-			pc := rt.PointCounters(p)
-			if pc.Commits != want[p].Commits || pc.Rollbacks != want[p].Rollbacks {
-				t.Errorf("%s: point %d counters %d/%d, want %d/%d", when, p,
-					pc.Commits, pc.Rollbacks, want[p].Commits, want[p].Rollbacks)
+			c, r, _ := rt.PointProfile(p)
+			if c != want[p].commits || r != want[p].rollbacks {
+				t.Errorf("%s: point %d profile %d/%d, want %d/%d", when, p,
+					c, r, want[p].commits, want[p].rollbacks)
 			}
-			if c, r, _ := rt.PointProfile(p); c != pc.Commits || r != pc.Rollbacks {
-				t.Errorf("%s: point %d profile %d/%d, counters %d/%d", when, p, c, r, pc.Commits, pc.Rollbacks)
+			ps := s.PerPoint[p]
+			if ps.Commits != int(c) || ps.Rollbacks != int(r) {
+				t.Errorf("%s: point %d PerPoint %+v, profile says %d/%d", when, p, ps, c, r)
 			}
-			wantPS := stats.PointStats{
-				Commits:   int(pc.Commits),
-				Rollbacks: int(pc.Rollbacks),
-				Runtime:   pc.CommitLatency + pc.RollbackLatency,
-			}
-			if ps := s.PerPoint[p]; ps != wantPS {
-				t.Errorf("%s: point %d PerPoint %+v, counters say %+v", when, p, ps, wantPS)
-			}
-			commits += int(pc.Commits)
-			rollbacks += int(pc.Rollbacks)
+			commits += int(c)
+			rollbacks += int(r)
 		}
 		if s.Commits != commits || s.Rollbacks != rollbacks || s.Executions != commits+rollbacks {
 			t.Errorf("%s: summary %d/%d/%d, points add up to %d/%d", when,
@@ -111,7 +105,7 @@ func TestPointViewsAgree(t *testing.T) {
 			t.Fatal("fork allowed at the fault threshold")
 		}
 	})
-	check("after the second run", map[int]PointCounters{1: {Rollbacks: 1}})
+	check("after the second run", map[int]counts{1: {rollbacks: 1}})
 	rt.ResetStats()
 	if _, _, disabled := rt.PointProfile(1); !disabled {
 		t.Error("ResetStats re-enabled a disabled point")
@@ -123,7 +117,7 @@ func TestPointViewsAgree(t *testing.T) {
 func TestFoldDoesNotAllocate(t *testing.T) {
 	rt := newRT(t, 1, nil)
 	rec := stats.ExecRecord{Rank: 1, End: 50, Committed: true}
-	out := execOutcome{committed: true, latency: 50, wallNS: 1000, readPeak: 4, writePeak: 2}
+	out := execOutcome{committed: true, latency: 50, wallNS: 1000}
 	if a := testing.AllocsPerRun(1000, func() {
 		rt.points[0].observe(out, true)
 		rt.collector.Add(rec)

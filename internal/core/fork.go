@@ -98,7 +98,6 @@ func (t *Thread) Fork(ranks []Rank, p int, model Model) *ForkHandle {
 	td.forceInvalid.Store(false)
 	td.syncTime.Store(0)
 	td.stopCounter = 0
-	td.startTime = 0
 	td.finalTime = 0
 	td.reason = RollbackNone
 	td.children = td.children[:0]

@@ -51,16 +51,6 @@ type JoinResult struct {
 	Counter uint32
 	// Reason explains a rollback.
 	Reason RollbackReason
-	// Latency is the interval the speculative execution occupied its
-	// virtual CPU (virtual units or nanoseconds), for committed and
-	// rolled-back joins alike; zero when the point was never forked or the
-	// child was squashed before this join reached it.
-	Latency vclock.Cost
-	// ReadSetPeak/WriteSetPeak are the execution's GlobalBuffer
-	// high-water marks (words) — the buffer pressure this chunk of work
-	// generated, available to feedback-driven policies at the join.
-	ReadSetPeak  int
-	WriteSetPeak int
 
 	// The child's saved entry-frame registers, live slots only, as (slot,
 	// value) pairs: the first inlineRegs in place (every loop, reduction
@@ -273,12 +263,7 @@ func (t *Thread) Join(ranks []Rank, p int) JoinResult {
 	// commit; under virtual timing the gap is explicit.
 	t.clock.AdvanceTo(td.finalTime, vclock.Idle)
 
-	res := JoinResult{
-		Reason:       td.reason,
-		Latency:      td.finalTime - td.startTime,
-		ReadSetPeak:  td.readPeak,
-		WriteSetPeak: td.writePeak,
-	}
+	res := JoinResult{Reason: td.reason}
 	if committed {
 		res.Status = JoinCommitted
 		res.Counter = td.stopCounter

@@ -9,80 +9,29 @@ import (
 // This file is the per-point half of the runtime's accounting: one atomic
 // struct per fork/join point, updated once per finished speculative
 // execution by the worker that ran it (the fold in runSpec) and read by
-// everything that asks about a point — PointCounters (the mid-run feedback
-// of adaptive chunk sizing), PointProfile and PointFaults, Summary.PerPoint,
-// the fork heuristic in Fork and the watchdog's deadline stretch. A read
-// taken right after Join returns is guaranteed to include the joined
-// execution: the worker folds it in before it publishes the verdict the
-// join waits for. The cost is a handful of uncontended atomic adds per
-// execution and O(MaxPoints) memory for the life of the runtime.
-
-// PointCounters is a snapshot of one fork/join point's live activity.
-type PointCounters struct {
-	// Commits and Rollbacks count finished speculative executions on the
-	// point (squashed/NOSYNCed executions count as rollbacks).
-	Commits   int64
-	Rollbacks int64
-	// CommitLatency and RollbackLatency sum the occupied CPU intervals
-	// (virtual units or nanoseconds) of committed and rolled-back
-	// executions respectively.
-	CommitLatency   vclock.Cost
-	RollbackLatency vclock.Cost
-	// ReadSetPeak/WriteSetPeak are the largest per-execution GlobalBuffer
-	// set sizes (words) observed on the point so far.
-	ReadSetPeak  int
-	WriteSetPeak int
-}
-
-// Executions is the total number of finished speculative executions.
-func (p PointCounters) Executions() int64 { return p.Commits + p.Rollbacks }
-
-// RollbackRate is rollbacks / executions, or 0 with no executions.
-func (p PointCounters) RollbackRate() float64 {
-	n := p.Executions()
-	if n == 0 {
-		return 0
-	}
-	return float64(p.Rollbacks) / float64(n)
-}
-
-// MeanCommitLatency is the average occupied interval of a committed
-// execution, or 0 with no commits.
-func (p PointCounters) MeanCommitLatency() vclock.Cost {
-	if p.Commits == 0 {
-		return 0
-	}
-	return p.CommitLatency / vclock.Cost(p.Commits)
-}
-
-// Sub returns the activity since an earlier snapshot of the same point:
-// counts and latency sums are differenced, set peaks keep their absolute
-// high-water marks (a maximum cannot be windowed).
-func (p PointCounters) Sub(base PointCounters) PointCounters {
-	return PointCounters{
-		Commits:         p.Commits - base.Commits,
-		Rollbacks:       p.Rollbacks - base.Rollbacks,
-		CommitLatency:   p.CommitLatency - base.CommitLatency,
-		RollbackLatency: p.RollbackLatency - base.RollbackLatency,
-		ReadSetPeak:     p.ReadSetPeak,
-		WriteSetPeak:    p.WriteSetPeak,
-	}
-}
+// everything that asks about a point — PointProfile and PointFaults,
+// Summary.PerPoint, the fork heuristic in Fork and the watchdog's deadline
+// stretch. A read taken right after Join returns is guaranteed to include
+// the joined execution: the worker folds it in before it publishes the
+// verdict the join waits for. The cost is a handful of uncontended atomic
+// adds per execution and O(MaxPoints) memory for the life of the runtime.
 
 // pointState is everything the runtime counts about one fork/join point.
 //
-// Reset rule: ResetStats zeroes the counts, latency sums and peaks — the
+// Reset rule: ResetStats zeroes the counts and latency sums — the
 // statistics. disabled, the fault count and the wall-latency EWMA are a
 // verdict on the driver run that owns the id, so they clear only when the
 // id changes hands (AllocPoint) or the namespace is recycled (ResetPoints);
 // the heuristic's sample window restarts on either.
 type pointState struct {
+	// commits and rollbacks count finished speculative executions on the
+	// point (squashed/NOSYNCed executions count as rollbacks); the latency
+	// sums add up their occupied CPU intervals (virtual units or
+	// nanoseconds).
 	commits         atomic.Int64
 	rollbacks       atomic.Int64
 	commitLatency   atomic.Int64
 	rollbackLatency atomic.Int64
-	readPeak        atomic.Int64
-	writePeak       atomic.Int64
 
 	// faults counts contained panics (RollbackFault); at
 	// faultDisableThreshold the point is disabled.
@@ -123,18 +72,6 @@ type execOutcome struct {
 	fault     bool        // the region panicked
 	latency   vclock.Cost // occupied interval, fork to verdict
 	wallNS    int64       // region wall time; 0 when the watchdog is off
-	readPeak  int
-	writePeak int
-}
-
-// atomicMax raises a to at least v.
-func atomicMax(a *atomic.Int64, v int64) {
-	for {
-		cur := a.Load()
-		if v <= cur || a.CompareAndSwap(cur, v) {
-			return
-		}
-	}
 }
 
 // observe folds one finished execution into the point and re-evaluates
@@ -147,8 +84,6 @@ func (ps *pointState) observe(o execOutcome, adaptive bool) {
 		ps.rollbacks.Add(1)
 		ps.rollbackLatency.Add(int64(o.latency))
 	}
-	atomicMax(&ps.readPeak, int64(o.readPeak))
-	atomicMax(&ps.writePeak, int64(o.writePeak))
 	if o.wallNS > 0 {
 		ps.wallEWMA.Add((o.wallNS - ps.wallEWMA.Load()) / 8)
 	}
@@ -161,17 +96,6 @@ func (ps *pointState) observe(o execOutcome, adaptive bool) {
 		if c+r >= heuristicMinSamples && float64(r)/float64(c+r) > heuristicMaxRollbackRate {
 			ps.disabled.Store(true)
 		}
-	}
-}
-
-func (ps *pointState) snapshot() PointCounters {
-	return PointCounters{
-		Commits:         ps.commits.Load(),
-		Rollbacks:       ps.rollbacks.Load(),
-		CommitLatency:   ps.commitLatency.Load(),
-		RollbackLatency: ps.rollbackLatency.Load(),
-		ReadSetPeak:     int(ps.readPeak.Load()),
-		WriteSetPeak:    int(ps.writePeak.Load()),
 	}
 }
 
@@ -190,8 +114,6 @@ func (ps *pointState) reset(newOwner bool) {
 	ps.rollbacks.Store(0)
 	ps.commitLatency.Store(0)
 	ps.rollbackLatency.Store(0)
-	ps.readPeak.Store(0)
-	ps.writePeak.Store(0)
 	ps.windowCommits.Store(0)
 	ps.windowRollbacks.Store(0)
 }
@@ -204,20 +126,11 @@ func (rt *Runtime) point(p int) *pointState {
 	return &rt.points[p]
 }
 
-// PointCounters returns the live counters of fork/join point p. Unlike
-// Stats, it is safe and meaningful to call from the non-speculative thread
-// in the middle of a Run; counters accumulate until ResetStats.
-func (rt *Runtime) PointCounters(p int) PointCounters {
-	ps := rt.point(p)
-	if ps == nil {
-		return PointCounters{}
-	}
-	return ps.snapshot()
-}
-
-// PointProfile reports a fork point's commits and rollbacks (the counts of
-// PointCounters) and whether the point is disabled — by the adaptive
-// heuristic or by repeated faults.
+// PointProfile reports a fork point's commits and rollbacks so far and
+// whether the point is disabled — by the adaptive heuristic or by repeated
+// faults. Unlike Stats, it is safe and meaningful to call from the
+// non-speculative thread in the middle of a Run; the counts accumulate
+// until ResetStats.
 func (rt *Runtime) PointProfile(p int) (commits, rollbacks int64, disabled bool) {
 	ps := rt.point(p)
 	if ps == nil {

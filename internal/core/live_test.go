@@ -1,46 +1,9 @@
 package core
 
-import (
-	"testing"
+import "testing"
 
-	"repro/internal/mem"
-)
-
-// TestJoinResultCarriesLatencyAndPeaks: a committed join reports the
-// speculation's occupied interval and its buffer high-water marks.
-func TestJoinResultCarriesLatencyAndPeaks(t *testing.T) {
-	rt := newRT(t, 2, nil)
-	rt.Run(func(t0 *Thread) {
-		arr := t0.Alloc(64)
-		ranks := make([]Rank, 1)
-		h := t0.Fork(ranks, 0, Mixed)
-		if h == nil {
-			t.Fatal("fork failed")
-		}
-		h.SetRegvarAddr(0, arr)
-		h.Start(func(c *Thread) uint32 {
-			p := c.GetRegvarAddr(0)
-			c.Tick(100)
-			for i := 0; i < 4; i++ {
-				c.StoreInt64(p+mem.Addr(8*i), int64(i))
-			}
-			return 0
-		})
-		res := t0.Join(ranks, 0)
-		if res.Status != JoinCommitted {
-			t.Fatalf("join status %v", res.Status)
-		}
-		if res.Latency <= 0 {
-			t.Fatalf("committed join latency %d, want > 0", res.Latency)
-		}
-		if res.WriteSetPeak != 4 {
-			t.Fatalf("WriteSetPeak %d, want 4", res.WriteSetPeak)
-		}
-	})
-}
-
-// TestPointCountersTrackOutcomes: the live counters separate commits from
-// rollbacks per point and are windowable with Sub.
+// TestPointCountersTrackOutcomes: the per-point counters separate commits
+// from rollbacks and sum the occupied intervals of both.
 func TestPointCountersTrackOutcomes(t *testing.T) {
 	rt := newRT(t, 2, func(o *Options) { o.RollbackProb = 1.0; o.Seed = 5 })
 	rt.Run(func(t0 *Thread) {
@@ -62,19 +25,11 @@ func TestPointCountersTrackOutcomes(t *testing.T) {
 			}
 		}
 	})
-	pc := rt.PointCounters(0)
-	if pc.Commits != 0 || pc.Rollbacks != 3 {
-		t.Fatalf("counters %+v, want 3 rollbacks", pc)
+	if c, r, _ := rt.PointProfile(0); c != 0 || r != 3 {
+		t.Fatalf("profile %d commits / %d rollbacks, want 0 / 3", c, r)
 	}
-	if pc.RollbackRate() != 1.0 {
-		t.Fatalf("rollback rate %v, want 1", pc.RollbackRate())
-	}
-	if pc.RollbackLatency <= 0 {
-		t.Fatalf("rollback latency %d, want > 0", pc.RollbackLatency)
-	}
-	diff := pc.Sub(PointCounters{Rollbacks: 1, RollbackLatency: 1})
-	if diff.Rollbacks != 2 || diff.RollbackLatency != pc.RollbackLatency-1 {
-		t.Fatalf("Sub window %+v", diff)
+	if ps := rt.Stats().PerPoint[0]; ps.Rollbacks != 3 || ps.Runtime <= 0 {
+		t.Fatalf("PerPoint[0] = %+v, want 3 rollbacks with their latency summed", ps)
 	}
 }
 

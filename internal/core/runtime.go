@@ -127,7 +127,6 @@ type threadData struct {
 	model       Model
 	children    []childRef
 	stopCounter uint32
-	startTime   vclock.Cost
 	finalTime   vclock.Cost
 	// validStamp is the worker's clock at the valid_status store (real
 	// mode): the joiner splits its wait there into idle (the child was
@@ -442,9 +441,9 @@ func (rt *Runtime) MaxPoints() int { return rt.opts.MaxPoints }
 // round-robin through [0, MaxPoints) and skipping ids still held by
 // another run. Loop drivers (mutls.For/Reduce/Pipeline) allocate a fresh
 // point per run — and free it with FreePoint when the run ends — so the
-// live PointCounters feedback of overlapping runs — a nested loop started
-// from the inline portion of an outer loop's body, or a pipeline's
-// per-stage points — does not mix rollback signals across loops. A
+// per-point profile and fork heuristic of overlapping runs — a nested loop
+// started from the inline portion of an outer loop's body, or a pipeline's
+// per-stage points — do not mix rollback signals across loops. A
 // recycled id starts enabled, with no faults and a fresh heuristic window
 // (a point disabled by one loop's rollbacks must not serialize the
 // unrelated loop that inherits the id); its counts stay until ResetStats.
@@ -771,11 +770,13 @@ func (rt *Runtime) retire() {
 func (rt *Runtime) Stats() *stats.Summary {
 	s := rt.collector.Summarize(rt.opts.NumCPUs)
 	for p := range rt.points {
-		if pc := rt.points[p].snapshot(); pc.Executions() > 0 {
+		ps := &rt.points[p]
+		commits, rollbacks := ps.commits.Load(), ps.rollbacks.Load()
+		if commits+rollbacks > 0 {
 			s.PerPoint[p] = stats.PointStats{
-				Commits:   int(pc.Commits),
-				Rollbacks: int(pc.Rollbacks),
-				Runtime:   pc.CommitLatency + pc.RollbackLatency,
+				Commits:   int(commits),
+				Rollbacks: int(rollbacks),
+				Runtime:   ps.commitLatency.Load() + ps.rollbackLatency.Load(),
 			}
 		}
 	}
@@ -983,7 +984,6 @@ func (rt *Runtime) runSpec(c *cpu, task specTask) {
 	t.clock.Book(vclock.Fork, t.clock.Now()-execStart)
 	td := &c.td
 	epoch := td.epoch()
-	td.startTime = execStart
 	watched := rt.watchdogQuit != nil
 	if watched {
 		// Publish this execution on the watchdog's scan surface. The
@@ -1063,8 +1063,6 @@ func (rt *Runtime) runSpec(c *cpu, task specTask) {
 		fault:     out.reason == RollbackFault,
 		latency:   now - execStart,
 		wallNS:    wallNS,
-		readPeak:  td.readPeak,
-		writePeak: td.writePeak,
 	}, rt.opts.AdaptiveForkHeuristic)
 	if verdict != validNull {
 		// The parent adopts children, copies locals and reclaims the CPU

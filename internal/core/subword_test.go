@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/gbuf"
 	"repro/internal/mem"
+	"repro/internal/stats"
 )
 
 // TestSubWordSlicesRoundTrip checks the float32/int32 slice views against
@@ -82,14 +83,14 @@ func TestSubWordSliceCharges(t *testing.T) {
 }
 
 // subWordProbe runs one speculative region on a fresh runtime with the
-// given backend and returns the committed join result plus the final
-// arena bytes of [p, p+n).
-func subWordProbe(t *testing.T, backend string, n int, region func(c *Thread, base mem.Addr)) (JoinResult, []byte) {
+// given backend and returns the run's summary (one committed execution:
+// its set peaks are that execution's) plus the final arena bytes of
+// [p, p+n).
+func subWordProbe(t *testing.T, backend string, n int, region func(c *Thread, base mem.Addr)) (*stats.Summary, []byte) {
 	t.Helper()
 	rt := newRT(t, 1, func(o *Options) {
 		o.GBuf = gbuf.Config{Backend: backend}
 	})
-	var res JoinResult
 	out := make([]byte, n)
 	rt.Run(func(t0 *Thread) {
 		p := t0.Alloc(n + 64)
@@ -104,13 +105,12 @@ func subWordProbe(t *testing.T, backend string, n int, region func(c *Thread, ba
 			region(c, c.GetRegvarAddr(0))
 			return 0
 		})
-		res = t0.Join(ranks, 0)
-		if !res.Committed() {
+		if res := t0.Join(ranks, 0); !res.Committed() {
 			t.Fatalf("join: %v (%v)", res.Status, res.Reason)
 		}
 		t0.LoadBytes(base, out)
 	})
-	return res, out
+	return rt.Stats(), out
 }
 
 // TestSubWordBulkEquivalenceAcrossBackends is the property test of the

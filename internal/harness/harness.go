@@ -32,18 +32,6 @@ type Config struct {
 	// Buffering selects the GlobalBuffer backend for every run (the -gbuf
 	// flag); the FigGBuf ablation sweeps all backends regardless.
 	Buffering mutls.Buffering
-	// Chunks selects the loop benchmarks' chunk-sizing policy for every
-	// run (the -chunks flag); nil keeps the paper's static split. The
-	// FigChunks ablation sweeps static vs adaptive regardless.
-	Chunks mutls.Chunker
-}
-
-// AdaptiveChunker returns the feedback-driven chunk policy the harness
-// uses for adaptive runs: default AIMD sizing with the buffer-pressure
-// threshold at 3/4 of the suite's default openaddr map capacity (2^16
-// words).
-func AdaptiveChunker() mutls.Chunker {
-	return mutls.AdaptivePolicy{PressureWords: 3 << 14}
 }
 
 // DefaultConfig returns the quick deterministic configuration.
@@ -85,7 +73,6 @@ func (h *Harness) runCfg(w *bench.Workload, axisCPUs int, model mutls.Model, pro
 		RollbackProb: prob,
 		Seed:         h.cfg.Seed,
 		Buffering:    h.cfg.Buffering,
-		Chunks:       h.cfg.Chunks,
 	}
 }
 
@@ -426,58 +413,6 @@ func (h *Harness) FigGBuf(out io.Writer) error {
 func overrideBackend(buf mutls.Buffering, backend string) mutls.Buffering {
 	buf.Backend = backend
 	return buf
-}
-
-// FigChunksProb is the forced-rollback probability of the rollback-heavy
-// rows of the chunk-sizing ablation.
-const FigChunksProb = 0.2
-
-// FigChunks is the chunk-sizing ablation (beyond the paper): every loop
-// benchmark runs with the paper's static split and with the
-// feedback-driven AdaptivePolicy, both rollback-free and under forced
-// rollbacks (the rollback-heavy regime adaptive sizing is for), at the
-// largest axis point. Each row reports speedup, commits, rollbacks and
-// the per-thread set high-water marks, and every speculative result is
-// checked against the sequential checksum — chunk policy may change the
-// schedule, never the result.
-func (h *Harness) FigChunks(out io.Writer) error {
-	cpus := h.cfg.CPUAxis[len(h.cfg.CPUAxis)-1]
-	workloads := []*bench.Workload{bench.X3P1, bench.Mandelbrot, bench.MD, bench.BH}
-	chunkers := []struct {
-		name string
-		ck   mutls.Chunker
-	}{
-		{"static", nil},
-		{"adaptive", AdaptiveChunker()},
-	}
-	tw := newTab(out)
-	fmt.Fprintf(out, "CHUNK ABLATION. Static vs adaptive chunk sizing on the loop benchmarks at %d CPUs\n", cpus)
-	fmt.Fprintln(tw, "Benchmark\tRollback%\tChunks\tSpeedup\tCommits\tRollbacks\tRdPeak\tWrPeak")
-	for _, w := range workloads {
-		seq, err := h.Seq(w, "c")
-		if err != nil {
-			return err
-		}
-		for _, prob := range []float64{0, FigChunksProb} {
-			for _, c := range chunkers {
-				cfg := h.runCfg(w, cpus, w.DefaultModel, prob, costFor("c"))
-				cfg.Chunks = c.ck
-				m, err := bench.MeasureSpec(w, cfg)
-				if err != nil {
-					return fmt.Errorf("%s/%s: %w", w.Name, c.name, err)
-				}
-				if m.Checksum != seq.Checksum {
-					return fmt.Errorf("%s/%s: checksum mismatch (speculative %#x != sequential %#x)",
-						w.Name, c.name, m.Checksum, seq.Checksum)
-				}
-				s := m.Summary
-				fmt.Fprintf(tw, "%s\t%.0f%%\t%s\t%.2f\t%d\t%d\t%d\t%d\n",
-					w.Name, prob*100, c.name, float64(seq.Runtime)/float64(m.Runtime),
-					s.Commits, s.Rollbacks, s.ReadSetPeak, s.WriteSetPeak)
-			}
-		}
-	}
-	return tw.Flush()
 }
 
 // FigPipeline is the workload-shapes ablation (beyond the paper): the new

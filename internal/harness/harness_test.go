@@ -198,27 +198,6 @@ func TestOverrideBackendKeepsSizing(t *testing.T) {
 	}
 }
 
-// TestFigChunksRunsAndVerifies: the chunk-sizing ablation produces static
-// and adaptive rows for every loop benchmark (its checksum guard runs
-// internally) across the rollback-free and rollback-heavy regimes.
-func TestFigChunksRunsAndVerifies(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.CPUAxis = []int{4}
-	var buf bytes.Buffer
-	if err := New(cfg).FigChunks(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, frag := range []string{"static", "adaptive", "3x+1", "mandelbrot", "md", "bh", "0%", "20%"} {
-		if !strings.Contains(out, frag) {
-			t.Errorf("FigChunks missing %q", frag)
-		}
-	}
-	if rows := strings.Count(out, "\n"); rows < 2+4*4 {
-		t.Fatalf("FigChunks printed %d lines, want at least %d", rows, 2+4*4)
-	}
-}
-
 // TestFigPipelineRunsAndVerifies: the workload-shapes ablation produces a
 // row per (kernel, model, backend) cell — its internal checksum guard is
 // the all-models x all-backends acceptance matrix of Pipeline and

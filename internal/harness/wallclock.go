@@ -212,7 +212,6 @@ func (h *Harness) wallclockWorkload(w *bench.Workload, cfg WallclockConfig) (Wal
 			Model:     w.DefaultModel,
 			Timing:    mutls.Real,
 			Buffering: h.cfg.Buffering,
-			Chunks:    h.cfg.Chunks,
 		}
 	}
 

@@ -1,7 +1,7 @@
 package mutls_test
 
 import (
-	"reflect"
+	"sync"
 	"testing"
 
 	"repro/mutls"
@@ -163,200 +163,44 @@ func TestForDegenerateInputs(t *testing.T) {
 	}
 }
 
-// --- AdaptivePolicy ---
-
-// TestAdaptiveMatchesSequential: the feedback-driven chunker preserves
-// sequential semantics across models, CPU counts and forced rollbacks.
-func TestAdaptiveMatchesSequential(t *testing.T) {
-	const n = 4096
-	want := wantFill(n)
-	for _, model := range allModels {
-		model := model
-		t.Run(model.String(), func(t *testing.T) {
-			t.Parallel()
-			for _, cpus := range []int{0, 1, 4} {
-				for _, prob := range []float64{0, 0.3} {
-					rt := newRuntime(t, cpus, func(o *mutls.Options) {
-						o.RollbackProb = prob
-						o.Seed = 11
-					})
-					opts := mutls.ForOptions{Model: model, Chunker: mutls.AdaptivePolicy{}}
-					if got := fillSum(rt, n, opts); got != want {
-						t.Errorf("cpus=%d prob=%v: sum = %d, want %d", cpus, prob, got, want)
-					}
-					rt.Close()
-				}
-			}
+// TestForRangeHugeIndexSpace: chunk bounds are plain ints computed from the
+// sequence number, so an index space past 2^31 tiles exactly — [0, n) in
+// 64 contiguous chunks under the default policy.
+func TestForRangeHugeIndexSpace(t *testing.T) {
+	const n = 1 << 33
+	rt := newRuntime(t, 2, nil)
+	var mu sync.Mutex
+	hiOf := map[int]int{} // a chunk run twice (speculated, then inline) records once
+	if _, err := rt.Run(func(t0 *mutls.Thread) {
+		mutls.ForRange(t0, n, mutls.ForOptions{}, func(c *mutls.Thread, lo, hi int) {
+			mu.Lock()
+			hiOf[lo] = hi
+			mu.Unlock()
 		})
+	}); err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestAdaptiveForGroupsIndices: with a Chunker, For groups consecutive
-// indices into one speculation but still visits each exactly once.
-func TestAdaptiveForGroupsIndices(t *testing.T) {
-	const nChunks = 64
-	rt := newRuntime(t, 4, nil)
-	var bad int
-	rt.Run(func(t0 *mutls.Thread) {
-		arr := t0.Alloc(8 * nChunks)
-		opts := mutls.ForOptions{Model: mutls.InOrder, Chunker: mutls.AdaptivePolicy{Start: 4}}
-		mutls.For(t0, nChunks, opts, func(c *mutls.Thread, idx int) {
-			c.Tick(16)
-			c.StoreInt64(arr+mutls.Addr(8*idx), c.LoadInt64(arr+mutls.Addr(8*idx))+1)
-		})
-		for i := 0; i < nChunks; i++ {
-			if t0.LoadInt64(arr+mutls.Addr(8*i)) != 1 {
-				bad++
-			}
+	cover := 0
+	for cover < n {
+		hi, ok := hiOf[cover]
+		if !ok || hi <= cover {
+			t.Fatalf("no chunk starts at %d (chunks by start: %v)", cover, hiOf)
 		}
-	})
-	if bad != 0 {
-		t.Fatalf("%d indices not visited exactly once", bad)
+		cover = hi
+	}
+	if cover != n || len(hiOf) != 64 {
+		t.Fatalf("%d chunks cover [0,%d), want 64 covering [0,%d)", len(hiOf), cover, n)
 	}
 }
 
-// recorder wraps a Chunker and records every schedule it emits.
-type recorder struct {
-	inner mutls.Chunker
-	runs  [][]int
-}
+// --- Live point counters ---
 
-func (r *recorder) NewRun(n, cpus int) mutls.ChunkController {
-	r.runs = append(r.runs, nil)
-	return &recRun{inner: r.inner.NewRun(n, cpus), r: r, idx: len(r.runs) - 1}
-}
-
-type recRun struct {
-	inner mutls.ChunkController
-	r     *recorder
-	idx   int
-}
-
-func (x *recRun) Next(lo int) int {
-	hi := x.inner.Next(lo)
-	x.r.runs[x.idx] = append(x.r.runs[x.idx], hi)
-	return hi
-}
-
-func (x *recRun) Observe(fb mutls.ChunkFeedback) { x.inner.Observe(fb) }
-
-// TestAdaptiveDeterministicSchedule: under virtual timing on a single
-// speculative CPU (where the execution itself is deterministic), the same
-// seed must reproduce the same chunk schedule, including under forced
-// rollbacks that exercise the shrink/grow paths.
-func TestAdaptiveDeterministicSchedule(t *testing.T) {
-	schedule := func() [][]int {
-		rec := &recorder{inner: mutls.AdaptivePolicy{Window: 2}}
-		rt := newRuntime(t, 1, func(o *mutls.Options) {
-			o.RollbackProb = 0.3
-			o.Seed = 42
-		})
-		defer rt.Close()
-		opts := mutls.ForOptions{Model: mutls.InOrder, Chunker: rec}
-		fillSum(rt, 4096, opts)
-		return rec.runs
-	}
-	a, b := schedule(), schedule()
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("same seed produced different chunk schedules:\n%v\n%v", a, b)
-	}
-	if len(a) != 1 || len(a[0]) < 2 {
-		t.Fatalf("unexpected schedule shape: %v", a)
-	}
-}
-
-// TestAdaptiveShrinksUnderBufferPressure: with a GlobalBuffer far too
-// small for the static split's chunks, every static speculation
-// overflow-rolls-back, while an adaptive policy with a matching pressure
-// threshold shrinks chunks until they fit and recovers commits with far
-// fewer rollbacks.
-//
-// The schedule is fixed so that both counts are the same on every run
-// (static 0 commits / 63 rollbacks, adaptive 118 / 4). One speculative CPU:
-// with more, the depth of each squashed chain depends on which workers the
-// host schedules in time. No coarsening (MaxRollbackRate 1 is never
-// exceeded): that response reads the live point counters, which include the
-// one speculation still in flight or not, depending on how far it got in
-// real time. What is left — buffer peaks and the non-speculative thread's
-// virtual clock — is a function of the schedule alone.
-func TestAdaptiveShrinksUnderBufferPressure(t *testing.T) {
-	const n = 4096
-	run := func(ck mutls.Chunker) (mutls.Cost, int, int, int64) {
-		rt, err := mutls.New(mutls.Options{
-			CPUs: 1, HeapBytes: 1 << 20,
-			Buffering: mutls.Buffering{LogWords: 5, OverflowCap: 8},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer rt.Close()
-		var sum int64
-		tn, runErr := rt.Run(func(t0 *mutls.Thread) {
-			arr := t0.Alloc(8 * n)
-			opts := mutls.ForOptions{Model: mutls.InOrder, Chunker: ck}
-			mutls.ForRange(t0, n, opts, func(c *mutls.Thread, lo, hi int) {
-				for i := lo; i < hi; i++ {
-					c.Tick(64)
-					c.StoreInt64(arr+mutls.Addr(8*i), int64(i)*7+3)
-				}
-			})
-			for i := 0; i < n; i++ {
-				sum += t0.LoadInt64(arr + mutls.Addr(8*i))
-			}
-			t0.Free(arr)
-		})
-		if runErr != nil {
-			t.Fatal(runErr)
-		}
-		s := rt.Stats()
-		return tn, s.Commits, s.Rollbacks, sum
-	}
-	adaptive := mutls.AdaptivePolicy{PressureWords: 20, Window: 2, MaxRollbackRate: 1}
-	_, staticCommits, staticRollbacks, staticSum := run(nil)
-	_, adaptCommits, adaptRollbacks, adaptSum := run(adaptive)
-	if staticSum != wantFill(n) || adaptSum != wantFill(n) {
-		t.Fatalf("checksums diverged: static %d adaptive %d want %d", staticSum, adaptSum, wantFill(n))
-	}
-	// The static 64-index chunks write 64 words into 32-word maps with 8
-	// overflow slots: every speculation must overflow and roll back.
-	if staticCommits != 0 || staticRollbacks == 0 {
-		t.Fatalf("static split under tiny buffer: commits=%d rollbacks=%d, want a pure rollback storm",
-			staticCommits, staticRollbacks)
-	}
-	if adaptCommits == 0 {
-		t.Fatal("adaptive policy never shrank into committable chunks")
-	}
-	if adaptRollbacks >= staticRollbacks {
-		t.Fatalf("adaptive rollbacks (%d) not below the static storm's (%d)", adaptRollbacks, staticRollbacks)
-	}
-}
-
-// TestReduceWithAdaptiveChunks: grouped continuations preserve the fold
-// result across predictors and rollbacks.
-func TestReduceWithAdaptiveChunks(t *testing.T) {
-	const n, chunks = 1 << 12, 64
-	want := int64(7 * n)
-	for _, prob := range []float64{0, 1.0} {
-		rt := newRuntime(t, 4, func(o *mutls.Options) {
-			o.RollbackProb = prob
-			o.Seed = 3
-		})
-		opts := mutls.ReduceOptions{Predictor: mutls.Stride, Chunks: mutls.AdaptivePolicy{Start: 4}}
-		if got := reduceSum(rt, n, chunks, opts); got != want {
-			t.Fatalf("prob=%v: Reduce = %d, want %d", prob, got, want)
-		}
-		rt.Close()
-	}
-}
-
-// --- Live point counters (the mid-run feedback surface) ---
-
-// TestPointCountersMidRun: the counters are readable from the
+// TestPointCountersMidRun: a point's counters are readable from the
 // non-speculative thread while the run is still in progress, reflect the
 // loop that just joined, and clear with ResetStats.
 func TestPointCountersMidRun(t *testing.T) {
 	rt := newRuntime(t, 4, nil)
-	var mid mutls.PointCounters
+	var mid int64
 	rt.Run(func(t0 *mutls.Thread) {
 		arr := t0.Alloc(8 * 4096)
 		mutls.ForRange(t0, 4096, mutls.ForOptions{Model: mutls.InOrder}, func(c *mutls.Thread, lo, hi int) {
@@ -365,26 +209,20 @@ func TestPointCountersMidRun(t *testing.T) {
 				c.StoreInt64(arr+mutls.Addr(8*i), 1)
 			}
 		})
-		mid = rt.PointCounters(0) // mid-run: the Run has not returned yet
+		mid, _, _ = rt.PointProfile(0) // mid-run: the Run has not returned yet
 		t0.Free(arr)
 	})
-	if mid.Commits == 0 {
+	if mid == 0 {
 		t.Fatal("no commits visible mid-run")
 	}
-	if mid.CommitLatency <= 0 || mid.MeanCommitLatency() <= 0 {
-		t.Fatalf("commit latency not tracked: %+v", mid)
+	if got, _, _ := rt.PointProfile(0); got < mid {
+		t.Fatalf("commits went backwards: %d then %d", mid, got)
 	}
-	if mid.WriteSetPeak == 0 {
-		t.Fatalf("write-set peak not tracked: %+v", mid)
-	}
-	if got := rt.PointCounters(0); got.Commits < mid.Commits {
-		t.Fatalf("counters went backwards: %+v then %+v", mid, got)
-	}
-	if out := rt.PointCounters(-1); out != (mutls.PointCounters{}) {
-		t.Fatalf("out-of-range point returned %+v", out)
+	if c, r, disabled := rt.PointProfile(-1); c != 0 || r != 0 || disabled {
+		t.Fatalf("out-of-range point returned %d/%d/%v", c, r, disabled)
 	}
 	rt.ResetStats()
-	if got := rt.PointCounters(0); got.Executions() != 0 {
-		t.Fatalf("ResetStats left point counters %+v", got)
+	if c, r, _ := rt.PointProfile(0); c+r != 0 {
+		t.Fatalf("ResetStats left point counters %d/%d", c, r)
 	}
 }

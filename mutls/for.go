@@ -1,10 +1,6 @@
 package mutls
 
-import (
-	"sync/atomic"
-
-	"repro/internal/core"
-)
+import "repro/internal/core"
 
 // This file implements loop-level speculation with chained in-order forks,
 // a direct translation of the paper's transformed loop code: each chunk's
@@ -12,16 +8,13 @@ import (
 // non-speculative thread joins the chain in order, restoring the chained
 // rank from the saved locals and re-executing rolled-back chunks inline.
 //
-// Chunk bounds are no longer precomputed: a ChunkController owned by the
-// non-speculative thread decides each chunk's [lo, hi) as the schedule is
-// needed and publishes it through a small atomic ring that the chained
-// forks read. The controller observes every joined chunk's outcome, which
-// is what lets AdaptivePolicy resize chunks mid-run.
+// The schedule is static: chunk seq's bounds are a pure function of seq, so
+// the chained forks and the joining thread compute them independently and
+// share no state.
 
 // ChunkPolicy decides how an index space [0, n) is cut into speculated
 // chunks. The zero value selects the paper's workload distribution: up to
-// 64 chunks, at least one index per chunk. ChunkPolicy implements Chunker
-// (ignoring feedback); AdaptivePolicy is the feedback-driven alternative.
+// 64 chunks, at least one index per chunk.
 type ChunkPolicy struct {
 	// MaxChunks caps the number of chunks. Zero selects 64, the paper's
 	// fixed split (which is why the Figure 3 curves plateau between 32 and
@@ -92,23 +85,19 @@ type ForOptions struct {
 	// Model is the forking model of the chunk forks; the zero value is
 	// InOrder, the model the paper uses for loop-level speculation.
 	Model Model
-	// Policy cuts the index space statically (ForRange only; ignored when
-	// Chunker is set).
+	// Policy cuts the index space into chunks (ForRange only; For speculates
+	// one index per fork).
 	Policy ChunkPolicy
-	// Chunker, when non-nil, decides chunk bounds dynamically with
-	// feedback from joined chunks (e.g. AdaptivePolicy). For ForRange it
-	// overrides Policy; for For it groups consecutive chunk indices into
-	// one speculation (the default remains one fork per index).
-	Chunker Chunker
 	// PollEvery, when positive, makes speculated chunks poll CheckPoint
 	// after every PollEvery indices (the paper inserts MUTLS_check_point
-	// inside loops so "the non-speculative thread never waits long"). A
-	// thread whose poll reports it must stop — its parent signalled the
-	// join, or a hash-conflict park (gbuf.Conflict) obliges it to wait —
-	// saves its progress and stops early instead of draining the chunk;
-	// the joining thread commits the partial work and runs the remainder
-	// inline. A squashed thread's poll rolls it back on the spot. Zero
-	// disables polling (chunks always run to completion).
+	// inside loops so "the non-speculative thread never waits long").
+	// ForRange only: a For chunk is a single index, with nothing to poll
+	// between. A thread whose poll reports it must stop — its parent
+	// signalled the join, or a hash-conflict park (gbuf.Conflict) obliges it
+	// to wait — saves its progress and stops early instead of draining the
+	// chunk; the joining thread commits the partial work and runs the
+	// remainder inline. A squashed thread's poll rolls it back on the spot.
+	// Zero disables polling (chunks always run to completion).
 	PollEvery int
 }
 
@@ -118,117 +107,60 @@ type ForOptions struct {
 const pollStopCounter = 1
 
 // For executes body(c, idx) for idx in [0, nChunks) under loop-level
-// speculation. body must contain only TLS-instrumented work: memory access
-// through c's Load*/Store*, pure compute charged with c.Tick. Chunks are
-// speculated with chained forks — the transformed shape of the paper's
-// Figure 2 — and rolled-back or never-forked chunks are re-executed inline
-// by the joining thread, so the loop's sequential semantics are preserved
-// under any forking model and any number of CPUs.
-//
-// By default every index is its own speculation, the paper's contract.
-// With opts.Chunker set, consecutive indices are grouped into one
-// speculation per controller chunk, so an adaptive policy can trade fork
-// overhead against parallelism at runtime.
+// speculation, every index its own speculation. body must contain only
+// TLS-instrumented work: memory access through c's Load*/Store*, pure
+// compute charged with c.Tick. Chunks are speculated with chained forks —
+// the transformed shape of the paper's Figure 2 — and rolled-back or
+// never-forked chunks are re-executed inline by the joining thread, so the
+// loop's sequential semantics are preserved under any forking model and any
+// number of CPUs.
 func For(t *Thread, nChunks int, opts ForOptions, body func(c *Thread, idx int)) {
 	if nChunks <= 0 {
 		return
 	}
-	ck := opts.Chunker
-	if ck == nil {
-		ck = unitChunker{}
-	}
-	driveChunks(t, nChunks, opts.Model, ck, opts.PollEvery, func(c *Thread, lo, hi int) {
-		for idx := lo; idx < hi; idx++ {
-			body(c, idx)
-		}
-	})
+	driveChunks(t, nChunks, opts.Model, 0,
+		func(seq int) (lo, hi int) { return seq, seq + 1 },
+		func(c *Thread, lo, hi int) { body(c, lo) })
 }
 
-// ForRange executes body(c, lo, hi) over contiguous sub-ranges covering
-// [0, n), cut by the chunker (opts.Chunker, falling back to the static
-// opts.Policy), under loop-level speculation. It is the range form of For
-// for loops whose natural unit is an index interval rather than a chunk
-// number.
+// ForRange executes body(c, lo, hi) over the contiguous sub-ranges
+// opts.Policy cuts [0, n) into, under loop-level speculation. It is the
+// range form of For for loops whose natural unit is an index interval
+// rather than a chunk number.
 func ForRange(t *Thread, n int, opts ForOptions, body func(c *Thread, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	ck := opts.Chunker
-	if ck == nil {
-		ck = opts.Policy
-	}
-	driveChunks(t, n, opts.Model, ck, opts.PollEvery, body)
+	chunks := opts.Policy.Chunks(n)
+	driveChunks(t, chunks, opts.Model, opts.PollEvery,
+		func(seq int) (lo, hi int) { return opts.Policy.Bounds(n, chunks, seq) },
+		body)
 }
 
-// driveChunks is the loop controller shared by For and ForRange: it walks
-// [0, n) deciding each chunk's bounds through the ChunkController at the
-// moment the chunk is first needed, keeps a bounded window of decided
-// chunks published for the chained forks, joins the chain in order and
-// feeds every joined chunk's outcome back to the controller.
-//
-// The schedule ring is the one piece of shared state: slots are packed
-// (lo<<32|hi) words written by the non-speculative thread and read by
-// chained forks, all atomically. The window invariant decided-joined <=
-// window guarantees a slot is never rewritten while a live chain thread
-// can still read it; a thread that was already squashed may read a
-// recycled slot, but its forks are never adopted by the chain and their
-// buffers are discarded, so a stale read wastes work without affecting
-// the result.
-func driveChunks(t *Thread, n int, model Model, ck Chunker, poll int, body func(c *Thread, lo, hi int)) {
-	if n > 1<<31-1 {
-		// Chunk bounds are packed (lo<<32 | hi) into one ring word; a
-		// larger index space would silently corrupt them.
-		panic("mutls: loop bound exceeds 2^31-1 indices")
-	}
+// driveChunks is the loop controller shared by For and ForRange: the
+// non-speculative thread runs chunk 0 and joins the chain of chunks
+// 1..chunks-1 in order. bounds maps a chunk's sequence number to its index
+// range; it is pure, so the chained forks call it without synchronization.
+func driveChunks(t *Thread, chunks int, model Model, poll int, bounds func(seq int) (lo, hi int), body func(c *Thread, lo, hi int)) {
 	rt := t.Runtime()
-	cpus := rt.NumCPUs()
-	ctrl := ck.NewRun(n, cpus)
-	// Each run speculates on its own fork/join point, so the PointCounters
-	// deltas feeding the chunk controller never mix rollback signals with a
-	// nested run started from this loop's inline body (or any other driver
-	// overlapping this one). The id is freed when the run ends, so only
-	// more than MaxPoints *simultaneously live* runs can exhaust the
-	// namespace (counted in Summary.PointsExhausted).
+	// Each run speculates on its own fork/join point, so its per-point
+	// profile and fork heuristic never mix with a nested run started from
+	// this loop's inline body (or any other driver overlapping this one).
+	// The id is freed when the run ends, so only more than MaxPoints
+	// *simultaneously live* runs can exhaust the namespace (counted in
+	// Summary.PointsExhausted).
 	point := rt.AllocPoint()
 	defer rt.FreePoint(point)
 
-	window := cpus + 2
-	if window < 2 {
-		window = 2
-	}
-	ring := make([]atomic.Uint64, window)
-	var published atomic.Int64
-
-	decided, covered, joined := 0, 0, 0
-	// decide extends the schedule while coverage remains and the window
-	// has room, clamping the controller's bounds into (lo, n].
-	decide := func() {
-		for covered < n && decided-joined < window {
-			hi := ctrl.Next(covered)
-			if hi <= covered {
-				hi = covered + 1
-			}
-			if hi > n {
-				hi = n
-			}
-			ring[decided%window].Store(uint64(covered)<<32 | uint64(hi))
-			decided++
-			covered = hi
-			published.Store(int64(decided))
-		}
-	}
-	boundsOf := func(seq int) (lo, hi int) {
-		v := ring[seq%window].Load()
-		return int(v >> 32), int(v & 0xFFFFFFFF)
-	}
-
 	var region RegionFunc
+	// fork speculates chunk seq. Its three live-ins are the transformed
+	// loop's: each is a saved (and charged) local.
 	fork := func(c *Thread, ranks []Rank, seq int) {
-		if int64(seq) >= published.Load() {
+		if seq >= chunks {
 			return
 		}
-		lo, hi := boundsOf(seq)
 		if h := c.Fork(ranks, point, model); h != nil {
+			lo, hi := bounds(seq)
 			h.SetRegvarInt64(0, int64(seq))
 			h.SetRegvarInt64(1, int64(lo))
 			h.SetRegvarInt64(2, int64(hi))
@@ -269,72 +201,39 @@ func driveChunks(t *Thread, n int, model Model, ck Chunker, poll int, body func(
 		return 0
 	}
 
-	base := rt.PointCounters(point)
-	observe := func(fb ChunkFeedback) {
-		fb.Points = rt.PointCounters(point).Sub(base)
-		fb.Now = t.Now()
-		ctrl.Observe(fb)
-	}
-
-	decide()
 	mark := t.ChildMark()
 	ranks := make([]Rank, point+1)
 	fork(t, ranks, 1)
-	lo, hi := boundsOf(0)
-	start := t.Now()
+	lo, hi := bounds(0)
 	body(t, lo, hi)
-	// The first chunk always runs non-speculatively; its inline latency
-	// calibrates the controller's per-index work estimate.
-	observe(ChunkFeedback{Lo: lo, Hi: hi, Latency: t.Now() - start})
-	joined = 1
-	decide()
 
-	for joined < decided {
+	for seq := 1; seq < chunks; seq++ {
 		// Cooperative cancellation: a cancelled run (RunCtx deadline) stops
 		// driving the chain here; outstanding speculation is squashed by
 		// the run's drain.
 		t.CancelPoint()
-		seq := joined
-		lo, hi := boundsOf(seq)
+		lo, hi := bounds(seq)
 		res := t.Join(ranks, point)
 		if res.Committed() {
 			ranks[point] = Rank(res.RegvarInt64(3))
-			latency := res.Latency
 			if res.Counter == pollStopCounter {
 				// The chunk stopped early at a poll (join signal or
 				// conflict park): its prefix just committed; finish the
 				// remainder inline before joining further down the chain.
-				done := int(res.RegvarInt64(4))
-				start := t.Now()
-				body(t, done, hi)
-				latency += t.Now() - start
+				body(t, int(res.RegvarInt64(4)), hi)
 			}
-			observe(ChunkFeedback{
-				Lo: lo, Hi: hi, Forked: true, Committed: true,
-				Latency:     latency,
-				ReadSetPeak: res.ReadSetPeak, WriteSetPeak: res.WriteSetPeak,
-			})
-		} else {
-			// Rolled back or never forked: run the chunk inline,
-			// re-forking the rest of the chain where the model allows. A
-			// rollback abandons the downstream chain adopted from the
-			// rolled-back thread; squash it so its CPUs are reclaimable
-			// instead of stranded until the end of the run.
-			if res.Status == core.JoinRolledBack {
-				t.SquashChildren(mark)
-			}
-			ranks[point] = 0
-			fork(t, ranks, seq+1)
-			start := t.Now()
-			body(t, lo, hi)
-			observe(ChunkFeedback{
-				Lo: lo, Hi: hi,
-				Forked:      res.Status != core.JoinNotForked,
-				Latency:     t.Now() - start,
-				ReadSetPeak: res.ReadSetPeak, WriteSetPeak: res.WriteSetPeak,
-			})
+			continue
 		}
-		joined++
-		decide()
+		// Rolled back or never forked: run the chunk inline, re-forking the
+		// rest of the chain where the model allows. A rollback abandons the
+		// downstream chain adopted from the rolled-back thread; squash it
+		// so its CPUs are reclaimable instead of stranded until the end of
+		// the run.
+		if res.Status == core.JoinRolledBack {
+			t.SquashChildren(mark)
+		}
+		ranks[point] = 0
+		fork(t, ranks, seq+1)
+		body(t, lo, hi)
 	}
 }

@@ -84,74 +84,3 @@ func TestPollEveryStopsParkedThreads(t *testing.T) {
 		t.Fatal("scenario produced no conflict parks; the early-stop path never ran")
 	}
 }
-
-// --- mutls.Persist: adaptive state carried across runs ---
-
-// TestPersistCarriesLearnedState drives one adaptive run into coarsening
-// (a rollback-heavy point profile) and checks that the next run from the
-// same Persist chunker starts at the learned size, while a bare
-// AdaptivePolicy restarts from Start.
-func TestPersistCarriesLearnedState(t *testing.T) {
-	policy := mutls.AdaptivePolicy{Start: 8, Window: 1, MaxSize: 1 << 16}
-	pc := mutls.Persist(policy)
-	const n = 1 << 20
-	run1 := pc.NewRun(n, 4)
-	now := mutls.Cost(0)
-	lo := 0
-	for i := 0; i < 16; i++ {
-		hi := run1.Next(lo)
-		latency := mutls.Cost(hi - lo)
-		now += latency
-		run1.Observe(mutls.ChunkFeedback{
-			Lo: lo, Hi: hi, Forked: true, Committed: true,
-			Latency: latency, Now: now,
-			// Run-wide profile past MaxRollbackRate: the controller coarsens.
-			Points: mutls.PointCounters{Commits: 5, Rollbacks: 5},
-		})
-		lo = hi
-	}
-	learned := run1.Next(lo) - lo
-	if learned <= policy.Start {
-		t.Fatalf("rollback-heavy run never coarsened: size %d", learned)
-	}
-
-	run2 := pc.NewRun(n, 4)
-	if got := run2.Next(0); got != learned {
-		t.Fatalf("persisted run starts at %d, want learned %d", got, learned)
-	}
-	if got := policy.NewRun(n, 4).Next(0); got != policy.Start {
-		t.Fatalf("bare policy starts at %d, want Start %d", got, policy.Start)
-	}
-}
-
-// TestPersistPassThrough: only adaptive policies carry state; everything
-// else (including nil) passes through unchanged.
-func TestPersistPassThrough(t *testing.T) {
-	if mutls.Persist(nil) != nil {
-		t.Fatal("Persist(nil) != nil")
-	}
-	static := mutls.ChunkPolicy{MaxChunks: 16}
-	if got := mutls.Persist(static); got != mutls.Chunker(static) {
-		t.Fatalf("Persist(static) = %v, want pass-through", got)
-	}
-}
-
-// TestPersistAcrossForRangeRuns runs the same loop twice through one
-// Persist chunker under forced rollbacks and checks both runs' results;
-// the second run starts from the first run's learned schedule (the md/bh
-// repeated-time-step shape).
-func TestPersistAcrossForRangeRuns(t *testing.T) {
-	const n = 2048
-	rt := newRuntime(t, 4, func(o *mutls.Options) {
-		o.RollbackProb = 0.4
-		o.Seed = 11
-	})
-	defer rt.Close()
-	ck := mutls.Persist(mutls.AdaptivePolicy{Window: 2})
-	opts := mutls.ForOptions{Model: mutls.InOrder, Chunker: ck, PollEvery: 8}
-	for step := 0; step < 3; step++ {
-		if got := fillSum(rt, n, opts); got != wantFill(n) {
-			t.Fatalf("step %d: sum %d, want %d", step, got, wantFill(n))
-		}
-	}
-}

@@ -32,21 +32,15 @@ type ReduceOptions struct {
 	// LastValue. Stride suits induction-like accumulators (constant
 	// per-chunk increments).
 	Predictor Predictor
-	// Chunks, when non-nil, groups consecutive chunk indices into one
-	// speculated continuation, resized from the feedback of earlier joins
-	// (e.g. AdaptivePolicy). Nil keeps the default split: one index per
-	// continuation.
-	Chunks Chunker
 }
 
 // ReduceFloatOptions configures ReduceFloat64.
 type ReduceFloatOptions struct {
-	// Model, Predictor and Chunks as in ReduceOptions. The predictor
-	// extrapolates in float64 arithmetic, so Stride follows a constant
-	// float delta exactly.
+	// Model and Predictor as in ReduceOptions. The predictor extrapolates
+	// in float64 arithmetic, so Stride follows a constant float delta
+	// exactly.
 	Model     Model
 	Predictor Predictor
-	Chunks    Chunker
 	// RelTol, when positive, validates the predicted accumulator under a
 	// relative tolerance instead of bit equality: a prediction within
 	// RelTol of the actual value commits the speculation even though the
@@ -76,12 +70,10 @@ type reduceHooks struct {
 // contain only TLS-instrumented work and must be deterministic in (idx,
 // acc, simulated memory), since rolled-back chunks re-execute.
 //
-// While the non-speculative thread folds one group of chunks, a
-// speculative thread folds the next group from a predicted accumulator;
-// when the prediction validates, the join adopts the speculative live-out
-// and the loop skips the group. Group bounds come from opts.Chunks (one
-// index per group by default), decided on the non-speculative thread in
-// sequential order — the continuation form of the adaptive chunk schedule.
+// While the non-speculative thread folds one chunk, a speculative thread
+// folds the next from a predicted accumulator; when the prediction
+// validates, the join adopts the speculative live-out and the loop skips
+// that chunk.
 func Reduce(t *Thread, nChunks int, init int64, opts ReduceOptions, body func(c *Thread, idx int, acc int64) int64) int64 {
 	out := ReduceFunc(t, nChunks, uint64(init), opts, func(c *Thread, idx int, acc uint64) uint64 {
 		return uint64(body(c, idx, int64(acc)))
@@ -111,12 +103,12 @@ func ReduceFunc(t *Thread, nChunks int, init uint64, opts ReduceOptions, body fu
 			t.ValidateRegvarInt64(ranks, p, 0, int64(actual))
 		},
 	}
-	return reduceWord(t, nChunks, init, opts.Model, opts.Chunks, hooks, body)
+	return reduceWord(t, nChunks, init, opts.Model, hooks, body)
 }
 
 // ReduceFloat64 folds body over the chunks [0, nChunks) starting from init
 // and returns the final float64 accumulator — the float form of Reduce.
-// Prediction runs in float64 arithmetic (a constant float per-group delta
+// Prediction runs in float64 arithmetic (a constant float per-chunk delta
 // is followed exactly by the Stride predictor) and validation is bit-exact
 // unless opts.RelTol enables the relative-tolerance mode. The fold order
 // is the sequential order in every outcome — committed speculations adopt
@@ -139,7 +131,7 @@ func ReduceFloat64(t *Thread, nChunks int, init float64, opts ReduceFloatOptions
 			t.ValidateRegvarFloat64Rel(ranks, p, 0, math.Float64frombits(actual), opts.RelTol)
 		},
 	}
-	out := reduceWord(t, nChunks, math.Float64bits(init), opts.Model, opts.Chunks, hooks,
+	out := reduceWord(t, nChunks, math.Float64bits(init), opts.Model, hooks,
 		func(c *Thread, idx int, acc uint64) uint64 {
 			return math.Float64bits(body(c, idx, math.Float64frombits(acc)))
 		})
@@ -148,13 +140,13 @@ func ReduceFloat64(t *Thread, nChunks int, init float64, opts ReduceFloatOptions
 
 // reduceWord is the shared reduction engine. The accumulator travels as a
 // raw word in regvar slot 0 (the predicted live-in) and slot 3 (the saved
-// live-out); slots 1 and 2 carry the group bounds. Every group's outcome
-// is observed exactly once through the chunk controller, and every group
+// live-out); slots 1 and 2 carry the continuation's loop index and bound —
+// the transformed loop's live-ins, each a charged saved local. Every chunk
 // boundary's accumulator value is observed exactly once by the predictor —
-// including init itself and the boundaries of groups that were never
+// including init itself and the boundaries of chunks that were never
 // forked, so the prediction history always matches the join-point value
-// sequence (a refused fork no longer punches a hole in the stride).
-func reduceWord(t *Thread, nChunks int, init uint64, model Model, ck Chunker, hooks reduceHooks, body func(c *Thread, idx int, acc uint64) uint64) uint64 {
+// sequence (a refused fork punches no hole in the stride).
+func reduceWord(t *Thread, nChunks int, init uint64, model Model, hooks reduceHooks, body func(c *Thread, idx int, acc uint64) uint64) uint64 {
 	if nChunks <= 0 {
 		return init
 	}
@@ -164,124 +156,61 @@ func reduceWord(t *Thread, nChunks int, init uint64, model Model, ck Chunker, ho
 		// link's live-out), so it maps to the out-of-order default.
 		model = OutOfOrder
 	}
-	if ck == nil {
-		ck = unitChunker{}
-	}
 	rt := t.Runtime()
 	point := rt.AllocPoint()
 	defer rt.FreePoint(point)
 	ranks := make([]Rank, point+1)
-	ctrl := ck.NewRun(nChunks, rt.NumCPUs())
-	next := func(lo int) int {
-		hi := ctrl.Next(lo)
-		if hi <= lo {
-			hi = lo + 1
+	region := func(c *Thread) uint32 {
+		specAcc := uint64(c.GetRegvarInt64(0))
+		lo := int(c.GetRegvarInt64(1))
+		hi := int(c.GetRegvarInt64(2))
+		for i := lo; i < hi; i++ {
+			specAcc = body(c, i, specAcc)
 		}
-		if hi > nChunks {
-			hi = nChunks
-		}
-		return hi
-	}
-	base := rt.PointCounters(point)
-	observe := func(fb ChunkFeedback) {
-		fb.Points = rt.PointCounters(point).Sub(base)
-		fb.Now = t.Now()
-		ctrl.Observe(fb)
+		c.SaveRegvarInt64(3, int64(specAcc))
+		return 0
 	}
 
 	acc := init
-	// Seed the predictor with the fold's entry value: the first group
+	// Seed the predictor with the fold's entry value: the first chunk
 	// boundary the continuation forks will predict is extrapolated from
 	// here, not from a zero-filled cold entry.
 	hooks.observe(acc)
-	lo, hi := 0, next(0)
-	// rolledBack carries the failed speculation of the current group, so
-	// its single observation (like For's: Forked, not Committed, with the
-	// inline re-execution latency) is emitted when the group is re-folded.
-	var rolledBack *ChunkFeedback
-	for lo < nChunks {
-		// Cooperative cancellation between groups (see For).
+	for idx := 0; idx < nChunks; idx++ {
+		// Cooperative cancellation between chunks (see For).
 		t.CancelPoint()
 		var h *core.ForkHandle
-		specLo, specHi := hi, hi
-		if hi < nChunks { // the last group has no continuation to fork
-			specHi = next(hi)
+		if idx+1 < nChunks { // the last chunk has no continuation to fork
 			// Fork only from a warm prediction: a cold fork's continuation
 			// would run from a guessed accumulator and roll back on any
-			// nonzero per-group delta, wasting the CPU it claimed.
+			// nonzero per-chunk delta, wasting the CPU it claimed.
 			if raw, ok := hooks.predict(); ok {
-				h = t.Fork(ranks, point, model)
-				if h != nil {
+				if h = t.Fork(ranks, point, model); h != nil {
 					h.SetRegvarInt64(0, int64(raw))
-					h.SetRegvarInt64(1, int64(specLo))
-					h.SetRegvarInt64(2, int64(specHi))
-					h.Start(func(c *Thread) uint32 {
-						specAcc := uint64(c.GetRegvarInt64(0))
-						sLo := int(c.GetRegvarInt64(1))
-						sHi := int(c.GetRegvarInt64(2))
-						for i := sLo; i < sHi; i++ {
-							specAcc = body(c, i, specAcc)
-						}
-						c.SaveRegvarInt64(3, int64(specAcc))
-						return 0
-					})
+					h.SetRegvarInt64(1, int64(idx+1))
+					h.SetRegvarInt64(2, int64(idx+2))
+					h.Start(region)
 				}
 			}
 		}
-		start := t.Now()
-		for i := lo; i < hi; i++ {
-			acc = body(t, i, acc)
-		}
-		inlineLatency := t.Now() - start
-		// The boundary value after the inline group is exactly the value a
+		acc = body(t, idx, acc)
+		// The boundary value after the inline chunk is exactly the value a
 		// concurrent fork predicted; record it before validation so the
 		// predictor's history stays one-to-one with the boundary sequence.
 		hooks.observe(acc)
-		// Every group is observed exactly once: a group whose speculation
-		// rolled back reports that outcome with its inline re-execution
-		// latency; any other inline group is a plain latency calibration.
-		if rolledBack != nil {
-			rolledBack.Latency = inlineLatency
-			observe(*rolledBack)
-			rolledBack = nil
-		} else {
-			observe(ChunkFeedback{Lo: lo, Hi: hi, Latency: inlineLatency})
-		}
-		if hi >= nChunks {
-			break
-		}
 		if h == nil {
-			// Fork refused (or predictor cold): the decided group simply
-			// becomes the next inline group.
-			lo, hi = specLo, specHi
-			continue
+			continue // fork refused, predictor cold, or the last chunk
 		}
 		// MUTLS_validate_local: was the prediction right?
 		hooks.validate(t, ranks, point, acc)
-		res := t.Join(ranks, point)
-		if res.Committed() {
+		if res := t.Join(ranks, point); res.Committed() {
 			acc = uint64(res.RegvarInt64(3))
 			// Keep the predictor's history aligned with the join-point
 			// values it predicts: the adopted live-out is the next one.
 			hooks.observe(acc)
-			observe(ChunkFeedback{
-				Lo: specLo, Hi: specHi, Forked: true, Committed: true,
-				Latency:     res.Latency,
-				ReadSetPeak: res.ReadSetPeak, WriteSetPeak: res.WriteSetPeak,
-			})
-			lo = specHi // the speculation consumed the next group
-			if lo < nChunks {
-				hi = next(lo)
-			} else {
-				hi = lo
-			}
-		} else {
-			rolledBack = &ChunkFeedback{
-				Lo: specLo, Hi: specHi, Forked: true,
-				ReadSetPeak: res.ReadSetPeak, WriteSetPeak: res.WriteSetPeak,
-			}
-			lo, hi = specLo, specHi // re-execute the group inline
+			idx++ // the speculation consumed the next chunk
 		}
+		// Rolled back: the next iteration re-executes the chunk inline.
 	}
 	return acc
 }

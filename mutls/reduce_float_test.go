@@ -11,88 +11,41 @@ import (
 // linear mixed baseline).
 var models4 = []mutls.Model{mutls.InOrder, mutls.OutOfOrder, mutls.Mixed, mutls.MixedLinear}
 
-// recordingChunker wraps a Chunker (nil = the default unit split) and
-// appends every observed ChunkFeedback to fbs. Observe is called only from
-// the non-speculative thread, so plain appends are race-free.
-type recordingChunker struct {
-	inner mutls.Chunker
-	fbs   *[]mutls.ChunkFeedback
-}
-
-func (rc recordingChunker) NewRun(n, cpus int) mutls.ChunkController {
-	r := &recordingRun{fbs: rc.fbs}
-	if rc.inner != nil {
-		r.inner = rc.inner.NewRun(n, cpus)
-	}
-	return r
-}
-
-type recordingRun struct {
-	inner mutls.ChunkController
-	fbs   *[]mutls.ChunkFeedback
-}
-
-func (r *recordingRun) Next(lo int) int {
-	if r.inner != nil {
-		return r.inner.Next(lo)
-	}
-	return lo + 1
-}
-
-func (r *recordingRun) Observe(fb mutls.ChunkFeedback) {
-	*r.fbs = append(*r.fbs, fb)
-	if r.inner != nil {
-		r.inner.Observe(fb)
-	}
-}
-
 // TestReduceColdStartFirstForkCommits is the regression test for the
 // cold-predictor fork: with a nonzero init and a constant per-chunk delta,
 // the warm-gated stride predictor must make the very first forked
 // continuation commit (the old code predicted accumulator 0 for the first
-// fork, which could only validate when init was 0).
+// fork, which could only validate when init was 0) — and every later one,
+// so the run has commits and not one rollback.
 func TestReduceColdStartFirstForkCommits(t *testing.T) {
 	const nChunks, init, delta = 16, int64(5), int64(3)
 	rt := newRuntime(t, 4, nil)
-	var fbs []mutls.ChunkFeedback
-	opts := mutls.ReduceOptions{
-		Predictor: mutls.Stride,
-		Chunks:    recordingChunker{fbs: &fbs},
-	}
 	var got int64
 	rt.Run(func(t0 *mutls.Thread) {
-		got = mutls.Reduce(t0, nChunks, init, opts, func(c *mutls.Thread, idx int, acc int64) int64 {
-			c.Tick(200)
-			return acc + delta
-		})
+		got = mutls.Reduce(t0, nChunks, init, mutls.ReduceOptions{Predictor: mutls.Stride},
+			func(c *mutls.Thread, idx int, acc int64) int64 {
+				c.Tick(200)
+				return acc + delta
+			})
 	})
 	if want := init + nChunks*delta; got != want {
 		t.Fatalf("Reduce = %d, want %d", got, want)
 	}
-	first := -1
-	for i := range fbs {
-		if fbs[i].Forked {
-			first = i
-			break
-		}
-	}
-	if first < 0 {
-		t.Fatal("no group was ever forked")
-	}
-	if !fbs[first].Committed {
-		t.Fatalf("first forked group [%d,%d) rolled back; the cold-start fix must make it commit",
-			fbs[first].Lo, fbs[first].Hi)
-	}
-	if s := rt.Stats(); s.Commits == 0 {
-		t.Fatal("no commits recorded")
+	if s := rt.Stats(); s.Commits == 0 || s.Rollbacks != 0 {
+		t.Fatalf("%d commits, %d rollbacks; the cold-start fix must make every fork commit, the first included",
+			s.Commits, s.Rollbacks)
 	}
 }
 
-// TestReduceFeedbackExactlyOncePerGroup drives Reduce through forced
-// mispredictions (strictly growing per-chunk deltas defeat the stride
-// predictor) on every GlobalBuffer backend: the result must stay
-// sequential and the chunk controller must observe every group exactly
-// once, in order, tiling [0, nChunks) — rollbacks included.
+// TestReduceFeedbackExactlyOncePerGroup: the predictor is fed every chunk
+// boundary's accumulator exactly once, on every GlobalBuffer backend. Under
+// forced mispredictions (strictly growing per-chunk deltas defeat the
+// stride predictor) the result stays sequential. And while forks are
+// refused the boundaries are still observed: the first half of a
+// constant-delta fold runs with no CPU to fork on, and once CPUs appear
+// every fork must commit — a boundary the predictor missed leaves its last
+// value stale, one it saw twice zeroes its stride, and either would roll
+// the next fork back.
 func TestReduceFeedbackExactlyOncePerGroup(t *testing.T) {
 	const nChunks = 24
 	delta := func(idx int) int64 { return int64(idx*idx + 1) }
@@ -106,11 +59,7 @@ func TestReduceFeedbackExactlyOncePerGroup(t *testing.T) {
 			rt := newRuntime(t, 4, func(o *mutls.Options) {
 				o.Buffering = mutls.Buffering{Backend: backend}
 			})
-			var fbs []mutls.ChunkFeedback
-			opts := mutls.ReduceOptions{
-				Predictor: mutls.Stride,
-				Chunks:    recordingChunker{fbs: &fbs},
-			}
+			opts := mutls.ReduceOptions{Predictor: mutls.Stride}
 			var got int64
 			rt.Run(func(t0 *mutls.Thread) {
 				got = mutls.Reduce(t0, nChunks, 7, opts, func(c *mutls.Thread, idx int, acc int64) int64 {
@@ -121,19 +70,27 @@ func TestReduceFeedbackExactlyOncePerGroup(t *testing.T) {
 			if got != want {
 				t.Fatalf("Reduce = %d, want %d", got, want)
 			}
-			cover := 0
-			for i, fb := range fbs {
-				if fb.Lo != cover || fb.Hi <= fb.Lo {
-					t.Fatalf("feedback %d is [%d,%d), want a group starting at %d (duplicate or gap)",
-						i, fb.Lo, fb.Hi, cover)
-				}
-				cover = fb.Hi
-			}
-			if cover != nChunks {
-				t.Fatalf("feedback covered [0,%d), want [0,%d)", cover, nChunks)
-			}
 			if s := rt.Stats(); s.Rollbacks == 0 {
 				t.Fatal("growing deltas produced no mispredictions (predictor too strong or no forks)")
+			}
+
+			rt.ResetStats()
+			rt.SetCPULimit(0)
+			rt.Run(func(t0 *mutls.Thread) {
+				got = mutls.Reduce(t0, nChunks, 7, opts, func(c *mutls.Thread, idx int, acc int64) int64 {
+					if idx == nChunks/2 && !c.Speculative() {
+						rt.SetCPULimit(4)
+					}
+					c.Tick(150)
+					return acc + 3
+				})
+			})
+			if got != 7+3*nChunks {
+				t.Fatalf("Reduce with refused forks = %d, want %d", got, 7+3*nChunks)
+			}
+			if s := rt.Stats(); s.Commits == 0 || s.Rollbacks != 0 {
+				t.Fatalf("after refused forks: %d commits, %d rollbacks, want commits and no rollback",
+					s.Commits, s.Rollbacks)
 			}
 		})
 	}
@@ -304,10 +261,14 @@ func TestReduceFuncMonoids(t *testing.T) {
 
 // TestDriverRunsUseDistinctPoints: consecutive driver runs on one runtime
 // speculate on distinct fork/join points (AllocPoint round-robin), so one
-// run's live counters never absorb another's executions.
+// run's point profile never absorbs another's executions.
 func TestDriverRunsUseDistinctPoints(t *testing.T) {
 	const n, chunks = 2048, 16
 	rt := newRuntime(t, 4, nil)
+	executions := func(p int) int64 {
+		c, r, _ := rt.PointProfile(p)
+		return c + r
+	}
 	var c0After, c0Final, c1Final int64
 	rt.Run(func(t0 *mutls.Thread) {
 		arr := t0.Alloc(8 * n)
@@ -318,10 +279,10 @@ func TestDriverRunsUseDistinctPoints(t *testing.T) {
 			}
 		}
 		mutls.For(t0, chunks, mutls.ForOptions{Model: mutls.InOrder}, body)
-		c0After = rt.PointCounters(0).Executions()
+		c0After = executions(0)
 		mutls.For(t0, chunks, mutls.ForOptions{Model: mutls.InOrder}, body)
-		c0Final = rt.PointCounters(0).Executions()
-		c1Final = rt.PointCounters(1).Executions()
+		c0Final = executions(0)
+		c1Final = executions(1)
 		t0.Free(arr)
 	})
 	if c0After == 0 {
@@ -335,13 +296,14 @@ func TestDriverRunsUseDistinctPoints(t *testing.T) {
 	}
 }
 
-// TestNestedDriversAdaptive: an outer adaptive ForRange whose inline
-// (non-speculative) bodies drive a nested adaptive For. The nested run
-// allocates its own fork point, so the outer controller's feedback deltas
-// stay clean — and, per the driver contract, nested drivers are legal only
-// on the non-speculative thread, so speculative chunks do the same work
-// directly.
-func TestNestedDriversAdaptive(t *testing.T) {
+// TestNestedDriversUseDistinctPoints: an outer ForRange whose inline
+// (non-speculative) chunk drives a nested For. The nested run allocates its
+// own fork point while the outer run still holds its id, so both points
+// show executions — and, per the driver contract, nested drivers are legal
+// only on the non-speculative thread, so speculative chunks do the same
+// work directly. The outer loop has two chunks: one speculation, leaving
+// CPUs for the nested run's forks.
+func TestNestedDriversUseDistinctPoints(t *testing.T) {
 	const rows, cols = 24, 64
 	rt := newRuntime(t, 4, nil)
 	var sum int64
@@ -351,7 +313,7 @@ func TestNestedDriversAdaptive(t *testing.T) {
 			c.Tick(3)
 			c.StoreInt64(arr+mutls.Addr(8*(r*cols+i)), int64(r*cols+i))
 		}
-		outer := mutls.ForOptions{Model: mutls.InOrder, Chunker: mutls.AdaptivePolicy{}}
+		outer := mutls.ForOptions{Model: mutls.InOrder, Policy: mutls.ChunkPolicy{MaxChunks: 2}}
 		mutls.ForRange(t0, rows, outer, func(c *mutls.Thread, lo, hi int) {
 			for r := lo; r < hi; r++ {
 				if c.Speculative() {
@@ -359,8 +321,7 @@ func TestNestedDriversAdaptive(t *testing.T) {
 						fill(c, r, i)
 					}
 				} else {
-					inner := mutls.ForOptions{Model: mutls.Mixed, Chunker: mutls.AdaptivePolicy{}}
-					mutls.For(c, cols, inner, func(cc *mutls.Thread, i int) {
+					mutls.For(c, cols, mutls.ForOptions{Model: mutls.Mixed}, func(cc *mutls.Thread, i int) {
 						fill(cc, r, i)
 					})
 				}
@@ -372,6 +333,9 @@ func TestNestedDriversAdaptive(t *testing.T) {
 		t0.Free(arr)
 	})
 	if want := int64(rows*cols) * int64(rows*cols-1) / 2; sum != want {
-		t.Fatalf("nested adaptive loops sum = %d, want %d", sum, want)
+		t.Fatalf("nested loops sum = %d, want %d", sum, want)
+	}
+	if points := rt.Stats().PointsSorted(); len(points) < 2 {
+		t.Fatalf("executions on points %v, want the outer and the nested runs on distinct points", points)
 	}
 }
