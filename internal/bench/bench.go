@@ -99,8 +99,9 @@ type RunConfig struct {
 	RollbackProb float64
 	Seed         uint64
 	Heuristic    bool
-	// Buffering selects the GlobalBuffer backend; zero selects the suite
-	// default (openaddr, 2^16 words, 256 overflow slots).
+	// Buffering selects the GlobalBuffer backend; zero selects the gbuf
+	// default (bitmap). An explicit "openaddr" gets the suite's sizing for
+	// it (2^16 words, 256 overflow slots) where the fields are zero.
 	Buffering mutls.Buffering
 	// Faults wires a deterministic fault-injection plan into the runtime
 	// (the chaos harness); nil injects nothing.
@@ -112,9 +113,7 @@ type RunConfig struct {
 // options builds the mutls runtime options for a workload.
 func (cfg RunConfig) options(w *Workload) mutls.Options {
 	buf := cfg.Buffering
-	// The suite's openaddr sizing defaults apply only to that backend;
-	// chain/bitmap configs keep their own sizing untouched.
-	if buf.Backend == "" || buf.Backend == "openaddr" {
+	if buf.Backend == "openaddr" {
 		if buf.LogWords == 0 {
 			buf.LogWords = 16
 		}

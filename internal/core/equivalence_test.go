@@ -94,7 +94,10 @@ func runSpeculative(tb testing.TB, p miniProgram, model Model, cpus int, prob fl
 	rt := newRT(tb, cpus, func(o *Options) {
 		o.RollbackProb = prob
 		o.Seed = seed
-		o.GBuf = gbuf.Config{LogWords: 8, OverflowCap: 32}
+		// Every backend takes its turn; the openaddr sizing is small enough
+		// for the program's words to collide and park.
+		backends := gbuf.Backends()
+		o.GBuf = gbuf.Config{Backend: backends[seed%uint64(len(backends))], LogWords: 8, OverflowCap: 32}
 	})
 	out := make([]int64, p.words)
 	rt.Run(func(t0 *Thread) {

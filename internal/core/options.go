@@ -33,7 +33,7 @@ type Options struct {
 	Space mem.SpaceConfig
 
 	// GBuf selects and sizes the per-CPU GlobalBuffer backend. Zero
-	// fields select the gbuf defaults (openaddr backend, default sizing);
+	// fields select the gbuf defaults (bitmap backend, default sizing);
 	// an unknown backend name or invalid sizing fails NewRuntime.
 	GBuf gbuf.Config
 

@@ -348,7 +348,7 @@ func TestOverflowForcesStopAtCheckPoint(t *testing.T) {
 	// the overflow buffer; the thread must stop at its next check point and
 	// wait to be joined (paper §IV-G2).
 	rt := newRT(t, 2, func(o *Options) {
-		o.GBuf = gbuf.Config{LogWords: 1, OverflowCap: 4}
+		o.GBuf = gbuf.Config{Backend: "openaddr", LogWords: 1, OverflowCap: 4}
 	})
 	rt.Run(func(t0 *Thread) {
 		arr := t0.Alloc(8 * 64)
@@ -397,7 +397,7 @@ func TestOverflowExhaustionRollsBack(t *testing.T) {
 	// No check points at all: the overflow buffer fills up and the thread
 	// has to roll back.
 	rt := newRT(t, 2, func(o *Options) {
-		o.GBuf = gbuf.Config{LogWords: 1, OverflowCap: 2}
+		o.GBuf = gbuf.Config{Backend: "openaddr", LogWords: 1, OverflowCap: 2}
 	})
 	rt.Run(func(t0 *Thread) {
 		arr := t0.Alloc(8 * 64)

@@ -10,9 +10,9 @@ import (
 
 // Backend is the speculative-buffering contract every GlobalBuffer
 // implementation satisfies. The runtime (internal/core) programs against
-// this interface only; concrete organizations — the paper's static
-// open-addressing maps, dynamically chained buckets, per-page bitmaps —
-// are selected by name through the registry below.
+// this interface only; concrete organizations — per-page bitmaps (the
+// default), the paper's static open-addressing maps, dynamically chained
+// buckets — are selected by name through the registry below.
 //
 // Semantics shared by all backends:
 //
@@ -113,8 +113,10 @@ func Backends() []string {
 }
 
 // DefaultBackend is the backend selected by an empty Config.Backend: the
-// paper's open-addressing design.
-const DefaultBackend = "openaddr"
+// page-shadow organization, whose range accesses, validation and
+// finalization are the cheapest of the three (benchmark ladder, gbuf.*
+// rungs). The paper's open-addressing design stays available as "openaddr".
+const DefaultBackend = "bitmap"
 
 // NewBackend dispatches cfg.Backend through the registry. An empty name
 // selects DefaultBackend. Sizing fields are validated by the constructor;

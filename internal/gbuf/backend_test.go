@@ -20,14 +20,24 @@ func TestBackendsRegistered(t *testing.T) {
 	}
 }
 
-func TestNewBackendDefaultsToOpenaddr(t *testing.T) {
-	arena, _ := mem.NewArena(1 << 12)
-	b, err := NewBackend(arena, Config{LogWords: 8, OverflowCap: 4})
-	if err != nil {
-		t.Fatal(err)
+func TestNewBackendDefaultsToBitmap(t *testing.T) {
+	if DefaultBackend != "bitmap" {
+		t.Fatalf("DefaultBackend = %q, want bitmap", DefaultBackend)
 	}
-	if _, ok := b.(*Buffer); !ok {
-		t.Fatalf("empty Backend name built %T, want *Buffer", b)
+	arena, _ := mem.NewArena(1 << 12)
+	// NewBackend resolves an empty name itself; the sizing still has to be
+	// given (or defaulted by the caller).
+	for _, cfg := range []Config{{PageWords: 64}, Config{}.WithDefaults()} {
+		b, err := NewBackend(arena, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := b.(*bitmapBuffer); !ok {
+			t.Fatalf("config %+v built %T, want *bitmapBuffer", cfg, b)
+		}
+	}
+	if got := (Config{}).WithDefaults().Backend; got != "bitmap" {
+		t.Fatalf("WithDefaults names %q", got)
 	}
 }
 

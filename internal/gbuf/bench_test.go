@@ -1,7 +1,9 @@
 package gbuf
 
 import (
+	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/mem"
 )
@@ -13,15 +15,15 @@ import (
 
 const benchWords = 128 // 1 KiB
 
-func benchBackend(b *testing.B, name string) Backend {
-	b.Helper()
+func benchBackend(tb testing.TB, name string) Backend {
+	tb.Helper()
 	arena, err := mem.NewArena(1 << 20)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	be, err := NewBackend(arena, Config{Backend: name}.WithDefaults())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return be
 }
@@ -115,14 +117,7 @@ func TestRangeHotPathAllocFree(t *testing.T) {
 	for _, name := range Backends() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			arena, err := mem.NewArena(1 << 20)
-			if err != nil {
-				t.Fatal(err)
-			}
-			be, err := NewBackend(arena, Config{Backend: name}.WithDefaults())
-			if err != nil {
-				t.Fatal(err)
-			}
+			be := benchBackend(t, name)
 			buf := make([]byte, benchWords*mem.Word)
 			// Warm the sets: lazily allocated pages/entries settle here.
 			be.StoreRange(64, buf)
@@ -140,4 +135,70 @@ func TestRangeHotPathAllocFree(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSpeculationCycleAllocFree: once its pages exist, a whole speculation —
+// range load, range store, own-write re-load, pre-validation, commit,
+// finalize — allocates nothing on any backend: bitmap pages recycle through
+// the free list and the flat page table never grows.
+func TestSpeculationCycleAllocFree(t *testing.T) {
+	for _, name := range Backends() {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			be := benchBackend(t, name)
+			buf := make([]byte, benchWords*mem.Word)
+			cycle := func() {
+				ok := be.LoadRange(4096, buf) == OK && be.StoreRange(64, buf) == OK &&
+					be.LoadRange(64, buf) == OK && be.PreValidate()
+				if !ok {
+					t.Fatal("cycle failed")
+				}
+				be.Commit(nil)
+				be.Finalize()
+			}
+			cycle() // warm: lazily allocated pages/entries settle here
+			if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+				t.Fatalf("a warmed speculation cycle allocates %.1f objects", allocs)
+			}
+		})
+	}
+}
+
+// BenchmarkFinalize times Finalize alone after a speculation that buffered
+// the given number of words in each set. The sets are refilled off the
+// clock, so the figure is the finalize-ns/op metric (it includes one clock
+// read, ~25 ns), not ns/op; divide by 2*words for the ladder's per-word one.
+func BenchmarkFinalize(b *testing.B) {
+	for _, words := range []int{1, 128, 4096} { // one word, 1 KiB, 32 KiB per set
+		buf := make([]byte, words*mem.Word)
+		b.Run(fmt.Sprintf("%dwords", words), func(b *testing.B) {
+			forEachBenchBackend(b, func(b *testing.B, be Backend) {
+				b.SetBytes(0) // ns/op is mostly the refill
+				var total time.Duration
+				for i := 0; i < b.N; i++ {
+					be.StoreRange(64, buf)
+					be.LoadRange(1<<16, buf)
+					start := time.Now()
+					be.Finalize()
+					total += time.Since(start)
+				}
+				b.ReportMetric(float64(total.Nanoseconds())/float64(b.N), "finalize-ns/op")
+			})
+		})
+	}
+}
+
+// BenchmarkLoadRangeOwnWrites1KiB re-reads a range the speculation has just
+// stored — fft's in-place butterfly shape.
+func BenchmarkLoadRangeOwnWrites1KiB(b *testing.B) {
+	buf := make([]byte, benchWords*mem.Word)
+	forEachBenchBackend(b, func(b *testing.B, be Backend) {
+		be.StoreRange(64, buf)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if st := be.LoadRange(64, buf); st != OK {
+				b.Fatal(st)
+			}
+		}
+	})
 }

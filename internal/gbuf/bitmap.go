@@ -8,15 +8,15 @@ import (
 	"repro/internal/mem"
 )
 
-// bitmapBuffer is the "bitmap" backend: the address space is divided into
-// fixed pages of PageWords words, and each set keeps, per touched page, a
-// lazily allocated shadow of the page plus a word-granularity presence
-// bitmap. Dense writers (mandelbrot rows, matmult tiles) hit the same few
-// pages over and over, so lookups are one map probe plus a bit test, there
-// is no hash-collision outcome at all (Conflict and Full never occur), and
-// validation/commit walk set bits instead of hash slots. Sparse access
-// patterns pay for whole-page shadows — the ablation bench shows where the
-// trade flips.
+// bitmapBuffer is the "bitmap" backend, the default organization: the
+// address space is divided into fixed pages of PageWords words, and each set
+// keeps, per touched page, a lazily allocated shadow of the page plus a
+// word-granularity presence bitmap. A lookup is one index into a flat page
+// table plus a bit test, a range access is a bitmap splice and a copy per
+// page, there is no hash-collision outcome at all (Conflict and Full never
+// occur), validation/commit walk set bits instead of hash slots, and
+// finalization touches the bitmaps only. Sparse access patterns pay for
+// whole-page shadows — the ablation bench shows where the trade flips.
 type bitmapBuffer struct {
 	arena     *mem.Arena
 	pageWords int
@@ -25,12 +25,17 @@ type bitmapBuffer struct {
 	read      bitmapSet
 	write     bitmapSet
 	// anyPartial is sticky: set by the first sub-word store of the
-	// speculation; while false the commit walk skips mark scanning.
+	// speculation; while false every buffered write word is fully marked, so
+	// the commit walk and own-write range loads skip mark scanning.
 	anyPartial bool
 	C          Counters
 }
 
-// bitmapPage shadows one page of one set.
+// bitmapPage shadows one page of one set. present guards data and mark: a
+// word's bytes mean something only while its bit is set, and every first
+// touch of a word writes all eight data bytes (and, in write pages, all
+// eight marks) before anything reads them — so a recycled page keeps its
+// stale bytes and resetting it costs one bitmap clear.
 type bitmapPage struct {
 	pageIdx uint64
 	present []uint64 // PageWords bits: word buffered here
@@ -38,25 +43,34 @@ type bitmapPage struct {
 	mark    []byte   // write pages: byte marks, same size as data
 }
 
-// bitmapSet is one per-page map with lazy page allocation and recycling.
+// bitmapSet is one flat page table with lazy page allocation and recycling.
 type bitmapSet struct {
-	pages map[uint64]*bitmapPage
+	table []*bitmapPage // indexed by page number; nil = not touched yet
 	order []*bitmapPage // touched pages, for iteration and reset
-	free  []*bitmapPage // zeroed pages recycled across speculations
+	free  []*bitmapPage // pages recycled across speculations
 	words int           // total buffered words (popcount of all bitmaps)
 }
 
-func newBitmapSet() bitmapSet {
-	return bitmapSet{pages: make(map[uint64]*bitmapPage)}
+// lookup returns the shadow of page pageIdx, or nil if this speculation has
+// not touched it.
+func (s *bitmapSet) lookup(pageIdx uint64) *bitmapPage {
+	if pageIdx < uint64(len(s.table)) {
+		return s.table[pageIdx]
+	}
+	return nil
 }
 
 // page returns the shadow page for pageIdx, allocating (or recycling) it on
-// first touch.
+// first touch. A page beyond the table lies beyond the arena: core refuses
+// such addresses before they get here (InGlobal), so reaching this is a bug.
 func (s *bitmapSet) page(b *bitmapBuffer, pageIdx uint64, withMarks bool) *bitmapPage {
-	if pg, ok := s.pages[pageIdx]; ok {
+	if pageIdx >= uint64(len(s.table)) {
+		panic(fmt.Sprintf("gbuf: bitmap access to page %d, beyond the arena's %d pages", pageIdx, len(s.table)))
+	}
+	pg := s.table[pageIdx]
+	if pg != nil {
 		return pg
 	}
-	var pg *bitmapPage
 	if n := len(s.free); n > 0 {
 		pg = s.free[n-1]
 		s.free = s.free[:n-1]
@@ -70,32 +84,20 @@ func (s *bitmapSet) page(b *bitmapBuffer, pageIdx uint64, withMarks bool) *bitma
 		}
 	}
 	pg.pageIdx = pageIdx
-	s.pages[pageIdx] = pg
+	s.table[pageIdx] = pg
 	s.order = append(s.order, pg)
 	return pg
 }
 
-// reset zeroes exactly the set bits of every touched page and recycles the
-// pages, keeping reset cost proportional to the words buffered.
+// reset recycles every touched page. Clearing the presence bitmap is all a
+// page needs (see bitmapPage), so the cost is per touched page, not per
+// buffered word.
 func (s *bitmapSet) reset() {
 	for _, pg := range s.order {
-		for wi, set := range pg.present {
-			for set != 0 {
-				slot := wi*64 + bits.TrailingZeros64(set)
-				off := slot * mem.Word
-				for i := off; i < off+mem.Word; i++ {
-					pg.data[i] = 0
-					if pg.mark != nil {
-						pg.mark[i] = 0
-					}
-				}
-				set &= set - 1
-			}
-			pg.present[wi] = 0
-		}
-		delete(s.pages, pg.pageIdx)
-		s.free = append(s.free, pg)
+		clear(pg.present)
+		s.table[pg.pageIdx] = nil
 	}
+	s.free = append(s.free, s.order...)
 	s.order = s.order[:0]
 	s.words = 0
 }
@@ -111,13 +113,17 @@ func newBitmapBackend(arena *mem.Arena, cfg Config) (Backend, error) {
 	if cfg.PageWords > 1<<24 {
 		return nil, fmt.Errorf("gbuf: bitmap PageWords %d out of range (max 1<<24)", cfg.PageWords)
 	}
+	// One table slot per page of the arena, per set: 8 bytes per page (0.2 %
+	// of the arena at the default 4 KiB page).
+	pageBytes := cfg.PageWords * mem.Word
+	nPages := (arena.Size() + pageBytes - 1) / pageBytes
 	return &bitmapBuffer{
 		arena:     arena,
 		pageWords: cfg.PageWords,
 		pageShift: uint(bits.TrailingZeros(uint(cfg.PageWords))),
 		pageMask:  uint64(cfg.PageWords - 1),
-		read:      newBitmapSet(),
-		write:     newBitmapSet(),
+		read:      bitmapSet{table: make([]*bitmapPage, nPages)},
+		write:     bitmapSet{table: make([]*bitmapPage, nPages)},
 	}, nil
 }
 
@@ -144,8 +150,8 @@ func (b *bitmapBuffer) Counters() *Counters { return &b.C }
 // writeEntry locates (data, marks) for base in the write set, or nil.
 func (b *bitmapBuffer) writeEntry(base mem.Addr) (data, marks []byte) {
 	pageIdx, slot := b.locate(base)
-	pg, ok := b.write.pages[pageIdx]
-	if !ok || pg.present[slot/64]&(1<<uint(slot%64)) == 0 {
+	pg := b.write.lookup(pageIdx)
+	if pg == nil || pg.present[slot/64]&(1<<uint(slot%64)) == 0 {
 		return nil, nil
 	}
 	off := slot * mem.Word
@@ -206,8 +212,10 @@ func (b *bitmapBuffer) Store(p mem.Addr, size int, v uint64) Status {
 		pg.present[slot/64] |= 1 << uint(slot%64)
 		b.write.words++
 		if size < mem.Word {
-			// First touch of a sub-word slot: seed with the arena word.
+			// First touch of a sub-word slot: seed with the arena word and
+			// drop whatever marks the page's previous use left here.
 			binary.LittleEndian.PutUint64(data, b.arena.ReadWord(base))
+			binary.LittleEndian.PutUint64(marks, 0)
 		}
 	}
 	writeLE(data[off:off+size], v, size)
@@ -262,25 +270,21 @@ func rangeMask(bit uint, n int) uint64 {
 // LoadRange performs a buffered read of len(dst)/WORD consecutive words at
 // the word-aligned address p. A contiguous run maps to contiguous slots of
 // at most a few pages, so the hot paths — the whole span missing (first
-// touch) or the whole span present (re-read) — are one page probe, one
-// bitmap splice and one memcpy-style copy per page.
+// touch), present (re-read) or covered by the speculation's own stores — are
+// one page lookup, one bitmap count and one copy per page.
 func (b *bitmapBuffer) LoadRange(p mem.Addr, dst []byte) Status {
 	nWords, ok := rangeGeometry(p, len(dst))
 	if !ok {
 		return Misaligned
 	}
-	if nWords == 0 {
-		return OK
-	}
 	b.C.Loads += uint64(nWords)
-	b.arena.ReadWords(p, dst)
 	for nWords > 0 {
 		pageIdx, slot := b.locate(p)
 		count := b.pageWords - slot
 		if count > nWords {
 			count = nWords
 		}
-		b.loadPageRange(pageIdx, slot, count, dst[:count*mem.Word])
+		b.loadPageRange(p, pageIdx, slot, count, dst[:count*mem.Word])
 		p += mem.Addr(count * mem.Word)
 		dst = dst[count*mem.Word:]
 		nWords -= count
@@ -288,42 +292,57 @@ func (b *bitmapBuffer) LoadRange(p mem.Addr, dst []byte) Status {
 	return OK
 }
 
-// loadPageRange resolves count words of one page: present read-set words
-// overwrite dst with their snapshots, missing words are snapshotted from
-// the arena bytes already sitting in dst, and write-set bytes overlay
-// last.
-func (b *bitmapBuffer) loadPageRange(pageIdx uint64, slot, count int, dst []byte) {
+// loadPageRange resolves count words of one page, starting at address p,
+// exactly as a word-at-a-time Load loop would. Three whole-span shapes are
+// one copy each; anything mixed takes the per-word merge.
+func (b *bitmapBuffer) loadPageRange(p mem.Addr, pageIdx uint64, slot, count int, dst []byte) {
+	off, end := slot*mem.Word, (slot+count)*mem.Word
+	wpg := b.write.lookup(pageIdx)
+	written := 0
+	if wpg != nil {
+		written = countBitRange(wpg.present, slot, count)
+	}
+	if written == count && (!b.anyPartial || allMarkedWords(wpg.mark[off:end])) {
+		// The speculation's own stores cover the span (fft's in-place
+		// butterflies): served from the write shadow, the read set and the
+		// arena stay out of it.
+		b.C.ReadSetHits += uint64(count)
+		copy(dst, wpg.data[off:end])
+		return
+	}
 	rpg := b.read.page(b, pageIdx, false)
-	wpg := b.write.pages[pageIdx] // one probe per page, not per word
-	off := slot * mem.Word
-	if wpg == nil {
+	if written == 0 {
 		switch countBitRange(rpg.present, slot, count) {
-		case 0: // whole span untouched: snapshot the arena bytes in one splice
-			copy(rpg.data[off:off+count*mem.Word], dst)
+		case 0: // whole span untouched: snapshot the arena words in one splice
+			b.arena.ReadWords(p, rpg.data[off:end])
 			b.read.words += setBitRange(rpg.present, slot, count)
+			copy(dst, rpg.data[off:end])
 			return
 		case count: // whole span buffered: serve the snapshots in one splice
 			b.C.ReadSetHits += uint64(count)
-			copy(dst, rpg.data[off:off+count*mem.Word])
+			copy(dst, rpg.data[off:end])
 			return
 		}
 	}
+	// Mixed span: present read-set words overwrite dst with their snapshots,
+	// missing words are snapshotted from the arena bytes sitting in dst, and
+	// write-set bytes overlay last.
+	b.arena.ReadWords(p, dst)
 	for k := 0; k < count; k++ {
 		s := slot + k
 		wi, bit := s/64, uint64(1)<<uint(s%64)
+		wordOff := s * mem.Word
 		out := dst[k*mem.Word : (k+1)*mem.Word]
 		var wData, wMarks []byte
 		if wpg != nil && wpg.present[wi]&bit != 0 {
-			woff := s * mem.Word
-			wData, wMarks = wpg.data[woff:woff+mem.Word], wpg.mark[woff:woff+mem.Word]
+			wData, wMarks = wpg.data[wordOff:wordOff+mem.Word], wpg.mark[wordOff:wordOff+mem.Word]
 			if allMarked8(wMarks) {
 				b.C.ReadSetHits++
 				copy(out, wData)
 				continue
 			}
 		}
-		roff := s * mem.Word
-		rWord := rpg.data[roff : roff+mem.Word]
+		rWord := rpg.data[wordOff : wordOff+mem.Word]
 		if rpg.present[wi]&bit != 0 {
 			b.C.ReadSetHits++
 			copy(out, rWord)
@@ -481,7 +500,7 @@ func (b *bitmapBuffer) Commit(mark func(base mem.Addr, nBytes int)) {
 	})
 }
 
-// Finalize clears both sets in time proportional to the words buffered.
+// Finalize clears both sets in time proportional to the pages touched.
 func (b *bitmapBuffer) Finalize() {
 	b.read.reset()
 	b.write.reset()

@@ -1,6 +1,7 @@
 package gbuf
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -266,4 +267,104 @@ func TestBulkValidationDetectsConflict(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestLoadRangeOwnWrites: a range load wholly covered by the speculation's
+// own StoreRange/StoreFill returns the written bytes and stays out of the
+// read set, so the speculation still validates after the arena words
+// underneath change.
+func TestLoadRangeOwnWrites(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, cfg Config) {
+		arena := newSeededArena(t, rand.New(rand.NewSource(3)))
+		be, err := NewBackend(arena, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Words 40..169: a 100-word StoreRange then a 30-word StoreFill, over
+		// three 64-word bitmap pages.
+		const base, nRange, nFill = mem.Addr(40 * mem.Word), 100, 30
+		const fill = uint64(0xA5A5_5A5A_0F0F_F0F0)
+		want := make([]byte, (nRange+nFill)*mem.Word)
+		rand.New(rand.NewSource(4)).Read(want[:nRange*mem.Word])
+		for w := nRange; w < nRange+nFill; w++ {
+			binary.LittleEndian.PutUint64(want[w*mem.Word:], fill)
+		}
+		if st := be.StoreRange(base, want[:nRange*mem.Word]); st != OK {
+			t.Fatal(st)
+		}
+		if st := be.StoreFill(base+nRange*mem.Word, nFill, fill); st != OK {
+			t.Fatal(st)
+		}
+		// The whole span, and a piece from inside it.
+		for _, span := range [][2]int{{0, nRange + nFill}, {70, 50}} {
+			got := make([]byte, span[1]*mem.Word)
+			if st := be.LoadRange(base+mem.Addr(span[0]*mem.Word), got); st != OK {
+				t.Fatal(st)
+			}
+			if !bytes.Equal(got, want[span[0]*mem.Word:][:len(got)]) {
+				t.Fatalf("span %v: loaded bytes are not the stored ones", span)
+			}
+		}
+		if be.ReadSetSize() != 0 {
+			t.Fatalf("own-write loads put %d words in the read set", be.ReadSetSize())
+		}
+		if c := be.Counters(); c.Loads != nRange+nFill+50 || c.ReadSetHits != c.Loads {
+			t.Fatalf("counters %+v: every load must count as a hit", *c)
+		}
+		for w := 0; w < nRange+nFill; w++ {
+			p := base + mem.Addr(w*mem.Word)
+			arena.WriteWord(p, ^arena.ReadWord(p))
+		}
+		if !be.Validate() {
+			t.Fatal("validation failed although nothing was read from memory")
+		}
+	})
+}
+
+// TestLoadRangeStraddleMatchesWordLoop: one range load over words the
+// speculation has stored whole, stored in part, already read and never
+// touched equals the word-at-a-time loop in bytes, sets and counters.
+func TestLoadRangeStraddleMatchesWordLoop(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, cfg Config) {
+		arenaBulk := newSeededArena(t, rand.New(rand.NewSource(5)))
+		arenaRef := cloneArena(t, arenaBulk)
+		bulk, err := NewBackend(arenaBulk, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := NewBackend(arenaRef, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := func(word int) mem.Addr { return mem.Addr(word * mem.Word) }
+		src := make([]byte, 20*mem.Word)
+		rand.New(rand.NewSource(6)).Read(src)
+		for _, be := range []Backend{bulk, ref} {
+			be.StoreRange(at(10), src)       // words 10..29 stored whole
+			be.Store(at(35)+2, 2, 0xBEEF)    // word 35: two bytes marked
+			be.Store(at(36), 4, 0xDEADBEEF)  // word 36: the low half marked
+			be.Load(at(40), mem.Word)        // word 40 already snapshotted
+			be.StoreFill(at(60), 10, 0x1234) // words 60..69, over the page border at 64
+			be.Store(at(62)+7, 1, 0x77)      // a sub-word store onto a full word
+		}
+		// {first word, words}: all of it; stored only; untouched only; the
+		// partial words with neighbours; read and stored across the border.
+		for _, span := range [][2]int{{5, 70}, {10, 20}, {30, 5}, {34, 4}, {38, 30}, {5, 70}} {
+			d1 := make([]byte, span[1]*mem.Word)
+			d2 := make([]byte, span[1]*mem.Word)
+			s1 := bulk.LoadRange(at(span[0]), d1)
+			s2 := refLoadRange(ref, at(span[0]), d2)
+			if s1 != s2 || !bytes.Equal(d1, d2) {
+				t.Fatalf("span %v: range (%v, %x)\n word loop (%v, %x)", span, s1, d1, s2, d2)
+			}
+			sameSets(t, bulk, ref, fmt.Sprintf("after span %v", span))
+		}
+		// Word 31 was read from memory (span {30, 5}): changing it must fail
+		// both validations.
+		arenaBulk.WriteWord(at(31), ^arenaBulk.ReadWord(at(31)))
+		arenaRef.WriteWord(at(31), ^arenaRef.ReadWord(at(31)))
+		if bulk.Validate() || ref.Validate() {
+			t.Fatal("a changed read word went unnoticed")
+		}
+	})
 }

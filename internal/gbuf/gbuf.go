@@ -16,7 +16,9 @@
 // offers: the Backend interface abstracts the buffering contract, and a
 // registry of named constructors ("openaddr" — this file's Buffer —
 // "chain" and "bitmap") lets the runtime select the organization per run.
-// See backend.go, chain.go and bitmap.go.
+// The runtime's default is "bitmap" (page shadows, bitmap.go), which the
+// wall-clock ladder measures cheapest; "openaddr" is how to run the paper's
+// organization. See backend.go, chain.go and bitmap.go.
 package gbuf
 
 import (
@@ -127,20 +129,15 @@ func (m *hashMap) word(i int) []byte { return m.buf[i*mem.Word : i*mem.Word+mem.
 func (m *hashMap) markWord(i int) []byte { return m.mark[i*mem.Word : i*mem.Word+mem.Word] }
 
 // reset clears exactly the used slots (the offsets-stack trick that keeps
-// finalization proportional to the data touched, not the map size).
+// finalization proportional to the data touched, not the map size). The
+// data word needs no scrubbing: addrs guards it, and every claim of a slot
+// writes the whole word. Marks do — a sub-word store sets only its bytes.
 func (m *hashMap) reset() {
 	for k := 0; k < m.top; k++ {
-		i := m.used[k]
+		i := int(m.used[k])
 		m.addrs[i] = mem.NilAddr
-		w := m.word(int(i))
-		for b := range w {
-			w[b] = 0
-		}
 		if m.mark != nil {
-			mw := m.markWord(int(i))
-			for b := range mw {
-				mw[b] = 0
-			}
+			binary.LittleEndian.PutUint64(m.markWord(i), 0)
 		}
 	}
 	m.top = 0
@@ -183,11 +180,11 @@ type Buffer struct {
 // zero fields; the constructors themselves (New, NewBackend) take every
 // field literally and only validate it.
 type Config struct {
-	// Backend names the buffering organization: "openaddr" (the paper's
-	// static open-addressing maps, the default), "chain" (dynamically
-	// chained buckets, never parks on conflicts) or "bitmap" (per-page
-	// word-granularity sets with lazy page allocation). Empty selects
-	// DefaultBackend.
+	// Backend names the buffering organization: "bitmap" (per-page shadows
+	// with word-granularity presence bitmaps and lazy page allocation, the
+	// default), "openaddr" (the paper's static open-addressing maps) or
+	// "chain" (dynamically chained buckets, never parks on conflicts).
+	// Empty selects DefaultBackend.
 	Backend string
 
 	// LogWords sizes the openaddr maps: 1<<LogWords words each.
@@ -208,9 +205,8 @@ type Config struct {
 	PageWords int
 }
 
-// DefaultConfig returns the size used by the benchmarks: the openaddr
-// backend with 2^16 words (512 KiB of buffered data per set) and 64
-// overflow slots.
+// DefaultConfig returns the default backend with every backend's default
+// sizing filled in (see WithDefaults).
 func DefaultConfig() Config { return Config{}.WithDefaults() }
 
 // NoOverflow as OverflowCap requests a buffer with no overflow parking at

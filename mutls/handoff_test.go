@@ -1,6 +1,7 @@
 package mutls_test
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -119,9 +120,13 @@ func TestStencilPipelineRarelyParks(t *testing.T) {
 	// two threads do not each have a core (go test runs package binaries
 	// side by side), every wait outlasts the budget, and parking is then
 	// the right thing to do. Only runs bracketed by two clean parallelism
-	// probes count, and the best of them is what the runtime can do.
+	// probes count, and the best of them is what the runtime can do. A
+	// probe can be clean around a run that was not, so one or two clean
+	// runs prove nothing either way: the verdict needs three.
+	const wantClean = 3
 	best, joins, clean := 1.0, 0, 0
-	for attempt := 0; attempt < 8 && best >= 0.10; attempt++ {
+	var probes []string
+	for attempt := 0; attempt < 32 && (clean < wantClean || best >= 0.10); attempt++ {
 		before := hostParallelism()
 		if _, err := rt.Run(func(th *mutls.Thread) {
 			got = bench.Stencil.Spec(th, size, bench.SpecOptions{Model: bench.Stencil.DefaultModel})
@@ -137,18 +142,22 @@ func TestStencilPipelineRarelyParks(t *testing.T) {
 		if joins == 0 {
 			t.Fatal("the pipeline never speculated")
 		}
-		if before < 1.6 || hostParallelism() < 1.6 {
+		after := hostParallelism()
+		share := float64(s.HandoffParks) / float64(joins)
+		probes = append(probes, fmt.Sprintf("%.2f/%.2f: %.0f%%", before, after, 100*share))
+		if before < 1.6 || after < 1.6 {
 			continue
 		}
 		clean++
-		if share := float64(s.HandoffParks) / float64(joins); share < best {
+		if share < best {
 			best = share
 		}
 	}
-	if clean == 0 {
-		t.Skip("the host never gave this process two free cores")
+	readings := fmt.Sprintf("host parallelism before/after each run and its park share: %v", probes)
+	if clean < wantClean {
+		t.Skipf("the host gave this process two free cores on %d of %d runs, need %d; %s", clean, len(probes), wantClean, readings)
 	}
-	t.Logf("best run parked on %.1f%% of %d joins", 100*best, joins)
+	t.Logf("best of %d clean runs parked on %.1f%% of %d joins; %s", clean, 100*best, joins, readings)
 	if best >= 0.10 {
 		t.Fatalf("best run parked on %.0f%% of %d joins, want under 10%%", 100*best, joins)
 	}

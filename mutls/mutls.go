@@ -173,8 +173,9 @@ type Options struct {
 	StackBytes  int
 
 	// Buffering selects and sizes the per-CPU GlobalBuffer backend
-	// (openaddr, chain or bitmap). The zero value selects the openaddr
-	// backend with default sizing.
+	// (bitmap, openaddr or chain). The zero value selects the bitmap
+	// backend with default sizing; Backend: "openaddr" runs the paper's
+	// organization.
 	Buffering Buffering
 
 	// RegSlots and StackSlots size the per-CPU LocalBuffer frames.

@@ -45,7 +45,7 @@ func TestPollEveryStopsParkedThreads(t *testing.T) {
 	const n = 512
 	rt, err := mutls.New(mutls.Options{
 		CPUs: 4, HeapBytes: 1 << 20,
-		Buffering: mutls.Buffering{LogWords: logWords, OverflowCap: 64},
+		Buffering: mutls.Buffering{Backend: "openaddr", LogWords: logWords, OverflowCap: 64},
 	})
 	if err != nil {
 		t.Fatal(err)
