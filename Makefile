@@ -7,7 +7,7 @@ GO ?= go
 # checker vocabulary or the gate flaps across versions.
 STATICCHECK_VERSION ?= 2023.1.7
 
-.PHONY: all build test race race-repeat vet vet-fast fmt mutls-vet staticcheck smoke chaos loc
+.PHONY: all build test race race-repeat vet fmt mutls-vet staticcheck smoke chaos loc
 
 # Seed for the deterministic fault-injection sweep; override to replay a
 # failing CI run: `make chaos CHAOS_SEED=<seed from the log>`.
@@ -54,12 +54,6 @@ fmt:
 		exit 1; \
 	fi
 
-# vet-fast skips the interprocedural analyzers (no whole-module effect
-# index): the per-package subset for tight edit loops. CI runs full vet.
-vet-fast: fmt
-	$(GO) vet ./...
-	$(GO) run ./cmd/mutls-vet -fast ./...
-
 # mutls-vet alone (text findings; see also -json and -run <analyzer>).
 mutls-vet:
 	$(GO) run ./cmd/mutls-vet ./...
@@ -84,7 +78,10 @@ chaos:
 	$(GO) run -race ./cmd/mutls-bench -chaos -quick -seed $(CHAOS_SEED)
 
 # loc reports the size ROADMAP aim 2 tracks: non-test Go outside the
-# benchmark and the analyzers' testdata, against the deletion round's target.
+# benchmark and the analyzers' testdata, against the deletion round's
+# target; the second line is the static-analysis suite's share of it.
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l); \
-	echo "non-test Go outside benchmark/ and testdata/: $$n lines (target 16500)"
+	echo "non-test Go outside benchmark/ and testdata/: $$n lines (target 16500)"; \
+	v=$$(find internal/analysis cmd/mutls-vet -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l); \
+	echo "  of which internal/analysis + cmd/mutls-vet: $$v lines"

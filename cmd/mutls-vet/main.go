@@ -1,24 +1,15 @@
 // Command mutls-vet is the multichecker for the mutls speculation
-// contract: it runs the internal/analysis suite (specaccess, specpure,
-// pollcheck, pointleak, leaseleak, atomicmix) over this module's
-// packages.
-//
-// Standalone use:
+// contract: it runs the internal/analysis suite (speccheck, pollcheck,
+// pointleak, leaseleak, atomicmix) over this module's packages. It
+// always loads the packages it is given from source and builds the
+// effect index over all of them at once, so the answer does not depend
+// on how it was invoked.
 //
 //	go run ./cmd/mutls-vet ./...          # whole module (default)
 //	go run ./cmd/mutls-vet -list          # analyzer and code reference
 //	go run ./cmd/mutls-vet -run pollcheck ./mutls/...
 //	go run ./cmd/mutls-vet -json ./...    # machine-readable findings
-//	go run ./cmd/mutls-vet -fast ./...    # per-package analyzers only
 //	go run ./cmd/mutls-vet -timing ./...  # wall time per analyzer
-//
-// It is also usable as a go vet tool:
-//
-//	go vet -vettool=$(pwd)/bin/mutls-vet ./...
-//
-// In that mode the go command invokes the binary once per package with a
-// .cfg file (the unitchecker protocol); diagnostics go to stderr and a
-// non-zero exit fails the vet run.
 //
 // Exit status: 0 when clean, 1 on findings, 2 on usage or load errors.
 // Suppress individual findings with a justified directive:
@@ -32,52 +23,43 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 
-	"repro/internal/analysis"
 	"repro/internal/analysis/driver"
 	"repro/internal/analysis/load"
 )
 
-const version = "mutls-vet version 1.0.0"
-
 func main() {
-	os.Exit(run(os.Args[1:]))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string) int {
-	// go vet -vettool handshake: `mutls-vet -V=full` prints a version
-	// stamp; a trailing *.cfg argument selects unitchecker mode.
-	for _, a := range args {
-		if a == "-V=full" || a == "--V=full" || a == "-V" {
-			fmt.Println(version)
-			return 0
-		}
-		if a == "-flags" || a == "--flags" {
-			// go vet asks which tool flags it may forward; none of the
-			// standard vet analyzers' flags apply to this suite.
-			fmt.Println("[]")
-			return 0
-		}
-	}
-	if n := len(args); n > 0 && strings.HasSuffix(args[n-1], ".cfg") {
-		return unitcheck(args[n-1])
-	}
+// A finding is one diagnostic as -json prints it; File is relative to
+// the module root.
+type finding struct {
+	File     string `json:"file"`
+	Line     int    `json:"line"`
+	Col      int    `json:"col"`
+	Code     string `json:"code"`
+	Message  string `json:"message"`
+	Analyzer string `json:"analyzer"`
+}
 
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("mutls-vet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
 		listFlag   = fs.Bool("list", false, "print the analyzers and their diagnostic codes, then exit")
 		jsonFlag   = fs.Bool("json", false, "emit findings as a JSON array instead of text")
 		testsFlag  = fs.Bool("tests", false, "also analyze _test.go files")
 		runFlag    = fs.String("run", "", "comma-separated analyzer subset (default: all)")
 		dirFlag    = fs.String("C", "", "change to this directory (module root) before loading")
-		fastFlag   = fs.Bool("fast", false, "skip the interprocedural analyzers (no whole-module effect index)")
 		timingFlag = fs.Bool("timing", false, "print per-analyzer wall time to stderr")
 	)
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: mutls-vet [flags] [packages]")
+		fmt.Fprintln(stderr, "usage: mutls-vet [flags] [packages]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -86,7 +68,7 @@ func run(args []string) int {
 
 	if *listFlag {
 		for _, a := range driver.Analyzers() {
-			fmt.Printf("%-12s %s  %s\n", a.Name, strings.Join(a.Codes, ","), a.Doc)
+			fmt.Fprintf(stdout, "%-12s %s  %s\n", a.Name, strings.Join(a.Codes, ","), a.Doc)
 		}
 		return 0
 	}
@@ -97,100 +79,75 @@ func run(args []string) int {
 	}
 	analyzers, err := driver.ByName(names)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mutls-vet:", err)
+		fmt.Fprintln(stderr, "mutls-vet:", err)
 		return 2
-	}
-	if *fastFlag {
-		analyzers = driver.Fast(analyzers)
 	}
 
 	root := *dirFlag
 	if root == "" {
 		root, err = findModuleRoot()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "mutls-vet:", err)
+			fmt.Fprintln(stderr, "mutls-vet:", err)
 			return 2
 		}
 	}
 	l, err := load.New(root)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mutls-vet:", err)
+		fmt.Fprintln(stderr, "mutls-vet:", err)
 		return 2
 	}
 	l.IncludeTests = *testsFlag
 
-	patterns := fs.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	pkgs, err := l.Patterns(patterns)
+	pkgs, err := l.Patterns(fs.Args()) // none: the whole module
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mutls-vet:", err)
+		fmt.Fprintln(stderr, "mutls-vet:", err)
 		return 2
 	}
 	for _, pkg := range pkgs {
 		for _, terr := range pkg.TypeErrors {
-			fmt.Fprintf(os.Stderr, "mutls-vet: %s: %v\n", pkg.Path, terr)
+			fmt.Fprintf(stderr, "mutls-vet: %s: %v\n", pkg.Path, terr)
 		}
 	}
 
-	diags, timings, err := driver.RunTimed(pkgs, analyzers, false)
+	diags, timings, err := driver.Run(pkgs, analyzers)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mutls-vet:", err)
+		fmt.Fprintln(stderr, "mutls-vet:", err)
 		return 2
 	}
 	if *timingFlag {
 		// Stderr so the breakdown composes with -json on stdout; CI tees
 		// it into the job summary.
 		for _, tm := range timings {
-			fmt.Fprintf(os.Stderr, "mutls-vet: timing %-13s %8.1fms\n", tm.Name, float64(tm.Elapsed.Microseconds())/1000)
+			fmt.Fprintf(stderr, "mutls-vet: timing %-13s %8.1fms\n", tm.Name, float64(tm.Elapsed.Microseconds())/1000)
 		}
 	}
 
+	out := make([]finding, 0, len(diags))
+	for _, d := range diags {
+		p := d.Position(l.Fset)
+		rel, err := filepath.Rel(root, p.Filename)
+		if err != nil {
+			rel = p.Filename
+		}
+		out = append(out, finding{rel, p.Line, p.Column, d.Code, d.Message, d.Analyzer})
+	}
 	if *jsonFlag {
-		type finding struct {
-			File     string `json:"file"`
-			Line     int    `json:"line"`
-			Col      int    `json:"col"`
-			Code     string `json:"code"`
-			Message  string `json:"message"`
-			Analyzer string `json:"analyzer"`
-		}
-		out := make([]finding, 0, len(diags))
-		for _, d := range diags {
-			p := d.Position(l.Fset)
-			rel, err := filepath.Rel(root, p.Filename)
-			if err != nil {
-				rel = p.Filename
-			}
-			out = append(out, finding{rel, p.Line, p.Column, d.Code, d.Message, d.Analyzer})
-		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, "mutls-vet:", err)
+			fmt.Fprintln(stderr, "mutls-vet:", err)
 			return 2
 		}
 	} else {
-		for _, d := range diags {
-			fmt.Println(relFormat(root, l, d))
+		for _, f := range out {
+			fmt.Fprintf(stdout, "%s:%d:%d: %s: %s (%s)\n", f.File, f.Line, f.Col, f.Code, f.Message, f.Analyzer)
 		}
 	}
 	if len(diags) > 0 {
-		fmt.Fprintf(os.Stderr, "mutls-vet: %d finding(s)\n", len(diags))
+		fmt.Fprintf(stderr, "mutls-vet: %d finding(s)\n", len(diags))
 		return 1
 	}
 	return 0
-}
-
-// relFormat renders a diagnostic with a root-relative path.
-func relFormat(root string, l *load.Loader, d analysis.Diagnostic) string {
-	p := d.Position(l.Fset)
-	rel, err := filepath.Rel(root, p.Filename)
-	if err != nil {
-		rel = p.Filename
-	}
-	return fmt.Sprintf("%s:%d:%d: %s: %s (%s)", rel, p.Line, p.Column, d.Code, d.Message, d.Analyzer)
 }
 
 // findModuleRoot walks up from the working directory to the nearest

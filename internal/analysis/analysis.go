@@ -8,8 +8,16 @@
 // conceptual API (Analyzer, Pass, Diagnostic, an analysistest-style golden
 // harness under internal/analysis/analysistest, and a multichecker driver
 // in cmd/mutls-vet) without the facts/vetx machinery this suite does not
-// need. Analyzers written against it port to the real go/analysis API
-// mechanically if the dependency ever becomes available.
+// need.
+//
+// The suite runs one way: internal/analysis/driver loads the whole module,
+// builds what the analyzers share once — the interprocedural effect index
+// (internal/analysis/effects) over every package, and each package's
+// speculative-kernel index (internal/analysis/kernel) — and hands both to
+// every Pass. The analyzers are kernel.Speccheck and kernel.Pollcheck
+// (what a kernel body may touch, and whether its loops reach a check
+// point), pairing.Pointleak and pairing.Leaseleak (acquire/release on
+// every path, over internal/analysis/cfg and dataflow), and atomicmix.
 //
 // Suppression: a diagnostic is silenced by a
 //
@@ -26,6 +34,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+
+	"repro/internal/analysis/effects"
 )
 
 // An Analyzer describes one static check of the mutls speculation
@@ -38,11 +48,6 @@ type Analyzer struct {
 	// Codes lists the diagnostic codes the analyzer can emit, for -list
 	// and the README table.
 	Codes []string
-	// NeedsInter marks analyzers that consume the interprocedural effect
-	// index (Pass.Inter). The driver builds the index once per batch when
-	// any selected analyzer needs it; fast mode (mutls-vet -fast) drops
-	// these analyzers instead.
-	NeedsInter bool
 	// Run executes the check over one package and reports through
 	// pass.Report.
 	Run func(*Pass) error
@@ -60,13 +65,27 @@ type Pass struct {
 	// filtering and output formatting here.
 	Report func(Diagnostic)
 
-	// Inter carries the cross-package analysis state for analyzers with
-	// NeedsInter — concretely an *effects.Index built over every package
-	// in the batch (typed as any to keep this package dependency-free).
-	// It is nil when the driver could not see the whole module (the go
-	// vet unitchecker protocol runs one package at a time) or in fast
-	// mode; consumers must degrade to per-package scope then.
-	Inter any
+	// Effects is the effect index over every package of the batch, so a
+	// helper chain that crosses packages resolves.
+	Effects *effects.Index
+	// Kernels lists the package's speculative kernels, discovered once
+	// by the driver (kernel.Find) for every analyzer that asks about them.
+	Kernels []Kernel
+}
+
+// A Kernel is one closure whose body runs as a speculative region. Every
+// listed kernel stands for itself: "captured" means declared outside
+// Lit's extent, and a closure declared inside a kernel is part of that
+// kernel's body, not a kernel of its own.
+type Kernel struct {
+	Lit *ast.FuncLit
+	// NeedsPoll reports that the region follows the chunk/token protocol
+	// (For/ForRange/Reduce*/Pipeline, whose join can commit a stopped
+	// chunk's prefix) and its driver does not poll on its behalf, so the
+	// loops in the body must reach a check point themselves. Tree.Body
+	// regions are joined whole and a ForRange with PollEvery polls between
+	// sub-steps; neither needs it.
+	NeedsPoll bool
 }
 
 // Reportf reports a diagnostic at pos with the given code.
@@ -92,8 +111,7 @@ func (d Diagnostic) Position(fset *token.FileSet) token.Position {
 	return fset.Position(d.Pos)
 }
 
-// String formats the diagnostic in the file:line:col: CODE: message form
-// used by cmd/mutls-vet.
+// Format renders the diagnostic in the file:line:col: CODE: message form.
 func (d Diagnostic) Format(fset *token.FileSet) string {
 	p := fset.Position(d.Pos)
 	return fmt.Sprintf("%s:%d:%d: %s: %s (%s)", p.Filename, p.Line, p.Column, d.Code, d.Message, d.Analyzer)

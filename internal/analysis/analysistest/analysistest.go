@@ -69,7 +69,7 @@ func Run(t *testing.T, a *analysis.Analyzer, dir string) {
 		t.FailNow()
 	}
 
-	diags, err := driver.Run([]*load.Package{pkg}, []*analysis.Analyzer{a}, false)
+	diags, _, err := driver.Run([]*load.Package{pkg}, []*analysis.Analyzer{a})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,6 +34,7 @@ import (
 	"go/types"
 
 	"repro/internal/analysis"
+	"repro/internal/analysis/effects"
 )
 
 // Diagnostic codes.
@@ -89,7 +90,14 @@ func checkMixed(pass *analysis.Pass) {
 				if !ok || un.Op != token.AND {
 					continue
 				}
-				if v := baseVar(info, un.X); v != nil {
+				// The variable actually operated on: the field a path
+				// ends in (x.f, x.f[i]), else the variable it starts at.
+				acc := effects.Resolve(info, un.X)
+				v := acc.Field
+				if v == nil {
+					v = acc.Base
+				}
+				if v != nil {
 					if _, seen := atomicObjs[v]; !seen {
 						atomicObjs[v] = access{arg.Pos(), pass.Fset.Position(arg.Pos()).Line}
 					}
@@ -167,33 +175,18 @@ type span struct{ lo, hi token.Pos }
 // isSyncAtomicCall reports whether call invokes a sync/atomic function
 // (the address-taking style: atomic.AddInt64(&x, 1)).
 func isSyncAtomicCall(info *types.Info, call *ast.CallExpr) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	fn, ok := info.Uses[sel.Sel].(*types.Func)
-	return ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" && fn.Type().(*types.Signature).Recv() == nil
+	fn := calleeIn(info, call, "sync/atomic")
+	return fn != nil && fn.Type().(*types.Signature).Recv() == nil
 }
 
-// baseVar resolves the variable at the base of an lvalue path
-// (x, x.f, x[i], x.f[i] → the field or variable actually indexed).
-func baseVar(info *types.Info, e ast.Expr) *types.Var {
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			v, _ := info.Uses[x].(*types.Var)
-			return v
-		case *ast.SelectorExpr:
-			v, _ := info.Uses[x.Sel].(*types.Var)
-			return v
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		default:
-			return nil
-		}
+// calleeIn resolves call's static callee when it is declared in the
+// package at path, and nil otherwise.
+func calleeIn(info *types.Info, call *ast.CallExpr, path string) *types.Func {
+	fn := effects.CalleeFunc(info, call)
+	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != path {
+		return nil
 	}
+	return fn
 }
 
 // --- ATOM002/ATOM003: waitGate wake ordering ---
@@ -247,11 +240,7 @@ func waiterCounts(pass *analysis.Pass) map[*types.Struct]*types.Var {
 // sync/atomic value type to the field's variable.
 func atomicField(info *types.Info, call *ast.CallExpr) *types.Var {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	fn, ok := info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
+	if !ok || calleeIn(info, call, "sync/atomic") == nil {
 		return nil
 	}
 	field, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
@@ -390,16 +379,8 @@ func methodName(call *ast.CallExpr) string {
 
 // isCondMethod reports whether call is a method of sync.Cond.
 func isCondMethod(info *types.Info, call *ast.CallExpr) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	fn, ok := info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	return ok && sig.Recv() != nil
+	fn := calleeIn(info, call, "sync")
+	return fn != nil && fn.Type().(*types.Signature).Recv() != nil
 }
 
 // isGateMethod reports whether call is a method named wake on a struct
@@ -435,15 +416,9 @@ func gateStruct(t types.Type) *types.Struct {
 // isAtomicValueMethod reports whether call is a mutating method of an
 // atomic.Int64-style value (Store/Add/Swap/CompareAndSwap/Or/And).
 func isAtomicValueMethod(info *types.Info, call *ast.CallExpr) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	switch sel.Sel.Name {
+	switch methodName(call) {
 	case "Store", "Add", "Swap", "CompareAndSwap", "Or", "And":
-	default:
-		return false
+		return calleeIn(info, call, "sync/atomic") != nil
 	}
-	fn, ok := info.Uses[sel.Sel].(*types.Func)
-	return ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic"
+	return false
 }

@@ -1,27 +1,16 @@
-// Package dataflow is a generic worklist solver over internal/analysis/cfg
-// graphs. A client describes its lattice (bottom, join, equality), a
-// per-block transfer function, and optionally a per-edge transfer (used
-// for condition-sensitive facts like "the nil check failed on this
-// edge"); Solve iterates to the fixed point and returns the in/out fact
-// of every block.
+// Package dataflow is a generic forward worklist solver over
+// internal/analysis/cfg graphs. A client describes its lattice (bottom,
+// join, equality), a per-block transfer function, and optionally a
+// per-edge transfer (used for condition-sensitive facts like "the nil
+// check failed on this edge"); Solve iterates to the fixed point and
+// returns the in/out fact of every block.
 package dataflow
 
 import "repro/internal/analysis/cfg"
 
-// Direction selects forward (entry→exit) or backward (exit→entry)
-// propagation.
-type Direction int
-
-const (
-	Forward Direction = iota
-	Backward
-)
-
-// Problem describes one dataflow analysis over fact type F.
+// Problem describes one forward dataflow analysis over fact type F.
 type Problem[F any] struct {
-	Dir Direction
-	// Boundary is the fact at the graph boundary: the entry block's in
-	// fact (Forward) or the exit block's out fact (Backward).
+	// Boundary is the entry block's in fact.
 	Boundary F
 	// Bottom returns the identity of Join — the initial fact of every
 	// other block.
@@ -31,18 +20,15 @@ type Problem[F any] struct {
 	Join func(a, b F) F
 	// Equal reports whether two facts are equal (fixed-point test).
 	Equal func(a, b F) bool
-	// Transfer computes the block's out fact (Forward) or in fact
-	// (Backward) from the opposite side.
+	// Transfer computes the block's out fact from its in fact.
 	Transfer func(b *cfg.Block, in F) F
 	// EdgeTransfer, when non-nil, refines the fact flowing along the
-	// edge from b to b.Succs[succIdx] (Forward only; ignored Backward).
-	// It runs after Transfer.
+	// edge from b to b.Succs[succIdx]. It runs after Transfer.
 	EdgeTransfer func(b *cfg.Block, succIdx int, out F) F
 }
 
 // Result holds the solved facts, indexed by Block.Index: In[i] is the
-// fact on entry to block i, Out[i] on exit (in execution order,
-// regardless of Dir).
+// fact on entry to block i, Out[i] on exit.
 type Result[F any] struct {
 	In, Out []F
 }
@@ -66,75 +52,36 @@ func Solve[F any](g *cfg.Graph, p Problem[F]) Result[F] {
 		}
 	}
 
-	if p.Dir == Forward {
-		res.In[0] = p.Boundary
-		// Seed in reverse postorder so most facts settle in one pass.
-		for _, b := range postorder(g) {
-			push(b)
-		}
-		for len(work) > 0 {
-			b := work[len(work)-1]
-			work = work[:len(work)-1]
-			inWork[b.Index] = false
-
-			if b.Index != 0 {
-				in := p.Bottom()
-				for _, pr := range preds[b.Index] {
-					in = p.Join(in, edgeFact(p, pr, b, res.Out[pr.Index]))
-				}
-				res.In[b.Index] = in
-			}
-			out := p.Transfer(b, res.In[b.Index])
-			if p.Equal(out, res.Out[b.Index]) {
-				continue
-			}
-			res.Out[b.Index] = out
-			for _, s := range b.Succs {
-				push(s)
-			}
-		}
-		return res
-	}
-
-	// Backward.
-	res.Out[g.Exit.Index] = p.Boundary
-	for i := n - 1; i >= 0; i-- {
-		push(g.Blocks[i])
+	res.In[0] = p.Boundary
+	// Seed in reverse postorder so most facts settle in one pass.
+	for _, b := range postorder(g) {
+		push(b)
 	}
 	for len(work) > 0 {
 		b := work[len(work)-1]
 		work = work[:len(work)-1]
 		inWork[b.Index] = false
 
-		if b != g.Exit {
-			out := p.Bottom()
-			for _, s := range b.Succs {
-				out = p.Join(out, res.In[s.Index])
+		if b.Index != 0 {
+			in := p.Bottom()
+			for _, pr := range preds[b.Index] {
+				in = p.Join(in, edgeFact(p, pr, b, res.Out[pr.Index]))
 			}
-			res.Out[b.Index] = out
+			res.In[b.Index] = in
 		}
-		in := p.Transfer(b, res.Out[b.Index])
-		if p.Equal(in, res.In[b.Index]) {
+		out := p.Transfer(b, res.In[b.Index])
+		if p.Equal(out, res.Out[b.Index]) {
 			continue
 		}
-		res.In[b.Index] = in
-		for _, pr := range preds[b.Index] {
-			push(pr)
+		res.Out[b.Index] = out
+		for _, s := range b.Succs {
+			push(s)
 		}
 	}
 	return res
 }
 
-// EdgeFact returns the fact flowing along the from→from.Succs[succIdx]
-// edge given from's out fact, applying EdgeTransfer if set. Clients use
-// it when re-walking a solved graph to report diagnostics.
-func EdgeFact[F any](p Problem[F], from *cfg.Block, succIdx int, out F) F {
-	if p.EdgeTransfer != nil {
-		return p.EdgeTransfer(from, succIdx, out)
-	}
-	return out
-}
-
+// edgeFact returns the fact flowing from from's out fact into to.
 func edgeFact[F any](p Problem[F], from, to *cfg.Block, out F) F {
 	if p.EdgeTransfer == nil {
 		return out

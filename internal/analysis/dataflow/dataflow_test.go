@@ -50,7 +50,6 @@ func gen(b *cfg.Block) uint32 {
 
 func mayProblem() Problem[uint32] {
 	return Problem[uint32]{
-		Dir:      Forward,
 		Boundary: 0,
 		Bottom:   func() uint32 { return 0 },
 		Join:     func(a, b uint32) uint32 { return a | b },
@@ -84,7 +83,6 @@ func TestForwardMayAssign(t *testing.T) {
 func TestForwardMustAssign(t *testing.T) {
 	// Must-analysis: Join is intersection, bottom is the full set (top).
 	p := Problem[uint32]{
-		Dir:      Forward,
 		Boundary: 0,
 		Bottom:   func() uint32 { return ^uint32(0) },
 		Join:     func(a, b uint32) uint32 { return a & b },
@@ -160,70 +158,6 @@ func TestEdgeTransfer(t *testing.T) {
 	if exitIn&bit("z") == 0 {
 		t.Errorf("z joins into exit via the then path")
 	}
-}
-
-func TestBackwardLiveness(t *testing.T) {
-	// Minimal liveness: use of a single-letter ident (outside assignment
-	// LHS) generates; assignment kills. Backward may-analysis.
-	p := Problem[uint32]{
-		Dir:      Backward,
-		Boundary: 0,
-		Bottom:   func() uint32 { return 0 },
-		Join:     func(a, b uint32) uint32 { return a | b },
-		Equal:    func(a, b uint32) bool { return a == b },
-		Transfer: func(b *cfg.Block, out uint32) uint32 {
-			live := out
-			// Walk nodes in reverse execution order.
-			for i := len(b.Nodes) - 1; i >= 0; i-- {
-				switch n := b.Nodes[i].(type) {
-				case *ast.AssignStmt:
-					for _, lhs := range n.Lhs {
-						if id, ok := lhs.(*ast.Ident); ok {
-							live &^= bit(id.Name)
-						}
-					}
-					for _, rhs := range n.Rhs {
-						live |= uses(rhs)
-					}
-				default:
-					live |= uses(n)
-				}
-			}
-			return live
-		},
-	}
-	g := build(t, `
-		a := input()
-		for cond() {
-			use(a)
-		}
-		a = 0
-		_ = a
-	`)
-	res := Solve(g, p)
-	// a is live at function entry? No: it's assigned first. But it IS
-	// live on entry to the loop head.
-	for _, b := range g.Blocks {
-		if b.Comment() == "for.head" {
-			if res.In[b.Index]&bit("a") == 0 {
-				t.Errorf("a must be live entering the loop head (used in body)")
-			}
-		}
-	}
-	if res.In[0]&bit("a") != 0 {
-		t.Errorf("a is dead at entry (assigned before first use)")
-	}
-}
-
-func uses(n ast.Node) uint32 {
-	var u uint32
-	ast.Inspect(n, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			u |= bit(id.Name)
-		}
-		return true
-	})
-	return u
 }
 
 func TestUnreachableStaysBottom(t *testing.T) {

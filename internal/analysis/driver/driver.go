@@ -11,40 +11,24 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/analysis/atomicmix"
 	"repro/internal/analysis/effects"
-	"repro/internal/analysis/leaseleak"
+	"repro/internal/analysis/kernel"
 	"repro/internal/analysis/load"
-	"repro/internal/analysis/pointleak"
-	"repro/internal/analysis/pollcheck"
-	"repro/internal/analysis/specaccess"
-	"repro/internal/analysis/specpure"
+	"repro/internal/analysis/pairing"
 )
 
 // Analyzers returns the full mutls-vet suite in reporting order.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		specaccess.Analyzer,
-		specpure.Analyzer,
-		pollcheck.Analyzer,
-		pointleak.Analyzer,
-		leaseleak.Analyzer,
+		kernel.Speccheck,
+		kernel.Pollcheck,
+		pairing.Pointleak,
+		pairing.Leaseleak,
 		atomicmix.Analyzer,
 	}
 }
 
-// Fast filters out the analyzers that need the interprocedural effect
-// index (mutls-vet -fast / make vet-fast): the remaining suite is purely
-// per-package and skips the whole-batch summary fixpoint.
-func Fast(analyzers []*analysis.Analyzer) []*analysis.Analyzer {
-	var out []*analysis.Analyzer
-	for _, a := range analyzers {
-		if !a.NeedsInter {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// ByName resolves a comma-separated selection against the suite.
+// ByName resolves a selection of analyzer names against the suite; an
+// empty selection is the whole suite.
 func ByName(names []string) ([]*analysis.Analyzer, error) {
 	all := Analyzers()
 	if len(names) == 0 {
@@ -65,84 +49,63 @@ func ByName(names []string) ([]*analysis.Analyzer, error) {
 	return out, nil
 }
 
-// A Timing records one analyzer's total wall time across the batch. The
-// synthetic "effects-index" entry charges the interprocedural summary
-// build, which is shared by every NeedsInter analyzer.
+// A Timing records the total wall time of one step across the batch: an
+// analyzer, or one of the two shared indexes ("effects-index", built once
+// over every package, and "kernel-index", built once per package).
 type Timing struct {
 	Name    string
 	Elapsed time.Duration
 }
 
-// Run executes the analyzers over each package and returns the surviving
-// diagnostics (suppressed ones removed unless keepSuppressed), sorted by
-// position.
-func Run(pkgs []*load.Package, analyzers []*analysis.Analyzer, keepSuppressed bool) ([]analysis.Diagnostic, error) {
-	diags, _, err := RunTimed(pkgs, analyzers, keepSuppressed)
-	return diags, err
-}
-
-// RunTimed is Run plus a per-analyzer wall-time breakdown in suite order.
-func RunTimed(pkgs []*load.Package, analyzers []*analysis.Analyzer, keepSuppressed bool) ([]analysis.Diagnostic, []Timing, error) {
-	var timings []Timing
-	elapsed := make(map[string]*time.Duration, len(analyzers)+1)
-	track := func(name string) *time.Duration {
-		if d, ok := elapsed[name]; ok {
-			return d
-		}
-		d := new(time.Duration)
-		elapsed[name] = d
-		timings = append(timings, Timing{Name: name})
-		return d
+// Run executes the analyzers over each package and returns the
+// diagnostics that no //lint:allow directive silences, sorted by
+// position, with the wall-time breakdown in execution order.
+func Run(pkgs []*load.Package, analyzers []*analysis.Analyzer) ([]analysis.Diagnostic, []Timing, error) {
+	timings := make([]Timing, 2, 2+len(analyzers))
+	timings[0].Name, timings[1].Name = "effects-index", "kernel-index"
+	for _, a := range analyzers {
+		timings = append(timings, Timing{Name: a.Name})
 	}
 
-	// Analyzers with NeedsInter share one effect index spanning the whole
-	// batch, so cross-package helper chains resolve. Built lazily: a
-	// selection without such analyzers (fast mode) never pays for it.
-	var inter *effects.Index
-	interFor := func() *effects.Index {
-		if inter != nil {
-			return inter
-		}
-		start := time.Now()
-		srcs := make([]effects.Source, 0, len(pkgs))
-		for _, pkg := range pkgs {
-			srcs = append(srcs, effects.Source{Pkg: pkg.Types, Info: pkg.Info, Files: pkg.Files})
-		}
-		inter = effects.NewIndex(srcs, effects.WithExempt(specpure.Exempt))
-		*track("effects-index") += time.Since(start)
-		return inter
+	// One effect index spans the whole batch, so helper chains that cross
+	// packages resolve.
+	start := time.Now()
+	srcs := make([]effects.Source, 0, len(pkgs))
+	for _, pkg := range pkgs {
+		srcs = append(srcs, effects.Source{Info: pkg.Info, Files: pkg.Files})
 	}
+	fx := effects.NewIndex(srcs, kernel.Exempt)
+	timings[0].Elapsed = time.Since(start)
 
 	var diags []analysis.Diagnostic
 	for _, pkg := range pkgs {
+		start := time.Now()
+		kernels := kernel.Find(pkg.Info, pkg.Files)
+		timings[1].Elapsed += time.Since(start)
+
 		sup := analysis.CollectSuppressions(pkg.Fset, pkg.Files)
-		for _, a := range analyzers {
+		for i, a := range analyzers {
 			pass := &analysis.Pass{
 				Analyzer:  a,
 				Fset:      pkg.Fset,
 				Files:     pkg.Files,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.Info,
-			}
-			if a.NeedsInter {
-				pass.Inter = interFor()
-			}
-			pass.Report = func(d analysis.Diagnostic) {
-				if !keepSuppressed && sup.Suppressed(pkg.Fset, d.Pos, d.Code) {
-					return
-				}
-				diags = append(diags, d)
+				Effects:   fx,
+				Kernels:   kernels,
+				Report: func(d analysis.Diagnostic) {
+					if !sup.Suppressed(pkg.Fset, d.Pos, d.Code) {
+						diags = append(diags, d)
+					}
+				},
 			}
 			start := time.Now()
 			err := a.Run(pass)
-			*track(a.Name) += time.Since(start)
+			timings[2+i].Elapsed += time.Since(start)
 			if err != nil {
 				return nil, nil, fmt.Errorf("%s: %s: %w", pkg.Path, a.Name, err)
 			}
 		}
-	}
-	for i := range timings {
-		timings[i].Elapsed = *elapsed[timings[i].Name]
 	}
 	if len(pkgs) > 0 {
 		// All packages of one loader share a FileSet, so one sort orders

@@ -3,10 +3,17 @@
 // bitset of the irreversible or ordering-sensitive things its execution
 // may do (I/O, channel/lock traffic, shared-state writes, non-idempotent
 // reads), plus which pointer-shaped parameters and receivers it writes
-// through. The specpure analyzer joins these summaries at kernel call
-// sites to find speculation-contract violations that hide behind helper
-// calls — the interprocedural hole a per-closure lexical check cannot
-// see.
+// through.
+//
+// One classifier answers "what does this node do" for both consumers:
+// Index.Visit turns an AST node into Events — an effect bit, or a write
+// with its target resolved to an Access — and the index folds the events
+// of a function body into that function's Summary, while the kernel
+// analyzers (internal/analysis/kernel) map the events of a speculative
+// kernel body to diagnostics. The two differ only in what they call
+// shared: a summary charges package-level state and memory reached
+// through a parameter or the receiver; a kernel charges everything
+// declared outside its closure.
 //
 // The lattice is a finite bitset, so the index iterates the whole
 // summary map to a fixed point (cycles in the call graph converge
@@ -27,22 +34,17 @@ import (
 )
 
 // Effect is a bitset of observable behaviors a call may perform.
-type Effect uint16
+type Effect uint8
 
 const (
-	// ReadsShared: reads package-level mutable state.
-	ReadsShared Effect = 1 << iota
 	// WritesShared: writes package-level state — not undone on rollback.
-	WritesShared
+	WritesShared Effect = 1 << iota
 	// DoesIO: irreversible I/O or syscall (files, sockets, stdio, exec).
 	DoesIO
 	// Blocks: channel, mutex, WaitGroup or sleep traffic — a speculative
 	// thread that blocks can deadlock against its own squash, and a lock
 	// acquired speculatively is not released on rollback.
 	Blocks
-	// Panics: may call panic directly (contained as misspeculation, but
-	// summarized for completeness).
-	Panics
 	// NonIdempotent: distinct results on re-execution (time, rand) — a
 	// squashed-and-replayed chunk computes a different answer.
 	NonIdempotent
@@ -57,11 +59,9 @@ func (e Effect) String() string {
 		bit  Effect
 		name string
 	}{
-		{ReadsShared, "reads-shared"},
 		{WritesShared, "writes-shared"},
 		{DoesIO, "does-io"},
 		{Blocks, "blocks"},
-		{Panics, "panics"},
 		{NonIdempotent, "non-idempotent"},
 	} {
 		if e&p.bit != 0 {
@@ -87,18 +87,126 @@ type Summary struct {
 	Via map[Effect]string
 }
 
-// via returns the chain for the lowest set bit of e, if recorded.
+// ViaFor returns the chain recorded for effect bit e, if any.
 func (s Summary) ViaFor(e Effect) string {
-	if s.Via == nil {
-		return ""
-	}
 	return s.Via[e]
+}
+
+// An Access is the memory an operand expression designates, found by
+// peeling x, x.f, x[i], x[i:j], *x, &x and parenthesized forms down to
+// the identifier the path starts at.
+type Access struct {
+	// Base is the variable at the root of the path; nil when the path is
+	// rooted in something else (a call result, a literal).
+	Base *types.Var
+	// Field is the field named by the outermost selector on the path
+	// (x.f and x.f[i] give f); nil when the path selects no field.
+	Field *types.Var
+	// Deref reports that the path crosses a pointer, slice or map, so it
+	// reaches memory Base only refers to — memory whoever handed Base in
+	// can see. A pure value path (a field of a local struct, an element
+	// of a local array) stays private to the variable.
+	Deref bool
+}
+
+// Resolve peels e to the Access it designates.
+func Resolve(info *types.Info, e ast.Expr) Access {
+	var acc Access
+	for {
+		var x ast.Expr // the operand one step down, reached through x's type
+		switch v := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			acc.Base, _ = info.ObjectOf(v).(*types.Var)
+			return acc
+		case *ast.SelectorExpr:
+			sel, _ := info.Uses[v.Sel].(*types.Var)
+			if sel != nil && !sel.IsField() {
+				acc.Base = sel // pkg.Var: a qualified package-level variable
+				return acc
+			}
+			if acc.Field == nil {
+				acc.Field = sel
+			}
+			x = v.X
+		case *ast.IndexExpr:
+			x = v.X
+		case *ast.SliceExpr:
+			x = v.X
+		case *ast.StarExpr:
+			x = v.X
+		case *ast.UnaryExpr:
+			if v.Op != token.AND {
+				return acc
+			}
+			e = v.X // taking an address crosses nothing
+			continue
+		default:
+			return acc
+		}
+		acc.Deref = acc.Deref || isRefType(info.TypeOf(x))
+		e = x
+	}
+}
+
+// CalleeFunc resolves a call to the static *types.Func it invokes; nil
+// for func values, builtins and conversions. Interface methods resolve
+// to the interface's method object (bodyless → stdlib table or pure).
+func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	var id *ast.Ident
+	switch fn := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fn
+	case *ast.SelectorExpr:
+		id = fn.Sel
+	default:
+		return nil
+	}
+	f, _ := info.Uses[id].(*types.Func)
+	return f
+}
+
+// CallLabel renders a call for diagnostics the way the source spells it:
+// "pkg.Func", "recv.Method", or the bare name.
+func CallLabel(call *ast.CallExpr) string {
+	switch fn := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		return fn.Name
+	case *ast.SelectorExpr:
+		if x, ok := ast.Unparen(fn.X).(*ast.Ident); ok {
+			return x.Name + "." + fn.Sel.Name
+		}
+		return fn.Sel.Name
+	}
+	return "call"
+}
+
+// An Event is one thing Visit found a node to do: perform an effect, or
+// write memory.
+type Event struct {
+	// Node is the statement or expression to report at.
+	Node ast.Node
+	// Effect is the single effect bit of an effect event; Pure marks a
+	// write event.
+	Effect Effect
+	// Via labels an effect event's origin: the construct ("chan send"),
+	// or the chain the callee's summary recorded for the bit.
+	Via string
+	// Callee is set when the event comes from a call's static callee —
+	// its summary said so — and Node is then the *ast.CallExpr. The close
+	// and copy builtins yield call events without a Callee.
+	Callee *types.Func
+	// Target is the expression a write event stores to: an assignment or
+	// inc/dec operand, or the argument or receiver operand a callee
+	// writes through (Recv tells which). Access is Target resolved; a
+	// callee's write is a write through the operand, so it has Deref set.
+	Target ast.Expr
+	Recv   bool
+	Access
 }
 
 // A Source is one type-checked package whose function bodies join the
 // index.
 type Source struct {
-	Pkg   *types.Package
 	Info  *types.Info
 	Files []*ast.File
 }
@@ -110,35 +218,26 @@ type Index struct {
 	exempt func(*types.Func) bool
 }
 
-// An Option configures index construction.
-type Option func(*Index)
-
-// WithExempt marks callees whose effects do NOT propagate into caller
-// summaries. The speculation analyzers exempt the mutls runtime's own
-// API this way: Thread.CheckPoint may sleep inside the fault injector,
-// but it is rollback-aware, so a helper that polls must not inherit
-// Blocks from it.
-func WithExempt(f func(*types.Func) bool) Option {
-	return func(idx *Index) { idx.exempt = f }
-}
-
 type funcSrc struct {
 	decl *ast.FuncDecl
 	info *types.Info
-	pkg  *types.Package
 }
 
 // NewIndex builds the summary index over srcs, iterating the whole map
 // to a global fixed point (the effect lattice is finite, so growth
 // terminates; cross-package cycles are impossible in Go but mutual
 // recursion inside a package is common).
-func NewIndex(srcs []Source, opts ...Option) *Index {
+//
+// exempt (nil for none) marks callees whose effects do NOT propagate
+// into caller summaries. The speculation analyzers exempt the mutls
+// runtime's own API this way: Thread.CheckPoint may sleep inside the
+// fault injector, but it is rollback-aware, so a helper that polls must
+// not inherit Blocks from it.
+func NewIndex(srcs []Source, exempt func(*types.Func) bool) *Index {
 	idx := &Index{
-		funcs: make(map[*types.Func]*funcSrc),
-		sums:  make(map[*types.Func]*Summary),
-	}
-	for _, opt := range opts {
-		opt(idx)
+		funcs:  make(map[*types.Func]*funcSrc),
+		sums:   make(map[*types.Func]*Summary),
+		exempt: exempt,
 	}
 	for _, src := range srcs {
 		for _, file := range src.Files {
@@ -151,7 +250,7 @@ func NewIndex(srcs []Source, opts ...Option) *Index {
 				if !ok {
 					continue
 				}
-				idx.funcs[fn] = &funcSrc{decl: fd, info: src.Info, pkg: src.Pkg}
+				idx.funcs[fn] = &funcSrc{decl: fd, info: src.Info}
 				idx.sums[fn] = &Summary{}
 			}
 		}
@@ -182,9 +281,6 @@ func (idx *Index) Of(fn *types.Func) Summary {
 	return stdlibSummary(fn)
 }
 
-// Len reports the number of source functions indexed (for tests).
-func (idx *Index) Len() int { return len(idx.funcs) }
-
 func equalSummary(a, b Summary) bool {
 	return a.Effects == b.Effects && a.ParamWrites == b.ParamWrites && a.RecvWrite == b.RecvWrite
 }
@@ -193,7 +289,6 @@ func equalSummary(a, b Summary) bool {
 // of its callees.
 func (idx *Index) compute(fn *types.Func, fs *funcSrc) Summary {
 	sum := Summary{Via: map[Effect]string{}}
-	info := fs.info
 	sig := fn.Type().(*types.Signature)
 
 	// Parameter and receiver objects, for ParamWrites/RecvWrite.
@@ -203,179 +298,117 @@ func (idx *Index) compute(fn *types.Func, fs *funcSrc) Summary {
 	}
 	var recvObj *types.Var
 	if fs.decl.Recv != nil && len(fs.decl.Recv.List) == 1 && len(fs.decl.Recv.List[0].Names) == 1 {
-		recvObj, _ = info.Defs[fs.decl.Recv.List[0].Names[0]].(*types.Var)
+		recvObj, _ = fs.info.Defs[fs.decl.Recv.List[0].Names[0]].(*types.Var)
 	}
 
-	addEffect := func(e Effect, via string) {
-		for bit := Effect(1); bit != 0 && bit <= NonIdempotent; bit <<= 1 {
-			if e&bit != 0 && sum.Effects&bit == 0 {
-				sum.Effects |= bit
-				if via != "" {
-					sum.Via[bit] = via
-				}
+	addEffect := func(bit Effect, via string) {
+		if sum.Effects&bit == 0 {
+			sum.Effects |= bit
+			if via != "" {
+				sum.Via[bit] = via
 			}
 		}
 	}
 
-	// chargeWrite records a write whose target base is v.
-	chargeWrite := func(v *types.Var, via string) {
-		switch {
-		case v == nil:
-		case v == recvObj:
-			sum.RecvWrite = true
-		case isPkgLevel(v):
-			addEffect(WritesShared, via)
-		default:
-			if i, ok := paramAt[v]; ok && i < 64 {
-				sum.ParamWrites |= 1 << i
+	ast.Inspect(fs.decl.Body, func(n ast.Node) bool {
+		idx.Visit(fs.info, fn, n, func(ev Event) {
+			via := ev.Via
+			if ev.Callee != nil {
+				via = qualifiedName(ev.Callee)
+				if ev.Via != "" && ev.Via != via {
+					via += " → " + ev.Via
+				}
 			}
-		}
-	}
-
-	// baseVar peels an lvalue to the variable at its base: x, x.f, x[i],
-	// *x, and parenthesized forms.
-	var baseVar func(e ast.Expr) *types.Var
-	baseVar = func(e ast.Expr) *types.Var {
-		for {
-			switch v := ast.Unparen(e).(type) {
-			case *ast.Ident:
-				obj, _ := info.Uses[v].(*types.Var)
-				if obj == nil {
-					obj, _ = info.Defs[v].(*types.Var)
-				}
-				return obj
-			case *ast.SelectorExpr:
-				e = v.X
-			case *ast.IndexExpr:
-				e = v.X
-			case *ast.StarExpr:
-				e = v.X
-			case *ast.UnaryExpr:
-				if v.Op != token.AND {
-					return nil
-				}
-				e = v.X
-			default:
-				return nil
-			}
-		}
-	}
-
-	// chargeLHS classifies a write target. Peeling the lvalue toward its
-	// base, every dereference step — *p, s[i] on a slice/map, p.f through
-	// a pointer — makes the write reach caller-visible memory; a pure
-	// value path (local struct field, array element of a local) stays
-	// private. The base then decides who is charged: a package-level var
-	// is WritesShared, the receiver RecvWrite, a parameter ParamWrites,
-	// and a local nothing.
-	chargeLHS := func(lhs ast.Expr, via string) {
-		ref := false
-		e := lhs
-		for {
-			switch v := ast.Unparen(e).(type) {
-			case *ast.Ident:
-				obj, _ := info.Uses[v].(*types.Var)
-				if obj == nil {
-					obj, _ = info.Defs[v].(*types.Var)
-				}
-				switch {
-				case obj == nil:
-				case isPkgLevel(obj):
-					addEffect(WritesShared, via)
-				case obj == recvObj && (ref || isRefType(obj.Type())):
-					sum.RecvWrite = true
-				default:
-					if i, ok := paramAt[obj]; ok && ref && i < 64 {
-						sum.ParamWrites |= 1 << i
-					}
-				}
-				return
-			case *ast.SelectorExpr:
-				// pkg.Var = x: qualified package-level write.
-				if sobj, ok := info.Uses[v.Sel].(*types.Var); ok && isPkgLevel(sobj) {
-					addEffect(WritesShared, via)
-					return
-				}
-				if isRefType(info.TypeOf(v.X)) {
-					ref = true
-				}
-				e = v.X
-			case *ast.IndexExpr:
-				if isRefType(info.TypeOf(v.X)) {
-					ref = true
-				}
-				e = v.X
-			case *ast.StarExpr:
-				ref = true
-				e = v.X
-			default:
+			if ev.Effect != Pure {
+				addEffect(ev.Effect, via)
 				return
 			}
-		}
-	}
-
-	var walk func(n ast.Node) bool
-	walk = func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.SendStmt:
-			addEffect(Blocks, "chan send")
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				addEffect(Blocks, "chan receive")
+			// A write: the base decides who is charged. Package-level
+			// state is WritesShared; the receiver and the parameters are
+			// charged only when the write reaches memory the caller can
+			// see; a local charges nothing.
+			switch base := ev.Base; {
+			case base == nil:
+			case isPkgLevel(base):
+				if ev.Node != ev.Target {
+					via += " writes through its operand"
+				}
+				addEffect(WritesShared, via)
+			case base == recvObj:
+				sum.RecvWrite = sum.RecvWrite || ev.Deref || isRefType(base.Type())
+			default:
+				if i, ok := paramAt[base]; ok && ev.Deref && i < 64 {
+					sum.ParamWrites |= 1 << i
+				}
 			}
-		case *ast.SelectStmt:
-			addEffect(Blocks, "select")
-		case *ast.GoStmt:
-			// Spawning is not blocking by itself, but the goroutine's
-			// work escapes rollback entirely.
-			addEffect(Blocks, "go statement")
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				chargeLHS(lhs, "")
-			}
-		case *ast.IncDecStmt:
-			chargeLHS(n.X, "")
-		case *ast.Ident:
-			if v, ok := info.Uses[n].(*types.Var); ok && isPkgLevel(v) && !v.IsField() {
-				addEffect(ReadsShared, "")
-			}
-		case *ast.CallExpr:
-			idx.chargeCall(fn, fs, n, addEffect, chargeWrite, baseVar)
-		}
+		})
 		return true
-	}
-	ast.Inspect(fs.decl.Body, walk)
+	})
 	if len(sum.Via) == 0 {
 		sum.Via = nil
 	}
 	return sum
 }
 
-// chargeCall folds one call site into the summary under construction.
-func (idx *Index) chargeCall(self *types.Func, fs *funcSrc, call *ast.CallExpr,
-	addEffect func(Effect, string), chargeWrite func(*types.Var, string), baseVar func(ast.Expr) *types.Var) {
+// Visit classifies one AST node of a function or closure body, calling
+// yield for every effect it performs and every write it makes. It does
+// not descend: the caller walks the body (and decides what to skip) and
+// passes each node. self, when non-nil, is the function the body belongs
+// to; direct recursion contributes nothing new and is skipped.
+func (idx *Index) Visit(info *types.Info, self *types.Func, n ast.Node, yield func(Event)) {
+	write := func(target ast.Expr) {
+		yield(Event{Node: target, Target: target, Access: Resolve(info, target)})
+	}
+	switch n := n.(type) {
+	case *ast.SendStmt:
+		yield(Event{Node: n, Effect: Blocks, Via: "chan send"})
+	case *ast.UnaryExpr:
+		if n.Op == token.ARROW {
+			yield(Event{Node: n, Effect: Blocks, Via: "chan receive"})
+		}
+	case *ast.SelectStmt:
+		yield(Event{Node: n, Effect: Blocks, Via: "select"})
+	case *ast.GoStmt:
+		// Spawning is not blocking by itself, but the goroutine's work
+		// escapes rollback entirely.
+		yield(Event{Node: n, Effect: Blocks, Via: "go statement"})
+	case *ast.AssignStmt:
+		for _, lhs := range n.Lhs {
+			write(lhs)
+		}
+	case *ast.IncDecStmt:
+		write(n.X)
+	case *ast.CallExpr:
+		idx.visitCall(info, self, n, yield)
+	}
+}
 
-	info := fs.info
-	// Builtins: panic is an effect; close blocks conflation is fine
-	// (channel lifecycle inside speculation is equally irreversible);
-	// append/copy write through their destination argument.
+// visitCall yields what one call site does according to its callee's
+// summary.
+func (idx *Index) visitCall(info *types.Info, self *types.Func, call *ast.CallExpr, yield func(Event)) {
+	through := func(callee *types.Func, via string, operand ast.Expr, recv bool) {
+		acc := Resolve(info, operand)
+		acc.Deref = true
+		yield(Event{Node: call, Via: via, Callee: callee, Target: operand, Recv: recv, Access: acc})
+	}
+
+	// Builtins: close is channel lifecycle (equally irreversible inside
+	// a speculation); copy writes through its destination argument.
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if b, ok := info.Uses[id].(*types.Builtin); ok {
 			switch b.Name() {
-			case "panic":
-				addEffect(Panics, "panic")
 			case "close":
-				addEffect(Blocks, "close(chan)")
+				yield(Event{Node: call, Effect: Blocks, Via: "close(chan)"})
 			case "copy":
 				if len(call.Args) > 0 {
-					chargeWrite(baseVar(call.Args[0]), "copy into shared argument")
+					through(nil, "copy", call.Args[0], false)
 				}
 			}
 			return
 		}
 	}
 
-	callee := calleeFunc(info, call)
+	callee := CalleeFunc(info, call)
 	if callee == nil || callee == self {
 		return // dynamic call (trust boundary) or direct recursion
 	}
@@ -383,48 +416,23 @@ func (idx *Index) chargeCall(self *types.Func, fs *funcSrc, call *ast.CallExpr,
 		return // rollback-aware runtime API: effects stop here
 	}
 	csum := idx.Of(callee)
-	name := qualifiedName(callee)
-	for bit := Effect(1); bit != 0 && bit <= NonIdempotent; bit <<= 1 {
-		if csum.Effects&bit == 0 {
-			continue
-		}
-		via := name
-		if chain := csum.ViaFor(bit); chain != "" && chain != name {
-			via = name + " → " + chain
-		}
-		addEffect(bit, via)
-	}
-	// Map the callee's parameter writes through our arguments.
-	if csum.ParamWrites != 0 {
-		for i, arg := range call.Args {
-			if i < 64 && csum.ParamWrites&(1<<i) != 0 {
-				chargeWrite(baseVar(arg), name+" writes through its argument")
-			}
+	for bit := WritesShared; bit <= NonIdempotent; bit <<= 1 {
+		if csum.Effects&bit != 0 {
+			yield(Event{Node: call, Callee: callee, Effect: bit, Via: csum.ViaFor(bit)})
 		}
 	}
-	// And a receiver write through the method operand.
+	// The callee's parameter writes land in our arguments, and a receiver
+	// write in the method operand.
+	for i, arg := range call.Args {
+		if i < 64 && csum.ParamWrites&(1<<i) != 0 {
+			through(callee, "", arg, false)
+		}
+	}
 	if csum.RecvWrite {
 		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			chargeWrite(baseVar(sel.X), name+" writes through its receiver")
+			through(callee, "", sel.X, true)
 		}
 	}
-}
-
-// calleeFunc resolves a call to the static *types.Func it invokes; nil
-// for func values, builtins and conversions. Interface methods resolve
-// to the interface's method object (bodyless → stdlib table or pure).
-func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fn := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		id = fn
-	case *ast.SelectorExpr:
-		id = fn.Sel
-	default:
-		return nil
-	}
-	f, _ := info.Uses[id].(*types.Func)
-	return f
 }
 
 // isPkgLevel reports whether v is declared at package scope.

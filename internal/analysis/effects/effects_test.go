@@ -28,7 +28,7 @@ func index(t *testing.T, src string) (*Index, *types.Package) {
 	if err != nil {
 		t.Fatalf("typecheck: %v", err)
 	}
-	return NewIndex([]Source{{Pkg: pkg, Info: info, Files: []*ast.File{file}}}), pkg
+	return NewIndex([]Source{{Info: info, Files: []*ast.File{file}}}, nil), pkg
 }
 
 // of returns the summary of the package-level function named name.
@@ -90,11 +90,11 @@ func TestDirectEffects(t *testing.T) {
 		want Effect
 	}{
 		{"pure", Pure},
-		{"readsGlobal", ReadsShared},
-		{"writesGlobal", WritesShared | ReadsShared},
+		{"readsGlobal", Pure},
+		{"writesGlobal", WritesShared},
 		{"sends", Blocks},
 		{"receives", Blocks},
-		{"panics", Panics},
+		{"panics", Pure},
 		{"localOnly", Pure},
 		{"valueParam", Pure},
 	}
@@ -259,7 +259,7 @@ func helper(ch chan int) { runtimePoll(ch) }
 		t.Fatalf("typecheck: %v", err)
 	}
 	exempt := func(fn *types.Func) bool { return fn.Name() == "runtimePoll" }
-	idx := NewIndex([]Source{{Pkg: pkg, Info: info, Files: []*ast.File{file}}}, WithExempt(exempt))
+	idx := NewIndex([]Source{{Info: info, Files: []*ast.File{file}}}, exempt)
 
 	// The exempt callee itself still carries its direct effects...
 	if s := of(t, idx, pkg, "runtimePoll"); s.Effects&Blocks == 0 {
@@ -280,5 +280,88 @@ func TestUnknownFuncIsPure(t *testing.T) {
 	}
 	if s := idx.Of(nil); s.Effects != Pure {
 		t.Errorf("nil func must be pure")
+	}
+}
+
+func TestResolve(t *testing.T) {
+	const src = `package p
+
+type node struct {
+	val  int
+	next *node
+	vals []int
+	arr  [4]int
+}
+
+var global node
+
+func f(p *node, v node, s []int, m map[string]int) {
+	var local node
+	_ = []any{
+		local.val,      // 0
+		local.arr[1],   // 1
+		p.val,          // 2
+		p.next.vals[0], // 3
+		*p,             // 4
+		&v.val,         // 5
+		s[1:][0],       // 6
+		m["k"],         // 7
+		global.val,     // 8
+		(v).arr,        // 9
+		f,              // 10
+	}
+}
+`
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, "p.go", src, 0)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	info := &types.Info{
+		Defs:  make(map[*ast.Ident]types.Object),
+		Uses:  make(map[*ast.Ident]types.Object),
+		Types: make(map[ast.Expr]types.TypeAndValue),
+	}
+	if _, err := (&types.Config{}).Check("p", fset, []*ast.File{file}, info); err != nil {
+		t.Fatalf("typecheck: %v", err)
+	}
+	var exprs []ast.Expr
+	ast.Inspect(file, func(n ast.Node) bool {
+		if cl, ok := n.(*ast.CompositeLit); ok && len(cl.Elts) > 1 {
+			exprs = cl.Elts
+		}
+		return true
+	})
+	want := []struct {
+		base, field string
+		deref       bool
+	}{
+		{"local", "val", false},
+		{"local", "arr", false},
+		{"p", "val", true},
+		{"p", "vals", true},
+		{"p", "", true},
+		{"v", "val", false},
+		{"s", "", true},
+		{"m", "", true},
+		{"global", "val", false},
+		{"v", "arr", false},
+		{"", "", false},
+	}
+	if len(exprs) != len(want) {
+		t.Fatalf("found %d expressions, want %d", len(exprs), len(want))
+	}
+	name := func(v *types.Var) string {
+		if v == nil {
+			return ""
+		}
+		return v.Name()
+	}
+	for i, w := range want {
+		got := Resolve(info, exprs[i])
+		if name(got.Base) != w.base || name(got.Field) != w.field || got.Deref != w.deref {
+			t.Errorf("expr %d: Resolve = {Base: %q, Field: %q, Deref: %v}, want {%q, %q, %v}",
+				i, name(got.Base), name(got.Field), got.Deref, w.base, w.field, w.deref)
+		}
 	}
 }

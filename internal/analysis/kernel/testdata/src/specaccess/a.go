@@ -1,4 +1,4 @@
-// Package a is specaccess golden testdata: captured-variable writes,
+// Package a is speccheck golden testdata for the SPEC codes: captured writes,
 // raw captured slice/map traffic, bulk-view escapes, legitimate
 // captured-scalar reads and suppressed findings.
 package a

@@ -1,12 +1,12 @@
-// Package a is specpure golden testdata: impure calls reached from
-// speculative kernels through helper functions — the interprocedural
-// hole in specaccess's lexical check — plus direct channel/sync traffic,
-// I/O, non-idempotent calls, suppressed variants, and clean kernels.
+// Package a is speccheck golden testdata for the EFFECT codes: impure
+// calls reached from speculative kernels through helper functions —
+// writes, I/O, blocking and non-idempotent calls that only the callee's
+// effect summary shows — plus direct channel/sync traffic, suppressed
+// variants, and clean kernels.
 //
-// Deliberately NO case in this file is visible to specaccess: every
-// violation hides behind a call boundary or a statement form specaccess
-// does not inspect. specpure_test.go pins that with a zero-findings run
-// of the old analyzer over this same package.
+// Every violation in this file hides behind a call boundary or a
+// statement form that is not a memory access; the kernel's own writes
+// and raw reads (the SPEC codes) are the specaccess corpus.
 package a
 
 import (

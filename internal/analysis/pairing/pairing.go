@@ -1,20 +1,21 @@
-// Package pairing implements the shared acquire/release path check
-// behind the pointleak (AllocPoint/FreePoint) and leaseleak
-// (Acquire/Release) analyzers.
+// Package pairing defines the acquire/release analyzers — pointleak
+// (AllocPoint/FreePoint) and leaseleak (pool.Acquire/Release) — over one
+// flow-sensitive path check.
 //
 // For every acquire call bound to a local variable the enclosing
-// function must release the resource on every path. The check is
-// flow-sensitive: each acquire is tracked by a forward may-hold dataflow
-// over the function's CFG (internal/analysis/cfg), so release-on-all-
-// paths survives loops, early continue, and goto, and a handle that is
-// still held when its own acquire executes again (a loop-carried leak)
-// or when the variable is reassigned is reported even though a release
-// appears later in the text. A defer of the release (directly or inside
-// a deferred closure) satisfies all paths at once. Three escapes are
-// deliberate: paths where the acquire's error value is non-nil or the
-// handle is provably nil (the resource was never granted there),
-// ownership transfer (the handle is returned, aliased, sent away, or
-// captured by a closure — some other scope releases it), and
+// function must release the resource on every path. Each acquire is
+// tracked by a forward may-hold dataflow over the function's CFG
+// (internal/analysis/cfg), so release-on-all-paths survives loops, early
+// continue, and goto, and a handle that is still held when its own
+// acquire executes again (a loop-carried leak) or when the variable is
+// reassigned is reported even though a release appears later in the
+// text. A defer of the release (directly or inside a deferred closure)
+// satisfies all paths at once, panic unwinds included; without one, a
+// call that may panic while the handle is held is reported too. Three
+// escapes are deliberate: paths where the acquire's error value is
+// non-nil or the handle is provably nil (the resource was never granted
+// there), ownership transfer (the handle is returned, aliased, sent away,
+// or captured by a closure — some other scope releases it), and
 // //lint:allow suppressions.
 package pairing
 
@@ -26,59 +27,92 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/analysis/cfg"
 	"repro/internal/analysis/dataflow"
+	"repro/internal/analysis/effects"
 )
 
-// A Spec configures one acquire/release pairing.
-type Spec struct {
-	// Pairs maps acquire method names to their release method names
-	// (e.g. "AllocPoint" -> "FreePoint").
-	Pairs map[string]string
-	// PkgPaths restricts matches to methods defined in these packages, so
-	// an unrelated Acquire/Release vocabulary elsewhere is not caught.
-	PkgPaths map[string]bool
-	// LeakCode is reported when a path returns without releasing;
-	// DiscardCode when the acquire's result is thrown away outright.
-	LeakCode, DiscardCode string
-	// Noun names the resource in diagnostics ("fork/join point").
-	Noun string
+// Pointleak: every Runtime.AllocPoint / AllocPoints must be paired with
+// FreePoint / FreePoints on every return path. Fork/join point ids are a
+// small fixed namespace (Options.MaxPoints); a leaked id permanently
+// parks its per-point counters and profile, and once every id is live
+// AllocPoint degrades to round-robin reuse, mixing profiles across runs
+// (the PR 5 cross-loop feedback bug class).
+var Pointleak = newAnalyzer("pointleak",
+	"flag AllocPoint/AllocPoints calls whose point ids are not freed on every return path",
+	spec{
+		pairs:       map[string]string{"AllocPoint": "FreePoint", "AllocPoints": "FreePoints"},
+		pkgPath:     "repro/internal/core",
+		leakCode:    "POINT001",
+		discardCode: "POINT002",
+		noun:        "fork/join point",
+	})
+
+// Leaseleak: every pool.Acquire must Release its lease on every return
+// path. A leaked lease pins one pooled runtime forever; with the pool's
+// fixed capacity each leak is a permanent admission-slot loss, and after
+// MaxRuntimes of them every Acquire returns ErrOverloaded.
+var Leaseleak = newAnalyzer("leaseleak",
+	"flag pool.Acquire calls whose leases are not released on every return path",
+	spec{
+		pairs:       map[string]string{"Acquire": "Release"},
+		pkgPath:     "repro/mutls/pool",
+		leakCode:    "LEASE001",
+		discardCode: "LEASE002",
+		noun:        "runtime lease",
+	})
+
+// A spec configures one acquire/release pairing.
+type spec struct {
+	// pairs maps acquire method names to their release method names.
+	pairs map[string]string
+	// pkgPath restricts matches to methods defined in this package, so an
+	// unrelated Acquire/Release vocabulary elsewhere is not caught.
+	pkgPath string
+	// leakCode is reported when a path returns without releasing;
+	// discardCode when the acquire's result is thrown away outright.
+	leakCode, discardCode string
+	// noun names the resource in diagnostics.
+	noun string
 }
 
-// Run applies the spec to every function body in the pass.
-func Run(pass *analysis.Pass, spec Spec) error {
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				if fn.Body != nil {
-					checkBody(pass, spec, fn.Body)
-				}
-			case *ast.FuncLit:
-				checkBody(pass, spec, fn.Body)
+// newAnalyzer applies sp to every function body of a pass.
+func newAnalyzer(name, doc string, sp spec) *analysis.Analyzer {
+	return &analysis.Analyzer{
+		Name:  name,
+		Doc:   doc,
+		Codes: []string{sp.leakCode, sp.discardCode},
+		Run: func(pass *analysis.Pass) error {
+			for _, file := range pass.Files {
+				ast.Inspect(file, func(n ast.Node) bool {
+					switch fn := n.(type) {
+					case *ast.FuncDecl:
+						if fn.Body != nil {
+							checkBody(pass, sp, fn.Body)
+						}
+					case *ast.FuncLit:
+						checkBody(pass, sp, fn.Body)
+					}
+					return true
+				})
 			}
-			return true
-		})
+			return nil
+		},
 	}
-	return nil
 }
 
 // acquireFunc resolves call to a matching acquire method and returns its
 // release name.
-func acquireFunc(info *types.Info, spec Spec, call *ast.CallExpr) (release string, ok bool) {
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel {
+func acquireFunc(info *types.Info, sp spec, call *ast.CallExpr) (release string, ok bool) {
+	fn := effects.CalleeFunc(info, call)
+	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != sp.pkgPath {
 		return "", false
 	}
-	fn, isFn := info.Uses[sel.Sel].(*types.Func)
-	if !isFn || fn.Pkg() == nil || !spec.PkgPaths[fn.Pkg().Path()] {
-		return "", false
-	}
-	release, ok = spec.Pairs[fn.Name()]
+	release, ok = sp.pairs[fn.Name()]
 	return release, ok
 }
 
 // checkBody analyzes the acquire calls appearing directly in body
 // (nested function literals get their own invocation).
-func checkBody(pass *analysis.Pass, spec Spec, body *ast.BlockStmt) {
+func checkBody(pass *analysis.Pass, sp spec, body *ast.BlockStmt) {
 	info := pass.TypesInfo
 	var graph *cfg.Graph // built lazily, shared by every acquire in body
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -88,9 +122,9 @@ func checkBody(pass *analysis.Pass, spec Spec, body *ast.BlockStmt) {
 		switch st := n.(type) {
 		case *ast.ExprStmt:
 			if call, ok := ast.Unparen(st.X).(*ast.CallExpr); ok {
-				if _, isAcq := acquireFunc(info, spec, call); isAcq {
-					pass.Reportf(call.Pos(), spec.DiscardCode,
-						"result of %s is discarded; the %s can never be released", callName(call), spec.Noun)
+				if _, isAcq := acquireFunc(info, sp, call); isAcq {
+					pass.Reportf(call.Pos(), sp.discardCode,
+						"result of %s is discarded; the %s can never be released", effects.CallLabel(call), sp.noun)
 				}
 			}
 		case *ast.AssignStmt:
@@ -101,7 +135,7 @@ func checkBody(pass *analysis.Pass, spec Spec, body *ast.BlockStmt) {
 			if !ok {
 				return true
 			}
-			release, isAcq := acquireFunc(info, spec, call)
+			release, isAcq := acquireFunc(info, sp, call)
 			if !isAcq {
 				return true
 			}
@@ -110,18 +144,18 @@ func checkBody(pass *analysis.Pass, spec Spec, body *ast.BlockStmt) {
 				return true // stored straight into a structure: ownership transferred
 			}
 			if resID.Name == "_" {
-				pass.Reportf(call.Pos(), spec.DiscardCode,
-					"result of %s is discarded; the %s can never be released", callName(call), spec.Noun)
+				pass.Reportf(call.Pos(), sp.discardCode,
+					"result of %s is discarded; the %s can never be released", effects.CallLabel(call), sp.noun)
 				return true
 			}
-			res := objOf(info, resID)
+			res := info.ObjectOf(resID)
 			if res == nil {
 				return true
 			}
 			var errObj types.Object
 			if len(st.Lhs) > 1 {
 				if errID, ok := st.Lhs[1].(*ast.Ident); ok && errID.Name != "_" {
-					errObj = objOf(info, errID)
+					errObj = info.ObjectOf(errID)
 				}
 			}
 			if graph == nil {
@@ -129,14 +163,13 @@ func checkBody(pass *analysis.Pass, spec Spec, body *ast.BlockStmt) {
 			}
 			tk := &tracker{
 				info:    info,
-				fset:    pass.Fset,
 				acq:     st,
 				call:    call,
 				release: release,
 				res:     res,
 				errObj:  errObj,
 			}
-			tk.check(pass, spec, body, graph)
+			tk.check(pass, sp, body, graph)
 		}
 		return true
 	})
@@ -149,7 +182,6 @@ const heldBit uint8 = 1
 // tracker is the flow analysis of one acquire statement.
 type tracker struct {
 	info    *types.Info
-	fset    *token.FileSet
 	acq     *ast.AssignStmt // the acquire assignment (identity-matched in the CFG)
 	call    *ast.CallExpr
 	release string
@@ -164,14 +196,15 @@ const (
 	leakReturn
 	leakReassign
 	leakFallThrough
+	leakPanic
 )
 
 type leakReport struct {
 	kind int
-	line int // return/reassign line for the message
+	at   ast.Node // the reacquire, return, reassignment or risky call
 }
 
-func (tk *tracker) check(pass *analysis.Pass, spec Spec, body *ast.BlockStmt, g *cfg.Graph) {
+func (tk *tracker) check(pass *analysis.Pass, sp spec, body *ast.BlockStmt, g *cfg.Graph) {
 	// A deferred release (directly or inside a deferred closure) pairs
 	// every path, including panic unwinds, at once.
 	if tk.deferredRelease(body) {
@@ -179,7 +212,6 @@ func (tk *tracker) check(pass *analysis.Pass, spec Spec, body *ast.BlockStmt, g 
 	}
 
 	prob := dataflow.Problem[uint8]{
-		Dir:      dataflow.Forward,
 		Boundary: 0,
 		Bottom:   func() uint8 { return 0 },
 		Join:     func(a, b uint8) uint8 { return a | b },
@@ -198,10 +230,11 @@ func (tk *tracker) check(pass *analysis.Pass, spec Spec, body *ast.BlockStmt, g 
 	// Re-walk the solved graph to place diagnostics. At most one leak is
 	// reported per acquire, by precedence: a loop-carried reacquire
 	// outranks a leaking return, which outranks a reassignment, which
-	// outranks the fall-through exit.
+	// outranks the fall-through exit, which outranks a possible panic
+	// unwind; within a kind the earliest in the source wins.
 	best := leakReport{kind: leakNone}
 	note := func(r leakReport) {
-		if best.kind == leakNone || r.kind < best.kind {
+		if best.kind == leakNone || r.kind < best.kind || (r.kind == best.kind && r.at.Pos() < best.at.Pos()) {
 			best = r
 		}
 	}
@@ -213,51 +246,50 @@ func (tk *tracker) check(pass *analysis.Pass, spec Spec, body *ast.BlockStmt, g 
 		// Natural fall-through into exit with the handle still held:
 		// return and panic terminators are handled elsewhere.
 		if f&heldBit != 0 && tk.fallsToExit(blk, g) {
-			note(leakReport{kind: leakFallThrough})
+			note(leakReport{kind: leakFallThrough, at: tk.acq})
 		}
 	}
 
+	line := 0
+	if best.kind != leakNone {
+		line = pass.Fset.Position(best.at.Pos()).Line
+	}
 	switch best.kind {
 	case leakLoopCarried:
-		pass.Reportf(tk.call.Pos(), spec.LeakCode,
+		pass.Reportf(tk.call.Pos(), sp.leakCode,
 			"%s acquired by %s is still unreleased when the loop reacquires it at line %d (loop-carried leak; release it before the next iteration, or defer inside the loop body)",
-			spec.Noun, callName(tk.call), best.line)
-		return
+			sp.noun, effects.CallLabel(tk.call), line)
 	case leakReturn:
-		pass.Reportf(tk.call.Pos(), spec.LeakCode,
+		pass.Reportf(tk.call.Pos(), sp.leakCode,
 			"%s acquired by %s is not released on the return path at line %d (call %s before returning, or defer it)",
-			spec.Noun, callName(tk.call), best.line, tk.release)
-		return
+			sp.noun, effects.CallLabel(tk.call), line, tk.release)
 	case leakReassign:
-		pass.Reportf(tk.call.Pos(), spec.LeakCode,
+		pass.Reportf(tk.call.Pos(), sp.leakCode,
 			"%s acquired by %s is still unreleased when its variable is reassigned at line %d (the handle is overwritten; release it first)",
-			spec.Noun, callName(tk.call), best.line)
-		return
+			sp.noun, effects.CallLabel(tk.call), line)
 	case leakFallThrough:
-		pass.Reportf(tk.call.Pos(), spec.LeakCode,
+		pass.Reportf(tk.call.Pos(), sp.leakCode,
 			"%s acquired by %s is never released (no %s on the fall-through path; add a defer)",
-			spec.Noun, callName(tk.call), tk.release)
-		return
+			sp.noun, effects.CallLabel(tk.call), tk.release)
+	case leakPanic:
+		// Every path is paired by non-deferred releases — but that proof
+		// assumes control reaches them. A panic while the handle is held
+		// unwinds past all of them (the runtime contains it as a
+		// misspeculation or a KernelPanic, so the process survives with
+		// the resource pinned). Deferral is the only panic-proof pairing.
+		pass.Reportf(tk.call.Pos(), sp.leakCode,
+			"%s acquired by %s leaks if %s at line %d panics before the non-deferred %s; release it with defer",
+			sp.noun, effects.CallLabel(tk.call), effects.CallLabel(best.at.(*ast.CallExpr)), line, tk.release)
 	}
-
-	// Every path is proven by non-deferred releases — but that proof
-	// assumes control reaches them. A call that can panic between the
-	// acquire and the first release unwinds past all of them (the runtime
-	// contains the panic as a misspeculation or a KernelPanic, so the
-	// process survives with the resource pinned). Deferral is the only
-	// panic-proof pairing.
-	tk.panicAdvisory(pass, spec, body)
 }
 
 // transferNode applies one CFG node to the fact. When note is non-nil
 // the walk is the reporting pass and leak events are recorded; the
 // solver pass runs with note == nil.
 func (tk *tracker) transferNode(n ast.Node, f uint8, note func(leakReport)) uint8 {
-	line := func(p token.Pos) int { return tk.fset.Position(p).Line }
-
 	if n == ast.Node(tk.acq) {
 		if f&heldBit != 0 && note != nil {
-			note(leakReport{kind: leakLoopCarried, line: line(tk.acq.Pos())})
+			note(leakReport{kind: leakLoopCarried, at: tk.acq})
 		}
 		return f | heldBit
 	}
@@ -272,7 +304,7 @@ func (tk *tracker) transferNode(n ast.Node, f uint8, note func(leakReport)) uint
 		case *ast.FuncLit:
 			// The handle escaping into a closure transfers ownership: the
 			// closure (or whoever it is handed to) releases it.
-			if tk.mentionsRes(m.Body) {
+			if usesObj(tk.info, m.Body, tk.res) {
 				f &^= heldBit
 			}
 			return false
@@ -280,6 +312,9 @@ func (tk *tracker) transferNode(n ast.Node, f uint8, note func(leakReport)) uint
 			if tk.isRelease(m) {
 				f &^= heldBit
 				return false
+			}
+			if f&heldBit != 0 && note != nil && mayPanic(tk.info, m) {
+				note(leakReport{kind: leakPanic, at: m})
 			}
 		case *ast.ReturnStmt:
 			escapes := false
@@ -291,7 +326,7 @@ func (tk *tracker) transferNode(n ast.Node, f uint8, note func(leakReport)) uint
 			if escapes {
 				f &^= heldBit // caller owns the handle now
 			} else if f&heldBit != 0 && note != nil {
-				note(leakReport{kind: leakReturn, line: line(m.Pos())})
+				note(leakReport{kind: leakReturn, at: m})
 			}
 		case *ast.AssignStmt:
 			for _, rhs := range m.Rhs {
@@ -300,9 +335,9 @@ func (tk *tracker) transferNode(n ast.Node, f uint8, note func(leakReport)) uint
 				}
 			}
 			for _, lhs := range m.Lhs {
-				if id, ok := lhs.(*ast.Ident); ok && objOf(tk.info, id) == tk.res {
+				if id, ok := lhs.(*ast.Ident); ok && tk.info.ObjectOf(id) == tk.res {
 					if f&heldBit != 0 && note != nil {
-						note(leakReport{kind: leakReassign, line: line(m.Pos())})
+						note(leakReport{kind: leakReassign, at: m})
 					}
 					f &^= heldBit // the old handle value is gone
 				}
@@ -341,8 +376,8 @@ func (tk *tracker) edgeTransfer(b *cfg.Block, succIdx int, out uint8) uint8 {
 		return out
 	}
 	// Any other condition mentioning the error value exempts its taken
-	// branch (the lexical engine's error-path escape, kept for compound
-	// conditions like `err != nil || retry`).
+	// branch: compound conditions like `err != nil || retry` are error
+	// paths too.
 	if tk.errObj != nil && succIdx == 0 && usesObj(tk.info, b.Branch, tk.errObj) {
 		return out &^ heldBit
 	}
@@ -361,7 +396,7 @@ func (tk *tracker) nilCompare(cond ast.Expr) (obj types.Object, eq, ok bool) {
 		if !isID {
 			return nil, false
 		}
-		o := objOf(tk.info, id)
+		o := tk.info.ObjectOf(id)
 		if o == tk.res || (tk.errObj != nil && o == tk.errObj) {
 			return o, false
 		}
@@ -401,7 +436,7 @@ func (tk *tracker) fallsToExit(blk *cfg.Block, g *cfg.Graph) bool {
 		case *ast.ExprStmt:
 			if call, ok := ast.Unparen(last.X).(*ast.CallExpr); ok {
 				if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
-					return false // the panic advisory owns unwind leaks
+					return false // reported as a possible panic unwind
 				}
 			}
 		}
@@ -440,7 +475,7 @@ func (tk *tracker) deferredRelease(body *ast.BlockStmt) bool {
 
 func (tk *tracker) isRes(e ast.Expr) bool {
 	id, ok := ast.Unparen(e).(*ast.Ident)
-	return ok && objOf(tk.info, id) == tk.res
+	return ok && tk.info.ObjectOf(id) == tk.res
 }
 
 func (tk *tracker) isRelease(c *ast.CallExpr) bool {
@@ -459,80 +494,6 @@ func (tk *tracker) isRelease(c *ast.CallExpr) bool {
 	return false
 }
 
-// mentionsRes reports whether the subtree mentions the handle variable.
-func (tk *tracker) mentionsRes(n ast.Node) bool {
-	return usesNode(tk.info, n, tk.res)
-}
-
-// panicAdvisory is the lexical may-panic check retained from the
-// pre-flow engine: when all paths are paired by non-deferred releases, a
-// dynamic call between the acquire and the first release can still
-// unwind past them.
-func (tk *tracker) panicAdvisory(pass *analysis.Pass, spec Spec, body *ast.BlockStmt) {
-	info := tk.info
-	after := tk.call.End()
-
-	var (
-		releases    []token.Pos
-		exemptRange []struct{ lo, hi token.Pos }
-	)
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if tk.isRelease(n) {
-				releases = append(releases, n.Pos())
-				return false
-			}
-		case *ast.IfStmt:
-			if tk.errObj != nil && usesObj(info, n.Cond, tk.errObj) && n.Pos() > after {
-				exemptRange = append(exemptRange, struct{ lo, hi token.Pos }{n.Body.Pos(), n.Body.End()})
-			}
-		}
-		return true
-	})
-	exempt := func(pos token.Pos) bool {
-		for _, r := range exemptRange {
-			if pos >= r.lo && pos <= r.hi {
-				return true
-			}
-		}
-		return false
-	}
-
-	first := token.Pos(-1)
-	for _, p := range releases {
-		if p > after && (first < 0 || p < first) {
-			first = p
-		}
-	}
-	if first < 0 {
-		return
-	}
-	var risky *ast.CallExpr
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n.(type) {
-		case *ast.DeferStmt, *ast.FuncLit:
-			return false // deferred/unexecuted bodies run at unwind or later
-		}
-		c, ok := n.(*ast.CallExpr)
-		if !ok {
-			return risky == nil
-		}
-		if c.Pos() <= after || c.Pos() >= first || exempt(c.Pos()) || tk.isRelease(c) {
-			return true
-		}
-		if risky == nil && mayPanic(info, c) {
-			risky = c
-		}
-		return risky == nil
-	})
-	if risky != nil {
-		pass.Reportf(tk.call.Pos(), spec.LeakCode,
-			"%s acquired by %s leaks if %s at line %d panics before the non-deferred %s; release it with defer",
-			spec.Noun, callName(tk.call), callName(risky), pass.Fset.Position(risky.Pos()).Line, tk.release)
-	}
-}
-
 // mayPanic is the heuristic behind the defer fix-it: a call whose callee
 // is dynamic — a func-typed value or an interface method — has an unknown
 // body and may panic, as may an explicit panic(). Static calls to named
@@ -541,14 +502,14 @@ func (tk *tracker) panicAdvisory(pass *analysis.Pass, spec Spec, body *ast.Block
 func mayPanic(info *types.Info, call *ast.CallExpr) bool {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		switch obj := objOf(info, fun).(type) {
+		switch obj := info.ObjectOf(fun).(type) {
 		case *types.Builtin:
 			return obj.Name() == "panic"
 		case *types.Var:
 			return true // func-typed local or parameter: unknown body
 		}
 	case *ast.SelectorExpr:
-		switch obj := objOf(info, fun.Sel).(type) {
+		switch obj := info.ObjectOf(fun.Sel).(type) {
 		case *types.Var:
 			return true // func-typed field
 		case *types.Func:
@@ -562,36 +523,14 @@ func mayPanic(info *types.Info, call *ast.CallExpr) bool {
 	return false
 }
 
-func objOf(info *types.Info, id *ast.Ident) types.Object {
-	if obj := info.Defs[id]; obj != nil {
-		return obj
-	}
-	return info.Uses[id]
-}
-
-// usesObj reports whether expr mentions obj.
-func usesObj(info *types.Info, expr ast.Expr, obj types.Object) bool {
-	return usesNode(info, expr, obj)
-}
-
-func usesNode(info *types.Info, n ast.Node, obj types.Object) bool {
+// usesObj reports whether the subtree n mentions obj.
+func usesObj(info *types.Info, n ast.Node, obj types.Object) bool {
 	found := false
 	ast.Inspect(n, func(m ast.Node) bool {
-		if id, ok := m.(*ast.Ident); ok && objOf(info, id) == obj {
+		if id, ok := m.(*ast.Ident); ok && info.ObjectOf(id) == obj {
 			found = true
 		}
 		return !found
 	})
 	return found
-}
-
-// callName renders a call's selector for diagnostics ("rt.AllocPoint").
-func callName(call *ast.CallExpr) string {
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if x, ok := ast.Unparen(sel.X).(*ast.Ident); ok {
-			return x.Name + "." + sel.Sel.Name
-		}
-		return sel.Sel.Name
-	}
-	return "acquire"
 }

@@ -1,0 +1,16 @@
+package pairing_test
+
+import (
+	"testing"
+
+	"repro/internal/analysis/analysistest"
+	"repro/internal/analysis/pairing"
+)
+
+func TestPointleak(t *testing.T) {
+	analysistest.Run(t, pairing.Pointleak, analysistest.TestData(t, "pointleak"))
+}
+
+func TestLeaseleak(t *testing.T) {
+	analysistest.Run(t, pairing.Leaseleak, analysistest.TestData(t, "leaseleak"))
+}
