@@ -61,13 +61,15 @@ mutls-vet:
 staticcheck:
 	staticcheck ./...
 
-# smoke runs every benchmark, load generator and ablation table once, at
-# the smallest size: they must still build, run and verify their checksums.
+# smoke runs every go-test benchmark, the wall-clock benchmark (all five
+# workloads and the ladder, then the /run service once more race-built) and
+# the ablation tables once, at the smallest size: they must still build, run
+# and verify their checksums.
 smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' . ./internal/gbuf ./internal/core ./internal/mem
 	$(GO) test -bench='ForkJoin|PipelineToken' -benchtime=1000x -run='^$$' ./internal/core ./mutls
-	$(GO) run -race ./cmd/mutls-load -c 32 -n 300 > /dev/null
-	$(GO) run ./cmd/mutls-bench -wallclock -quick > /dev/null
+	$(GO) run ./benchmark -quick > /dev/null
+	$(GO) run -race ./benchmark -quick -workload serve-closed > /dev/null
 	$(GO) run ./cmd/mutls-bench -fig gbuf -cpus 4
 	$(GO) run ./cmd/mutls-bench -fig pipeline -cpus 4
 

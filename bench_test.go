@@ -242,15 +242,3 @@ func BenchmarkAblation_CommitFastPath(b *testing.B) {
 		run(b, func(buf *gbuf.Buffer, p mem.Addr, j int) { buf.Store(p, 1, uint64(j)) })
 	})
 }
-
-// BenchmarkWallclockQuick runs the curated wall-clock suite at CI sizes —
-// the real-hardware counterpart of the figure benches above.
-func BenchmarkWallclockQuick(b *testing.B) {
-	h := newHarness()
-	cfg := harness.WallclockConfig{Quick: true, CPUAxis: []int{1, 2}, Reps: 1}
-	for i := 0; i < b.N; i++ {
-		if err := h.Wallclock(io.Discard, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

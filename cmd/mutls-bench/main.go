@@ -13,8 +13,6 @@
 //	mutls-bench -paper           # Table II problem sizes (slow)
 //	mutls-bench -cpus 1,2,4,64   # custom CPU axis
 //	mutls-bench -real            # wall-clock timing instead of the cost model
-//	mutls-bench -wallclock       # curated wall-clock suite, JSON output
-//	mutls-bench -wallclock -quick # CI smoke sizes for the same suite
 //	mutls-bench -chaos -seed 7   # deterministic fault-injection sweep
 //	mutls-bench -chaos -quick    # CI-sized chaos smoke (three kernels)
 package main
@@ -39,11 +37,13 @@ func main() {
 	real := flag.Bool("real", false, "wall-clock timing instead of the virtual cost model")
 	seed := flag.Uint64("seed", 0, "seed for the forced-rollback generators")
 	gbufBackend := flag.String("gbuf", "", fmt.Sprintf("GlobalBuffer backend for all runs (one of %v)", mutls.Backends()))
-	wallclock := flag.Bool("wallclock", false, "run the curated wall-clock suite (fixed sizes, warmup, host-parallelism sweep) and emit JSON")
 	chaos := flag.Bool("chaos", false, "run the deterministic fault-injection sweep (kernels x models x backends under seeded fault storms)")
-	quick := flag.Bool("quick", false, "with -wallclock or -chaos: CI-sized subset")
-	baseline := flag.String("baseline", "", "with -wallclock: diff speedups against a committed report (e.g. BENCH_wallclock.json); refuses baselines from a different host shape")
+	quick := flag.Bool("quick", false, "with -chaos: CI-sized subset")
 	flag.Parse()
+	if *quick && !*chaos {
+		fmt.Fprintln(os.Stderr, "-quick applies only to -chaos")
+		os.Exit(2)
+	}
 
 	cfg := harness.DefaultConfig()
 	cfg.Paper = *paper
@@ -66,10 +66,9 @@ func main() {
 		}
 		cfg.CPUAxis = axis
 	}
-	if *real || *wallclock && *cpus != "" {
+	if *real {
 		// Wall-clock numbers mean something only while every virtual CPU
-		// has a proc to run on (the wall-clock suite clips its own default
-		// axis the same way).
+		// has a proc to run on.
 		procs := runtime.GOMAXPROCS(0)
 		clipped := harness.ClipAxis(cfg.CPUAxis, procs)
 		if len(clipped) == 0 {
@@ -87,12 +86,6 @@ func main() {
 	switch {
 	case *chaos:
 		err = harness.RunChaos(harness.ChaosConfig{Seed: *seed, Quick: *quick}, os.Stdout)
-	case *wallclock:
-		wcfg := harness.WallclockConfig{Quick: *quick}
-		if *cpus != "" {
-			wcfg.CPUAxis = cfg.CPUAxis
-		}
-		err = runWallclock(h, wcfg, *baseline)
 	case *coverage:
 		err = h.Coverage(os.Stdout)
 	case *fig == "":
@@ -108,32 +101,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-}
-
-// runWallclock measures the suite, writes the JSON report to stdout and,
-// when a baseline path is given, prints the speedup diff to stderr (the
-// comparison fails rather than diffing across host shapes).
-func runWallclock(h *harness.Harness, wcfg harness.WallclockConfig, baselinePath string) error {
-	report, err := h.MeasureWallclock(wcfg)
-	if err != nil {
-		return err
-	}
-	if err := harness.WriteWallclock(os.Stdout, report); err != nil {
-		return err
-	}
-	if baselinePath == "" {
-		return nil
-	}
-	f, err := os.Open(baselinePath)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	base, err := harness.LoadWallclockBaseline(f)
-	if err != nil {
-		return err
-	}
-	return harness.CompareWallclock(os.Stderr, base, report)
 }
 
 // runFigure dispatches a numeric -fig value.

@@ -9,9 +9,9 @@
 //	curl 'localhost:8080/run?kernel=matmult&n=64'
 //	curl 'localhost:8080/stats'
 //
-// Load-test it with cmd/mutls-load:
+// The benchmark load-tests the same service in process (closed loop):
 //
-//	go run ./cmd/mutls-load -url http://localhost:8080 -c 32 -n 300
+//	go run ./benchmark -workload serve-closed
 //
 // SIGINT/SIGTERM drain gracefully: in-flight runs finish (or are unwound
 // at their next speculation boundary when their client gives up), queued

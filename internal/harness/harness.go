@@ -23,6 +23,23 @@ import (
 // DefaultCPUAxis subsamples the paper's 1..64 x-axis.
 var DefaultCPUAxis = []int{1, 2, 4, 8, 16, 24, 32, 48, 64}
 
+// ClipAxis drops the points of a total-CPU axis that the host cannot run in
+// parallel. The ceiling is the schedulable parallelism, not the hardware
+// core count: under a CPU quota (containers, CI runners) GOMAXPROCS is what
+// the Go scheduler will actually run in parallel, and wall-clock points
+// beyond it would measure time-slicing noise. Points up to two total CPUs
+// always stay, so a one-proc host still measures one speculative point
+// (which then validates overhead, not speedup).
+func ClipAxis(axis []int, procs int) []int {
+	var out []int
+	for _, p := range axis {
+		if p <= procs || p <= 2 {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
 // Config drives a harness session, expressed in public mutls types.
 type Config struct {
 	CPUAxis []int

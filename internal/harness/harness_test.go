@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -232,5 +233,29 @@ func TestAllRunsEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "FIG. 11") {
 		t.Fatal("All() output incomplete")
+	}
+}
+
+// TestClipAxis: a wall-clock axis keeps the points the host can run in
+// parallel, always keeps the first speculative point, and never invents
+// one — this is the only host-width clamp; runtimes themselves take the
+// CPU count they are given in either timing mode.
+func TestClipAxis(t *testing.T) {
+	cases := []struct {
+		axis  []int
+		procs int
+		want  []int
+	}{
+		{DefaultCPUAxis, 2, []int{1, 2}},
+		{DefaultCPUAxis, 1, []int{1, 2}},
+		{DefaultCPUAxis, 8, []int{1, 2, 4, 8}},
+		{DefaultCPUAxis, 128, DefaultCPUAxis},
+		{[]int{16, 64}, 4, nil},
+		{[]int{3, 1, 6}, 4, []int{3, 1}},
+	}
+	for _, tc := range cases {
+		if got := ClipAxis(tc.axis, tc.procs); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("ClipAxis(%v, %d) = %v, want %v", tc.axis, tc.procs, got, tc.want)
+		}
 	}
 }

@@ -6,8 +6,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/mutls"
 	"repro/mutls/pool"
@@ -48,9 +51,17 @@ func getJSON(t *testing.T, url string, wantStatus int, v any) {
 // response with its CPU grant and speculation activity.
 func TestRunEndpoint(t *testing.T) {
 	s, ts := testServer(t, pool.Options{Runtimes: 1, HostBudget: 2, Runtime: mutls.Options{CPUs: 2}})
+	// matmult is asked for at the size with a single fork level: only the
+	// non-speculative thread forks there, sub-products 7 and 6 get the two
+	// CPUs, and 6 reads no block an earlier sub-product writes, so it
+	// commits under every interleaving. At the default n=32 the mixed model
+	// lets sub-product 7 claim the second CPU for a sub-task of its own
+	// before 6 is forked, and then every speculation of the run conflicts:
+	// a correct response with zero commits.
+	size := map[string]string{"matmult": "&n=16"}
 	for _, kernel := range s.Kernels() {
 		var r RunResponse
-		getJSON(t, ts.URL+"/run?kernel="+kernel, http.StatusOK, &r)
+		getJSON(t, ts.URL+"/run?kernel="+kernel+size[kernel], http.StatusOK, &r)
 		if !r.Verified {
 			t.Errorf("kernel %s: response not verified", kernel)
 		}
@@ -61,7 +72,7 @@ func TestRunEndpoint(t *testing.T) {
 			t.Errorf("kernel %s: grant %d degraded=%v, want 2/false", kernel, r.CPUGrant, r.Degraded)
 		}
 		if r.Commits == 0 {
-			t.Errorf("kernel %s: no speculative commits", kernel)
+			t.Errorf("kernel %s: no speculative commits (%d rollbacks)", kernel, r.Rollbacks)
 		}
 	}
 }
@@ -161,46 +172,92 @@ func TestStatsCarriesHandoffCounters(t *testing.T) {
 	}
 }
 
-// TestConcurrentBurst: a burst of mixed-kernel requests against a small
-// pool — all responses verified, pool drained afterwards.
+// TestConcurrentBurst: 32 clients of mixed-kernel requests against a small
+// pool. With a queue every response is a verified 200; with one runtime and
+// no queue every response is a verified 200 or a 503 carrying Retry-After,
+// some of each. Either way the pool is drained afterwards and closing the
+// server returns every goroutine it started.
 func TestConcurrentBurst(t *testing.T) {
-	s, ts := testServer(t, pool.Options{
-		Runtimes:   2,
-		QueueLimit: 64,
-		Runtime:    mutls.Options{CPUs: 2},
-	})
-	kernels := s.Kernels()
-	const clients = 16
-	var wg sync.WaitGroup
-	errs := make(chan error, clients)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			url := fmt.Sprintf("%s/run?kernel=%s&n=16&m=100", ts.URL, kernels[c%len(kernels)])
-			resp, err := http.Get(url)
+	const clients, perClient = 32, 4
+	targets := []string{
+		"/run?kernel=x3p1&n=2000",
+		"/run?kernel=mandelbrot&n=16&m=100",
+		"/run?kernel=matmult&n=16",
+	}
+	cases := []struct {
+		name string
+		pool pool.Options
+		shed bool
+	}{
+		{"queued", pool.Options{Runtimes: 2, QueueLimit: 64, Runtime: mutls.Options{CPUs: 2}}, false},
+		{"noqueue", pool.Options{Runtimes: 1, QueueLimit: pool.NoQueue, Runtime: mutls.Options{CPUs: 2}}, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			s, err := New(Options{Pool: tc.pool})
 			if err != nil {
-				errs <- err
-				return
+				t.Fatal(err)
 			}
-			defer resp.Body.Close()
-			var r RunResponse
-			if err := json.NewDecoder(resp.Body).Decode(&r); err != nil {
-				errs <- fmt.Errorf("%s: %v", url, err)
-				return
+			ts := httptest.NewServer(s.Handler())
+
+			var ok, shed atomic.Int64
+			var wg sync.WaitGroup
+			errs := make(chan error, clients*perClient)
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					for i := 0; i < perClient; i++ {
+						url := ts.URL + targets[(c+i)%len(targets)]
+						resp, err := http.Get(url)
+						if err != nil {
+							errs <- err
+							continue
+						}
+						var r RunResponse
+						err = json.NewDecoder(resp.Body).Decode(&r)
+						resp.Body.Close()
+						switch {
+						case err != nil:
+							errs <- fmt.Errorf("%s: %v", url, err)
+						case resp.StatusCode == http.StatusOK && r.Verified:
+							ok.Add(1)
+						case tc.shed && resp.StatusCode == http.StatusServiceUnavailable && resp.Header.Get("Retry-After") != "":
+							shed.Add(1)
+						default:
+							errs <- fmt.Errorf("%s: status %d verified=%v Retry-After=%q",
+								url, resp.StatusCode, r.Verified, resp.Header.Get("Retry-After"))
+						}
+					}
+				}(c)
 			}
-			if resp.StatusCode != http.StatusOK || !r.Verified {
-				errs <- fmt.Errorf("%s: status %d verified=%v", url, resp.StatusCode, r.Verified)
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Error(err)
 			}
-		}(c)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-	st := s.Pool().Stats()
-	if st.Released != st.Acquired || st.ClaimedCPUs != 0 {
-		t.Errorf("pool not drained after burst: %+v", st)
+			if ok.Load() == 0 {
+				t.Error("no request succeeded")
+			}
+			if tc.shed && shed.Load() == 0 {
+				t.Errorf("no request was shed despite %d clients on a one-runtime pool without a queue", clients)
+			}
+			st := s.Pool().Stats()
+			if st.Released != st.Acquired || st.ClaimedCPUs != 0 || st.Waiting != 0 {
+				t.Errorf("pool not drained after burst: %+v", st)
+			}
+
+			ts.Close()
+			s.Close()
+			// Workers exit asynchronously once the pool has closed them.
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(5 * time.Millisecond)
+			}
+			if now := runtime.NumGoroutine(); now > before {
+				t.Errorf("goroutine leak across the server lifecycle: %d before New, %d after Close", before, now)
+			}
+		})
 	}
 }
