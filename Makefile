@@ -25,9 +25,12 @@ race:
 	$(GO) test -race ./...
 
 # race-repeat reruns the packages whose tests are about interleavings: the
-# join protocol on 1, 2 and 4 procs, the pool and the serving layer.
+# join protocol and the pay-off guard on 1, 2 and 4 procs (the guard's
+# estimator and real-clock tests live in internal/core; its driver tests in
+# mutls), the pool and the serving layer.
 race-repeat:
 	$(GO) test -race -count=2 -cpu 1,2,4 ./internal/core
+	$(GO) test -race -count=2 -cpu 1,2,4 -run 'TinyBodies|GuardInactive|PipelineStopsForking|PipelineRarelyParks' ./mutls
 	$(GO) test -race -count=2 ./mutls/pool ./internal/serve
 
 # vet is the consolidated static-analysis gate:

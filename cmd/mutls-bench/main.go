@@ -97,6 +97,9 @@ func main() {
 	default:
 		err = runFigure(h, *fig)
 	}
+	if err == nil && *real {
+		err = h.Payoff(os.Stdout)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -32,6 +32,10 @@ type ForkHandle struct {
 	epoch   uint64
 	started bool
 	nSaved  int
+	// pay and payStart time the fork for the point's pay-off estimate; nil
+	// unless the non-speculative thread forks on a bound point.
+	pay      *payoff
+	payStart vclock.Cost
 }
 
 // check panics when the fork window is closed: Start already ran, or the
@@ -45,10 +49,13 @@ func (h *ForkHandle) check(op string) {
 // Fork is __builtin_MUTLS_fork(p, model): it claims an IDLE virtual CPU for
 // a speculative thread at fork/join point p under the given forking model.
 // It returns nil — and the program simply continues non-speculatively — when
-// the point already has a thread (ranks[p] != 0), the model forbids this
-// thread from forking, the point is disabled (by the adaptive heuristic or
-// by repeated faults), or no CPU is IDLE. On success ranks[p] holds the child's rank and the child is
-// pushed on this thread's children stack.
+// the point already has a thread (ranks[p] != 0), the point is disabled (by
+// the adaptive heuristic or by repeated faults), the point's region has not
+// been paying for its fork/join (payoff.go; one fork in 16, 32, … 1 024
+// still goes through as a probe) or is due an inline run to be timed again
+// (one fork in 64 of a driver that never runs it inline), the run is
+// cancelled, the model forbids this thread from forking, or no CPU is IDLE. On success ranks[p] holds the
+// child's rank and the child is pushed on this thread's children stack.
 func (t *Thread) Fork(ranks []Rank, p int, model Model) *ForkHandle {
 	if p < 0 || p >= len(ranks) || p >= t.rt.opts.MaxPoints {
 		panic(fmt.Sprintf("core: fork point %d out of range", p))
@@ -57,8 +64,22 @@ func (t *Thread) Fork(ranks []Rank, p int, model Model) *ForkHandle {
 		return nil
 	}
 	t.injectAt(faultinject.SiteFork)
-	if t.rt.points[p].disabled.Load() {
+	ps := &t.rt.points[p]
+	if ps.disabled.Load() {
 		return nil
+	}
+	// The do-no-harm guard. The non-speculative thread owns the estimate
+	// and makes the probes; speculative threads (the links of an in-order
+	// chain) follow its verdict.
+	pe := ps.pay.Load()
+	if pe != nil {
+		noPay := pe.noPay.Load()
+		if t.speculative && noPay || !t.speculative && !pe.admit() {
+			if noPay {
+				ps.refusedNoPay.Add(1)
+			}
+			return nil
+		}
 	}
 	if t.rt.cancelled.Load() {
 		// A cancelled run stops growing its speculative frontier: the
@@ -119,6 +140,10 @@ func (t *Thread) Fork(ranks []Rank, p int, model Model) *ForkHandle {
 	}
 	h := &t.fork
 	*h = ForkHandle{t: t, child: child, epoch: ref.epoch}
+	if pe != nil && !t.speculative {
+		pe.forked()
+		h.pay, h.payStart = pe, sw.Started()
+	}
 	t.openFork = h
 	return h
 }
@@ -254,6 +279,9 @@ func (h *ForkHandle) Start(region RegionFunc) {
 	c.task = specTask{region: region, startAt: startAt}
 	c.taskReady.Store(true)
 	c.td.gate.wake()
+	if h.pay != nil {
+		h.pay.observeFork(h.t.clock.Now() - h.payStart)
+	}
 }
 
 // getRegvar is MUTLS_get_regvar_* on the child side (the stub), or the

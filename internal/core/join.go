@@ -284,6 +284,9 @@ func (t *Thread) Join(ranks []Rank, p int) JoinResult {
 		t.rt.linearRemove(want)
 	}
 	t.rt.releaseCPU(child, td.finalTime)
+	if pe := t.rt.points[p].pay.Load(); pe != nil {
+		pe.observeJoin(t.clock.Now()-waitStart, committed)
+	}
 	return res
 }
 

@@ -19,10 +19,10 @@ import (
 // pointState is everything the runtime counts about one fork/join point.
 //
 // Reset rule: ResetStats zeroes the counts and latency sums — the
-// statistics. disabled, the fault count and the wall-latency EWMA are a
-// verdict on the driver run that owns the id, so they clear only when the
-// id changes hands (AllocPoint) or the namespace is recycled (ResetPoints);
-// the heuristic's sample window restarts on either.
+// statistics. disabled, the fault count, the wall-latency EWMA and the
+// pay-off binding are a verdict on the driver run that owns the id, so they
+// clear only when the id changes hands (AllocPoint) or the namespace is
+// recycled (ResetPoints); the heuristic's sample window restarts on either.
 type pointState struct {
 	// commits and rollbacks count finished speculative executions on the
 	// point (squashed/NOSYNCed executions count as rollbacks); the latency
@@ -46,6 +46,16 @@ type pointState struct {
 	// run that owns the id, not those of the id's previous owners.
 	windowCommits   atomic.Int64
 	windowRollbacks atomic.Int64
+
+	// pay is the pay-off estimate the id's owner bound at AllocPoint (nil:
+	// virtual timing, or a point allocated without a body key — it forks as
+	// if there were no guard). FreePoint unbinds it, so a raw Fork on a
+	// finished driver's id does not inherit the verdict, and leaves the
+	// estimate's last averages in payInline/payGain/payCost for Stats.
+	pay                         atomic.Pointer[payoff]
+	payInline, payGain, payCost atomic.Int64
+	// refusedNoPay counts the forks the pay-off guard refused (a statistic).
+	refusedNoPay atomic.Int64
 }
 
 // The adaptive fork heuristic sketched as future work in §VI ("different
@@ -108,8 +118,13 @@ func (ps *pointState) reset(newOwner bool) {
 		ps.disabled.Store(false)
 		ps.windowCommits.Store(ps.commits.Load())
 		ps.windowRollbacks.Store(ps.rollbacks.Load())
+		ps.pay.Store(nil)
+		ps.payInline.Store(0)
+		ps.payGain.Store(0)
+		ps.payCost.Store(0)
 		return
 	}
+	ps.refusedNoPay.Store(0)
 	ps.commits.Store(0)
 	ps.rollbacks.Store(0)
 	ps.commitLatency.Store(0)

@@ -267,6 +267,7 @@ type Runtime struct {
 	linear   []childRef
 
 	points    []pointState // per-point accounting, see live.go
+	payoffs   []payoff     // per-body pay-off estimates, see payoff.go; nil under virtual timing
 	collector *stats.Collector
 	wg        sync.WaitGroup
 	closed    atomic.Bool
@@ -362,6 +363,9 @@ func NewRuntime(opts Options) (*Runtime, error) {
 	rt.drainGate.init()
 	rt.pointLive = make([]bool, o.MaxPoints)
 	rt.cpuLimit.Store(int32(o.NumCPUs))
+	if o.Timing == vclock.Real {
+		rt.payoffs = make([]payoff, payoffEntries)
+	}
 	if o.NumCPUs > 0 {
 		ws, err := mem.NewWriteStamps(space.Arena.Size(), 0)
 		if err != nil {
@@ -448,13 +452,26 @@ func (rt *Runtime) MaxPoints() int { return rt.opts.MaxPoints }
 // (a point disabled by one loop's rollbacks must not serialize the
 // unrelated loop that inherits the id); its counts stay until ResetStats.
 //
+// body, when given, is the code pointer of the driver's body: under real
+// timing the id is bound to the pay-off estimate kept for that body
+// (payoff.go), which outlives the id. Without it the point forks whenever
+// the protocol allows, as every point does under virtual timing.
+//
 // When every id is live — more than MaxPoints simultaneously live runs —
 // the allocator falls back to plain round-robin aliasing and counts the
 // exhaustion (PointsExhausted, surfaced in Summary): aliasing degrades
 // feedback/heuristic quality, never correctness, but a long-lived
 // multi-tenant runtime should see it rather than silently serve worse
 // schedules.
-func (rt *Runtime) AllocPoint() int {
+func (rt *Runtime) AllocPoint(body ...uintptr) int {
+	if len(body) > 0 {
+		return rt.allocPoint(body[0])
+	}
+	return rt.allocPoint(0)
+}
+
+// allocPoint is AllocPoint under body key body, 0 for none.
+func (rt *Runtime) allocPoint(body uintptr) int {
 	max := rt.opts.MaxPoints
 	rt.pointMu.Lock()
 	var p int
@@ -474,15 +491,24 @@ func (rt *Runtime) AllocPoint() int {
 	}
 	rt.pointMu.Unlock()
 	rt.points[p].reset(true)
+	rt.points[p].pay.Store(rt.payoffFor(body))
 	return p
 }
 
 // FreePoint returns a point id to the allocator. Freeing an id that was
 // handed out twice under exhaustion simply makes it preferred again; out
-// of range or already-free ids are ignored.
+// of range or already-free ids are ignored. The id's pay-off binding ends
+// here (the estimate itself stays with the body); its averages are kept for
+// Stats.
 func (rt *Runtime) FreePoint(p int) {
 	if p < 0 || p >= rt.opts.MaxPoints {
 		return
+	}
+	ps := &rt.points[p]
+	if pe := ps.pay.Swap(nil); pe != nil {
+		ps.payInline.Store(pe.inline)
+		ps.payGain.Store(pe.gain())
+		ps.payCost.Store(pe.cost)
 	}
 	rt.pointMu.Lock()
 	if rt.pointLive[p] {
@@ -524,14 +550,22 @@ func (rt *Runtime) ResetPoints() {
 
 // AllocPoints returns n distinct point ids allocated as one block (the
 // multi-point form of AllocPoint, for drivers with one point per stage).
-// It panics when n exceeds MaxPoints, the static protocol limit.
-func (rt *Runtime) AllocPoints(n int) []int {
+// bodies, when given, holds one body key per point. It panics when n
+// exceeds MaxPoints, the static protocol limit.
+func (rt *Runtime) AllocPoints(n int, bodies ...uintptr) []int {
 	if n > rt.opts.MaxPoints {
 		panic(fmt.Sprintf("core: AllocPoints(%d) exceeds MaxPoints %d", n, rt.opts.MaxPoints))
 	}
+	if len(bodies) != 0 && len(bodies) != n {
+		panic(fmt.Sprintf("core: AllocPoints(%d) with %d body keys", n, len(bodies)))
+	}
 	ps := make([]int, n)
 	for i := range ps {
-		ps[i] = rt.AllocPoint()
+		body := uintptr(0)
+		if len(bodies) > 0 {
+			body = bodies[i]
+		}
+		ps[i] = rt.allocPoint(body)
 	}
 	return ps
 }
@@ -771,12 +805,16 @@ func (rt *Runtime) Stats() *stats.Summary {
 	s := rt.collector.Summarize(rt.opts.NumCPUs)
 	for p := range rt.points {
 		ps := &rt.points[p]
-		commits, rollbacks := ps.commits.Load(), ps.rollbacks.Load()
-		if commits+rollbacks > 0 {
+		commits, rollbacks, refused := ps.commits.Load(), ps.rollbacks.Load(), ps.refusedNoPay.Load()
+		if commits+rollbacks+refused > 0 {
 			s.PerPoint[p] = stats.PointStats{
-				Commits:   int(commits),
-				Rollbacks: int(rollbacks),
-				Runtime:   ps.commitLatency.Load() + ps.rollbackLatency.Load(),
+				Commits:      int(commits),
+				Rollbacks:    int(rollbacks),
+				Runtime:      ps.commitLatency.Load() + ps.rollbackLatency.Load(),
+				RefusedNoPay: int(refused),
+				InlineNS:     ps.payInline.Load(),
+				GainNS:       ps.payGain.Load(),
+				CostNS:       ps.payCost.Load(),
 			}
 		}
 	}

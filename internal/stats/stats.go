@@ -240,6 +240,16 @@ type PointStats struct {
 	Commits   int
 	Rollbacks int
 	Runtime   vclock.Cost
+
+	// RefusedNoPay counts the forks the pay-off guard refused: the point's
+	// region costs the joining thread less to run inline than a fork/join
+	// does. The three averages are that estimate when the point's driver
+	// finished, in nanoseconds on the non-speculative thread's clock: the
+	// region run inline, what a fork bought (InlineNS times the share of
+	// joins that committed) and what a fork/join cost. All zero under
+	// virtual timing.
+	RefusedNoPay             int
+	InlineNS, GainNS, CostNS int64
 }
 
 // Summarize adds up the per-CPU accumulators.

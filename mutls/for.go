@@ -1,6 +1,10 @@
 package mutls
 
-import "repro/internal/core"
+import (
+	"reflect"
+
+	"repro/internal/core"
+)
 
 // This file implements loop-level speculation with chained in-order forks,
 // a direct translation of the paper's transformed loop code: each chunk's
@@ -118,7 +122,7 @@ func For(t *Thread, nChunks int, opts ForOptions, body func(c *Thread, idx int))
 	if nChunks <= 0 {
 		return
 	}
-	driveChunks(t, nChunks, opts.Model, 0,
+	driveChunks(t, nChunks, opts.Model, 0, bodyKey(body),
 		func(seq int) (lo, hi int) { return seq, seq + 1 },
 		func(c *Thread, lo, hi int) { body(c, lo) })
 }
@@ -132,16 +136,23 @@ func ForRange(t *Thread, n int, opts ForOptions, body func(c *Thread, lo, hi int
 		return
 	}
 	chunks := opts.Policy.Chunks(n)
-	driveChunks(t, chunks, opts.Model, opts.PollEvery,
+	driveChunks(t, chunks, opts.Model, opts.PollEvery, bodyKey(body),
 		func(seq int) (lo, hi int) { return opts.Policy.Bounds(n, chunks, seq) },
 		body)
 }
+
+// bodyKey identifies a driver's body — a func value — by its code pointer:
+// the key the runtime keeps the body's pay-off estimate under, so the
+// verdict on a loop outlives the call that measured it. Closures made from
+// one literal share the key whatever they capture, and so share a verdict.
+func bodyKey(body any) uintptr { return reflect.ValueOf(body).Pointer() }
 
 // driveChunks is the loop controller shared by For and ForRange: the
 // non-speculative thread runs chunk 0 and joins the chain of chunks
 // 1..chunks-1 in order. bounds maps a chunk's sequence number to its index
 // range; it is pure, so the chained forks call it without synchronization.
-func driveChunks(t *Thread, chunks int, model Model, poll int, bounds func(seq int) (lo, hi int), body func(c *Thread, lo, hi int)) {
+// key is the caller's body (bodyKey), body its chunk-range form.
+func driveChunks(t *Thread, chunks int, model Model, poll int, key uintptr, bounds func(seq int) (lo, hi int), body func(c *Thread, lo, hi int)) {
 	rt := t.Runtime()
 	// Each run speculates on its own fork/join point, so its per-point
 	// profile and fork heuristic never mix with a nested run started from
@@ -149,8 +160,14 @@ func driveChunks(t *Thread, chunks int, model Model, poll int, bounds func(seq i
 	// The id is freed when the run ends, so only more than MaxPoints
 	// *simultaneously live* runs can exhaust the namespace (counted in
 	// Summary.PointsExhausted).
-	point := rt.AllocPoint()
+	point := rt.AllocPoint(key)
 	defer rt.FreePoint(point)
+	// inline runs a chunk on this thread, timed: what forking it is worth.
+	inline := func(lo, hi int) {
+		span := t.StartInline(point)
+		body(t, lo, hi)
+		span.Stop()
+	}
 
 	var region RegionFunc
 	// fork speculates chunk seq. Its three live-ins are the transformed
@@ -204,8 +221,7 @@ func driveChunks(t *Thread, chunks int, model Model, poll int, bounds func(seq i
 	mark := t.ChildMark()
 	ranks := make([]Rank, point+1)
 	fork(t, ranks, 1)
-	lo, hi := bounds(0)
-	body(t, lo, hi)
+	inline(bounds(0))
 
 	for seq := 1; seq < chunks; seq++ {
 		// Cooperative cancellation: a cancelled run (RunCtx deadline) stops
@@ -234,6 +250,6 @@ func driveChunks(t *Thread, chunks int, model Model, poll int, bounds func(seq i
 		}
 		ranks[point] = 0
 		fork(t, ranks, seq+1)
-		body(t, lo, hi)
+		inline(lo, hi)
 	}
 }

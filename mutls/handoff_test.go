@@ -3,12 +3,14 @@ package mutls_test
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/bench"
 	"repro/internal/raceflag"
+	"repro/internal/stats"
 	"repro/mutls"
 )
 
@@ -31,7 +33,9 @@ func handoffRuntime(tb testing.TB, tweak func(*mutls.Options)) *mutls.Runtime {
 // BenchmarkPipelineToken is one token through a two-stage pipeline with
 // empty stage bodies: predict, fork, validate the prediction, join, observe
 // — what Pipeline adds to a token before the stages do any work. The
-// committed path must not allocate.
+// committed path must not allocate. The points carry no body keys
+// (PipelineUnkeyed): under them Pipeline would rightly stop forking stages
+// that do nothing, and this would time a refusal.
 func BenchmarkPipelineToken(b *testing.B) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	rt := handoffRuntime(b, nil)
@@ -41,9 +45,9 @@ func BenchmarkPipelineToken(b *testing.B) {
 	if _, err := rt.Run(func(t *mutls.Thread) {
 		// The first tokens calibrate the predictor and size the runtime's
 		// reusable buffers.
-		mutls.Pipeline(t, 64, 0, mutls.PipelineOptions{Predictor: mutls.Stride}, stage, stage)
+		mutls.PipelineUnkeyed(t, 64, 0, mutls.PipelineOptions{Predictor: mutls.Stride}, stage, stage)
 		b.ResetTimer()
-		out = mutls.Pipeline(t, b.N, 0, mutls.PipelineOptions{Predictor: mutls.Stride}, stage, stage)
+		out = mutls.PipelineUnkeyed(t, b.N, 0, mutls.PipelineOptions{Predictor: mutls.Stride}, stage, stage)
 		b.StopTimer()
 	}); err != nil {
 		b.Fatal(err)
@@ -52,6 +56,9 @@ func BenchmarkPipelineToken(b *testing.B) {
 		b.Fatalf("pipeline live-out %d, want %d", out, 2*b.N)
 	}
 	s := rt.Stats()
+	if s.Commits < b.N-2 {
+		b.Fatalf("%d of %d tokens forked and committed: this timed something else", s.Commits, b.N)
+	}
 	b.ReportMetric(float64(s.HandoffParks)/float64(b.N), "parks/op")
 }
 
@@ -95,18 +102,105 @@ func hostParallelism() float64 {
 
 var spinSink float64
 
-// TestStencilPipelineRarelyParks is the hand-off's end-to-end claim: on two
-// procs the stencil pipeline — a fork/join every few tens of microseconds —
-// keeps both threads on their cores. Fewer than one join in ten may park a
-// goroutine.
-func TestStencilPipelineRarelyParks(t *testing.T) {
+// spin is deterministic busy work of n dependent multiply-adds, folded into
+// the stage's live-out so the compiler keeps it (it adds 0).
+func spin(n int, in uint64) uint64 {
+	x := in | 1
+	for i := 0; i < n; i++ {
+		x = x*6364136223846793005 + 1442695040888963407
+	}
+	return in + 1 + x>>63<<63&^x
+}
+
+// spinsPerMicrosecond times spin on this host.
+func spinsPerMicrosecond() int {
+	const n = 2_000_000
+	start := time.Now()
+	spinSink = float64(spin(n, 1))
+	return max(1, int(n*time.Microsecond/time.Since(start)))
+}
+
+// TestSpinPipelineRarelyParks is the hand-off's end-to-end claim, on a
+// pipeline whose forks pay: two inline stages of 50 us against a speculated
+// one of 100 us, a fork and a join every 100 us with both threads busy in
+// between. On two procs fewer than one join in ten may park a goroutine.
+// (The stencil pipeline used to carry this claim; its stages are too small
+// to be worth a fork — see TestStencilPipelineStopsForking.)
+func TestSpinPipelineRarelyParks(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 || runtime.NumCPU() < 2 {
 		t.Skip("needs two procs")
 	}
 	if raceflag.Enabled {
-		t.Skip("the race detector stretches the stages past any spin budget")
+		t.Skip("the race detector stretches the hand-off past any spin budget")
 	}
-	size := bench.Size{N: 32768, Steps: 8}
+	const tokens = 400
+	perUS := spinsPerMicrosecond()
+	stage := func(us int) mutls.Stage {
+		return func(_ *mutls.Thread, _ int, in uint64) uint64 { return spin(us*perUS, in) }
+	}
+	stages := []mutls.Stage{stage(50), stage(50), stage(100)}
+	rt := handoffRuntime(t, nil)
+	// Parking is a property of the host as much as of the runtime: when the
+	// two threads do not each have a core (go test runs package binaries
+	// side by side), every wait outlasts the budget, and parking is then
+	// the right thing to do. Only runs bracketed by two clean parallelism
+	// probes count. A probe can be clean around a run that was not, so the
+	// verdict is the median of three clean runs.
+	const wantClean = 3
+	var shares []float64
+	var probes []string
+	joins := 0
+	for attempt := 0; attempt < 32 && len(shares) < wantClean; attempt++ {
+		before := hostParallelism()
+		var out uint64
+		if _, err := rt.Run(func(th *mutls.Thread) {
+			out = mutls.Pipeline(th, tokens, 0, mutls.PipelineOptions{Predictor: mutls.Stride}, stages...)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if out != 3*tokens {
+			t.Fatalf("pipeline live-out %d, want %d", out, 3*tokens)
+		}
+		s := rt.Stats()
+		rt.Recycle()
+		joins = s.Commits + s.Rollbacks
+		if joins < tokens/2 {
+			t.Fatalf("%d joins in %d tokens: a stage worth 100 us stopped forking (%+v)", joins, tokens, s.PerPoint)
+		}
+		after := hostParallelism()
+		share := float64(s.HandoffParks) / float64(joins)
+		probes = append(probes, fmt.Sprintf("%.2f/%.2f: %.0f%%", before, after, 100*share))
+		if before >= 1.6 && after >= 1.6 {
+			shares = append(shares, share)
+		}
+	}
+	readings := fmt.Sprintf("host parallelism before/after each run and its park share: %v", probes)
+	if len(shares) < wantClean {
+		t.Skipf("the host gave this process two free cores on %d of %d runs, need %d; %s", len(shares), len(probes), wantClean, readings)
+	}
+	sort.Float64s(shares)
+	median := shares[len(shares)/2]
+	t.Logf("median of %d clean runs parked on %.1f%% of %d joins; %s", len(shares), 100*median, joins, readings)
+	if median >= 0.10 {
+		t.Fatalf("median run parked on %.0f%% of %d joins, want under 10%%", 100*median, joins)
+	}
+}
+
+// TestStencilPipelineStopsForking is the answer to what loop-memory's 0.91x
+// was: not a slow hand-off but a stage split that should not fork. At the
+// benchmark's size a stage is 3-10 us of work and a fork/join costs the
+// joining thread more than that, so once the stages' estimates have their
+// eight joins — during the first run — the pipeline runs its stages inline
+// and only probes: from the second run on at most 16 forks of 768 attempts,
+// the refusals visible per point, the checksum the sequential one.
+func TestStencilPipelineStopsForking(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 || runtime.NumCPU() < 2 {
+		t.Skip("needs two procs")
+	}
+	if raceflag.Enabled {
+		t.Skip("the race detector stretches a stage's memory traffic more than its fork/join")
+	}
+	size := bench.Size{N: 32768, Steps: 24}
 	rt := handoffRuntime(t, func(o *mutls.Options) {
 		o.HeapBytes = bench.Stencil.HeapBytes(size)
 		o.RegSlots = 160
@@ -116,49 +210,35 @@ func TestStencilPipelineRarelyParks(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt.Recycle()
-	// Parking is a property of the host as much as of the runtime: when the
-	// two threads do not each have a core (go test runs package binaries
-	// side by side), every wait outlasts the budget, and parking is then
-	// the right thing to do. Only runs bracketed by two clean parallelism
-	// probes count, and the best of them is what the runtime can do. A
-	// probe can be clean around a run that was not, so one or two clean
-	// runs prove nothing either way: the verdict needs three.
-	const wantClean = 3
-	best, joins, clean := 1.0, 0, 0
-	var probes []string
-	for attempt := 0; attempt < 32 && (clean < wantClean || best >= 0.10); attempt++ {
-		before := hostParallelism()
+	for run := 1; run <= 4; run++ {
 		if _, err := rt.Run(func(th *mutls.Thread) {
 			got = bench.Stencil.Spec(th, size, bench.SpecOptions{Model: bench.Stencil.DefaultModel})
 		}); err != nil {
 			t.Fatal(err)
 		}
 		if got != want {
-			t.Fatalf("checksum %#x, want %#x", got, want)
+			t.Fatalf("run %d: checksum %#x, want %#x", run, got, want)
 		}
 		s := rt.Stats()
 		rt.Recycle()
-		joins = s.Commits + s.Rollbacks
-		if joins == 0 {
-			t.Fatal("the pipeline never speculated")
+		refused := 0
+		var sample stats.PointStats
+		for _, ps := range s.PerPoint {
+			refused += ps.RefusedNoPay
+			if ps.RefusedNoPay > 0 {
+				sample = ps
+			}
 		}
-		after := hostParallelism()
-		share := float64(s.HandoffParks) / float64(joins)
-		probes = append(probes, fmt.Sprintf("%.2f/%.2f: %.0f%%", before, after, 100*share))
-		if before < 1.6 || after < 1.6 {
+		forks := s.Commits + s.Rollbacks
+		t.Logf("run %d: %d forks, %d refused; one refusing point: %+v", run, forks, refused, sample)
+		if run == 1 {
 			continue
 		}
-		clean++
-		if share < best {
-			best = share
+		if forks > 16 || refused < 700 {
+			t.Fatalf("run %d: %d forks and %d refusals, want at most 16 forks of 768 attempts", run, forks, refused)
 		}
-	}
-	readings := fmt.Sprintf("host parallelism before/after each run and its park share: %v", probes)
-	if clean < wantClean {
-		t.Skipf("the host gave this process two free cores on %d of %d runs, need %d; %s", clean, len(probes), wantClean, readings)
-	}
-	t.Logf("best of %d clean runs parked on %.1f%% of %d joins; %s", clean, 100*best, joins, readings)
-	if best >= 0.10 {
-		t.Fatalf("best run parked on %.0f%% of %d joins, want under 10%%", 100*best, joins)
+		if sample.InlineNS <= 0 || sample.CostNS <= sample.GainNS {
+			t.Fatalf("run %d: a refusing point reports %+v, not an estimate that refuses", run, sample)
+		}
 	}
 }

@@ -69,6 +69,12 @@ type PipelineOptions struct {
 // runs inline (the first token, or two tokens for Stride, calibrate the
 // predictors).
 func Pipeline(t *Thread, nTokens int, init uint64, opts PipelineOptions, stages ...Stage) uint64 {
+	return pipeline(t, nTokens, init, opts, true, stages)
+}
+
+// pipeline is Pipeline; keyed is false only in the hand-off benchmark, whose
+// empty stages have to keep forking: its points carry no body keys.
+func pipeline(t *Thread, nTokens int, init uint64, opts PipelineOptions, keyed bool, stages []Stage) uint64 {
 	nStages := len(stages)
 	if nTokens <= 0 || nStages == 0 {
 		return init
@@ -78,9 +84,17 @@ func Pipeline(t *Thread, nTokens int, init uint64, opts PipelineOptions, stages 
 		model = OutOfOrder
 	}
 	rt := t.Runtime()
-	// One fork point per speculated stage (stages[0] never forks); the
+	// One fork point per speculated stage (stages[0] never forks), each
+	// under its stage's body key plus its position — stages made by one
+	// constructor share a code pointer and must not share an estimate; the
 	// block is freed when the pipeline ends.
-	points := rt.AllocPoints(nStages - 1)
+	keys := make([]uintptr, nStages-1)
+	for s := range keys {
+		if keyed {
+			keys[s] = bodyKey(stages[s+1]) + uintptr(s)
+		}
+	}
+	points := rt.AllocPoints(nStages-1, keys...)
 	defer rt.FreePoints(points)
 	maxPoint := 0
 	for _, p := range points {
@@ -163,7 +177,9 @@ func Pipeline(t *Thread, nTokens int, init uint64, opts PipelineOptions, stages 
 					continue
 				}
 			}
+			span := t.StartInline(points[s-1])
 			cur = stages[s](t, token, cur)
+			span.Stop()
 		}
 		in = cur
 	}

@@ -75,7 +75,7 @@ type reduceHooks struct {
 // validates, the join adopts the speculative live-out and the loop skips
 // that chunk.
 func Reduce(t *Thread, nChunks int, init int64, opts ReduceOptions, body func(c *Thread, idx int, acc int64) int64) int64 {
-	out := ReduceFunc(t, nChunks, uint64(init), opts, func(c *Thread, idx int, acc uint64) uint64 {
+	out := reduceFunc(t, nChunks, uint64(init), opts, bodyKey(body), func(c *Thread, idx int, acc uint64) uint64 {
 		return uint64(body(c, idx, int64(acc)))
 	})
 	return int64(out)
@@ -90,6 +90,11 @@ func Reduce(t *Thread, nChunks int, init int64, opts ReduceOptions, body func(c 
 // bit-exactly at the join, preserving exact sequential semantics for every
 // encoding.
 func ReduceFunc(t *Thread, nChunks int, init uint64, opts ReduceOptions, body func(c *Thread, idx int, acc uint64) uint64) uint64 {
+	return reduceFunc(t, nChunks, init, opts, bodyKey(body), body)
+}
+
+// reduceFunc is ReduceFunc under the caller's body key (see bodyKey).
+func reduceFunc(t *Thread, nChunks int, init uint64, opts ReduceOptions, key uintptr, body func(c *Thread, idx int, acc uint64) uint64) uint64 {
 	pred := predict.New(opts.Predictor)
 	hooks := reduceHooks{
 		predict: func() (uint64, bool) {
@@ -103,7 +108,7 @@ func ReduceFunc(t *Thread, nChunks int, init uint64, opts ReduceOptions, body fu
 			t.ValidateRegvarInt64(ranks, p, 0, int64(actual))
 		},
 	}
-	return reduceWord(t, nChunks, init, opts.Model, hooks, body)
+	return reduceWord(t, nChunks, init, opts.Model, hooks, key, body)
 }
 
 // ReduceFloat64 folds body over the chunks [0, nChunks) starting from init
@@ -131,7 +136,7 @@ func ReduceFloat64(t *Thread, nChunks int, init float64, opts ReduceFloatOptions
 			t.ValidateRegvarFloat64Rel(ranks, p, 0, math.Float64frombits(actual), opts.RelTol)
 		},
 	}
-	out := reduceWord(t, nChunks, math.Float64bits(init), opts.Model, hooks,
+	out := reduceWord(t, nChunks, math.Float64bits(init), opts.Model, hooks, bodyKey(body),
 		func(c *Thread, idx int, acc uint64) uint64 {
 			return math.Float64bits(body(c, idx, math.Float64frombits(acc)))
 		})
@@ -146,7 +151,7 @@ func ReduceFloat64(t *Thread, nChunks int, init float64, opts ReduceFloatOptions
 // including init itself and the boundaries of chunks that were never
 // forked, so the prediction history always matches the join-point value
 // sequence (a refused fork punches no hole in the stride).
-func reduceWord(t *Thread, nChunks int, init uint64, model Model, hooks reduceHooks, body func(c *Thread, idx int, acc uint64) uint64) uint64 {
+func reduceWord(t *Thread, nChunks int, init uint64, model Model, hooks reduceHooks, key uintptr, body func(c *Thread, idx int, acc uint64) uint64) uint64 {
 	if nChunks <= 0 {
 		return init
 	}
@@ -157,7 +162,7 @@ func reduceWord(t *Thread, nChunks int, init uint64, model Model, hooks reduceHo
 		model = OutOfOrder
 	}
 	rt := t.Runtime()
-	point := rt.AllocPoint()
+	point := rt.AllocPoint(key)
 	defer rt.FreePoint(point)
 	ranks := make([]Rank, point+1)
 	region := func(c *Thread) uint32 {
@@ -193,7 +198,11 @@ func reduceWord(t *Thread, nChunks int, init uint64, model Model, hooks reduceHo
 				}
 			}
 		}
+		// The inline fold is the continuation's region one chunk earlier:
+		// its time is what forking the next chunk is worth.
+		span := t.StartInline(point)
 		acc = body(t, idx, acc)
+		span.Stop()
 		// The boundary value after the inline chunk is exactly the value a
 		// concurrent fork predicted; record it before validation so the
 		// predictor's history stays one-to-one with the boundary sequence.
