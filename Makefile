@@ -25,12 +25,15 @@ race:
 	$(GO) test -race ./...
 
 # race-repeat reruns the packages whose tests are about interleavings: the
-# join protocol and the pay-off guard on 1, 2 and 4 procs (the guard's
-# estimator and real-clock tests live in internal/core; its driver tests in
-# mutls), the pool and the serving layer.
+# join protocol, the pay-off guard and host-aware fork admission on 1, 2 and
+# 4 procs (the whole of internal/core — TestForkAdmissionFollowsTheProcs,
+# TestForkAdmissionOffOnOneProc and TestRunCountsSurviveGoexit among them —
+# the guard's driver tests in mutls, the pool's two-lease test), then the
+# pool and the serving layer once more at the host's own width.
 race-repeat:
 	$(GO) test -race -count=2 -cpu 1,2,4 ./internal/core
 	$(GO) test -race -count=2 -cpu 1,2,4 -run 'TinyBodies|GuardInactive|PipelineStopsForking|PipelineRarelyParks' ./mutls
+	$(GO) test -race -count=2 -cpu 1,2,4 -run 'ConcurrentLeasesDoNotForkPastTheProcs' ./mutls/pool
 	$(GO) test -race -count=2 ./mutls/pool ./internal/serve
 
 # vet is the consolidated static-analysis gate:
@@ -79,8 +82,11 @@ smoke:
 # chaos is the fault-injection smoke: seeded storms over the quick kernel
 # subset under the race detector, asserting checksum equivalence, typed
 # containment and zero goroutine leaks. Fully reproducible from the seed.
+# The refusal storm is the same contract under a different disturbance: the
+# CPU limit moving under running matmults, bit-exact checksums.
 chaos:
 	$(GO) run -race ./cmd/mutls-bench -chaos -quick -seed $(CHAOS_SEED)
+	$(GO) test -race -run TestMatmultRefusalStorm -count=3 ./internal/bench
 
 # loc reports the size ROADMAP aim 2 tracks: non-test Go outside the
 # benchmark and the analyzers' testdata, against the deletion round's

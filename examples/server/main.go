@@ -2,7 +2,11 @@
 // Every request leases a runtime from a shared pool (admission-controlled
 // against a host CPU budget), runs one benchmark kernel speculatively
 // under the request's deadline, verifies the checksum against the
-// sequential reference, and reports the speculation activity.
+// sequential reference, and reports the speculation activity. The pooled
+// runtimes run on the real clock ("cost" in a response is nanoseconds): a
+// lease the budget granted CPUs still forks only onto procs that are free
+// at that moment, and /stats counts the forks that found none
+// (refused_no_proc); -budget decides which leases are labelled degraded.
 //
 //	go run ./examples/server -addr :8080 &
 //	curl 'localhost:8080/run?kernel=mandelbrot&n=64&m=500'

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/mutls"
@@ -203,5 +204,64 @@ func TestBenchmarkSets(t *testing.T) {
 		if w.AmountOfData(w.PaperSize) == "" || w.Description == "" || w.Pattern == "" {
 			t.Errorf("%s: incomplete Table II row", w.Name)
 		}
+	}
+}
+
+// TestMatmultRefusalStorm moves the CPU limit under running matmults, so
+// that Spawn's refusals stop being monotone — a sub-product refused, the
+// next one granted, a node's own thread spawning again after a sibling was
+// turned down — which is what a loaded host does to a real-timing run.
+// Every run must still leave C bit for bit as the sequential one does: its
+// sub-products accumulate, so any pair run out of order shows in the
+// unquantised checksum.
+func TestMatmultRefusalStorm(t *testing.T) {
+	const cpus = 4
+	runs := 300
+	if testing.Short() {
+		runs = 100
+	}
+	cfg := ciConfig(MatMult, cpus)
+	rt, err := mutls.New(cfg.options(MatMult))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	var want uint64
+	if _, err := rt.Run(func(th *mutls.Thread) { want = MatMult.Seq(th, cfg.Size) }); err != nil {
+		t.Fatal(err)
+	}
+	rt.Recycle()
+
+	stop := make(chan struct{})
+	stormed := make(chan struct{})
+	go func() {
+		defer close(stormed)
+		for n := 0; ; n++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			rt.SetCPULimit(n % (cpus + 1))
+			runtime.Gosched()
+		}
+	}()
+	bad := 0
+	for i := 0; i < runs; i++ {
+		var got uint64
+		if _, err := rt.Run(func(th *mutls.Thread) {
+			got = MatMult.Spec(th, cfg.Size, SpecOptions{Model: mutls.Mixed})
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			bad++
+		}
+		rt.Recycle()
+	}
+	close(stop)
+	<-stormed
+	if bad > 0 {
+		t.Fatalf("%d of %d runs under a moving CPU limit differ from the sequential checksum %#x", bad, runs, want)
 	}
 }

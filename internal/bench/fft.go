@@ -190,7 +190,10 @@ func fftSpec(t *mutls.Thread, s Size, o SpecOptions) uint64 {
 			// non-speculative driver after the subtree's joins.
 			return
 		}
-		// No CPU: transform the right half sequentially here.
+		// No CPU: transform the right half sequentially here. The left
+		// half's own speculations may still be running — that is safe,
+		// unlike in matmult's node, because the two halves touch disjoint
+		// elements: nothing this block stores is in their read sets.
 		fftBlock(c, ctx, lo+half, half)
 		if tt.Pending() == nBefore {
 			// Both halves are complete locally: combine now.

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/mem"
 	"repro/mutls"
@@ -163,21 +164,30 @@ func matmultSpec(t *mutls.Thread, s Size, o SpecOptions) uint64 {
 		}
 		subs := mmSubs(ctx, cOff, aOff, bOff, sz)
 		sub := span / 8
-		// Spawn sub-products 7..1 in reverse sequential order (later forked
-		// = logically earlier, §IV-F), compute sub-product 0 ourselves.
-		spawned := make([]bool, 8)
-		for i := 7; i >= 1; i-- {
-			spawned[i] = tt.Spawn(c, mutls.Task{
-				Seq: seq + int64(i)*sub, Span: sub,
-				Args: [4]int64{int64(subs[i].cOff), int64(subs[i].aOff), int64(subs[i].bOff), int64(sz / 2)},
-			})
+		// Spawn sub-products 7, 6, … in reverse sequential order (later
+		// forked = logically earlier, §IV-F) up to the first refusal, and
+		// compute the rest, 0..inline, ourselves. Everything this thread
+		// runs inline must come before everything it has speculated, and
+		// the two sub-products of a C quadrant accumulate into the same
+		// block, so a refusal is final — a later Spawn may well be granted
+		// (a CPU freed, a proc became idle), and sub-product i+1 run inline
+		// would then precede the speculated i — and, when a sibling runs
+		// inline after it, sub-product 0 must not leave children of its own
+		// speculating behind: they would validate against the sibling's
+		// stores, fail, and add their terms to C after it instead of before.
+		inline := 7
+		for inline >= 1 && tt.Spawn(c, mutls.Task{
+			Seq: seq + int64(inline)*sub, Span: sub,
+			Args: [4]int64{int64(subs[inline].cOff), int64(subs[inline].aOff), int64(subs[inline].bOff), int64(sz / 2)},
+		}) {
+			inline--
 		}
-		node(c, tt, subs[0].cOff, subs[0].aOff, subs[0].bOff, sz/2, seq, sub)
-		// Un-spawned sub-products run inline, in order.
-		for i := 1; i <= 7; i++ {
-			if !spawned[i] {
-				mmSeqNode(c, ctx, subs[i].cOff, subs[i].aOff, subs[i].bOff, sz/2)
-			}
+		if inline == 0 {
+			node(c, tt, subs[0].cOff, subs[0].aOff, subs[0].bOff, sz/2, seq, sub)
+			return
+		}
+		for _, sp := range subs[:inline+1] {
+			mmSeqNode(c, ctx, sp.cOff, sp.aOff, sp.bOff, sz/2)
 		}
 	}
 	tree.Body = func(c *mutls.Thread, tt *mutls.TreeThread, task mutls.Task) {
@@ -198,11 +208,7 @@ func mmChecksum(t *mutls.Thread, ctx mmCtx) uint64 {
 	for i := 0; i < ctx.n; i++ {
 		t.LoadFloat64s(ctx.c+mem.Addr(8*i*ctx.n), row)
 		for _, v := range row {
-			// Quantize: accumulation order differs between the speculative
-			// sub-product schedule and the sequential triple loop only when
-			// a rollback re-executes with different intermediate rounding;
-			// the block schedule itself is identical.
-			sum = mix(sum, uint64(int64(v*1024)))
+			sum = mix(sum, math.Float64bits(v))
 		}
 	}
 	return sum

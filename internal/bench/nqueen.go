@@ -93,6 +93,9 @@ func nqueenSpec(t *mutls.Thread, s Size, o SpecOptions) uint64 {
 			spawned[i] = tt.Spawn(c, nqueenTask(row+1, cols|bit, (d1|bit)<<1&full, (d2|bit)>>1,
 				seq+int64(i)*stride, stride))
 		}
+		// Refused candidates run inline while earlier subtrees still
+		// speculate: safe in any order, the subtrees store nothing and
+		// their counts add up exactly.
 		bit := cands[0]
 		count := explore(c, tt, row+1, cols|bit, (d1|bit)<<1&full, (d2|bit)>>1, seq, stride)
 		for i := 1; i < len(cands); i++ {

@@ -119,6 +119,9 @@ func tspSpec(t *mutls.Thread, s Size, o SpecOptions) uint64 {
 			spawned[i] = tt.Spawn(c, tspTask(visited|1<<next, next, length+step,
 				seq+int64(i)*stride, stride))
 		}
+		// Refused candidates run inline while earlier subtrees still
+		// speculate: safe in any order, the subtrees only read the distance
+		// matrix and min is exact.
 		next := cands[0]
 		step := c.LoadFloat64(d + mem.Addr(8*(last*n+next)))
 		best := explore(c, tt, visited|1<<next, next, length+step, seq, stride)

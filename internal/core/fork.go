@@ -54,8 +54,12 @@ func (h *ForkHandle) check(op string) {
 // been paying for its fork/join (payoff.go; one fork in 16, 32, … 1 024
 // still goes through as a probe) or is due an inline run to be timed again
 // (one fork in 64 of a driver that never runs it inline), the run is
-// cancelled, the model forbids this thread from forking, or no CPU is IDLE. On success ranks[p] holds the
-// child's rank and the child is pushed on this thread's children stack.
+// cancelled, the model forbids this thread from forking, or no CPU is IDLE.
+// Under real timing on more than one proc an IDLE virtual CPU must also have
+// a proc to run on: the fork is refused while every proc of the host already
+// runs a thread with work — this run's, or another runtime's in the process
+// (gate.go, hostFull; counted in RefusedNoProc). On success ranks[p] holds
+// the child's rank and the child is pushed on this thread's children stack.
 func (t *Thread) Fork(ranks []Rank, p int, model Model) *ForkHandle {
 	if p < 0 || p >= len(ranks) || p >= t.rt.opts.MaxPoints {
 		panic(fmt.Sprintf("core: fork point %d out of range", p))
@@ -66,6 +70,13 @@ func (t *Thread) Fork(ranks []Rank, p int, model Model) *ForkHandle {
 	t.injectAt(faultinject.SiteFork)
 	ps := &t.rt.points[p]
 	if ps.disabled.Load() {
+		return nil
+	}
+	// Host-aware admission comes before the pay-off guard: a fork refused
+	// for want of a proc is neither one of the guard's probes nor a sample
+	// of what forking here costs.
+	if t.rt.hostFull() {
+		ps.refusedNoProc.Add(1)
 		return nil
 	}
 	// The do-no-harm guard. The non-speculative thread owns the estimate
@@ -206,6 +217,7 @@ func (rt *Runtime) claimIdleCPU(now vclock.Cost) *cpu {
 				continue
 			}
 			rt.active.Add(1)
+			procWorking.Add(1)
 			return c
 		}
 	}

@@ -42,7 +42,7 @@ func TestGateNoMissedWakeup(t *testing.T) {
 			defer wg.Done()
 			defer gateCaller()()
 			for i := int64(1); i <= rounds; i++ {
-				g.wait(func() bool { return ping.Load() >= i }, spin)
+				g.wait(func() bool { return ping.Load() >= i }, spin, false)
 				pong.Store(i)
 				g.wake()
 			}
@@ -51,7 +51,7 @@ func TestGateNoMissedWakeup(t *testing.T) {
 		for i := int64(1); i <= rounds; i++ {
 			ping.Store(i)
 			g.wake()
-			g.wait(func() bool { return pong.Load() >= i }, spin)
+			g.wait(func() bool { return pong.Load() >= i }, spin, false)
 		}
 		done()
 		wg.Wait()
@@ -78,7 +78,7 @@ func TestGateManyWaiters(t *testing.T) {
 		go func(want int64) {
 			defer wg.Done()
 			defer gateCaller()()
-			g.wait(func() bool { return level.Load() >= want }, never)
+			g.wait(func() bool { return level.Load() >= want }, never, false)
 		}(int64(w))
 	}
 	for w := 1; w <= waiters; w++ {
@@ -117,7 +117,7 @@ func TestGateBudgetTracksResumeCost(t *testing.T) {
 		g.wake()
 	}()
 	done := gateCaller()
-	g.wait(flag.Load, never)
+	g.wait(flag.Load, never, false)
 	done()
 	if g.parks.Load() != 1 {
 		t.Fatalf("parks %d, want 1", g.parks.Load())
@@ -331,8 +331,10 @@ func TestJoinRestoresRegistersPastInline(t *testing.T) {
 // TestSquashSpinningChild ends runs with children that have stopped and are
 // waiting (spinning or parked) for a join that never comes: the drain's
 // NOSYNC must reach them in either state, and a child that rolled itself
-// back must clean up after NOSYNC too.
+// back must clean up after NOSYNC too. Three procs: under real timing two
+// children run at once only where each has a proc beside the parent's.
 func TestSquashSpinningChild(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
 	rt := newRT(t, 2, func(o *Options) { o.Timing = vclock.Real })
 	for i := 0; i < 200; i++ {
 		rt.Run(func(t0 *Thread) {
@@ -477,10 +479,13 @@ func TestIdleIsIdle(t *testing.T) {
 
 // TestNoSpinWhenOversubscribed: four virtual CPUs on two procs. Once the
 // running threads outnumber the procs, no waiter enters a spin phase — a
-// spinner would hold a proc a runnable thread needs.
+// spinner would hold a proc a runnable thread needs. Virtual timing: it
+// models more CPUs than the host has, so it still forks past the procs
+// (real timing refuses those forks, TestForkAdmissionFollowsTheProcs), and
+// the gates wait the same way under either clock.
 func TestNoSpinWhenOversubscribed(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	rt := newRT(t, 4, func(o *Options) { o.Timing = vclock.Real })
+	rt := newRT(t, 4, nil)
 	var release atomic.Bool
 	defer release.Store(true) // a failing assertion must not strand the children
 	rt.Run(func(t0 *Thread) {

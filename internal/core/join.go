@@ -227,7 +227,7 @@ func (t *Thread) Join(ranks []Rank, p int) JoinResult {
 		// the speculation is gone either way.
 		return JoinResult{Status: JoinRolledBack, Reason: RollbackNoSync}
 	}
-	td.gate.wait(func() bool { return td.validStatus.Load() != validNull }, t.rt.spareProc)
+	td.gate.wait(func() bool { return td.validStatus.Load() != validNull }, t.rt.spareProc, true)
 	if t.clock.Mode == vclock.Real {
 		// The wait up to the child's valid_status stamp was for work still
 		// running: idle. Past the stamp the verdict was out and this thread

@@ -54,8 +54,11 @@ type pointState struct {
 	// estimate's last averages in payInline/payGain/payCost for Stats.
 	pay                         atomic.Pointer[payoff]
 	payInline, payGain, payCost atomic.Int64
-	// refusedNoPay counts the forks the pay-off guard refused (a statistic).
-	refusedNoPay atomic.Int64
+	// refusedNoPay counts the forks the pay-off guard refused, refusedNoProc
+	// those refused because every proc of the host had a working thread
+	// (statistics).
+	refusedNoPay  atomic.Int64
+	refusedNoProc atomic.Int64
 }
 
 // The adaptive fork heuristic sketched as future work in §VI ("different
@@ -125,6 +128,7 @@ func (ps *pointState) reset(newOwner bool) {
 		return
 	}
 	ps.refusedNoPay.Store(0)
+	ps.refusedNoProc.Store(0)
 	ps.commits.Store(0)
 	ps.rollbacks.Store(0)
 	ps.commitLatency.Store(0)

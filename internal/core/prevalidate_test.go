@@ -110,7 +110,7 @@ func TestPreValidateCatchesLateWrite(t *testing.T) {
 func TestConcurrentJoinersStress(t *testing.T) {
 	const cpus = 4
 	const rounds = 50
-	withProcs(t, 4)
+	withProcs(t, cpus+1) // real timing forks only onto a free proc
 	rt := newRT(t, cpus, func(o *Options) { o.Timing = vclock.Real })
 	var got, want [cpus]int64
 	rt.Run(func(t0 *Thread) {

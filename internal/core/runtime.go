@@ -251,7 +251,8 @@ type Runtime struct {
 	cpus  []*cpu // index 0 unused; ranks are 1-based
 	epoch time.Time
 	// procs is GOMAXPROCS at construction: the bound of the spin rule
-	// (spareProc). Read once — runtime.GOMAXPROCS takes the scheduler lock.
+	// (spareProc) and of fork admission (hostFull). Read once —
+	// runtime.GOMAXPROCS takes the scheduler lock.
 	procs int
 
 	// inOrderTail identifies the most speculative thread — the only one the
@@ -576,7 +577,9 @@ func (rt *Runtime) AllocPoints(n int, bodies ...uintptr) []int {
 // should be changed between runs: already-claimed CPUs above a lowered
 // limit finish their speculation normally. A runtime pool uses this to
 // split one host-CPU budget across concurrent tenants without rebuilding
-// runtimes.
+// runtimes. The limit decides how wide a run may speculate at most; whether
+// a CPU inside it is used is decided per fork, under real timing, by what
+// the host's procs are doing at that moment (Fork, RefusedNoProc).
 func (rt *Runtime) SetCPULimit(n int) {
 	if n < 0 {
 		n = 0
@@ -654,20 +657,7 @@ func (rt *Runtime) RunCtx(ctx context.Context, fn func(t *Thread)) (vclock.Cost,
 	for r := Rank(1); int(r) <= rt.opts.NumCPUs; r++ {
 		rt.cpus[r].freeAt.Store(0)
 	}
-	var stopWatch func()
-	if ctx.Done() != nil {
-		stopWatch = rt.watchCancel(ctx)
-	}
-	procBusy.Add(1)
-	rt.running.Store(true)
-	err := rt.runNonSpec(t, fn)
-	if stopWatch != nil {
-		stopWatch()
-	}
-	rt.drain(t)
-	rt.running.Store(false)
-	procBusy.Add(-1)
-	rt.cancelled.Store(false)
+	err := rt.runCounted(ctx, t, fn)
 	runtime := t.clock.Now()
 	rt.collector.SetNonSpec(runtime, t.clock.Ledger())
 	if err != nil {
@@ -684,9 +674,40 @@ func (rt *Runtime) RunCtx(ctx context.Context, fn func(t *Thread)) (vclock.Cost,
 	return runtime, nil
 }
 
+// runCounted is the part of a run during which its non-speculative thread
+// is counted busy: fn, then the drain. The exit half is deferred because a
+// runtime.Goexit inside fn (a t.Fatal in a test's callback) skips whatever
+// follows the call: a thread left counted would stop later waits from
+// spinning and refuse every later fork in the process, and children left
+// undrained would hang Close.
+func (rt *Runtime) runCounted(ctx context.Context, t *Thread, fn func(t *Thread)) error {
+	var stopWatch func()
+	if ctx.Done() != nil {
+		stopWatch = rt.watchCancel(ctx)
+	}
+	procBusy.Add(1)
+	procWorking.Add(1)
+	rt.running.Store(true)
+	defer func() {
+		if stopWatch != nil {
+			stopWatch()
+		}
+		// fn may have been left through an open fork window (between
+		// MUTLS_get_CPU and MUTLS_speculate): release the claimed CPU or
+		// the drain would wait forever for a task that never starts.
+		t.abandonOpenFork()
+		rt.drain(t)
+		rt.running.Store(false)
+		procWorking.Add(-1)
+		procBusy.Add(-1)
+		rt.cancelled.Store(false)
+	}()
+	return rt.runNonSpec(t, fn)
+}
+
 // runNonSpec runs fn, translating a CancelPoint unwind into ErrCancelled
 // and any other panic into a *KernelPanic error. Nothing propagates: the
-// caller (RunCtx) always proceeds to the drain, so the runtime stays
+// caller (runCounted) always proceeds to the drain, so the runtime stays
 // reusable after a kernel panic — the containment contract the serving
 // layer depends on.
 func (rt *Runtime) runNonSpec(t *Thread, fn func(t *Thread)) (err error) {
@@ -695,10 +716,6 @@ func (rt *Runtime) runNonSpec(t *Thread, fn func(t *Thread)) (err error) {
 		if r == nil {
 			return
 		}
-		// A panic may have unwound through an open fork window (between
-		// MUTLS_get_CPU and MUTLS_speculate): release the claimed CPU or
-		// the drain would wait forever for a task that never starts.
-		t.abandonOpenFork()
 		if _, ok := r.(cancelSignal); ok {
 			err = ErrCancelled
 			return
@@ -788,7 +805,7 @@ func (rt *Runtime) drain(t *Thread) {
 		rt.cpus[c.rank].td.signal(c.epoch, syncNoSync)
 	}
 	t.children = t.children[:0]
-	rt.drainGate.wait(rt.Quiescent, rt.spareProc)
+	rt.drainGate.wait(rt.Quiescent, rt.spareProc, true)
 }
 
 // retire drops one share of the active count and wakes a draining thread.
@@ -805,17 +822,20 @@ func (rt *Runtime) Stats() *stats.Summary {
 	s := rt.collector.Summarize(rt.opts.NumCPUs)
 	for p := range rt.points {
 		ps := &rt.points[p]
-		commits, rollbacks, refused := ps.commits.Load(), ps.rollbacks.Load(), ps.refusedNoPay.Load()
-		if commits+rollbacks+refused > 0 {
+		commits, rollbacks := ps.commits.Load(), ps.rollbacks.Load()
+		noPay, noProc := ps.refusedNoPay.Load(), ps.refusedNoProc.Load()
+		if commits+rollbacks+noPay+noProc > 0 {
 			s.PerPoint[p] = stats.PointStats{
-				Commits:      int(commits),
-				Rollbacks:    int(rollbacks),
-				Runtime:      ps.commitLatency.Load() + ps.rollbackLatency.Load(),
-				RefusedNoPay: int(refused),
-				InlineNS:     ps.payInline.Load(),
-				GainNS:       ps.payGain.Load(),
-				CostNS:       ps.payCost.Load(),
+				Commits:       int(commits),
+				Rollbacks:     int(rollbacks),
+				Runtime:       ps.commitLatency.Load() + ps.rollbackLatency.Load(),
+				RefusedNoPay:  int(noPay),
+				RefusedNoProc: int(noProc),
+				InlineNS:      ps.payInline.Load(),
+				GainNS:        ps.payGain.Load(),
+				CostNS:        ps.payCost.Load(),
 			}
+			s.RefusedNoProc += noProc
 		}
 	}
 	for r := 1; r <= rt.opts.NumCPUs; r++ {
@@ -933,7 +953,7 @@ func (rt *Runtime) worker(c *cpu) {
 	procBusy.Add(1)
 	defer procBusy.Add(-1)
 	for {
-		c.td.gate.wait(func() bool { return c.taskReady.Load() || rt.closed.Load() }, rt.idleSpin)
+		c.td.gate.wait(func() bool { return c.taskReady.Load() || rt.closed.Load() }, rt.idleSpin, false)
 		if !c.taskReady.Load() {
 			return // closed
 		}
@@ -1146,7 +1166,7 @@ func (rt *Runtime) waitSync(t *Thread, c *cpu, epoch uint64, phase vclock.Phase)
 	c.td.gate.wait(func() bool {
 		w = c.td.syncWord.Load()
 		return w != null
-	}, rt.spareProc)
+	}, rt.spareProc, true)
 	sw.Stop()
 	if w>>syncStatusBits != epoch {
 		return syncSync
@@ -1283,6 +1303,7 @@ func (rt *Runtime) releaseCPU(c *cpu, freeAt vclock.Cost) {
 	// longer signal this CPU.
 	c.td.bumpEpoch()
 	c.td.state.Store(cpuIdle)
+	procWorking.Add(-1)
 	rt.retire()
 }
 

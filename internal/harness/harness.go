@@ -507,7 +507,8 @@ func (h *Harness) Fig11(out io.Writer) error {
 
 // Payoff prints the pay-off estimate (stats.PointStats) of every fork point
 // that has one, over the speculative runs measured so far: what the guard
-// in core saw when it kept a point forking or stopped it. Real timing only;
+// in core saw when it kept a point forking or stopped it, and how many
+// forks found no free proc. Real timing only;
 // under virtual timing there are no estimates and nothing is printed.
 func (h *Harness) Payoff(out io.Writer) error {
 	keys := make([]string, 0, len(h.spec))
@@ -516,23 +517,23 @@ func (h *Harness) Payoff(out io.Writer) error {
 	}
 	sort.Strings(keys)
 	tw := newTab(out)
-	fmt.Fprintln(tw, "run (workload/variant/CPUs/model/rollback)\tpoint\tcommits\trollbacks\trefused\tinline ns\tgain ns\tcost ns")
+	fmt.Fprintln(tw, "run (workload/variant/CPUs/model/rollback)\tpoint\tcommits\trollbacks\trefused\tno proc\tinline ns\tgain ns\tcost ns")
 	rows := 0
 	for _, k := range keys {
 		s := h.spec[k].Summary
 		for _, p := range s.PointsSorted() {
 			ps := s.PerPoint[p]
-			if ps.RefusedNoPay == 0 && ps.CostNS == 0 {
+			if ps.RefusedNoPay == 0 && ps.RefusedNoProc == 0 && ps.CostNS == 0 {
 				continue
 			}
-			fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n", k, p, ps.Commits, ps.Rollbacks, ps.RefusedNoPay, ps.InlineNS, ps.GainNS, ps.CostNS)
+			fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n", k, p, ps.Commits, ps.Rollbacks, ps.RefusedNoPay, ps.RefusedNoProc, ps.InlineNS, ps.GainNS, ps.CostNS)
 			rows++
 		}
 	}
 	if rows == 0 {
 		return nil
 	}
-	fmt.Fprintln(out, "Pay-off estimates per fork point (refused: forks the do-no-harm guard turned down)")
+	fmt.Fprintln(out, "Pay-off estimates per fork point (refused: forks the do-no-harm guard turned down; no proc: forks refused because every proc of the host was working)")
 	return tw.Flush()
 }
 

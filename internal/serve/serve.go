@@ -7,6 +7,14 @@
 // the result. Backpressure is the pool's: an exhausted queue turns into
 // 503 Service Unavailable with Retry-After, an exhausted CPU budget into
 // a degraded (sequential) but still correct response.
+//
+// The pooled runtimes run on the real clock whatever the template says: a
+// service has no use for the modelled machine, and real timing is what
+// switches on the runtime's two fork-admission rules — a fork point whose
+// region does not pay for its fork/join stops forking, and no fork is made
+// while every proc of the host already runs a thread with work, another
+// request's included. A granted lease therefore speculates only onto procs
+// that are free at that moment; /stats counts the forks that found none.
 package serve
 
 import (
@@ -63,7 +71,8 @@ func DefaultKernels() map[string]Kernel {
 type Options struct {
 	// Pool configures the runtime pool. The template runtime's heap is
 	// sized automatically to the largest admissible kernel request unless
-	// Pool.Runtime.HeapBytes is set explicitly.
+	// Pool.Runtime.HeapBytes is set explicitly, and its Timing is always
+	// mutls.Real (see the package comment).
 	Pool pool.Options
 	// Kernels is the served allowlist; nil selects DefaultKernels.
 	Kernels map[string]Kernel
@@ -94,8 +103,12 @@ type Server struct {
 	// join-protocol hand-off counters the same way: waits that parked a
 	// goroutine against waits a bounded spin covered. A park share that
 	// climbs means requests are paying wake-up latency per fork/join.
+	// refusedNoProc sums the forks refused because the host had no free
+	// proc for a child: speculation the budget granted and the load on the
+	// host took back.
 	handoffParks    atomic.Int64
 	handoffSpinHits atomic.Int64
+	refusedNoProc   atomic.Int64
 
 	// seqSums caches sequential reference checksums by kernel and size, so
 	// verification costs one extra run per distinct request shape, ever.
@@ -120,6 +133,7 @@ func New(opts Options) (*Server, error) {
 		}
 		opts.Pool.Runtime.HeapBytes = heap
 	}
+	opts.Pool.Runtime.Timing = mutls.Real
 	p, err := pool.New(opts.Pool)
 	if err != nil {
 		return nil, err
@@ -172,6 +186,7 @@ func (s *Server) Faults() int64 { return s.faults.Load() }
 func (s *Server) absorbStats(st *mutls.Summary) {
 	s.handoffParks.Add(st.HandoffParks)
 	s.handoffSpinHits.Add(st.HandoffSpinHits)
+	s.refusedNoProc.Add(st.RefusedNoProc)
 	recs := st.Faults.Records
 	if len(recs) == 0 {
 		return
@@ -224,8 +239,8 @@ type RunResponse struct {
 	// marks a zero grant (the run executed sequentially).
 	CPUGrant int  `json:"cpu_grant"`
 	Degraded bool `json:"degraded"`
-	// Cost is the run's critical-path cost (virtual units, or nanoseconds
-	// under a Real-timing pool); WallNS is the handler's wall-clock time.
+	// Cost is the run's critical-path cost in nanoseconds (the pool runs on
+	// the real clock); WallNS is the handler's wall-clock time.
 	Cost      int64 `json:"cost"`
 	WallNS    int64 `json:"wall_ns"`
 	Commits   int64 `json:"commits"`
@@ -380,13 +395,15 @@ func (s *Server) runVerified(ctx context.Context, rt *mutls.Runtime, name string
 // statsResponse is the /stats document: the pool's admission counters,
 // the server's contained-fault count, the per-fork-point breakdown of
 // where those faults were contained (key "-1": outside any point), and
-// the join protocol's hand-off counters summed over all served requests.
+// the join protocol's hand-off counters and the forks refused for want of a
+// free proc, summed over all served requests.
 type statsResponse struct {
 	pool.Stats
 	Faults          int64            `json:"faults"`
 	PointFaults     map[string]int64 `json:"point_faults"`
 	HandoffParks    int64            `json:"handoff_parks"`
 	HandoffSpinHits int64            `json:"handoff_spin_hits"`
+	RefusedNoProc   int64            `json:"refused_no_proc"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -396,6 +413,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		PointFaults:     s.PointFaults(),
 		HandoffParks:    s.handoffParks.Load(),
 		HandoffSpinHits: s.handoffSpinHits.Load(),
+		RefusedNoProc:   s.refusedNoProc.Load(),
 	})
 }
 

@@ -50,7 +50,18 @@ func getJSON(t *testing.T, url string, wantStatus int, v any) {
 // TestRunEndpoint: every served kernel returns a verified speculative
 // response with its CPU grant and speculation activity.
 func TestRunEndpoint(t *testing.T) {
-	s, ts := testServer(t, pool.Options{Runtimes: 1, HostBudget: 2, Runtime: mutls.Options{CPUs: 2}})
+	// The service runs on the real clock, where a fork needs a free proc:
+	// two children beside the request's own thread take three.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	s, ts := testServer(t, pool.Options{Runtimes: 1, HostBudget: 2, Runtime: mutls.Options{CPUs: 2, Timing: mutls.Virtual}})
+	lease, err := s.Pool().Acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := lease.Runtime().Options().Timing; got != mutls.Real {
+		t.Errorf("pooled runtime's timing is %v: New must ignore a Virtual template", got)
+	}
+	lease.Release()
 	// matmult is asked for at the size with a single fork level: only the
 	// non-speculative thread forks there, sub-products 7 and 6 get the two
 	// CPUs, and 6 reads no block an earlier sub-product writes, so it

@@ -228,6 +228,11 @@ type Summary struct {
 	HandoffSpinHits int64
 	HandoffParks    int64
 
+	// RefusedNoProc sums PointStats.RefusedNoProc over the fork points: the
+	// forks turned down because the host had no proc for a child (filled by
+	// the runtime; cumulative until ResetStats; 0 under virtual timing).
+	RefusedNoProc int64
+
 	// Faults are the containment counters: speculative panics converted to
 	// rollbacks, non-speculative KernelPanics, watchdog deadline kills.
 	// Cumulative until ResetStats.
@@ -250,6 +255,13 @@ type PointStats struct {
 	// virtual timing.
 	RefusedNoPay             int
 	InlineNS, GainNS, CostNS int64
+
+	// RefusedNoProc counts the forks refused because every proc of the host
+	// was already running a thread with work, of this runtime or another in
+	// the process: the virtual CPU was idle, no core was. Real timing on
+	// more than one proc only; such a refusal is not in RefusedNoPay and
+	// did not touch the estimate.
+	RefusedNoProc int
 }
 
 // Summarize adds up the per-CPU accumulators.

@@ -237,7 +237,10 @@ func TestStencilPipelineStopsForking(t *testing.T) {
 		if forks > 16 || refused < 700 {
 			t.Fatalf("run %d: %d forks and %d refusals, want at most 16 forks of 768 attempts", run, forks, refused)
 		}
-		if sample.InlineNS <= 0 || sample.CostNS <= sample.GainNS {
+		// A refusing point keeps refusing until its cost falls under 3/4 of
+		// the gain (payoff.go's resume band), so that is what its averages
+		// must show at the driver's end, not cost > gain.
+		if sample.InlineNS <= 0 || 4*sample.CostNS <= 3*sample.GainNS {
 			t.Fatalf("run %d: a refusing point reports %+v, not an estimate that refuses", run, sample)
 		}
 	}

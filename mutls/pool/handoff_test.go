@@ -78,12 +78,13 @@ func TestIdlePoolIsIdle(t *testing.T) {
 	}
 }
 
-// TestConcurrentLeasesDoNotSpinPastTheProcs: two leases on two procs. The
-// first holds both procs busy (its non-speculative thread and one child);
-// the second tenant's threads then outnumber the procs from their first
-// instruction, so none of its waits may enter a spin phase — it completes
-// on parked hand-offs alone.
-func TestConcurrentLeasesDoNotSpinPastTheProcs(t *testing.T) {
+// TestConcurrentLeasesDoNotForkPastTheProcs: two leases on two procs, both
+// granted CPUs by the budget. While the first holds both procs busy (its
+// non-speculative thread and one child) the second tenant's runtime refuses
+// its forks itself — a child would only take turns with the threads already
+// running — so it neither commits nor waits on a hand-off, and counts the
+// refusals; once the first tenant lets go, the second speculates again.
+func TestConcurrentLeasesDoNotForkPastTheProcs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	p, err := New(Options{Runtimes: 2, HostBudget: 4, Runtime: mutls.Options{CPUs: 2, Timing: mutls.Real}})
 	if err != nil {
@@ -94,16 +95,17 @@ func TestConcurrentLeasesDoNotSpinPastTheProcs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer first.Release()
 	second, err := p.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer second.Release()
 	if first.CPUs() == 0 || second.CPUs() == 0 {
 		t.Fatalf("leases got %d and %d CPUs, want both speculating", first.CPUs(), second.CPUs())
 	}
 
 	var hold, release atomic.Bool
-	defer release.Store(true) // a failing assertion must not strand the first tenant
 	firstDone := make(chan error, 1)
 	go func() {
 		_, err := first.Runtime().Run(func(t0 *mutls.Thread) {
@@ -124,6 +126,14 @@ func TestConcurrentLeasesDoNotSpinPastTheProcs(t *testing.T) {
 		})
 		firstDone <- err
 	}()
+	// Deferred after the Releases and p.Close, so it runs before them: a
+	// failing assertion must let the first tenant finish, or its lease's
+	// Recycle and the pool's Close would wait for it forever.
+	defer func() {
+		if !release.Swap(true) {
+			<-firstDone
+		}
+	}()
 	for !hold.Load() || core.BusyThreads() < 2 {
 		runtime.Gosched()
 	}
@@ -134,16 +144,19 @@ func TestConcurrentLeasesDoNotSpinPastTheProcs(t *testing.T) {
 		}
 	}
 	s := second.Runtime().Stats()
-	if s.Commits == 0 {
-		t.Fatal("the second lease never speculated")
-	}
-	if s.HandoffSpins != 0 {
-		t.Errorf("second lease entered %d spin phases with the procs exhausted (parks %d)", s.HandoffSpins, s.HandoffParks)
+	if s.Commits != 0 || s.Rollbacks != 0 || s.HandoffSpins != 0 || s.RefusedNoProc == 0 {
+		t.Fatalf("second lease with the procs exhausted: %d commits, %d rollbacks, %d spin phases, %d forks refused for want of a proc; want 0, 0, 0, > 0",
+			s.Commits, s.Rollbacks, s.HandoffSpins, s.RefusedNoProc)
 	}
 	release.Store(true)
 	if err := <-firstDone; err != nil {
 		t.Fatal(err)
 	}
-	second.Release()
-	first.Release()
+	second.Runtime().ResetStats()
+	if err := fillLoop(second.Runtime()); err != nil {
+		t.Fatal(err)
+	}
+	if s := second.Runtime().Stats(); s.Commits == 0 {
+		t.Fatalf("the second lease did not speculate once the procs were free (%d refused for want of a proc)", s.RefusedNoProc)
+	}
 }

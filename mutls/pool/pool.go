@@ -10,11 +10,20 @@
 // (GOMAXPROCS-aware by default): when the budget is exhausted, later
 // leases degrade gracefully to sequential execution (zero CPUs — every
 // fork is refused, the program still runs) instead of oversubscribing the
-// host. When every runtime is leased, Acquire queues up to a bounded
-// depth and then fails fast with ErrOverloaded, so callers shed load
-// instead of piling up. Deadlines propagate twice: Acquire respects its
-// context while queued, and the leased runtime's RunCtx unwinds a
-// too-slow run at the next cancellation point.
+// host. The budget is a static split made at acquire time: it decides how
+// wide a lease may speculate at most, and which leases are labelled
+// degraded. Whether a granted CPU is actually used is the runtime's own
+// decision under real timing, fork by fork: it refuses a fork while every
+// proc of the host already runs a thread with work, the other leases'
+// threads included (core's Fork; Summary.RefusedNoProc counts them), so a
+// granted lease beside busy tenants runs as sequentially as a degraded one
+// and speculates again the moment a proc falls idle.
+//
+// When every runtime is leased, Acquire queues up to a bounded depth and
+// then fails fast with ErrOverloaded, so callers shed load instead of
+// piling up. Deadlines propagate twice: Acquire respects its context while
+// queued, and the leased runtime's RunCtx unwinds a too-slow run at the
+// next cancellation point.
 package pool
 
 import (
