@@ -27,12 +27,13 @@ race:
 # race-repeat reruns the packages whose tests are about interleavings: the
 # join protocol, the pay-off guard and host-aware fork admission on 1, 2 and
 # 4 procs (the whole of internal/core — TestForkAdmissionFollowsTheProcs,
-# TestForkAdmissionOffOnOneProc and TestRunCountsSurviveGoexit among them —
-# the guard's driver tests in mutls, the pool's two-lease test), then the
-# pool and the serving layer once more at the host's own width.
+# TestForkAdmissionOffOnOneProc, TestRunCountsSurviveGoexit and the
+# PointFor tests among them — the guard's and the fork points' driver tests
+# in mutls, the pool's two-lease test), then the pool and the serving layer
+# once more at the host's own width.
 race-repeat:
 	$(GO) test -race -count=2 -cpu 1,2,4 ./internal/core
-	$(GO) test -race -count=2 -cpu 1,2,4 -run 'TinyBodies|GuardInactive|PipelineStopsForking|PipelineRarelyParks' ./mutls
+	$(GO) test -race -count=2 -cpu 1,2,4 -run 'TinyBodies|GuardInactive|PipelineStopsForking|PipelineRarelyParks|StagesKeepTheirOwn|DriversStartedOnSpeculative|DriverRunsUseDistinct' ./mutls
 	$(GO) test -race -count=2 -cpu 1,2,4 -run 'ConcurrentLeasesDoNotForkPastTheProcs' ./mutls/pool
 	$(GO) test -race -count=2 ./mutls/pool ./internal/serve
 
@@ -90,9 +91,12 @@ chaos:
 
 # loc reports the size ROADMAP aim 2 tracks: non-test Go outside the
 # benchmark and the analyzers' testdata, against the deletion round's
-# target; the second line is the static-analysis suite's share of it.
+# target; the second line is the static-analysis suite's share of it. It
+# fails above the ceiling — the count of the last PR that moved it — so a
+# PR that grows the tree has to raise the number here, in its own diff.
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l); \
-	echo "non-test Go outside benchmark/ and testdata/: $$n lines (target 16500)"; \
+	echo "non-test Go outside benchmark/ and testdata/: $$n lines (ceiling 17344, target 16500)"; \
 	v=$$(find internal/analysis cmd/mutls-vet -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l); \
-	echo "  of which internal/analysis + cmd/mutls-vet: $$v lines"
+	echo "  of which internal/analysis + cmd/mutls-vet: $$v lines"; \
+	if [ $$n -gt 17344 ]; then echo "code size is over the ceiling: shrink, or raise it in the Makefile" >&2; exit 1; fi

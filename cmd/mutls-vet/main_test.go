@@ -38,7 +38,7 @@ func TestRunList(t *testing.T) {
 	if got := run([]string{"-list"}, &stdout, &stderr); got != 0 {
 		t.Fatalf("-list exit %d: %s", got, &stderr)
 	}
-	for _, want := range []string{"speccheck", "pollcheck", "pointleak", "leaseleak", "atomicmix", "SPEC001", "EFFECT004", "POLL001", "POINT002", "LEASE001", "ATOM003"} {
+	for _, want := range []string{"speccheck", "pollcheck", "leaseleak", "atomicmix", "SPEC001", "EFFECT004", "POLL001", "LEASE001", "ATOM003"} {
 		if !strings.Contains(stdout.String(), want) {
 			t.Errorf("-list does not mention %s:\n%s", want, &stdout)
 		}

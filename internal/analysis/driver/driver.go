@@ -21,7 +21,6 @@ func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		kernel.Speccheck,
 		kernel.Pollcheck,
-		pairing.Pointleak,
 		pairing.Leaseleak,
 		atomicmix.Analyzer,
 	}

@@ -1,6 +1,5 @@
-// Package pairing defines the acquire/release analyzers — pointleak
-// (AllocPoint/FreePoint) and leaseleak (pool.Acquire/Release) — over one
-// flow-sensitive path check.
+// Package pairing defines the acquire/release analyzer — leaseleak
+// (pool.Acquire/Release) — as one flow-sensitive path check.
 //
 // For every acquire call bound to a local variable the enclosing
 // function must release the resource on every path. Each acquire is
@@ -29,22 +28,6 @@ import (
 	"repro/internal/analysis/dataflow"
 	"repro/internal/analysis/effects"
 )
-
-// Pointleak: every Runtime.AllocPoint / AllocPoints must be paired with
-// FreePoint / FreePoints on every return path. Fork/join point ids are a
-// small fixed namespace (Options.MaxPoints); a leaked id permanently
-// parks its per-point counters and profile, and once every id is live
-// AllocPoint degrades to round-robin reuse, mixing profiles across runs
-// (the PR 5 cross-loop feedback bug class).
-var Pointleak = newAnalyzer("pointleak",
-	"flag AllocPoint/AllocPoints calls whose point ids are not freed on every return path",
-	spec{
-		pairs:       map[string]string{"AllocPoint": "FreePoint", "AllocPoints": "FreePoints"},
-		pkgPath:     "repro/internal/core",
-		leakCode:    "POINT001",
-		discardCode: "POINT002",
-		noun:        "fork/join point",
-	})
 
 // Leaseleak: every pool.Acquire must Release its lease on every return
 // path. A leaked lease pins one pooled runtime forever; with the pool's
@@ -480,18 +463,7 @@ func (tk *tracker) isRes(e ast.Expr) bool {
 
 func (tk *tracker) isRelease(c *ast.CallExpr) bool {
 	sel, ok := ast.Unparen(c.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != tk.release {
-		return false
-	}
-	if tk.isRes(sel.X) {
-		return true
-	}
-	for _, arg := range c.Args {
-		if tk.isRes(arg) {
-			return true
-		}
-	}
-	return false
+	return ok && sel.Sel.Name == tk.release && tk.isRes(sel.X)
 }
 
 // mayPanic is the heuristic behind the defer fix-it: a call whose callee

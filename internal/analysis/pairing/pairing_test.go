@@ -7,10 +7,6 @@ import (
 	"repro/internal/analysis/pairing"
 )
 
-func TestPointleak(t *testing.T) {
-	analysistest.Run(t, pairing.Pointleak, analysistest.TestData(t, "pointleak"))
-}
-
 func TestLeaseleak(t *testing.T) {
 	analysistest.Run(t, pairing.Leaseleak, analysistest.TestData(t, "leaseleak"))
 }

@@ -82,13 +82,13 @@ func TestPointViewsAgree(t *testing.T) {
 		}
 	}
 	check("after the run", want)
-	if got, n := rt.Stats().Faults.SpecPanics, rt.PointFaults(1); got != n || n != faultDisableThreshold-1 {
+	if got, n := rt.Stats().Faults.SpecPanics, rt.points[1].faults.Load(); got != n || n != faultDisableThreshold-1 {
 		t.Errorf("SpecPanics %d, PointFaults(1) %d, want both %d", got, n, faultDisableThreshold-1)
 	}
 
 	rt.ResetStats()
 	check("after ResetStats", nil)
-	if n := rt.PointFaults(1); n != faultDisableThreshold-1 {
+	if n := rt.points[1].faults.Load(); n != faultDisableThreshold-1 {
 		t.Errorf("ResetStats changed PointFaults(1) to %d", n)
 	}
 	// One more fault reaches the threshold counted across the reset, and

@@ -156,7 +156,7 @@ func TestRepeatedFaultsDisablePoint(t *testing.T) {
 			t.Fatal("fork still allowed after the fault threshold")
 		}
 	})
-	if n := rt.PointFaults(0); n != faultDisableThreshold {
+	if n := rt.points[0].faults.Load(); n != faultDisableThreshold {
 		t.Errorf("PointFaults(0) = %d, want %d", n, faultDisableThreshold)
 	}
 	if _, _, disabled := rt.PointProfile(0); !disabled {

@@ -32,8 +32,8 @@ type ForkHandle struct {
 	epoch   uint64
 	started bool
 	nSaved  int
-	// pay and payStart time the fork for the point's pay-off estimate; nil
-	// unless the non-speculative thread forks on a bound point.
+	// pay and payStart time the fork for the body's pay-off estimate; nil
+	// unless the non-speculative thread forks for a driver (ForkBody).
 	pay      *payoff
 	payStart vclock.Cost
 }
@@ -50,18 +50,29 @@ func (h *ForkHandle) check(op string) {
 // a speculative thread at fork/join point p under the given forking model.
 // It returns nil — and the program simply continues non-speculatively — when
 // the point already has a thread (ranks[p] != 0), the point is disabled (by
-// the adaptive heuristic or by repeated faults), the point's region has not
-// been paying for its fork/join (payoff.go; one fork in 16, 32, … 1 024
-// still goes through as a probe) or is due an inline run to be timed again
-// (one fork in 64 of a driver that never runs it inline), the run is
-// cancelled, the model forbids this thread from forking, or no CPU is IDLE.
+// the adaptive heuristic or by repeated faults), the run is cancelled, the
+// model forbids this thread from forking, or no CPU is IDLE.
 // Under real timing on more than one proc an IDLE virtual CPU must also have
 // a proc to run on: the fork is refused while every proc of the host already
 // runs a thread with work — this run's, or another runtime's in the process
 // (gate.go, hostFull; counted in RefusedNoProc). On success ranks[p] holds
 // the child's rank and the child is pushed on this thread's children stack.
 func (t *Thread) Fork(ranks []Rank, p int, model Model) *ForkHandle {
-	if p < 0 || p >= len(ranks) || p >= t.rt.opts.MaxPoints {
+	return t.forkAt(ranks, p, model, false)
+}
+
+// ForkBody is Fork for the driver whose body PointFor interned as p. It
+// also returns nil while the body's region has not been paying for its
+// fork/join (payoff.go; one fork in 16, 32, … 1 024 still goes through as a
+// probe) or is due an inline run to be timed again (one fork in 64 of a
+// driver that never runs it inline).
+func (t *Thread) ForkBody(ranks []Rank, p int, model Model) *ForkHandle {
+	return t.forkAt(ranks, p, model, true)
+}
+
+// forkAt is Fork; guarded says the body's pay-off estimate has a say.
+func (t *Thread) forkAt(ranks []Rank, p int, model Model, guarded bool) *ForkHandle {
+	if p < 0 || p >= len(ranks) || p >= NumPoints {
 		panic(fmt.Sprintf("core: fork point %d out of range", p))
 	}
 	if ranks[p] != 0 {
@@ -82,10 +93,14 @@ func (t *Thread) Fork(ranks []Rank, p int, model Model) *ForkHandle {
 	// The do-no-harm guard. The non-speculative thread owns the estimate
 	// and makes the probes; speculative threads (the links of an in-order
 	// chain) follow its verdict.
-	pe := ps.pay.Load()
-	if pe != nil {
-		noPay := pe.noPay.Load()
-		if t.speculative && noPay || !t.speculative && !pe.admit() {
+	guarded = guarded && ps.guarded.Load()
+	var pe *payoff
+	if guarded {
+		if !t.speculative {
+			pe = ps.estimate()
+		}
+		noPay := ps.pay.noPay.Load()
+		if t.speculative && noPay || pe != nil && !pe.admit() {
 			if noPay {
 				ps.refusedNoPay.Add(1)
 			}
@@ -124,6 +139,7 @@ func (t *Thread) Fork(ranks []Rank, p int, model Model) *ForkHandle {
 
 	td := &child.td
 	td.point = p
+	td.guarded = guarded
 	td.model = model
 	td.parentRank.Store(int32(t.rank))
 	td.validStatus.Store(validNull)
@@ -151,7 +167,7 @@ func (t *Thread) Fork(ranks []Rank, p int, model Model) *ForkHandle {
 	}
 	h := &t.fork
 	*h = ForkHandle{t: t, child: child, epoch: ref.epoch}
-	if pe != nil && !t.speculative {
+	if pe != nil {
 		pe.forked()
 		h.pay, h.payStart = pe, sw.Started()
 	}
@@ -246,9 +262,6 @@ func (h *ForkHandle) setRegvar(slot int, v uint64) {
 // SetRegvarInt64 saves an int64 live-in for the child.
 func (h *ForkHandle) SetRegvarInt64(slot int, v int64) { h.setRegvar(slot, uint64(v)) }
 
-// SetRegvarInt32 saves an int32 live-in for the child.
-func (h *ForkHandle) SetRegvarInt32(slot int, v int32) { h.setRegvar(slot, uint64(uint32(v))) }
-
 // SetRegvarFloat64 saves a float64 live-in for the child.
 func (h *ForkHandle) SetRegvarFloat64(slot int, v float64) { h.setRegvar(slot, math.Float64bits(v)) }
 
@@ -314,9 +327,6 @@ func (t *Thread) getRegvar(slot int) uint64 {
 // GetRegvarInt64 fetches an int64 live-in inside a region.
 func (t *Thread) GetRegvarInt64(slot int) int64 { return int64(t.getRegvar(slot)) }
 
-// GetRegvarInt32 fetches an int32 live-in inside a region.
-func (t *Thread) GetRegvarInt32(slot int) int32 { return int32(uint32(t.getRegvar(slot))) }
-
 // GetRegvarFloat64 fetches a float64 live-in inside a region.
 func (t *Thread) GetRegvarFloat64(slot int) float64 {
 	return math.Float64frombits(t.getRegvar(slot))
@@ -341,9 +351,6 @@ func (t *Thread) saveRegvar(slot int, v uint64) {
 
 // SaveRegvarInt64 saves an int64 live-out before a stop point.
 func (t *Thread) SaveRegvarInt64(slot int, v int64) { t.saveRegvar(slot, uint64(v)) }
-
-// SaveRegvarInt32 saves an int32 live-out before a stop point.
-func (t *Thread) SaveRegvarInt32(slot int, v int32) { t.saveRegvar(slot, uint64(uint32(v))) }
 
 // SaveRegvarFloat64 saves a float64 live-out before a stop point.
 func (t *Thread) SaveRegvarFloat64(slot int, v float64) { t.saveRegvar(slot, math.Float64bits(v)) }

@@ -114,11 +114,6 @@ func (t *Thread) ValidateRegvarInt64(ranks []Rank, p int, slot int, actual int64
 	t.validateRegvar(ranks, p, slot, uint64(actual))
 }
 
-// ValidateRegvarInt32 validates an int32 prediction.
-func (t *Thread) ValidateRegvarInt32(ranks []Rank, p int, slot int, actual int32) {
-	t.validateRegvar(ranks, p, slot, uint64(uint32(actual)))
-}
-
 // ValidateRegvarFloat64 validates a float64 prediction.
 func (t *Thread) ValidateRegvarFloat64(ranks []Rank, p int, slot int, actual float64) {
 	t.validateRegvar(ranks, p, slot, math.Float64bits(actual))
@@ -145,11 +140,6 @@ func (t *Thread) ValidateRegvarFloat64Rel(ranks []Rank, p int, slot int, actual,
 	if !predict.WithinRelTol(pred, actual, relTol) {
 		td.forceInvalid.Store(true)
 	}
-}
-
-// ValidateRegvarAddr validates a pointer prediction.
-func (t *Thread) ValidateRegvarAddr(ranks []Rank, p int, slot int, actual mem.Addr) {
-	t.validateRegvar(ranks, p, slot, uint64(actual))
 }
 
 func (t *Thread) validateRegvar(ranks []Rank, p int, slot int, actual uint64) {
@@ -283,9 +273,10 @@ func (t *Thread) Join(ranks []Rank, p int) JoinResult {
 	if td.model == MixedLinear {
 		t.rt.linearRemove(want)
 	}
+	guarded := td.guarded // the CPU is someone else's once released
 	t.rt.releaseCPU(child, td.finalTime)
-	if pe := t.rt.points[p].pay.Load(); pe != nil {
-		pe.observeJoin(t.clock.Now()-waitStart, committed)
+	if guarded {
+		t.rt.points[p].estimate().observeJoin(t.clock.Now()-waitStart, committed)
 	}
 	return res
 }
@@ -364,9 +355,6 @@ func (r *JoinResult) regvar(slot int) uint64 {
 
 // RegvarInt64 restores an int64 the region saved before stopping.
 func (r *JoinResult) RegvarInt64(slot int) int64 { return int64(r.regvar(slot)) }
-
-// RegvarInt32 restores an int32 the region saved before stopping.
-func (r *JoinResult) RegvarInt32(slot int) int32 { return int32(uint32(r.regvar(slot))) }
 
 // RegvarFloat64 restores a float64 the region saved before stopping.
 func (r *JoinResult) RegvarFloat64(slot int) float64 {

@@ -9,20 +9,25 @@ import (
 // This file is the per-point half of the runtime's accounting: one atomic
 // struct per fork/join point, updated once per finished speculative
 // execution by the worker that ran it (the fold in runSpec) and read by
-// everything that asks about a point — PointProfile and PointFaults,
-// Summary.PerPoint, the fork heuristic in Fork and the watchdog's deadline
-// stretch. A read taken right after Join returns is guaranteed to include
-// the joined execution: the worker folds it in before it publishes the
-// verdict the join waits for. The cost is a handful of uncontended atomic
-// adds per execution and O(MaxPoints) memory for the life of the runtime.
+// everything that asks about a point — PointProfile, Summary.PerPoint, the
+// fork heuristic in Fork and the watchdog's deadline stretch. A read taken
+// right after Join returns is guaranteed to include the joined execution:
+// the worker folds it in before it publishes the verdict the join waits for.
+// The cost is a handful of uncontended atomic adds per execution and
+// O(NumPoints) memory for the life of the runtime.
 
-// pointState is everything the runtime counts about one fork/join point.
+// NumPoints is the number of fork/join point ids (0..NumPoints-1).
+const NumPoints = 64
+
+// pointState is everything the runtime keeps about one fork/join point: a
+// driver body once PointFor has interned one under the id, a raw point —
+// Tree's point 0, a core program's own numbering — until then.
 //
 // Reset rule: ResetStats zeroes the counts and latency sums — the
-// statistics. disabled, the fault count, the wall-latency EWMA and the
-// pay-off binding are a verdict on the driver run that owns the id, so they
-// clear only when the id changes hands (AllocPoint) or the namespace is
-// recycled (ResetPoints); the heuristic's sample window restarts on either.
+// statistics. disabled, the fault count and the wall-latency EWMA are a
+// verdict on one driver call: they clear, and the heuristic's sample window
+// restarts, at the body's next call (PointFor) and at Recycle. The body and
+// its pay-off estimate stay until Close, or until a 65th body evicts them.
 type pointState struct {
 	// commits and rollbacks count finished speculative executions on the
 	// point (squashed/NOSYNCed executions count as rollbacks); the latency
@@ -42,18 +47,18 @@ type pointState struct {
 	// disabled refuses further forks on the point (Fork reads it).
 	disabled atomic.Bool
 	// windowCommits/windowRollbacks are the counts at the start of the
-	// adaptive heuristic's sample window: it judges the executions of the
-	// run that owns the id, not those of the id's previous owners.
+	// adaptive heuristic's sample window: it judges the executions of one
+	// driver call, not those of the calls before it.
 	windowCommits   atomic.Int64
 	windowRollbacks atomic.Int64
 
-	// pay is the pay-off estimate the id's owner bound at AllocPoint (nil:
-	// virtual timing, or a point allocated without a body key — it forks as
-	// if there were no guard). FreePoint unbinds it, so a raw Fork on a
-	// finished driver's id does not inherit the verdict, and leaves the
-	// estimate's last averages in payInline/payGain/payCost for Stats.
-	pay                         atomic.Pointer[payoff]
-	payInline, payGain, payCost atomic.Int64
+	// key is the body PointFor interned here, 0 for none (under pointMu).
+	// guarded says pay is kept for it — real timing only — and evicted that
+	// the record has changed bodies since pay was last used; see estimate.
+	key     uintptr
+	pay     payoff
+	guarded atomic.Bool
+	evicted atomic.Bool
 	// refusedNoPay counts the forks the pay-off guard refused, refusedNoProc
 	// those refused because every proc of the host had a working thread
 	// (statistics).
@@ -113,18 +118,14 @@ func (ps *pointState) observe(o execOutcome, adaptive bool) {
 }
 
 // reset applies the struct's reset rule: the statistics for ResetStats, the
-// verdict on the id's owner for AllocPoint and ResetPoints.
-func (ps *pointState) reset(newOwner bool) {
-	if newOwner {
+// verdict on the last driver call for PointFor and Recycle.
+func (ps *pointState) reset(newCall bool) {
+	if newCall {
 		ps.faults.Store(0)
 		ps.wallEWMA.Store(0)
 		ps.disabled.Store(false)
 		ps.windowCommits.Store(ps.commits.Load())
 		ps.windowRollbacks.Store(ps.rollbacks.Load())
-		ps.pay.Store(nil)
-		ps.payInline.Store(0)
-		ps.payGain.Store(0)
-		ps.payCost.Store(0)
 		return
 	}
 	ps.refusedNoPay.Store(0)
@@ -145,6 +146,51 @@ func (rt *Runtime) point(p int) *pointState {
 	return &rt.points[p]
 }
 
+// PointFor returns the fork/join point of the driver body whose code pointer
+// is key: every call of one body forks, is profiled and is judged on one id.
+// Ids are dense in first-use order, so a deterministic program numbers its
+// bodies alike on every run whatever their addresses. A call clears the
+// verdict on the call before it (see pointState) and leaves the counts and
+// the pay-off estimate alone. The 65th distinct body takes over an earlier
+// one's record, round-robin and counted in Summary.PointsExhausted: the
+// record starts again from nothing — a worse profile, never a wrong result.
+func (rt *Runtime) PointFor(key uintptr) int {
+	rt.pointMu.Lock()
+	p := 0
+	for p < rt.bodies && rt.points[p].key != key {
+		p++
+	}
+	if p == rt.bodies {
+		if p < NumPoints {
+			rt.bodies++
+		} else {
+			p = rt.evictNext
+			rt.evictNext = (p + 1) % NumPoints
+			rt.pointsExhausted.Add(1)
+			rt.points[p].reset(false)
+			rt.points[p].evicted.Store(true)
+		}
+		rt.points[p].key = key
+		rt.points[p].guarded.Store(rt.opts.Timing == vclock.Real)
+	}
+	rt.pointMu.Unlock()
+	rt.points[p].reset(true)
+	return p
+}
+
+// estimate returns the pay-off estimate of the body interned at the point,
+// nil when none is kept. Only the non-speculative thread, the estimate's one
+// writer, may ask: an eviction made on any other thread takes effect here.
+func (ps *pointState) estimate() *payoff {
+	if !ps.guarded.Load() {
+		return nil
+	}
+	if ps.evicted.Load() && ps.evicted.Swap(false) {
+		ps.pay.reset()
+	}
+	return &ps.pay
+}
+
 // PointProfile reports a fork point's commits and rollbacks so far and
 // whether the point is disabled — by the adaptive heuristic or by repeated
 // faults. Unlike Stats, it is safe and meaningful to call from the
@@ -156,14 +202,4 @@ func (rt *Runtime) PointProfile(p int) (commits, rollbacks int64, disabled bool)
 		return 0, 0, false
 	}
 	return ps.commits.Load(), ps.rollbacks.Load(), ps.disabled.Load()
-}
-
-// PointFaults reports how many contained faults point p accumulated since
-// its id last changed hands.
-func (rt *Runtime) PointFaults(p int) int64 {
-	ps := rt.point(p)
-	if ps == nil {
-		return 0
-	}
-	return ps.faults.Load()
 }

@@ -55,9 +55,6 @@ type Options struct {
 	// automatic fork heuristics" future work, §VI).
 	AdaptiveForkHeuristic bool
 
-	// MaxPoints bounds fork/join point ids. Zero selects 64.
-	MaxPoints int
-
 	// SpecDeadline arms the runaway-speculation watchdog: a wall-clock
 	// floor on how long one speculative execution may run between polls. A
 	// mispredicted live-in can make a chunk loop essentially forever; the
@@ -97,9 +94,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.RollbackProb < 0 || o.RollbackProb > 1 {
 		return o, fmt.Errorf("core: RollbackProb %v outside [0,1]", o.RollbackProb)
-	}
-	if o.MaxPoints <= 0 {
-		o.MaxPoints = 64
 	}
 	if o.SpecDeadline < 0 {
 		return o, fmt.Errorf("core: SpecDeadline must be non-negative, got %v", o.SpecDeadline)

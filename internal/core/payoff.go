@@ -11,27 +11,22 @@ import (
 // forking. Prophet chooses threads by an estimated benefit; this is the
 // same premise with numbers measured at run time, on the one clock that
 // matters — the non-speculative thread's, since only its time is the
-// program's. Real timing only: under virtual timing no entry is ever bound,
-// no clock is read and nothing is refused.
+// program's. Real timing only: under virtual timing no estimate is kept, no
+// clock is read and nothing is refused.
 //
-// The estimate belongs to the driver body, not to the point id: AllocPoint
-// hands out fresh ids round-robin on every For/Pipeline call and Recycle
-// resets them all, and a verdict re-learned per id costs its learning forks
-// on every call (ISSUE 20's prototype of that kept 94-114 forks a
-// loop-memory run and stayed at 0.90-0.91). So the state lives in a small
-// direct-mapped table keyed by the body's code pointer, is bound to an id at
-// AllocPoint, and survives FreePoint, ResetPoints and Recycle; it goes with
-// the runtime at Close.
+// The estimate belongs to the driver body: it is a field of the body's fork
+// point (PointFor, live.go), which every call of the body finds again, so it
+// survives the driver call, ResetStats and Recycle and goes with the runtime
+// at Close. A verdict re-learned on every call costs its learning forks on
+// every call (ISSUE 20's prototype of that kept 94-114 forks a loop-memory
+// run and stayed at 0.90-0.91). Only the drivers' forks consult it
+// (ForkBody): a raw Fork on the same id — Tree's, on point 0 — forks as if
+// there were no guard.
 //
 // The numbers beside the constants were read on the two-vCPU container the
 // guard was written on (go1.24, GOMAXPROCS 2).
 
 const (
-	// payoffEntries is the table size. A program has a handful of driver
-	// bodies (the bench kernels' keyed drivers have seven between them); two that
-	// collide evict each other and re-learn, which costs forks, never
-	// correctness.
-	payoffEntries = 64
 	// payoffMemory is the averages' memory in samples — the running mean of
 	// the first payoffMemory samples, an exponential average of weight
 	// 1/payoffMemory after — and the number of joins an entry sees before
@@ -103,11 +98,9 @@ const (
 )
 
 // payoff is one driver body's pay-off estimate. Only the non-speculative
-// thread writes it (drivers run there, and a runtime has one run at a
-// time); speculative threads read noPay alone, hence its type.
+// thread writes it (pointState.estimate; a runtime has one run at a time);
+// speculative threads read noPay alone, hence its type.
 type payoff struct {
-	key uintptr // the body's code pointer; 0: the entry is free
-
 	// inline averages what the region costs the non-speculative thread when
 	// it runs it itself (every timed inline execution, forked or refused),
 	// cost what a fork costs that thread: Fork entry to Start exit plus
@@ -132,9 +125,8 @@ type payoff struct {
 	noPay atomic.Bool
 }
 
-// reset hands the entry to a new body.
-func (pe *payoff) reset(key uintptr) {
-	pe.key = key
+// reset starts the estimate over: the record stands for a new body.
+func (pe *payoff) reset() {
 	pe.inline, pe.cost, pe.paid, pe.inlines, pe.joins = 0, 0, 0, 0, 0
 	pe.forkNS, pe.refused, pe.probe, pe.untimed, pe.stale = 0, 0, 0, 0, 0
 	pe.noPay.Store(false)
@@ -247,24 +239,6 @@ func (pe *payoff) forked() {
 	}
 }
 
-// payoffSlot maps a body key to its table slot: the top bits of a
-// multiplicative hash, since code pointers differ mostly in their middle.
-func payoffSlot(key uintptr) int { return int(uint64(key) * 0x9E3779B97F4A7C15 >> (64 - 6)) }
-
-// payoffFor returns the entry of the body whose code pointer is key,
-// evicting whatever body held the slot; nil under virtual timing or
-// without a key.
-func (rt *Runtime) payoffFor(key uintptr) *payoff {
-	if key == 0 || rt.payoffs == nil {
-		return nil
-	}
-	pe := &rt.payoffs[payoffSlot(key)]
-	if pe.key != key {
-		pe.reset(key)
-	}
-	return pe
-}
-
 // InlineSpan times one inline execution of a fork point's region; see
 // Thread.StartInline. It is a value: starting and stopping one allocates
 // nothing.
@@ -279,8 +253,8 @@ type InlineSpan struct {
 // back. The drivers put it around every such execution; the time is what a
 // fork on p is worth, which Fork weighs against what forks on p have cost.
 // It measures nothing on a speculative thread, under virtual timing, or on
-// a point allocated without a body key. A span abandoned by a panic is
-// simply dropped.
+// a point no body was interned at. A span abandoned by a panic is simply
+// dropped.
 func (t *Thread) StartInline(p int) InlineSpan {
 	if t.speculative {
 		return InlineSpan{}
@@ -289,7 +263,7 @@ func (t *Thread) StartInline(p int) InlineSpan {
 	if ps == nil {
 		return InlineSpan{}
 	}
-	pe := ps.pay.Load()
+	pe := ps.estimate()
 	if pe == nil || !pe.timeInline() {
 		return InlineSpan{}
 	}

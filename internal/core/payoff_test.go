@@ -55,7 +55,6 @@ func steady(inline, cost int64) func(int) simToken {
 // the probe schedule: after 16 refusals, 32, ... 1 024, 1 024.
 func TestPayoffRefusesAndProbes(t *testing.T) {
 	var pe payoff
-	pe.reset(1)
 	got, _ := simulate(&pe, 0, 6000, steady(2500, 6000))
 	var want []int
 	for i := 1; i <= payoffMemory; i++ {
@@ -99,7 +98,6 @@ func TestPayoffKeepsForkingWhatPays(t *testing.T) {
 			for seed := int64(0); seed < 100; seed++ {
 				rng := rand.New(rand.NewSource(seed))
 				var pe payoff
-				pe.reset(1)
 				joins := 0
 				forked, refused := simulate(&pe, 0, 10_000, func(int) simToken {
 					joins++
@@ -129,7 +127,6 @@ func TestPayoffKeepsForkingWhatPays(t *testing.T) {
 func TestPayoffRollbacksBuyNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var pe payoff
-	pe.reset(1)
 	forked, _ := simulate(&pe, 0, 4000, func(int) simToken {
 		return simToken{inline: 100_000, cost: 10_000, committed: rng.Float64() >= 0.95}
 	})
@@ -145,7 +142,6 @@ func TestPayoffRollbacksBuyNothing(t *testing.T) {
 // them — and stays forking.
 func TestPayoffNoticesAGrownRegion(t *testing.T) {
 	var pe payoff
-	pe.reset(1)
 	simulate(&pe, 0, 2200, steady(2500, 6000))
 	if !pe.noPay.Load() || pe.probe != payoffMaxProbe {
 		t.Fatalf("after 2 200 tokens: noPay %v, next probe after %d refusals; want a refusing entry at the end of its schedule",
@@ -169,7 +165,6 @@ func TestPayoffNoticesAGrownRegion(t *testing.T) {
 func TestPayoffRecoversFromABadSpell(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var pe payoff
-	pe.reset(1)
 	chunk := func(cost int64) func(int) simToken {
 		return func(int) simToken {
 			return simToken{inline: 1_100_000, cost: cost, committed: rng.Float64() >= 0.25}
@@ -200,7 +195,6 @@ func TestPayoffRecoversFromABadSpell(t *testing.T) {
 // region's.
 func TestPayoffRefreshesAStaleInlineAverage(t *testing.T) {
 	var pe payoff
-	pe.reset(1)
 	forked, _ := simulate(&pe, 0, 4000, func(i int) simToken {
 		if i < 2 {
 			return simToken{inline: 36_000, cost: 3000, committed: false}
@@ -212,29 +206,18 @@ func TestPayoffRefreshesAStaleInlineAverage(t *testing.T) {
 	}
 }
 
-// collidingKey returns a body key other than key that maps to key's slot.
-func collidingKey(key uintptr) uintptr {
-	for k := key + 1; ; k++ {
-		if payoffSlot(k) == payoffSlot(key) {
-			return k
-		}
-	}
-}
-
-// TestPayoffOutlivesPointIDs: the estimate is bound to an id at allocation
-// and belongs to the body key — the same key finds it again, verdict and
-// probe schedule included, after FreePoints, ResetPoints and Recycle; a
-// different key in the same slot starts from nothing.
+// TestPayoffOutlivesPointIDs: the estimate is a field of the body's
+// record — the same key finds it again, verdict, probe schedule and sample
+// count included, at the body's next driver call and after ResetStats and
+// Recycle, while what was a verdict on the call (disabled, faults) clears
+// every time. A second key has its own.
 func TestPayoffOutlivesPointIDs(t *testing.T) {
 	rt := newRT(t, 1, func(o *Options) { o.Timing = vclock.Real })
 	const k1, k2 = uintptr(0x401000), uintptr(0x402000)
-	if payoffSlot(k1) == payoffSlot(k2) {
-		t.Fatal("the test's two keys share a slot")
-	}
-	ids := rt.AllocPoints(2, k1, k2)
-	e1, e2 := rt.points[ids[0]].pay.Load(), rt.points[ids[1]].pay.Load()
+	p1, p2 := rt.PointFor(k1), rt.PointFor(k2)
+	e1, e2 := rt.points[p1].estimate(), rt.points[p2].estimate()
 	if e1 == nil || e2 == nil || e1 == e2 {
-		t.Fatalf("AllocPoints bound entries %p and %p, want two distinct ones", e1, e2)
+		t.Fatalf("the two bodies' estimates are %p and %p, want two distinct ones", e1, e2)
 	}
 	simulate(e1, 0, 100, steady(2500, 6000))
 	probe := e1.probe
@@ -245,28 +228,30 @@ func TestPayoffOutlivesPointIDs(t *testing.T) {
 		name string
 		do   func()
 	}{
-		{"FreePoints", func() {}},
-		{"ResetPoints", rt.ResetPoints},
+		{"a second call", func() {}},
+		{"ResetStats", rt.ResetStats},
 		{"Recycle", rt.Recycle},
 	} {
-		rt.FreePoints(ids)
-		if rt.points[ids[0]].pay.Load() != nil {
-			t.Fatalf("%s: a freed id is still bound", between.name)
+		for i := 0; i < faultDisableThreshold; i++ {
+			rt.points[p1].observe(execOutcome{fault: true}, false)
+		}
+		if _, _, disabled := rt.PointProfile(p1); !disabled {
+			t.Fatalf("%s: test setup: the faults did not disable the point", between.name)
 		}
 		between.do()
-		ids = rt.AllocPoints(2, k1, k2)
-		if got := rt.points[ids[0]].pay.Load(); got != e1 || !e1.noPay.Load() || e1.probe != probe || e1.joins != payoffMemory {
-			t.Fatalf("after %s the first key found entry %p (noPay %v, probe %d, joins %d), want %p still refusing on its schedule",
+		if got := rt.PointFor(k1); got != p1 {
+			t.Fatalf("after %s the first key is point %d, was %d", between.name, got, p1)
+		}
+		if _, _, disabled := rt.PointProfile(p1); disabled || rt.points[p1].faults.Load() != 0 {
+			t.Fatalf("after %s the call's verdict survived: disabled %v, %d faults", between.name, disabled, rt.points[p1].faults.Load())
+		}
+		if got := rt.points[p1].estimate(); got != e1 || !e1.noPay.Load() || e1.probe != probe || e1.joins != payoffMemory {
+			t.Fatalf("after %s the first key found estimate %p (noPay %v, probe %d, joins %d), want %p still refusing on its schedule",
 				between.name, got, e1.noPay.Load(), e1.probe, e1.joins, e1)
 		}
 	}
-	p := rt.AllocPoint(collidingKey(k1))
-	if got := rt.points[p].pay.Load(); got != e1 || e1.noPay.Load() || e1.joins != 0 || e1.inline != 0 {
-		t.Fatalf("a different key in the slot got entry %p (noPay %v, joins %d, inline %d), want %p reset",
-			got, e1.noPay.Load(), e1.joins, e1.inline, e1)
-	}
-	if q := rt.AllocPoint(); rt.points[q].pay.Load() != nil {
-		t.Fatal("a point allocated without a body key is bound")
+	if rt.points[NumPoints-1].estimate() != nil {
+		t.Fatal("a point no body was interned at keeps an estimate")
 	}
 }
 
@@ -274,10 +259,9 @@ func TestPayoffOutlivesPointIDs(t *testing.T) {
 // bound, timed or refused — the figures stay a function of the cost model.
 func TestPayoffInactiveUnderVirtualTiming(t *testing.T) {
 	rt := newRT(t, 1, nil)
-	p := rt.AllocPoint(0x401000)
-	defer rt.FreePoint(p)
-	if rt.points[p].pay.Load() != nil {
-		t.Fatal("a point is bound under virtual timing")
+	p := rt.PointFor(0x401000)
+	if rt.points[p].estimate() != nil {
+		t.Fatal("an estimate is kept under virtual timing")
 	}
 	rt.Run(func(t0 *Thread) {
 		if span := t0.StartInline(p); span != (InlineSpan{}) {
@@ -285,7 +269,7 @@ func TestPayoffInactiveUnderVirtualTiming(t *testing.T) {
 		}
 		for i := 0; i < 4*payoffMemory; i++ {
 			ranks := make([]Rank, p+1)
-			h := t0.Fork(ranks, p, OutOfOrder)
+			h := t0.ForkBody(ranks, p, OutOfOrder)
 			if h == nil {
 				t.Fatalf("fork %d refused", i)
 			}
@@ -324,8 +308,7 @@ func TestTinyLoopStopsForking(t *testing.T) {
 	}
 	rt.Run(func(t0 *Thread) {
 		arr := t0.Alloc(8 * chunks)
-		p := rt.AllocPoint(tinyBodyKey)
-		defer rt.FreePoint(p)
+		p := rt.PointFor(tinyBodyKey)
 		ranks := make([]Rank, p+1)
 		region := func(c *Thread) uint32 {
 			body(c, c.GetRegvarAddr(0), int(c.GetRegvarInt64(1)))
@@ -334,7 +317,7 @@ func TestTinyLoopStopsForking(t *testing.T) {
 		for idx := 0; idx < chunks; idx++ {
 			h := (*ForkHandle)(nil)
 			if idx+1 < chunks {
-				if h = t0.Fork(ranks, p, OutOfOrder); h != nil {
+				if h = t0.ForkBody(ranks, p, OutOfOrder); h != nil {
 					h.SetRegvarAddr(0, arr)
 					h.SetRegvarInt64(1, int64(idx+1))
 					h.Start(region)

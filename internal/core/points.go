@@ -129,11 +129,6 @@ func (t *Thread) Rollback() {
 	t.rollbackNow(RollbackUnsafeOp)
 }
 
-// Cancelled reports whether the current run has been cancelled (the
-// RunCtx context expired, or CancelRun was called). Loop drivers may poll
-// it to stop issuing work early.
-func (t *Thread) Cancelled() bool { return t.rt.cancelled.Load() }
-
 // CancelPoint is the cooperative cancellation poll of the driving,
 // non-speculative thread — the service-mode analogue of CheckPoint. If
 // the run has been cancelled it unwinds the non-speculative thread back

@@ -1,113 +1,154 @@
 package core
 
-import "testing"
+import (
+	"runtime"
+	"sync"
+	"testing"
 
-// TestAllocPointExhaustion: ids freed by finished runs are reused without
-// aliasing, and only more than MaxPoints *simultaneously live* runs trip
-// the exhaustion counter — which Summary surfaces so a long-lived
-// multi-tenant runtime can see its feedback quality degrade.
-func TestAllocPointExhaustion(t *testing.T) {
-	rt := newRT(t, 1, func(o *Options) { o.MaxPoints = 4 })
-	var ps []int
-	for i := 0; i < 4; i++ {
-		ps = append(ps, rt.AllocPoint())
-	}
-	if got := rt.PointsExhausted(); got != 0 {
-		t.Fatalf("PointsExhausted = %d after filling the namespace, want 0", got)
-	}
-	// Alloc/free churn at full-minus-one occupancy never aliases.
-	rt.FreePoint(ps[2])
-	for i := 0; i < 10; i++ {
-		p := rt.AllocPoint()
-		if p != 2 {
-			t.Fatalf("alloc with only id 2 free returned %d", p)
+	"repro/internal/vclock"
+)
+
+// TestPointForInternsInFirstUseOrder pins the identity rule: distinct keys
+// get distinct ids, dense in first-use order whatever the keys' values, and
+// a key finds its id again at every later call, after ResetStats and after
+// Recycle.
+func TestPointForInternsInFirstUseOrder(t *testing.T) {
+	rt := newRT(t, 1, nil)
+	keys := []uintptr{0x7000, 0x10, 0x402000}
+	for round, between := range []func(){func() {}, rt.ResetStats, rt.Recycle} {
+		between()
+		for want, k := range keys {
+			if p := rt.PointFor(k); p != want {
+				t.Fatalf("round %d: PointFor(%#x) = %d, want %d", round, k, p, want)
+			}
 		}
-		rt.FreePoint(p)
 	}
-	if got := rt.PointsExhausted(); got != 0 {
-		t.Fatalf("PointsExhausted = %d under churn, want 0", got)
+	if got := rt.Stats().PointsExhausted; got != 0 {
+		t.Fatalf("PointsExhausted = %d with three bodies, want 0", got)
 	}
-	// A fifth simultaneously live run must alias — and be counted.
-	rt.AllocPoint()
-	p := rt.AllocPoint()
-	if p < 0 || p >= 4 {
-		t.Fatalf("aliased point %d out of range", p)
+}
+
+// TestPointForEvictsForThe65thBody: NumPoints bodies fill the table without
+// an eviction; the next one takes over the first record — counted, so a
+// program with more bodies than ids sees it — and that record starts from
+// nothing: no counts, no estimate, no verdict. The evicted body comes back
+// as a new one, on the next record round-robin.
+func TestPointForEvictsForThe65thBody(t *testing.T) {
+	rt := newRT(t, 1, func(o *Options) { o.Timing = vclock.Real })
+	key := func(i int) uintptr { return uintptr(0x1000 + 16*i) }
+	for i := 0; i < NumPoints; i++ {
+		if p := rt.PointFor(key(i)); p != i {
+			t.Fatalf("body %d interned at %d", i, p)
+		}
 	}
-	if got := rt.PointsExhausted(); got != 1 {
-		t.Fatalf("PointsExhausted = %d after aliasing alloc, want 1", got)
+	rt.points[0].observe(execOutcome{committed: true}, false)
+	rt.points[0].refusedNoPay.Add(3)
+	simulate(rt.points[0].estimate(), 0, 100, steady(2500, 6000))
+	if got := rt.Stats().PointsExhausted; got != 0 {
+		t.Fatalf("PointsExhausted = %d after filling the table, want 0", got)
+	}
+
+	if p := rt.PointFor(key(NumPoints)); p != 0 {
+		t.Fatalf("the 65th body took record %d, want 0", p)
 	}
 	if got := rt.Stats().PointsExhausted; got != 1 {
-		t.Fatalf("Summary.PointsExhausted = %d, want 1", got)
+		t.Fatalf("PointsExhausted = %d after one eviction, want 1", got)
 	}
-	// ResetStats clears the counter; ResetPoints clears the namespace.
+	if ps, ok := rt.Stats().PerPoint[0]; ok {
+		t.Fatalf("the evicted record kept its counts: %+v", ps)
+	}
+	if pe := rt.points[0].estimate(); pe.noPay.Load() || pe.joins != 0 || pe.inline != 0 || pe.probe != 0 {
+		t.Fatalf("the evicted record kept its estimate: noPay %v, joins %d, inline %d, probe %d", pe.noPay.Load(), pe.joins, pe.inline, pe.probe)
+	}
+	if p := rt.PointFor(key(1)); p != 1 {
+		t.Fatalf("a body still in the table moved to %d", p)
+	}
+	if p := rt.PointFor(key(0)); p != 1 {
+		t.Fatalf("the evicted body came back at %d, want record 1", p)
+	}
 	rt.ResetStats()
 	if got := rt.Stats().PointsExhausted; got != 0 {
-		t.Fatalf("Summary.PointsExhausted = %d after ResetStats, want 0", got)
-	}
-	rt.ResetPoints()
-	for i := 0; i < 4; i++ {
-		if p := rt.AllocPoint(); p != i {
-			t.Fatalf("post-reset alloc %d = %d, want %d", i, p, i)
-		}
-	}
-	if got := rt.PointsExhausted(); got != 0 {
-		t.Fatalf("PointsExhausted = %d after ResetPoints refill, want 0", got)
+		t.Fatalf("PointsExhausted = %d after ResetStats, want 0", got)
 	}
 }
 
-// TestAllocPointDistinctRoundRobin pins the allocator contract: ids walk
-// [0, MaxPoints) in order and wrap, and a block allocation is internally
-// distinct.
-func TestAllocPointDistinctRoundRobin(t *testing.T) {
+// TestPointForClearsTheCallVerdict: a point the adaptive fork heuristic
+// disabled during one call of a body comes back enabled, with a fresh sample
+// window, at the body's next call — otherwise one bad call would serialize
+// the loop for the life of the runtime. The counts stay until ResetStats.
+func TestPointForClearsTheCallVerdict(t *testing.T) {
 	rt := newRT(t, 1, nil)
-	max := rt.MaxPoints()
-	for i := 0; i < 2*max; i++ {
-		if p := rt.AllocPoint(); p != i%max {
-			t.Fatalf("alloc %d = point %d, want %d", i, p, i%max)
-		}
-	}
-	ps := rt.AllocPoints(max)
-	seen := make(map[int]bool, max)
-	for _, p := range ps {
-		if seen[p] {
-			t.Fatalf("AllocPoints handed out point %d twice", p)
-		}
-		seen[p] = true
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AllocPoints beyond MaxPoints did not panic")
-		}
-	}()
-	rt.AllocPoints(max + 1)
-}
-
-// TestAllocPointResetsHeuristic: a point the adaptive fork heuristic
-// disabled for one loop must come back enabled, with a fresh sample window,
-// when the allocator recycles its id to a different run — otherwise an
-// unrelated loop inheriting the id would silently run serial forever. The
-// statistics of the id's previous owner stay until ResetStats.
-func TestAllocPointResetsHeuristic(t *testing.T) {
-	rt := newRT(t, 1, nil)
+	p := rt.PointFor(0x401000)
 	for i := 0; i < heuristicMinSamples; i++ {
-		rt.points[5].observe(execOutcome{}, true)
+		rt.points[p].observe(execOutcome{}, true)
 	}
-	if _, _, disabled := rt.PointProfile(5); !disabled {
+	if _, _, disabled := rt.PointProfile(p); !disabled {
 		t.Fatal("rollback-heavy point was not disabled")
 	}
-	for i := 0; i < rt.MaxPoints(); i++ {
-		if p := rt.AllocPoint(); p == 5 {
-			break
-		}
+	if again := rt.PointFor(0x401000); again != p {
+		t.Fatalf("the body moved from point %d to %d", p, again)
 	}
-	// The new owner's first rollback is judged alone, not on top of the
-	// old owner's.
-	rt.points[5].observe(execOutcome{}, true)
-	c, r, disabled := rt.PointProfile(5)
+	// The new call's first rollback is judged alone, not on top of the
+	// last call's.
+	rt.points[p].observe(execOutcome{}, true)
+	c, r, disabled := rt.PointProfile(p)
 	if disabled {
-		t.Fatal("recycled point inherited its previous owner's verdict")
+		t.Fatal("the call inherited the previous call's verdict")
 	}
 	if c != 0 || r != heuristicMinSamples+1 {
-		t.Fatalf("recycled point's statistics: commits=%d rollbacks=%d, want 0/%d", c, r, heuristicMinSamples+1)
+		t.Fatalf("the point's statistics: commits=%d rollbacks=%d, want 0/%d", c, r, heuristicMinSamples+1)
+	}
+}
+
+// TestPointForFromSpeculativeThreads: drivers start on speculative threads
+// too — a loop nested in a speculated chunk — while the non-speculative
+// thread starts its own. Interning from all of them at once is safe (-race),
+// evictions included, and while the table holds every body each thread sees
+// one id per key.
+func TestPointForFromSpeculativeThreads(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3)) // a proc for each child
+	for _, nKeys := range []int{16, NumPoints + 8} {
+		rt := newRT(t, 2, func(o *Options) { o.Timing = vclock.Real })
+		var mu sync.Mutex
+		ids := map[uintptr]int{}
+		intern := func(c *Thread, from int) {
+			for i := from; i < from+200; i++ {
+				k := uintptr(0x1000 + 16*(i%nKeys))
+				p := rt.PointFor(k)
+				// What a driver does next: the non-speculative thread times
+				// its inline run, a speculative one reads the verdict.
+				c.StartInline(p).Stop()
+				rt.points[p].pay.noPay.Load()
+				mu.Lock()
+				if was, ok := ids[k]; ok && was != p && nKeys <= NumPoints {
+					t.Errorf("key %#x interned at %d and at %d", k, was, p)
+				}
+				ids[k] = p
+				mu.Unlock()
+			}
+		}
+		forked := 0
+		rt.Run(func(t0 *Thread) {
+			ranks := make([]Rank, 2)
+			for p := range ranks {
+				if h := t0.Fork(ranks, p, OutOfOrder); h != nil {
+					forked++
+					h.SetRegvarInt64(0, int64(7*(p+1)))
+					h.Start(func(c *Thread) uint32 {
+						intern(c, int(c.GetRegvarInt64(0)))
+						return 0
+					})
+				}
+			}
+			intern(t0, 0)
+			t0.Join(ranks, 1)
+			t0.Join(ranks, 0)
+		})
+		if forked == 0 {
+			t.Fatalf("%d keys: no speculative thread started", nKeys)
+		}
+		if got := rt.Stats().PointsExhausted; (got > 0) != (nKeys > NumPoints) {
+			t.Fatalf("%d keys: PointsExhausted = %d", nKeys, got)
+		}
 	}
 }

@@ -198,7 +198,7 @@ func TestRunFreshCPUAvailability(t *testing.T) {
 }
 
 // TestRecycle: a recycled runtime starts its next tenant with a clean
-// heap, point namespace and statistics — without rebuilding buffers.
+// heap and statistics — without rebuilding buffers.
 func TestRecycle(t *testing.T) {
 	rt := newRT(t, 2, nil)
 	var leaked mem.Addr
@@ -210,7 +210,6 @@ func TestRecycle(t *testing.T) {
 			t0.Join(ranks, 0)
 		}
 	})
-	rt.AllocPoint()
 	if rt.space.Heap.InUse() == 0 {
 		t.Fatal("test setup: leak did not register")
 	}
@@ -223,12 +222,6 @@ func TestRecycle(t *testing.T) {
 	}
 	if s := rt.Stats(); s.Executions != 0 || s.PointsExhausted != 0 {
 		t.Fatalf("stats survived Recycle: %+v", s)
-	}
-	rt.pointMu.Lock()
-	live := rt.pointLiveCount
-	rt.pointMu.Unlock()
-	if live != 0 {
-		t.Fatalf("%d live points after Recycle", live)
 	}
 	// And the runtime still runs.
 	rt.Run(func(t0 *Thread) {

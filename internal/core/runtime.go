@@ -124,6 +124,7 @@ type threadData struct {
 	// parent may reclaim the CPU and fork on it again at any moment, so the
 	// worker touches none of these fields past that store.
 	point       int
+	guarded     bool // forked by ForkBody under a kept estimate: Join folds its cost in
 	model       Model
 	children    []childRef
 	stopCounter uint32
@@ -267,8 +268,7 @@ type Runtime struct {
 	linearMu sync.Mutex
 	linear   []childRef
 
-	points    []pointState // per-point accounting, see live.go
-	payoffs   []payoff     // per-body pay-off estimates, see payoff.go; nil under virtual timing
+	points    []pointState // one record per fork/join point, see live.go
 	collector *stats.Collector
 	wg        sync.WaitGroup
 	closed    atomic.Bool
@@ -298,14 +298,11 @@ type Runtime struct {
 	// fully sequential (every fork refused) execution.
 	cpuLimit atomic.Int32
 
-	// Fork/join point allocation (AllocPoint/FreePoint): live ids are
-	// tracked so concurrent long-lived runs alias a point only when all
-	// MaxPoints ids are genuinely in use — and that exhaustion is counted
-	// instead of silently degrading feedback quality.
+	// PointFor's table: points[:bodies] stand for a driver body, evictNext is
+	// the record the next body past NumPoints takes over.
 	pointMu         sync.Mutex
-	pointLive       []bool
-	pointLiveCount  int
-	pointNext       int
+	bodies          int
+	evictNext       int
 	pointsExhausted atomic.Int64
 
 	// nonSpecStackTop is the bump pointer of the non-speculative stack.
@@ -353,7 +350,7 @@ func NewRuntime(opts Options) (*Runtime, error) {
 		cpus:      make([]*cpu, o.NumCPUs+1),
 		epoch:     time.Now(),
 		procs:     runtime.GOMAXPROCS(0),
-		points:    make([]pointState, o.MaxPoints),
+		points:    make([]pointState, NumPoints),
 		collector: stats.NewCollector(o.NumCPUs),
 	}
 	r0, err := space.StackRegion(0)
@@ -362,11 +359,7 @@ func NewRuntime(opts Options) (*Runtime, error) {
 	}
 	rt.nonSpecStackTop = r0.Start
 	rt.drainGate.init()
-	rt.pointLive = make([]bool, o.MaxPoints)
 	rt.cpuLimit.Store(int32(o.NumCPUs))
-	if o.Timing == vclock.Real {
-		rt.payoffs = make([]payoff, payoffEntries)
-	}
 	if o.NumCPUs > 0 {
 		ws, err := mem.NewWriteStamps(space.Arena.Size(), 0)
 		if err != nil {
@@ -437,139 +430,6 @@ func (rt *Runtime) Options() Options { return rt.opts }
 
 // NumCPUs returns the number of speculative virtual CPUs.
 func (rt *Runtime) NumCPUs() int { return rt.opts.NumCPUs }
-
-// MaxPoints returns the number of fork/join point ids the runtime supports
-// (point ids are 0..MaxPoints-1).
-func (rt *Runtime) MaxPoints() int { return rt.opts.MaxPoints }
-
-// AllocPoint returns a fork/join point id for one driver run, walking
-// round-robin through [0, MaxPoints) and skipping ids still held by
-// another run. Loop drivers (mutls.For/Reduce/Pipeline) allocate a fresh
-// point per run — and free it with FreePoint when the run ends — so the
-// per-point profile and fork heuristic of overlapping runs — a nested loop
-// started from the inline portion of an outer loop's body, or a pipeline's
-// per-stage points — do not mix rollback signals across loops. A
-// recycled id starts enabled, with no faults and a fresh heuristic window
-// (a point disabled by one loop's rollbacks must not serialize the
-// unrelated loop that inherits the id); its counts stay until ResetStats.
-//
-// body, when given, is the code pointer of the driver's body: under real
-// timing the id is bound to the pay-off estimate kept for that body
-// (payoff.go), which outlives the id. Without it the point forks whenever
-// the protocol allows, as every point does under virtual timing.
-//
-// When every id is live — more than MaxPoints simultaneously live runs —
-// the allocator falls back to plain round-robin aliasing and counts the
-// exhaustion (PointsExhausted, surfaced in Summary): aliasing degrades
-// feedback/heuristic quality, never correctness, but a long-lived
-// multi-tenant runtime should see it rather than silently serve worse
-// schedules.
-func (rt *Runtime) AllocPoint(body ...uintptr) int {
-	if len(body) > 0 {
-		return rt.allocPoint(body[0])
-	}
-	return rt.allocPoint(0)
-}
-
-// allocPoint is AllocPoint under body key body, 0 for none.
-func (rt *Runtime) allocPoint(body uintptr) int {
-	max := rt.opts.MaxPoints
-	rt.pointMu.Lock()
-	var p int
-	if rt.pointLiveCount >= max {
-		p = rt.pointNext % max
-		rt.pointNext++
-		rt.pointsExhausted.Add(1)
-	} else {
-		p = rt.pointNext % max
-		for rt.pointLive[p] {
-			rt.pointNext++
-			p = rt.pointNext % max
-		}
-		rt.pointLive[p] = true
-		rt.pointLiveCount++
-		rt.pointNext++
-	}
-	rt.pointMu.Unlock()
-	rt.points[p].reset(true)
-	rt.points[p].pay.Store(rt.payoffFor(body))
-	return p
-}
-
-// FreePoint returns a point id to the allocator. Freeing an id that was
-// handed out twice under exhaustion simply makes it preferred again; out
-// of range or already-free ids are ignored. The id's pay-off binding ends
-// here (the estimate itself stays with the body); its averages are kept for
-// Stats.
-func (rt *Runtime) FreePoint(p int) {
-	if p < 0 || p >= rt.opts.MaxPoints {
-		return
-	}
-	ps := &rt.points[p]
-	if pe := ps.pay.Swap(nil); pe != nil {
-		ps.payInline.Store(pe.inline)
-		ps.payGain.Store(pe.gain())
-		ps.payCost.Store(pe.cost)
-	}
-	rt.pointMu.Lock()
-	if rt.pointLive[p] {
-		rt.pointLive[p] = false
-		rt.pointLiveCount--
-	}
-	rt.pointMu.Unlock()
-}
-
-// FreePoints frees a block of point ids (the inverse of AllocPoints).
-func (rt *Runtime) FreePoints(ps []int) {
-	for _, p := range ps {
-		rt.FreePoint(p)
-	}
-}
-
-// PointsExhausted reports how many AllocPoint calls found every point id
-// live and had to alias (cumulative until ResetStats/ResetPoints).
-func (rt *Runtime) PointsExhausted() int64 { return rt.pointsExhausted.Load() }
-
-// ResetPoints returns the point namespace to its initial state: no live
-// ids, allocation restarting at 0, exhaustion counter cleared, every
-// point enabled again. It is part of the between-tenants recycle of a
-// pooled runtime and must only be called while the runtime is quiescent
-// (no driver run in flight).
-func (rt *Runtime) ResetPoints() {
-	rt.pointMu.Lock()
-	for i := range rt.pointLive {
-		rt.pointLive[i] = false
-	}
-	rt.pointLiveCount = 0
-	rt.pointNext = 0
-	rt.pointMu.Unlock()
-	rt.pointsExhausted.Store(0)
-	for p := range rt.points {
-		rt.points[p].reset(true)
-	}
-}
-
-// AllocPoints returns n distinct point ids allocated as one block (the
-// multi-point form of AllocPoint, for drivers with one point per stage).
-// bodies, when given, holds one body key per point. It panics when n
-// exceeds MaxPoints, the static protocol limit.
-func (rt *Runtime) AllocPoints(n int, bodies ...uintptr) []int {
-	if n > rt.opts.MaxPoints {
-		panic(fmt.Sprintf("core: AllocPoints(%d) exceeds MaxPoints %d", n, rt.opts.MaxPoints))
-	}
-	if len(bodies) != 0 && len(bodies) != n {
-		panic(fmt.Sprintf("core: AllocPoints(%d) with %d body keys", n, len(bodies)))
-	}
-	ps := make([]int, n)
-	for i := range ps {
-		body := uintptr(0)
-		if len(bodies) > 0 {
-			body = bodies[i]
-		}
-		ps[i] = rt.allocPoint(body)
-	}
-	return ps
-}
 
 // SetCPULimit bounds the virtual CPUs available to subsequent forks to
 // ranks 1..n (clamped to [0, NumCPUs]). A limit of 0 refuses every fork —
@@ -769,10 +629,11 @@ func (rt *Runtime) watchCancel(ctx context.Context) (stop func()) {
 func (rt *Runtime) CancelRun() { rt.cancelled.Store(true) }
 
 // Recycle prepares an idle runtime for its next logical tenant without
-// rebuilding it: statistics and live counters reset, the fork/join point
-// namespace cleared, and the simulated heap released wholesale (arena and
-// buffers are reused as-is). Addresses obtained from Alloc before Recycle
-// are invalid afterwards. The runtime must be quiescent (no Run in
+// rebuilding it: statistics and live counters reset, every fork point's
+// verdict on its last driver call cleared (bodies keep their ids and pay-off
+// estimates: the next tenant runs the same code), and the simulated heap
+// released wholesale (arena and buffers are reused as-is). Addresses
+// obtained from Alloc before Recycle are invalid afterwards. The runtime must be quiescent (no Run in
 // flight) — verified, because recycling under live speculation would hand
 // the next tenant a corrupted heap.
 func (rt *Runtime) Recycle() {
@@ -780,7 +641,9 @@ func (rt *Runtime) Recycle() {
 		panic("core: Recycle on a non-quiescent runtime")
 	}
 	rt.ResetStats()
-	rt.ResetPoints()
+	for p := range rt.points {
+		rt.points[p].reset(true)
+	}
 	if err := rt.space.Heap.Reset(); err != nil {
 		// Deregistering live allocations can only fail on registry
 		// corruption, which no recycled tenant should inherit.
@@ -825,16 +688,17 @@ func (rt *Runtime) Stats() *stats.Summary {
 		commits, rollbacks := ps.commits.Load(), ps.rollbacks.Load()
 		noPay, noProc := ps.refusedNoPay.Load(), ps.refusedNoProc.Load()
 		if commits+rollbacks+noPay+noProc > 0 {
-			s.PerPoint[p] = stats.PointStats{
+			pt := stats.PointStats{
 				Commits:       int(commits),
 				Rollbacks:     int(rollbacks),
 				Runtime:       ps.commitLatency.Load() + ps.rollbackLatency.Load(),
 				RefusedNoPay:  int(noPay),
 				RefusedNoProc: int(noProc),
-				InlineNS:      ps.payInline.Load(),
-				GainNS:        ps.payGain.Load(),
-				CostNS:        ps.payCost.Load(),
 			}
+			if pe := ps.estimate(); pe != nil {
+				pt.InlineNS, pt.GainNS, pt.CostNS = pe.inline, pe.gain(), pe.cost
+			}
+			s.PerPoint[p] = pt
 			s.RefusedNoProc += noProc
 		}
 	}

@@ -578,14 +578,3 @@ func (t *Thread) StackAlloc(n int) mem.Addr {
 	}
 	return p
 }
-
-// StackMark returns the current stack top, to be restored with StackRelease.
-func (t *Thread) StackMark() mem.Addr { return t.stackTop }
-
-// StackRelease pops the stack back to a mark from StackMark.
-func (t *Thread) StackRelease(mark mem.Addr) {
-	if mark < t.stack.Start || mark > t.stackTop {
-		panic("core: bad stack release mark")
-	}
-	t.stackTop = mark
-}

@@ -394,43 +394,7 @@ var Fig11Probs = []float64{0.01, 0.05, 0.10, 0.20, 0.50, 1.00}
 // speculative result is checked against the sequential checksum, so the
 // table doubles as a cross-backend equivalence run.
 func (h *Harness) FigGBuf(out io.Writer) error {
-	cpus := h.cfg.CPUAxis[len(h.cfg.CPUAxis)-1]
-	backends := mutls.Backends()
-	tw := newTab(out)
-	fmt.Fprintf(out, "GBUF ABLATION. GlobalBuffer backends across the benchmark suite at %d CPUs\n", cpus)
-	fmt.Fprintln(tw, "Benchmark\tBackend\tSpeedup\tCommits\tRollbacks\tParks\tRdPeak\tWrPeak")
-	for _, w := range bench.All {
-		seq, err := h.Seq(w, "c")
-		if err != nil {
-			return err
-		}
-		for _, backend := range backends {
-			cfg := h.runCfg(w, cpus, w.DefaultModel, 0, costFor("c"))
-			cfg.Buffering = overrideBackend(cfg.Buffering, backend)
-			m, err := bench.MeasureSpec(w, cfg)
-			if err != nil {
-				return fmt.Errorf("%s/%s: %w", w.Name, backend, err)
-			}
-			if m.Checksum != seq.Checksum {
-				return fmt.Errorf("%s/%s: checksum mismatch (speculative %#x != sequential %#x)",
-					w.Name, backend, m.Checksum, seq.Checksum)
-			}
-			s := m.Summary
-			fmt.Fprintf(tw, "%s\t%s\t%.2f\t%d\t%d\t%d\t%d\t%d\n",
-				w.Name, backend, float64(seq.Runtime)/float64(m.Runtime),
-				s.Commits, s.Rollbacks, s.GBuf.Conflicts, s.ReadSetPeak, s.WriteSetPeak)
-		}
-	}
-	return tw.Flush()
-}
-
-// overrideBackend replaces only the backend name of a Buffering config,
-// keeping the operator's backend-independent sizing fields (LogBuckets,
-// PageWords, …) intact — the ablation must not silently reset the sizing
-// the -gbuf-independent flags configured.
-func overrideBackend(buf mutls.Buffering, backend string) mutls.Buffering {
-	buf.Backend = backend
-	return buf
+	return h.ablation(out, "GBUF ABLATION. GlobalBuffer backends across the benchmark suite at %d CPUs\n", bench.All, nil)
 }
 
 // FigPipeline is the workload-shapes ablation (beyond the paper): the new
@@ -440,21 +404,34 @@ func overrideBackend(buf mutls.Buffering, backend string) mutls.Buffering {
 // the sequential version — the acceptance matrix of the Pipeline and
 // ReduceFloat64 drivers.
 func (h *Harness) FigPipeline(out io.Writer) error {
+	return h.ablation(out, "PIPELINE ABLATION. Pipeline and float-reduction kernels across models and backends at %d CPUs\n"+
+		"(Pipeline/Reduce continuations cannot run in-order; the inorder rows exercise the requested name's remap to outoforder.)\n",
+		bench.Extended, []mutls.Model{mutls.InOrder, mutls.OutOfOrder, mutls.Mixed, mutls.MixedLinear})
+}
+
+// ablation prints one checksum-verified row per workload, model and
+// registered backend at the largest axis point. With models nil a workload
+// runs under its default model, and Parks takes the Model column's place.
+func (h *Harness) ablation(out io.Writer, heading string, workloads []*bench.Workload, models []mutls.Model) error {
 	cpus := h.cfg.CPUAxis[len(h.cfg.CPUAxis)-1]
-	models := []mutls.Model{mutls.InOrder, mutls.OutOfOrder, mutls.Mixed, mutls.MixedLinear}
+	modelCol := func(cell any) string { return optCol(models != nil, cell) }
+	parksCol := func(cell any) string { return optCol(models == nil, cell) }
 	tw := newTab(out)
-	fmt.Fprintf(out, "PIPELINE ABLATION. Pipeline and float-reduction kernels across models and backends at %d CPUs\n", cpus)
-	fmt.Fprintln(out, "(Pipeline/Reduce continuations cannot run in-order; the inorder rows exercise the requested name's remap to outoforder.)")
-	fmt.Fprintln(tw, "Benchmark\tModel\tBackend\tSpeedup\tCommits\tRollbacks\tRdPeak\tWrPeak")
-	for _, w := range bench.Extended {
+	fmt.Fprintf(out, heading, cpus)
+	fmt.Fprintf(tw, "Benchmark\t%sBackend\tSpeedup\tCommits\tRollbacks\t%sRdPeak\tWrPeak\n", modelCol("Model"), parksCol("Parks"))
+	for _, w := range workloads {
 		seq, err := h.Seq(w, "c")
 		if err != nil {
 			return err
 		}
-		for _, model := range models {
+		ms := models
+		if ms == nil {
+			ms = []mutls.Model{w.DefaultModel}
+		}
+		for _, model := range ms {
 			for _, backend := range mutls.Backends() {
 				cfg := h.runCfg(w, cpus, model, 0, costFor("c"))
-				cfg.Buffering = overrideBackend(cfg.Buffering, backend)
+				cfg.Buffering.Backend = backend // the operator's sizing fields stay
 				m, err := bench.MeasureSpec(w, cfg)
 				if err != nil {
 					return fmt.Errorf("%s/%v/%s: %w", w.Name, model, backend, err)
@@ -464,13 +441,21 @@ func (h *Harness) FigPipeline(out io.Writer) error {
 						w.Name, model, backend, m.Checksum, seq.Checksum)
 				}
 				s := m.Summary
-				fmt.Fprintf(tw, "%s\t%v\t%s\t%.2f\t%d\t%d\t%d\t%d\n",
-					w.Name, model, backend, float64(seq.Runtime)/float64(m.Runtime),
-					s.Commits, s.Rollbacks, s.ReadSetPeak, s.WriteSetPeak)
+				fmt.Fprintf(tw, "%s\t%s%s\t%.2f\t%d\t%d\t%s%d\t%d\n",
+					w.Name, modelCol(model), backend, float64(seq.Runtime)/float64(m.Runtime),
+					s.Commits, s.Rollbacks, parksCol(s.GBuf.Conflicts), s.ReadSetPeak, s.WriteSetPeak)
 			}
 		}
 	}
 	return tw.Flush()
+}
+
+// optCol is a table cell that is only there when on.
+func optCol(on bool, cell any) string {
+	if !on {
+		return ""
+	}
+	return fmt.Sprint(cell, "\t")
 }
 
 // Fig11 regenerates Figure 11: rollback sensitivity — the relative slowdown

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -187,15 +188,37 @@ func TestFortranVariantSlowerThanC(t *testing.T) {
 	}
 }
 
-// TestOverrideBackendKeepsSizing: the gbuf ablation must sweep backends
-// without discarding the operator's backend-independent sizing fields.
+// TestOverrideBackendKeepsSizing: the ablations sweep backends without
+// discarding the operator's backend-independent sizing fields — every run
+// of the sweep is built with the configured sizing under the swept name.
 func TestOverrideBackendKeepsSizing(t *testing.T) {
-	buf := mutls.Buffering{LogWords: 10, OverflowCap: 32, LogBuckets: 9, PageWords: 128}
-	got := overrideBackend(buf, "chain")
-	want := buf
-	want.Backend = "chain"
-	if got != want {
-		t.Fatalf("overrideBackend reset sizing: %+v, want %+v", got, want)
+	cfg := DefaultConfig()
+	cfg.CPUAxis = []int{2}
+	cfg.Buffering = mutls.Buffering{LogWords: 10, OverflowCap: 32, LogBuckets: 9, PageWords: 128}
+	var ran []mutls.Buffering
+	probe := &bench.Workload{
+		Name:      "probe",
+		HeapBytes: func(bench.Size) int { return 1 << 12 },
+		Seq:       func(*mutls.Thread, bench.Size) uint64 { return 1 },
+		Spec: func(th *mutls.Thread, _ bench.Size, _ bench.SpecOptions) uint64 {
+			ran = append(ran, th.Runtime().Options().GBuf)
+			return 1
+		},
+	}
+	if err := New(cfg).ablation(io.Discard, "%d\n", []*bench.Workload{probe}, nil); err != nil {
+		t.Fatal(err)
+	}
+	backends := mutls.Backends()
+	if len(ran) != len(backends) {
+		t.Fatalf("%d runs for backends %v", len(ran), backends)
+	}
+	for i, got := range ran {
+		want := cfg.Buffering
+		want.Backend = backends[i]
+		if got.Backend != want.Backend || got.LogWords != want.LogWords || got.OverflowCap != want.OverflowCap ||
+			got.LogBuckets != want.LogBuckets || got.PageWords != want.PageWords {
+			t.Fatalf("backend %s ran under %+v, want the sizing of %+v", backends[i], got, want)
+		}
 	}
 }
 

@@ -211,11 +211,10 @@ type Summary struct {
 	// across Runs on the same runtime).
 	GBuf gbuf.Counters
 
-	// PointsExhausted counts AllocPoint calls that found every fork/join
-	// point id live and had to alias one — the signal that more than
-	// MaxPoints driver runs overlapped on this runtime and their adaptive
-	// feedback is mixing (filled by the runtime; cumulative until
-	// ResetStats).
+	// PointsExhausted counts the driver bodies that found every fork/join
+	// point standing for another body and took one over: the program has
+	// more bodies than the runtime has points, and profiles and pay-off
+	// estimates keep starting over (cumulative until ResetStats).
 	PointsExhausted int64
 
 	// Hand-off counters of the join protocol's gates (filled by the
@@ -248,9 +247,10 @@ type PointStats struct {
 
 	// RefusedNoPay counts the forks the pay-off guard refused: the point's
 	// region costs the joining thread less to run inline than a fork/join
-	// does. The three averages are that estimate when the point's driver
-	// finished, in nanoseconds on the non-speculative thread's clock: the
-	// region run inline, what a fork bought (InlineNS times the share of
+	// does. The three averages are the estimate of the body the point stands
+	// for as it is now, in nanoseconds on the non-speculative thread's clock
+	// (they outlive ResetStats, like the verdict they explain): the region
+	// run inline, what a fork bought (InlineNS times the share of
 	// joins that committed) and what a fork/join cost. All zero under
 	// virtual timing.
 	RefusedNoPay             int
@@ -353,16 +353,6 @@ func Breakdown(ledger vclock.Ledger, runtime vclock.Cost, phases []vclock.Phase)
 		out[p] = float64(ledger[p]) / float64(runtime)
 	}
 	return out
-}
-
-// CritBreakdown returns the Figure 8 percentages for this run.
-func (s *Summary) CritBreakdown() map[vclock.Phase]float64 {
-	return Breakdown(s.NonSpecLedger, s.NonSpecRuntime, CritBreakdownPhases)
-}
-
-// SpecBreakdown returns the Figure 9 percentages for this run.
-func (s *Summary) SpecBreakdown() map[vclock.Phase]float64 {
-	return Breakdown(s.SpecLedger, s.SpecRuntime, SpecBreakdownPhases)
 }
 
 // RollbackRate returns rollbacks / executions, or 0 with no executions.

@@ -142,9 +142,10 @@ func ForRange(t *Thread, n int, opts ForOptions, body func(c *Thread, lo, hi int
 }
 
 // bodyKey identifies a driver's body — a func value — by its code pointer:
-// the key the runtime keeps the body's pay-off estimate under, so the
-// verdict on a loop outlives the call that measured it. Closures made from
-// one literal share the key whatever they capture, and so share a verdict.
+// the key of the body's fork point (core's PointFor), so every call of the
+// body is profiled and judged on one id and the verdict on a loop outlives
+// the call that measured it. Closures made from one literal share the key
+// whatever they capture, and so share a point and a verdict.
 func bodyKey(body any) uintptr { return reflect.ValueOf(body).Pointer() }
 
 // driveChunks is the loop controller shared by For and ForRange: the
@@ -154,14 +155,9 @@ func bodyKey(body any) uintptr { return reflect.ValueOf(body).Pointer() }
 // key is the caller's body (bodyKey), body its chunk-range form.
 func driveChunks(t *Thread, chunks int, model Model, poll int, key uintptr, bounds func(seq int) (lo, hi int), body func(c *Thread, lo, hi int)) {
 	rt := t.Runtime()
-	// Each run speculates on its own fork/join point, so its per-point
-	// profile and fork heuristic never mix with a nested run started from
-	// this loop's inline body (or any other driver overlapping this one).
-	// The id is freed when the run ends, so only more than MaxPoints
-	// *simultaneously live* runs can exhaust the namespace (counted in
-	// Summary.PointsExhausted).
-	point := rt.AllocPoint(key)
-	defer rt.FreePoint(point)
+	// The body's own fork/join point: its profile and fork heuristic never
+	// mix with those of a different body's loop nested in this one.
+	point := rt.PointFor(key)
 	// inline runs a chunk on this thread, timed: what forking it is worth.
 	inline := func(lo, hi int) {
 		span := t.StartInline(point)
@@ -176,7 +172,7 @@ func driveChunks(t *Thread, chunks int, model Model, poll int, key uintptr, boun
 		if seq >= chunks {
 			return
 		}
-		if h := c.Fork(ranks, point, model); h != nil {
+		if h := c.ForkBody(ranks, point, model); h != nil {
 			lo, hi := bounds(seq)
 			h.SetRegvarInt64(0, int64(seq))
 			h.SetRegvarInt64(1, int64(lo))

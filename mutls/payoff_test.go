@@ -1,6 +1,7 @@
 package mutls_test
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/mutls"
@@ -110,5 +111,87 @@ func TestGuardInactiveUnderVirtualTiming(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPipelineStagesKeepTheirOwnEstimates: the two speculated stages of one
+// pipeline are two bodies — a store of a few nanoseconds and 100 us of
+// arithmetic — and each is measured and judged on its own record: the tiny
+// one stops forking and stays stopped on the next call, whatever the large
+// one does, and their inline averages are a stage's each, not a blend.
+func TestPipelineStagesKeepTheirOwnEstimates(t *testing.T) {
+	const tokens = 400
+	work := 100 * spinsPerMicrosecond()
+	rt := handoffRuntime(t, nil)
+	run := func() *mutls.Summary {
+		t.Helper()
+		if _, err := rt.Run(func(th *mutls.Thread) {
+			arr := th.Alloc(8 * tokens)
+			out := mutls.Pipeline(th, tokens, 0, mutls.PipelineOptions{Predictor: mutls.Stride},
+				func(c *mutls.Thread, token int, in uint64) uint64 { return in + 1 },
+				func(c *mutls.Thread, token int, in uint64) uint64 {
+					c.StoreInt64(arr+mutls.Addr(8*token), int64(token))
+					return in + 1
+				},
+				func(c *mutls.Thread, token int, in uint64) uint64 { return spin(work, in) })
+			if out != 3*tokens {
+				t.Errorf("pipeline live-out %d, want %d", out, 3*tokens)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		s := rt.Stats()
+		rt.Recycle()
+		return s
+	}
+	first, second := run(), run()
+	tiny, large := second.PerPoint[0], second.PerPoint[1]
+	t.Logf("first call %+v\nsecond call %+v", first.PerPoint, second.PerPoint)
+	if got := first.PerPoint[0].RefusedNoPay; got < tokens/4 {
+		t.Fatalf("first call: the tiny stage was refused %d forks of %d", got, tokens)
+	}
+	if forks := tiny.Commits + tiny.Rollbacks; forks > 8 || tiny.RefusedNoPay < tokens/2 {
+		t.Fatalf("second call: the tiny stage forked %d times and was refused %d, want its verdict remembered", forks, tiny.RefusedNoPay)
+	}
+	if tiny.InlineNS <= 0 || large.InlineNS < 8*tiny.InlineNS {
+		t.Fatalf("inline averages %d ns and %d ns: the stages share an estimate", tiny.InlineNS, large.InlineNS)
+	}
+}
+
+// TestDriversStartedOnSpeculativeThreads: a one-chunk loop is legal on any
+// thread, so the chunks of an outer loop start nested drivers from
+// speculative threads while the non-speculative thread starts its own — on
+// the same body and on another. Interning and the per-call reset are safe
+// under -race, and the result is the sequential one.
+func TestDriversStartedOnSpeculativeThreads(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	const rows = 64
+	rt, err := mutls.New(mutls.Options{CPUs: 2, Timing: mutls.Real})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	if _, err := rt.Run(func(th *mutls.Thread) {
+		arr := th.Alloc(8 * rows)
+		for round := 0; round < 8; round++ {
+			mutls.For(th, rows, mutls.ForOptions{}, func(c *mutls.Thread, r int) {
+				mutls.For(c, 1, mutls.ForOptions{}, func(cc *mutls.Thread, _ int) {
+					cc.StoreInt64(arr+mutls.Addr(8*r), int64(round*rows+r))
+				})
+				if !c.Speculative() {
+					mutls.For(c, 1, mutls.ForOptions{}, func(cc *mutls.Thread, _ int) { cc.Tick(1) })
+				}
+			})
+		}
+		for r := 0; r < rows; r++ {
+			if got := th.LoadInt64(arr + mutls.Addr(8*r)); got != int64(7*rows+r) {
+				t.Fatalf("row %d holds %d, want %d", r, got, 7*rows+r)
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if s := rt.Stats(); s.Commits == 0 || s.PointsExhausted != 0 {
+		t.Fatalf("%d commits, %d evictions: want speculated chunks and three bodies on three points", s.Commits, s.PointsExhausted)
 	}
 }

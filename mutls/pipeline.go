@@ -3,6 +3,7 @@ package mutls
 import (
 	"math"
 
+	"repro/internal/core"
 	"repro/internal/predict"
 )
 
@@ -73,7 +74,8 @@ func Pipeline(t *Thread, nTokens int, init uint64, opts PipelineOptions, stages 
 }
 
 // pipeline is Pipeline; keyed is false only in the hand-off benchmark, whose
-// empty stages have to keep forking: its points carry no body keys.
+// empty stages have to keep forking: they take raw ids from the far end of
+// the table, which stand for no body until a program has 64.
 func pipeline(t *Thread, nTokens int, init uint64, opts PipelineOptions, keyed bool, stages []Stage) uint64 {
 	nStages := len(stages)
 	if nTokens <= 0 || nStages == 0 {
@@ -84,25 +86,19 @@ func pipeline(t *Thread, nTokens int, init uint64, opts PipelineOptions, keyed b
 		model = OutOfOrder
 	}
 	rt := t.Runtime()
-	// One fork point per speculated stage (stages[0] never forks), each
-	// under its stage's body key plus its position — stages made by one
-	// constructor share a code pointer and must not share an estimate; the
-	// block is freed when the pipeline ends.
-	keys := make([]uintptr, nStages-1)
-	for s := range keys {
+	// One fork point per speculated stage (stages[0] never forks), interned
+	// in stage order under the stage's body key plus its position — stages
+	// made by one constructor share a code pointer and must not share a
+	// point.
+	points := make([]int, nStages-1)
+	for s := range points {
 		if keyed {
-			keys[s] = bodyKey(stages[s+1]) + uintptr(s)
+			points[s] = rt.PointFor(bodyKey(stages[s+1]) + uintptr(s))
+		} else {
+			points[s] = core.NumPoints - 1 - s
 		}
 	}
-	points := rt.AllocPoints(nStages-1, keys...)
-	defer rt.FreePoints(points)
-	maxPoint := 0
-	for _, p := range points {
-		if p > maxPoint {
-			maxPoint = p
-		}
-	}
-	ranks := make([]Rank, maxPoint+1)
+	ranks := make([]Rank, core.NumPoints)
 
 	pred := predict.New(opts.Predictor)
 	predictIn := func(s int) (uint64, bool) {
@@ -156,7 +152,7 @@ func pipeline(t *Thread, nTokens int, init uint64, opts PipelineOptions, keyed b
 			if !ok {
 				continue
 			}
-			if h := t.Fork(ranks, points[s-1], model); h != nil {
+			if h := t.ForkBody(ranks, points[s-1], model); h != nil {
 				h.SetRegvarInt64(0, int64(token))
 				h.SetRegvarInt64(1, int64(predicted))
 				h.Start(regions[s])

@@ -162,8 +162,7 @@ func reduceWord(t *Thread, nChunks int, init uint64, model Model, hooks reduceHo
 		model = OutOfOrder
 	}
 	rt := t.Runtime()
-	point := rt.AllocPoint(key)
-	defer rt.FreePoint(point)
+	point := rt.PointFor(key)
 	ranks := make([]Rank, point+1)
 	region := func(c *Thread) uint32 {
 		specAcc := uint64(c.GetRegvarInt64(0))
@@ -190,7 +189,7 @@ func reduceWord(t *Thread, nChunks int, init uint64, model Model, hooks reduceHo
 			// would run from a guessed accumulator and roll back on any
 			// nonzero per-chunk delta, wasting the CPU it claimed.
 			if raw, ok := hooks.predict(); ok {
-				if h = t.Fork(ranks, point, model); h != nil {
+				if h = t.ForkBody(ranks, point, model); h != nil {
 					h.SetRegvarInt64(0, int64(raw))
 					h.SetRegvarInt64(1, int64(idx+1))
 					h.SetRegvarInt64(2, int64(idx+2))

@@ -259,9 +259,9 @@ func TestReduceFuncMonoids(t *testing.T) {
 	}
 }
 
-// TestDriverRunsUseDistinctPoints: consecutive driver runs on one runtime
-// speculate on distinct fork/join points (AllocPoint round-robin), so one
-// run's point profile never absorbs another's executions.
+// TestDriverRunsUseDistinctPoints: a fork point is a driver body. Two For
+// calls with one body accumulate on one point; a different body gets the
+// next id, and its executions never land in the first body's profile.
 func TestDriverRunsUseDistinctPoints(t *testing.T) {
 	const n, chunks = 2048, 16
 	rt := newRuntime(t, 4, nil)
@@ -269,7 +269,7 @@ func TestDriverRunsUseDistinctPoints(t *testing.T) {
 		c, r, _ := rt.PointProfile(p)
 		return c + r
 	}
-	var c0After, c0Final, c1Final int64
+	var first, second, other0, other1 int64
 	rt.Run(func(t0 *mutls.Thread) {
 		arr := t0.Alloc(8 * n)
 		body := func(c *mutls.Thread, idx int) {
@@ -278,31 +278,32 @@ func TestDriverRunsUseDistinctPoints(t *testing.T) {
 				c.StoreInt64(arr+mutls.Addr(8*i), int64(i))
 			}
 		}
-		mutls.For(t0, chunks, mutls.ForOptions{Model: mutls.InOrder}, body)
-		c0After = executions(0)
-		mutls.For(t0, chunks, mutls.ForOptions{Model: mutls.InOrder}, body)
-		c0Final = executions(0)
-		c1Final = executions(1)
+		opts := mutls.ForOptions{Model: mutls.InOrder}
+		mutls.For(t0, chunks, opts, body)
+		first = executions(0)
+		mutls.For(t0, chunks, opts, body)
+		second = executions(0)
+		if got := executions(1); got != 0 {
+			t.Errorf("the second call of one body ran %d executions on point 1", got)
+		}
+		mutls.For(t0, chunks, opts, func(c *mutls.Thread, idx int) { body(c, chunks-1-idx) })
+		other0, other1 = executions(0), executions(1)
 		t0.Free(arr)
 	})
-	if c0After == 0 {
-		t.Fatal("first run recorded no executions on point 0")
+	if first == 0 || second <= first {
+		t.Fatalf("point 0 had %d executions after the body's first call and %d after its second; one body is one point", first, second)
 	}
-	if c0Final != c0After {
-		t.Fatalf("second run touched point 0 (executions %d -> %d); runs must use distinct points", c0After, c0Final)
-	}
-	if c1Final == 0 {
-		t.Fatal("second run recorded no executions on its own point")
+	if other0 != second || other1 == 0 {
+		t.Fatalf("a different body left point 0 at %d -> %d executions and point 1 at %d; it must use its own point", second, other0, other1)
 	}
 }
 
 // TestNestedDriversUseDistinctPoints: an outer ForRange whose inline
-// (non-speculative) chunk drives a nested For. The nested run allocates its
-// own fork point while the outer run still holds its id, so both points
-// show executions — and, per the driver contract, nested drivers are legal
-// only on the non-speculative thread, so speculative chunks do the same
-// work directly. The outer loop has two chunks: one speculation, leaving
-// CPUs for the nested run's forks.
+// (non-speculative) chunk drives a nested For. The nested loop's body has
+// its own fork point, so both points show executions — and, per the driver
+// contract, nested drivers are legal only on the non-speculative thread, so
+// speculative chunks do the same work directly. The outer loop has two
+// chunks: one speculation, leaving CPUs for the nested run's forks.
 func TestNestedDriversUseDistinctPoints(t *testing.T) {
 	const rows, cols = 24, 64
 	rt := newRuntime(t, 4, nil)
