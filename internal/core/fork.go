@@ -63,9 +63,9 @@ func (t *Thread) Fork(ranks []Rank, p int, model Model) *ForkHandle {
 
 // ForkBody is Fork for the driver whose body PointFor interned as p. It
 // also returns nil while the body's region has not been paying for its
-// fork/join (payoff.go; one fork in 16, 32, … 1 024 still goes through as a
-// probe) or is due an inline run to be timed again (one fork in 64 of a
-// driver that never runs it inline).
+// fork/join (payoff.go; after 16, 32, … 1 024 refusals a probe — a short
+// burst of forks — still goes through) or is due an inline run to be timed
+// again (one fork in 64 of a driver that never runs it inline).
 func (t *Thread) ForkBody(ranks []Rank, p int, model Model) *ForkHandle {
 	return t.forkAt(ranks, p, model, true)
 }
@@ -303,9 +303,9 @@ func (h *ForkHandle) Start(region RegionFunc) {
 	h.t.rt.active.Add(1)
 	c.task = specTask{region: region, startAt: startAt}
 	c.taskReady.Store(true)
-	c.td.gate.wake()
+	cold := c.td.gate.wake()
 	if h.pay != nil {
-		h.pay.observeFork(h.t.clock.Now() - h.payStart)
+		h.pay.observeFork(h.t.clock.Now()-h.payStart, cold)
 	}
 }
 

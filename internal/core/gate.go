@@ -188,15 +188,17 @@ func (g *waitGate) wait(pred func() bool, maySpin func() bool, working bool) {
 // registers in parked under the gate lock before its final check, so it
 // has either observed the new state, or is registered and receives the
 // broadcast — the store-check-park gap of a bare signal cannot lose the
-// wakeup. With no registered waiter the call is one atomic load.
-func (g *waitGate) wake() {
+// wakeup. With no registered waiter the call is one atomic load. It reports
+// whether it found one.
+func (g *waitGate) wake() bool {
 	if g.parked.Load() == 0 {
-		return
+		return false
 	}
 	g.wakeStamp.Store(gateNow())
 	g.mu.Lock()
 	g.cond.Broadcast()
 	g.mu.Unlock()
+	return true
 }
 
 // spareProc reports whether a waiting thread of this runtime may spin:

@@ -275,8 +275,8 @@ func (t *Thread) Join(ranks []Rank, p int) JoinResult {
 	}
 	guarded := td.guarded // the CPU is someone else's once released
 	t.rt.releaseCPU(child, td.finalTime)
-	if guarded {
-		t.rt.points[p].estimate().observeJoin(t.clock.Now()-waitStart, committed)
+	if ps := &t.rt.points[p]; guarded && ps.estimate().observeJoin(t.clock.Now()-waitStart, committed) {
+		ps.coldJoins.Add(1)
 	}
 	return res
 }

@@ -60,10 +60,12 @@ type pointState struct {
 	guarded atomic.Bool
 	evicted atomic.Bool
 	// refusedNoPay counts the forks the pay-off guard refused, refusedNoProc
-	// those refused because every proc of the host had a working thread
+	// those refused because every proc of the host had a working thread,
+	// coldJoins the joins pay was told of whose fork woke a parked worker
 	// (statistics).
 	refusedNoPay  atomic.Int64
 	refusedNoProc atomic.Int64
+	coldJoins     atomic.Int64
 }
 
 // The adaptive fork heuristic sketched as future work in §VI ("different
@@ -130,6 +132,7 @@ func (ps *pointState) reset(newCall bool) {
 	}
 	ps.refusedNoPay.Store(0)
 	ps.refusedNoProc.Store(0)
+	ps.coldJoins.Store(0)
 	ps.commits.Store(0)
 	ps.rollbacks.Store(0)
 	ps.commitLatency.Store(0)

@@ -23,6 +23,14 @@ import (
 // (ForkBody): a raw Fork on the same id — Tree's, on point 0 — forks as if
 // there were no guard.
 //
+// A join is warm or cold. It is cold when its fork found the worker parked
+// (Start woke it): the wake-up is in its cost, and a worker parks because
+// nothing was forked for a while — after the guard's own refusals, at a
+// driver call's first fork, in the hand-off's slow phases. Cold joins are
+// averaged apart and the verdict weighs the warm average, unless most joins
+// are cold (a body forked too rarely for the worker to wait for it, or one
+// proc, where no worker spins): then the cold one is what a fork costs.
+//
 // The numbers beside the constants were read on the two-vCPU container the
 // guard was written on (go1.24, GOMAXPROCS 2).
 
@@ -39,8 +47,8 @@ const (
 	// average that remembers eight joins, judged at the eighth, turned 1.9x
 	// pipelines with 30-100 us stages into 1.0x ones (and at weight 1/4,
 	// with rollbacks charged to the cost, ISSUE 20's prototype lost 1-4 % on
-	// loop-rollback). A loop-memory stage is 384 fork attempts a run, so 32
-	// cold forks are 8 % of one run and none of the next.
+	// loop-rollback). A loop-memory group is 792 fork attempts a run, so 32
+	// learning forks are 4 % of one run and none of the next.
 	payoffMemory = 32
 	// payoffClamp bounds a sample to this multiple of its average before it
 	// is folded in. About one join in thirty on loop-compute waits a whole
@@ -54,31 +62,40 @@ const (
 	// and a margin below that gives up what the grey zone still buys: at
 	// 3/4, loop-rollback read 6-18 % under the always-forking parent in six
 	// pairs of six while the host was noisy (join waits around 0.6 chunks)
-	// and level with it when quiet. loop-memory needs no margin: its stages
-	// read gain 6 and 12 us against cost 17-24 and 16-31, where a 10 us
-	// pipeline stage reads 9.6 against 3.5, loop-compute 2 000 us against
-	// 140-260 and loop-rollback 1 150 against 95-130.
+	// and level with it when quiet. loop-memory's {pass 2 + fold} group
+	// reads a gain of 20-22 us against warm joins averaging 8-14 us (its cold
+	// ones: 34-60 us); a 10 us pipeline stage reads 9.6 against 3.5,
+	// loop-compute 2 000 us against 140-260 and loop-rollback 1 150 against
+	// 95-130.
 	payoffNum, payoffDen = 1, 1
-	// A refusing entry forks again once cost < payoffBackNum/payoffBackDen
-	// of the gain, by its averages or by one probe. Its evidence is thinner
-	// — one inline run in eight, cold probes for joins — and a stage's
-	// inline time moves by a third with the host's fast and slow spells
-	// (loop-memory's larger stage: 9.5-15 us); with no band a point near the
-	// line flips with them (361 forks in a run that should have had two,
-	// under an earlier, shorter memory).
+	// A refusing entry forks again once its averages say cost <
+	// payoffBackNum/payoffBackDen of the gain (or a burst says it pays; see
+	// payoffBurst). Their evidence is thinner — one inline run in eight,
+	// probes for joins — and a stage's inline time moves by a third with the
+	// host's fast and slow spells (loop-memory's pass 2: 9.5-15 us); with no
+	// band a point near the line flips with them (361 forks in a run that
+	// should have had two, under an earlier, shorter memory). The same band
+	// is what moves Pipeline's stage cut.
 	payoffBackNum, payoffBackDen = 3, 4
-	// A refused entry lets one fork through after payoffFirstProbe
-	// refusals, then after twice as many, up to payoffMaxProbe, so that
-	// forking getting cheaper, or committing more often, is noticed: a probe
-	// meets a parked worker and costs loop-memory 12-30 us, so the first
-	// 2 000 refusals (7 probes) spend under 0.2 % of their tokens' 110 ms
-	// and every 1 024 after that 0.04 %. A probe is a cold fork, so it
-	// overstates what a warm one costs: the schedule notices a point whose
-	// forks pay even cold (loop-rollback after a bad spell of the host: one
-	// paired run in five read 1.00x instead of 1.64x before a good probe
-	// was believed at once), not one that would just about pay warm.
+	// A refused entry lets a probe through after payoffFirstProbe refusals,
+	// then after twice as many, up to payoffMaxProbe, so that forking
+	// getting cheaper, or committing more often, is noticed: the first 2 000
+	// refusals (7 probes) and every 1 024 after that. A probe whose burst
+	// resumes the entry starts the schedule over.
 	payoffFirstProbe = 16
 	payoffMaxProbe   = 1024
+	// A probe is a burst of up to payoffBurst forks on consecutive attempts.
+	// Its first fork wakes a worker the refusals parked, so a probe of one
+	// fork only ever measured a cold one. The burst is judged on its warm
+	// joins: the entry forks again when their mean — each clamped to
+	// payoffBurstClamp gains, so that one join caught by a busy host cannot
+	// sink it — is under the gain, and the warm average restarts from it.
+	// The burst stops as soon as its warm joins have lost more than one
+	// gain, or at a cold join dearer than payoffClamp gains (a wake-up no
+	// warm fork could be worth): a body worth less than its fork/join spends
+	// either on its first join, so its probe is still one fork.
+	payoffBurst      = 16
+	payoffBurstClamp = 2
 	// While an entry refuses, one inline execution in payoffInlineEvery is
 	// timed: a clock read is 36 ns and a span takes two, a fifth of a
 	// 200 ns loop body if every chunk paid it. A region that grows tenfold
@@ -93,7 +110,7 @@ const (
 	// chunk inline between any two forks and never get there.
 	payoffStale = 64
 
-	// payoffOne is 1.0 in the fixed point the commit share is kept in.
+	// payoffOne is 1.0 in the fixed point the shares are kept in.
 	payoffOne = 1 << 10
 )
 
@@ -103,32 +120,48 @@ const (
 type payoff struct {
 	// inline averages what the region costs the non-speculative thread when
 	// it runs it itself (every timed inline execution, forked or refused),
-	// cost what a fork costs that thread: Fork entry to Start exit plus
-	// Join entry to locals restored, so a late child's wait is in it. paid
-	// is the share of joins that committed, in units of payoffOne. A
-	// rollback lowers paid — it bought nothing — and is not added to cost:
-	// the lost time is the re-execution, which inline already measures.
-	// inlines and joins count the samples, up to payoffMemory.
-	inline, cost, paid int64
-	inlines, joins     int32
+	// cost what a warm fork costs that thread and coldCost a cold one: Fork
+	// entry to Start exit plus Join entry to locals restored, so a late
+	// child's wait is in it. paid is the share of joins that committed and
+	// cold the share that were cold, in units of payoffOne. A rollback
+	// lowers paid — it bought nothing — and is not added to cost: the lost
+	// time is the re-execution, which inline already measures. inlines,
+	// joins, warms and colds count the samples, up to payoffMemory.
+	inline, cost, coldCost, paid, cold int64
+	inlines, joins, warms, colds       int32
 
-	// forkNS is the cost of forks made and not yet joined.
-	forkNS int64
+	// forkNS is the cost of forks made and not yet joined, forkCold whether
+	// one of them woke its worker.
+	forkNS   int64
+	forkCold bool
 
-	// refused counts the refusals since the last fork let through, probe is
-	// how many it takes before the next one; untimed counts the inline
-	// executions StartInline let go by, stale the joins since it last timed
-	// one.
+	// refused counts the refusals since the last probe, probe is how many it
+	// takes before the next one; untimed counts the inline executions
+	// StartInline let go by, stale the joins since it last timed one.
 	refused, probe, untimed, stale int32
+
+	// The burst under way (payoffBurst): the forks it may still make, its
+	// joins still out, its warm joins, what those cost together (clamped)
+	// and beyond what they bought.
+	burst, burstOut, burstWarm int32
+	burstWarmNS, burstLoss     int64
+
+	// next is the estimate of the region a fork here runs after its own, nil
+	// for none (Thread.Fuse): a Pipeline group's next stage.
+	next *payoff
 
 	// noPay is the verdict, recomputed at every sample — not a latch.
 	noPay atomic.Bool
 }
 
-// reset starts the estimate over: the record stands for a new body.
+// reset starts the estimate over: the record stands for a new body. The
+// verdict is cleared by its atomic store, for the speculative threads.
 func (pe *payoff) reset() {
-	pe.inline, pe.cost, pe.paid, pe.inlines, pe.joins = 0, 0, 0, 0, 0
-	pe.forkNS, pe.refused, pe.probe, pe.untimed, pe.stale = 0, 0, 0, 0, 0
+	pe.inline, pe.cost, pe.coldCost, pe.paid, pe.cold = 0, 0, 0, 0, 0
+	pe.inlines, pe.joins, pe.warms, pe.colds = 0, 0, 0, 0
+	pe.forkNS, pe.forkCold, pe.next = 0, false, nil
+	pe.refused, pe.probe, pe.untimed, pe.stale = 0, 0, 0, 0
+	pe.burst, pe.burstOut, pe.burstWarm, pe.burstWarmNS, pe.burstLoss = 0, 0, 0, 0, 0
 	pe.noPay.Store(false)
 }
 
@@ -145,9 +178,28 @@ func fold(avg *int64, n *int32, sample int64) {
 	}
 }
 
+// regionNS is what the region a fork here runs costs inline: its own average
+// and those of the regions fused after it.
+func (pe *payoff) regionNS() int64 {
+	ns := pe.inline
+	for q, n := pe.next, 0; q != nil && n < NumPoints; q, n = q.next, n+1 {
+		ns += q.inline
+	}
+	return ns
+}
+
 // gain is what a fork buys on average: the inline time it takes off the
 // non-speculative thread when it commits, nothing when it rolls back.
-func (pe *payoff) gain() int64 { return pe.inline * pe.paid / payoffOne }
+func (pe *payoff) gain() int64 { return pe.regionNS() * pe.paid / payoffOne }
+
+// charged is the cost the verdict weighs: the warm average, or the cold one
+// while most joins are cold.
+func (pe *payoff) charged() int64 {
+	if pe.warms == 0 || 2*pe.cold > payoffOne {
+		return pe.coldCost
+	}
+	return pe.cost
+}
 
 // judge recomputes the verdict from the averages. An entry with no inline
 // sample has nothing to compare a fork with and keeps forking.
@@ -157,11 +209,14 @@ func (pe *payoff) judge() {
 	if was {
 		num, den = payoffBackNum, payoffBackDen
 	}
-	noPay := pe.joins >= payoffMemory && pe.inlines > 0 && den*pe.cost > num*pe.gain()
+	noPay := pe.joins >= payoffMemory && pe.inlines > 0 && den*pe.charged() > num*pe.gain()
 	if noPay && !was {
 		// The schedule only lengthens: an entry that was talked out of a
 		// refusal once and refuses again is probed less eagerly.
 		pe.refused, pe.probe = 0, max(pe.probe, payoffFirstProbe)
+	}
+	if !noPay {
+		pe.burst, pe.burstOut = 0, 0
 	}
 	pe.noPay.Store(noPay)
 }
@@ -187,38 +242,84 @@ func (pe *payoff) observeInline(ns int64) {
 	pe.judge()
 }
 
-// observeFork adds a fork's cost to the next join's.
-func (pe *payoff) observeFork(ns int64) { pe.forkNS += ns }
+// observeFork adds a fork's cost to the next join's; cold says it woke its
+// worker.
+func (pe *payoff) observeFork(ns int64, cold bool) {
+	pe.forkNS += ns
+	pe.forkCold = pe.forkCold || cold
+}
 
 // observeJoin folds in one join: what it and the forks since the last one
-// cost, and whether it committed.
-func (pe *payoff) observeJoin(ns int64, committed bool) {
-	share := int64(0)
-	if committed {
-		share = payoffOne
+// cost, and whether it committed. It reports whether the join was cold.
+func (pe *payoff) observeJoin(ns int64, committed bool) (cold bool) {
+	ns, cold = ns+pe.forkNS, pe.forkCold
+	pe.forkNS, pe.forkCold = 0, false
+	n := int64(min(pe.joins+1, payoffMemory))
+	pe.paid += (share(committed) - pe.paid) / n
+	pe.cold += (share(cold) - pe.cold) / n
+	if pe.joins < payoffMemory {
+		pe.joins++
 	}
-	pe.paid += (share - pe.paid) / int64(min(pe.joins+1, payoffMemory))
-	ns += pe.forkNS
-	pe.forkNS = 0
-	if pe.noPay.Load() && payoffBackDen*ns < payoffBackNum*pe.gain() {
-		// A probe is a cold fork. When even that pays, the average is out
-		// of date — it was learned in a spell of the host in which the two
-		// threads did not run side by side, and every join waited for the
-		// whole child — and 1/payoffMemory a probe would take it thousands
-		// of refusals to say so.
-		pe.cost = ns
+	if cold {
+		fold(&pe.coldCost, &pe.colds, ns)
 	} else {
-		fold(&pe.cost, &pe.joins, ns)
+		fold(&pe.cost, &pe.warms, ns)
 	}
 	if pe.stale < payoffStale {
 		pe.stale++
 	}
+	if pe.burstOut > 0 {
+		pe.burstOut--
+		pe.probed(ns, committed, cold)
+	}
 	pe.judge()
+	return cold
+}
+
+// share is one sample of a share kept in units of payoffOne.
+func share(yes bool) int64 {
+	if yes {
+		return payoffOne
+	}
+	return 0
+}
+
+// probed tallies one join of a burst. The burst stops forking once its
+// warm joins have lost more than a fork's gain, or at a cold one that cost
+// more than payoffClamp gains; after its last join the mean of its warm
+// joins decides whether the entry forks again.
+func (pe *payoff) probed(ns int64, committed, cold bool) {
+	gain := pe.gain()
+	if cold {
+		if ns > payoffClamp*gain {
+			pe.burst = 0
+		}
+	} else {
+		pe.burstLoss += ns
+		if committed {
+			pe.burstLoss -= pe.regionNS()
+		}
+		pe.burstWarm++
+		pe.burstWarmNS += min(ns, payoffBurstClamp*gain)
+	}
+	if pe.burstLoss > gain {
+		pe.burst = 0
+	}
+	if pe.burst > 0 || pe.burstOut > 0 || pe.burstWarm == 0 || pe.burstWarmNS >= gain*int64(pe.burstWarm) {
+		return
+	}
+	// The warm forks pay now. The averages were learned in another spell of
+	// the host, and at 1/payoffMemory a join it would take them thousands of
+	// refusals to say so; a point shown to pay is probed from the start of
+	// the schedule again should it refuse later.
+	pe.cost, pe.cold, pe.probe = pe.burstWarmNS/int64(pe.burstWarm), 0, 0
+	pe.noPay.Store(false)
 }
 
 // admit is the non-speculative thread's question at Fork: may this one go
 // ahead? While the entry forks the answer is yes unless its inline average
-// has gone stale; while it refuses, only when a probe is due.
+// has gone stale; while it refuses, only during a burst or when a probe is
+// due.
 func (pe *payoff) admit() bool {
 	if !pe.noPay.Load() {
 		if pe.stale < payoffStale {
@@ -227,15 +328,64 @@ func (pe *payoff) admit() bool {
 		pe.stale = 0 // one refusal, whether or not the caller times the run
 		return false
 	}
+	if pe.burst > 0 {
+		return true
+	}
 	pe.refused++
 	return pe.refused > pe.probe
 }
 
-// forked tells a refused entry that a probe got its CPU: the next one is
-// twice as far away.
+// forked tells a refusing entry that a fork it admitted got its CPU: a
+// probe starts a burst, and the next probe is twice as far away.
 func (pe *payoff) forked() {
-	if pe.noPay.Load() {
+	if !pe.noPay.Load() {
+		return
+	}
+	if pe.burst == 0 {
 		pe.refused, pe.probe = 0, min(2*pe.probe, payoffMaxProbe)
+		pe.burst, pe.burstWarm, pe.burstWarmNS, pe.burstLoss = payoffBurst, 0, 0, 0
+	}
+	pe.burst--
+	pe.burstOut++
+}
+
+// estimate returns point p's pay-off estimate when this thread may use it:
+// the non-speculative thread's, at a point a body was interned at, under
+// real timing. nil otherwise.
+func (t *Thread) estimate(p int) *payoff {
+	if t.speculative {
+		return nil
+	}
+	if ps := t.rt.point(p); ps != nil {
+		return ps.estimate()
+	}
+	return nil
+}
+
+// InlineNS reports what point p's region costs the non-speculative thread to
+// run itself, in nanoseconds: the average StartInline keeps. It is 0 when
+// none is known — under virtual timing, on a speculative thread, at a point
+// no body was interned at, before the first timed run. Pipeline cuts its
+// stages into groups by it.
+func (t *Thread) InlineNS(p int) int64 {
+	if pe := t.estimate(p); pe != nil {
+		return pe.inline
+	}
+	return 0
+}
+
+// Fuse tells the estimates of points ps that a fork at ps[0] runs their
+// regions in turn, so that what it buys is their inline times together.
+// Pipeline fuses the stages of a group. A no-op wherever InlineNS knows
+// nothing.
+func (t *Thread) Fuse(ps []int) {
+	for i, p := range ps {
+		if pe := t.estimate(p); pe != nil {
+			pe.next = nil
+			if i+1 < len(ps) {
+				pe.next = t.estimate(ps[i+1])
+			}
+		}
 	}
 }
 
@@ -256,14 +406,7 @@ type InlineSpan struct {
 // a point no body was interned at. A span abandoned by a panic is simply
 // dropped.
 func (t *Thread) StartInline(p int) InlineSpan {
-	if t.speculative {
-		return InlineSpan{}
-	}
-	ps := t.rt.point(p)
-	if ps == nil {
-		return InlineSpan{}
-	}
-	pe := ps.estimate()
+	pe := t.estimate(p)
 	if pe == nil || !pe.timeInline() {
 		return InlineSpan{}
 	}

@@ -310,9 +310,10 @@ type Runtime struct {
 
 	// stamps is the page-granularity dirty table over the arena that lets
 	// read-set validation run before the commit serial section: direct
-	// writers (non-speculative stores, commits) mark the pages they touch,
-	// pre-validators snapshot the sequence and the lock-time re-check
-	// covers only pages stamped after the snapshot. nil when the runtime
+	// writers (non-speculative stores, commits beside a live sibling — see
+	// commitStamps) mark the pages they touch, pre-validators snapshot the
+	// sequence and the lock-time re-check covers only pages stamped after the
+	// snapshot. nil when the runtime
 	// has no speculative CPUs; markFn is stamps.Mark then, also nil.
 	stamps *mem.WriteStamps
 	markFn func(mem.Addr, int)
@@ -687,16 +688,20 @@ func (rt *Runtime) Stats() *stats.Summary {
 		ps := &rt.points[p]
 		commits, rollbacks := ps.commits.Load(), ps.rollbacks.Load()
 		noPay, noProc := ps.refusedNoPay.Load(), ps.refusedNoProc.Load()
-		if commits+rollbacks+noPay+noProc > 0 {
+		pe := ps.estimate()
+		// A Pipeline stage fused into a group forks nowhere, but its inline
+		// time is what cut the group.
+		if commits+rollbacks+noPay+noProc > 0 || pe != nil && pe.inlines > 0 {
 			pt := stats.PointStats{
 				Commits:       int(commits),
 				Rollbacks:     int(rollbacks),
 				Runtime:       ps.commitLatency.Load() + ps.rollbackLatency.Load(),
 				RefusedNoPay:  int(noPay),
 				RefusedNoProc: int(noProc),
+				ColdJoins:     int(ps.coldJoins.Load()),
 			}
-			if pe := ps.estimate(); pe != nil {
-				pt.InlineNS, pt.GainNS, pt.CostNS = pe.inline, pe.gain(), pe.cost
+			if pe != nil {
+				pt.InlineNS, pt.GainNS, pt.CostNS = pe.inline, pe.gain(), pe.charged()
 			}
 			s.PerPoint[p] = pt
 			s.RefusedNoProc += noProc
@@ -1124,9 +1129,23 @@ func (rt *Runtime) validateAndCommit(t *Thread, c *cpu) bool {
 	}
 	sw.Lap(vclock.Commit)
 	t.clock.Charge(vclock.Commit, vclock.Cost(writes)*model.CommitPerWord)
-	c.gb.Commit(rt.markFn)
+	c.gb.Commit(rt.commitStamps())
 	sw.Stop()
 	return true
+}
+
+// commitStamps is where a commit stamps what it writes: the runtime's table,
+// or nil when the committer is the only live speculative thread. The
+// non-speculative thread waits in Join for the verdict, so when active holds
+// only this execution's two shares (its CPU's and its worker's) nobody can
+// read the arena, pre-validate or fork before the verdict's atomic store
+// publishes the commit; a sibling still claimed (a chained For's next link)
+// may have pre-validated against the stamps and must see the commit's.
+func (rt *Runtime) commitStamps() *mem.WriteStamps {
+	if rt.active.Load() == 2 {
+		return nil
+	}
+	return rt.stamps
 }
 
 // bookFinalize closes the execution's buffer accounting without touching

@@ -67,10 +67,10 @@ type Backend interface {
 	// and counter effects are then identical to a full Validate at the same
 	// instant.
 	ValidateDirty(dirty func(base mem.Addr, nBytes int) bool) bool
-	// Commit applies the write set to the arena as maximal runs. When mark
-	// is non-nil it is invoked after each applied run with its address and
-	// byte length — the write-then-stamp hook for dirty-page tables.
-	Commit(mark func(base mem.Addr, nBytes int))
+	// Commit applies the write set to the arena as maximal runs, each
+	// through mem.Arena.CommitWords: stamped in stamps, or — stamps nil,
+	// when no other thread can be reading the arena — stored plainly.
+	Commit(stamps *mem.WriteStamps)
 	// Finalize clears all buffered state for the next speculation.
 	Finalize()
 	// MustStop reports whether the thread must wait for its join.
@@ -203,14 +203,10 @@ func allMarkedWords(marks []byte) bool {
 }
 
 // commitRun applies nWords fully-marked buffered words starting at base in
-// one arena splice, then stamps the run. Callers have already checked the
-// marks.
-func commitRun(arena *mem.Arena, c *Counters, base mem.Addr, data []byte, mark func(mem.Addr, int)) {
-	arena.WriteWords(base, data)
+// one arena splice. Callers have already checked the marks.
+func commitRun(arena *mem.Arena, c *Counters, base mem.Addr, data []byte, stamps *mem.WriteStamps) {
+	arena.CommitWords(base, data, stamps)
 	c.WordsCommitted += uint64(len(data) / mem.Word)
-	if mark != nil {
-		mark(base, len(data))
-	}
 }
 
 // mergeLoad implements the read-your-own-writes rule shared by every
@@ -233,25 +229,21 @@ func mergeLoad(rWord, wData, wMarks []byte, off, size int) uint64 {
 
 // commitWord merges one buffered word into the arena: whole words at once
 // when all eight marks are set (the paper's -1 mark optimization), marked
-// bytes individually otherwise, then stamps the word. Committers are
-// serialized by the join protocol, so the read-modify-write is safe.
-// Shared by every backend.
-func commitWord(arena *mem.Arena, c *Counters, base mem.Addr, data, marks []byte, mark func(mem.Addr, int)) {
+// bytes individually otherwise. Committers are serialized by the join
+// protocol, so the read-modify-write is safe. Shared by every backend.
+func commitWord(arena *mem.Arena, c *Counters, base mem.Addr, data, marks []byte, stamps *mem.WriteStamps) {
 	if allMarked(marks) {
-		arena.WriteWord(base, readLE(data[:mem.Word]))
+		arena.CommitWords(base, data[:mem.Word], stamps)
 		c.WordsCommitted++
-	} else {
-		w := arena.ReadWord(base)
-		for i := 0; i < mem.Word; i++ {
-			if marks[i] == fullMark {
-				shift := uint(i) * 8
-				w = (w &^ (0xFF << shift)) | uint64(data[i])<<shift
-				c.BytesCommitted++
-			}
+		return
+	}
+	var merged [mem.Word]byte
+	binary.LittleEndian.PutUint64(merged[:], arena.ReadWord(base))
+	for i := range merged {
+		if marks[i] == fullMark {
+			merged[i] = data[i]
+			c.BytesCommitted++
 		}
-		arena.WriteWord(base, w)
 	}
-	if mark != nil {
-		mark(base, mem.Word)
-	}
+	arena.CommitWords(base, merged[:], stamps)
 }

@@ -485,16 +485,16 @@ func (b *bitmapBuffer) ValidateDirty(dirty func(base mem.Addr, nBytes int) bool)
 
 // Commit applies the write set to the arena: fully-marked runs are spliced
 // with one arena write each, partially-marked words fall back to the
-// marked-byte walk. A non-nil mark is invoked after each applied run.
-func (b *bitmapBuffer) Commit(mark func(base mem.Addr, nBytes int)) {
+// marked-byte walk.
+func (b *bitmapBuffer) Commit(stamps *mem.WriteStamps) {
 	b.C.Commits++
 	b.forEachRun(&b.write, func(base mem.Addr, data, marks []byte) bool {
 		if !b.anyPartial || allMarkedWords(marks) {
-			commitRun(b.arena, &b.C, base, data, mark)
+			commitRun(b.arena, &b.C, base, data, stamps)
 			return true
 		}
 		for w := 0; w < len(data); w += mem.Word {
-			commitWord(b.arena, &b.C, base+mem.Addr(w), data[w:w+mem.Word], marks[w:w+mem.Word], mark)
+			commitWord(b.arena, &b.C, base+mem.Addr(w), data[w:w+mem.Word], marks[w:w+mem.Word], stamps)
 		}
 		return true
 	})

@@ -314,7 +314,7 @@ func (b *chainBuffer) ValidateDirty(dirty func(base mem.Addr, nBytes int) bool) 
 // write each, and partially-marked words fall back to the marked-byte walk.
 // Chained insertion order is hash order, so without the sort even a dense
 // writer would commit word at a time.
-func (b *chainBuffer) Commit(mark func(base mem.Addr, nBytes int)) {
+func (b *chainBuffer) Commit(stamps *mem.WriteStamps) {
 	b.C.Commits++
 	n := len(b.write.entries)
 	if n == 0 {
@@ -351,11 +351,11 @@ func (b *chainBuffer) Commit(mark func(base mem.Addr, nBytes int)) {
 			for r := 0; r < run; r++ {
 				copy(scratch[r*mem.Word:(r+1)*mem.Word], b.write.entries[idx[k+r]].data[:])
 			}
-			commitRun(b.arena, &b.C, e.base, scratch, mark)
+			commitRun(b.arena, &b.C, e.base, scratch, stamps)
 			k += run
 			continue
 		}
-		commitWord(b.arena, &b.C, e.base, e.data[:], e.mark[:], mark)
+		commitWord(b.arena, &b.C, e.base, e.data[:], e.mark[:], stamps)
 		k++
 	}
 }

@@ -641,8 +641,7 @@ func (b *Buffer) ValidateDirty(dirty func(base mem.Addr, nBytes int) bool) bool 
 // eight marks are set (the paper's -1 mark optimization), marked bytes
 // individually otherwise. Fully-marked runs over consecutive slots — the
 // shape bulk stores leave behind — are spliced with one arena write each.
-// A non-nil mark is invoked after each applied run (write-then-stamp).
-func (b *Buffer) Commit(mark func(base mem.Addr, nBytes int)) {
+func (b *Buffer) Commit(stamps *mem.WriteStamps) {
 	b.C.Commits++
 	w := &b.write
 	for k := 0; k < w.top; {
@@ -659,7 +658,7 @@ func (b *Buffer) Commit(mark func(base mem.Addr, nBytes int)) {
 		if !b.anyPartial {
 			// No sub-word store happened: every mark is full by
 			// construction, the whole address run splices at once.
-			commitRun(b.arena, &b.C, base, w.buf[i*mem.Word:(i+n)*mem.Word], mark)
+			commitRun(b.arena, &b.C, base, w.buf[i*mem.Word:(i+n)*mem.Word], stamps)
 			k += n
 			continue
 		}
@@ -671,18 +670,18 @@ func (b *Buffer) Commit(mark func(base mem.Addr, nBytes int)) {
 			}
 			if f > s {
 				commitRun(b.arena, &b.C, base+mem.Addr(s*mem.Word),
-					w.buf[(i+s)*mem.Word:(i+f)*mem.Word], mark)
+					w.buf[(i+s)*mem.Word:(i+f)*mem.Word], stamps)
 				s = f
 				continue
 			}
-			commitWord(b.arena, &b.C, base+mem.Addr(s*mem.Word), w.word(i+s), w.markWord(i+s), mark)
+			commitWord(b.arena, &b.C, base+mem.Addr(s*mem.Word), w.word(i+s), w.markWord(i+s), stamps)
 			s++
 		}
 		k += n
 	}
 	for k := range b.writeOv {
 		e := &b.writeOv[k]
-		commitWord(b.arena, &b.C, e.base, e.data[:], e.mark[:], mark)
+		commitWord(b.arena, &b.C, e.base, e.data[:], e.mark[:], stamps)
 	}
 }
 

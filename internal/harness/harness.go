@@ -492,8 +492,10 @@ func (h *Harness) Fig11(out io.Writer) error {
 
 // Payoff prints the pay-off estimate (stats.PointStats) of every fork point
 // that has one, over the speculative runs measured so far: what the guard
-// in core saw when it kept a point forking or stopped it, and how many
-// forks found no free proc. Real timing only;
+// in core saw when it kept a point forking or stopped it, how many forks
+// found no free proc, and how many joins were cold (their fork woke a
+// parked worker) — whether a refusing point refuses on what a cold fork
+// costs or on what a warm one does. Real timing only;
 // under virtual timing there are no estimates and nothing is printed.
 func (h *Harness) Payoff(out io.Writer) error {
 	keys := make([]string, 0, len(h.spec))
@@ -502,7 +504,7 @@ func (h *Harness) Payoff(out io.Writer) error {
 	}
 	sort.Strings(keys)
 	tw := newTab(out)
-	fmt.Fprintln(tw, "run (workload/variant/CPUs/model/rollback)\tpoint\tcommits\trollbacks\trefused\tno proc\tinline ns\tgain ns\tcost ns")
+	fmt.Fprintln(tw, "run (workload/variant/CPUs/model/rollback)\tpoint\tcommits\trollbacks\trefused\tno proc\tinline ns\tgain ns\tcost ns\tcold joins")
 	rows := 0
 	for _, k := range keys {
 		s := h.spec[k].Summary
@@ -511,7 +513,7 @@ func (h *Harness) Payoff(out io.Writer) error {
 			if ps.RefusedNoPay == 0 && ps.RefusedNoProc == 0 && ps.CostNS == 0 {
 				continue
 			}
-			fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n", k, p, ps.Commits, ps.Rollbacks, ps.RefusedNoPay, ps.RefusedNoProc, ps.InlineNS, ps.GainNS, ps.CostNS)
+			fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n", k, p, ps.Commits, ps.Rollbacks, ps.RefusedNoPay, ps.RefusedNoProc, ps.InlineNS, ps.GainNS, ps.CostNS, ps.ColdJoins)
 			rows++
 		}
 	}

@@ -18,7 +18,8 @@
 // thread spins. The arena therefore stores data as words accessed with
 // sync/atomic loads and stores: concurrent readers observe tear-free values
 // (possibly stale, which validation detects) without violating the Go
-// memory model.
+// memory model. The one exception is a commit nobody can observe until it
+// is published (CommitWords with no stamps).
 package mem
 
 import (
@@ -183,6 +184,25 @@ func (a *Arena) WriteWords(p Addr, src []byte) {
 	for i := range w {
 		atomic.StoreUint64(&w[i], binary.LittleEndian.Uint64(src[:Word]))
 		src = src[Word:]
+	}
+}
+
+// CommitWords is the one way a speculative write set reaches the arena: it
+// stores the len(src)/Word little-endian words of src at the word-aligned
+// address p, then stamps their pages. stamps is nil when nobody can read the
+// arena until an atomic store publishes the commit (core's commitStamps):
+// the words are then plain stores — no XCHG per word — and nothing is
+// stamped.
+func (a *Arena) CommitWords(p Addr, src []byte, stamps *WriteStamps) {
+	if stamps != nil {
+		a.WriteWords(p, src)
+		stamps.Mark(p, len(src))
+		return
+	}
+	a.checkRun(p, len(src))
+	w := a.words[p>>3 : int(p>>3)+len(src)/Word]
+	for i := range w {
+		w[i] = binary.LittleEndian.Uint64(src[i*Word:])
 	}
 }
 

@@ -33,6 +33,9 @@ const DefaultStampPageBytes = 4096
 //     direct write runs concurrently with the lock window itself, because
 //     commits and non-speculative stores are serialized through the
 //     non-speculative thread.
+//   - A commit made while no other speculative thread is live stamps
+//     nothing (CommitWords with nil stamps): every later reader forks after
+//     it, so no snapshot can predate it.
 //
 // The stamp slots are atomics, so marking and checking race cleanly with
 // each other and with the arena's racy-by-design reads.

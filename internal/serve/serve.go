@@ -93,11 +93,13 @@ type Server struct {
 
 	// pointFaults accumulates contained faults per fork point (key -1 is
 	// the non-speculative thread outside any point) across the server's
-	// lifetime. The runtime's own counters reset when the pool recycles a
-	// lease, so each request's fault records are absorbed here before its
-	// Release; /stats exposes the aggregate as point_faults.
+	// lifetime, points the pay-off guard's counts per point. The runtime's
+	// own counters reset when the pool recycles a lease, so each request's
+	// are absorbed here before its Release; /stats exposes the aggregates as
+	// point_faults and points.
 	pfMu        sync.Mutex
 	pointFaults map[int]int64
+	points      map[int]PointCounts
 
 	// handoffParks and handoffSpinHits accumulate the leased runtimes'
 	// join-protocol hand-off counters the same way: waits that parked a
@@ -144,6 +146,7 @@ func New(opts Options) (*Server, error) {
 		mux:         http.NewServeMux(),
 		seqSums:     make(map[string]uint64),
 		pointFaults: make(map[int]int64),
+		points:      make(map[int]PointCounts),
 	}
 	s.mux.HandleFunc("/run", s.handleRun)
 	s.mux.HandleFunc("/stats", s.handleStats)
@@ -179,34 +182,55 @@ func (s *Server) recovered(next http.Handler) http.Handler {
 // handler panics).
 func (s *Server) Faults() int64 { return s.faults.Load() }
 
+// PointCounts is one fork point's pay-off guard activity in /stats' points
+// block: its joins, how many of them were cold — their fork woke a parked
+// worker — and the forks the guard refused. A point that refuses while most
+// of its joins are cold refuses on what a cold fork costs.
+type PointCounts struct {
+	Joins        int64 `json:"joins"`
+	ColdJoins    int64 `json:"cold_joins"`
+	RefusedNoPay int64 `json:"refused_no_pay"`
+}
+
 // absorbStats folds what the leased runtime counted for this request into
-// the server's lifetime aggregates: the hand-off counters, and the fault
-// records — each carries the fork point it was contained at — into the
-// per-point aggregate.
+// the server's lifetime aggregates: the hand-off counters, the fault records
+// — each carries the fork point it was contained at — and the guard's
+// counts into the per-point aggregates.
 func (s *Server) absorbStats(st *mutls.Summary) {
 	s.handoffParks.Add(st.HandoffParks)
 	s.handoffSpinHits.Add(st.HandoffSpinHits)
 	s.refusedNoProc.Add(st.RefusedNoProc)
-	recs := st.Faults.Records
-	if len(recs) == 0 {
-		return
-	}
 	s.pfMu.Lock()
-	for _, rec := range recs {
+	defer s.pfMu.Unlock()
+	for _, rec := range st.Faults.Records {
 		s.pointFaults[rec.Point]++
 	}
-	s.pfMu.Unlock()
+	for p, ps := range st.PerPoint {
+		c := s.points[p]
+		c.Joins += int64(ps.Commits + ps.Rollbacks)
+		c.ColdJoins += int64(ps.ColdJoins)
+		c.RefusedNoPay += int64(ps.RefusedNoPay)
+		s.points[p] = c
+	}
 }
 
 // PointFaults snapshots the per-fork-point contained-fault aggregate,
 // keyed by the point id rendered in decimal ("-1" is the non-speculative
 // thread outside any fork point) for JSON object compatibility.
-func (s *Server) PointFaults() map[string]int64 {
+func (s *Server) PointFaults() map[string]int64 { return byPoint(s, s.pointFaults) }
+
+// Points snapshots the per-fork-point guard aggregate, keyed like
+// PointFaults.
+func (s *Server) Points() map[string]PointCounts { return byPoint(s, s.points) }
+
+// byPoint copies one of the server's per-point aggregates under its lock,
+// keys rendered in decimal.
+func byPoint[V any](s *Server, m map[int]V) map[string]V {
 	s.pfMu.Lock()
 	defer s.pfMu.Unlock()
-	out := make(map[string]int64, len(s.pointFaults))
-	for p, n := range s.pointFaults {
-		out[strconv.Itoa(p)] = n
+	out := make(map[string]V, len(m))
+	for p, v := range m {
+		out[strconv.Itoa(p)] = v
 	}
 	return out
 }
@@ -393,17 +417,19 @@ func (s *Server) runVerified(ctx context.Context, rt *mutls.Runtime, name string
 }
 
 // statsResponse is the /stats document: the pool's admission counters,
-// the server's contained-fault count, the per-fork-point breakdown of
-// where those faults were contained (key "-1": outside any point), and
-// the join protocol's hand-off counters and the forks refused for want of a
-// free proc, summed over all served requests.
+// the server's contained-fault count, the per-fork-point breakdowns of
+// where those faults were contained (key "-1": outside any point) and of
+// the pay-off guard's joins and refusals, and the join protocol's hand-off
+// counters and the forks refused for want of a free proc, summed over all
+// served requests.
 type statsResponse struct {
 	pool.Stats
-	Faults          int64            `json:"faults"`
-	PointFaults     map[string]int64 `json:"point_faults"`
-	HandoffParks    int64            `json:"handoff_parks"`
-	HandoffSpinHits int64            `json:"handoff_spin_hits"`
-	RefusedNoProc   int64            `json:"refused_no_proc"`
+	Faults          int64                  `json:"faults"`
+	PointFaults     map[string]int64       `json:"point_faults"`
+	Points          map[string]PointCounts `json:"points"`
+	HandoffParks    int64                  `json:"handoff_parks"`
+	HandoffSpinHits int64                  `json:"handoff_spin_hits"`
+	RefusedNoProc   int64                  `json:"refused_no_proc"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -411,6 +437,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Stats:           s.pool.Stats(),
 		Faults:          s.faults.Load(),
 		PointFaults:     s.PointFaults(),
+		Points:          s.Points(),
 		HandoffParks:    s.handoffParks.Load(),
 		HandoffSpinHits: s.handoffSpinHits.Load(),
 		RefusedNoProc:   s.refusedNoProc.Load(),

@@ -161,8 +161,10 @@ func TestStatsAndHealthz(t *testing.T) {
 }
 
 // TestStatsCarriesHandoffCounters: the join protocol's hand-off counters
-// outlive the per-request recycle — every speculating request waits at
-// least once per fork/join, and each wait ends as a spin hit or a park.
+// and the guard's per-point joins outlive the per-request recycle — every
+// speculating request waits at least once per fork/join, each wait ends as
+// a spin hit or a park, and each join lands in its point's block, cold or
+// warm.
 func TestStatsCarriesHandoffCounters(t *testing.T) {
 	_, ts := testServer(t, pool.Options{Runtimes: 1, HostBudget: 2, Runtime: mutls.Options{CPUs: 2}})
 	var r RunResponse
@@ -171,8 +173,9 @@ func TestStatsCarriesHandoffCounters(t *testing.T) {
 		t.Fatal("request did not speculate")
 	}
 	var st struct {
-		HandoffParks    *int64 `json:"handoff_parks"`
-		HandoffSpinHits *int64 `json:"handoff_spin_hits"`
+		HandoffParks    *int64                 `json:"handoff_parks"`
+		HandoffSpinHits *int64                 `json:"handoff_spin_hits"`
+		Points          map[string]PointCounts `json:"points"`
 	}
 	getJSON(t, ts.URL+"/stats", http.StatusOK, &st)
 	if st.HandoffParks == nil || st.HandoffSpinHits == nil {
@@ -180,6 +183,16 @@ func TestStatsCarriesHandoffCounters(t *testing.T) {
 	}
 	if *st.HandoffParks+*st.HandoffSpinHits == 0 {
 		t.Errorf("a request with %d commits left no hand-off trace", r.Commits)
+	}
+	joins := int64(0)
+	for _, pc := range st.Points {
+		if pc.ColdJoins > pc.Joins {
+			t.Errorf("/stats points %v: more cold joins than joins", st.Points)
+		}
+		joins += pc.Joins
+	}
+	if joins < r.Commits+r.Rollbacks {
+		t.Errorf("/stats points %v hold %d joins for a request with %d commits and %d rollbacks", st.Points, joins, r.Commits, r.Rollbacks)
 	}
 }
 

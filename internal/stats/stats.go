@@ -250,11 +250,15 @@ type PointStats struct {
 	// does. The three averages are the estimate of the body the point stands
 	// for as it is now, in nanoseconds on the non-speculative thread's clock
 	// (they outlive ResetStats, like the verdict they explain): the region
-	// run inline, what a fork bought (InlineNS times the share of
-	// joins that committed) and what a fork/join cost. All zero under
-	// virtual timing.
+	// run inline, what a fork bought (the inline time of everything the fork
+	// runs — a Pipeline group's stages together — times the share of joins
+	// that committed) and what a fork/join cost, as the verdict weighs it.
+	// ColdJoins counts the joins whose fork woke a parked worker: they are
+	// averaged apart, so a point that refuses while most of its joins are
+	// cold refuses on the cold average. All zero under virtual timing.
 	RefusedNoPay             int
 	InlineNS, GainNS, CostNS int64
+	ColdJoins                int
 
 	// RefusedNoProc counts the forks refused because every proc of the host
 	// was already running a thread with work, of this runtime or another in

@@ -7,3 +7,6 @@ package mutls
 func PipelineUnkeyed(t *Thread, nTokens int, init uint64, opts PipelineOptions, stages ...Stage) uint64 {
 	return pipeline(t, nTokens, init, opts, false, stages)
 }
+
+// CutStages is Pipeline's stage cut, a pure function TestCutStages tables.
+var CutStages = cutStages

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/raceflag"
-	"repro/internal/stats"
 	"repro/mutls"
 )
 
@@ -186,14 +185,17 @@ func TestSpinPipelineRarelyParks(t *testing.T) {
 	}
 }
 
-// TestStencilPipelineStopsForking is the answer to what loop-memory's 0.91x
-// was: not a slow hand-off but a stage split that should not fork. At the
-// benchmark's size a stage is 3-10 us of work and a fork/join costs the
-// joining thread more than that, so once the stages' estimates have their
-// eight joins — during the first run — the pipeline runs its stages inline
-// and only probes: from the second run on at most 16 forks of 768 attempts,
-// the refusals visible per point, the checksum the sequential one.
-func TestStencilPipelineStopsForking(t *testing.T) {
+// TestStencilPipelineForksOneBalancedGroup is loop-memory's claim. With one
+// speculative CPU the stencil's stages — two 3-point passes of about 10 us
+// and a 5 us residual fold at the benchmark's size — are cut
+// {pass 1} | {pass 2 + fold}, a group worth its fork where the fold alone,
+// all that forking stages last-first could off-load, was not. From the
+// second run on, at least 600 of a run's 792 fork attempts commit the group,
+// none rolls back, the fold never forks on its own point, and the checksum
+// is the sequential one. The host has to give the two threads a core each:
+// only runs bracketed by two clean parallelism probes count, and the
+// verdict is the median of three (see TestSpinPipelineRarelyParks).
+func TestStencilPipelineForksOneBalancedGroup(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 || runtime.NumCPU() < 2 {
 		t.Skip("needs two procs")
 	}
@@ -210,7 +212,11 @@ func TestStencilPipelineStopsForking(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt.Recycle()
-	for run := 1; run <= 4; run++ {
+	const wantClean = 3
+	var clean []*mutls.Summary
+	var probes []string
+	for run := 1; run <= 24 && len(clean) < wantClean; run++ {
+		before := hostParallelism()
 		if _, err := rt.Run(func(th *mutls.Thread) {
 			got = bench.Stencil.Spec(th, size, bench.SpecOptions{Model: bench.Stencil.DefaultModel})
 		}); err != nil {
@@ -221,27 +227,22 @@ func TestStencilPipelineStopsForking(t *testing.T) {
 		}
 		s := rt.Stats()
 		rt.Recycle()
-		refused := 0
-		var sample stats.PointStats
-		for _, ps := range s.PerPoint {
-			refused += ps.RefusedNoPay
-			if ps.RefusedNoPay > 0 {
-				sample = ps
-			}
+		after := hostParallelism()
+		probes = append(probes, fmt.Sprintf("%.2f/%.2f: %d commits", before, after, s.PerPoint[0].Commits))
+		if run > 1 && before >= 1.6 && after >= 1.6 {
+			clean = append(clean, s)
 		}
-		forks := s.Commits + s.Rollbacks
-		t.Logf("run %d: %d forks, %d refused; one refusing point: %+v", run, forks, refused, sample)
-		if run == 1 {
-			continue
-		}
-		if forks > 16 || refused < 700 {
-			t.Fatalf("run %d: %d forks and %d refusals, want at most 16 forks of 768 attempts", run, forks, refused)
-		}
-		// A refusing point keeps refusing until its cost falls under 3/4 of
-		// the gain (payoff.go's resume band), so that is what its averages
-		// must show at the driver's end, not cost > gain.
-		if sample.InlineNS <= 0 || 4*sample.CostNS <= 3*sample.GainNS {
-			t.Fatalf("run %d: a refusing point reports %+v, not an estimate that refuses", run, sample)
-		}
+	}
+	readings := fmt.Sprintf("host parallelism before/after each run and the group's commits: %v", probes)
+	if len(clean) < wantClean {
+		t.Skipf("the host gave this process two free cores on %d runs, need %d; %s", len(clean), wantClean, readings)
+	}
+	sort.Slice(clean, func(i, j int) bool { return clean[i].PerPoint[0].Commits < clean[j].PerPoint[0].Commits })
+	s := clean[len(clean)/2]
+	group, fold := s.PerPoint[0], s.PerPoint[1]
+	t.Logf("median clean run: group %+v, fold %+v; %s", group, fold, readings)
+	if group.Commits < 600 || s.Rollbacks != 0 || fold.Commits+fold.Rollbacks != 0 {
+		t.Fatalf("median clean run: the group committed %d of 792 attempts, %d rollbacks, the fold forked %d times alone: want at least 600, none, none",
+			group.Commits, s.Rollbacks, fold.Commits+fold.Rollbacks)
 	}
 }

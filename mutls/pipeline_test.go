@@ -2,6 +2,7 @@ package mutls_test
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/mutls"
@@ -187,6 +188,37 @@ func TestPipelineFloatMode(t *testing.T) {
 	}
 	if s := rtJ.Stats(); s.Commits == 0 {
 		t.Fatalf("tolerant float pipeline committed nothing (%d rollbacks)", s.Rollbacks)
+	}
+}
+
+// TestCutStages: the stage cut is a pure function of the stages' inline
+// times and the speculative CPUs. The heaviest group is as light as a cut
+// can make it; ties go to the cut that keeps more work inline; every stage
+// is its own group while a time is missing, without a CPU, or with a CPU
+// for every stage but the first.
+func TestCutStages(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		weights []int64
+		width   int
+		want    []int
+	}{
+		{"stencil on one CPU: {pass 1} | {pass 2 + fold}", []int64{10, 12, 5}, 1, []int{0, 1}},
+		{"a heavy last stage forks alone", []int64{5, 5, 12}, 1, []int{0, 2}},
+		{"a tie keeps the middle stage inline", []int64{4, 4, 4}, 1, []int{0, 2}},
+		{"ties over three groups", []int64{1, 1, 1, 1, 1}, 2, []int{0, 2, 4}},
+		{"a tiny stage rides inside its group", []int64{40, 20, 1, 20}, 1, []int{0, 1}},
+		{"two CPUs, four stages", []int64{30, 10, 10, 30}, 2, []int{0, 1, 3}},
+		{"a CPU for every stage but the first", []int64{5, 9, 3}, 2, []int{0, 1, 2}},
+		{"more CPUs than stages", []int64{5, 9, 3}, 7, []int{0, 1, 2}},
+		{"a missing time", []int64{10, 0, 5}, 1, []int{0, 1, 2}},
+		{"no time yet", []int64{0, 0, 0, 0}, 2, []int{0, 1, 2, 3}},
+		{"no CPU", []int64{10, 12, 5}, 0, []int{0, 1, 2}},
+		{"one stage", []int64{7}, 1, []int{0}},
+	} {
+		if got := mutls.CutStages(tc.weights, tc.width); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: cut(%v, %d CPUs) = %v, want %v", tc.name, tc.weights, tc.width, got, tc.want)
+		}
 	}
 }
 
