@@ -16,14 +16,15 @@ func TestRunExitStatus(t *testing.T) {
 		args []string
 		want int
 	}{
-		{"clean directory", []string{"./internal/analysis/cfg"}, 0},
+		{"clean directory", []string{"./internal/analysis/load"}, 0},
 		{"list", []string{"-list"}, 0},
 		{"corpus with findings", []string{corpus}, 1},
 		{"findings outside the selection", []string{"-run", "atomicmix", corpus}, 0},
-		{"unknown analyzer", []string{"-run", "nosuch", "./internal/analysis/cfg"}, 2},
+		{"unknown analyzer", []string{"-run", "nosuch", "./internal/analysis/load"}, 2},
+		{"deleted analyzer", []string{"-run", "leaseleak", "./internal/analysis/load"}, 2},
 		{"unloadable pattern", []string{"./no/such/package"}, 2},
 		{"not a module root", []string{"-C", t.TempDir(), "./..."}, 2},
-		{"deleted -fast flag", []string{"-fast", "./internal/analysis/cfg"}, 2},
+		{"deleted -fast flag", []string{"-fast", "./internal/analysis/load"}, 2},
 	}
 	for _, c := range cases {
 		var stdout, stderr bytes.Buffer
@@ -38,9 +39,27 @@ func TestRunList(t *testing.T) {
 	if got := run([]string{"-list"}, &stdout, &stderr); got != 0 {
 		t.Fatalf("-list exit %d: %s", got, &stderr)
 	}
-	for _, want := range []string{"speccheck", "pollcheck", "leaseleak", "atomicmix", "SPEC001", "EFFECT004", "POLL001", "LEASE001", "ATOM003"} {
-		if !strings.Contains(stdout.String(), want) {
-			t.Errorf("-list does not mention %s:\n%s", want, &stdout)
+	// Each line is "name codes doc"; the suite is exactly these analyzers
+	// with exactly these codes. The lease checker left with pool.Do.
+	var got []string
+	for _, line := range strings.Split(strings.TrimSpace(stdout.String()), "\n") {
+		f := strings.Fields(line)
+		if len(f) < 2 {
+			t.Fatalf("-list line %q has no codes", line)
+		}
+		got = append(got, f[0]+" "+f[1])
+	}
+	want := []string{
+		"speccheck SPEC001,SPEC002,SPEC003,EFFECT001,EFFECT002,EFFECT003,EFFECT004",
+		"pollcheck POLL001",
+		"atomicmix ATOM001,ATOM002,ATOM003",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("-list analyzers and codes:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	for _, gone := range []string{"leaseleak", "LEASE001", "LEASE002"} {
+		if strings.Contains(stdout.String(), gone) {
+			t.Errorf("-list still mentions %s:\n%s", gone, &stdout)
 		}
 	}
 }

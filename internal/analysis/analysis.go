@@ -16,8 +16,7 @@
 // speculative-kernel index (internal/analysis/kernel) — and hands both to
 // every Pass. The analyzers are kernel.Speccheck and kernel.Pollcheck
 // (what a kernel body may touch, and whether its loops reach a check
-// point), pairing.Leaseleak (acquire/release on every path, over
-// internal/analysis/cfg and dataflow), and atomicmix.
+// point) and atomicmix (the runtime's own atomics and gate protocol).
 //
 // Suppression: a diagnostic is silenced by a
 //

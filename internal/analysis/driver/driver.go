@@ -13,7 +13,6 @@ import (
 	"repro/internal/analysis/effects"
 	"repro/internal/analysis/kernel"
 	"repro/internal/analysis/load"
-	"repro/internal/analysis/pairing"
 )
 
 // Analyzers returns the full mutls-vet suite in reporting order.
@@ -21,7 +20,6 @@ func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		kernel.Speccheck,
 		kernel.Pollcheck,
-		pairing.Leaseleak,
 		atomicmix.Analyzer,
 	}
 }

@@ -218,33 +218,28 @@ func poolStorm(cfg ChaosConfig, out io.Writer, baseline int) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			lease, err := p.Acquire(context.Background())
-			if err != nil {
+			err := p.Do(context.Background(), func(lease *pool.Lease) error {
+				var sum uint64
+				_, err := lease.Runtime().RunCtx(context.Background(), func(t *mutls.Thread) {
+					sum = w.Spec(t, size, bench.SpecOptions{Model: w.DefaultModel})
+				})
 				mu.Lock()
-				if errors.Is(err, pool.ErrOverloaded) {
-					shed++
-				} else if firstErr == nil {
-					firstErr = fmt.Errorf("chaos pool: untyped acquire failure: %w", err)
+				if lease.Degraded() {
+					degraded++
 				}
 				mu.Unlock()
-				return
-			}
-			defer lease.Release()
-			var sum uint64
-			_, rerr := lease.Runtime().RunCtx(context.Background(), func(t *mutls.Thread) {
-				sum = w.Spec(t, size, bench.SpecOptions{Model: w.DefaultModel})
+				if err == nil && sum != seq.Checksum {
+					err = fmt.Errorf("checksum %#x != sequential %#x (degraded=%v)", sum, seq.Checksum, lease.Degraded())
+				}
+				return err
 			})
 			mu.Lock()
 			defer mu.Unlock()
-			if lease.Degraded() {
-				degraded++
-			}
 			switch {
-			case rerr != nil && firstErr == nil:
-				firstErr = fmt.Errorf("chaos pool tenant: %w", rerr)
-			case rerr == nil && sum != seq.Checksum && firstErr == nil:
-				firstErr = fmt.Errorf("chaos pool tenant: checksum %#x != sequential %#x (degraded=%v)",
-					sum, seq.Checksum, lease.Degraded())
+			case errors.Is(err, pool.ErrOverloaded):
+				shed++
+			case err != nil && firstErr == nil:
+				firstErr = fmt.Errorf("chaos pool tenant: %w", err)
 			}
 		}()
 	}
@@ -264,18 +259,15 @@ func poolStorm(cfg ChaosConfig, out io.Writer, baseline int) error {
 
 	// Post-storm: the disarmed pool serves a clean, verified tenant.
 	plan.Disarm()
-	lease, err := p.Acquire(context.Background())
-	if err != nil {
-		return fmt.Errorf("chaos pool disarmed acquire: %w", err)
-	}
 	var sum uint64
-	if _, err := lease.Runtime().RunCtx(context.Background(), func(t *mutls.Thread) {
-		sum = w.Spec(t, size, bench.SpecOptions{Model: w.DefaultModel})
+	if err := p.Do(context.Background(), func(lease *pool.Lease) error {
+		_, err := lease.Runtime().RunCtx(context.Background(), func(t *mutls.Thread) {
+			sum = w.Spec(t, size, bench.SpecOptions{Model: w.DefaultModel})
+		})
+		return err
 	}); err != nil {
-		lease.Release()
-		return fmt.Errorf("chaos pool disarmed run: %w", err)
+		return fmt.Errorf("chaos pool disarmed tenant: %w", err)
 	}
-	lease.Release()
 	if sum != seq.Checksum {
 		return fmt.Errorf("chaos pool disarmed run: checksum %#x != sequential %#x", sum, seq.Checksum)
 	}

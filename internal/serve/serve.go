@@ -95,7 +95,7 @@ type Server struct {
 	// the non-speculative thread outside any point) across the server's
 	// lifetime, points the pay-off guard's counts per point. The runtime's
 	// own counters reset when the pool recycles a lease, so each request's
-	// are absorbed here before its Release; /stats exposes the aggregates as
+	// are absorbed here before its release; /stats exposes the aggregates as
 	// point_faults and points.
 	pfMu        sync.Mutex
 	pointFaults map[int]int64
@@ -346,42 +346,39 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	size := clampSize(bench.Size{N: atoi("n"), M: atoi("m"), Steps: atoi("steps")}, k)
 
-	lease, err := s.pool.Acquire(r.Context())
-	if err != nil {
-		switch {
-		case errors.Is(err, pool.ErrOverloaded):
-			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusServiceUnavailable, errResponse{Error: err.Error()})
-		case errors.Is(err, pool.ErrClosed):
-			writeJSON(w, http.StatusServiceUnavailable, errResponse{Error: err.Error()})
-		default: // request context expired while queued
-			writeJSON(w, http.StatusServiceUnavailable, errResponse{Error: err.Error()})
+	err := s.pool.Do(r.Context(), func(lease *pool.Lease) error {
+		rt := lease.Runtime()
+		sum, cost, status, msg := s.runVerified(r.Context(), rt, name, k, size)
+		// Summarized once per request, before Do's release recycles the
+		// runtime and resets its counters.
+		st := rt.Stats()
+		s.absorbStats(st)
+		if status != http.StatusOK {
+			writeJSON(w, status, errResponse{Error: msg})
+			return nil
 		}
-		return
-	}
-	defer lease.Release()
-	rt := lease.Runtime()
-	sum, cost, status, msg := s.runVerified(r.Context(), rt, name, k, size)
-	// Summarized once per request, before the deferred Release recycles the
-	// runtime and resets its counters.
-	st := rt.Stats()
-	s.absorbStats(st)
-	if status != http.StatusOK {
-		writeJSON(w, status, errResponse{Error: msg})
-		return
-	}
-	writeJSON(w, http.StatusOK, RunResponse{
-		Kernel:    name,
-		Size:      size,
-		Checksum:  fmt.Sprintf("%#x", sum),
-		Verified:  true,
-		CPUGrant:  lease.CPUs(),
-		Degraded:  lease.Degraded(),
-		Cost:      int64(cost),
-		WallNS:    time.Since(start).Nanoseconds(),
-		Commits:   int64(st.Commits),
-		Rollbacks: int64(st.Rollbacks),
+		writeJSON(w, http.StatusOK, RunResponse{
+			Kernel:    name,
+			Size:      size,
+			Checksum:  fmt.Sprintf("%#x", sum),
+			Verified:  true,
+			CPUGrant:  lease.CPUs(),
+			Degraded:  lease.Degraded(),
+			Cost:      int64(cost),
+			WallNS:    time.Since(start).Nanoseconds(),
+			Commits:   int64(st.Commits),
+			Rollbacks: int64(st.Rollbacks),
+		})
+		return nil
 	})
+	// Only the lease can fail: shed (with a retry hint), closed, or the
+	// request's context done before or while queued.
+	if err != nil {
+		if errors.Is(err, pool.ErrOverloaded) {
+			w.Header().Set("Retry-After", "1")
+		}
+		writeJSON(w, http.StatusServiceUnavailable, errResponse{Error: err.Error()})
+	}
 }
 
 // runVerified runs the kernel's TLS version on the leased runtime and
@@ -399,14 +396,14 @@ func (s *Server) runVerified(ctx context.Context, rt *mutls.Runtime, name string
 	switch {
 	case errors.As(err, &kp):
 		// The kernel itself panicked on the non-speculative thread. The run
-		// drained and the lease's Release recycles the runtime, so only
+		// drained and the lease's release recycles the runtime, so only
 		// this request is lost — answer it a 500 and count the fault.
 		// (Speculative panics never surface here: they are squashed and
 		// re-executed as misspeculation.)
 		s.faults.Add(1)
 		return 0, 0, http.StatusInternalServerError, fmt.Sprintf("kernel fault: %v", kp.Value)
 	case err != nil:
-		// Cancelled or timed out mid-run; Release recycles the runtime, so
+		// Cancelled or timed out mid-run; the release recycles the runtime, so
 		// the next tenant is unaffected.
 		return 0, 0, http.StatusServiceUnavailable, err.Error()
 	case sum != want:
@@ -445,19 +442,15 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	// Healthy means the pool still admits tenants: probe with an
-	// already-expired context so a free runtime is never consumed and the
-	// probe never queues behind real traffic.
+	// Healthy means the pool still admits tenants. The probe's context is
+	// already done, so the pool refuses it before any lease — ErrClosed if
+	// closed, the context's error otherwise — and it never takes a runtime
+	// or queues behind real traffic.
 	ctx, cancel := context.WithCancel(r.Context())
 	cancel()
-	lease, err := s.pool.Acquire(ctx)
-	if lease != nil {
-		lease.Release() // fast path can still grant; hand it straight back
-	}
-	switch {
-	case errors.Is(err, pool.ErrClosed):
+	if err := s.pool.Do(ctx, func(*pool.Lease) error { return nil }); errors.Is(err, pool.ErrClosed) {
 		writeJSON(w, http.StatusServiceUnavailable, errResponse{Error: err.Error()})
-	default:
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		return
 	}
+	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }

@@ -144,7 +144,9 @@ func TestOverloadSheds(t *testing.T) {
 	}
 }
 
-// TestStatsAndHealthz: the observability endpoints reflect the pool.
+// TestStatsAndHealthz: the observability endpoints reflect the pool, and a
+// health probe never takes a lease: a free runtime is neither leased nor
+// recycled by it, and a closed pool reads unhealthy.
 func TestStatsAndHealthz(t *testing.T) {
 	s, ts := testServer(t, pool.Options{Runtimes: 1, HostBudget: 2, Runtime: mutls.Options{CPUs: 2}})
 	getJSON(t, ts.URL+"/run", http.StatusOK, nil)
@@ -155,9 +157,11 @@ func TestStatsAndHealthz(t *testing.T) {
 		t.Errorf("stats after one request: %+v", st)
 	}
 	getJSON(t, ts.URL+"/healthz", http.StatusOK, nil)
-	if got := s.Pool().Stats(); got.Released != got.Acquired {
-		t.Errorf("healthz probe leaked a lease: %+v", got)
+	if got := s.Pool().Stats(); got.Acquired != st.Acquired || got.Released != st.Released || got.Degraded != st.Degraded {
+		t.Errorf("healthz probe took a lease: before %+v, after %+v", st, got)
 	}
+	s.Pool().Close()
+	getJSON(t, ts.URL+"/healthz", http.StatusServiceUnavailable, nil)
 }
 
 // TestStatsCarriesHandoffCounters: the join protocol's hand-off counters

@@ -19,10 +19,16 @@
 // granted lease beside busy tenants runs as sequentially as a degraded one
 // and speculates again the moment a proc falls idle.
 //
+// Do is the way in: it leases a runtime, runs the caller's function on the
+// lease and releases it on every path out, panics included, so a lease
+// taken through Do cannot leak. Acquire and Lease.Release are the
+// low-level pair underneath, for a caller that times the two halves apart.
+//
 // When every runtime is leased, Acquire queues up to a bounded depth and
 // then fails fast with ErrOverloaded, so callers shed load instead of
-// piling up. Deadlines propagate twice: Acquire respects its context while
-// queued, and the leased runtime's RunCtx unwinds a too-slow run at the
+// piling up. Deadlines propagate twice: a context that is already done is
+// refused before any lease, and one that ends while queued unwinds the
+// wait; the leased runtime's RunCtx then unwinds a too-slow run at the
 // next cancellation point.
 package pool
 
@@ -197,11 +203,33 @@ func (l *Lease) Release() {
 	l.p.free <- l.rt
 }
 
-// Acquire leases a runtime. If none is free it waits — bounded by
-// QueueLimit (ErrOverloaded beyond it), by ctx (its error is returned)
-// and by Close (ErrClosed). On success the lease's runtime has its CPU
-// limit set to the granted budget share.
+// Do leases a runtime, runs fn on the lease and releases the lease when fn
+// returns, errs or panics (the panic then propagates). An Acquire failure
+// is returned unchanged and fn is not called; otherwise Do returns fn's
+// error.
+func (p *Pool) Do(ctx context.Context, fn func(*Lease) error) error {
+	l, err := p.Acquire(ctx)
+	if err != nil {
+		return err
+	}
+	defer l.Release()
+	return fn(l)
+}
+
+// Acquire leases a runtime. A closed pool refuses with ErrClosed and a
+// done ctx with its error, before any runtime is taken. If none is free it
+// waits — bounded by QueueLimit (ErrOverloaded beyond it), by ctx and by
+// Close. On success the lease's runtime has its CPU limit set to the
+// granted budget share. The lease must be released; Do does that itself.
 func (p *Pool) Acquire(ctx context.Context) (*Lease, error) {
+	select {
+	case <-p.closing:
+		return nil, ErrClosed
+	default:
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if plan := p.opts.Runtime.FaultPlan; plan != nil &&
 		plan.Decide(faultinject.SiteAcquire) == faultinject.KindLeaseFail {
 		// Injected admission failure: shaped exactly like a full queue so

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/faultinject"
 	"repro/mutls"
 )
 
@@ -289,7 +290,9 @@ func TestPoolNoQueue(t *testing.T) {
 	held.Release()
 }
 
-// TestPoolAcquireContext: a queued Acquire honours its context.
+// TestPoolAcquireContext: a context that is already done is refused before
+// any lease, even with a runtime free (but a closed pool says ErrClosed
+// first), and a queued Acquire honours its context.
 func TestPoolAcquireContext(t *testing.T) {
 	opts := testOptions()
 	opts.Runtimes = 1
@@ -298,6 +301,24 @@ func TestPoolAcquireContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
+
+	expired, expire := context.WithCancel(context.Background())
+	expire()
+	if l, err := p.Acquire(expired); !errors.Is(err, context.Canceled) {
+		if l != nil {
+			l.Release() // or the deferred Close waits for it forever
+		}
+		t.Fatalf("expired context on a free pool: err = %v, want context.Canceled", err)
+	}
+	if s := p.Stats(); s.Acquired != 0 || s.Released != 0 {
+		t.Fatalf("expired context took a lease: %+v", s)
+	}
+	defer func() {
+		p.Close()
+		if _, err := p.Acquire(expired); !errors.Is(err, ErrClosed) {
+			t.Errorf("expired context on a closed pool: err = %v, want ErrClosed", err)
+		}
+	}()
 
 	held, err := p.Acquire(context.Background())
 	if err != nil {
@@ -318,6 +339,108 @@ func TestPoolAcquireContext(t *testing.T) {
 		t.Fatalf("cancelled waiter: err = %v, want context.Canceled", err)
 	}
 	held.Release()
+}
+
+// TestPoolDoReleasesOnEveryPath: Do hands the lease back when fn returns,
+// errs or panics (the panic reaches Do's caller), returns fn's error, and
+// the next Do gets the same runtime, recycled. A leaked lease fails the test
+// without closing the pool, since Close would wait for it forever.
+func TestPoolDoReleasesOnEveryPath(t *testing.T) {
+	opts := testOptions()
+	opts.Runtimes = 1
+	p, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	boom := errors.New("tenant error")
+	cases := []struct {
+		name      string
+		end       func() error
+		wantErr   error
+		wantPanic any
+	}{
+		{"return", func() error { return nil }, nil, nil},
+		{"error", func() error { return boom }, boom, nil},
+		{"panic", func() error { panic("tenant panic") }, nil, "tenant panic"},
+		{"return after a panic", func() error { return nil }, nil, nil},
+	}
+	var last *mutls.Runtime
+	for i, c := range cases {
+		var err error
+		var recovered any
+		func() {
+			defer func() { recovered = recover() }()
+			err = p.Do(context.Background(), func(l *Lease) error {
+				rt := l.Runtime()
+				if last != nil && rt != last {
+					t.Errorf("%s: Do leased %p, want the recycled %p", c.name, rt, last)
+				}
+				if n := rt.Space().Heap.InUse(); n != 0 {
+					t.Errorf("%s: runtime not recycled, %d bytes of heap in use", c.name, n)
+				}
+				last = rt
+				if _, err := rt.Run(func(th *mutls.Thread) { th.Alloc(1 << 10) }); err != nil {
+					return err
+				}
+				return c.end()
+			})
+		}()
+		if err != c.wantErr || recovered != c.wantPanic {
+			t.Errorf("%s: Do = %v, panic %v; want %v, panic %v", c.name, err, recovered, c.wantErr, c.wantPanic)
+		}
+		if s := p.Stats(); s.Acquired != int64(i+1) || s.Released != s.Acquired || s.ClaimedCPUs != 0 {
+			t.Fatalf("%s: lease not handed back: %+v", c.name, s)
+		}
+	}
+	p.Close()
+}
+
+// TestPoolDoRefusesWithoutCallingFn: when no lease can be had — an injected
+// acquire failure, a full queue, a closed pool, a done context — Do returns
+// Acquire's typed error and never calls fn.
+func TestPoolDoRefusesWithoutCallingFn(t *testing.T) {
+	expired, expire := context.WithCancel(context.Background())
+	expire()
+	bg := context.Background()
+	cases := []struct {
+		name  string
+		plan  *faultinject.Plan
+		queue int
+		do    func(p *Pool, fn func(*Lease) error) error
+		want  error
+	}{
+		{"injected acquire failure", faultinject.NewPlan(1, []faultinject.Rule{
+			{Site: faultinject.SiteAcquire, Kind: faultinject.KindLeaseFail, Prob: 1},
+		}), 0, func(p *Pool, fn func(*Lease) error) error { return p.Do(bg, fn) }, ErrOverloaded},
+		{"full queue", nil, NoQueue, func(p *Pool, fn func(*Lease) error) error {
+			return p.Do(bg, func(*Lease) error { return p.Do(bg, fn) })
+		}, ErrOverloaded},
+		{"closed pool", nil, 0, func(p *Pool, fn func(*Lease) error) error {
+			p.Close()
+			return p.Do(bg, fn)
+		}, ErrClosed},
+		{"done context", nil, 0, func(p *Pool, fn func(*Lease) error) error { return p.Do(expired, fn) }, context.Canceled},
+	}
+	for _, c := range cases {
+		opts := testOptions()
+		opts.Runtimes = 1
+		opts.QueueLimit = c.queue
+		opts.Runtime.FaultPlan = c.plan
+		p, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		called := false
+		err = c.do(p, func(*Lease) error { called = true; return nil })
+		if !errors.Is(err, c.want) || called {
+			t.Errorf("%s: Do = %v with fn called %v, want %v without", c.name, err, called, c.want)
+		}
+		if s := p.Stats(); s.Released != s.Acquired || s.ClaimedCPUs != 0 {
+			t.Fatalf("%s: lease not handed back: %+v", c.name, s) // and the pool left open
+		}
+		p.Close()
+	}
 }
 
 // TestPoolClose: Close drains in-flight leases before closing runtimes,
