@@ -28,8 +28,9 @@ race:
 # join protocol, the pay-off guard and host-aware fork admission on 1, 2 and
 # 4 procs (the whole of internal/core — TestForkAdmissionFollowsTheProcs,
 # TestForkAdmissionOffOnOneProc, TestRunCountsSurviveGoexit, the PointFor
-# tests and the sole-committer commit's TestCommitPathsKeepEquivalence and
-# TestSiblingPreValidatedBeforeACommitRollsBack among them — the guard's,
+# tests, the sole-committer commit's TestCommitPathsKeepEquivalence and
+# TestSiblingReadBeforeACommitRollsBack, and the region-entry snapshot's
+# TestWriteDuringRegionRollsBack among them — the guard's,
 # the stage groups' and the fork points' driver tests in mutls, the pool's
 # two-lease test, Do's release on return, error and panic and its refusals,
 # and Acquire's refusal of a done context), then the pool and the serving
@@ -99,7 +100,7 @@ chaos:
 # PR that grows the tree has to raise the number here, in its own diff.
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l); \
-	echo "non-test Go outside benchmark/ and testdata/: $$n lines (ceiling 16582, target 16500)"; \
+	echo "non-test Go outside benchmark/ and testdata/: $$n lines (ceiling 16524, target 16500)"; \
 	v=$$(find internal/analysis cmd/mutls-vet -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l); \
 	echo "  of which internal/analysis + cmd/mutls-vet: $$v lines"; \
-	if [ $$n -gt 16582 ]; then echo "code size is over the ceiling: shrink, or raise it in the Makefile" >&2; exit 1; fi
+	if [ $$n -gt 16524 ]; then echo "code size is over the ceiling: shrink, or raise it in the Makefile" >&2; exit 1; fi

@@ -12,7 +12,7 @@ import (
 // A commit made while its thread is the runtime's only live speculative
 // thread stores its words plainly and stamps nothing (commitStamps); one made
 // beside a live sibling keeps the atomic, stamped path, because the sibling
-// may have pre-validated against the stamps. make race-repeat runs these
+// snapshotted the stamps when its region began. make race-repeat runs these
 // under -race -count=2 -cpu 1,2,4 with the rest of the package.
 
 // TestCommitPathsKeepEquivalence: random chained loops — each chunk forks
@@ -93,16 +93,14 @@ func TestCommitStampsOnlyBesideALiveSibling(t *testing.T) {
 	}
 }
 
-// TestSiblingPreValidatedBeforeACommitRollsBack: speculation A forks B and
-// then writes the word B reads. B stops and pre-validates — the arena still
-// holds the old word, so the optimistic walk passes — and only then is A
-// joined and committed. A commits beside a live sibling, so it stamps the
-// page, B's lock-time re-check sees the stamp and B rolls back; the
-// non-speculative thread re-runs it on A's word. Mutation-checked: with
-// commitStamps always nil (no sibling test) A's commit stamps nothing, B
-// commits its stale read, and this fails.
-func TestSiblingPreValidatedBeforeACommitRollsBack(t *testing.T) {
-	withProcs(t, 2)
+// TestSiblingReadBeforeACommitRollsBack: speculation A forks B and then
+// writes the word B reads. B reads the old word and stops, and only then is
+// A joined and committed. A commits beside a live sibling, so it stamps the
+// page after B's region-entry snapshot, B's join compares the word and B
+// rolls back; the non-speculative thread re-runs it on A's word.
+// Mutation-checked: with commitStamps always nil (no sibling test) A's
+// commit stamps nothing, B commits its stale read, and this fails.
+func TestSiblingReadBeforeACommitRollsBack(t *testing.T) {
 	rt := newRT(t, 2, nil)
 	var read, release atomic.Bool
 	rt.Run(func(t0 *Thread) {
@@ -142,8 +140,8 @@ func TestSiblingPreValidatedBeforeACommitRollsBack(t *testing.T) {
 			release.Store(true)
 			t.Fatal("A did not fork B")
 		}
-		// Once B has read x it waits for the release; let go, it stops,
-		// pre-validates, and spins or parks for its join.
+		// Once B has read x it waits for the release; let go, it stops and
+		// spins or parks for its join.
 		for !read.Load() {
 			runtime.Gosched()
 		}

@@ -207,13 +207,10 @@ type cpu struct {
 	// stays alloc-free.
 	scratch []byte
 
-	// Pre-validation state of the current execution: the stamp-table
-	// snapshot taken before the optimistic read-set walk, whether that walk
-	// ran, and its result. dirtyFn is the prebuilt ValidateDirty oracle
-	// closing over preSnap (built once so the commit path stays alloc-free).
-	preSnap uint64
-	preOK   bool
-	preDone bool
+	// snap is the stamp-table sequence the current execution read before
+	// its first arena load; dirtyFn is the prebuilt ValidateDirty oracle
+	// closing over it (built once so the commit path stays alloc-free).
+	snap    uint64
 	dirtyFn func(base mem.Addr, nBytes int) bool
 
 	// Watchdog scan surface (SpecDeadline > 0 only). wallStart is the
@@ -308,21 +305,15 @@ type Runtime struct {
 	// nonSpecStackTop is the bump pointer of the non-speculative stack.
 	nonSpecStackTop mem.Addr
 
-	// stamps is the page-granularity dirty table over the arena that lets
-	// read-set validation run before the commit serial section: direct
-	// writers (non-speculative stores, commits beside a live sibling — see
-	// commitStamps) mark the pages they touch, pre-validators snapshot the
-	// sequence and the lock-time re-check covers only pages stamped after the
-	// snapshot. nil when the runtime
-	// has no speculative CPUs; markFn is stamps.Mark then, also nil.
+	// stamps is the page-granularity dirty table over the arena that keeps
+	// read-set validation short: direct writers (non-speculative stores,
+	// commits beside a live sibling — see commitStamps) mark the pages they
+	// touch, a speculative execution snapshots the sequence before its first
+	// load, and its serial section compares only the read-set runs on pages
+	// stamped after that snapshot. nil when the runtime has no speculative
+	// CPUs; markFn is stamps.Mark then, also nil.
 	stamps *mem.WriteStamps
 	markFn func(mem.Addr, int)
-	// overlapValidation enables the optimistic pre-validation walk. It is
-	// off when GOMAXPROCS is 1 at construction: with a single schedulable
-	// CPU the walk cannot overlap the joining thread — it time-slices
-	// against it and the lock-time re-check repeats most of the work (the
-	// joiner's stores dirty the pages), so the split only adds overhead.
-	overlapValidation bool
 
 	// drainGate blocks the non-speculative thread in drain until active
 	// reaches zero; every decrement wakes it.
@@ -368,7 +359,6 @@ func NewRuntime(opts Options) (*Runtime, error) {
 		}
 		rt.stamps = ws
 		rt.markFn = ws.Mark
-		rt.overlapValidation = rt.procs > 1
 	}
 	if o.FaultPlan != nil {
 		// Heap-allocation injection: a tripped Alloc fails like an
@@ -409,7 +399,7 @@ func NewRuntime(opts Options) (*Runtime, error) {
 		c.td.forkRegs = make([]uint64, o.LBuf.RegSlots)
 		c.td.forkLive = make([]bool, o.LBuf.RegSlots)
 		c.dirtyFn = func(base mem.Addr, nBytes int) bool {
-			return rt.stamps.DirtySince(base, nBytes, c.preSnap)
+			return rt.stamps.DirtySince(base, nBytes, c.snap)
 		}
 		rt.cpus[r] = c
 		rt.wg.Add(1)
@@ -921,6 +911,9 @@ func (rt *Runtime) runSpec(c *cpu, task specTask) {
 		c.wallStart.Store(time.Now().UnixNano())
 	}
 
+	// Before the region's first arena load: every write the region can have
+	// missed either stamped its page after this or stored before it.
+	c.snap = rt.stamps.Snapshot()
 	out := runRegion(t, task.region)
 
 	var wallNS int64
@@ -951,8 +944,7 @@ func (rt *Runtime) runSpec(c *cpu, task specTask) {
 		awaitSync = true
 	} else {
 		// Stopped at a check point, barrier point, terminate point or the
-		// region's end. Publish the stop, pre-validate the read set while
-		// the parent is still running, then wait for the join signal. A
+		// region's end. Publish the stop, then wait for the join signal. A
 		// thread stopped by a hash-conflict overflow waits on overflow time.
 		td.stopCounter = out.counter
 		waitPhase := vclock.Idle
@@ -960,7 +952,6 @@ func (rt *Runtime) runSpec(c *cpu, task specTask) {
 			waitPhase = vclock.Overflow
 		}
 		td.state.Store(cpuReady)
-		rt.preValidate(t, c)
 		if rt.waitSync(t, c, epoch, waitPhase) == syncNoSync {
 			verdict = validNull
 		} else {
@@ -1043,26 +1034,6 @@ func (rt *Runtime) waitSync(t *Thread, c *cpu, epoch uint64, phase vclock.Phase)
 	return w & syncStatusMask
 }
 
-// preValidate runs the read-set walk optimistically, before the parent's
-// SYNC hands this thread the commit serial section: the stamp sequence is
-// snapshotted, the full read set is compared against the arena, and the
-// verdict is remembered so validateAndCommit can limit its lock-time walk
-// to the pages dirtied after the snapshot (ValidateDirty). Skipped when
-// the parent has already signalled — the serial section is open anyway —
-// or when the runtime has no stamp table. Advisory only: no validation
-// counters move here.
-func (rt *Runtime) preValidate(t *Thread, c *cpu) {
-	c.preDone = false
-	if !rt.overlapValidation || c.td.syncStatus() != syncNull {
-		return
-	}
-	sw := t.clock.Start(vclock.Validation)
-	c.preSnap = rt.stamps.Snapshot()
-	c.preOK = c.gb.PreValidate()
-	c.preDone = true
-	sw.Stop()
-}
-
 // finishNoSync is the self-cleanup of a squashed thread: squash the
 // subtree, release the CPU. The thread still owns its ThreadData here —
 // nobody reclaims a NOSYNCed CPU but its own worker.
@@ -1110,19 +1081,11 @@ func (rt *Runtime) validateAndCommit(t *Thread, c *cpu) bool {
 			rt.CancelRun()
 		}
 	}
+	// Only the read-set runs on pages stamped since the region began can
+	// differ from the arena; verdict and counters are those of a full
+	// Validate at this instant.
 	sw := t.clock.Start(vclock.Validation)
-	var ok bool
-	if c.preDone && c.preOK {
-		// The optimistic pre-validation passed; re-check only the read-set
-		// runs on pages stamped after its snapshot. Verdict and counters
-		// are identical to a full Validate at this instant.
-		ok = c.gb.ValidateDirty(c.dirtyFn)
-	} else {
-		// No pre-validation ran (or it already failed — the mismatch could
-		// have been overwritten since, so the full walk decides).
-		ok = c.gb.Validate()
-	}
-	if !ok {
+	if !c.gb.ValidateDirty(c.dirtyFn) {
 		sw.Stop()
 		td.reason = RollbackValidation
 		return false
@@ -1138,9 +1101,10 @@ func (rt *Runtime) validateAndCommit(t *Thread, c *cpu) bool {
 // or nil when the committer is the only live speculative thread. The
 // non-speculative thread waits in Join for the verdict, so when active holds
 // only this execution's two shares (its CPU's and its worker's) nobody can
-// read the arena, pre-validate or fork before the verdict's atomic store
-// publishes the commit; a sibling still claimed (a chained For's next link)
-// may have pre-validated against the stamps and must see the commit's.
+// read the arena or fork before the verdict's atomic store publishes the
+// commit, so no snapshot predates it; a sibling still claimed (a chained
+// For's next link) has snapshotted the stamps at its region entry and must
+// see the commit's.
 func (rt *Runtime) commitStamps() *mem.WriteStamps {
 	if rt.active.Load() == 2 {
 		return nil

@@ -52,20 +52,14 @@ type Backend interface {
 	StoreFill(p mem.Addr, nWords int, v uint64) Status
 	// Validate checks the read set against the arena.
 	Validate() bool
-	// PreValidate runs the same read-set walk as Validate without touching
-	// any counter or producing an authoritative verdict. The runtime calls
-	// it outside the commit serial section (before the join handshake's
-	// lock); a later Validate or ValidateDirty under the lock delivers the
-	// verdict that counts.
-	PreValidate() bool
-	// ValidateDirty is the lock-time half of the optimistic split: it
-	// re-checks only the read-set runs for which dirty(base, nBytes)
-	// reports a possible write since the PreValidate snapshot, and trusts
-	// the pre-validation for the rest. It must only be called when
-	// PreValidate returned true and the dirty oracle is sound (a run whose
-	// pages were written after the snapshot must report dirty); its verdict
-	// and counter effects are then identical to a full Validate at the same
-	// instant.
+	// ValidateDirty compares only the read-set runs for which
+	// dirty(base, nBytes) reports a possible write since a stamp snapshot
+	// taken before the speculation's first load, and trusts the rest: each
+	// was loaded after the snapshot, so it still matches the arena unless
+	// its page was written since. With a sound oracle (a run whose pages
+	// were written after the snapshot reports dirty) its verdict and
+	// counter effects are identical to a full Validate at the same instant;
+	// a nil oracle is Validate.
 	ValidateDirty(dirty func(base mem.Addr, nBytes int) bool) bool
 	// Commit applies the write set to the arena as maximal runs, each
 	// through mem.Arena.CommitWords: stamped in stamps, or — stamps nil,
@@ -150,6 +144,7 @@ func (c *Counters) Add(o *Counters) {
 	c.Conflicts += o.Conflicts
 	c.Validations += o.Validations
 	c.ValidationFail += o.ValidationFail
+	c.WordsValidated += o.WordsValidated
 	c.Commits += o.Commits
 	c.WordsCommitted += o.WordsCommitted
 	c.BytesCommitted += o.BytesCommitted

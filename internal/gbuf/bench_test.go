@@ -138,7 +138,7 @@ func TestRangeHotPathAllocFree(t *testing.T) {
 }
 
 // TestSpeculationCycleAllocFree: once its pages exist, a whole speculation —
-// range load, range store, own-write re-load, pre-validation, commit,
+// range load, range store, own-write re-load, validation, commit,
 // finalize — allocates nothing on any backend: bitmap pages recycle through
 // the free list and the flat page table never grows.
 func TestSpeculationCycleAllocFree(t *testing.T) {
@@ -149,7 +149,7 @@ func TestSpeculationCycleAllocFree(t *testing.T) {
 			buf := make([]byte, benchWords*mem.Word)
 			cycle := func() {
 				ok := be.LoadRange(4096, buf) == OK && be.StoreRange(64, buf) == OK &&
-					be.LoadRange(64, buf) == OK && be.PreValidate()
+					be.LoadRange(64, buf) == OK && be.Validate()
 				if !ok {
 					t.Fatal("cycle failed")
 				}

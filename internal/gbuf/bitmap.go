@@ -447,32 +447,23 @@ func (b *bitmapBuffer) forEachRun(s *bitmapSet, fn func(base mem.Addr, data, mar
 	return true
 }
 
-// validateWalk is the read-set comparison shared by Validate, PreValidate
-// and ValidateDirty: one bulk comparison per run of consecutive buffered
+// validateWalk is the read-set comparison shared by Validate and
+// ValidateDirty: one bulk comparison per run of consecutive buffered
 // words; a non-nil dirty oracle skips runs on clean pages.
 func (b *bitmapBuffer) validateWalk(dirty func(mem.Addr, int) bool) bool {
 	return b.forEachRun(&b.read, func(base mem.Addr, data, _ []byte) bool {
 		if dirty != nil && !dirty(base, len(data)) {
 			return true
 		}
+		b.C.WordsValidated += uint64(len(data) / mem.Word)
 		return b.arena.EqualWords(base, data)
 	})
 }
 
 // Validate checks every read-set word against the arena.
-func (b *bitmapBuffer) Validate() bool {
-	b.C.Validations++
-	if !b.validateWalk(nil) {
-		b.C.ValidationFail++
-		return false
-	}
-	return true
-}
+func (b *bitmapBuffer) Validate() bool { return b.ValidateDirty(nil) }
 
-// PreValidate runs the read-set walk without counter effects.
-func (b *bitmapBuffer) PreValidate() bool { return b.validateWalk(nil) }
-
-// ValidateDirty re-checks only the possibly-dirty runs, with Validate's
+// ValidateDirty compares only the possibly-dirty runs, with Validate's
 // counter effects.
 func (b *bitmapBuffer) ValidateDirty(dirty func(base mem.Addr, nBytes int) bool) bool {
 	b.C.Validations++

@@ -269,14 +269,15 @@ func (b *chainBuffer) StoreFill(p mem.Addr, nWords int, v uint64) Status {
 	return OK
 }
 
-// validateWalk is the read-set comparison shared by Validate, PreValidate
-// and ValidateDirty; a non-nil dirty oracle skips words on clean pages.
+// validateWalk is the read-set comparison shared by Validate and
+// ValidateDirty; a non-nil dirty oracle skips words on clean pages.
 func (b *chainBuffer) validateWalk(dirty func(mem.Addr, int) bool) bool {
 	for i := range b.read.entries {
 		e := &b.read.entries[i]
 		if dirty != nil && !dirty(e.base, mem.Word) {
 			continue
 		}
+		b.C.WordsValidated++
 		if binary.LittleEndian.Uint64(e.data[:]) != b.arena.ReadWord(e.base) {
 			return false
 		}
@@ -285,19 +286,9 @@ func (b *chainBuffer) validateWalk(dirty func(mem.Addr, int) bool) bool {
 }
 
 // Validate checks every read-set word against the arena.
-func (b *chainBuffer) Validate() bool {
-	b.C.Validations++
-	if !b.validateWalk(nil) {
-		b.C.ValidationFail++
-		return false
-	}
-	return true
-}
+func (b *chainBuffer) Validate() bool { return b.ValidateDirty(nil) }
 
-// PreValidate runs the read-set walk without counter effects.
-func (b *chainBuffer) PreValidate() bool { return b.validateWalk(nil) }
-
-// ValidateDirty re-checks only the possibly-dirty words, with Validate's
+// ValidateDirty compares only the possibly-dirty words, with Validate's
 // counter effects.
 func (b *chainBuffer) ValidateDirty(dirty func(base mem.Addr, nBytes int) bool) bool {
 	b.C.Validations++

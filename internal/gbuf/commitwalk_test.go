@@ -334,10 +334,9 @@ func TestStoreFillMatchesStoreRange(t *testing.T) {
 	}
 }
 
-// TestValidateDirtySplit: the optimistic split's observable contract —
-// PreValidate touches no counters, ValidateDirty skips runs its oracle
-// calls clean and matches Validate's verdict/counters when the oracle is
-// sound.
+// TestValidateDirtySplit: ValidateDirty compares only the runs its oracle
+// calls dirty — WordsValidated counts exactly those words — and, with a
+// sound oracle, matches Validate's verdict and counters.
 func TestValidateDirtySplit(t *testing.T) {
 	for _, name := range Backends() {
 		t.Run(name, func(t *testing.T) {
@@ -354,30 +353,27 @@ func TestValidateDirtySplit(t *testing.T) {
 			if st := be.LoadRange(512, buf); st != OK {
 				t.Fatal(st)
 			}
+			// A clean oracle skips every run: nothing is compared, and the
+			// validation still counts.
 			c0 := *be.Counters()
-			if !be.PreValidate() {
-				t.Fatal("clean pre-validation failed")
-			}
-			if c1 := *be.Counters(); c1 != c0 {
-				t.Fatalf("PreValidate touched counters: %+v -> %+v", c0, c1)
-			}
-			// A clean oracle skips every run; the verdict stands on the
-			// pre-validation alone and Validate's counters advance.
 			if !be.ValidateDirty(func(mem.Addr, int) bool { return false }) {
 				t.Fatal("ValidateDirty(all clean) failed")
 			}
-			if c1 := *be.Counters(); c1.Validations != c0.Validations+1 || c1.ValidationFail != c0.ValidationFail {
-				t.Fatalf("ValidateDirty counters: %+v", c1)
+			if c1 := *be.Counters(); c1.Validations != c0.Validations+1 || c1.ValidationFail != c0.ValidationFail || c1.WordsValidated != c0.WordsValidated {
+				t.Fatalf("ValidateDirty(all clean) counters: %+v -> %+v", c0, c1)
 			}
-			// Interference after the snapshot: a sound oracle (everything
-			// dirty) re-checks and fails exactly like a full Validate.
+			// An oracle calling only the range dirty compares its 8 words.
+			c0 = *be.Counters()
+			if !be.ValidateDirty(func(base mem.Addr, n int) bool { return base >= 512 }) {
+				t.Fatal("ValidateDirty(range dirty) failed")
+			}
+			if c1 := *be.Counters(); c1.WordsValidated != c0.WordsValidated+8 {
+				t.Fatalf("range-dirty walk compared %d words, want 8", c1.WordsValidated-c0.WordsValidated)
+			}
+			// Interference: an oracle calling the conflicting word clean
+			// trusts it (soundness is the oracle's burden); a sound one
+			// fails exactly like a full Validate.
 			arena.WriteWord(64, 99)
-			if be.PreValidate() {
-				t.Fatal("pre-validation missed interference")
-			}
-			// An oracle calling the conflicting word clean makes
-			// ValidateDirty trust the stale pre-validation: that is the
-			// documented contract (soundness is the oracle's burden).
 			if !be.ValidateDirty(func(base mem.Addr, n int) bool { return base+mem.Addr(n) <= 64 || base > 64 }) {
 				t.Fatal("oracle-skipped run was re-checked anyway")
 			}
@@ -388,8 +384,8 @@ func TestValidateDirtySplit(t *testing.T) {
 				t.Fatal("Validate missed interference")
 			}
 			c2 := *be.Counters()
-			if c2.ValidationFail < 2 {
-				t.Fatalf("failed validations uncounted: %+v", c2)
+			if c2.ValidationFail != 2 || c2.Validations != 5 {
+				t.Fatalf("validations %d/fail %d, want 5/2", c2.Validations, c2.ValidationFail)
 			}
 		})
 	}
@@ -399,12 +395,12 @@ func TestValidateDirtySplit(t *testing.T) {
 // write set (512 contiguous words, the mandelbrot-row shape).
 //
 // The headline pair is serial-window-*: everything executed while the
-// committing thread holds the join lock. Pre-PR that was a full word-at-
-// a-time validate plus a word-at-a-time copyback; post-PR the validation
-// ran optimistically before the lock, so the window is ValidateDirty over
-// a clean dirty-table plus the run-spliced commit. The commit-*/validate-*
-// pairs price the two halves in isolation. The acceptance bar is ≥ 2x
-// fewer ns/op for the batched serialized window.
+// committing thread holds the join lock. The word reference is a full
+// word-at-a-time validate plus a word-at-a-time copyback; the batched
+// window compares only pages stamped since the speculation began, so it is
+// ValidateDirty over a clean dirty-table plus the run-spliced commit. The
+// commit-*/validate-* pairs price the two halves in isolation. The
+// acceptance bar is ≥ 2x fewer ns/op for the batched serialized window.
 func BenchmarkCommitWalk(b *testing.B) {
 	const nWords = 512
 	const readBase = mem.Addr(1 << 12)  // 4 KiB read set...

@@ -151,6 +151,7 @@ type Counters struct {
 	Conflicts      uint64 // accesses diverted to the overflow buffer
 	Validations    uint64 // Validate calls
 	ValidationFail uint64 // Validate calls that found a conflict
+	WordsValidated uint64 // read-set words compared against the arena
 	Commits        uint64 // Commit calls
 	WordsCommitted uint64 // whole words applied on the fast path
 	BytesCommitted uint64 // bytes applied on the marked-byte slow path
@@ -572,14 +573,14 @@ func (b *Buffer) StoreFill(p mem.Addr, nWords int, v uint64) Status {
 	return st
 }
 
-// validateWalk is the read-set comparison shared by Validate, PreValidate
-// and ValidateDirty. Conflicts only occur when the speculative thread read
+// validateWalk is the read-set comparison shared by Validate and
+// ValidateDirty. Conflicts only occur when the speculative thread read
 // an address before the non-speculative thread wrote it, so equality of the
 // snapshot with current memory is exactly the paper's validation criterion.
 // Bulk loads claim consecutive slots for consecutive addresses, so the walk
 // batches such runs into one arena comparison each; isolated words compare
 // one at a time. A non-nil dirty oracle skips runs whose pages are known
-// clean since the pre-validation snapshot.
+// clean since the speculation's snapshot.
 func (b *Buffer) validateWalk(dirty func(mem.Addr, int) bool) bool {
 	for k := 0; k < b.read.top; {
 		i := int(b.read.used[k])
@@ -593,6 +594,7 @@ func (b *Buffer) validateWalk(dirty func(mem.Addr, int) bool) bool {
 			run++
 		}
 		if dirty == nil || dirty(base, run*mem.Word) {
+			b.C.WordsValidated += uint64(run)
 			if !b.arena.EqualWords(base, b.read.buf[i*mem.Word:(i+run)*mem.Word]) {
 				return false
 			}
@@ -604,6 +606,7 @@ func (b *Buffer) validateWalk(dirty func(mem.Addr, int) bool) bool {
 		if dirty != nil && !dirty(e.base, mem.Word) {
 			continue
 		}
+		b.C.WordsValidated++
 		if binary.LittleEndian.Uint64(e.data[:]) != b.arena.ReadWord(e.base) {
 			return false
 		}
@@ -612,22 +615,10 @@ func (b *Buffer) validateWalk(dirty func(mem.Addr, int) bool) bool {
 }
 
 // Validate checks every read-set word against the arena.
-func (b *Buffer) Validate() bool {
-	b.C.Validations++
-	if !b.validateWalk(nil) {
-		b.C.ValidationFail++
-		return false
-	}
-	return true
-}
+func (b *Buffer) Validate() bool { return b.ValidateDirty(nil) }
 
-// PreValidate runs the full read-set walk without touching any counter —
-// the optimistic half executed outside the commit serial section.
-func (b *Buffer) PreValidate() bool { return b.validateWalk(nil) }
-
-// ValidateDirty is the lock-time half: it re-checks only the runs the dirty
-// oracle reports possibly written since the pre-validation snapshot, with
-// Validate's counter effects.
+// ValidateDirty compares only the runs the dirty oracle reports possibly
+// written since the speculation's snapshot, with Validate's counter effects.
 func (b *Buffer) ValidateDirty(dirty func(base mem.Addr, nBytes int) bool) bool {
 	b.C.Validations++
 	if !b.validateWalk(dirty) {

@@ -12,30 +12,30 @@ const DefaultStampPageBytes = 4096
 
 // WriteStamps is a page-granularity dirty table over an arena: every direct
 // arena write (non-speculative stores, write-set commits) stamps the pages
-// it touched with a fresh global sequence number. It exists so read-set
-// validation can run *outside* the commit serial section: a speculative
-// thread snapshots the sequence, pre-validates optimistically while the
-// joining thread is still running, and at lock time re-checks only the
-// read-set runs whose pages were stamped after the snapshot.
+// it touched with a fresh global sequence number. It exists so the commit
+// serial section compares as little of the read set as it can: a
+// speculative thread snapshots the sequence before its first arena load,
+// and its join compares only the read-set runs whose pages were stamped
+// after that snapshot — every other run still holds what it loaded.
 //
 // Ordering contract (the soundness of the scheme depends on it):
 //
-//   - Writers store the data FIRST, then call Mark. If a pre-validating
-//     reader saw the stale value of a racing write, the write's data store
-//     is ordered after the reader's load, so the write's Mark — which
-//     follows the data store — produces a stamp strictly greater than any
-//     sequence snapshot the reader took before its loads. DirtySince then
-//     reports the page dirty and the run is re-checked under the lock.
-//   - Readers call Snapshot BEFORE loading any arena word they intend to
-//     pre-validate against.
-//   - Marks from writes that happened before the lock window are visible at
-//     lock time through the join handshake's release/acquire chain; no
-//     direct write runs concurrently with the lock window itself, because
-//     commits and non-speculative stores are serialized through the
+//   - Writers store the data FIRST, then call Mark. A write stamped at or
+//     before a reader's snapshot stored its data before the reader's loads,
+//     so the reader saw it. If the reader instead saw a value a later write
+//     replaced, that write's Mark — which follows its data store — produces
+//     a stamp strictly greater than the snapshot; DirtySince then reports
+//     the page dirty and the run is compared at the join.
+//   - Readers call Snapshot BEFORE loading any arena word they will
+//     validate (a speculation: at region entry).
+//   - Marks from writes that happened before the join's serial section are
+//     visible there through the join handshake's release/acquire chain; no
+//     direct write runs concurrently with the serial section itself,
+//     because commits and non-speculative stores are serialized through the
 //     non-speculative thread.
 //   - A commit made while no other speculative thread is live stamps
-//     nothing (CommitWords with nil stamps): every later reader forks after
-//     it, so no snapshot can predate it.
+//     nothing (CommitWords with nil stamps): no snapshot is live, and every
+//     later reader forks — and snapshots — after it.
 //
 // The stamp slots are atomics, so marking and checking race cleanly with
 // each other and with the arena's racy-by-design reads.
@@ -76,8 +76,8 @@ func NewWriteStamps(size, pageBytes int) (*WriteStamps, error) {
 // PageBytes returns the table's page granularity.
 func (ws *WriteStamps) PageBytes() int { return 1 << ws.pageShift }
 
-// Snapshot returns the current sequence number. Pre-validation must take
-// it before loading any arena word it will compare against.
+// Snapshot returns the current sequence number. A speculation takes it
+// before loading any arena word its join will validate.
 func (ws *WriteStamps) Snapshot() uint64 { return ws.seq.Load() }
 
 // Mark stamps every page overlapping [p, p+n) with a fresh sequence

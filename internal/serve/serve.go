@@ -107,10 +107,14 @@ type Server struct {
 	// climbs means requests are paying wake-up latency per fork/join.
 	// refusedNoProc sums the forks refused because the host had no free
 	// proc for a child: speculation the budget granted and the load on the
-	// host took back.
+	// host took back. validations and wordsValidated sum the joins' read-set
+	// validations and the words they actually compared against the arena:
+	// only words on pages written since their speculation began.
 	handoffParks    atomic.Int64
 	handoffSpinHits atomic.Int64
 	refusedNoProc   atomic.Int64
+	validations     atomic.Int64
+	wordsValidated  atomic.Int64
 
 	// seqSums caches sequential reference checksums by kernel and size, so
 	// verification costs one extra run per distinct request shape, ever.
@@ -200,6 +204,8 @@ func (s *Server) absorbStats(st *mutls.Summary) {
 	s.handoffParks.Add(st.HandoffParks)
 	s.handoffSpinHits.Add(st.HandoffSpinHits)
 	s.refusedNoProc.Add(st.RefusedNoProc)
+	s.validations.Add(int64(st.GBuf.Validations))
+	s.wordsValidated.Add(int64(st.GBuf.WordsValidated))
 	s.pfMu.Lock()
 	defer s.pfMu.Unlock()
 	for _, rec := range st.Faults.Records {
@@ -417,8 +423,8 @@ func (s *Server) runVerified(ctx context.Context, rt *mutls.Runtime, name string
 // the server's contained-fault count, the per-fork-point breakdowns of
 // where those faults were contained (key "-1": outside any point) and of
 // the pay-off guard's joins and refusals, and the join protocol's hand-off
-// counters and the forks refused for want of a free proc, summed over all
-// served requests.
+// counters, the forks refused for want of a free proc and the read-set
+// validations with the words they compared, summed over all served requests.
 type statsResponse struct {
 	pool.Stats
 	Faults          int64                  `json:"faults"`
@@ -427,6 +433,8 @@ type statsResponse struct {
 	HandoffParks    int64                  `json:"handoff_parks"`
 	HandoffSpinHits int64                  `json:"handoff_spin_hits"`
 	RefusedNoProc   int64                  `json:"refused_no_proc"`
+	Validations     int64                  `json:"validations"`
+	WordsValidated  int64                  `json:"words_validated"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -438,6 +446,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		HandoffParks:    s.handoffParks.Load(),
 		HandoffSpinHits: s.handoffSpinHits.Load(),
 		RefusedNoProc:   s.refusedNoProc.Load(),
+		Validations:     s.validations.Load(),
+		WordsValidated:  s.wordsValidated.Load(),
 	})
 }
 

@@ -167,8 +167,8 @@ func TestStatsAndHealthz(t *testing.T) {
 // TestStatsCarriesHandoffCounters: the join protocol's hand-off counters
 // and the guard's per-point joins outlive the per-request recycle — every
 // speculating request waits at least once per fork/join, each wait ends as
-// a spin hit or a park, and each join lands in its point's block, cold or
-// warm.
+// a spin hit or a park, each join lands in its point's block, cold or
+// warm, and every commit was validated.
 func TestStatsCarriesHandoffCounters(t *testing.T) {
 	_, ts := testServer(t, pool.Options{Runtimes: 1, HostBudget: 2, Runtime: mutls.Options{CPUs: 2}})
 	var r RunResponse
@@ -180,8 +180,13 @@ func TestStatsCarriesHandoffCounters(t *testing.T) {
 		HandoffParks    *int64                 `json:"handoff_parks"`
 		HandoffSpinHits *int64                 `json:"handoff_spin_hits"`
 		Points          map[string]PointCounts `json:"points"`
+		Validations     int64                  `json:"validations"`
+		WordsValidated  *int64                 `json:"words_validated"`
 	}
 	getJSON(t, ts.URL+"/stats", http.StatusOK, &st)
+	if st.Validations < r.Commits || st.WordsValidated == nil {
+		t.Errorf("/stats validations %d (words_validated %v) for a request with %d commits", st.Validations, st.WordsValidated, r.Commits)
+	}
 	if st.HandoffParks == nil || st.HandoffSpinHits == nil {
 		t.Fatal("/stats lacks handoff_parks / handoff_spin_hits")
 	}

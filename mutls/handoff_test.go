@@ -163,13 +163,21 @@ func TestSpinPipelineRarelyParks(t *testing.T) {
 		s := rt.Stats()
 		rt.Recycle()
 		joins = s.Commits + s.Rollbacks
-		if joins < tokens/2 {
-			t.Fatalf("%d joins in %d tokens: a stage worth 100 us stopped forking (%+v)", joins, tokens, s.PerPoint)
-		}
 		after := hostParallelism()
+		clean := before >= 1.6 && after >= 1.6
+		if joins < tokens/2 {
+			// A busy host refuses forks (no free proc, or a guard that
+			// rightly judges the fork not worth it there): only a run with
+			// two cores on both sides of it says the stage stopped forking.
+			if clean {
+				t.Fatalf("%d joins in %d tokens: a stage worth 100 us stopped forking (%+v)", joins, tokens, s.PerPoint)
+			}
+			probes = append(probes, fmt.Sprintf("%.2f/%.2f: %d joins", before, after, joins))
+			continue
+		}
 		share := float64(s.HandoffParks) / float64(joins)
 		probes = append(probes, fmt.Sprintf("%.2f/%.2f: %.0f%%", before, after, 100*share))
-		if before >= 1.6 && after >= 1.6 {
+		if clean {
 			shares = append(shares, share)
 		}
 	}
