@@ -186,34 +186,6 @@ func BenchmarkAblation_ValuePrediction(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_ForkHeuristic measures the adaptive heuristic's effect
-// on a workload whose speculations always roll back.
-func BenchmarkAblation_ForkHeuristic(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		on   bool
-	}{{"off", false}, {"adaptive", true}} {
-		b.Run(tc.name, func(b *testing.B) {
-			cfg := bench.RunConfig{
-				CPUs: 4, Size: bench.MatMult.CISize, Model: mutls.Mixed,
-				Timing: mutls.Virtual, Cost: mutls.DefaultCostModel(),
-				RollbackProb: 1.0, Seed: 3, Heuristic: tc.on,
-			}
-			var tn int64
-			runs := 0
-			for i := 0; i < b.N; i++ {
-				m, err := bench.MeasureSpec(bench.MatMult, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				tn += int64(m.Runtime)
-				runs++
-			}
-			b.ReportMetric(float64(tn)/float64(runs), "vunits/run")
-		})
-	}
-}
-
 // BenchmarkAblation_CommitFastPath isolates the whole-word-mark commit
 // optimization against the byte-marked slow path.
 func BenchmarkAblation_CommitFastPath(b *testing.B) {

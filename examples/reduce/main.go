@@ -21,10 +21,7 @@ const (
 )
 
 func main() {
-	rt, err := mutls.New(mutls.Options{
-		CPUs:                  4,
-		AdaptiveForkHeuristic: true,
-	})
+	rt, err := mutls.New(mutls.Options{CPUs: 4})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -98,7 +98,6 @@ type RunConfig struct {
 	Cost         mutls.CostModel
 	RollbackProb float64
 	Seed         uint64
-	Heuristic    bool
 	// Buffering selects the GlobalBuffer backend; zero selects the gbuf
 	// default (bitmap). An explicit "openaddr" gets the suite's sizing for
 	// it (2^16 words, 256 overflow slots) where the fields are zero.
@@ -122,20 +121,19 @@ func (cfg RunConfig) options(w *Workload) mutls.Options {
 		}
 	}
 	return mutls.Options{
-		CPUs:                  cfg.CPUs,
-		Timing:                cfg.Timing,
-		Cost:                  cfg.Cost,
-		StaticBytes:           1 << 16,
-		HeapBytes:             w.HeapBytes(cfg.Size),
-		StackBytes:            1 << 16,
-		Buffering:             buf,
-		RegSlots:              160,
-		StackSlots:            32,
-		RollbackProb:          cfg.RollbackProb,
-		Seed:                  cfg.Seed,
-		AdaptiveForkHeuristic: cfg.Heuristic,
-		SpecDeadline:          cfg.SpecDeadline,
-		FaultPlan:             cfg.Faults,
+		CPUs:         cfg.CPUs,
+		Timing:       cfg.Timing,
+		Cost:         cfg.Cost,
+		StaticBytes:  1 << 16,
+		HeapBytes:    w.HeapBytes(cfg.Size),
+		StackBytes:   1 << 16,
+		Buffering:    buf,
+		RegSlots:     160,
+		StackSlots:   32,
+		RollbackProb: cfg.RollbackProb,
+		Seed:         cfg.Seed,
+		SpecDeadline: cfg.SpecDeadline,
+		FaultPlan:    cfg.Faults,
 	}
 }
 

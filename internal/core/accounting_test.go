@@ -119,7 +119,7 @@ func TestFoldDoesNotAllocate(t *testing.T) {
 	rec := stats.ExecRecord{Rank: 1, End: 50, Committed: true}
 	out := execOutcome{committed: true, latency: 50, wallNS: 1000}
 	if a := testing.AllocsPerRun(1000, func() {
-		rt.points[0].observe(out, true)
+		rt.points[0].observe(out)
 		rt.collector.Add(rec)
 	}); a != 0 {
 		t.Fatalf("the fold allocates %v objects per execution", a)

@@ -49,9 +49,9 @@ func (h *ForkHandle) check(op string) {
 // Fork is __builtin_MUTLS_fork(p, model): it claims an IDLE virtual CPU for
 // a speculative thread at fork/join point p under the given forking model.
 // It returns nil — and the program simply continues non-speculatively — when
-// the point already has a thread (ranks[p] != 0), the point is disabled (by
-// the adaptive heuristic or by repeated faults), the run is cancelled, the
-// model forbids this thread from forking, or no CPU is IDLE.
+// the point already has a thread (ranks[p] != 0), the point is disabled by
+// repeated faults, the run is cancelled, the model forbids this thread from
+// forking, or no CPU is IDLE.
 // Under real timing on more than one proc an IDLE virtual CPU must also have
 // a proc to run on: the fork is refused while every proc of the host already
 // runs a thread with work — this run's, or another runtime's in the process
@@ -63,9 +63,9 @@ func (t *Thread) Fork(ranks []Rank, p int, model Model) *ForkHandle {
 
 // ForkBody is Fork for the driver whose body PointFor interned as p. It
 // also returns nil while the body's region has not been paying for its
-// fork/join (payoff.go; after 16, 32, … 1 024 refusals a probe — a short
-// burst of forks — still goes through) or is due an inline run to be timed
-// again (one fork in 64 of a driver that never runs it inline).
+// fork/join (payoff.go; after 32, 64, … 1 024 refusals a probe — up to 32
+// forks in a row — still goes through) or is due an inline run to be timed
+// again (one fork after 64 joins of a driver that never runs it inline).
 func (t *Thread) ForkBody(ranks []Rank, p int, model Model) *ForkHandle {
 	return t.forkAt(ranks, p, model, true)
 }
@@ -168,7 +168,9 @@ func (t *Thread) forkAt(ranks []Rank, p int, model Model, guarded bool) *ForkHan
 	h := &t.fork
 	*h = ForkHandle{t: t, child: child, epoch: ref.epoch}
 	if pe != nil {
-		pe.forked()
+		if pe.forked() {
+			ps.probes.Add(1)
+		}
 		h.pay, h.payStart = pe, sw.Started()
 	}
 	t.openFork = h

@@ -10,7 +10,7 @@ import (
 // struct per fork/join point, updated once per finished speculative
 // execution by the worker that ran it (the fold in runSpec) and read by
 // everything that asks about a point — PointProfile, Summary.PerPoint, the
-// fork heuristic in Fork and the watchdog's deadline stretch. A read taken
+// fault threshold in Fork and the watchdog's deadline stretch. A read taken
 // right after Join returns is guaranteed to include the joined execution:
 // the worker folds it in before it publishes the verdict the join waits for.
 // The cost is a handful of uncontended atomic adds per execution and
@@ -25,9 +25,9 @@ const NumPoints = 64
 //
 // Reset rule: ResetStats zeroes the counts and latency sums — the
 // statistics. disabled, the fault count and the wall-latency EWMA are a
-// verdict on one driver call: they clear, and the heuristic's sample window
-// restarts, at the body's next call (PointFor) and at Recycle. The body and
-// its pay-off estimate stay until Close, or until a 65th body evicts them.
+// verdict on one driver call: they clear at the body's next call (PointFor)
+// and at Recycle. The body and its pay-off estimate stay until Close, or
+// until a 65th body evicts them.
 type pointState struct {
 	// commits and rollbacks count finished speculative executions on the
 	// point (squashed/NOSYNCed executions count as rollbacks); the latency
@@ -46,11 +46,6 @@ type pointState struct {
 	wallEWMA atomic.Int64
 	// disabled refuses further forks on the point (Fork reads it).
 	disabled atomic.Bool
-	// windowCommits/windowRollbacks are the counts at the start of the
-	// adaptive heuristic's sample window: it judges the executions of one
-	// driver call, not those of the calls before it.
-	windowCommits   atomic.Int64
-	windowRollbacks atomic.Int64
 
 	// key is the body PointFor interned here, 0 for none (under pointMu).
 	// guarded says pay is kept for it — real timing only — and evicted that
@@ -59,31 +54,22 @@ type pointState struct {
 	pay     payoff
 	guarded atomic.Bool
 	evicted atomic.Bool
-	// refusedNoPay counts the forks the pay-off guard refused, refusedNoProc
-	// those refused because every proc of the host had a working thread,
-	// coldJoins the joins pay was told of whose fork woke a parked worker
-	// (statistics).
+	// refusedNoPay counts the forks the pay-off guard refused, probes those
+	// it admitted while refusing, refusedNoProc those refused because every
+	// proc of the host had a working thread, coldJoins the joins pay was
+	// told of whose fork woke a parked worker (statistics).
 	refusedNoPay  atomic.Int64
+	probes        atomic.Int64
 	refusedNoProc atomic.Int64
 	coldJoins     atomic.Int64
 }
 
-// The adaptive fork heuristic sketched as future work in §VI ("different
-// automatic fork heuristics"): once a point has heuristicMinSamples
-// executions and a rollback rate above heuristicMaxRollbackRate, further
-// speculation on it is refused — the program runs that region
-// non-speculatively.
-const (
-	heuristicMinSamples      = 8
-	heuristicMaxRollbackRate = 0.5
-)
-
 // faultDisableThreshold is the number of contained faults (panics
-// converted to RollbackFault) after which a fork point is refused
-// regardless of AdaptiveForkHeuristic: repeated faults mean the region
-// faults on correct re-execution schedules too, and a deterministically
-// faulting kernel must degrade to (correct) sequential execution instead
-// of squash-looping.
+// converted to RollbackFault) after which a fork point is refused until the
+// body's next driver call or Recycle: repeated faults mean the region faults
+// on correct re-execution schedules too, and a deterministically faulting
+// kernel must degrade to (correct) sequential execution instead of
+// squash-looping.
 const faultDisableThreshold = 3
 
 // execOutcome is what observe learns about one finished execution.
@@ -96,7 +82,7 @@ type execOutcome struct {
 
 // observe folds one finished execution into the point and re-evaluates
 // whether the point may still fork.
-func (ps *pointState) observe(o execOutcome, adaptive bool) {
+func (ps *pointState) observe(o execOutcome) {
 	if o.committed {
 		ps.commits.Add(1)
 		ps.commitLatency.Add(int64(o.latency))
@@ -110,13 +96,6 @@ func (ps *pointState) observe(o execOutcome, adaptive bool) {
 	if o.fault && ps.faults.Add(1) >= faultDisableThreshold {
 		ps.disabled.Store(true)
 	}
-	if adaptive {
-		c := ps.commits.Load() - ps.windowCommits.Load()
-		r := ps.rollbacks.Load() - ps.windowRollbacks.Load()
-		if c+r >= heuristicMinSamples && float64(r)/float64(c+r) > heuristicMaxRollbackRate {
-			ps.disabled.Store(true)
-		}
-	}
 }
 
 // reset applies the struct's reset rule: the statistics for ResetStats, the
@@ -126,19 +105,16 @@ func (ps *pointState) reset(newCall bool) {
 		ps.faults.Store(0)
 		ps.wallEWMA.Store(0)
 		ps.disabled.Store(false)
-		ps.windowCommits.Store(ps.commits.Load())
-		ps.windowRollbacks.Store(ps.rollbacks.Load())
 		return
 	}
 	ps.refusedNoPay.Store(0)
+	ps.probes.Store(0)
 	ps.refusedNoProc.Store(0)
 	ps.coldJoins.Store(0)
 	ps.commits.Store(0)
 	ps.rollbacks.Store(0)
 	ps.commitLatency.Store(0)
 	ps.rollbackLatency.Store(0)
-	ps.windowCommits.Store(0)
-	ps.windowRollbacks.Store(0)
 }
 
 // point returns fork/join point p's state, or nil when p is no point id.
@@ -195,10 +171,9 @@ func (ps *pointState) estimate() *payoff {
 }
 
 // PointProfile reports a fork point's commits and rollbacks so far and
-// whether the point is disabled — by the adaptive heuristic or by repeated
-// faults. Unlike Stats, it is safe and meaningful to call from the
-// non-speculative thread in the middle of a Run; the counts accumulate
-// until ResetStats.
+// whether the point is disabled by repeated faults. Unlike Stats, it is safe
+// and meaningful to call from the non-speculative thread in the middle of a
+// Run; the counts accumulate until ResetStats.
 func (rt *Runtime) PointProfile(p int) (commits, rollbacks int64, disabled bool) {
 	ps := rt.point(p)
 	if ps == nil {

@@ -574,48 +574,3 @@ func TestTreeModelPreservesLaterSiblingsOnRollback(t *testing.T) {
 		}
 	})
 }
-
-func TestHeuristicDisablesRollbackHeavyPoint(t *testing.T) {
-	rt := newRT(t, 2, func(o *Options) {
-		o.AdaptiveForkHeuristic = true
-		o.RollbackProb = 1.0 // every execution rolls back
-	})
-	rt.Run(func(t0 *Thread) {
-		ranks := make([]Rank, 1)
-		forked := 0
-		for i := 0; i < 20; i++ {
-			h := t0.Fork(ranks, 0, Mixed)
-			if h == nil {
-				continue
-			}
-			forked++
-			h.Start(func(c *Thread) uint32 { return 0 })
-			t0.Join(ranks, 0)
-		}
-		// The worker folds each execution in before it publishes the
-		// verdict, so the joiner is refused at its very next Fork.
-		if forked != heuristicMinSamples {
-			t.Fatalf("100%%-rollback point forked %d times, want exactly the %d samples", forked, heuristicMinSamples)
-		}
-	})
-	if _, _, disabled := rt.PointProfile(0); !disabled {
-		t.Fatal("point not marked disabled")
-	}
-}
-
-func TestHeuristicKeepsHealthyPoint(t *testing.T) {
-	rt := newRT(t, 2, func(o *Options) {
-		o.AdaptiveForkHeuristic = true
-	})
-	rt.Run(func(t0 *Thread) {
-		ranks := make([]Rank, 1)
-		for i := 0; i < 20; i++ {
-			h := t0.Fork(ranks, 0, Mixed)
-			if h == nil {
-				t.Fatal("healthy point disabled")
-			}
-			h.Start(func(c *Thread) uint32 { return 0 })
-			t0.Join(ranks, 0)
-		}
-	})
-}

@@ -50,11 +50,6 @@ type Options struct {
 	// rollbacks.
 	Seed uint64
 
-	// AdaptiveForkHeuristic disables fork points whose observed rollback
-	// rate exceeds one half after eight executions (the paper's "different
-	// automatic fork heuristics" future work, §VI).
-	AdaptiveForkHeuristic bool
-
 	// SpecDeadline arms the runaway-speculation watchdog: a wall-clock
 	// floor on how long one speculative execution may run between polls. A
 	// mispredicted live-in can make a chunk loop essentially forever; the

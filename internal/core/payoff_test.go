@@ -56,39 +56,84 @@ func steady(inline, cost int64) func(int) simToken {
 	return func(int) simToken { return simToken{inline: inline, cost: cost, committed: true} }
 }
 
+// TestWindowMeanMatchesReference: the window's running sum and largest read
+// the same mean without the largest sample as one recomputed from the
+// samples it holds, after every add — while the ring fills, when the
+// largest is evicted (a descending run evicts it every time) and among equal
+// samples (eight distinct values).
+func TestWindowMeanMatchesReference(t *testing.T) {
+	for seed := int64(0); seed < 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var w window
+		var held []int64
+		for i := 0; i < 600; i++ {
+			var x int64
+			switch seed % 3 {
+			case 0:
+				x = 1000 * rng.Int63n(8)
+			case 1:
+				x = rng.Int63n(1 << 40)
+			default:
+				x = int64(600-i) * (1 + rng.Int63n(3))
+			}
+			if i%97 == 0 {
+				x = 1 << 41 // the largest until it is evicted
+			}
+			w.add(x)
+			if held = append(held, x); len(held) > len(w.ring) {
+				held = held[1:]
+			}
+			sum := int64(0)
+			for _, v := range held {
+				sum += v
+			}
+			want := sum
+			if len(held) > 1 {
+				want = (sum - slices.Max(held)) / int64(len(held)-1)
+			}
+			if got := w.mean(); got != want || int(w.n) != len(held) {
+				t.Fatalf("seed %d, sample %d: mean %d of %d samples, want %d of %d", seed, i, got, w.n, want, len(held))
+			}
+		}
+	}
+}
+
 // TestPayoffRefusesAndProbes: a 2.5 us region at 6 us a fork/join
 // (loop-memory's off-loaded stage) forks 32 times, and after that only on
-// the probe schedule: after 16 refusals, 32, ... 1 024, 1 024.
+// the probe schedule — after 32 refusals, 64, ... 1 024, 1 024 — with
+// probes of two forks: the second join has lost more than two gains.
 func TestPayoffRefusesAndProbes(t *testing.T) {
 	var pe payoff
 	got, _ := simulate(&pe, 0, 6000, steady(2500, 6000))
 	var want []int
-	for i := 1; i <= payoffMemory; i++ {
+	for i := 1; i <= payoffWindow; i++ {
 		want = append(want, i)
 	}
-	for at, gap := payoffMemory, payoffFirstProbe; ; gap = min(2*gap, payoffMaxProbe) {
-		if at += gap + 1; at >= 6000 {
+	for last, gap := payoffWindow, payoffWindow; ; gap = min(2*gap, payoffMaxProbe) {
+		at := last + gap + 1
+		if at+1 >= 6000 {
 			break
 		}
-		want = append(want, at)
+		want = append(want, at, at+1)
+		last = at + 1
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("forked at tokens %v, want %v", got, want)
 	}
-	if len(want) != payoffMemory+10 {
-		t.Fatalf("the schedule has %d probes in 6 000 tokens, want 10", len(want)-payoffMemory)
+	if len(want) != payoffWindow+2*9 {
+		t.Fatalf("the schedule has %d probe forks in 6 000 tokens, want 9 probes of 2", len(want)-payoffWindow)
 	}
 }
 
 // TestPayoffKeepsForkingWhatPays: regions that pay are never refused, not
 // by a quarter of the forks rolling back and not by the join that now and
-// then waits a whole chunk. The first row is loop-rollback as ISSUE 20
-// measured it (1.1 ms chunks, 45 us a fork/join, RollbackProb 0.25, one
-// join in 32 waiting 1.2 ms). The second is a small region that still pays,
-// where the same outlier is 25 times the region and only the clamp keeps it
-// out of the average. The third is the grey zone a margin would give away:
-// every fourth fork rolls back, so a fork buys 75 us on average, and at
-// 68 us it still pays.
+// then waits a whole chunk. The first row is loop-rollback as measured on
+// two vCPUs (1.1 ms chunks, 45 us a fork/join, RollbackProb 0.25, one join
+// in 32 waiting 1.2 ms). The second is a small region that still pays,
+// where the same outlier is 25 times the region: the window drops one of
+// its two and still pays with the other. The third is the grey zone a
+// margin would give away: every fourth fork rolls back, so a fork buys
+// 75 us on average, and at 68 us it still pays.
 func TestPayoffKeepsForkingWhatPays(t *testing.T) {
 	for _, tc := range []struct {
 		name                  string
@@ -116,9 +161,9 @@ func TestPayoffKeepsForkingWhatPays(t *testing.T) {
 					}
 					return tk
 				})
-				if refused != 0 || len(forked) < 9_999-9_999/payoffStale {
+				if refused != 0 || len(forked) < 9_999-9_999/(2*payoffWindow) {
 					t.Fatalf("seed %d: %d of 9 999 tokens forked, %d refused (inline %d gain %d cost %d)",
-						seed, len(forked), refused, pe.inline, pe.gain(), pe.cost)
+						seed, len(forked), refused, pe.inline.mean(), pe.gain(), pe.cost.mean())
 				}
 			}
 		})
@@ -128,46 +173,46 @@ func TestPayoffKeepsForkingWhatPays(t *testing.T) {
 // TestPayoffRollbacksBuyNothing: a 100 us region at 10 us a fork/join pays
 // ten times over when it commits and not at all when nineteen forks in
 // twenty roll back — booked as a gain that was not had, not as a cost that
-// was paid: the cost average stays what a fork/join costs, which is what
-// PerPoint reports and what the clamp protects.
+// was paid: the cost window stays what a fork/join costs, which is what
+// PerPoint reports.
 func TestPayoffRollbacksBuyNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var pe payoff
 	forked, _ := simulate(&pe, 0, 4000, func(int) simToken {
 		return simToken{inline: 100_000, cost: 10_000, committed: rng.Float64() >= 0.95}
 	})
-	if len(forked) > 400 || pe.gain() > 100_000/4 || pe.cost > 2*10_000 {
+	if len(forked) > 400 || pe.gain() > 100_000/4 || pe.cost.mean() > 2*10_000 {
 		t.Fatalf("%d of 4 000 tokens forked at a 95 %% rollback rate (gain %d cost %d): want few, a gain the rollbacks took away and a cost they left alone",
-			len(forked), pe.gain(), pe.cost)
+			len(forked), pe.gain(), pe.cost.mean())
 	}
 }
 
 // TestPayoffNoticesAGrownRegion: a refused region whose inline time grows
 // tenfold forks again long before its next probe comes due — the inline
-// executions a refused point keeps making are samples too, one in eight of
-// them — and stays forking.
+// executions a refused point keeps making are samples too, one in 32 of
+// them, and eleven of 64 outweigh the rest — and stays forking.
 func TestPayoffNoticesAGrownRegion(t *testing.T) {
 	var pe payoff
 	simulate(&pe, 0, 2200, steady(2500, 6000))
-	if !pe.noPay.Load() || pe.probe != payoffMaxProbe {
+	if !pe.noPay.Load() || pe.gap != payoffMaxProbe {
 		t.Fatalf("after 2 200 tokens: noPay %v, next probe after %d refusals; want a refusing entry at the end of its schedule",
-			pe.noPay.Load(), pe.probe)
+			pe.noPay.Load(), pe.gap)
 	}
-	forked, _ := simulate(&pe, 2200, 2500, steady(25_000, 6000))
-	if len(forked) == 0 || forked[0] > 2200+256 {
-		t.Fatalf("grown region forked at %v, want from within 256 tokens of token 2 200", forked)
+	forked, _ := simulate(&pe, 2200, 2700, steady(25_000, 6000))
+	if len(forked) == 0 || forked[0] > 2200+384 {
+		t.Fatalf("grown region forked at %v, want from within 384 tokens of token 2 200", forked)
 	}
-	if want := 2500 - forked[0]; len(forked) < want-want/payoffStale-1 || pe.noPay.Load() {
+	if want := 2700 - forked[0]; len(forked) < want-want/(2*payoffWindow)-1 || pe.noPay.Load() {
 		t.Fatalf("grown region forked %d of the %d tokens after its first fork", len(forked), want)
 	}
 }
 
 // TestPayoffRecoversFromABadSpell: while the host runs the two threads one
 // after the other every join waits for the whole child, and refusing is
-// right; once they run side by side again the first burst — forks that
-// cost a tenth of what they buy — is believed at once, not averaged in at
-// 1/32. (loop-rollback read 1.00x instead of 1.64x in one paired run of
-// five before a good probe was.)
+// right; once they run side by side again the first probe — forks that
+// cost a tenth of what they buy — fills half the window and outweighs the
+// spell. (loop-rollback read 1.00x instead of 1.64x in one paired run of
+// five while a verdict learned in a spell stood.)
 func TestPayoffRecoversFromABadSpell(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var pe payoff
@@ -182,13 +227,13 @@ func TestPayoffRecoversFromABadSpell(t *testing.T) {
 	}
 	simulate(&pe, 200, 400, chunk(1_300_000))
 	if !pe.noPay.Load() {
-		t.Fatalf("still forking after 200 joins that each waited a whole chunk (gain %d cost %d)", pe.gain(), pe.cost)
+		t.Fatalf("still forking after 200 joins that each waited a whole chunk (gain %d cost %d)", pe.gain(), pe.cost.mean())
 	}
 	forked, _ := simulate(&pe, 400, 1000, chunk(150_000))
 	if len(forked) == 0 || forked[0] > 400+2*payoffMaxProbe/16 || pe.noPay.Load() {
 		t.Fatalf("after the spell forked at %v..., noPay %v: want forking again from the first probe", forked[:min(len(forked), 4)], pe.noPay.Load())
 	}
-	if want := 1000 - forked[0]; len(forked) < want-want/payoffStale-1 {
+	if want := 1000 - forked[0]; len(forked) < want-want/(2*payoffWindow)-1 {
 		t.Fatalf("after the spell %d of %d tokens forked", len(forked), want)
 	}
 }
@@ -196,9 +241,9 @@ func TestPayoffRecoversFromABadSpell(t *testing.T) {
 // TestPayoffRefreshesAStaleInlineAverage: a stage whose only inline runs
 // were its two cold first tokens (36 us for 1 us of work) looks worth its
 // 3 us fork/join for ever, since a driver that commits every fork never runs
-// it inline again. One fork in payoffStale is refused so that it does, and
-// once the running mean has three dozen of those the verdict is the warm
-// region's.
+// it inline again. One fork after 2·payoffWindow joins is refused so that it
+// does, and once the inline window holds nineteen of those runs the one
+// cold run it does not drop no longer outweighs them.
 func TestPayoffRefreshesAStaleInlineAverage(t *testing.T) {
 	var pe payoff
 	forked, _ := simulate(&pe, 0, 4000, func(i int) simToken {
@@ -207,13 +252,13 @@ func TestPayoffRefreshesAStaleInlineAverage(t *testing.T) {
 		}
 		return simToken{inline: 1000, cost: 3000, committed: true}
 	})
-	if !pe.noPay.Load() || len(forked) > 36*payoffStale {
-		t.Fatalf("%d of 4 000 tokens forked, noPay %v (inline %d cost %d)", len(forked), pe.noPay.Load(), pe.inline, pe.cost)
+	if !pe.noPay.Load() || len(forked) > 36*2*payoffWindow {
+		t.Fatalf("%d of 4 000 tokens forked, noPay %v (inline %d cost %d)", len(forked), pe.noPay.Load(), pe.inline.mean(), pe.cost.mean())
 	}
 }
 
-// groupToken is loop-memory's {pass 2 + fold} group as ISSUE 25 measured it
-// on two vCPUs: 27 us inline; a warm fork/join at 9-14 us for half the
+// groupToken is loop-memory's {pass 2 + fold} group as measured on two
+// vCPUs: 27 us inline; a warm fork/join at 9-14 us for half the
 // joins, up to 24 us for the next quarter and up to 48 us for the last; a
 // cold one — its fork woke a worker the refusals parked — at 34-60 us.
 func groupToken(rng *rand.Rand) func(int) simToken {
@@ -233,11 +278,11 @@ func groupToken(rng *rand.Rand) func(int) simToken {
 
 // TestPayoffBurstsRejudgeOnWarmJoins: a group that learned its verdict in a
 // bad spell (every join 60 us) refuses; once the host runs the threads side
-// by side again a probe is a burst, judged on its warm joins — 19.5 us on
-// average against a 27 us gain — not on its cold first join nor on the
-// averages of the spell. Within three probe gaps (a burst whose cold join
-// alone lost more than the gain ends there) the group forks again, and
-// stays forking.
+// by side again a probe is a run of forks whose warm joins — 19.5 us on
+// average against a 27 us gain — replace the spell's in the window, and its
+// cold first join is the sample the window drops. Within three probe gaps
+// the group forks again, and stays forking: the 64-sample window does not
+// flip with the warm joins' spread.
 func TestPayoffBurstsRejudgeOnWarmJoins(t *testing.T) {
 	const resumed = 200 + 3*payoffMaxProbe
 	for seed := int64(0); seed < 20; seed++ {
@@ -249,21 +294,21 @@ func TestPayoffBurstsRejudgeOnWarmJoins(t *testing.T) {
 		}
 		simulate(&pe, 200, resumed, groupToken(rng))
 		if pe.noPay.Load() {
-			t.Fatalf("seed %d: still refusing %d tokens after the spell (gain %d, warm cost %d, cold %d)",
-				seed, resumed-200, pe.gain(), pe.cost, pe.coldCost)
+			t.Fatalf("seed %d: still refusing %d tokens after the spell (gain %d, cost %d)",
+				seed, resumed-200, pe.gain(), pe.cost.mean())
 		}
 		forked, refused := simulate(&pe, resumed, resumed+3000, groupToken(rng))
-		if refused != 0 || len(forked) < 3000-3000/payoffStale-1 {
+		if refused != 0 || len(forked) < 3000-3000/(2*payoffWindow)-1 {
 			t.Fatalf("seed %d: %d of 3 000 tokens forked, %d refused", seed, len(forked), refused)
 		}
 	}
 }
 
-// TestPayoffBurstsDoNoHarm: bursts must not talk a point whose warm forks
+// TestPayoffBurstsDoNoHarm: probes must not talk a point whose warm forks
 // lose into forking. Whether a fork loses steadily, with a cold first join
 // that loses little, or only on average (half the joins cost a third of the
-// gain, half two and a half times it), the probes — bursts included — cost
-// under 5 % of the attempts.
+// gain, half two and a half times it), the probes cost under 5 % of the
+// attempts.
 func TestPayoffBurstsDoNoHarm(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -286,7 +331,7 @@ func TestPayoffBurstsDoNoHarm(t *testing.T) {
 				const tokens = 10_000
 				forked, refused := simulate(&pe, 0, tokens, func(int) simToken { return tc.tk(rng) })
 				if 100*refused < 95*(tokens-1) {
-					t.Fatalf("seed %d: %d forks, %d of %d attempts refused (gain %d cost %d)", seed, len(forked), refused, tokens-1, pe.gain(), pe.charged())
+					t.Fatalf("seed %d: %d forks, %d of %d attempts refused (gain %d cost %d)", seed, len(forked), refused, tokens-1, pe.gain(), pe.cost.mean())
 				}
 			}
 		})
@@ -294,8 +339,8 @@ func TestPayoffBurstsDoNoHarm(t *testing.T) {
 }
 
 // TestPayoffOutlivesPointIDs: the estimate is a field of the body's
-// record — the same key finds it again, verdict, probe schedule and sample
-// count included, at the body's next driver call and after ResetStats and
+// record — the same key finds it again, verdict, probe schedule and
+// windows included, at the body's next driver call and after ResetStats and
 // Recycle, while what was a verdict on the call (disabled, faults) clears
 // every time. A second key has its own.
 func TestPayoffOutlivesPointIDs(t *testing.T) {
@@ -307,7 +352,7 @@ func TestPayoffOutlivesPointIDs(t *testing.T) {
 		t.Fatalf("the two bodies' estimates are %p and %p, want two distinct ones", e1, e2)
 	}
 	simulate(e1, 0, 100, steady(2500, 6000))
-	probe := e1.probe
+	gap, joins := e1.gap, e1.cost.n
 	if !e1.noPay.Load() || e2.noPay.Load() {
 		t.Fatalf("noPay %v / %v after refusing on the first key only", e1.noPay.Load(), e2.noPay.Load())
 	}
@@ -320,7 +365,7 @@ func TestPayoffOutlivesPointIDs(t *testing.T) {
 		{"Recycle", rt.Recycle},
 	} {
 		for i := 0; i < faultDisableThreshold; i++ {
-			rt.points[p1].observe(execOutcome{fault: true}, false)
+			rt.points[p1].observe(execOutcome{fault: true})
 		}
 		if _, _, disabled := rt.PointProfile(p1); !disabled {
 			t.Fatalf("%s: test setup: the faults did not disable the point", between.name)
@@ -332,9 +377,9 @@ func TestPayoffOutlivesPointIDs(t *testing.T) {
 		if _, _, disabled := rt.PointProfile(p1); disabled || rt.points[p1].faults.Load() != 0 {
 			t.Fatalf("after %s the call's verdict survived: disabled %v, %d faults", between.name, disabled, rt.points[p1].faults.Load())
 		}
-		if got := rt.points[p1].estimate(); got != e1 || !e1.noPay.Load() || e1.probe != probe || e1.joins != payoffMemory {
-			t.Fatalf("after %s the first key found estimate %p (noPay %v, probe %d, joins %d), want %p still refusing on its schedule",
-				between.name, got, e1.noPay.Load(), e1.probe, e1.joins, e1)
+		if got := rt.points[p1].estimate(); got != e1 || !e1.noPay.Load() || e1.gap != gap || e1.cost.n != joins || joins < payoffWindow {
+			t.Fatalf("after %s the first key found estimate %p (noPay %v, probe gap %d, joins %d), want %p still refusing on its schedule",
+				between.name, got, e1.noPay.Load(), e1.gap, e1.cost.n, e1)
 		}
 	}
 	if rt.points[NumPoints-1].estimate() != nil {
@@ -354,7 +399,7 @@ func TestPayoffInactiveUnderVirtualTiming(t *testing.T) {
 		if span := t0.StartInline(p); span != (InlineSpan{}) {
 			t.Errorf("StartInline measures under virtual timing: %+v", span)
 		}
-		for i := 0; i < 4*payoffMemory; i++ {
+		for i := 0; i < 4*payoffWindow; i++ {
 			ranks := make([]Rank, p+1)
 			h := t0.ForkBody(ranks, p, OutOfOrder)
 			if h == nil {
@@ -365,8 +410,8 @@ func TestPayoffInactiveUnderVirtualTiming(t *testing.T) {
 			t0.Join(ranks, p)
 		}
 	})
-	if ps := rt.Stats().PerPoint[p]; ps.Commits != 4*payoffMemory || ps.RefusedNoPay != 0 || ps.InlineNS != 0 || ps.CostNS != 0 {
-		t.Fatalf("PerPoint %+v, want %d commits and no estimate", ps, 4*payoffMemory)
+	if ps := rt.Stats().PerPoint[p]; ps.Commits != 4*payoffWindow || ps.RefusedNoPay != 0 || ps.InlineNS != 0 || ps.CostNS != 0 {
+		t.Fatalf("PerPoint %+v, want %d commits and no estimate", ps, 4*payoffWindow)
 	}
 }
 
@@ -378,8 +423,8 @@ const tinyBodyKey = uintptr(0x403000)
 // shape — fork the next chunk, run this one, join — whose body is a few
 // hundred nanoseconds learns within 32 joins that forking does not pay, and
 // from then on forks only to probe. The bound is the schedule's — 32 joins
-// to learn and 8 probes in the fork attempts 4 096 chunks make — and eight
-// to spare.
+// to learn and 8 probes in the fork attempts 4 096 chunks make, each of one
+// fork or two — with spare; Probes counts what exploring cost.
 func TestTinyLoopStopsForking(t *testing.T) {
 	const chunks = 4096
 	rt := newRT(t, 1, func(o *Options) { o.Timing = vclock.Real })
@@ -427,10 +472,11 @@ func TestTinyLoopStopsForking(t *testing.T) {
 	})
 	s := rt.Stats()
 	ps := s.PerPoint[0]
-	t.Logf("race %v: %d commits, %d rollbacks, %d refused; inline %d ns, gain %d ns, cost %d ns",
-		raceflag.Enabled, s.Commits, s.Rollbacks, ps.RefusedNoPay, ps.InlineNS, ps.GainNS, ps.CostNS)
-	if s.Commits+s.Rollbacks > 48 || ps.RefusedNoPay < chunks/2 {
-		t.Fatalf("%d forks and %d refusals in %d chunks, want at most 48 forks", s.Commits+s.Rollbacks, ps.RefusedNoPay, chunks)
+	t.Logf("race %v: %d commits, %d rollbacks, %d refused, %d probes; inline %d ns, gain %d ns, cost %d ns",
+		raceflag.Enabled, s.Commits, s.Rollbacks, ps.RefusedNoPay, ps.Probes, ps.InlineNS, ps.GainNS, ps.CostNS)
+	if s.Commits+s.Rollbacks > 48 || ps.RefusedNoPay < chunks/2 || ps.Probes > 16 {
+		t.Fatalf("%d forks (%d probes) and %d refusals in %d chunks, want at most 48 forks and 16 probes",
+			s.Commits+s.Rollbacks, ps.Probes, ps.RefusedNoPay, chunks)
 	}
 	if ps.InlineNS <= 0 || ps.CostNS <= ps.GainNS {
 		t.Fatalf("PerPoint %+v does not show the estimate that refused", ps)

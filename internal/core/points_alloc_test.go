@@ -41,7 +41,7 @@ func TestPointForEvictsForThe65thBody(t *testing.T) {
 			t.Fatalf("body %d interned at %d", i, p)
 		}
 	}
-	rt.points[0].observe(execOutcome{committed: true}, false)
+	rt.points[0].observe(execOutcome{committed: true})
 	rt.points[0].refusedNoPay.Add(3)
 	simulate(rt.points[0].estimate(), 0, 100, steady(2500, 6000))
 	if got := rt.Stats().PointsExhausted; got != 0 {
@@ -57,8 +57,8 @@ func TestPointForEvictsForThe65thBody(t *testing.T) {
 	if ps, ok := rt.Stats().PerPoint[0]; ok {
 		t.Fatalf("the evicted record kept its counts: %+v", ps)
 	}
-	if pe := rt.points[0].estimate(); pe.noPay.Load() || pe.joins != 0 || pe.inline != 0 || pe.probe != 0 {
-		t.Fatalf("the evicted record kept its estimate: noPay %v, joins %d, inline %d, probe %d", pe.noPay.Load(), pe.joins, pe.inline, pe.probe)
+	if pe := rt.points[0].estimate(); pe.noPay.Load() || pe.cost.n != 0 || pe.inline.n != 0 || pe.paid != 0 || pe.gap != 0 {
+		t.Fatalf("the evicted record kept its estimate: noPay %v, joins %d, inline runs %d, probe gap %d", pe.noPay.Load(), pe.cost.n, pe.inline.n, pe.gap)
 	}
 	if p := rt.PointFor(key(1)); p != 1 {
 		t.Fatalf("a body still in the table moved to %d", p)
@@ -72,31 +72,31 @@ func TestPointForEvictsForThe65thBody(t *testing.T) {
 	}
 }
 
-// TestPointForClearsTheCallVerdict: a point the adaptive fork heuristic
-// disabled during one call of a body comes back enabled, with a fresh sample
-// window, at the body's next call — otherwise one bad call would serialize
-// the loop for the life of the runtime. The counts stay until ResetStats.
+// TestPointForClearsTheCallVerdict: a point its faults disabled during one
+// call of a body comes back enabled, with its fault count cleared, at the
+// body's next call — otherwise one bad call would serialize the loop for the
+// life of the runtime. The counts stay until ResetStats.
 func TestPointForClearsTheCallVerdict(t *testing.T) {
 	rt := newRT(t, 1, nil)
 	p := rt.PointFor(0x401000)
-	for i := 0; i < heuristicMinSamples; i++ {
-		rt.points[p].observe(execOutcome{}, true)
+	for i := 0; i < faultDisableThreshold; i++ {
+		rt.points[p].observe(execOutcome{fault: true})
 	}
 	if _, _, disabled := rt.PointProfile(p); !disabled {
-		t.Fatal("rollback-heavy point was not disabled")
+		t.Fatal("faulting point was not disabled")
 	}
 	if again := rt.PointFor(0x401000); again != p {
 		t.Fatalf("the body moved from point %d to %d", p, again)
 	}
-	// The new call's first rollback is judged alone, not on top of the
-	// last call's.
-	rt.points[p].observe(execOutcome{}, true)
+	// The new call's first fault is counted alone, not on top of the last
+	// call's.
+	rt.points[p].observe(execOutcome{fault: true})
 	c, r, disabled := rt.PointProfile(p)
 	if disabled {
 		t.Fatal("the call inherited the previous call's verdict")
 	}
-	if c != 0 || r != heuristicMinSamples+1 {
-		t.Fatalf("the point's statistics: commits=%d rollbacks=%d, want 0/%d", c, r, heuristicMinSamples+1)
+	if c != 0 || r != faultDisableThreshold+1 {
+		t.Fatalf("the point's statistics: commits=%d rollbacks=%d, want 0/%d", c, r, faultDisableThreshold+1)
 	}
 }
 

@@ -47,6 +47,29 @@ func TestRunAfterClosePanicsLegacy(t *testing.T) {
 	rt.Run(func(t *Thread) {})
 }
 
+// TestRunPanicsWithTheRunError: Run panics with the error RunCtx returns —
+// a run CancelRun unwound with ErrCancelled, a closed runtime with ErrClosed
+// — not with one fixed message for both.
+func TestRunPanicsWithTheRunError(t *testing.T) {
+	recovered := func(rt *Runtime, fn func(*Thread)) (r any) {
+		defer func() { r = recover() }()
+		rt.Run(fn)
+		return nil
+	}
+	rt := newRT(t, 1, nil)
+	r := recovered(rt, func(t0 *Thread) {
+		rt.CancelRun()
+		t0.CancelPoint()
+	})
+	if err, ok := r.(error); !ok || !errors.Is(err, ErrCancelled) {
+		t.Fatalf("Run unwound by CancelRun panicked with %v, want ErrCancelled", r)
+	}
+	rt.Close()
+	if r := recovered(rt, func(*Thread) {}); r == nil || !errors.Is(r.(error), ErrClosed) {
+		t.Fatalf("Run on a closed runtime panicked with %v, want ErrClosed", r)
+	}
+}
+
 // TestRunCtxPreCancelled: an already-expired context never starts the run.
 func TestRunCtxPreCancelled(t *testing.T) {
 	rt := newRT(t, 1, nil)

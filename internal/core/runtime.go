@@ -447,18 +447,15 @@ func (rt *Runtime) CPULimit() int { return int(rt.cpuLimit.Load()) }
 // Run executes fn as the non-speculative thread and returns the paper's
 // TN: the critical-path runtime (virtual units or nanoseconds). Any
 // speculative threads still outstanding when fn returns are squashed, as the
-// paper's runtime does at program exit. Run panics on a closed runtime, and
-// re-raises a kernel panic as the typed *KernelPanic (after the run has
-// drained — the runtime stays reusable) — the error-reporting form is
-// RunCtx (which the public mutls façade uses).
+// paper's runtime does at program exit. Run panics with RunCtx's error: the
+// typed *KernelPanic of a kernel panic (after the run has drained — the
+// runtime stays reusable), ErrClosed on a closed runtime, ErrCancelled for a
+// run CancelRun unwound. The error-reporting form is RunCtx (which the
+// public mutls façade uses).
 func (rt *Runtime) Run(fn func(t *Thread)) vclock.Cost {
 	c, err := rt.RunCtx(context.Background(), fn)
 	if err != nil {
-		var kp *KernelPanic
-		if errors.As(err, &kp) {
-			panic(kp)
-		}
-		panic("core: Run on closed runtime")
+		panic(err)
 	}
 	return c
 }
@@ -681,17 +678,18 @@ func (rt *Runtime) Stats() *stats.Summary {
 		pe := ps.estimate()
 		// A Pipeline stage fused into a group forks nowhere, but its inline
 		// time is what cut the group.
-		if commits+rollbacks+noPay+noProc > 0 || pe != nil && pe.inlines > 0 {
+		if commits+rollbacks+noPay+noProc > 0 || pe != nil && pe.inline.n > 0 {
 			pt := stats.PointStats{
 				Commits:       int(commits),
 				Rollbacks:     int(rollbacks),
 				Runtime:       ps.commitLatency.Load() + ps.rollbackLatency.Load(),
 				RefusedNoPay:  int(noPay),
+				Probes:        int(ps.probes.Load()),
 				RefusedNoProc: int(noProc),
 				ColdJoins:     int(ps.coldJoins.Load()),
 			}
 			if pe != nil {
-				pt.InlineNS, pt.GainNS, pt.CostNS = pe.inline, pe.gain(), pe.charged()
+				pt.InlineNS, pt.GainNS, pt.CostNS = pe.inline.mean(), pe.gain(), pe.cost.mean()
 			}
 			s.PerPoint[p] = pt
 			s.RefusedNoProc += noProc
@@ -981,7 +979,7 @@ func (rt *Runtime) runSpec(c *cpu, task specTask) {
 		fault:     out.reason == RollbackFault,
 		latency:   now - execStart,
 		wallNS:    wallNS,
-	}, rt.opts.AdaptiveForkHeuristic)
+	})
 	if verdict != validNull {
 		// The parent adopts children, copies locals and reclaims the CPU
 		// from here on; the rest is this worker's own housekeeping.

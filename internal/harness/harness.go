@@ -492,11 +492,10 @@ func (h *Harness) Fig11(out io.Writer) error {
 
 // Payoff prints the pay-off estimate (stats.PointStats) of every fork point
 // that has one, over the speculative runs measured so far: what the guard
-// in core saw when it kept a point forking or stopped it, how many forks
-// found no free proc, and how many joins were cold (their fork woke a
-// parked worker) — whether a refusing point refuses on what a cold fork
-// costs or on what a warm one does. Real timing only;
-// under virtual timing there are no estimates and nothing is printed.
+// in core saw when it kept a point forking or stopped it, how many forks it
+// let through as probes while refusing, how many found no free proc, and
+// how many joins were cold (their fork woke a parked worker). Real timing
+// only; under virtual timing there are no estimates and nothing is printed.
 func (h *Harness) Payoff(out io.Writer) error {
 	keys := make([]string, 0, len(h.spec))
 	for k := range h.spec {
@@ -504,7 +503,7 @@ func (h *Harness) Payoff(out io.Writer) error {
 	}
 	sort.Strings(keys)
 	tw := newTab(out)
-	fmt.Fprintln(tw, "run (workload/variant/CPUs/model/rollback)\tpoint\tcommits\trollbacks\trefused\tno proc\tinline ns\tgain ns\tcost ns\tcold joins")
+	fmt.Fprintln(tw, "run (workload/variant/CPUs/model/rollback)\tpoint\tcommits\trollbacks\trefused\tprobes\tno proc\tinline ns\tgain ns\tcost ns\tcold joins")
 	rows := 0
 	for _, k := range keys {
 		s := h.spec[k].Summary
@@ -513,14 +512,14 @@ func (h *Harness) Payoff(out io.Writer) error {
 			if ps.RefusedNoPay == 0 && ps.RefusedNoProc == 0 && ps.CostNS == 0 {
 				continue
 			}
-			fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n", k, p, ps.Commits, ps.Rollbacks, ps.RefusedNoPay, ps.RefusedNoProc, ps.InlineNS, ps.GainNS, ps.CostNS, ps.ColdJoins)
+			fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n", k, p, ps.Commits, ps.Rollbacks, ps.RefusedNoPay, ps.Probes, ps.RefusedNoProc, ps.InlineNS, ps.GainNS, ps.CostNS, ps.ColdJoins)
 			rows++
 		}
 	}
 	if rows == 0 {
 		return nil
 	}
-	fmt.Fprintln(out, "Pay-off estimates per fork point (refused: forks the do-no-harm guard turned down; no proc: forks refused because every proc of the host was working)")
+	fmt.Fprintln(out, "Pay-off estimates per fork point (refused: forks the do-no-harm guard turned down; probes: forks it let through while refusing; no proc: forks refused because every proc of the host was working)")
 	return tw.Flush()
 }
 

@@ -188,12 +188,13 @@ func (s *Server) Faults() int64 { return s.faults.Load() }
 
 // PointCounts is one fork point's pay-off guard activity in /stats' points
 // block: its joins, how many of them were cold — their fork woke a parked
-// worker — and the forks the guard refused. A point that refuses while most
-// of its joins are cold refuses on what a cold fork costs.
+// worker — the forks the guard refused, and the probes it let through while
+// refusing (what finding out whether forking pays again costs).
 type PointCounts struct {
 	Joins        int64 `json:"joins"`
 	ColdJoins    int64 `json:"cold_joins"`
 	RefusedNoPay int64 `json:"refused_no_pay"`
+	Probes       int64 `json:"probes"`
 }
 
 // absorbStats folds what the leased runtime counted for this request into
@@ -216,6 +217,7 @@ func (s *Server) absorbStats(st *mutls.Summary) {
 		c.Joins += int64(ps.Commits + ps.Rollbacks)
 		c.ColdJoins += int64(ps.ColdJoins)
 		c.RefusedNoPay += int64(ps.RefusedNoPay)
+		c.Probes += int64(ps.Probes)
 		s.points[p] = c
 	}
 }

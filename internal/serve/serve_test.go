@@ -168,7 +168,7 @@ func TestStatsAndHealthz(t *testing.T) {
 // and the guard's per-point joins outlive the per-request recycle — every
 // speculating request waits at least once per fork/join, each wait ends as
 // a spin hit or a park, each join lands in its point's block, cold or
-// warm, and every commit was validated.
+// warm, with the probes among them, and every commit was validated.
 func TestStatsCarriesHandoffCounters(t *testing.T) {
 	_, ts := testServer(t, pool.Options{Runtimes: 1, HostBudget: 2, Runtime: mutls.Options{CPUs: 2}})
 	var r RunResponse
@@ -195,13 +195,22 @@ func TestStatsCarriesHandoffCounters(t *testing.T) {
 	}
 	joins := int64(0)
 	for _, pc := range st.Points {
-		if pc.ColdJoins > pc.Joins {
-			t.Errorf("/stats points %v: more cold joins than joins", st.Points)
+		if pc.ColdJoins > pc.Joins || pc.Probes > pc.Joins {
+			t.Errorf("/stats points %v: more cold joins or probes than joins", st.Points)
 		}
 		joins += pc.Joins
 	}
 	if joins < r.Commits+r.Rollbacks {
 		t.Errorf("/stats points %v hold %d joins for a request with %d commits and %d rollbacks", st.Points, joins, r.Commits, r.Rollbacks)
+	}
+	var raw struct {
+		Points map[string]map[string]json.Number `json:"points"`
+	}
+	getJSON(t, ts.URL+"/stats", http.StatusOK, &raw)
+	for p, keys := range raw.Points {
+		if _, ok := keys["probes"]; !ok {
+			t.Errorf("/stats points[%s] = %v lacks probes", p, keys)
+		}
 	}
 }
 

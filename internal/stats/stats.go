@@ -247,16 +247,18 @@ type PointStats struct {
 
 	// RefusedNoPay counts the forks the pay-off guard refused: the point's
 	// region costs the joining thread less to run inline than a fork/join
-	// does. The three averages are the estimate of the body the point stands
-	// for as it is now, in nanoseconds on the non-speculative thread's clock
-	// (they outlive ResetStats, like the verdict they explain): the region
-	// run inline, what a fork bought (the inline time of everything the fork
-	// runs — a Pipeline group's stages together — times the share of joins
-	// that committed) and what a fork/join cost, as the verdict weighs it.
-	// ColdJoins counts the joins whose fork woke a parked worker: they are
-	// averaged apart, so a point that refuses while most of its joins are
-	// cold refuses on the cold average. All zero under virtual timing.
+	// does. Probes counts the forks it let through while refusing, to see
+	// whether forking pays again: what exploring costs. The three averages
+	// are the estimate of the body the point stands for as it is now, in
+	// nanoseconds on the non-speculative thread's clock (they outlive
+	// ResetStats, like the verdict they explain): the region run inline,
+	// what a fork bought (the inline time of everything the fork runs — a
+	// Pipeline group's stages together — times the share of joins that
+	// committed) and what a fork/join cost; each is the mean of the last 64
+	// samples without the largest. ColdJoins counts the joins whose fork
+	// woke a parked worker. All zero under virtual timing.
 	RefusedNoPay             int
+	Probes                   int
 	InlineNS, GainNS, CostNS int64
 	ColdJoins                int
 

@@ -155,7 +155,7 @@ func bodyKey(body any) uintptr { return reflect.ValueOf(body).Pointer() }
 // key is the caller's body (bodyKey), body its chunk-range form.
 func driveChunks(t *Thread, chunks int, model Model, poll int, key uintptr, bounds func(seq int) (lo, hi int), body func(c *Thread, lo, hi int)) {
 	rt := t.Runtime()
-	// The body's own fork/join point: its profile and fork heuristic never
+	// The body's own fork/join point: its profile and pay-off estimate never
 	// mix with those of a different body's loop nested in this one.
 	point := rt.PointFor(key)
 	// inline runs a chunk on this thread, timed: what forking it is worth.

@@ -192,10 +192,6 @@ type Options struct {
 	// fixed-size accumulators, so there is nothing left for it to enable.
 	CollectStats bool
 
-	// AdaptiveForkHeuristic disables fork points whose observed rollback
-	// rate exceeds the threshold (§VI).
-	AdaptiveForkHeuristic bool
-
 	// SpecDeadline arms the runaway-speculation watchdog: a wall-clock
 	// floor on how long one speculative chunk may run between CheckPoint
 	// polls before it is squashed (RollbackDeadline, counted in
@@ -213,14 +209,13 @@ type Options struct {
 // coreOptions lowers the façade options onto core.Options.
 func (o Options) coreOptions() core.Options {
 	co := core.Options{
-		NumCPUs:               o.CPUs,
-		Timing:                o.Timing,
-		Cost:                  o.Cost,
-		RollbackProb:          o.RollbackProb,
-		Seed:                  o.Seed,
-		AdaptiveForkHeuristic: o.AdaptiveForkHeuristic,
-		SpecDeadline:          o.SpecDeadline,
-		FaultPlan:             o.FaultPlan,
+		NumCPUs:      o.CPUs,
+		Timing:       o.Timing,
+		Cost:         o.Cost,
+		RollbackProb: o.RollbackProb,
+		Seed:         o.Seed,
+		SpecDeadline: o.SpecDeadline,
+		FaultPlan:    o.FaultPlan,
 	}
 	if o.StaticBytes != 0 || o.HeapBytes != 0 || o.StackBytes != 0 {
 		// Unset sizes keep the core defaults.

@@ -65,7 +65,7 @@ type PipelineOptions struct {
 // returns the final live-out word. With W speculative CPUs (the runtime's
 // CPU limit) the stages are cut into W + 1 contiguous groups of
 // nearest-equal inline time, as measured under real timing and cut again
-// when a time moves past the pay-off guard's resume band. For every token
+// when a stage's time leaves ¾–4⁄3 of what it was cut on. For every token
 // the first group executes on the non-speculative thread while each later
 // group is forked at its first stage's point, from a predicted live-in, and
 // joined in order, validating the prediction against the actual upstream
@@ -162,6 +162,9 @@ func pipeline(t *Thread, nTokens int, init uint64, opts PipelineOptions, keyed b
 	for token := 0; token < nTokens; token++ {
 		// Cooperative cancellation between tokens (see For).
 		t.CancelPoint()
+		// A stage's inline time moves by a third with the host's fast and
+		// slow spells (loop-memory's pass 2: 9.5-15 us); the cut follows a
+		// move past that band, not every sample.
 		moved := false
 		for s, p := range points {
 			w := t.InlineNS(p)
