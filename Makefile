@@ -30,15 +30,17 @@ race:
 # schedule tests and TestTinyLoopStopsForking, TestForkAdmissionFollowsTheProcs,
 # TestForkAdmissionOffOnOneProc, TestRunCountsSurviveGoexit, the PointFor
 # tests, the sole-committer commit's TestCommitPathsKeepEquivalence and
-# TestSiblingReadBeforeACommitRollsBack, and the region-entry snapshot's
-# TestWriteDuringRegionRollsBack among them — the guard's,
-# the stage groups' and the fork points' driver tests in mutls, the pool's
+# TestSiblingReadBeforeACommitRollsBack, the region-entry snapshot's
+# TestWriteDuringRegionRollsBack, and the polls' TestCtxCancelUnwindsAtTheNextPoll,
+# TestRunCtxCancelMidRun, TestNoGoroutineBesidesTheWorkers and
+# TestWatchdogKillsRunaway among them — the guard's, the stage groups', the
+# fork points' and Tree's cancellation driver tests in mutls, the pool's
 # two-lease test, Do's release on return, error and panic and its refusals,
 # and Acquire's refusal of a done context), then the pool and the serving
 # layer once more at the host's own width.
 race-repeat:
 	$(GO) test -race -count=2 -cpu 1,2,4 ./internal/core
-	$(GO) test -race -count=2 -cpu 1,2,4 -run 'TinyBodies|GuardInactive|ForksOneBalancedGroup|PipelineRarelyParks|GroupsKeepTheirOwn|CutStages|DriversStartedOnSpeculative|DriverRunsUseDistinct' ./mutls
+	$(GO) test -race -count=2 -cpu 1,2,4 -run 'TinyBodies|GuardInactive|ForksOneBalancedGroup|PipelineRarelyParks|GroupsKeepTheirOwn|CutStages|DriversStartedOnSpeculative|DriverRunsUseDistinct|TreeCancelUnwinds' ./mutls
 	$(GO) test -race -count=2 -cpu 1,2,4 -run 'ConcurrentLeasesDoNotForkPastTheProcs|PoolDoReleasesOnEveryPath|PoolDoRefusesWithoutCallingFn|PoolAcquireContext' ./mutls/pool
 	$(GO) test -race -count=2 ./mutls/pool ./internal/serve
 
@@ -101,7 +103,7 @@ chaos:
 # PR that grows the tree has to raise the number here, in its own diff.
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l); \
-	echo "non-test Go outside benchmark/ and testdata/: $$n lines (ceiling 16349, target 16500)"; \
+	echo "non-test Go outside benchmark/ and testdata/: $$n lines (ceiling 16261, target 16500)"; \
 	v=$$(find internal/analysis cmd/mutls-vet -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l); \
 	echo "  of which internal/analysis + cmd/mutls-vet: $$v lines"; \
-	if [ $$n -gt 16349 ]; then echo "code size is over the ceiling: shrink, or raise it in the Makefile" >&2; exit 1; fi
+	if [ $$n -gt 16261 ]; then echo "code size is over the ceiling: shrink, or raise it in the Makefile" >&2; exit 1; fi

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/gbuf"
@@ -30,6 +31,17 @@ func newRT(t testing.TB, cpus int, tweak func(*Options)) *Runtime {
 	}
 	t.Cleanup(rt.Close)
 	return rt
+}
+
+// Run is RunCtx under context.Background for the suite's bare call sites.
+// It panics with the run's error, so a kernel panic or a run on a closed
+// runtime still fails the calling test.
+func (rt *Runtime) Run(fn func(t *Thread)) vclock.Cost {
+	c, err := rt.RunCtx(context.Background(), fn)
+	if err != nil {
+		panic(err)
+	}
+	return c
 }
 
 func TestNewRuntimeValidation(t *testing.T) {

@@ -84,24 +84,6 @@ func TestKernelPanicContained(t *testing.T) {
 	}
 }
 
-// TestRunRepanicsKernelPanicTyped: the panicking Run form re-raises the
-// contained fault as the typed *KernelPanic so callers can distinguish a
-// kernel fault from a runtime bug.
-func TestRunRepanicsKernelPanicTyped(t *testing.T) {
-	rt := newRT(t, 2, nil)
-	defer func() {
-		kp, ok := recover().(*KernelPanic)
-		if !ok {
-			t.Fatal("Run did not re-panic with *KernelPanic")
-		}
-		if !strings.Contains(kp.Error(), "typed boom") {
-			t.Errorf("re-panic message %q", kp.Error())
-		}
-	}()
-	rt.Run(func(t0 *Thread) { panic("typed boom") })
-	t.Fatal("Run returned normally")
-}
-
 // TestPanicThroughOpenForkWindow: a kernel panic between Fork and Start
 // unwinds through an open fork window; the claimed CPU must be abandoned
 // (or the drain hangs) and remain usable for the next run.
@@ -168,8 +150,8 @@ func TestRepeatedFaultsDisablePoint(t *testing.T) {
 }
 
 // TestWatchdogKillsRunaway: a speculative region that outlives
-// Options.SpecDeadline is squashed at its next poll with RollbackDeadline
-// and counted as a watchdog kill.
+// Options.SpecDeadline is squashed at its first poll past the deadline with
+// RollbackDeadline and counted as a watchdog kill.
 func TestWatchdogKillsRunaway(t *testing.T) {
 	rt := newRT(t, 1, func(o *Options) { o.SpecDeadline = 2 * time.Millisecond })
 	rt.Run(func(t0 *Thread) {

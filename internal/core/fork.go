@@ -107,7 +107,7 @@ func (t *Thread) forkAt(ranks []Rank, p int, model Model, guarded bool) *ForkHan
 			return nil
 		}
 	}
-	if t.rt.cancelled.Load() {
+	if t.rt.stopped() {
 		// A cancelled run stops growing its speculative frontier: the
 		// remaining work runs sequentially until a CancelPoint unwinds it.
 		return nil

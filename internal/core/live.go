@@ -10,7 +10,7 @@ import (
 // struct per fork/join point, updated once per finished speculative
 // execution by the worker that ran it (the fold in runSpec) and read by
 // everything that asks about a point — PointProfile, Summary.PerPoint, the
-// fault threshold in Fork and the watchdog's deadline stretch. A read taken
+// fault threshold in Fork and the runaway deadline's stretch. A read taken
 // right after Join returns is guaranteed to include the joined execution:
 // the worker folds it in before it publishes the verdict the join waits for.
 // The cost is a handful of uncontended atomic adds per execution and
@@ -42,7 +42,8 @@ type pointState struct {
 	// faultDisableThreshold the point is disabled.
 	faults atomic.Int64
 	// wallEWMA averages the regions' wall time in nanoseconds (alpha 1/8),
-	// kept only while the watchdog runs: it stretches the point's deadline.
+	// kept only when SpecDeadline is set: runSpec stretches the deadline of
+	// the point's next executions with it.
 	wallEWMA atomic.Int64
 	// disabled refuses further forks on the point (Fork reads it).
 	disabled atomic.Bool
@@ -77,7 +78,7 @@ type execOutcome struct {
 	committed bool
 	fault     bool        // the region panicked
 	latency   vclock.Cost // occupied interval, fork to verdict
-	wallNS    int64       // region wall time; 0 when the watchdog is off
+	wallNS    int64       // region wall time; 0 when SpecDeadline is off
 }
 
 // observe folds one finished execution into the point and re-evaluates
@@ -173,7 +174,7 @@ func (ps *pointState) estimate() *payoff {
 // PointProfile reports a fork point's commits and rollbacks so far and
 // whether the point is disabled by repeated faults. Unlike Stats, it is safe
 // and meaningful to call from the non-speculative thread in the middle of a
-// Run; the counts accumulate until ResetStats.
+// run; the counts accumulate until ResetStats.
 func (rt *Runtime) PointProfile(p int) (commits, rollbacks int64, disabled bool) {
 	ps := rt.point(p)
 	if ps == nil {

@@ -107,9 +107,8 @@ const (
 	// converted into a squash instead of crashing the process. The joining
 	// thread re-executes the chunk non-speculatively.
 	RollbackFault
-	// RollbackDeadline is a runaway-speculation kill: the watchdog observed
-	// the execution exceeding its fork point's deadline and flagged it; the
-	// thread rolled back at its next CheckPoint poll.
+	// RollbackDeadline is a runaway-speculation kill: a CheckPoint poll
+	// found the execution past its fork point's deadline (SpecDeadline).
 	RollbackDeadline
 )
 

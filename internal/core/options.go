@@ -50,17 +50,16 @@ type Options struct {
 	// rollbacks.
 	Seed uint64
 
-	// SpecDeadline arms the runaway-speculation watchdog: a wall-clock
-	// floor on how long one speculative execution may run between polls. A
-	// mispredicted live-in can make a chunk loop essentially forever; the
-	// watchdog flags such executions and their next CheckPoint poll rolls
-	// them back (RollbackDeadline, counted in Summary.Faults). The
-	// effective per-fork-point deadline is the larger of SpecDeadline and
-	// 8x the point's observed mean chunk latency, so a configured floor
-	// never kills a point whose chunks are legitimately slow. Zero (the
-	// default) disables the watchdog entirely — no goroutine is started.
-	// Regions that loop without polling CheckPoint are beyond the
-	// watchdog's reach (the pollcheck analyzer flags those statically).
+	// SpecDeadline bounds runaway speculation: a wall-clock floor on how
+	// long one speculative execution may run. A mispredicted live-in can
+	// make a chunk loop essentially forever; the first CheckPoint poll past
+	// the execution's deadline rolls it back (RollbackDeadline, counted in
+	// Summary.Faults as a watchdog kill). The deadline is fixed at region
+	// entry: the larger of SpecDeadline and 8x the point's observed mean
+	// chunk latency, so a configured floor never kills a point whose chunks
+	// are legitimately slow. Zero (the default) disables it. Regions that
+	// loop without polling CheckPoint are beyond its reach (the pollcheck
+	// analyzer flags those statically).
 	SpecDeadline time.Duration
 
 	// FaultPlan wires the deterministic fault-injection plane into the

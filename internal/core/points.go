@@ -1,6 +1,8 @@
 package core
 
 import (
+	"time"
+
 	"repro/internal/faultinject"
 	"repro/internal/mem"
 	"repro/internal/vclock"
@@ -20,10 +22,9 @@ func (t *Thread) CheckPoint() bool {
 	t.injectAt(faultinject.SitePoll)
 	cost := t.clock.Model
 	t.clock.Charge(vclock.Work, cost.CheckPointCost)
-	if t.cpu.deadlineHit.Load() {
-		// The watchdog flagged this execution as runaway: roll back here,
-		// at the poll — the one place a flag-based squash can interrupt a
-		// speculative thread without preemption.
+	if d := t.cpu.deadline; d != 0 && time.Now().UnixNano() > d {
+		// A runaway: roll back here, at the poll — the one place a squash
+		// can interrupt a speculative thread without preemption.
 		t.rt.collector.CountWatchdogKill()
 		t.rollbackNow(RollbackDeadline)
 	}
@@ -131,17 +132,17 @@ func (t *Thread) Rollback() {
 
 // CancelPoint is the cooperative cancellation poll of the driving,
 // non-speculative thread — the service-mode analogue of CheckPoint. If
-// the run has been cancelled it unwinds the non-speculative thread back
-// to RunCtx, which squashes outstanding speculation through the normal
-// drain and reports the context's error. On a speculative thread it is a
-// no-op: speculative work is reclaimed by the drain's NOSYNC cascade, not
-// by unwinding.
+// the run has been cancelled (CancelRun, or the run's context is done) it
+// unwinds the non-speculative thread back to RunCtx, which squashes
+// outstanding speculation through the normal drain and reports the
+// context's error. On a speculative thread it is a no-op: speculative work
+// is reclaimed by the drain's NOSYNC cascade, not by unwinding.
 func (t *Thread) CancelPoint() {
 	if t.speculative {
 		return
 	}
 	t.injectAt(faultinject.SitePoll)
-	if t.rt.cancelled.Load() {
+	if t.rt.stopped() {
 		panic(cancelSignal{})
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -34,42 +35,6 @@ func TestRunAfterCloseTypedError(t *testing.T) {
 	}
 }
 
-// TestRunAfterClosePanicsLegacy: the internal Run keeps its documented
-// panic contract for the core test suite's bare call sites.
-func TestRunAfterClosePanicsLegacy(t *testing.T) {
-	rt := newRT(t, 1, nil)
-	rt.Close()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Run on closed runtime did not panic")
-		}
-	}()
-	rt.Run(func(t *Thread) {})
-}
-
-// TestRunPanicsWithTheRunError: Run panics with the error RunCtx returns —
-// a run CancelRun unwound with ErrCancelled, a closed runtime with ErrClosed
-// — not with one fixed message for both.
-func TestRunPanicsWithTheRunError(t *testing.T) {
-	recovered := func(rt *Runtime, fn func(*Thread)) (r any) {
-		defer func() { r = recover() }()
-		rt.Run(fn)
-		return nil
-	}
-	rt := newRT(t, 1, nil)
-	r := recovered(rt, func(t0 *Thread) {
-		rt.CancelRun()
-		t0.CancelPoint()
-	})
-	if err, ok := r.(error); !ok || !errors.Is(err, ErrCancelled) {
-		t.Fatalf("Run unwound by CancelRun panicked with %v, want ErrCancelled", r)
-	}
-	rt.Close()
-	if r := recovered(rt, func(*Thread) {}); r == nil || !errors.Is(r.(error), ErrClosed) {
-		t.Fatalf("Run on a closed runtime panicked with %v, want ErrClosed", r)
-	}
-}
-
 // TestRunCtxPreCancelled: an already-expired context never starts the run.
 func TestRunCtxPreCancelled(t *testing.T) {
 	rt := newRT(t, 1, nil)
@@ -86,8 +51,8 @@ func TestRunCtxPreCancelled(t *testing.T) {
 }
 
 // TestRunCtxCancelMidRun: cancelling the context mid-run unwinds the
-// non-speculative thread at its next CancelPoint, returns the context's
-// error, and leaves the runtime reusable.
+// non-speculative thread at its very next CancelPoint, returns the
+// context's error, and leaves the runtime reusable.
 func TestRunCtxCancelMidRun(t *testing.T) {
 	rt := newRT(t, 2, nil)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -97,11 +62,6 @@ func TestRunCtxCancelMidRun(t *testing.T) {
 			if i == 3 {
 				cancel()
 			}
-			if i > 3 {
-				// The watcher goroutine relays the cancel asynchronously;
-				// poll until it lands.
-				time.Sleep(100 * time.Microsecond)
-			}
 			t.CancelPoint()
 			iters++
 		}
@@ -109,12 +69,60 @@ func TestRunCtxCancelMidRun(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if iters < 3 {
-		t.Fatalf("run unwound before the cancel was issued (iters=%d)", iters)
+	if iters != 3 {
+		t.Fatalf("run unwound after %d iterations, want 3: at the first poll after the cancel", iters)
 	}
 	// The runtime drained and is reusable.
 	if _, err := rt.RunCtx(context.Background(), func(t *Thread) {}); err != nil {
 		t.Fatalf("runtime unusable after cancelled run: %v", err)
+	}
+}
+
+// TestCtxCancelUnwindsAtTheNextPoll: a context cancelled before the run's
+// first Fork or poll is seen by both — the Fork refuses and the first
+// CancelPoint unwinds.
+func TestCtxCancelUnwindsAtTheNextPoll(t *testing.T) {
+	rt := newRT(t, 2, nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	polls, forked := 0, false
+	_, err := rt.RunCtx(ctx, func(t0 *Thread) {
+		cancel()
+		ranks := make([]Rank, 1)
+		if h := t0.Fork(ranks, 0, Mixed); h != nil {
+			forked = true
+			h.Start(func(c *Thread) uint32 { return 0 })
+			t0.Join(ranks, 0)
+		}
+		for polls < 1000 {
+			polls++
+			t0.CancelPoint()
+		}
+	})
+	if !errors.Is(err, context.Canceled) || polls != 1 || forked {
+		t.Fatalf("err=%v polls=%d forked=%v, want context.Canceled at the first poll and no fork", err, polls, forked)
+	}
+}
+
+// TestNoGoroutineBesidesTheWorkers: a runtime runs one goroutine per
+// virtual CPU and nothing else — not for SpecDeadline, and not for a run
+// under a context that can be cancelled. The counts are upper bounds: a
+// worker of an earlier test's closed runtime may still be exiting, which
+// only lowers them.
+func TestNoGoroutineBesidesTheWorkers(t *testing.T) {
+	before := runtime.NumGoroutine()
+	rt := newRT(t, 2, func(o *Options) { o.SpecDeadline = time.Second })
+	if n := runtime.NumGoroutine() - before; n > 2 {
+		t.Fatalf("NewRuntime started %d goroutines, want its 2 workers only", n)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	before = runtime.NumGoroutine()
+	during := 0
+	if _, err := rt.RunCtx(ctx, func(*Thread) { during = runtime.NumGoroutine() }); err != nil {
+		t.Fatal(err)
+	}
+	if n := during - before; n > 0 {
+		t.Fatalf("RunCtx under a cancellable context started %d goroutines", n)
 	}
 }
 

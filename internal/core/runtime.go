@@ -213,15 +213,10 @@ type cpu struct {
 	snap    uint64
 	dirtyFn func(base mem.Addr, nBytes int) bool
 
-	// Watchdog scan surface (SpecDeadline > 0 only). wallStart is the
-	// wall-clock unixnano at which the current execution entered its
-	// region, 0 while the CPU runs no region; specPoint mirrors td.point
-	// atomically so the watchdog can read it without racing the next
-	// fork's plain write. deadlineHit is the squash flag the watchdog
-	// flips and CheckPoint polls; runSpec clears it at region entry.
-	wallStart   atomic.Int64
-	specPoint   atomic.Int32
-	deadlineHit atomic.Bool
+	// deadline is the wall-clock unixnano past which CheckPoint rolls the
+	// current execution back (RollbackDeadline), set by runSpec at region
+	// entry; 0 when SpecDeadline is off. Only the worker touches it.
+	deadline int64
 }
 
 // specTask is one speculation handed to a worker.
@@ -283,11 +278,13 @@ type Runtime struct {
 	// workers spin for their next task only while it is set.
 	running atomic.Bool
 
-	// cancelled marks the in-flight run as cancelled (RunCtx context
-	// expiry or an explicit CancelRun): Fork refuses new speculation and
-	// CancelPoint unwinds the non-speculative thread at its next poll.
-	// RunCtx clears it at run entry and exit.
+	// cancelled marks the in-flight run as cancelled by CancelRun, and done
+	// is the Done channel of the context RunCtx runs under (nil between
+	// runs, and for a context that cannot be cancelled). Fork refuses and
+	// CancelPoint unwinds once either says so (stopped). RunCtx clears both
+	// at run exit.
 	cancelled atomic.Bool
+	done      <-chan struct{}
 
 	// cpuLimit bounds the virtual CPUs claimIdleCPU may hand out (ranks
 	// 1..cpuLimit). It defaults to NumCPUs; a runtime pool lowers it per
@@ -318,12 +315,6 @@ type Runtime struct {
 	// drainGate blocks the non-speculative thread in drain until active
 	// reaches zero; every decrement wakes it.
 	drainGate waitGate
-
-	// Runaway-speculation watchdog (SpecDeadline > 0 only):
-	// watchdogQuit/watchdogDone tear the scanner down in Close. Both nil
-	// when the watchdog is disabled.
-	watchdogQuit chan struct{}
-	watchdogDone chan struct{}
 }
 
 // NewRuntime builds a runtime with NumCPUs speculative virtual CPUs.
@@ -405,11 +396,6 @@ func NewRuntime(opts Options) (*Runtime, error) {
 		rt.wg.Add(1)
 		go rt.worker(c)
 	}
-	if o.SpecDeadline > 0 && o.NumCPUs > 0 {
-		rt.watchdogQuit = make(chan struct{})
-		rt.watchdogDone = make(chan struct{})
-		go rt.watchdog()
-	}
 	return rt, nil
 }
 
@@ -444,31 +430,19 @@ func (rt *Runtime) SetCPULimit(n int) {
 // CPULimit returns the current virtual-CPU claim bound.
 func (rt *Runtime) CPULimit() int { return int(rt.cpuLimit.Load()) }
 
-// Run executes fn as the non-speculative thread and returns the paper's
-// TN: the critical-path runtime (virtual units or nanoseconds). Any
-// speculative threads still outstanding when fn returns are squashed, as the
-// paper's runtime does at program exit. Run panics with RunCtx's error: the
-// typed *KernelPanic of a kernel panic (after the run has drained — the
-// runtime stays reusable), ErrClosed on a closed runtime, ErrCancelled for a
-// run CancelRun unwound. The error-reporting form is RunCtx (which the
-// public mutls façade uses).
-func (rt *Runtime) Run(fn func(t *Thread)) vclock.Cost {
-	c, err := rt.RunCtx(context.Background(), fn)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-// RunCtx executes fn as the non-speculative thread, like Run, under a
-// context. It returns ErrClosed (without executing fn) on a closed
-// runtime, and ctx.Err() when the context expires before or during the
-// run. Cancellation is cooperative: once the context is done, Fork
-// refuses new speculation, and the next Thread.CancelPoint poll on the
-// non-speculative thread unwinds the run. Either way the runtime drains —
-// outstanding speculation is squashed through the join-protocol gates
-// exactly as at a normal run end — so the runtime is reusable afterwards.
-// A cancelled run's partial effects on the simulated address space are
+// RunCtx executes fn as the non-speculative thread under a context and
+// returns the paper's TN: the critical-path runtime (virtual units or
+// nanoseconds). Any speculative threads still outstanding when fn returns
+// are squashed, as the paper's runtime does at program exit. It returns
+// ErrClosed (without executing fn) on a closed runtime, ctx.Err() when the
+// context expires before or during the run, ErrCancelled for a run
+// CancelRun unwound, and a *KernelPanic when fn panicked. Cancellation is
+// cooperative and read where it acts: once the context is done, every
+// later Fork refuses and the next Thread.CancelPoint poll on the
+// non-speculative thread unwinds the run. Whatever the error, the runtime
+// drains — outstanding speculation is squashed through the join-protocol
+// gates exactly as at a normal run end — so it is reusable afterwards. A
+// cancelled run's partial effects on the simulated address space are
 // unspecified; a pooled runtime recycles (Recycle) before its next tenant.
 func (rt *Runtime) RunCtx(ctx context.Context, fn func(t *Thread)) (vclock.Cost, error) {
 	if rt.closed.Load() {
@@ -497,6 +471,7 @@ func (rt *Runtime) RunCtx(ctx context.Context, fn func(t *Thread)) (vclock.Cost,
 	t.stackTop = t.stack.Start
 	rt.inOrderTail.Store(0)
 	rt.cancelled.Store(false)
+	rt.done = ctx.Done()
 	// Each run's clock restarts at zero, so the previous run's freeAt
 	// stamps would make every CPU look virtually busy until the new clock
 	// catches up — refusing all early forks on a reused (pooled) runtime.
@@ -505,7 +480,7 @@ func (rt *Runtime) RunCtx(ctx context.Context, fn func(t *Thread)) (vclock.Cost,
 	for r := Rank(1); int(r) <= rt.opts.NumCPUs; r++ {
 		rt.cpus[r].freeAt.Store(0)
 	}
-	err := rt.runCounted(ctx, t, fn)
+	err := rt.runCounted(t, fn)
 	runtime := t.clock.Now()
 	rt.collector.SetNonSpec(runtime, t.clock.Ledger())
 	if err != nil {
@@ -523,22 +498,32 @@ func (rt *Runtime) RunCtx(ctx context.Context, fn func(t *Thread)) (vclock.Cost,
 }
 
 // runCounted is the part of a run during which its non-speculative thread
-// is counted busy: fn, then the drain. The exit half is deferred because a
-// runtime.Goexit inside fn (a t.Fatal in a test's callback) skips whatever
-// follows the call: a thread left counted would stop later waits from
-// spinning and refuse every later fork in the process, and children left
-// undrained would hang Close.
-func (rt *Runtime) runCounted(ctx context.Context, t *Thread, fn func(t *Thread)) error {
-	var stopWatch func()
-	if ctx.Done() != nil {
-		stopWatch = rt.watchCancel(ctx)
-	}
+// is counted busy: fn, then the drain. It translates a CancelPoint unwind
+// into ErrCancelled and any other panic into a *KernelPanic error, and
+// always proceeds to the drain, so the runtime stays reusable after a
+// kernel panic — the containment contract the serving layer depends on.
+// The exit half is deferred because a runtime.Goexit inside fn (a t.Fatal
+// in a test's callback) skips whatever follows the call: a thread left
+// counted would stop later waits from spinning and refuse every later fork
+// in the process, and children left undrained would hang Close.
+func (rt *Runtime) runCounted(t *Thread, fn func(t *Thread)) (err error) {
 	procBusy.Add(1)
 	procWorking.Add(1)
 	rt.running.Store(true)
 	defer func() {
-		if stopWatch != nil {
-			stopWatch()
+		switch r := recover().(type) {
+		case nil:
+		case cancelSignal:
+			err = ErrCancelled
+		default:
+			stack := debug.Stack()
+			rt.collector.CountKernelPanic(stats.FaultRecord{
+				Rank:  0,
+				Point: -1,
+				Value: fmt.Sprint(r),
+				Stack: truncateStack(stack),
+			})
+			err = &KernelPanic{Value: r, Stack: stack}
 		}
 		// fn may have been left through an open fork window (between
 		// MUTLS_get_CPU and MUTLS_speculate): release the claimed CPU or
@@ -549,33 +534,7 @@ func (rt *Runtime) runCounted(ctx context.Context, t *Thread, fn func(t *Thread)
 		procWorking.Add(-1)
 		procBusy.Add(-1)
 		rt.cancelled.Store(false)
-	}()
-	return rt.runNonSpec(t, fn)
-}
-
-// runNonSpec runs fn, translating a CancelPoint unwind into ErrCancelled
-// and any other panic into a *KernelPanic error. Nothing propagates: the
-// caller (runCounted) always proceeds to the drain, so the runtime stays
-// reusable after a kernel panic — the containment contract the serving
-// layer depends on.
-func (rt *Runtime) runNonSpec(t *Thread, fn func(t *Thread)) (err error) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		if _, ok := r.(cancelSignal); ok {
-			err = ErrCancelled
-			return
-		}
-		stack := debug.Stack()
-		rt.collector.CountKernelPanic(stats.FaultRecord{
-			Rank:  0,
-			Point: -1,
-			Value: fmt.Sprint(r),
-			Stack: truncateStack(stack),
-		})
-		err = &KernelPanic{Value: r, Stack: stack}
+		rt.done = nil // a pooled runtime must not keep the request's context
 	}()
 	fn(t)
 	return nil
@@ -590,38 +549,33 @@ func truncateStack(s []byte) string {
 	return string(s)
 }
 
-// watchCancel relays ctx expiry to CancelRun. The returned stop function
-// tears the watcher down and waits for it, so no goroutine outlives the
-// run it watches.
-func (rt *Runtime) watchCancel(ctx context.Context) (stop func()) {
-	quit := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		select {
-		case <-ctx.Done():
-			rt.CancelRun()
-		case <-quit:
-		}
-	}()
-	return func() {
-		close(quit)
-		<-finished
-	}
-}
-
 // CancelRun requests cooperative cancellation of the in-flight run: Fork
 // refuses from now on (speculation degrades to sequential execution), and
 // the non-speculative thread unwinds at its next CancelPoint poll. RunCtx
 // clears the flag when the run ends.
 func (rt *Runtime) CancelRun() { rt.cancelled.Store(true) }
 
+// stopped reports whether the in-flight run was cancelled: by CancelRun, or
+// by the end of the context it runs under. A receive from the nil channel
+// of a context that cannot end falls straight to default.
+func (rt *Runtime) stopped() bool {
+	if rt.cancelled.Load() {
+		return true
+	}
+	select {
+	case <-rt.done:
+		return true
+	default:
+		return false
+	}
+}
+
 // Recycle prepares an idle runtime for its next logical tenant without
 // rebuilding it: statistics and live counters reset, every fork point's
 // verdict on its last driver call cleared (bodies keep their ids and pay-off
 // estimates: the next tenant runs the same code), and the simulated heap
 // released wholesale (arena and buffers are reused as-is). Addresses
-// obtained from Alloc before Recycle are invalid afterwards. The runtime must be quiescent (no Run in
+// obtained from Alloc before Recycle are invalid afterwards. The runtime must be quiescent (no run in
 // flight) — verified, because recycling under live speculation would hand
 // the next tenant a corrupted heap.
 func (rt *Runtime) Recycle() {
@@ -668,7 +622,7 @@ func (rt *Runtime) retire() {
 // Stats summarizes the executions since the last ResetStats, from the
 // per-CPU accumulators and the per-point counters. The GlobalBuffer
 // counters are aggregated over all virtual CPUs; the runtime must be
-// quiescent (Run drains before returning).
+// quiescent (RunCtx drains before returning).
 func (rt *Runtime) Stats() *stats.Summary {
 	s := rt.collector.Summarize(rt.opts.NumCPUs)
 	for p := range rt.points {
@@ -741,14 +695,10 @@ func (rt *Runtime) ResetStats() {
 }
 
 // Close shuts the workers down. The runtime must be idle (no outstanding
-// speculation; Run drains before returning).
+// speculation; RunCtx drains before returning).
 func (rt *Runtime) Close() {
 	if rt.closed.Swap(true) {
 		return
-	}
-	if rt.watchdogQuit != nil {
-		close(rt.watchdogQuit)
-		<-rt.watchdogDone
 	}
 	// closed is what an idle worker's wait reads; it was published above.
 	for r := 1; r <= rt.opts.NumCPUs; r++ {
@@ -761,45 +711,6 @@ func (rt *Runtime) Close() {
 // inside a speculation — the precondition for Recycle and the pool's
 // reuse-after-fault verification.
 func (rt *Runtime) Quiescent() bool { return rt.active.Load() == 0 }
-
-// watchdog is the runaway-speculation scanner (SpecDeadline > 0): it
-// periodically sweeps the virtual CPUs and flags any execution that has
-// exceeded its fork point's effective deadline — max(SpecDeadline, 8x the
-// point's wall-latency EWMA). The flagged thread rolls itself back at its
-// next CheckPoint poll (RollbackDeadline); a flag raised in the window
-// after the region already ended is harmless, since runSpec clears
-// deadlineHit before the next execution starts.
-func (rt *Runtime) watchdog() {
-	defer close(rt.watchdogDone)
-	tick := rt.opts.SpecDeadline / 4
-	if tick < 50*time.Microsecond {
-		tick = 50 * time.Microsecond
-	}
-	if tick > 10*time.Millisecond {
-		tick = 10 * time.Millisecond
-	}
-	ticker := time.NewTicker(tick)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-rt.watchdogQuit:
-			return
-		case <-ticker.C:
-		}
-		now := time.Now().UnixNano()
-		for r := 1; r <= rt.opts.NumCPUs; r++ {
-			c := rt.cpus[r]
-			s := c.wallStart.Load()
-			if s == 0 || c.deadlineHit.Load() {
-				continue
-			}
-			limit := max(int64(rt.opts.SpecDeadline), 8*rt.points[c.specPoint.Load()].wallEWMA.Load())
-			if now-s > limit {
-				c.deadlineHit.Store(true)
-			}
-		}
-	}
-}
 
 // worker is a virtual CPU's goroutine: it waits on the CPU's gate for a
 // task in its slot and runs it through the stop/validate/commit protocol.
@@ -899,14 +810,13 @@ func (rt *Runtime) runSpec(c *cpu, task specTask) {
 	t.clock.Book(vclock.Fork, t.clock.Now()-execStart)
 	td := &c.td
 	epoch := td.epoch()
-	watched := rt.watchdogQuit != nil
-	if watched {
-		// Publish this execution on the watchdog's scan surface. The
-		// wallStart store comes last: a non-zero wallStart tells the
-		// watchdog that specPoint is current and deadlineHit is clear.
-		c.deadlineHit.Store(false)
-		c.specPoint.Store(int32(td.point))
-		c.wallStart.Store(time.Now().UnixNano())
+	var wallStart int64
+	if d := int64(rt.opts.SpecDeadline); d > 0 {
+		// The runaway deadline, fixed at region entry and stretched for a
+		// point whose regions are legitimately slow: CheckPoint rolls the
+		// execution back at its first poll past it.
+		wallStart = time.Now().UnixNano()
+		c.deadline = wallStart + max(d, 8*rt.points[td.point].wallEWMA.Load())
 	}
 
 	// Before the region's first arena load: every write the region can have
@@ -915,8 +825,8 @@ func (rt *Runtime) runSpec(c *cpu, task specTask) {
 	out := runRegion(t, task.region)
 
 	var wallNS int64
-	if watched {
-		wallNS = time.Now().UnixNano() - c.wallStart.Swap(0)
+	if wallStart != 0 {
+		wallNS = time.Now().UnixNano() - wallStart
 	}
 
 	// Reach a verdict, or learn that the parent wants none.

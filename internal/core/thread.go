@@ -389,7 +389,7 @@ func (t *Thread) StoreBytes(p mem.Addr, src []byte) {
 // scratch returns a reusable n-byte buffer for the typed bulk accessors.
 // Speculative threads borrow their virtual CPU's buffer (which persists
 // across speculations, so the hot path stays alloc-free); the
-// non-speculative thread keeps its own for the duration of the Run.
+// non-speculative thread keeps its own for the duration of the run.
 func (t *Thread) scratch(n int) []byte {
 	buf := &t.bulk
 	if t.cpu != nil {

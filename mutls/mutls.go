@@ -192,12 +192,12 @@ type Options struct {
 	// fixed-size accumulators, so there is nothing left for it to enable.
 	CollectStats bool
 
-	// SpecDeadline arms the runaway-speculation watchdog: a wall-clock
-	// floor on how long one speculative chunk may run between CheckPoint
-	// polls before it is squashed (RollbackDeadline, counted in
-	// Summary.Faults). The effective per-fork-point deadline is the larger
-	// of SpecDeadline and 8x the point's observed mean chunk latency. Zero
-	// (the default) disables the watchdog.
+	// SpecDeadline bounds runaway speculation: a wall-clock floor on how
+	// long one speculative chunk may run before its first CheckPoint poll
+	// past the deadline squashes it (RollbackDeadline, counted in
+	// Summary.Faults). The deadline is fixed when the chunk starts: the
+	// larger of SpecDeadline and 8x the point's observed mean chunk
+	// latency. Zero (the default) disables it.
 	SpecDeadline time.Duration
 
 	// FaultPlan wires the deterministic fault-injection plane
@@ -245,9 +245,8 @@ func (o Options) coreOptions() core.Options {
 
 // Runtime is the public façade over the core ThreadManager. It embeds
 // *core.Runtime, so RunCtx, Stats, ResetStats, Recycle, SetCPULimit,
-// Space, NumCPUs and Close are available directly; Run is shadowed below
-// so the public API reports a closed runtime as a typed error instead of
-// panicking.
+// Space, NumCPUs and Close are available directly; Run below is RunCtx
+// under context.Background.
 type Runtime struct {
 	*core.Runtime
 }
@@ -268,7 +267,8 @@ func New(opts Options) (*Runtime, error) {
 // fn. For deadlines and cancellation, use RunCtx (promoted from
 // core.Runtime): it stops forking once the context is done and unwinds
 // the run at the next Thread.CancelPoint poll, which For/ForRange/Reduce/
-// Pipeline insert at every chunk/group/token boundary.
+// Pipeline insert at every chunk/group/token boundary and Tree at every
+// join.
 func (r *Runtime) Run(fn func(t *Thread)) (Cost, error) {
 	return r.Runtime.RunCtx(context.Background(), fn)
 }

@@ -1,6 +1,8 @@
 package mutls_test
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"repro/mutls"
@@ -326,6 +328,37 @@ func TestTreeFloatResult(t *testing.T) {
 	}
 	if len(got) != 4 || sum != (1+2+3+4)/2.0 {
 		t.Fatalf("float results %v, want the halves of 1..4", got)
+	}
+}
+
+// TestTreeCancelUnwindsAtAJoin: a Tree driver polls CancelPoint at every
+// join, so a run whose context ends after the subtrees were spawned unwinds
+// before the first of them is joined.
+func TestTreeCancelUnwindsAtAJoin(t *testing.T) {
+	tree := &mutls.Tree{Model: mutls.Mixed}
+	tree.Body = func(c *mutls.Thread, tt *mutls.TreeThread, task mutls.Task) {
+		c.Tick(100)
+		tt.SetResultInt64(task.Args[0])
+	}
+	rt := newRuntime(t, 4, nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	spawned, joined := 0, 0
+	_, err := rt.RunCtx(ctx, func(t0 *mutls.Thread) {
+		roots := tree.Collect(t0, func(tt *mutls.TreeThread) {
+			for i := 2; i >= 1; i-- {
+				if tt.Spawn(t0, mutls.Task{Seq: int64(i), Span: 1, Args: [4]int64{int64(i)}}) {
+					spawned++
+				}
+			}
+		})
+		cancel()
+		tree.Drive(t0, roots, func(mutls.Task, mutls.TreeResult) { joined++ })
+	})
+	if spawned != 2 {
+		t.Fatalf("spawned %d subtrees, want 2", spawned)
+	}
+	if !errors.Is(err, context.Canceled) || joined != 0 {
+		t.Fatalf("err=%v joined=%d, want context.Canceled before the first join", err, joined)
 	}
 }
 

@@ -205,8 +205,10 @@ func (tr *Tree) Exec(t *Thread, task Task) ([]Task, TreeResult) {
 // own sub-tasks (decoded from the saved locals, Seq-sorted), its result and
 // true; on rollback it returns false and the caller must re-execute the
 // subtree (normally with Exec). Joins must follow sequential order: among
-// all outstanding tasks, the smallest Seq joins first.
+// all outstanding tasks, the smallest Seq joins first. A cancelled run
+// (RunCtx) unwinds here, before the join.
 func (tr *Tree) Join(t *Thread, task Task) ([]Task, TreeResult, bool) {
+	t.CancelPoint()
 	ranks := []Rank{task.Rank}
 	res := t.Join(ranks, 0)
 	if !res.Committed() {
