@@ -31,7 +31,10 @@ race:
 # TestForkAdmissionOffOnOneProc, TestRunCountsSurviveGoexit, the PointFor
 # tests, the sole-committer commit's TestCommitPathsKeepEquivalence and
 # TestSiblingReadBeforeACommitRollsBack, the region-entry snapshot's
-# TestWriteDuringRegionRollsBack, and the polls' TestCtxCancelUnwindsAtTheNextPoll,
+# TestWriteDuringRegionRollsBack (a table of the non-speculative thread's
+# direct write paths, each of which must stamp its page), the stack-variable
+# protocol's TestStackvarCommitAndPointerMapping and
+# TestStackvarRollbackLeavesHome, and the polls' TestCtxCancelUnwindsAtTheNextPoll,
 # TestRunCtxCancelMidRun, TestNoGoroutineBesidesTheWorkers and
 # TestWatchdogKillsRunaway among them — the guard's, the stage groups', the
 # fork points' and Tree's cancellation driver tests in mutls, the pool's
@@ -103,7 +106,7 @@ chaos:
 # PR that grows the tree has to raise the number here, in its own diff.
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l); \
-	echo "non-test Go outside benchmark/ and testdata/: $$n lines (ceiling 16261, target 16500)"; \
+	echo "non-test Go outside benchmark/ and testdata/: $$n lines (ceiling 15980, target 16500)"; \
 	v=$$(find internal/analysis cmd/mutls-vet -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l); \
 	echo "  of which internal/analysis + cmd/mutls-vet: $$v lines"; \
-	if [ $$n -gt 16261 ]; then echo "code size is over the ceiling: shrink, or raise it in the Makefile" >&2; exit 1; fi
+	if [ $$n -gt 15980 ]; then echo "code size is over the ceiling: shrink, or raise it in the Makefile" >&2; exit 1; fi

@@ -330,17 +330,6 @@ func (t *Thread) commitStackvars(child *cpu, ptrs []lbuf.PtrMapping) {
 	}
 }
 
-// mapPtr translates a pointer into the child's speculative copy of a
-// buffered stack variable to the variable's non-speculative home.
-func (r *JoinResult) mapPtr(p mem.Addr) mem.Addr {
-	for _, m := range r.ptrs {
-		if m.Bound != mem.NilAddr && p >= m.Bound && p < m.Bound+mem.Addr(m.Size) {
-			return m.Home + (p - m.Bound)
-		}
-	}
-	return p
-}
-
 // regvar fetches one restored local from the join result.
 func (r *JoinResult) regvar(slot int) uint64 {
 	if r.Status != JoinCommitted {
@@ -365,7 +354,8 @@ func (r *JoinResult) RegvarFloat64(slot int) float64 {
 // the paper's pointer mapping mechanism: pointers into the speculative
 // stack are translated to the corresponding non-speculative stack variable.
 func (r *JoinResult) RegvarAddr(slot int) mem.Addr {
-	return r.mapPtr(mem.Addr(r.regvar(slot)))
+	p, _ := lbuf.MapPtr(r.ptrs, mem.Addr(r.regvar(slot)))
+	return p
 }
 
 // RegvarLive reports whether the region saved the given slot.

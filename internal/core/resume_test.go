@@ -179,10 +179,16 @@ func TestPtrIntCastSpeculativeStackValueStops(t *testing.T) {
 	})
 }
 
-func TestStackvarCommitAndPointerMapping(t *testing.T) {
+// stackvarCase runs the stack-variable protocol end to end. The parent
+// StackAllocs a 16-byte home holding (3, 4) in its (non-speculative,
+// global) stack and forks with SetStackvar and a prediction of 7 for
+// regvar 0. The region multiplies its own copy (GetStackvar) by ten, saves
+// it with SaveStackvar and saves a pointer into it with SaveRegvarAddr. The
+// parent validates regvar 0 against actual, joins, and hands the join and
+// the home to check.
+func stackvarCase(t *testing.T, actual int64, check func(t0 *Thread, res JoinResult, home mem.Addr)) {
 	rt := newRT(t, 2, nil)
 	rt.Run(func(t0 *Thread) {
-		// A stack variable in the parent's (non-speculative, global) stack.
 		home := t0.StackAlloc(16)
 		t0.StoreInt64(home, 3)
 		t0.StoreInt64(home+8, 4)
@@ -190,7 +196,9 @@ func TestStackvarCommitAndPointerMapping(t *testing.T) {
 		ranks := make([]Rank, 1)
 		h := t0.Fork(ranks, 0, Mixed)
 		h.SetStackvar(0, home, 16)
+		h.SetRegvarInt64(0, 7)
 		h.Start(func(c *Thread) uint32 {
+			_ = c.GetRegvarInt64(0)
 			sp := c.GetStackvar(0) // child's own copy, on its own stack
 			// Mutate through the speculative copy.
 			c.StoreInt64(sp, c.LoadInt64(sp)*10)
@@ -201,7 +209,13 @@ func TestStackvarCommitAndPointerMapping(t *testing.T) {
 			c.SaveRegvarAddr(1, sp+8)
 			return 0
 		})
-		res := t0.Join(ranks, 0)
+		t0.ValidateRegvarInt64(ranks, 0, 0, actual)
+		check(t0, t0.Join(ranks, 0), home)
+	})
+}
+
+func TestStackvarCommitAndPointerMapping(t *testing.T) {
+	stackvarCase(t, 7, func(t0 *Thread, res JoinResult, home mem.Addr) {
 		if !res.Committed() {
 			t.Fatalf("join failed: %v", res.Reason)
 		}
@@ -213,6 +227,19 @@ func TestStackvarCommitAndPointerMapping(t *testing.T) {
 		// pointer to the parent's address (per-variable offset).
 		if got := res.RegvarAddr(1); got != home+8 {
 			t.Fatalf("mapped pointer = %d, want %d", got, home+8)
+		}
+	})
+}
+
+// TestStackvarRollbackLeavesHome: a mispredicted local rolls the region
+// back, and the stack variable's home keeps the parent's bytes.
+func TestStackvarRollbackLeavesHome(t *testing.T) {
+	stackvarCase(t, 8, func(t0 *Thread, res JoinResult, home mem.Addr) {
+		if res.Status != JoinRolledBack || res.Reason != RollbackLocals {
+			t.Fatalf("join %v (%v), want rolled-back/locals", res.Status, res.Reason)
+		}
+		if a, b := t0.LoadInt64(home), t0.LoadInt64(home+8); a != 3 || b != 4 {
+			t.Fatalf("rolled-back stackvar reached its home: %d,%d", a, b)
 		}
 	})
 }

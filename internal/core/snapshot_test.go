@@ -34,17 +34,21 @@ func withProcs(t *testing.T, n int) {
 // it, doubled, to word y, and differ only in when the parent writes x: never,
 // while the region runs, or after it stopped. Each runs on every backend.
 
-// snapshotCase runs that region under a backend. interfere runs on the
-// parent while the region waits between its load and its end (the region
-// has read x and published it); after runs once the region has stopped.
-// It returns the join and the runtime's GlobalBuffer counters.
-func snapshotCase(t *testing.T, backend string, interfere, after func(t0 *Thread, x mem.Addr)) (JoinResult, gbuf.Counters) {
+// snapshotCase runs that region under a backend. at places x (nil: a heap
+// allocation). interfere runs on the parent while the region waits between
+// its load and its end (the region has read x and published it); after
+// runs once the region has stopped. It returns the join and the runtime's
+// GlobalBuffer counters.
+func snapshotCase(t *testing.T, backend string, at func(t0 *Thread) mem.Addr, interfere, after func(t0 *Thread, x mem.Addr)) (JoinResult, gbuf.Counters) {
 	t.Helper()
 	rt := newRT(t, 1, func(o *Options) { o.GBuf.Backend = backend })
 	var read, release atomic.Bool
 	var res JoinResult
 	rt.Run(func(t0 *Thread) {
-		x := t0.Alloc(16)
+		if at == nil {
+			at = func(t0 *Thread) mem.Addr { return t0.Alloc(16) }
+		}
+		x := at(t0)
 		t0.StoreInt64(x, 5)
 		ranks := make([]Rank, 1)
 		h := t0.Fork(ranks, 0, Mixed)
@@ -86,7 +90,7 @@ func snapshotCase(t *testing.T, backend string, interfere, after func(t0 *Thread
 // against the arena.
 func TestCleanCommitComparesNoWords(t *testing.T) {
 	for _, be := range gbuf.Backends() {
-		res, g := snapshotCase(t, be, nil, nil)
+		res, g := snapshotCase(t, be, nil, nil, nil)
 		if res.Status != JoinCommitted {
 			t.Fatalf("%s: clean speculation joined %v (%v)", be, res.Status, res.Reason)
 		}
@@ -97,18 +101,35 @@ func TestCleanCommitComparesNoWords(t *testing.T) {
 }
 
 // TestWriteDuringRegionRollsBack: the parent overwrites x after the region
-// loaded it and before the region stopped. The write stamps x's page after
-// the region-entry snapshot, so the join compares x and rolls back.
-// Mutation-checked: with the snapshot taken after runRegion instead, the
-// stamp predates it, the page looks clean and the stale read commits.
+// loaded it and before the region stopped, once through each of its direct
+// write paths. The write stamps x's page after the region-entry snapshot,
+// so the join compares x and rolls back. The stack row places x at the
+// parent's unallocated stack top and overwrites it by StackAlloc's zeroing.
+// Mutation-checked: with the snapshot taken after runRegion instead, or
+// with the stamp (Thread.wrote) dropped from store, storeRange or
+// StackAlloc, the page looks clean and the stale read commits.
 func TestWriteDuringRegionRollsBack(t *testing.T) {
-	for _, be := range gbuf.Backends() {
-		res, g := snapshotCase(t, be, func(t0 *Thread, x mem.Addr) { t0.StoreInt64(x, 6) }, nil)
-		if res.Status != JoinRolledBack || res.Reason != RollbackValidation {
-			t.Fatalf("%s: join %v (%v), want rolled-back/validation", be, res.Status, res.Reason)
-		}
-		if g.Validations != 1 || g.ValidationFail != 1 || g.WordsValidated == 0 {
-			t.Fatalf("%s: validations %d/fail %d/words %d, want 1/1/>0", be, g.Validations, g.ValidationFail, g.WordsValidated)
+	onStack := func(t0 *Thread) mem.Addr { return t0.stackTop }
+	for _, w := range []struct {
+		name  string
+		at    func(t0 *Thread) mem.Addr
+		write func(t0 *Thread, x mem.Addr)
+	}{
+		{"word", nil, func(t0 *Thread, x mem.Addr) { t0.StoreInt64(x, 6) }},
+		{"sub-word", nil, func(t0 *Thread, x mem.Addr) { t0.StoreUint8(x, 6) }},
+		{"word-range", nil, func(t0 *Thread, x mem.Addr) { t0.StoreWords(x, []uint64{6}) }},
+		{"unaligned-bytes", nil, func(t0 *Thread, x mem.Addr) { t0.StoreBytes(x+4, []byte{1, 2, 3, 4, 5, 6, 7, 8}) }},
+		{"sub-word-range", nil, func(t0 *Thread, x mem.Addr) { t0.StoreInt32s(x, []int32{6, 0}) }},
+		{"stack-zeroing", onStack, func(t0 *Thread, x mem.Addr) { t0.StackAlloc(16) }},
+	} {
+		for _, be := range gbuf.Backends() {
+			res, g := snapshotCase(t, be, w.at, w.write, nil)
+			if res.Status != JoinRolledBack || res.Reason != RollbackValidation {
+				t.Fatalf("%s/%s: join %v (%v), want rolled-back/validation", w.name, be, res.Status, res.Reason)
+			}
+			if g.Validations != 1 || g.ValidationFail != 1 || g.WordsValidated == 0 {
+				t.Fatalf("%s/%s: validations %d/fail %d/words %d, want 1/1/>0", w.name, be, g.Validations, g.ValidationFail, g.WordsValidated)
+			}
 		}
 	}
 }
@@ -117,7 +138,7 @@ func TestWriteDuringRegionRollsBack(t *testing.T) {
 // region stopped, while it waits for its join.
 func TestWriteAfterStopRollsBack(t *testing.T) {
 	for _, be := range gbuf.Backends() {
-		res, g := snapshotCase(t, be, nil, func(t0 *Thread, x mem.Addr) { t0.StoreInt64(x, 6) })
+		res, g := snapshotCase(t, be, nil, nil, func(t0 *Thread, x mem.Addr) { t0.StoreInt64(x, 6) })
 		if res.Status != JoinRolledBack || res.Reason != RollbackValidation {
 			t.Fatalf("%s: join %v (%v), want rolled-back/validation", be, res.Status, res.Reason)
 		}
@@ -184,47 +205,4 @@ func TestConcurrentJoinersStress(t *testing.T) {
 	if got != want {
 		t.Fatalf("committed increments %v, joins reported %v", got, want)
 	}
-}
-
-// TestFillWords covers the memset-shaped accessor on both sides of the
-// speculation boundary: direct fill with stamping for the non-speculative
-// thread, buffered StoreFill for a region (visible only after commit).
-func TestFillWords(t *testing.T) {
-	rt := newRT(t, 1, nil)
-	rt.Run(func(t0 *Thread) {
-		arr := t0.Alloc(8 * 8)
-		t0.FillWords(arr, 8, 0xDEAD)
-		for i := 0; i < 8; i++ {
-			if got := t0.LoadInt64(arr + mem.Addr(8*i)); got != 0xDEAD {
-				t.Fatalf("word %d: %#x", i, got)
-			}
-		}
-		ranks := make([]Rank, 1)
-		h := t0.Fork(ranks, 0, Mixed)
-		if h == nil {
-			t.Fatal("fork failed")
-		}
-		h.SetRegvarAddr(0, arr)
-		h.Start(func(c *Thread) uint32 {
-			c.ZeroWords(c.GetRegvarAddr(0), 4)
-			return 0
-		})
-		waitReady(rt, ranks[0])
-		// Buffered: nothing visible before the join commits it.
-		if got := t0.LoadInt64(arr); got != 0xDEAD {
-			t.Fatalf("speculative fill leaked before commit: %#x", got)
-		}
-		if res := t0.Join(ranks, 0); res.Status != JoinCommitted {
-			t.Fatalf("join %v (%v)", res.Status, res.Reason)
-		}
-		for i := 0; i < 8; i++ {
-			want := int64(0)
-			if i >= 4 {
-				want = 0xDEAD
-			}
-			if got := t0.LoadInt64(arr + mem.Addr(8*i)); got != want {
-				t.Fatalf("word %d after commit: %#x, want %#x", i, got, want)
-			}
-		}
-	})
 }

@@ -81,52 +81,56 @@ func (t *Thread) inOwnStack(p mem.Addr, n int) bool {
 	return p >= t.stack.Start && p+mem.Addr(n) <= t.stack.End
 }
 
-// load is the unified read path of MUTLS_load_*: the speculative thread's
-// own stack is accessed directly (the stack acts as its own buffer), global
-// addresses go through the GlobalBuffer, anything else rolls the thread
-// back. Non-speculative threads access the arena directly.
-func (t *Thread) load(p mem.Addr, size int) uint64 {
-	model := t.clock.Model
-	if !t.speculative {
-		t.clock.Charge(vclock.Work, model.DirectAccess)
-		if !t.rt.space.InGlobal(p, size) {
-			panic(fmt.Sprintf("core: non-speculative load of invalid address %d (+%d)", p, size))
+// direct is the one access rule of §IV-G, shared by every accessor. It
+// charges nWords modelled accesses, checks [p,p+n) and reports whether the
+// access goes straight to the arena. The non-speculative thread always
+// does, and an invalid address panics. A speculative thread does for its
+// own stack (the stack acts as its own buffer), rolls back outside the
+// global space, and otherwise goes through its GlobalBuffer.
+func (t *Thread) direct(p mem.Addr, n, nWords int) bool {
+	cost := t.clock.Model.DirectAccess
+	if t.speculative {
+		cost = t.clock.Model.BufferedAccess
+	}
+	t.clock.Charge(vclock.Work, cost*vclock.Cost(nWords))
+	if t.speculative && t.inOwnStack(p, n) {
+		return true
+	}
+	if !t.rt.space.InGlobal(p, n) {
+		if !t.speculative {
+			panic(fmt.Sprintf("core: non-speculative access to invalid address %d (+%d)", p, n))
 		}
-		return directLoad(t.rt.space.Arena, p, size)
-	}
-	t.clock.Charge(vclock.Work, model.BufferedAccess)
-	if t.inOwnStack(p, size) {
-		return directLoad(t.rt.space.Arena, p, size)
-	}
-	if !t.rt.space.InGlobal(p, size) {
 		t.rollbackNow(RollbackInvalidAddress)
+	}
+	return !t.speculative
+}
+
+// wrote stamps the pages of a direct write. The non-speculative thread's
+// writes land in global address space whose words other threads' read sets
+// may have snapshotted; a speculative thread writes directly only to its
+// private stack, which needs no stamp.
+func (t *Thread) wrote(p mem.Addr, n int) {
+	if !t.speculative && t.rt.markFn != nil {
+		t.rt.markFn(p, n)
+	}
+}
+
+// load is the read path of MUTLS_load_*.
+func (t *Thread) load(p mem.Addr, size int) uint64 {
+	if t.direct(p, size, 1) {
+		return directLoad(t.rt.space.Arena, p, size)
 	}
 	v, st := t.cpu.gb.Load(p, size)
 	t.handleBufferStatus(st)
 	return v
 }
 
-// store is the unified write path of MUTLS_store_*.
+// store is the write path of MUTLS_store_*.
 func (t *Thread) store(p mem.Addr, size int, v uint64) {
-	model := t.clock.Model
-	if !t.speculative {
-		t.clock.Charge(vclock.Work, model.DirectAccess)
-		if !t.rt.space.InGlobal(p, size) {
-			panic(fmt.Sprintf("core: non-speculative store to invalid address %d (+%d)", p, size))
-		}
+	if t.direct(p, size, 1) {
 		directStore(t.rt.space.Arena, p, size, v)
-		if t.rt.markFn != nil {
-			t.rt.markFn(p, size)
-		}
+		t.wrote(p, size)
 		return
-	}
-	t.clock.Charge(vclock.Work, model.BufferedAccess)
-	if t.inOwnStack(p, size) {
-		directStore(t.rt.space.Arena, p, size, v)
-		return
-	}
-	if !t.rt.space.InGlobal(p, size) {
-		t.rollbackNow(RollbackInvalidAddress)
 	}
 	t.handleBufferStatus(t.cpu.gb.Store(p, size, v))
 }
@@ -212,112 +216,35 @@ func (t *Thread) LoadAddr(p mem.Addr) mem.Addr { return mem.Addr(t.load(p, 8)) }
 // StoreAddr writes a pointer-sized value at p.
 func (t *Thread) StoreAddr(p mem.Addr, v mem.Addr) { t.store(p, 8, uint64(v)) }
 
-// loadRange is the bulk read path for whole-word runs: one vclock charge
-// for the whole range (still one BufferedAccess/DirectAccess *per word*, so
-// the modelled cost equals the word-at-a-time decomposition — bulk removes
-// software overhead, not modelled accesses), one address-space check, one
-// Backend crossing. p must be word-aligned and len(dst) a whole number of
+// loadRange is the bulk read path for whole-word runs: one address check
+// and at most one Backend crossing for the run, and one vclock charge that
+// still counts one access *per word*, so the modelled cost equals the
+// word-at-a-time decomposition (bulk removes software overhead, not
+// modelled accesses). p must be word-aligned and len(dst) a whole number of
 // words; callers (LoadBytes, the typed slice accessors) guarantee that.
 func (t *Thread) loadRange(p mem.Addr, dst []byte) {
-	n := len(dst)
-	if n == 0 {
+	if len(dst) == 0 {
 		return
 	}
-	nWords := n / mem.Word
-	model := t.clock.Model
-	if !t.speculative {
-		t.clock.Charge(vclock.Work, model.DirectAccess*vclock.Cost(nWords))
-		if !t.rt.space.InGlobal(p, n) {
-			panic(fmt.Sprintf("core: non-speculative load of invalid range %d (+%d)", p, n))
-		}
+	if t.direct(p, len(dst), len(dst)/mem.Word) {
 		t.rt.space.Arena.ReadWords(p, dst)
 		return
-	}
-	t.clock.Charge(vclock.Work, model.BufferedAccess*vclock.Cost(nWords))
-	if t.inOwnStack(p, n) {
-		t.rt.space.Arena.ReadWords(p, dst)
-		return
-	}
-	if !t.rt.space.InGlobal(p, n) {
-		t.rollbackNow(RollbackInvalidAddress)
 	}
 	t.handleBufferStatus(t.cpu.gb.LoadRange(p, dst))
 }
 
 // storeRange is the bulk write path for whole-word runs; see loadRange.
 func (t *Thread) storeRange(p mem.Addr, src []byte) {
-	n := len(src)
-	if n == 0 {
+	if len(src) == 0 {
 		return
 	}
-	nWords := n / mem.Word
-	model := t.clock.Model
-	if !t.speculative {
-		t.clock.Charge(vclock.Work, model.DirectAccess*vclock.Cost(nWords))
-		if !t.rt.space.InGlobal(p, n) {
-			panic(fmt.Sprintf("core: non-speculative store to invalid range %d (+%d)", p, n))
-		}
+	if t.direct(p, len(src), len(src)/mem.Word) {
 		t.rt.space.Arena.WriteWords(p, src)
-		if t.rt.markFn != nil {
-			t.rt.markFn(p, n)
-		}
+		t.wrote(p, len(src))
 		return
-	}
-	t.clock.Charge(vclock.Work, model.BufferedAccess*vclock.Cost(nWords))
-	if t.inOwnStack(p, n) {
-		t.rt.space.Arena.WriteWords(p, src)
-		return
-	}
-	if !t.rt.space.InGlobal(p, n) {
-		t.rollbackNow(RollbackInvalidAddress)
 	}
 	t.handleBufferStatus(t.cpu.gb.StoreRange(p, src))
 }
-
-// FillWords writes nWords copies of the word v starting at the word-aligned
-// address p — the memset-shaped store. Like storeRange it pays one batched
-// clock charge and one crossing, but there is no materialized source
-// buffer: the non-speculative path is the arena's fill intrinsic and the
-// speculative path is the Backend's StoreFill. Misalignment is an unsafe
-// operation: speculative threads roll back, the non-speculative thread
-// panics.
-func (t *Thread) FillWords(p mem.Addr, nWords int, v uint64) {
-	if nWords <= 0 {
-		return
-	}
-	if !mem.Aligned(p, mem.Word) {
-		if t.speculative {
-			t.rollbackNow(RollbackUnsafeOp)
-		}
-		panic(fmt.Sprintf("core: misaligned word-fill at %d", p))
-	}
-	n := nWords * mem.Word
-	model := t.clock.Model
-	if !t.speculative {
-		t.clock.Charge(vclock.Work, model.DirectAccess*vclock.Cost(nWords))
-		if !t.rt.space.InGlobal(p, n) {
-			panic(fmt.Sprintf("core: non-speculative fill of invalid range %d (+%d)", p, n))
-		}
-		t.rt.space.Arena.FillWords(p, nWords, v)
-		if t.rt.markFn != nil {
-			t.rt.markFn(p, n)
-		}
-		return
-	}
-	t.clock.Charge(vclock.Work, model.BufferedAccess*vclock.Cost(nWords))
-	if t.inOwnStack(p, n) {
-		t.rt.space.Arena.FillWords(p, nWords, v)
-		return
-	}
-	if !t.rt.space.InGlobal(p, n) {
-		t.rollbackNow(RollbackInvalidAddress)
-	}
-	t.handleBufferStatus(t.cpu.gb.StoreFill(p, nWords, v))
-}
-
-// ZeroWords zeroes nWords consecutive words at the word-aligned address p
-// (see FillWords).
-func (t *Thread) ZeroWords(p mem.Addr, nWords int) { t.FillWords(p, nWords, 0) }
 
 // subAccessSize returns the largest supported access size (1, 2 or 4) that
 // is aligned at p and fits in the remaining n bytes — the paper's
@@ -406,7 +333,7 @@ func (t *Thread) scratch(n int) []byte {
 // charge. Misalignment is an unsafe operation: speculative threads roll
 // back, the non-speculative thread panics.
 func (t *Thread) LoadWords(p mem.Addr, dst []uint64) {
-	s := t.rangeScratch(p, len(dst))
+	s := t.rangeScratch(p, len(dst), mem.Word)
 	t.loadRange(p, s)
 	for i := range dst {
 		dst[i] = binary.LittleEndian.Uint64(s[i*mem.Word:])
@@ -416,7 +343,7 @@ func (t *Thread) LoadWords(p mem.Addr, dst []uint64) {
 // StoreWords writes len(src) consecutive words at the word-aligned
 // address p.
 func (t *Thread) StoreWords(p mem.Addr, src []uint64) {
-	s := t.rangeScratch(p, len(src))
+	s := t.rangeScratch(p, len(src), mem.Word)
 	for i, v := range src {
 		binary.LittleEndian.PutUint64(s[i*mem.Word:], v)
 	}
@@ -426,7 +353,7 @@ func (t *Thread) StoreWords(p mem.Addr, src []uint64) {
 // LoadInt64s reads len(dst) consecutive int64s starting at p (a slice view
 // over simulated memory; see LoadWords).
 func (t *Thread) LoadInt64s(p mem.Addr, dst []int64) {
-	s := t.rangeScratch(p, len(dst))
+	s := t.rangeScratch(p, len(dst), mem.Word)
 	t.loadRange(p, s)
 	for i := range dst {
 		dst[i] = int64(binary.LittleEndian.Uint64(s[i*mem.Word:]))
@@ -435,7 +362,7 @@ func (t *Thread) LoadInt64s(p mem.Addr, dst []int64) {
 
 // StoreInt64s writes len(src) consecutive int64s at p.
 func (t *Thread) StoreInt64s(p mem.Addr, src []int64) {
-	s := t.rangeScratch(p, len(src))
+	s := t.rangeScratch(p, len(src), mem.Word)
 	for i, v := range src {
 		binary.LittleEndian.PutUint64(s[i*mem.Word:], uint64(v))
 	}
@@ -445,7 +372,7 @@ func (t *Thread) StoreInt64s(p mem.Addr, src []int64) {
 // LoadFloat64s reads len(dst) consecutive float64s starting at p (a slice
 // view over simulated memory; see LoadWords).
 func (t *Thread) LoadFloat64s(p mem.Addr, dst []float64) {
-	s := t.rangeScratch(p, len(dst))
+	s := t.rangeScratch(p, len(dst), mem.Word)
 	t.loadRange(p, s)
 	for i := range dst {
 		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(s[i*mem.Word:]))
@@ -454,31 +381,21 @@ func (t *Thread) LoadFloat64s(p mem.Addr, dst []float64) {
 
 // StoreFloat64s writes len(src) consecutive float64s at p.
 func (t *Thread) StoreFloat64s(p mem.Addr, src []float64) {
-	s := t.rangeScratch(p, len(src))
+	s := t.rangeScratch(p, len(src), mem.Word)
 	for i, v := range src {
 		binary.LittleEndian.PutUint64(s[i*mem.Word:], math.Float64bits(v))
 	}
 	t.storeRange(p, s)
 }
 
-// rangeScratch validates the alignment of a typed bulk access of nWords
-// words at p and returns the byte scratch backing it.
-func (t *Thread) rangeScratch(p mem.Addr, nWords int) []byte {
-	if !mem.Aligned(p, mem.Word) {
-		if t.speculative {
-			t.rollbackNow(RollbackUnsafeOp)
-		}
-		panic(fmt.Sprintf("core: misaligned word-run access at %d", p))
-	}
-	return t.scratch(nWords * mem.Word)
-}
-
-// subRangeScratch validates a typed sub-word bulk access of n elements of
-// the given size at p and returns the byte scratch backing it. p must be
-// size-aligned; the word-run contract then extends naturally: a misaligned
-// head or tail decomposes into one maximal aligned sub-word access each
-// (charged once), and the aligned middle is one batched word-run crossing.
-func (t *Thread) subRangeScratch(p mem.Addr, n, size int) []byte {
+// rangeScratch validates a typed bulk access of n elements of the given
+// size at p and returns the byte scratch backing it. p must be
+// size-aligned: misalignment is an unsafe operation, so speculative threads
+// roll back and the non-speculative thread panics. For sub-word elements a
+// misaligned head or tail decomposes into one maximal aligned sub-word
+// access each (charged once), and the aligned middle is one batched
+// word-run crossing.
+func (t *Thread) rangeScratch(p mem.Addr, n, size int) []byte {
 	if !mem.Aligned(p, size) {
 		if t.speculative {
 			t.rollbackNow(RollbackUnsafeOp)
@@ -494,7 +411,7 @@ func (t *Thread) subRangeScratch(p mem.Addr, n, size int) []byte {
 // aligned middle, and at most one 4-byte tail access — the sub-word slice
 // view on the single-charge range contract.
 func (t *Thread) LoadFloat32s(p mem.Addr, dst []float32) {
-	s := t.subRangeScratch(p, len(dst), 4)
+	s := t.rangeScratch(p, len(dst), 4)
 	t.LoadBytes(p, s)
 	for i := range dst {
 		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(s[i*4:]))
@@ -504,7 +421,7 @@ func (t *Thread) LoadFloat32s(p mem.Addr, dst []float32) {
 // StoreFloat32s writes len(src) consecutive float32s at the 4-aligned
 // address p (see LoadFloat32s for the decomposition).
 func (t *Thread) StoreFloat32s(p mem.Addr, src []float32) {
-	s := t.subRangeScratch(p, len(src), 4)
+	s := t.rangeScratch(p, len(src), 4)
 	for i, v := range src {
 		binary.LittleEndian.PutUint32(s[i*4:], math.Float32bits(v))
 	}
@@ -514,7 +431,7 @@ func (t *Thread) StoreFloat32s(p mem.Addr, src []float32) {
 // LoadInt32s reads len(dst) consecutive int32s starting at the 4-aligned
 // address p (the int32 slice view; see LoadFloat32s).
 func (t *Thread) LoadInt32s(p mem.Addr, dst []int32) {
-	s := t.subRangeScratch(p, len(dst), 4)
+	s := t.rangeScratch(p, len(dst), 4)
 	t.LoadBytes(p, s)
 	for i := range dst {
 		dst[i] = int32(binary.LittleEndian.Uint32(s[i*4:]))
@@ -524,7 +441,7 @@ func (t *Thread) LoadInt32s(p mem.Addr, dst []int32) {
 // StoreInt32s writes len(src) consecutive int32s at the 4-aligned address
 // p.
 func (t *Thread) StoreInt32s(p mem.Addr, src []int32) {
-	s := t.subRangeScratch(p, len(src), 4)
+	s := t.rangeScratch(p, len(src), 4)
 	for i, v := range src {
 		binary.LittleEndian.PutUint32(s[i*4:], uint32(v))
 	}
@@ -570,11 +487,6 @@ func (t *Thread) StackAlloc(n int) mem.Addr {
 	p := t.stackTop
 	t.stackTop += need
 	t.rt.space.Arena.Zero(p, int(need))
-	if !t.speculative && t.rt.markFn != nil {
-		// The non-speculative stack is global address space: zeroing it is
-		// a direct write other threads' read sets may have snapshotted.
-		// Speculative stacks are private — no stamp needed.
-		t.rt.markFn(p, int(need))
-	}
+	t.wrote(p, int(need))
 	return p
 }

@@ -12,7 +12,10 @@ import (
 // implementation satisfies. The runtime (internal/core) programs against
 // this interface only; concrete organizations — per-page bitmaps (the
 // default), the paper's static open-addressing maps, dynamically chained
-// buckets — are selected by name through the registry below.
+// buckets — are selected by name through the registry below. A
+// speculative thread's access to a global address crosses it exactly once:
+// core.Thread's router sends it to one of Load, Store, LoadRange or
+// StoreRange.
 //
 // Semantics shared by all backends:
 //
@@ -45,11 +48,6 @@ type Backend interface {
 	// words of little-endian bytes at the word-aligned address p, with the
 	// same equivalence contract as LoadRange.
 	StoreRange(p mem.Addr, src []byte) Status
-	// StoreFill performs a buffered write of nWords consecutive copies of
-	// the word v at the word-aligned address p — StoreRange without
-	// materializing a source buffer (the memset-shaped store). Counters and
-	// statuses are exactly those of the equivalent StoreRange.
-	StoreFill(p mem.Addr, nWords int, v uint64) Status
 	// Validate checks the read set against the arena.
 	Validate() bool
 	// ValidateDirty compares only the read-set runs for which
@@ -77,26 +75,17 @@ type Backend interface {
 	Counters() *Counters
 }
 
-// Constructor builds a Backend over an arena from a (defaulted, but not yet
-// validated) Config. Constructors must reject invalid sizing with an error
-// rather than panicking or silently mis-sizing.
-type Constructor func(arena *mem.Arena, cfg Config) (Backend, error)
-
-var registry = map[string]Constructor{}
-
-// Register adds a backend constructor under a unique name. It is intended
-// to be called from init functions; duplicate names panic.
-func Register(name string, ctor Constructor) {
-	if name == "" || ctor == nil {
-		panic("gbuf: Register with empty name or nil constructor")
-	}
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("gbuf: backend %q registered twice", name))
-	}
-	registry[name] = ctor
+// registry maps each backend name to its constructor. Constructors build a
+// Backend over an arena from a (defaulted, but not yet validated) Config and
+// reject invalid sizing with an error rather than panicking or silently
+// mis-sizing.
+var registry = map[string]func(arena *mem.Arena, cfg Config) (Backend, error){
+	"openaddr": func(arena *mem.Arena, cfg Config) (Backend, error) { return New(arena, cfg) },
+	"chain":    newChainBackend,
+	"bitmap":   newBitmapBackend,
 }
 
-// Backends returns the registered backend names, sorted.
+// Backends returns the backend names, sorted.
 func Backends() []string {
 	names := make([]string, 0, len(registry))
 	for name := range registry {
@@ -125,14 +114,6 @@ func NewBackend(arena *mem.Arena, cfg Config) (Backend, error) {
 		return nil, fmt.Errorf("gbuf: unknown backend %q (registered: %v)", name, Backends())
 	}
 	return ctor(arena, cfg)
-}
-
-func init() {
-	Register("openaddr", func(arena *mem.Arena, cfg Config) (Backend, error) {
-		return New(arena, cfg)
-	})
-	Register("chain", newChainBackend)
-	Register("bitmap", newBitmapBackend)
 }
 
 // Add accumulates another counter set into c (used to aggregate per-CPU

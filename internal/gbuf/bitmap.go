@@ -388,34 +388,6 @@ func (b *bitmapBuffer) StoreRange(p mem.Addr, src []byte) Status {
 	return OK
 }
 
-// StoreFill performs a buffered write of nWords copies of the word v at the
-// word-aligned address p (the memset shape): per page, one shadow fill, one
-// mark fill and one bitmap-range set.
-func (b *bitmapBuffer) StoreFill(p mem.Addr, nWords int, v uint64) Status {
-	if nWords < 0 || !mem.Aligned(p, mem.Word) {
-		return Misaligned
-	}
-	b.C.Stores += uint64(nWords)
-	for nWords > 0 {
-		pageIdx, slot := b.locate(p)
-		count := b.pageWords - slot
-		if count > nWords {
-			count = nWords
-		}
-		pg := b.write.page(b, pageIdx, true)
-		off := slot * mem.Word
-		dst := pg.data[off : off+count*mem.Word]
-		for w := 0; w+mem.Word <= len(dst); w += mem.Word {
-			binary.LittleEndian.PutUint64(dst[w:], v)
-		}
-		setFullMarks(pg.mark[off : off+count*mem.Word])
-		b.write.words += setBitRange(pg.present, slot, count)
-		p += mem.Addr(count * mem.Word)
-		nWords -= count
-	}
-	return OK
-}
-
 // forEachRun visits every maximal run of consecutive buffered words of a
 // set (runs are clipped at 64-slot bitmap-word boundaries) as
 // (base, data, marks); marks is nil for the read set.

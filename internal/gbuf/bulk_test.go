@@ -270,7 +270,7 @@ func TestBulkValidationDetectsConflict(t *testing.T) {
 }
 
 // TestLoadRangeOwnWrites: a range load wholly covered by the speculation's
-// own StoreRange/StoreFill returns the written bytes and stays out of the
+// own StoreRanges returns the written bytes and stays out of the
 // read set, so the speculation still validates after the arena words
 // underneath change.
 func TestLoadRangeOwnWrites(t *testing.T) {
@@ -280,19 +280,17 @@ func TestLoadRangeOwnWrites(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Words 40..169: a 100-word StoreRange then a 30-word StoreFill, over
-		// three 64-word bitmap pages.
+		// Words 40..169: a 100-word StoreRange of random words then a 30-word
+		// StoreRange of one repeated word, over three 64-word bitmap pages.
 		const base, nRange, nFill = mem.Addr(40 * mem.Word), 100, 30
 		const fill = uint64(0xA5A5_5A5A_0F0F_F0F0)
 		want := make([]byte, (nRange+nFill)*mem.Word)
 		rand.New(rand.NewSource(4)).Read(want[:nRange*mem.Word])
-		for w := nRange; w < nRange+nFill; w++ {
-			binary.LittleEndian.PutUint64(want[w*mem.Word:], fill)
-		}
+		fillWords(want[nRange*mem.Word:], fill)
 		if st := be.StoreRange(base, want[:nRange*mem.Word]); st != OK {
 			t.Fatal(st)
 		}
-		if st := be.StoreFill(base+nRange*mem.Word, nFill, fill); st != OK {
+		if st := be.StoreRange(base+nRange*mem.Word, want[nRange*mem.Word:]); st != OK {
 			t.Fatal(st)
 		}
 		// The whole span, and a piece from inside it.
@@ -339,13 +337,14 @@ func TestLoadRangeStraddleMatchesWordLoop(t *testing.T) {
 		at := func(word int) mem.Addr { return mem.Addr(word * mem.Word) }
 		src := make([]byte, 20*mem.Word)
 		rand.New(rand.NewSource(6)).Read(src)
+		fill := fillWords(make([]byte, 10*mem.Word), 0x1234)
 		for _, be := range []Backend{bulk, ref} {
-			be.StoreRange(at(10), src)       // words 10..29 stored whole
-			be.Store(at(35)+2, 2, 0xBEEF)    // word 35: two bytes marked
-			be.Store(at(36), 4, 0xDEADBEEF)  // word 36: the low half marked
-			be.Load(at(40), mem.Word)        // word 40 already snapshotted
-			be.StoreFill(at(60), 10, 0x1234) // words 60..69, over the page border at 64
-			be.Store(at(62)+7, 1, 0x77)      // a sub-word store onto a full word
+			be.StoreRange(at(10), src)      // words 10..29 stored whole
+			be.Store(at(35)+2, 2, 0xBEEF)   // word 35: two bytes marked
+			be.Store(at(36), 4, 0xDEADBEEF) // word 36: the low half marked
+			be.Load(at(40), mem.Word)       // word 40 already snapshotted
+			be.StoreRange(at(60), fill)     // words 60..69, over the page border at 64
+			be.Store(at(62)+7, 1, 0x77)     // a sub-word store onto a full word
 		}
 		// {first word, words}: all of it; stored only; untouched only; the
 		// partial words with neighbours; read and stored across the border.

@@ -250,25 +250,6 @@ func (b *chainBuffer) StoreRange(p mem.Addr, src []byte) Status {
 	return OK
 }
 
-// StoreFill performs a buffered write of nWords copies of the word v at the
-// word-aligned address p (the memset shape), mirroring StoreRange.
-func (b *chainBuffer) StoreFill(p mem.Addr, nWords int, v uint64) Status {
-	if nWords < 0 || !mem.Aligned(p, mem.Word) {
-		return Misaligned
-	}
-	b.C.Stores += uint64(nWords)
-	for k := 0; k < nWords; k++ {
-		base := p + mem.Addr(k*mem.Word)
-		e := b.write.lookup(base)
-		if e == nil {
-			e = b.write.insert(base)
-		}
-		binary.LittleEndian.PutUint64(e.data[:], v)
-		binary.LittleEndian.PutUint64(e.mark[:], onesWord)
-	}
-	return OK
-}
-
 // validateWalk is the read-set comparison shared by Validate and
 // ValidateDirty; a non-nil dirty oracle skips words on clean pages.
 func (b *chainBuffer) validateWalk(dirty func(mem.Addr, int) bool) bool {

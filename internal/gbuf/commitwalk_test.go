@@ -214,7 +214,8 @@ func randomOps(rng *rand.Rand, arena *mem.Arena, be Backend, nOps int) bool {
 				return true
 			}
 		case 2:
-			if be.StoreFill(p, 1+rng.Intn(32), rng.Uint64()) == Full {
+			n := (1 + rng.Intn(32)) * mem.Word
+			if be.StoreRange(p, fillWords(scratch[:n], rng.Uint64())) == Full {
 				return true
 			}
 		case 3:
@@ -284,54 +285,13 @@ func TestBatchedCommitMatchesWordWalk(t *testing.T) {
 	}
 }
 
-// TestStoreFillMatchesStoreRange: StoreFill is observationally identical to
-// StoreRange with a materialized constant source — statuses, counters, set
-// peaks and committed arena contents.
-func TestStoreFillMatchesStoreRange(t *testing.T) {
-	for _, name := range Backends() {
-		t.Run(name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(11))
-			for trial := 0; trial < 30; trial++ {
-				arenaA, _ := mem.NewArena(1 << 13)
-				arenaB := cloneArena(t, arenaA)
-				fills, ranges := func() (Backend, Backend) {
-					a, err := NewBackend(arenaA, testConfig(name))
-					if err != nil {
-						t.Fatal(err)
-					}
-					b, _ := NewBackend(arenaB, testConfig(name))
-					return a, b
-				}()
-				src := make([]byte, 48*mem.Word)
-				for op := 0; op < 40; op++ {
-					p := mem.Addr(mem.Word * (1 + rng.Intn(900)))
-					nWords := 1 + rng.Intn(48)
-					v := rng.Uint64()
-					for w := 0; w < nWords; w++ {
-						binary.LittleEndian.PutUint64(src[w*mem.Word:], v)
-					}
-					stF := fills.StoreFill(p, nWords, v)
-					stR := ranges.StoreRange(p, src[:nWords*mem.Word])
-					if stF != stR {
-						t.Fatalf("trial %d op %d: fill %v, range %v", trial, op, stF, stR)
-					}
-					if stF == Full {
-						break
-					}
-				}
-				if fills.WriteSetSize() != ranges.WriteSetSize() {
-					t.Fatalf("trial %d: write-set peak %d vs %d", trial, fills.WriteSetSize(), ranges.WriteSetSize())
-				}
-				cf, cr := *fills.Counters(), *ranges.Counters()
-				if cf != cr {
-					t.Fatalf("trial %d: counters %+v vs %+v", trial, cf, cr)
-				}
-				fills.Commit(nil)
-				ranges.Commit(nil)
-				sameArenas(t, arenaA, arenaB, fmt.Sprintf("trial %d", trial))
-			}
-		})
+// fillWords writes the word v into every word of dst and returns it: a
+// constant-fill source for StoreRange.
+func fillWords(dst []byte, v uint64) []byte {
+	for w := 0; w < len(dst); w += mem.Word {
+		binary.LittleEndian.PutUint64(dst[w:], v)
 	}
+	return dst
 }
 
 // TestValidateDirtySplit: ValidateDirty compares only the runs its oracle

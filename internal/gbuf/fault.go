@@ -2,11 +2,11 @@ package gbuf
 
 import "repro/internal/mem"
 
-// FaultyBackend wraps a Backend for chaos testing: every write-path call
-// first consults Trip, and a tripped call returns Full without reaching
-// the wrapped backend — exactly the status an exhausted buffer produces,
-// so the runtime's real overflow-rollback machinery runs end to end. Read
-// and protocol methods pass straight through.
+// FaultyBackend wraps a Backend for chaos testing: both write paths, Store
+// and StoreRange, first consult Trip, and a tripped call returns Full
+// without reaching the wrapped backend — exactly the status an exhausted
+// buffer produces, so the runtime's real overflow-rollback machinery runs
+// end to end. Read and protocol methods pass straight through.
 type FaultyBackend struct {
 	Backend
 	// Trip reports whether the next write-path call should fail Full.
@@ -27,12 +27,4 @@ func (f *FaultyBackend) StoreRange(p mem.Addr, src []byte) Status {
 		return Full
 	}
 	return f.Backend.StoreRange(p, src)
-}
-
-// StoreFill injects a Full status when Trip fires.
-func (f *FaultyBackend) StoreFill(p mem.Addr, nWords int, v uint64) Status {
-	if f.Trip() {
-		return Full
-	}
-	return f.Backend.StoreFill(p, nWords, v)
 }

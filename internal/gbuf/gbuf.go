@@ -523,56 +523,6 @@ func (b *Buffer) StoreRange(p mem.Addr, src []byte) Status {
 	return st
 }
 
-// StoreFill performs a buffered write of nWords copies of the word v at the
-// word-aligned address p — StoreRange's walk without a source buffer, the
-// memset shape that allocator zeroing and constant fills produce.
-func (b *Buffer) StoreFill(p mem.Addr, nWords int, v uint64) Status {
-	if nWords < 0 || !mem.Aligned(p, mem.Word) {
-		return Misaligned
-	}
-	if nWords == 0 {
-		return OK
-	}
-	b.C.Stores += uint64(nWords)
-	st := OK
-	i := b.write.slot(p)
-	mask := int(b.write.mask)
-	for k := 0; k < nWords; k, i = k+1, (i+1)&mask {
-		base := p + mem.Addr(k*mem.Word)
-		var data, marks []byte
-		switch b.write.addrs[i] {
-		case base:
-			data, marks = b.write.word(i), b.write.markWord(i)
-		case mem.NilAddr:
-			b.write.addrs[i] = base
-			b.write.used[b.write.top] = int32(i)
-			b.write.top++
-			data, marks = b.write.word(i), b.write.markWord(i)
-		default:
-			// Foreign address in the slot: the overflow path, one word.
-			if e := b.findWriteOv(base); e != nil {
-				data, marks = e.data[:], e.mark[:]
-			} else {
-				b.C.Conflicts++
-				if len(b.writeOv) >= b.ovCap {
-					// The caller rolls back here; uncount the words the
-					// word-at-a-time loop would never have reached.
-					b.C.Stores -= uint64(nWords - k - 1)
-					return Full
-				}
-				b.writeOv = append(b.writeOv, ovEntry{base: base})
-				e := &b.writeOv[len(b.writeOv)-1]
-				data, marks = e.data[:], e.mark[:]
-				b.mustStop = true
-				st = Conflict
-			}
-		}
-		binary.LittleEndian.PutUint64(data, v)
-		binary.LittleEndian.PutUint64(marks, onesWord)
-	}
-	return st
-}
-
 // validateWalk is the read-set comparison shared by Validate and
 // ValidateDirty. Conflicts only occur when the speculative thread read
 // an address before the non-speculative thread wrote it, so equality of the

@@ -20,7 +20,7 @@ import (
 const reuseSpeculations = 1200
 
 // reuseStep is one seeded access: word, sub-word or range; load, store or
-// fill.
+// constant-fill store.
 type reuseStep struct {
 	kind   int
 	p      mem.Addr // word-aligned
@@ -66,7 +66,7 @@ func (s reuseStep) apply(be Backend) (Status, []byte) {
 	case 2:
 		return be.StoreRange(s.p, s.src), nil
 	case 3:
-		return be.StoreFill(s.p, s.nWords, s.v), nil
+		return be.StoreRange(s.p, fillWords(make([]byte, s.nWords*mem.Word), s.v)), nil
 	case 4:
 		return word(be.Load(s.p, mem.Word))
 	case 5:

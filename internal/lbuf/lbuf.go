@@ -257,26 +257,6 @@ func (b *Buffer) UpdateStackvar(slot int, data []byte) error {
 	return nil
 }
 
-// MapPtr implements the pointer mapping mechanism: if ptr points inside a
-// speculative (bound) copy of a buffered stack variable in the top frame,
-// it is translated to the corresponding address in the non-speculative
-// (home) copy. The bool result reports whether a mapping applied. Since the
-// two functions may lay their stacks out differently, the offset is
-// computed per variable, never as a constant.
-func (b *Buffer) MapPtr(ptr mem.Addr) (mem.Addr, bool) {
-	f := b.Top()
-	for i := range f.vars {
-		v := &f.vars[i]
-		if !v.live || v.boundAddr == mem.NilAddr {
-			continue
-		}
-		if ptr >= v.boundAddr && ptr < v.boundAddr+mem.Addr(len(v.data)) {
-			return v.homeAddr + (ptr - v.boundAddr), true
-		}
-	}
-	return ptr, false
-}
-
 // PtrMapping describes one buffered stack variable of the entry frame for
 // the pointer mapping mechanism: its non-speculative home address, the
 // speculative bound address (NilAddr if the child never materialized it)
@@ -303,6 +283,21 @@ func (b *Buffer) PtrMappings() []PtrMapping {
 		}
 	}
 	return out
+}
+
+// MapPtr implements the pointer mapping mechanism: if ptr points inside the
+// speculative (bound) copy of one of the stack variables ms, it is
+// translated to the corresponding address in the non-speculative (home)
+// copy. The bool result reports whether a mapping applied. Since the two
+// functions may lay their stacks out differently, the offset is computed
+// per variable, never as a constant.
+func MapPtr(ms []PtrMapping, ptr mem.Addr) (mem.Addr, bool) {
+	for _, m := range ms {
+		if m.Bound != mem.NilAddr && ptr >= m.Bound && ptr < m.Bound+mem.Addr(m.Size) {
+			return m.Home + (ptr - m.Bound), true
+		}
+	}
+	return ptr, false
 }
 
 // EntryStackvarData returns the buffered bytes of an entry-frame stack

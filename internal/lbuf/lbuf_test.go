@@ -118,20 +118,20 @@ func TestPointerMapping(t *testing.T) {
 	b.GetStackvar(0, 5000)
 	// Pointer into the child copy maps to the parent copy at the same
 	// per-variable offset.
-	if p, ok := b.MapPtr(5000); !ok || p != 1000 {
+	if p, ok := MapPtr(b.PtrMappings(), 5000); !ok || p != 1000 {
 		t.Fatalf("MapPtr(5000) = %d, %v", p, ok)
 	}
-	if p, ok := b.MapPtr(5007); !ok || p != 1007 {
+	if p, ok := MapPtr(b.PtrMappings(), 5007); !ok || p != 1007 {
 		t.Fatalf("MapPtr(5007) = %d, %v", p, ok)
 	}
-	if p, ok := b.MapPtr(5016); ok {
+	if p, ok := MapPtr(b.PtrMappings(), 5016); ok {
 		t.Fatalf("one-past-end mapped to %d", p)
 	}
-	if p, ok := b.MapPtr(4999); ok {
+	if p, ok := MapPtr(b.PtrMappings(), 4999); ok {
 		t.Fatalf("before-start mapped to %d", p)
 	}
 	// Unmapped pointers come back unchanged.
-	if p, ok := b.MapPtr(777); ok || p != 777 {
+	if p, ok := MapPtr(b.PtrMappings(), 777); ok || p != 777 {
 		t.Fatalf("unrelated pointer = %d, %v", p, ok)
 	}
 }
@@ -144,10 +144,10 @@ func TestPointerMappingPerVariableOffsets(t *testing.T) {
 	b.GetStackvar(0, 5000)
 	b.SetStackvar(1, 2000, make([]byte, 8))
 	b.GetStackvar(1, 5008) // adjacent in child, far apart in parent
-	if p, _ := b.MapPtr(5004); p != 1004 {
+	if p, _ := MapPtr(b.PtrMappings(), 5004); p != 1004 {
 		t.Fatalf("var0 interior = %d", p)
 	}
-	if p, _ := b.MapPtr(5012); p != 2004 {
+	if p, _ := MapPtr(b.PtrMappings(), 5012); p != 2004 {
 		t.Fatalf("var1 interior = %d", p)
 	}
 }
@@ -156,7 +156,7 @@ func TestUnboundStackvarDoesNotMap(t *testing.T) {
 	b := newTestBuffer(t)
 	b.SetStackvar(0, 1000, make([]byte, 8))
 	// Never loaded by the child, so no bound address: nothing to map.
-	if _, ok := b.MapPtr(1000); ok {
+	if _, ok := MapPtr(b.PtrMappings(), 1000); ok {
 		t.Fatal("unbound variable mapped")
 	}
 }
@@ -316,7 +316,7 @@ func TestQuickPointerMapping(t *testing.T) {
 					break
 				}
 			}
-			got, ok := b.MapPtr(p)
+			got, ok := MapPtr(b.PtrMappings(), p)
 			if ok != wantOK || got != want {
 				return false
 			}

@@ -25,7 +25,6 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sync/atomic"
 )
 
@@ -144,21 +143,6 @@ func (a *Arena) WriteUint32(p Addr, v uint32) { a.writeSub(p, 4, uint64(v)) }
 // ReadInt64 returns the 8-byte signed value at p.
 func (a *Arena) ReadInt64(p Addr) int64 { return int64(a.ReadWord(p)) }
 
-// WriteInt64 stores an 8-byte signed value at p.
-func (a *Arena) WriteInt64(p Addr, v int64) { a.WriteWord(p, uint64(v)) }
-
-// ReadFloat64 returns the float64 at p.
-func (a *Arena) ReadFloat64(p Addr) float64 { return math.Float64frombits(a.ReadWord(p)) }
-
-// WriteFloat64 stores a float64 at p.
-func (a *Arena) WriteFloat64(p Addr, v float64) { a.WriteWord(p, math.Float64bits(v)) }
-
-// ReadFloat32 returns the float32 at p.
-func (a *Arena) ReadFloat32(p Addr) float32 { return math.Float32frombits(a.ReadUint32(p)) }
-
-// WriteFloat32 stores a float32 at p.
-func (a *Arena) WriteFloat32(p Addr, v float32) { a.WriteUint32(p, math.Float32bits(v)) }
-
 // ReadWords copies len(dst)/Word consecutive words starting at the
 // word-aligned address p into dst as little-endian bytes. It is the bulk
 // read under the GlobalBuffer range paths: one bounds check for the whole
@@ -250,28 +234,6 @@ func (a *Arena) FillWords(p Addr, nWords int, v uint64) {
 // (FillWords with zero — the allocator-zeroing fast path).
 func (a *Arena) ZeroWords(p Addr, nWords int) { a.FillWords(p, nWords, 0) }
 
-// CopyWords copies nWords consecutive words from src to dst (both
-// word-aligned) — the arena's memmove intrinsic. Overlapping ranges copy
-// back-to-front when dst is inside the source run, matching Go's copy.
-func (a *Arena) CopyWords(dst, src Addr, nWords int) {
-	if nWords < 0 {
-		panic(fmt.Sprintf("mem: negative copy length %d", nWords))
-	}
-	a.checkRun(src, nWords*Word)
-	a.checkRun(dst, nWords*Word)
-	d := a.words[dst>>3 : int(dst>>3)+nWords]
-	s := a.words[src>>3 : int(src>>3)+nWords]
-	if dst > src && dst < src+Addr(nWords*Word) {
-		for i := nWords - 1; i >= 0; i-- {
-			atomic.StoreUint64(&d[i], atomic.LoadUint64(&s[i]))
-		}
-		return
-	}
-	for i := range d {
-		atomic.StoreUint64(&d[i], atomic.LoadUint64(&s[i]))
-	}
-}
-
 // splitRun decomposes a byte span at p into a sub-word head up to the next
 // word boundary, a run of whole words and a sub-word tail.
 func splitRun(p Addr, n int) (head, nWords, tail int) {
@@ -322,22 +284,6 @@ func (a *Arena) WriteBytes(p Addr, data []byte) {
 	if tail > 0 {
 		a.writeSub(p, tail, getLEBytes(data[n-tail:]))
 	}
-}
-
-// Copy copies n bytes from src to dst inside the arena (memmove semantics).
-// Word-aligned source and destination copy whole words in place via
-// CopyWords; mixed alignments stage through a snapshot.
-func (a *Arena) Copy(dst, src Addr, n int) {
-	if Aligned(dst, Word) && Aligned(src, Word) {
-		nWords := n / Word
-		a.CopyWords(dst, src, nWords)
-		if tail := n % Word; tail > 0 {
-			off := Addr(nWords * Word)
-			a.writeSub(dst+off, tail, a.readSub(src+off, tail))
-		}
-		return
-	}
-	a.WriteBytes(dst, a.Snapshot(src, n))
 }
 
 // Zero clears n bytes starting at p: sub-word head and tail, ZeroWords for

@@ -42,7 +42,6 @@ func TestFillWords(t *testing.T) {
 	for _, bad := range []func(){
 		func() { a.FillWords(60, 2, 1) },  // misaligned
 		func() { a.FillWords(64, -1, 1) }, // negative
-		func() { a.CopyWords(64, 62, 2) }, // misaligned source
 	} {
 		func() {
 			defer func() {
@@ -55,29 +54,7 @@ func TestFillWords(t *testing.T) {
 	}
 }
 
-func TestCopyWordsOverlap(t *testing.T) {
-	a, _ := NewArena(1 << 12)
-	for k := 0; k < 8; k++ {
-		a.WriteWord(Addr(64+k*Word), uint64(k+1))
-	}
-	a.CopyWords(64+2*Word, 64, 8) // forward overlap: back-to-front
-	for k := 0; k < 8; k++ {
-		if got := a.ReadWord(Addr(64 + (k+2)*Word)); got != uint64(k+1) {
-			t.Fatalf("forward overlap word %d = %d, want %d", k, got, k+1)
-		}
-	}
-	for k := 0; k < 8; k++ {
-		a.WriteWord(Addr(256+k*Word), uint64(10+k))
-	}
-	a.CopyWords(256-2*Word, 256, 8) // backward overlap: front-to-back
-	for k := 0; k < 8; k++ {
-		if got := a.ReadWord(Addr(256 + (k-2)*Word)); got != uint64(10+k) {
-			t.Fatalf("backward overlap word %d = %d, want %d", k, got, 10+k)
-		}
-	}
-}
-
-// Property: the word-batched Zero/WriteBytes/Snapshot/Copy agree with the
+// Property: the word-batched Zero/WriteBytes/Snapshot agree with the
 // byte-at-a-time reference on every alignment and length.
 func TestByteOpsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -96,7 +73,7 @@ func TestByteOpsMatchReference(t *testing.T) {
 		refZero(b, q, m)
 		if trial%3 == 0 {
 			dst := Addr(2100 + rng.Intn(1000))
-			a.Copy(dst, p, n)
+			a.WriteBytes(dst, a.Snapshot(p, n))
 			refWriteBytes(b, dst, b.Snapshot(p, n))
 		}
 		for i := Word; i < a.Size(); i += Word {
@@ -177,12 +154,6 @@ func BenchmarkArenaFill(b *testing.B) {
 		b.SetBytes(block)
 		for i := 0; i < b.N; i++ {
 			a.FillWords(64, block/Word, 0x0101010101010101)
-		}
-	})
-	b.Run("copy-words", func(b *testing.B) {
-		b.SetBytes(block)
-		for i := 0; i < b.N; i++ {
-			a.CopyWords(1<<15, 64, block/Word)
 		}
 	})
 }
