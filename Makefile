@@ -26,7 +26,9 @@ race:
 
 # race-repeat reruns the packages whose tests are about interleavings: the
 # join protocol, the pay-off guard and host-aware fork admission on 1, 2 and
-# 4 procs (the whole of internal/core — the guard's window and probe
+# 4 procs (the whole of internal/core — the hand-off's
+# TestWorkerStaysThroughForkGaps, which skips under -race and is run plain by
+# `make test`, the guard's window and probe
 # schedule tests and TestTinyLoopStopsForking, TestForkAdmissionFollowsTheProcs,
 # TestForkAdmissionOffOnOneProc, TestRunCountsSurviveGoexit, the PointFor
 # tests, the sole-committer commit's TestCommitPathsKeepEquivalence and
@@ -106,7 +108,7 @@ chaos:
 # PR that grows the tree has to raise the number here, in its own diff.
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l); \
-	echo "non-test Go outside benchmark/ and testdata/: $$n lines (ceiling 15980, target 16500)"; \
+	echo "non-test Go outside benchmark/ and testdata/: $$n lines (ceiling 15947, target 16500)"; \
 	v=$$(find internal/analysis cmd/mutls-vet -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l); \
 	echo "  of which internal/analysis + cmd/mutls-vet: $$v lines"; \
-	if [ $$n -gt 15980 ]; then echo "code size is over the ceiling: shrink, or raise it in the Makefile" >&2; exit 1; fi
+	if [ $$n -gt 15947 ]; then echo "code size is over the ceiling: shrink, or raise it in the Makefile" >&2; exit 1; fi

@@ -12,13 +12,14 @@ import (
 // The hand-off rule. The paper's join (§IV-E) is a flag-based barrier:
 // both sides stay on their CPUs and watch sync_status / valid_status. A
 // goroutine that parks instead pays a futex sleep, a halted core to wake
-// and a scheduler round trip — tens of microseconds on a small VM, more
-// than most speculations on a fine-grained loop are worth. A waitGate
-// therefore spins before it parks, for as long as parking would cost (the
-// ski-rental rule: total cost stays within 2x of the optimum whatever the
-// wait turns out to be), and it learns that cost itself: every wake that
-// finds a parked waiter stamps the clock, and the resumed waiter folds
-// stamp -> running-again into the gate's EWMA.
+// and a scheduler round trip, and on a fine-grained loop it costs the pair
+// of threads more than its own resume: the next fork's wake makes the
+// parked worker runnable on the forking thread's P, the forker's next
+// yield hands that P over, and the two then take turns on one P while the
+// other idles until its thread wakes. So a waitGate spins for a fixed
+// spinBudget before it parks — long enough to cover the gaps between the
+// forks of a fine-grained loop, short enough that a wait nobody will end
+// soon costs one spin and then nothing.
 //
 // Spinning is only free while nobody else wants the core, so a spin phase
 // is entered (and continued) only while the process has a spare proc —
@@ -30,15 +31,12 @@ const (
 	// against a runnable goroutine the accounting does not see (an HTTP
 	// handler, the garbage collector).
 	spinBurst = 128
-	// initParkCost seeds a gate's resume-latency EWMA before the first
-	// measured park.
-	initParkCost = 20 * time.Microsecond
-	// minSpinBudget and maxSpinBudget clamp the spin phase: the floor keeps
-	// a few lucky fast resumes from talking the gate out of spinning at
-	// all, the cap bounds what one wait can burn when a resume was slow
-	// because the host was busy, not because parking is dear.
-	minSpinBudget = 10 * time.Microsecond
-	maxSpinBudget = 100 * time.Microsecond
+	// spinBudget is the length of a spin phase. On loop-memory (2 vCPUs,
+	// go1.24), against a spin of twice the measured resume latency (held
+	// at a 10 µs floor there), it cut the tokens whose worker ran on the P
+	// its parent joined from 14-16 % to 3-4 %, and a run's parks from a
+	// median of 45 to 1.
+	spinBudget = 100 * time.Microsecond
 )
 
 // procBusy counts, process-wide, the runtime threads that hold a CPU right
@@ -93,10 +91,6 @@ type waitGate struct {
 	// consistent atomics, so either the waker sees the registration or the
 	// waiter's check sees the publish.
 	parked atomic.Int32
-	// wakeStamp is gateNow at the last wake that found a parked waiter;
-	// parkCost is the EWMA (alpha 1/8) of stamp -> waiter running again.
-	wakeStamp atomic.Int64
-	parkCost  atomic.Int64
 
 	// Hand-off counters, always on: waits that entered the spin phase,
 	// spin phases the predicate ended, and waits that slept.
@@ -105,29 +99,11 @@ type waitGate struct {
 	parks    atomic.Int64
 }
 
-func (g *waitGate) init() {
-	g.cond.L = &g.mu
-	g.parkCost.Store(int64(initParkCost))
-}
-
-// budget is the length of a spin phase: twice the measured resume latency
-// (a park also costs going to sleep and the waker's futex call, and the
-// wait a spinner covers is typically one resume latency long itself when
-// the other side did park), clamped.
-func (g *waitGate) budget() int64 {
-	b := 2 * g.parkCost.Load()
-	if b < int64(minSpinBudget) {
-		return int64(minSpinBudget)
-	}
-	if b > int64(maxSpinBudget) {
-		return int64(maxSpinBudget)
-	}
-	return b
-}
+func (g *waitGate) init() { g.cond.L = &g.mu }
 
 // wait returns once pred() holds. pred must read only atomics: it is
 // called both outside and inside the gate lock. maySpin says whether the
-// caller may burn the gate's budget before parking; it is asked again at
+// caller may spin for spinBudget before parking; it is asked again at
 // every yield, so a spinner gives up as soon as the answer changes. The
 // caller must be counted in procBusy, and working says whether it is counted
 // in procWorking as well (every waiter but a worker at its mailbox).
@@ -137,7 +113,7 @@ func (g *waitGate) wait(pred func() bool, maySpin func() bool, working bool) {
 	}
 	if maySpin() {
 		g.spins.Add(1)
-		deadline := gateNow() + g.budget()
+		deadline := gateNow() + int64(spinBudget)
 		for {
 			for i := 0; i < spinBurst; i++ {
 				if pred() {
@@ -170,16 +146,6 @@ func (g *waitGate) wait(pred func() bool, maySpin func() bool, working bool) {
 	}
 	if slept {
 		g.parks.Add(1)
-		// Clamp the sample: a resume that took milliseconds met a busy
-		// host, and one such outlier must not pin the budget at its cap.
-		d := gateNow() - g.wakeStamp.Load()
-		if d > 4*int64(maxSpinBudget) {
-			d = 4 * int64(maxSpinBudget)
-		}
-		if d > 0 {
-			old := g.parkCost.Load()
-			g.parkCost.Store(old + (d-old)/8)
-		}
 	}
 }
 
@@ -194,7 +160,6 @@ func (g *waitGate) wake() bool {
 	if g.parked.Load() == 0 {
 		return false
 	}
-	g.wakeStamp.Store(gateNow())
 	g.mu.Lock()
 	g.cond.Broadcast()
 	g.mu.Unlock()

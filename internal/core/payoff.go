@@ -25,10 +25,12 @@ import (
 // below were read on two vCPUs (go1.24, GOMAXPROCS 2).
 const (
 	// payoffWindow is the joins before the first verdict; each window holds
-	// twice as many. First joins meet a parked worker (43-204 us, warm ones
-	// 2-4), and two vCPUs alternate phases of ten to thirty joins that
-	// overlap with phases that do not: an 8-join memory made 1.9x pipelines
-	// 1.0x, a 32-sample ring flipped loop-memory's simulated group once in
+	// twice as many. A run's first join meets a parked worker (8-43 us on
+	// loop-memory, warm ones 3 at the median). Stretches of ten or more
+	// joins with both threads on one P, which this window was sized
+	// against, came 3 times in 60 loop-memory runs once the gate spun a
+	// fixed 100 us (16 before): an 8-join memory made 1.9x pipelines 1.0x,
+	// a 32-sample ring flipped loop-memory's simulated group once in
 	// 3 000 tokens, 64 did not. It also sets the first probe gap, the
 	// longest probe, and the inline sampling: one run in payoffWindow timed
 	// while refusing, one fork refused after 2·payoffWindow joins with none.
@@ -37,8 +39,8 @@ const (
 	// spends under 0.2 % of its attempts on probes after the first 2 000.
 	payoffMaxProbe = 1024
 	// payoffProbeLoss is the loss, in gains, that stops a probe: a cold first
-	// join (34-60 us on loop-memory's group, warm ones 9-14) fits in it, and
-	// a body that loses on every fork spends it in two.
+	// join (8-43 us on loop-memory's group, warm ones 3 at the median) fits
+	// in it, and a body that loses on every fork spends it in two.
 	payoffProbeLoss = 2
 )
 

@@ -194,8 +194,8 @@ func TestSpinPipelineRarelyParks(t *testing.T) {
 }
 
 // TestStencilPipelineForksOneBalancedGroup is loop-memory's claim. With one
-// speculative CPU the stencil's stages — two 3-point passes of about 10 us
-// and a 5 us residual fold at the benchmark's size — are cut
+// speculative CPU the stencil's stages — two 3-point passes of about 6 us
+// and a 3 us residual fold at the benchmark's size (2 vCPUs, go1.24) — are cut
 // {pass 1} | {pass 2 + fold}, a group worth its fork where the fold alone,
 // all that forking stages last-first could off-load, was not. From the
 // second run on, at least 600 of a run's 792 fork attempts commit the group,
