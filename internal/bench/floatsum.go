@@ -12,8 +12,8 @@ import (
 // ROADMAP "speculative reductions over float64/general monoids"): a fixed-
 // order float64 polynomial sum of a float32 array through mutls.ReduceFloat64. The
 // fold order is the flat element order in both versions, so the result is
-// bit-identical between sequential and speculative runs (RelTol 0 —
-// bit-exact accumulator validation). The array repeats a short pattern of
+// bit-identical between sequential and speculative runs (bit-exact
+// accumulator validation). The array repeats a short pattern of
 // exact dyadic values, so every equal-sized chunk group adds exactly the
 // same float64 delta and the float-arithmetic stride predictor locks on
 // after two group boundaries — the continuation forks then commit, which
@@ -94,7 +94,7 @@ func floatSumSeq(t *mutls.Thread, s Size) uint64 {
 func floatSumSpec(t *mutls.Thread, s Size, o SpecOptions) uint64 {
 	arr := floatSumFill(t, s)
 	defer t.Free(arr)
-	opts := mutls.ReduceFloatOptions{Model: o.Model, Predictor: mutls.Stride}
+	opts := mutls.ReduceOptions{Model: o.Model, Predictor: mutls.Stride}
 	acc := mutls.ReduceFloat64(t, floatSumChunks, floatSumInit, opts,
 		func(c *mutls.Thread, idx int, acc float64) float64 {
 			return floatSumChunk(c, arr, s.N, idx, acc)

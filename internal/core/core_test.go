@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"repro/internal/gbuf"
@@ -243,13 +244,13 @@ func TestLocalsValidationSuccessCommits(t *testing.T) {
 		ranks := make([]Rank, 1)
 		h := t0.Fork(ranks, 0, Mixed)
 		h.SetRegvarInt64(0, 10)
-		h.SetRegvarFloat64(1, 2.5)
+		h.SetRegvarInt64(1, int64(math.Float64bits(2.5)))
 		h.Start(func(c *Thread) uint32 {
 			_ = c.GetRegvarInt64(0)
 			return 0
 		})
 		t0.ValidateRegvarInt64(ranks, 0, 0, 10)
-		t0.ValidateRegvarFloat64(ranks, 0, 1, 2.5)
+		t0.ValidateRegvarInt64(ranks, 0, 1, int64(math.Float64bits(2.5)))
 		if res := t0.Join(ranks, 0); res.Status != JoinCommitted {
 			t.Fatalf("correctly predicted locals rolled back: %v", res.Reason)
 		}
@@ -281,7 +282,7 @@ func TestSavedLocalsRestoredAfterJoin(t *testing.T) {
 		h.Start(func(c *Thread) uint32 {
 			x := c.GetRegvarInt64(0)
 			c.SaveRegvarInt64(1, x*x)
-			c.SaveRegvarFloat64(2, 1.5)
+			c.SaveRegvarInt64(2, int64(math.Float64bits(1.5)))
 			return 0
 		})
 		res := t0.Join(ranks, 0)
@@ -291,7 +292,7 @@ func TestSavedLocalsRestoredAfterJoin(t *testing.T) {
 		if got := res.RegvarInt64(1); got != 25 {
 			t.Fatalf("restored local = %d", got)
 		}
-		if got := res.RegvarFloat64(2); got != 1.5 {
+		if got := math.Float64frombits(uint64(res.RegvarInt64(2))); got != 1.5 {
 			t.Fatalf("restored float = %v", got)
 		}
 		if !res.RegvarLive(1) || res.RegvarLive(3) {

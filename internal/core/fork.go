@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/faultinject"
 	"repro/internal/mem"
@@ -264,9 +263,6 @@ func (h *ForkHandle) setRegvar(slot int, v uint64) {
 // SetRegvarInt64 saves an int64 live-in for the child.
 func (h *ForkHandle) SetRegvarInt64(slot int, v int64) { h.setRegvar(slot, uint64(v)) }
 
-// SetRegvarFloat64 saves a float64 live-in for the child.
-func (h *ForkHandle) SetRegvarFloat64(slot int, v float64) { h.setRegvar(slot, math.Float64bits(v)) }
-
 // SetRegvarAddr saves a pointer live-in for the child.
 func (h *ForkHandle) SetRegvarAddr(slot int, v mem.Addr) { h.setRegvar(slot, uint64(v)) }
 
@@ -329,11 +325,6 @@ func (t *Thread) getRegvar(slot int) uint64 {
 // GetRegvarInt64 fetches an int64 live-in inside a region.
 func (t *Thread) GetRegvarInt64(slot int) int64 { return int64(t.getRegvar(slot)) }
 
-// GetRegvarFloat64 fetches a float64 live-in inside a region.
-func (t *Thread) GetRegvarFloat64(slot int) float64 {
-	return math.Float64frombits(t.getRegvar(slot))
-}
-
 // GetRegvarAddr fetches a pointer live-in inside a region.
 func (t *Thread) GetRegvarAddr(slot int) mem.Addr { return mem.Addr(t.getRegvar(slot)) }
 
@@ -353,9 +344,6 @@ func (t *Thread) saveRegvar(slot int, v uint64) {
 
 // SaveRegvarInt64 saves an int64 live-out before a stop point.
 func (t *Thread) SaveRegvarInt64(slot int, v int64) { t.saveRegvar(slot, uint64(v)) }
-
-// SaveRegvarFloat64 saves a float64 live-out before a stop point.
-func (t *Thread) SaveRegvarFloat64(slot int, v float64) { t.saveRegvar(slot, math.Float64bits(v)) }
 
 // SaveRegvarAddr saves a pointer live-out before a stop point.
 func (t *Thread) SaveRegvarAddr(slot int, v mem.Addr) { t.saveRegvar(slot, uint64(v)) }

@@ -2,12 +2,10 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/faultinject"
 	"repro/internal/lbuf"
 	"repro/internal/mem"
-	"repro/internal/predict"
 	"repro/internal/vclock"
 )
 
@@ -112,34 +110,6 @@ func (r *JoinResult) lookup(slot int) (uint64, bool) {
 // forces the speculative thread to roll back.
 func (t *Thread) ValidateRegvarInt64(ranks []Rank, p int, slot int, actual int64) {
 	t.validateRegvar(ranks, p, slot, uint64(actual))
-}
-
-// ValidateRegvarFloat64 validates a float64 prediction.
-func (t *Thread) ValidateRegvarFloat64(ranks []Rank, p int, slot int, actual float64) {
-	t.validateRegvar(ranks, p, slot, math.Float64bits(actual))
-}
-
-// ValidateRegvarFloat64Rel validates a float64 prediction under a relative
-// tolerance: the fork-time value passes when it lies within relTol of the
-// actual value (predict.WithinRelTol), the tolerance-based float value
-// prediction mode of the related work. relTol 0 is bit-exact, identical to
-// ValidateRegvarFloat64. With a positive tolerance a committed speculation
-// may have run from a slightly wrong live-in, so the caller is accepting
-// approximate results bounded by the tolerance's propagation through the
-// region — only enable it for reductions that tolerate that.
-func (t *Thread) ValidateRegvarFloat64Rel(ranks []Rank, p int, slot int, actual, relTol float64) {
-	if p < 0 || p >= len(ranks) || ranks[p] == 0 {
-		return
-	}
-	td := &t.rt.cpus[ranks[p]].td
-	if slot < 0 || slot >= len(td.forkRegs) || !td.forkLive[slot] {
-		td.forceInvalid.Store(true)
-		return
-	}
-	pred := math.Float64frombits(td.forkRegs[slot])
-	if !predict.WithinRelTol(pred, actual, relTol) {
-		td.forceInvalid.Store(true)
-	}
 }
 
 func (t *Thread) validateRegvar(ranks []Rank, p int, slot int, actual uint64) {
@@ -344,11 +314,6 @@ func (r *JoinResult) regvar(slot int) uint64 {
 
 // RegvarInt64 restores an int64 the region saved before stopping.
 func (r *JoinResult) RegvarInt64(slot int) int64 { return int64(r.regvar(slot)) }
-
-// RegvarFloat64 restores a float64 the region saved before stopping.
-func (r *JoinResult) RegvarFloat64(slot int) float64 {
-	return math.Float64frombits(r.regvar(slot))
-}
 
 // RegvarAddr restores a pointer the region saved before stopping, applying
 // the paper's pointer mapping mechanism: pointers into the speculative

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/gbuf"
@@ -204,58 +203,5 @@ func TestSubWordMisalignedRollsBack(t *testing.T) {
 			}
 		}()
 		t0.LoadFloat32s(base+2, make([]float32, 4))
-	})
-}
-
-// TestValidateRegvarFloat64Rel covers the tolerance-based float live-in
-// validation: within tolerance commits, outside rolls back with the
-// locals-misprediction reason, and relTol 0 demands bit equality.
-func TestValidateRegvarFloat64Rel(t *testing.T) {
-	run := func(predicted, actual, relTol float64) JoinResult {
-		rt := newRT(t, 1, nil)
-		var res JoinResult
-		rt.Run(func(t0 *Thread) {
-			ranks := []Rank{0}
-			h := t0.Fork(ranks, 0, OutOfOrder)
-			if h == nil {
-				t.Fatal("fork refused")
-			}
-			h.SetRegvarFloat64(0, predicted)
-			h.Start(func(c *Thread) uint32 {
-				c.GetRegvarFloat64(0)
-				c.Tick(10)
-				return 0
-			})
-			t0.ValidateRegvarFloat64Rel(ranks, 0, 0, actual, relTol)
-			res = t0.Join(ranks, 0)
-		})
-		return res
-	}
-
-	if res := run(100.0, 100.0+1e-7, 1e-6); !res.Committed() {
-		t.Fatalf("within-tolerance prediction rolled back: %v (%v)", res.Status, res.Reason)
-	}
-	if res := run(100.0, 101.0, 1e-6); res.Status != JoinRolledBack || res.Reason != RollbackLocals {
-		t.Fatalf("out-of-tolerance prediction: %v (%v), want rollback (locals)", res.Status, res.Reason)
-	}
-	if res := run(100.0, math.Nextafter(100.0, 200), 0); res.Status != JoinRolledBack {
-		t.Fatalf("relTol 0 accepted a non-bit-equal prediction: %v", res.Status)
-	}
-	if res := run(2.5, 2.5, 0); !res.Committed() {
-		t.Fatalf("relTol 0 rejected a bit-equal prediction: %v (%v)", res.Status, res.Reason)
-	}
-	// An unset slot fails validation regardless of tolerance.
-	rt := newRT(t, 1, nil)
-	rt.Run(func(t0 *Thread) {
-		ranks := []Rank{0}
-		h := t0.Fork(ranks, 0, OutOfOrder)
-		if h == nil {
-			t.Fatal("fork refused")
-		}
-		h.Start(func(c *Thread) uint32 { c.Tick(5); return 0 })
-		t0.ValidateRegvarFloat64Rel(ranks, 0, 3, 1.0, 1.0)
-		if res := t0.Join(ranks, 0); res.Status != JoinRolledBack {
-			t.Fatalf("unset slot validated: %v", res.Status)
-		}
 	})
 }

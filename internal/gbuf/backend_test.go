@@ -25,9 +25,8 @@ func TestNewBackendDefaultsToBitmap(t *testing.T) {
 		t.Fatalf("DefaultBackend = %q, want bitmap", DefaultBackend)
 	}
 	arena, _ := mem.NewArena(1 << 12)
-	// NewBackend resolves an empty name itself; the sizing still has to be
-	// given (or defaulted by the caller).
-	for _, cfg := range []Config{{PageWords: 64}, Config{}.WithDefaults()} {
+	// NewBackend resolves an empty name itself.
+	for _, cfg := range []Config{{}, Config{}.WithDefaults()} {
 		b, err := NewBackend(arena, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -59,12 +58,6 @@ func TestConfigValidationAtConstruction(t *testing.T) {
 		{"openaddr negative LogWords", Config{Backend: "openaddr", LogWords: -3, OverflowCap: 4}},
 		{"openaddr LogWords over 30", Config{Backend: "openaddr", LogWords: 31, OverflowCap: 4}},
 		{"openaddr negative OverflowCap", Config{Backend: "openaddr", LogWords: 8, OverflowCap: -2}},
-		{"chain zero LogBuckets", Config{Backend: "chain", LogBuckets: 0}},
-		{"chain LogBuckets over 30", Config{Backend: "chain", LogBuckets: 31}},
-		{"bitmap zero PageWords", Config{Backend: "bitmap", PageWords: 0}},
-		{"bitmap negative PageWords", Config{Backend: "bitmap", PageWords: -8}},
-		{"bitmap non-power-of-two PageWords", Config{Backend: "bitmap", PageWords: 48}},
-		{"bitmap giant PageWords", Config{Backend: "bitmap", PageWords: 1 << 25}},
 	}
 	for _, c := range cases {
 		if _, err := NewBackend(arena, c.cfg); err == nil {
@@ -96,13 +89,12 @@ func TestNoOverflowSentinel(t *testing.T) {
 
 func TestConfigWithDefaults(t *testing.T) {
 	d := Config{}.WithDefaults()
-	if d.Backend != DefaultBackend || d.LogWords != 16 || d.OverflowCap != 64 ||
-		d.LogBuckets != 12 || d.PageWords != 512 {
+	if d.Backend != DefaultBackend || d.LogWords != 16 || d.OverflowCap != 64 {
 		t.Fatalf("WithDefaults = %+v", d)
 	}
 	// Set fields survive.
-	c := Config{Backend: "chain", LogBuckets: 5}.WithDefaults()
-	if c.Backend != "chain" || c.LogBuckets != 5 {
+	c := Config{Backend: "chain", LogWords: 5}.WithDefaults()
+	if c.Backend != "chain" || c.LogWords != 5 {
 		t.Fatalf("WithDefaults clobbered set fields: %+v", c)
 	}
 	// Every defaulted config constructs.
@@ -114,18 +106,21 @@ func TestConfigWithDefaults(t *testing.T) {
 	}
 }
 
-// TestChainAbsorbsCollisions: addresses that collide in every bucket just
+// TestChainAbsorbsCollisions: addresses that collide in their buckets just
 // chain — no Conflict, no Full, no MustStop — and all of them validate and
 // commit.
 func TestChainAbsorbsCollisions(t *testing.T) {
-	arena, _ := mem.NewArena(1 << 14)
-	b, err := NewBackend(arena, Config{Backend: "chain", LogBuckets: 1}) // 2 buckets
+	const n = 64
+	// Two buckets, 32 entries chained on each: words 1 and 2 plus
+	// multiples of chainBuckets.
+	addr := func(i int) mem.Addr { return mem.Addr(mem.Word * (1 + i%2 + i/2*chainBuckets)) }
+	arena, _ := mem.NewArena(n / 2 * chainBuckets * mem.Word)
+	b, err := NewBackend(arena, Config{Backend: "chain"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 64
 	for i := 0; i < n; i++ {
-		p := mem.Addr(8 * (1 + i))
+		p := addr(i)
 		arena.WriteWord(p, uint64(i))
 		if v, st := b.Load(p, 8); st != OK || v != uint64(i) {
 			t.Fatalf("load %d = %d, %v", i, v, st)
@@ -148,7 +143,7 @@ func TestChainAbsorbsCollisions(t *testing.T) {
 	}
 	b.Commit(nil)
 	for i := 0; i < n; i++ {
-		if got := arena.ReadWord(mem.Addr(8 * (1 + i))); got != uint64(i)*3 {
+		if got := arena.ReadWord(addr(i)); got != uint64(i)*3 {
 			t.Fatalf("commit word %d = %d", i, got)
 		}
 	}
@@ -158,7 +153,7 @@ func TestChainAbsorbsCollisions(t *testing.T) {
 // set (same contract as openaddr).
 func TestChainReadYourOwnWrites(t *testing.T) {
 	arena, _ := mem.NewArena(1 << 12)
-	b, _ := NewBackend(arena, Config{Backend: "chain", LogBuckets: 4})
+	b, _ := NewBackend(arena, Config{Backend: "chain"})
 	b.Store(64, 8, 42)
 	if v, st := b.Load(64, 8); st != OK || v != 42 {
 		t.Fatalf("read-own-write = %d, %v", v, st)
@@ -171,12 +166,12 @@ func TestChainReadYourOwnWrites(t *testing.T) {
 // TestBitmapDenseWrites: a dense sweep touches few pages, counts words
 // exactly, and commits whole words on the fast path.
 func TestBitmapDenseWrites(t *testing.T) {
-	arena, _ := mem.NewArena(1 << 14)
-	b, err := NewBackend(arena, Config{Backend: "bitmap", PageWords: 16})
+	arena, _ := mem.NewArena(4 * mem.DefaultStampPageBytes)
+	b, err := NewBackend(arena, Config{Backend: "bitmap"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 128 // 8 pages of 16 words
+	const n = 2 * pageWords // from word 1: three pages
 	for i := 0; i < n; i++ {
 		if st := b.Store(mem.Addr(8*(1+i)), 8, uint64(i)+1); st != OK {
 			t.Fatalf("store %d: %v", i, st)
@@ -203,7 +198,7 @@ func TestBitmapDenseWrites(t *testing.T) {
 // only the marked bytes.
 func TestBitmapSubWordMerge(t *testing.T) {
 	arena, _ := mem.NewArena(1 << 12)
-	b, _ := NewBackend(arena, Config{Backend: "bitmap", PageWords: 8})
+	b, _ := NewBackend(arena, Config{Backend: "bitmap"})
 	arena.WriteWord(64, 0x8877665544332211)
 	if st := b.Store(66, 2, 0xBEEF); st != OK {
 		t.Fatal(st)
@@ -224,10 +219,10 @@ func TestBitmapSubWordMerge(t *testing.T) {
 // TestBitmapPageRecycling: pages freed by Finalize are reused, and recycled
 // pages carry no stale data.
 func TestBitmapPageRecycling(t *testing.T) {
-	arena, _ := mem.NewArena(1 << 13)
-	b, _ := NewBackend(arena, Config{Backend: "bitmap", PageWords: 8})
+	arena, _ := mem.NewArena(4 * mem.DefaultStampPageBytes)
+	b, _ := NewBackend(arena, Config{Backend: "bitmap"})
 	for round := 0; round < 4; round++ {
-		base := mem.Addr(8 + round*256)
+		base := mem.Addr(8 + round*mem.DefaultStampPageBytes) // a new page each round
 		arena.WriteWord(base, uint64(round)+7)
 		if v, st := b.Load(base, 8); st != OK || v != uint64(round)+7 {
 			t.Fatalf("round %d: load = %d, %v", round, v, st)

@@ -9,7 +9,7 @@ import (
 )
 
 // bitmapBuffer is the "bitmap" backend, the default organization: the
-// address space is divided into fixed pages of PageWords words, and each set
+// address space is divided into fixed pages of pageWords words, and each set
 // keeps, per touched page, a lazily allocated shadow of the page plus a
 // word-granularity presence bitmap. A lookup is one index into a flat page
 // table plus a bit test, a range access is a bitmap splice and a copy per
@@ -18,18 +18,20 @@ import (
 // finalization touches the bitmaps only. Sparse access patterns pay for
 // whole-page shadows — the ablation bench shows where the trade flips.
 type bitmapBuffer struct {
-	arena     *mem.Arena
-	pageWords int
-	pageShift uint   // log2(pageWords), for divide-free locate
-	pageMask  uint64 // pageWords - 1
-	read      bitmapSet
-	write     bitmapSet
+	arena *mem.Arena
+	read  bitmapSet
+	write bitmapSet
 	// anyPartial is sticky: set by the first sub-word store of the
 	// speculation; while false every buffered write word is fully marked, so
 	// the commit walk and own-write range loads skip mark scanning.
 	anyPartial bool
 	C          Counters
 }
+
+// pageWords is the bitmap page in words: the arena's write-stamp page, so
+// mem alone says what a page is. It is a power of two, so splitting an
+// address into page and slot is a constant shift and mask.
+const pageWords = mem.DefaultStampPageBytes / mem.Word
 
 // bitmapPage shadows one page of one set. present guards data and mark: a
 // word's bytes mean something only while its bit is set, and every first
@@ -38,8 +40,8 @@ type bitmapBuffer struct {
 // stale bytes and resetting it costs one bitmap clear.
 type bitmapPage struct {
 	pageIdx uint64
-	present []uint64 // PageWords bits: word buffered here
-	data    []byte   // PageWords * Word bytes
+	present []uint64 // pageWords bits: word buffered here
+	data    []byte   // pageWords * Word bytes
 	mark    []byte   // write pages: byte marks, same size as data
 }
 
@@ -63,7 +65,7 @@ func (s *bitmapSet) lookup(pageIdx uint64) *bitmapPage {
 // page returns the shadow page for pageIdx, allocating (or recycling) it on
 // first touch. A page beyond the table lies beyond the arena: core refuses
 // such addresses before they get here (InGlobal), so reaching this is a bug.
-func (s *bitmapSet) page(b *bitmapBuffer, pageIdx uint64, withMarks bool) *bitmapPage {
+func (s *bitmapSet) page(pageIdx uint64, withMarks bool) *bitmapPage {
 	if pageIdx >= uint64(len(s.table)) {
 		panic(fmt.Sprintf("gbuf: bitmap access to page %d, beyond the arena's %d pages", pageIdx, len(s.table)))
 	}
@@ -76,11 +78,11 @@ func (s *bitmapSet) page(b *bitmapBuffer, pageIdx uint64, withMarks bool) *bitma
 		s.free = s.free[:n-1]
 	} else {
 		pg = &bitmapPage{
-			present: make([]uint64, (b.pageWords+63)/64),
-			data:    make([]byte, b.pageWords*mem.Word),
+			present: make([]uint64, pageWords/64),
+			data:    make([]byte, pageWords*mem.Word),
 		}
 		if withMarks {
-			pg.mark = make([]byte, b.pageWords*mem.Word)
+			pg.mark = make([]byte, pageWords*mem.Word)
 		}
 	}
 	pg.pageIdx = pageIdx
@@ -102,37 +104,21 @@ func (s *bitmapSet) reset() {
 	s.words = 0
 }
 
-// newBitmapBackend validates the page sizing and builds the backend.
-func newBitmapBackend(arena *mem.Arena, cfg Config) (Backend, error) {
-	if cfg.PageWords <= 0 {
-		return nil, fmt.Errorf("gbuf: bitmap PageWords %d must be positive", cfg.PageWords)
-	}
-	if cfg.PageWords&(cfg.PageWords-1) != 0 {
-		return nil, fmt.Errorf("gbuf: bitmap PageWords %d must be a power of two", cfg.PageWords)
-	}
-	if cfg.PageWords > 1<<24 {
-		return nil, fmt.Errorf("gbuf: bitmap PageWords %d out of range (max 1<<24)", cfg.PageWords)
-	}
-	// One table slot per page of the arena, per set: 8 bytes per page (0.2 %
-	// of the arena at the default 4 KiB page).
-	pageBytes := cfg.PageWords * mem.Word
-	nPages := (arena.Size() + pageBytes - 1) / pageBytes
+// newBitmapBackend builds the backend: one table slot per page of the arena,
+// per set — 8 bytes per 4 KiB page, 0.2 % of the arena.
+func newBitmapBackend(arena *mem.Arena, _ Config) (Backend, error) {
+	nPages := (arena.Size() + mem.DefaultStampPageBytes - 1) / mem.DefaultStampPageBytes
 	return &bitmapBuffer{
-		arena:     arena,
-		pageWords: cfg.PageWords,
-		pageShift: uint(bits.TrailingZeros(uint(cfg.PageWords))),
-		pageMask:  uint64(cfg.PageWords - 1),
-		read:      bitmapSet{table: make([]*bitmapPage, nPages)},
-		write:     bitmapSet{table: make([]*bitmapPage, nPages)},
+		arena: arena,
+		read:  bitmapSet{table: make([]*bitmapPage, nPages)},
+		write: bitmapSet{table: make([]*bitmapPage, nPages)},
 	}, nil
 }
 
 // locate splits a word base address into (pageIdx, slot within the page).
-// PageWords is a power of two, so this is a shift and a mask — no divide on
-// the per-access hot path.
 func (b *bitmapBuffer) locate(base mem.Addr) (uint64, int) {
-	wordIdx := uint64(base) >> 3
-	return wordIdx >> b.pageShift, int(wordIdx & b.pageMask)
+	wordIdx := uint64(base) / mem.Word
+	return wordIdx / pageWords, int(wordIdx % pageWords)
 }
 
 // MustStop always reports false: bitmap sets never park an access.
@@ -162,7 +148,7 @@ func (b *bitmapBuffer) writeEntry(base mem.Addr) (data, marks []byte) {
 // from the arena on first touch.
 func (b *bitmapBuffer) readWordEntry(base mem.Addr) []byte {
 	pageIdx, slot := b.locate(base)
-	pg := b.read.page(b, pageIdx, false)
+	pg := b.read.page(pageIdx, false)
 	off := slot * mem.Word
 	word := pg.data[off : off+mem.Word]
 	if pg.present[slot/64]&(1<<uint(slot%64)) != 0 {
@@ -204,7 +190,7 @@ func (b *bitmapBuffer) Store(p mem.Addr, size int, v uint64) Status {
 	base := mem.WordBase(p)
 	off := mem.WordOffset(p)
 	pageIdx, slot := b.locate(base)
-	pg := b.write.page(b, pageIdx, true)
+	pg := b.write.page(pageIdx, true)
 	wordOff := slot * mem.Word
 	data := pg.data[wordOff : wordOff+mem.Word]
 	marks := pg.mark[wordOff : wordOff+mem.Word]
@@ -280,7 +266,7 @@ func (b *bitmapBuffer) LoadRange(p mem.Addr, dst []byte) Status {
 	b.C.Loads += uint64(nWords)
 	for nWords > 0 {
 		pageIdx, slot := b.locate(p)
-		count := b.pageWords - slot
+		count := pageWords - slot
 		if count > nWords {
 			count = nWords
 		}
@@ -310,7 +296,7 @@ func (b *bitmapBuffer) loadPageRange(p mem.Addr, pageIdx uint64, slot, count int
 		copy(dst, wpg.data[off:end])
 		return
 	}
-	rpg := b.read.page(b, pageIdx, false)
+	rpg := b.read.page(pageIdx, false)
 	if written == 0 {
 		switch countBitRange(rpg.present, slot, count) {
 		case 0: // whole span untouched: snapshot the arena words in one splice
@@ -372,11 +358,11 @@ func (b *bitmapBuffer) StoreRange(p mem.Addr, src []byte) Status {
 	b.C.Stores += uint64(nWords)
 	for nWords > 0 {
 		pageIdx, slot := b.locate(p)
-		count := b.pageWords - slot
+		count := pageWords - slot
 		if count > nWords {
 			count = nWords
 		}
-		pg := b.write.page(b, pageIdx, true)
+		pg := b.write.page(pageIdx, true)
 		off := slot * mem.Word
 		copy(pg.data[off:off+count*mem.Word], src)
 		setFullMarks(pg.mark[off : off+count*mem.Word])
@@ -393,7 +379,7 @@ func (b *bitmapBuffer) StoreRange(p mem.Addr, src []byte) Status {
 // (base, data, marks); marks is nil for the read set.
 func (b *bitmapBuffer) forEachRun(s *bitmapSet, fn func(base mem.Addr, data, marks []byte) bool) bool {
 	for _, pg := range s.order {
-		pageBase := pg.pageIdx * uint64(b.pageWords) * mem.Word
+		pageBase := pg.pageIdx * pageWords * mem.Word
 		for wi, set := range pg.present {
 			for set != 0 {
 				start := bits.TrailingZeros64(set)

@@ -52,18 +52,33 @@ func refStoreRange(b Backend, p mem.Addr, src []byte) Status {
 	return st
 }
 
-// bulkStressConfigs sizes every backend small enough that random scripts
-// hit hash conflicts, overflow exhaustion and page-boundary straddling.
+// bulkStressConfigs sizes the openaddr maps small enough that random
+// scripts hit hash conflicts and overflow exhaustion; the scripts' address
+// windows (bulkWordAddr) make chain buckets collide and ranges straddle
+// bitmap pages.
 func bulkStressConfigs() map[string]Config {
 	return map[string]Config{
 		"openaddr":            {Backend: "openaddr", LogWords: 6, OverflowCap: 4},
 		"openaddr/nooverflow": {Backend: "openaddr", LogWords: 6, OverflowCap: NoOverflow},
-		"chain":               {Backend: "chain", LogBuckets: 3},
-		"bitmap":              {Backend: "bitmap", PageWords: 8},
+		"chain":               {Backend: "chain"},
+		"bitmap":              {Backend: "bitmap"},
 	}
 }
 
-const bulkArenaBytes = 1 << 12
+// bulkArenaBytes holds both windows of bulkWordAddr: ten bitmap pages.
+const bulkArenaBytes = (chainBuckets + 2*pageWords) * mem.Word
+
+// bulkWordAddr draws a word address from one of two 200-word windows, each
+// centred on a bitmap page boundary and chainBuckets words from the other:
+// ranges of up to 32 words cross the boundary, and the two windows share
+// their chain buckets.
+func bulkWordAddr(rng *rand.Rand) mem.Addr {
+	word := pageWords - 100 + rng.Intn(200)
+	if rng.Intn(2) == 1 {
+		word += chainBuckets
+	}
+	return mem.Addr(mem.Word * word)
+}
 
 func newSeededArena(t *testing.T, rng *rand.Rand) *mem.Arena {
 	t.Helper()
@@ -107,11 +122,6 @@ func runBulkScript(t *testing.T, cfg Config, seed int64) {
 		t.Fatal(err)
 	}
 
-	// Addresses live in a small window so slots collide; ranges up to 32
-	// words straddle several 8-word bitmap pages and wrap hash-map regions.
-	randWordAddr := func() mem.Addr {
-		return mem.Addr(mem.Word * (1 + rng.Intn(200)))
-	}
 	sizes := []int{1, 2, 4, 8}
 
 	dead := false // a Full was observed: the thread would have rolled back
@@ -120,7 +130,7 @@ func runBulkScript(t *testing.T, cfg Config, seed int64) {
 		switch rng.Intn(5) {
 		case 0: // word store
 			size := sizes[rng.Intn(len(sizes))]
-			p := randWordAddr() + mem.Addr(rng.Intn(mem.Word/size)*size)
+			p := bulkWordAddr(rng) + mem.Addr(rng.Intn(mem.Word/size)*size)
 			v := rng.Uint64()
 			s1 := bulk.Store(p, size, v)
 			s2 := ref.Store(p, size, v)
@@ -130,7 +140,7 @@ func runBulkScript(t *testing.T, cfg Config, seed int64) {
 			dead = s1 == Full
 		case 1: // word load
 			size := sizes[rng.Intn(len(sizes))]
-			p := randWordAddr() + mem.Addr(rng.Intn(mem.Word/size)*size)
+			p := bulkWordAddr(rng) + mem.Addr(rng.Intn(mem.Word/size)*size)
 			v1, s1 := bulk.Load(p, size)
 			v2, s2 := ref.Load(p, size)
 			if s1 != s2 || v1 != v2 {
@@ -138,7 +148,7 @@ func runBulkScript(t *testing.T, cfg Config, seed int64) {
 			}
 			dead = s1 == Full
 		case 2: // range store
-			p := randWordAddr()
+			p := bulkWordAddr(rng)
 			n := rng.Intn(33) * mem.Word
 			src := make([]byte, n)
 			rng.Read(src)
@@ -149,7 +159,7 @@ func runBulkScript(t *testing.T, cfg Config, seed int64) {
 			}
 			dead = s1 == Full
 		case 3: // range load
-			p := randWordAddr()
+			p := bulkWordAddr(rng)
 			n := rng.Intn(33) * mem.Word
 			d1 := make([]byte, n)
 			d2 := make([]byte, n)
@@ -168,7 +178,7 @@ func runBulkScript(t *testing.T, cfg Config, seed int64) {
 				}
 			}
 		case 4: // a non-speculative write lands in both arenas (validation fodder)
-			p := randWordAddr()
+			p := bulkWordAddr(rng)
 			v := rng.Uint64()
 			arenaBulk.WriteWord(p, v)
 			arenaRef.WriteWord(p, v)
@@ -280,9 +290,9 @@ func TestLoadRangeOwnWrites(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Words 40..169: a 100-word StoreRange of random words then a 30-word
-		// StoreRange of one repeated word, over three 64-word bitmap pages.
-		const base, nRange, nFill = mem.Addr(40 * mem.Word), 100, 30
+		// A 100-word StoreRange of random words then a 30-word StoreRange of
+		// one repeated word, across the first bitmap page boundary.
+		const base, nRange, nFill = mem.Addr((pageWords - 60) * mem.Word), 100, 30
 		const fill = uint64(0xA5A5_5A5A_0F0F_F0F0)
 		want := make([]byte, (nRange+nFill)*mem.Word)
 		rand.New(rand.NewSource(4)).Read(want[:nRange*mem.Word])
@@ -334,7 +344,8 @@ func TestLoadRangeStraddleMatchesWordLoop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		at := func(word int) mem.Addr { return mem.Addr(word * mem.Word) }
+		// Word 64 of the window is the first word of the second bitmap page.
+		at := func(word int) mem.Addr { return mem.Addr((pageWords - 64 + word) * mem.Word) }
 		src := make([]byte, 20*mem.Word)
 		rand.New(rand.NewSource(6)).Read(src)
 		fill := fillWords(make([]byte, 10*mem.Word), 0x1234)
@@ -343,7 +354,7 @@ func TestLoadRangeStraddleMatchesWordLoop(t *testing.T) {
 			be.Store(at(35)+2, 2, 0xBEEF)   // word 35: two bytes marked
 			be.Store(at(36), 4, 0xDEADBEEF) // word 36: the low half marked
 			be.Load(at(40), mem.Word)       // word 40 already snapshotted
-			be.StoreRange(at(60), fill)     // words 60..69, over the page border at 64
+			be.StoreRange(at(60), fill)     // words 60..69, over the page border
 			be.Store(at(62)+7, 1, 0x77)     // a sub-word store onto a full word
 		}
 		// {first word, words}: all of it; stored only; untouched only; the

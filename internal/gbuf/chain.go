@@ -2,7 +2,6 @@ package gbuf
 
 import (
 	"encoding/binary"
-	"fmt"
 	"slices"
 
 	"repro/internal/mem"
@@ -44,19 +43,20 @@ type chainEntry struct {
 	mark [mem.Word]byte // write set: which bytes were written
 }
 
+// chainBuckets is the number of bucket heads of each chained set.
+const chainBuckets = 1 << 12
+
 // chainSet is one chained-bucket hash map.
 type chainSet struct {
 	heads   []int32 // bucket heads, -1 = empty
 	touched []int32 // bucket indices in use, for proportional reset
 	entries []chainEntry
-	mask    uint64
 }
 
-func newChainSet(nBuckets int) chainSet {
+func newChainSet() chainSet {
 	s := chainSet{
-		heads:   make([]int32, nBuckets),
-		touched: make([]int32, 0, nBuckets),
-		mask:    uint64(nBuckets - 1),
+		heads:   make([]int32, chainBuckets),
+		touched: make([]int32, 0, chainBuckets),
 	}
 	for i := range s.heads {
 		s.heads[i] = -1
@@ -65,7 +65,7 @@ func newChainSet(nBuckets int) chainSet {
 }
 
 func (s *chainSet) bucket(base mem.Addr) int {
-	return int((uint64(base) >> 3) & s.mask)
+	return int((uint64(base) >> 3) % chainBuckets)
 }
 
 // lookup returns the entry for base, or nil.
@@ -98,16 +98,12 @@ func (s *chainSet) reset() {
 	s.entries = s.entries[:0]
 }
 
-// newChainBackend validates the chain sizing and builds the backend.
-func newChainBackend(arena *mem.Arena, cfg Config) (Backend, error) {
-	if cfg.LogBuckets < 1 || cfg.LogBuckets > 30 {
-		return nil, fmt.Errorf("gbuf: chain LogBuckets %d out of range [1,30]", cfg.LogBuckets)
-	}
-	n := 1 << cfg.LogBuckets
+// newChainBackend builds the backend; it has nothing to size.
+func newChainBackend(arena *mem.Arena, _ Config) (Backend, error) {
 	return &chainBuffer{
 		arena: arena,
-		read:  newChainSet(n),
-		write: newChainSet(n),
+		read:  newChainSet(),
+		write: newChainSet(),
 	}, nil
 }
 

@@ -191,11 +191,12 @@ func sameArenas(t *testing.T, got, want *mem.Arena, what string) {
 }
 
 func testConfig(name string) Config {
-	return Config{Backend: name, LogWords: 10, LogBuckets: 6, PageWords: 64}.WithDefaults()
+	return Config{Backend: name, LogWords: 10}.WithDefaults()
 }
 
 // randomOps drives a backend with a mixed access pattern and returns whether
 // any op reported Full (the caller skips comparisons after a rollback).
+// Words 1..900 straddle the first bitmap page boundary, at word 512.
 func randomOps(rng *rand.Rand, arena *mem.Arena, be Backend, nOps int) bool {
 	scratch := make([]byte, 32*mem.Word)
 	for op := 0; op < nOps; op++ {

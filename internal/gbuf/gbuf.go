@@ -175,8 +175,9 @@ type Buffer struct {
 	C          Counters
 }
 
-// Config selects and sizes a GlobalBuffer backend. Only the fields of the
-// selected backend matter; the rest are ignored. Defaulting is explicit:
+// Config selects a GlobalBuffer backend and sizes the openaddr maps; the
+// bitmap and chain backends have no sizing (a bitmap page is the arena's
+// write-stamp page, a chain set has 2^12 buckets). Defaulting is explicit:
 // the core/mutls layers pass configs through WithDefaults, which fills
 // zero fields; the constructors themselves (New, NewBackend) take every
 // field literally and only validate it.
@@ -196,14 +197,6 @@ type Config struct {
 	// first hash conflict returns Full); the constructors treat both 0
 	// and NoOverflow as "no overflow slots".
 	OverflowCap int
-
-	// LogBuckets sizes the chain backend's bucket-head array:
-	// 1<<LogBuckets heads.
-	LogBuckets int
-
-	// PageWords is the bitmap backend's page size in words (a power of
-	// two). Pages are allocated lazily on first touch.
-	PageWords int
 }
 
 // DefaultConfig returns the default backend with every backend's default
@@ -215,9 +208,8 @@ func DefaultConfig() Config { return Config{}.WithDefaults() }
 // (A plain 0 selects the default capacity instead.)
 const NoOverflow = -1
 
-// WithDefaults fills every zero sizing field with its backend's default
-// (openaddr: 2^16 words, 64 overflow slots; chain: 2^12 buckets; bitmap:
-// 512-word pages) and an empty Backend with DefaultBackend. Validation
+// WithDefaults fills every zero sizing field with its default (2^16 words,
+// 64 overflow slots) and an empty Backend with DefaultBackend. Validation
 // still happens at construction: explicit out-of-range values are errors,
 // never silently clamped.
 func (c Config) WithDefaults() Config {
@@ -229,12 +221,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.OverflowCap == 0 {
 		c.OverflowCap = 64 // NoOverflow (-1) stays: parking disabled
-	}
-	if c.LogBuckets == 0 {
-		c.LogBuckets = 12
-	}
-	if c.PageWords == 0 {
-		c.PageWords = 512
 	}
 	return c
 }

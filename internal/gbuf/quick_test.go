@@ -73,16 +73,27 @@ func (r *refBuffer) commit() {
 var accessSizes = []int{1, 2, 4, 8}
 
 // oracleConfigs maps every registered backend to a config under which the
-// test address range (word slots 1..200 of a 4 KiB arena) produces only OK
-// statuses: a collision-free openaddr map, chained buckets (collisions
-// resolve silently) and small bitmap pages. The overflow/conflict paths of
-// openaddr are exercised separately by TestQuickOracleUnderConflicts.
+// test address range (a window of at most 200 words, see quickSlot)
+// produces only OK statuses: a collision-free openaddr map; chain and bitmap
+// have nothing to size and never return anything else. The
+// overflow/conflict paths of openaddr are exercised separately by
+// TestQuickOracleUnderConflicts.
 func oracleConfigs() map[string]Config {
 	return map[string]Config{
 		"openaddr": {Backend: "openaddr", LogWords: 10, OverflowCap: 4},
-		"chain":    {Backend: "chain", LogBuckets: 4},
-		"bitmap":   {Backend: "bitmap", PageWords: 64},
+		"chain":    {Backend: "chain"},
+		"bitmap":   {Backend: "bitmap"},
 	}
+}
+
+// quickArenaBytes is two bitmap pages.
+const quickArenaBytes = 2 * mem.DefaultStampPageBytes
+
+// quickSlot returns the address of a random word of an n-word window
+// centred on the boundary between the two pages of a quickArenaBytes arena,
+// so a property's accesses land on both sides of a page border.
+func quickSlot(rng *rand.Rand, n int) mem.Addr {
+	return mem.Addr(mem.Word * (pageWords - n/2 + rng.Intn(n)))
 }
 
 // TestOracleCoversEveryBackend forces whoever registers a new backend to
@@ -116,10 +127,10 @@ func TestQuickBufferMatchesReference(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, cfg Config) {
 		f := func(seed int64) bool {
 			rng := rand.New(rand.NewSource(seed))
-			arenaA, _ := mem.NewArena(1 << 12)
-			arenaB, _ := mem.NewArena(1 << 12)
+			arenaA, _ := mem.NewArena(quickArenaBytes)
+			arenaB, _ := mem.NewArena(quickArenaBytes)
 			// Identical random initial contents.
-			for i := 8; i < 1<<12; i++ {
+			for i := 8; i < quickArenaBytes; i++ {
 				v := byte(rng.Intn(256))
 				arenaA.WriteUint8(mem.Addr(i), v)
 				arenaB.WriteUint8(mem.Addr(i), v)
@@ -131,8 +142,7 @@ func TestQuickBufferMatchesReference(t *testing.T) {
 			ref := newRefBuffer(arenaB)
 			for op := 0; op < 300; op++ {
 				size := accessSizes[rng.Intn(len(accessSizes))]
-				slot := rng.Intn(200)
-				p := mem.Addr(8 + slot*8 + rng.Intn(mem.Word/size)*size)
+				p := quickSlot(rng, 200) + mem.Addr(rng.Intn(mem.Word/size)*size)
 				if rng.Intn(2) == 0 {
 					v := rng.Uint64()
 					st := buf.Store(p, size, v)
@@ -160,7 +170,7 @@ func TestQuickBufferMatchesReference(t *testing.T) {
 			}
 			// Random non-speculative interference on both arenas.
 			for i := 0; i < 20; i++ {
-				p := mem.Addr(8 + rng.Intn(200)*8)
+				p := quickSlot(rng, 200)
 				v := rng.Uint64()
 				arenaA.WriteWord(p, v)
 				arenaB.WriteWord(p, v)
@@ -173,7 +183,7 @@ func TestQuickBufferMatchesReference(t *testing.T) {
 			// Commit both and compare the full arena images.
 			buf.Commit(nil)
 			ref.commit()
-			for i := 8; i < 1<<12; i++ {
+			for i := 8; i < quickArenaBytes; i++ {
 				if arenaA.ReadUint8(mem.Addr(i)) != arenaB.ReadUint8(mem.Addr(i)) {
 					t.Logf("arena divergence at byte %d", i)
 					return false
@@ -291,14 +301,14 @@ func TestQuickValidationExactness(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, cfg Config) {
 		f := func(seed int64) bool {
 			rng := rand.New(rand.NewSource(seed))
-			arena, _ := mem.NewArena(1 << 12)
+			arena, _ := mem.NewArena(quickArenaBytes)
 			buf, err := NewBackend(arena, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			read := map[mem.Addr]uint64{}
 			for i := 0; i < 50; i++ {
-				p := mem.Addr(8 + rng.Intn(100)*8)
+				p := quickSlot(rng, 100)
 				v, _ := buf.Load(p, 8)
 				if _, ok := read[p]; !ok {
 					read[p] = v
@@ -306,7 +316,7 @@ func TestQuickValidationExactness(t *testing.T) {
 			}
 			dirty := false
 			for i := 0; i < 10; i++ {
-				p := mem.Addr(8 + rng.Intn(150)*8)
+				p := quickSlot(rng, 150)
 				nv := rng.Uint64()
 				old, wasRead := read[p]
 				arena.WriteWord(p, nv)
@@ -329,12 +339,12 @@ func TestQuickCommitTouchesOnlyWrittenBytes(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, cfg Config) {
 		f := func(seed int64) bool {
 			rng := rand.New(rand.NewSource(seed))
-			arena, _ := mem.NewArena(1 << 12)
-			for i := 8; i < 1<<12; i++ {
+			arena, _ := mem.NewArena(quickArenaBytes)
+			for i := 8; i < quickArenaBytes; i++ {
 				arena.WriteUint8(mem.Addr(i), byte(rng.Intn(256)))
 			}
-			before := make([]byte, 1<<12)
-			copy(before, arena.Snapshot(1, (1<<12)-1)) // offset by 1; index i-1 = addr i
+			before := make([]byte, quickArenaBytes)
+			copy(before, arena.Snapshot(1, quickArenaBytes-1)) // offset by 1; index i-1 = addr i
 			buf, err := NewBackend(arena, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -342,7 +352,7 @@ func TestQuickCommitTouchesOnlyWrittenBytes(t *testing.T) {
 			written := map[mem.Addr]byte{}
 			for op := 0; op < 100; op++ {
 				size := accessSizes[rng.Intn(len(accessSizes))]
-				p := mem.Addr(8 + rng.Intn(100)*8 + rng.Intn(mem.Word/size)*size)
+				p := quickSlot(rng, 100) + mem.Addr(rng.Intn(mem.Word/size)*size)
 				v := rng.Uint64()
 				buf.Store(p, size, v)
 				for i := 0; i < size; i++ {
@@ -350,7 +360,7 @@ func TestQuickCommitTouchesOnlyWrittenBytes(t *testing.T) {
 				}
 			}
 			buf.Commit(nil)
-			for i := mem.Addr(8); i < 1<<12; i++ {
+			for i := mem.Addr(8); i < quickArenaBytes; i++ {
 				want, ok := written[i]
 				if !ok {
 					want = before[i-1]
@@ -400,7 +410,7 @@ func TestMisalignedRejectedByEveryBackend(t *testing.T) {
 func TestQuickFinalizeIsFresh(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, cfg Config) {
 		rng := rand.New(rand.NewSource(7))
-		arena, _ := mem.NewArena(1 << 12)
+		arena, _ := mem.NewArena(quickArenaBytes)
 		buf, err := NewBackend(arena, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -408,7 +418,7 @@ func TestQuickFinalizeIsFresh(t *testing.T) {
 		for round := 0; round < 3; round++ {
 			for op := 0; op < 120; op++ {
 				size := accessSizes[rng.Intn(len(accessSizes))]
-				p := mem.Addr(8 + rng.Intn(100)*8 + rng.Intn(mem.Word/size)*size)
+				p := quickSlot(rng, 100) + mem.Addr(rng.Intn(mem.Word/size)*size)
 				if rng.Intn(2) == 0 {
 					buf.Store(p, size, rng.Uint64())
 				} else {

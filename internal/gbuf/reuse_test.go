@@ -32,7 +32,7 @@ type reuseStep struct {
 }
 
 func genReuseStep(rng *rand.Rand) reuseStep {
-	const arenaWords = bulkArenaBytes / mem.Word // eight 64-word bitmap pages
+	const arenaWords = bulkArenaBytes / mem.Word // ten bitmap pages
 	word := 1 + rng.Intn(arenaWords-1)
 	// Ranges of up to 80 words, clipped at the arena's end, cross pages.
 	maxWords := arenaWords - word

@@ -194,7 +194,7 @@ func TestFortranVariantSlowerThanC(t *testing.T) {
 func TestOverrideBackendKeepsSizing(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CPUAxis = []int{2}
-	cfg.Buffering = mutls.Buffering{LogWords: 10, OverflowCap: 32, LogBuckets: 9, PageWords: 128}
+	cfg.Buffering = mutls.Buffering{LogWords: 10, OverflowCap: 32}
 	var ran []mutls.Buffering
 	probe := &bench.Workload{
 		Name:      "probe",
@@ -215,8 +215,7 @@ func TestOverrideBackendKeepsSizing(t *testing.T) {
 	for i, got := range ran {
 		want := cfg.Buffering
 		want.Backend = backends[i]
-		if got.Backend != want.Backend || got.LogWords != want.LogWords || got.OverflowCap != want.OverflowCap ||
-			got.LogBuckets != want.LogBuckets || got.PageWords != want.PageWords {
+		if got.Backend != want.Backend || got.LogWords != want.LogWords || got.OverflowCap != want.OverflowCap {
 			t.Fatalf("backend %s ran under %+v, want the sizing of %+v", backends[i], got, want)
 		}
 	}

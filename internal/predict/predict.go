@@ -11,10 +11,8 @@
 //
 // Integer histories use exact two's-complement arithmetic (Predict/Observe);
 // float64 histories use float arithmetic for the stride extrapolation
-// (PredictFloat64/ObserveFloat64) with an optional relative tolerance for
-// hit scoring — the tolerance-based float value prediction of the related
-// work, where a prediction "close enough" to the actual value still counts
-// as usable.
+// (PredictFloat64/ObserveFloat64). Either way a prediction is scored, and
+// validated at the join, by bit equality with the actual value.
 package predict
 
 import (
@@ -168,10 +166,9 @@ func (p *Predictor) Observe(point, slot int, actual uint64) {
 }
 
 // ObserveFloat64 records the actual float64 value seen at the join point
-// and scores the float prediction that was (or would have been) made. A
-// prediction within relTol of the actual value (WithinRelTol) counts as a
-// hit — relTol 0 keeps bit-exact scoring.
-func (p *Predictor) ObserveFloat64(point, slot int, actual, relTol float64) {
+// and scores the float prediction that was (or would have been) made: a
+// hit is bit equality, as the join validates it.
+func (p *Predictor) ObserveFloat64(point, slot int, actual float64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	k := key{point, slot}
@@ -186,7 +183,7 @@ func (p *Predictor) ObserveFloat64(point, slot int, actual, relTol float64) {
 		if p.kind == Stride && e.samples >= 2 {
 			predicted = last + (last - math.Float64frombits(e.prev))
 		}
-		if WithinRelTol(predicted, actual, relTol) {
+		if math.Float64bits(predicted) == math.Float64bits(actual) {
 			p.hits++
 		} else {
 			p.misses++
@@ -195,27 +192,6 @@ func (p *Predictor) ObserveFloat64(point, slot int, actual, relTol float64) {
 	e.prev = e.last
 	e.last = math.Float64bits(actual)
 	e.samples++
-}
-
-// WithinRelTol reports whether a predicted float64 is acceptable against
-// the actual value under a relative tolerance: |pred-actual| <=
-// relTol*max(|pred|,|actual|). A non-positive tolerance demands bit
-// equality (so -0 vs +0 and NaN payloads are distinguished exactly like
-// integer validation would).
-func WithinRelTol(pred, actual, relTol float64) bool {
-	if relTol <= 0 {
-		return math.Float64bits(pred) == math.Float64bits(actual)
-	}
-	// Non-finite values fall back to bit equality: Inf-Inf is NaN (a
-	// correctly predicted Inf must still pass) and any finite value is
-	// unboundedly far from an Inf (diff <= relTol*Inf would accept it).
-	if math.IsNaN(pred) || math.IsNaN(actual) ||
-		math.IsInf(pred, 0) || math.IsInf(actual, 0) {
-		return math.Float64bits(pred) == math.Float64bits(actual)
-	}
-	diff := math.Abs(pred - actual)
-	scale := math.Max(math.Abs(pred), math.Abs(actual))
-	return diff <= relTol*scale
 }
 
 // Accuracy returns hits/(hits+misses), or 0 with no scored predictions.

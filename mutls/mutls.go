@@ -15,9 +15,9 @@
 //   - Reduce / ReduceFloat64 / ReduceFunc — speculative reduction over
 //     int64, float64 and general word-encoded monoids: the continuation is
 //     forked with a value-predicted accumulator that the join validates
-//     (MUTLS_validate_local, §IV-G4), warm-gated so cold predictions never
-//     fork, with float-arithmetic stride prediction and an optional
-//     relative-tolerance validation mode for float folds.
+//     (MUTLS_validate_local, §IV-G4) bit for bit, warm-gated so cold
+//     predictions never fork, with float-arithmetic stride prediction for
+//     float folds.
 //   - Pipeline — stage-parallel speculative pipelines (the DSWP-style
 //     decoupled shape): tokens flow in order, each downstream stage is its
 //     own fork point speculating on a predicted upstream live-out.
@@ -127,11 +127,10 @@ func FortranCostModel() CostModel { return vclock.FortranCostModel() }
 // GlobalBuffer pressure and activity counters of the backend ablation).
 type Summary = stats.Summary
 
-// Buffering selects and sizes the per-CPU GlobalBuffer backend: the
-// Backend name plus the sizing fields of that backend (LogWords and
-// OverflowCap for "openaddr", LogBuckets for "chain", PageWords for
-// "bitmap"). Zero fields select defaults; invalid sizing or an unknown
-// backend fails New.
+// Buffering selects the per-CPU GlobalBuffer backend by name and sizes
+// the "openaddr" maps (LogWords, OverflowCap); "bitmap" and "chain" have
+// nothing to size. Zero fields select defaults; invalid sizing or an
+// unknown backend fails New.
 type Buffering = gbuf.Config
 
 // BufferCounters is the aggregated GlobalBuffer activity of a run

@@ -491,9 +491,6 @@ func TestBufferingValidation(t *testing.T) {
 		{Backend: "openaddr", LogWords: 40},
 		{Backend: "openaddr", LogWords: -1},
 		{Backend: "openaddr", LogWords: 10, OverflowCap: -2}, // -1 is gbuf.NoOverflow
-		{Backend: "chain", LogBuckets: 33},
-		{Backend: "bitmap", PageWords: 24}, // not a power of two
-		{Backend: "bitmap", PageWords: -4},
 	}
 	for _, buf := range cases {
 		if _, err := mutls.New(mutls.Options{CPUs: 2, Buffering: buf}); err == nil {

@@ -1,7 +1,6 @@
 package mutls
 
 import (
-	"math"
 	"slices"
 
 	"repro/internal/core"
@@ -52,13 +51,6 @@ type PipelineOptions struct {
 	// advance by a constant delta per token (block cursors, running
 	// counts).
 	Predictor Predictor
-	// Float declares the inter-stage words to be float64 bit patterns
-	// (math.Float64bits): prediction extrapolates in float arithmetic and
-	// validation compares as floats, with RelTol as the optional relative
-	// tolerance (see ReduceFloatOptions.RelTol — nonzero tolerance trades
-	// exactness for commit rate).
-	Float  bool
-	RelTol float64
 }
 
 // Pipeline runs tokens [0, nTokens) through the stages in order and
@@ -111,25 +103,7 @@ func pipeline(t *Thread, nTokens int, init uint64, opts PipelineOptions, keyed b
 		if !pred.Warm(s, 0) {
 			return 0, false
 		}
-		if opts.Float {
-			v, ok := pred.PredictFloat64(s, 0)
-			return math.Float64bits(v), ok
-		}
 		return pred.Predict(s, 0)
-	}
-	observeIn := func(s int, actual uint64) {
-		if opts.Float {
-			pred.ObserveFloat64(s, 0, math.Float64frombits(actual), opts.RelTol)
-			return
-		}
-		pred.Observe(s, 0, actual)
-	}
-	validateIn := func(p int, actual uint64) {
-		if opts.Float {
-			t.ValidateRegvarFloat64Rel(ranks, p, 1, math.Float64frombits(actual), opts.RelTol)
-			return
-		}
-		t.ValidateRegvarInt64(ranks, p, 1, int64(actual))
 	}
 
 	// The cut: firsts holds each group's first stage, regions the forked
@@ -197,15 +171,15 @@ func pipeline(t *Thread, nTokens int, init uint64, opts PipelineOptions, keyed b
 			// cur is the actual live-in of stage s for this token: extend
 			// the stage's prediction history before resolving its fork.
 			if s > 0 {
-				observeIn(s, cur)
+				pred.Observe(s, 0, cur)
 			}
 			if forked[s] {
 				forked[s] = false
-				validateIn(points[s], cur)
+				t.ValidateRegvarInt64(ranks, points[s], 1, int64(cur))
 				res := t.Join(ranks, points[s])
 				if res.Committed() {
 					for k := s + 1; k <= e; k++ {
-						observeIn(k, uint64(res.RegvarInt64(1+k-s)))
+						pred.Observe(k, 0, uint64(res.RegvarInt64(1+k-s)))
 					}
 					cur = uint64(res.RegvarInt64(2 + e - s))
 					continue
@@ -213,7 +187,7 @@ func pipeline(t *Thread, nTokens int, init uint64, opts PipelineOptions, keyed b
 			}
 			for k := s; k <= e; k++ {
 				if k > s {
-					observeIn(k, cur)
+					pred.Observe(k, 0, cur)
 				}
 				// A forked group's run is timed only when it stands in for a
 				// fork: the tokens a cold predictor keeps inline are a call's

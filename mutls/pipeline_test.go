@@ -146,13 +146,15 @@ func TestPipelineUnderForcedRollbacks(t *testing.T) {
 	}
 }
 
-// TestPipelineFloatMode exercises Float inter-stage words: the chain
-// cursor advances by a constant 0.5 per stage, so the float stride
-// predictor commits, and with a jittered cursor the RelTol mode still
-// commits while bit-exact validation cannot.
+// TestPipelineFloatMode exercises float64 inter-stage words, which travel
+// and validate as their bits: the chain cursor advances by a constant 0.5
+// per stage, so the stride over the bit patterns holds within a binade and
+// forks commit; with a jittered cursor the stride mispredicts and those
+// groups roll back. Either way the result is the bit-identical sequential
+// one.
 func TestPipelineFloatMode(t *testing.T) {
 	const tokens = 48
-	run := func(jitter float64, relTol float64, cpus int) (float64, *mutls.Runtime) {
+	run := func(jitter float64, cpus int) (float64, *mutls.Runtime) {
 		rt := newRuntime(t, cpus, nil)
 		var final float64
 		rt.Run(func(t0 *mutls.Thread) {
@@ -161,18 +163,14 @@ func TestPipelineFloatMode(t *testing.T) {
 				v := math.Float64frombits(in) + 0.5 + jitter*float64(token%3)
 				return math.Float64bits(v)
 			}
-			opts := mutls.PipelineOptions{
-				Predictor: mutls.Stride,
-				Float:     true,
-				RelTol:    relTol,
-			}
+			opts := mutls.PipelineOptions{Predictor: mutls.Stride}
 			final = math.Float64frombits(mutls.Pipeline(t0, tokens, math.Float64bits(1.0), opts, stage, stage, stage))
 		})
 		return final, rt
 	}
 
-	want, _ := run(0, 0, 0) // sequential reference (no CPUs = no forks)
-	got, rt := run(0, 0, 4)
+	want, _ := run(0, 0) // sequential reference (no CPUs = no forks)
+	got, rt := run(0, 4)
 	if math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("float pipeline = %v, want bit-exact %v", got, want)
 	}
@@ -181,13 +179,13 @@ func TestPipelineFloatMode(t *testing.T) {
 	}
 
 	const jitter = 1e-12
-	wantJ, _ := run(jitter, 0, 0)
-	gotJ, rtJ := run(jitter, 1e-6, 4)
-	if diff := math.Abs(gotJ - wantJ); diff > 1e-6*math.Abs(wantJ) {
-		t.Fatalf("tolerant float pipeline drifted: got %v, want %v", gotJ, wantJ)
+	wantJ, _ := run(jitter, 0)
+	gotJ, rtJ := run(jitter, 4)
+	if math.Float64bits(gotJ) != math.Float64bits(wantJ) {
+		t.Fatalf("jittered float pipeline = %v, want bit-exact %v", gotJ, wantJ)
 	}
-	if s := rtJ.Stats(); s.Commits == 0 {
-		t.Fatalf("tolerant float pipeline committed nothing (%d rollbacks)", s.Rollbacks)
+	if s := rtJ.Stats(); s.Rollbacks == 0 {
+		t.Fatalf("jittered float pipeline rolled nothing back (%d commits)", s.Commits)
 	}
 }
 

@@ -15,53 +15,34 @@ import (
 // inline with the true accumulator.
 //
 // Three accumulator domains share one driver engine (reduceWord), which
-// moves raw 64-bit words and delegates prediction and validation to
-// per-domain hooks:
+// moves raw 64-bit words, validates them bit-exactly and delegates
+// prediction to per-domain hooks:
 //
 //   - Reduce        — int64, exact two's-complement stride prediction.
-//   - ReduceFloat64 — float64, float-arithmetic stride prediction with an
-//     optional relative-tolerance validation mode.
+//   - ReduceFloat64 — float64, float-arithmetic stride prediction,
+//     bit-exact validation.
 //   - ReduceFunc    — any word-encoded monoid, bit-exact validation.
 
-// ReduceOptions configures Reduce and ReduceFunc.
+// ReduceOptions configures Reduce, ReduceFloat64 and ReduceFunc.
 type ReduceOptions struct {
 	// Model is the forking model of the continuation forks; the zero value
 	// is OutOfOrder, the classic method-level continuation shape.
 	Model Model
 	// Predictor selects the accumulator value predictor; the zero value is
 	// LastValue. Stride suits induction-like accumulators (constant
-	// per-chunk increments).
+	// per-chunk increments); ReduceFloat64 extrapolates it in float64
+	// arithmetic, so it follows a constant float delta exactly.
 	Predictor Predictor
 }
 
-// ReduceFloatOptions configures ReduceFloat64.
-type ReduceFloatOptions struct {
-	// Model and Predictor as in ReduceOptions. The predictor extrapolates
-	// in float64 arithmetic, so Stride follows a constant float delta
-	// exactly.
-	Model     Model
-	Predictor Predictor
-	// RelTol, when positive, validates the predicted accumulator under a
-	// relative tolerance instead of bit equality: a prediction within
-	// RelTol of the actual value commits the speculation even though the
-	// continuation ran from a slightly wrong live-in. This is the
-	// tolerance-based float value prediction mode of the related work; the
-	// result may deviate from the sequential fold by the tolerance's
-	// propagation through the remaining chunks, so enable it only for
-	// reductions that accept approximate answers. Zero keeps bit-exact
-	// validation and exact sequential semantics.
-	RelTol float64
-}
-
-// reduceHooks are the per-domain prediction/validation callbacks of the
-// shared reduction engine. predict must return ok=false until the
-// predictor is warm — the cold-start fork is the one guaranteed to roll
-// back on a growing accumulator (and, before the warm gate existed, to
-// run from accumulator 0 whenever init != 0).
+// reduceHooks are the per-domain prediction callbacks of the shared
+// reduction engine. predict must return ok=false until the predictor is
+// warm — the cold-start fork is the one guaranteed to roll back on a
+// growing accumulator (and, before the warm gate existed, to run from
+// accumulator 0 whenever init != 0).
 type reduceHooks struct {
-	predict  func() (uint64, bool)
-	observe  func(actual uint64)
-	validate func(t *Thread, ranks []Rank, p int, actual uint64)
+	predict func() (uint64, bool)
+	observe func(actual uint64)
 }
 
 // Reduce folds body over the chunks [0, nChunks) starting from init and
@@ -104,9 +85,6 @@ func reduceFunc(t *Thread, nChunks int, init uint64, opts ReduceOptions, key uin
 			return pred.Predict(0, 0)
 		},
 		observe: func(actual uint64) { pred.Observe(0, 0, actual) },
-		validate: func(t *Thread, ranks []Rank, p int, actual uint64) {
-			t.ValidateRegvarInt64(ranks, p, 0, int64(actual))
-		},
 	}
 	return reduceWord(t, nChunks, init, opts.Model, hooks, key, body)
 }
@@ -114,12 +92,12 @@ func reduceFunc(t *Thread, nChunks int, init uint64, opts ReduceOptions, key uin
 // ReduceFloat64 folds body over the chunks [0, nChunks) starting from init
 // and returns the final float64 accumulator — the float form of Reduce.
 // Prediction runs in float64 arithmetic (a constant float per-chunk delta
-// is followed exactly by the Stride predictor) and validation is bit-exact
-// unless opts.RelTol enables the relative-tolerance mode. The fold order
-// is the sequential order in every outcome — committed speculations adopt
-// the live-out of a fold that ran in that same order — so with RelTol 0
-// the result is bit-identical to the sequential fold.
-func ReduceFloat64(t *Thread, nChunks int, init float64, opts ReduceFloatOptions, body func(c *Thread, idx int, acc float64) float64) float64 {
+// is followed exactly by the Stride predictor) and validation is bit-exact:
+// the accumulator travels as its bits. The fold order is the sequential
+// order in every outcome — committed speculations adopt the live-out of a
+// fold that ran in that same order from the exact live-in — so the result
+// is bit-identical to the sequential fold.
+func ReduceFloat64(t *Thread, nChunks int, init float64, opts ReduceOptions, body func(c *Thread, idx int, acc float64) float64) float64 {
 	pred := predict.New(opts.Predictor)
 	hooks := reduceHooks{
 		predict: func() (uint64, bool) {
@@ -129,12 +107,7 @@ func ReduceFloat64(t *Thread, nChunks int, init float64, opts ReduceFloatOptions
 			v, ok := pred.PredictFloat64(0, 0)
 			return math.Float64bits(v), ok
 		},
-		observe: func(actual uint64) {
-			pred.ObserveFloat64(0, 0, math.Float64frombits(actual), opts.RelTol)
-		},
-		validate: func(t *Thread, ranks []Rank, p int, actual uint64) {
-			t.ValidateRegvarFloat64Rel(ranks, p, 0, math.Float64frombits(actual), opts.RelTol)
-		},
+		observe: func(actual uint64) { pred.ObserveFloat64(0, 0, math.Float64frombits(actual)) },
 	}
 	out := reduceWord(t, nChunks, math.Float64bits(init), opts.Model, hooks, bodyKey(body),
 		func(c *Thread, idx int, acc uint64) uint64 {
@@ -210,7 +183,7 @@ func reduceWord(t *Thread, nChunks int, init uint64, model Model, hooks reduceHo
 			continue // fork refused, predictor cold, or the last chunk
 		}
 		// MUTLS_validate_local: was the prediction right?
-		hooks.validate(t, ranks, point, acc)
+		t.ValidateRegvarInt64(ranks, point, 0, int64(acc))
 		if res := t.Join(ranks, point); res.Committed() {
 			acc = uint64(res.RegvarInt64(3))
 			// Keep the predictor's history aligned with the join-point
