@@ -299,10 +299,10 @@ func (st *bhState) bhForce(c *mutls.Thread, i int) (float64, float64, float64) {
 }
 
 func (st *bhState) forces(c *mutls.Thread, lo, hi int) {
+	f := make([]float64, 3)
 	for i := lo; i < hi; i++ {
-		fx, fy, fz := st.bhForce(c, i)
-		f := [3]float64{fx, fy, fz}
-		c.StoreFloat64s(st.force+mem.Addr(8*3*i), f[:])
+		f[0], f[1], f[2] = st.bhForce(c, i)
+		c.StoreFloat64s(st.force+mem.Addr(8*3*i), f)
 		// Polling happens in the loop driver (ForOptions.PollEvery polls
 		// at body bounds and can stop the chunk with saved progress).
 	}

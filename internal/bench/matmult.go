@@ -73,9 +73,9 @@ func (ctx mmCtx) free(t *mutls.Thread) {
 // suite's rollback benchmark).
 func mmBase(c *mutls.Thread, ctx mmCtx, cOff, aOff, bOff, sz int) {
 	n := ctx.n
-	var arow, brow, crow [matmultBlock]float64
+	var rows [3][matmultBlock]float64 // one heap object: the views hand it to the buffer
 	for i := 0; i < sz; i++ {
-		a, b, acc := arow[:sz], brow[:sz], crow[:sz]
+		a, b, acc := rows[0][:sz], rows[1][:sz], rows[2][:sz]
 		c.LoadFloat64s(ctx.a+mem.Addr(8*(aOff+i*n)), a)
 		c.LoadFloat64s(ctx.c+mem.Addr(8*(cOff+i*n)), acc)
 		for k := 0; k < sz; k++ {

@@ -75,10 +75,11 @@ func (st mdState) free(t *mutls.Thread) {
 func mdForces(c *mutls.Thread, st mdState, lo, hi int) {
 	const eps = 1e-3
 	pos := make([]float64, 3*st.n)
+	f := make([]float64, 3)
 	for i := lo; i < hi; i++ {
 		c.LoadFloat64s(st.pos, pos)
 		xi, yi, zi := pos[3*i], pos[3*i+1], pos[3*i+2]
-		var f [3]float64
+		clear(f)
 		for j := 0; j < st.n; j++ {
 			if j == i {
 				continue
@@ -93,7 +94,7 @@ func mdForces(c *mutls.Thread, st mdState, lo, hi int) {
 			f[2] += dz * inv
 		}
 		c.Tick(int64(st.n) * 30)
-		c.StoreFloat64s(st.force+mem.Addr(8*3*i), f[:])
+		c.StoreFloat64s(st.force+mem.Addr(8*3*i), f)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/gbuf"
@@ -327,8 +328,8 @@ func BenchmarkThreadLoadBytesWordLoop1KiB(b *testing.B) {
 	}
 }
 
-// BenchmarkThreadFloat64Slice1KiB measures the typed slice views (scratch
-// conversion included) — must stay alloc-free in steady state.
+// BenchmarkThreadFloat64Slice1KiB measures the typed slice views, which
+// move the caller's slice itself — must stay alloc-free.
 func BenchmarkThreadFloat64Slice1KiB(b *testing.B) {
 	for _, backend := range gbuf.Backends() {
 		b.Run(backend, func(b *testing.B) {
@@ -348,38 +349,66 @@ func BenchmarkThreadFloat64Slice1KiB(b *testing.B) {
 }
 
 // TestThreadBulkAllocFree pins the zero-alloc contract at the Thread layer:
-// steady-state bulk accessors on a speculative thread allocate nothing.
+// the byte and typed bulk accessors allocate nothing on the
+// non-speculative thread or on a speculative one, from their very first
+// call on. The speculation runs second on its CPU, after one that touched
+// the same pages through LoadBytes/StoreBytes, so the GlobalBuffer's pages
+// are already pooled.
 func TestThreadBulkAllocFree(t *testing.T) {
-	rt := newRT(t, 1, nil)
-	rt.Run(func(t0 *Thread) {
-		p := t0.Alloc(2048)
-		ranks := []Rank{0}
-		h := t0.Fork(ranks, 0, OutOfOrder)
-		if h == nil {
-			t.Fatal("fork refused")
+	buf := make([]byte, 1024)
+	w, i64, f64 := make([]uint64, 16), make([]int64, 16), make([]float64, 16)
+	i32, f32 := make([]int32, 15), make([]float32, 15)
+	ops := func(c *Thread, base mem.Addr) {
+		c.StoreBytes(base, buf)
+		c.LoadBytes(base, buf)
+		c.StoreWords(base+1024, w)
+		c.LoadWords(base+1024, w)
+		c.StoreInt64s(base+1152, i64)
+		c.LoadInt64s(base+1152, i64)
+		c.StoreFloat64s(base+1280, f64)
+		c.LoadFloat64s(base+1280, f64)
+		c.StoreInt32s(base+1412, i32)
+		c.LoadInt32s(base+1412, i32)
+		c.StoreFloat32s(base+1476, f32)
+		c.LoadFloat32s(base+1476, f32)
+	}
+	check := func(t *testing.T, c *Thread, base mem.Addr) {
+		if n := firstAllocs(func() { ops(c, base) }); n != 0 {
+			t.Errorf("first bulk calls allocate %d objects", n)
 		}
-		h.SetRegvarAddr(0, p)
-		var allocs float64
-		h.Start(func(c *Thread) uint32 {
-			base := c.GetRegvarAddr(0)
-			buf := make([]byte, 1024)
-			vals := make([]float64, 64)
-			c.StoreBytes(base, buf)
-			c.LoadBytes(base, buf)
-			c.StoreFloat64s(base+1024, vals)
-			allocs = testing.AllocsPerRun(50, func() {
-				c.StoreBytes(base, buf)
-				c.LoadBytes(base, buf)
-				c.StoreFloat64s(base+1024, vals)
-				c.LoadFloat64s(base+1024, vals)
-			})
-			return 0
+		if n := testing.AllocsPerRun(50, func() { ops(c, base) }); n != 0 {
+			t.Errorf("bulk hot path allocates %.1f objects per op", n)
+		}
+	}
+	t.Run("non-speculative", func(t *testing.T) {
+		rt := newRT(t, 1, nil)
+		rt.Run(func(t0 *Thread) {
+			p := t0.Alloc(2048)
+			check(t, t0, p+8-mem.Addr(uint64(p)%8))
 		})
-		if res := t0.Join(ranks, 0); !res.Committed() {
-			t.Fatalf("join: %v (%v)", res.Status, res.Reason)
-		}
-		if allocs != 0 {
-			t.Fatalf("bulk hot path allocates %.1f objects per op", allocs)
-		}
 	})
+	t.Run("speculative", func(t *testing.T) {
+		rt := newRT(t, 1, nil)
+		rt.Run(func(t0 *Thread) {
+			p := t0.Alloc(2048)
+			base := p + 8 - mem.Addr(uint64(p)%8)
+			speculate(t, t0, func(c *Thread) {
+				warm := make([]byte, 1536)
+				c.LoadBytes(base, warm)
+				c.StoreBytes(base, warm)
+			})
+			speculate(t, t0, func(c *Thread) { check(t, c, base) })
+		})
+	})
+}
+
+// firstAllocs counts the heap allocations of one call of f, as
+// testing.AllocsPerRun does but without its warm-up call.
+func firstAllocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }

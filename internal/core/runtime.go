@@ -202,10 +202,6 @@ type cpu struct {
 
 	rng   splitMix64
 	stack mem.Range // this CPU's speculative stack region
-	// scratch backs the typed bulk accessors (Thread.LoadWords and
-	// friends); it persists across speculations so the range hot path
-	// stays alloc-free.
-	scratch []byte
 
 	// snap is the stamp-table sequence the current execution read before
 	// its first arena load; dirtyFn is the prebuilt ValidateDirty oracle

@@ -1,9 +1,9 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
+	"unsafe"
 
 	"repro/internal/gbuf"
 	"repro/internal/mem"
@@ -46,10 +46,6 @@ type Thread struct {
 	// Fork re-initializes it instead of allocating one.
 	openFork *ForkHandle
 	fork     ForkHandle
-
-	// bulk is the non-speculative thread's typed-accessor scratch buffer;
-	// speculative threads use their CPU's persistent one (Thread.scratch).
-	bulk []byte
 }
 
 // Rank returns the thread's virtual CPU rank (0 = non-speculative).
@@ -313,140 +309,73 @@ func (t *Thread) StoreBytes(p mem.Addr, src []byte) {
 	}
 }
 
-// scratch returns a reusable n-byte buffer for the typed bulk accessors.
-// Speculative threads borrow their virtual CPU's buffer (which persists
-// across speculations, so the hot path stays alloc-free); the
-// non-speculative thread keeps its own for the duration of the run.
-func (t *Thread) scratch(n int) []byte {
-	buf := &t.bulk
-	if t.cpu != nil {
-		buf = &t.cpu.scratch
-	}
-	if cap(*buf) < n {
-		*buf = make([]byte, n)
-	}
-	return (*buf)[:n]
+// elem is the element types of the typed slice views.
+type elem interface {
+	uint64 | int64 | float64 | int32 | float32
 }
 
-// LoadWords reads len(dst) consecutive words starting at the word-aligned
-// address p — one buffered range access with a single batched clock
-// charge. Misalignment is an unsafe operation: speculative threads roll
-// back, the non-speculative thread panics.
-func (t *Thread) LoadWords(p mem.Addr, dst []uint64) {
-	s := t.rangeScratch(p, len(dst), mem.Word)
-	t.loadRange(p, s)
-	for i := range dst {
-		dst[i] = binary.LittleEndian.Uint64(s[i*mem.Word:])
-	}
-}
-
-// StoreWords writes len(src) consecutive words at the word-aligned
-// address p.
-func (t *Thread) StoreWords(p mem.Addr, src []uint64) {
-	s := t.rangeScratch(p, len(src), mem.Word)
-	for i, v := range src {
-		binary.LittleEndian.PutUint64(s[i*mem.Word:], v)
-	}
-	t.storeRange(p, s)
-}
-
-// LoadInt64s reads len(dst) consecutive int64s starting at p (a slice view
-// over simulated memory; see LoadWords).
-func (t *Thread) LoadInt64s(p mem.Addr, dst []int64) {
-	s := t.rangeScratch(p, len(dst), mem.Word)
-	t.loadRange(p, s)
-	for i := range dst {
-		dst[i] = int64(binary.LittleEndian.Uint64(s[i*mem.Word:]))
-	}
-}
-
-// StoreInt64s writes len(src) consecutive int64s at p.
-func (t *Thread) StoreInt64s(p mem.Addr, src []int64) {
-	s := t.rangeScratch(p, len(src), mem.Word)
-	for i, v := range src {
-		binary.LittleEndian.PutUint64(s[i*mem.Word:], uint64(v))
-	}
-	t.storeRange(p, s)
-}
-
-// LoadFloat64s reads len(dst) consecutive float64s starting at p (a slice
-// view over simulated memory; see LoadWords).
-func (t *Thread) LoadFloat64s(p mem.Addr, dst []float64) {
-	s := t.rangeScratch(p, len(dst), mem.Word)
-	t.loadRange(p, s)
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(s[i*mem.Word:]))
-	}
-}
-
-// StoreFloat64s writes len(src) consecutive float64s at p.
-func (t *Thread) StoreFloat64s(p mem.Addr, src []float64) {
-	s := t.rangeScratch(p, len(src), mem.Word)
-	for i, v := range src {
-		binary.LittleEndian.PutUint64(s[i*mem.Word:], math.Float64bits(v))
-	}
-	t.storeRange(p, s)
-}
-
-// rangeScratch validates a typed bulk access of n elements of the given
-// size at p and returns the byte scratch backing it. p must be
-// size-aligned: misalignment is an unsafe operation, so speculative threads
-// roll back and the non-speculative thread panics. For sub-word elements a
-// misaligned head or tail decomposes into one maximal aligned sub-word
-// access each (charged once), and the aligned middle is one batched
-// word-run crossing.
-func (t *Thread) rangeScratch(p mem.Addr, n, size int) []byte {
+// elemBytes checks a typed bulk access of s at p and returns s's own
+// memory as bytes. p must be aligned to the element size: misalignment is
+// an unsafe operation, so speculative threads roll back and the
+// non-speculative thread panics. On a little-endian host, the only kind
+// this package builds for (bigendian.go), the bytes are exactly the
+// little-endian image the arena and the GlobalBuffer move, so the caller's
+// slice is the range itself: no copy, no conversion. A rolled-back load
+// leaves it unspecified.
+func elemBytes[E elem](t *Thread, p mem.Addr, s []E) []byte {
+	var zero E
+	size := int(unsafe.Sizeof(zero))
 	if !mem.Aligned(p, size) {
 		if t.speculative {
 			t.rollbackNow(RollbackUnsafeOp)
 		}
 		panic(fmt.Sprintf("core: misaligned %d-byte-run access at %d", size, p))
 	}
-	return t.scratch(n * size)
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*size)
 }
+
+// LoadWords reads len(dst) consecutive words starting at the word-aligned
+// address p — one buffered range access with a single batched clock
+// charge. Misalignment is an unsafe operation: speculative threads roll
+// back, the non-speculative thread panics.
+func (t *Thread) LoadWords(p mem.Addr, dst []uint64) { t.LoadBytes(p, elemBytes(t, p, dst)) }
+
+// StoreWords writes len(src) consecutive words at the word-aligned
+// address p.
+func (t *Thread) StoreWords(p mem.Addr, src []uint64) { t.StoreBytes(p, elemBytes(t, p, src)) }
+
+// LoadInt64s reads len(dst) consecutive int64s starting at p (a slice view
+// over simulated memory; see LoadWords).
+func (t *Thread) LoadInt64s(p mem.Addr, dst []int64) { t.LoadBytes(p, elemBytes(t, p, dst)) }
+
+// StoreInt64s writes len(src) consecutive int64s at p.
+func (t *Thread) StoreInt64s(p mem.Addr, src []int64) { t.StoreBytes(p, elemBytes(t, p, src)) }
+
+// LoadFloat64s reads len(dst) consecutive float64s starting at p (a slice
+// view over simulated memory; see LoadWords).
+func (t *Thread) LoadFloat64s(p mem.Addr, dst []float64) { t.LoadBytes(p, elemBytes(t, p, dst)) }
+
+// StoreFloat64s writes len(src) consecutive float64s at p.
+func (t *Thread) StoreFloat64s(p mem.Addr, src []float64) { t.StoreBytes(p, elemBytes(t, p, src)) }
 
 // LoadFloat32s reads len(dst) consecutive float32s starting at the
 // 4-aligned address p: at most one 4-byte head access, one bulk word-run
 // (a single batched clock charge, one Backend range crossing) for the
 // aligned middle, and at most one 4-byte tail access — the sub-word slice
 // view on the single-charge range contract.
-func (t *Thread) LoadFloat32s(p mem.Addr, dst []float32) {
-	s := t.rangeScratch(p, len(dst), 4)
-	t.LoadBytes(p, s)
-	for i := range dst {
-		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(s[i*4:]))
-	}
-}
+func (t *Thread) LoadFloat32s(p mem.Addr, dst []float32) { t.LoadBytes(p, elemBytes(t, p, dst)) }
 
 // StoreFloat32s writes len(src) consecutive float32s at the 4-aligned
 // address p (see LoadFloat32s for the decomposition).
-func (t *Thread) StoreFloat32s(p mem.Addr, src []float32) {
-	s := t.rangeScratch(p, len(src), 4)
-	for i, v := range src {
-		binary.LittleEndian.PutUint32(s[i*4:], math.Float32bits(v))
-	}
-	t.StoreBytes(p, s)
-}
+func (t *Thread) StoreFloat32s(p mem.Addr, src []float32) { t.StoreBytes(p, elemBytes(t, p, src)) }
 
 // LoadInt32s reads len(dst) consecutive int32s starting at the 4-aligned
 // address p (the int32 slice view; see LoadFloat32s).
-func (t *Thread) LoadInt32s(p mem.Addr, dst []int32) {
-	s := t.rangeScratch(p, len(dst), 4)
-	t.LoadBytes(p, s)
-	for i := range dst {
-		dst[i] = int32(binary.LittleEndian.Uint32(s[i*4:]))
-	}
-}
+func (t *Thread) LoadInt32s(p mem.Addr, dst []int32) { t.LoadBytes(p, elemBytes(t, p, dst)) }
 
 // StoreInt32s writes len(src) consecutive int32s at the 4-aligned address
 // p.
-func (t *Thread) StoreInt32s(p mem.Addr, src []int32) {
-	s := t.rangeScratch(p, len(src), 4)
-	for i, v := range src {
-		binary.LittleEndian.PutUint32(s[i*4:], uint32(v))
-	}
-	t.StoreBytes(p, s)
-}
+func (t *Thread) StoreInt32s(p mem.Addr, src []int32) { t.StoreBytes(p, elemBytes(t, p, src)) }
 
 // Alloc allocates n bytes on the heap. Speculative threads may not allocate
 // (the paper intercepts malloc and forbids it because the thread may roll
