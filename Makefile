@@ -9,8 +9,8 @@ STATICCHECK_VERSION ?= 2023.1.7
 
 .PHONY: all build test race race-repeat vet fmt mutls-vet staticcheck smoke chaos loc
 
-# Seed for the deterministic fault-injection sweep; override to replay a
-# failing CI run: `make chaos CHAOS_SEED=<seed from the log>`.
+# Seed for the fault-injection sweep; override to replay a failing CI
+# run's plans: `make chaos CHAOS_SEED=<seed from the log>`.
 CHAOS_SEED ?= 7
 
 all: build test
@@ -96,7 +96,9 @@ smoke:
 
 # chaos is the fault-injection smoke: seeded storms over the quick kernel
 # subset under the race detector, asserting checksum equivalence, typed
-# containment and zero goroutine leaks. Fully reproducible from the seed.
+# containment and zero goroutine leaks. The seed fixes each seam's decision
+# stream; how many decisions a run draws follows the schedule, so a rerun
+# replays the plans, not necessarily the same faults.
 # The refusal storm is the same contract under a different disturbance: the
 # CPU limit moving under running matmults, bit-exact checksums.
 chaos:
@@ -110,7 +112,7 @@ chaos:
 # PR that grows the tree has to raise the number here, in its own diff.
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l); \
-	echo "non-test Go outside benchmark/ and testdata/: $$n lines (ceiling 15725, target 16500)"; \
+	echo "non-test Go outside benchmark/ and testdata/: $$n lines (ceiling 15699, target 16500)"; \
 	v=$$(find internal/analysis cmd/mutls-vet -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l); \
 	echo "  of which internal/analysis + cmd/mutls-vet: $$v lines"; \
-	if [ $$n -gt 15725 ]; then echo "code size is over the ceiling: shrink, or raise it in the Makefile" >&2; exit 1; fi
+	if [ $$n -gt 15699 ]; then echo "code size is over the ceiling: shrink, or raise it in the Makefile" >&2; exit 1; fi

@@ -13,7 +13,7 @@
 //	mutls-bench -paper           # Table II problem sizes (slow)
 //	mutls-bench -cpus 1,2,4,64   # custom CPU axis
 //	mutls-bench -real            # wall-clock timing instead of the cost model
-//	mutls-bench -chaos -seed 7   # deterministic fault-injection sweep
+//	mutls-bench -chaos -seed 7   # seeded fault-injection sweep
 //	mutls-bench -chaos -quick    # CI-sized chaos smoke (three kernels)
 package main
 
@@ -35,9 +35,9 @@ func main() {
 	paper := flag.Bool("paper", false, "use the paper's Table II problem sizes")
 	cpus := flag.String("cpus", "", "comma-separated CPU axis (default 1,2,4,8,16,24,32,48,64)")
 	real := flag.Bool("real", false, "wall-clock timing instead of the virtual cost model")
-	seed := flag.Uint64("seed", 0, "seed for the forced-rollback generators")
+	seed := flag.Uint64("seed", 0, "seed for the forced-rollback generators and the -chaos plans")
 	gbufBackend := flag.String("gbuf", "", fmt.Sprintf("GlobalBuffer backend for all runs (one of %v)", mutls.Backends()))
-	chaos := flag.Bool("chaos", false, "run the deterministic fault-injection sweep (kernels x models x backends under seeded fault storms)")
+	chaos := flag.Bool("chaos", false, "run the fault-injection sweep (kernels x models x backends under seeded fault storms)")
 	quick := flag.Bool("quick", false, "with -chaos: CI-sized subset")
 	flag.Parse()
 	if *quick && !*chaos {

@@ -10,6 +10,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -102,8 +103,8 @@ type RunConfig struct {
 	// default (bitmap). An explicit "openaddr" gets the suite's sizing for
 	// it (2^16 words, 256 overflow slots) where the fields are zero.
 	Buffering mutls.Buffering
-	// Faults wires a deterministic fault-injection plan into the runtime
-	// (the chaos harness); nil injects nothing.
+	// Faults is the fault-injection plan MeasureSpec's run carries in its
+	// context (the chaos harness); nil injects nothing.
 	Faults *faultinject.Plan
 	// SpecDeadline arms the runaway-speculation watchdog; zero disables.
 	SpecDeadline time.Duration
@@ -133,7 +134,6 @@ func (cfg RunConfig) options(w *Workload) mutls.Options {
 		RollbackProb: cfg.RollbackProb,
 		Seed:         cfg.Seed,
 		SpecDeadline: cfg.SpecDeadline,
-		FaultPlan:    cfg.Faults,
 	}
 }
 
@@ -171,8 +171,9 @@ func MeasureSpec(w *Workload, cfg RunConfig) (Measurement, error) {
 	}
 	defer rt.Close()
 	opts := SpecOptions{Model: cfg.Model}
+	ctx := faultinject.NewContext(context.Background(), cfg.Faults)
 	var sum uint64
-	tn, err := rt.Run(func(t *mutls.Thread) { sum = w.Spec(t, cfg.Size, opts) })
+	tn, err := rt.RunCtx(ctx, func(t *mutls.Thread) { sum = w.Spec(t, cfg.Size, opts) })
 	if err != nil {
 		return Measurement{}, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -370,10 +371,10 @@ func TestHandoffUnderInjectedFaults(t *testing.T) {
 				rules = append(rules, faultinject.Rule{Site: site, Kind: kind, Prob: 0.05})
 			}
 		}
-		plan := faultinject.NewPlan(seed, rules)
-		rt := newRT(t, 2, func(o *Options) { o.FaultPlan = plan })
+		ctx := faultinject.NewContext(context.Background(), faultinject.NewPlan(seed, rules))
+		rt := newRT(t, 2, nil)
 		for run := 0; run < 30; run++ {
-			_, err := rt.RunCtx(nil, func(t0 *Thread) {
+			_, err := rt.RunCtx(ctx, func(t0 *Thread) {
 				ranks := make([]Rank, 1)
 				for i := 0; i < 20; i++ {
 					forkJoinEmpty(t0, ranks)

@@ -21,7 +21,7 @@ const NumPoints = 64
 
 // pointState is everything the runtime keeps about one fork/join point: a
 // driver body once PointFor has interned one under the id, a raw point —
-// Tree's point 0, a core program's own numbering — until then.
+// a core program's own numbering — until then.
 //
 // Reset rule: ResetStats zeroes the counts and latency sums — the
 // statistics. disabled, the fault count and the wall-latency EWMA are a

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/faultinject"
 	"repro/internal/gbuf"
 	"repro/internal/lbuf"
 	"repro/internal/mem"
@@ -61,12 +60,6 @@ type Options struct {
 	// loop without polling CheckPoint are beyond its reach (the pollcheck
 	// analyzer flags those statically).
 	SpecDeadline time.Duration
-
-	// FaultPlan wires the deterministic fault-injection plane into the
-	// runtime's poll/fork/join/store/commit/alloc seams (chaos testing).
-	// Nil — the default — injects nothing and adds one pointer check per
-	// seam.
-	FaultPlan *faultinject.Plan
 }
 
 // withDefaults fills zero values.

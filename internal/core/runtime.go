@@ -282,6 +282,11 @@ type Runtime struct {
 	cancelled atomic.Bool
 	done      <-chan struct{}
 
+	// plan is the fault-injection plan the run's context carries (nil for
+	// none), read by the seams (inject.go, validateAndCommit). RunCtx sets
+	// it and clears it at run exit, like done.
+	plan *faultinject.Plan
+
 	// cpuLimit bounds the virtual CPUs claimIdleCPU may hand out (ranks
 	// 1..cpuLimit). It defaults to NumCPUs; a runtime pool lowers it per
 	// run so concurrent tenants share a host-CPU budget, down to 0 for
@@ -347,25 +352,10 @@ func NewRuntime(opts Options) (*Runtime, error) {
 		rt.stamps = ws
 		rt.markFn = ws.Mark
 	}
-	if o.FaultPlan != nil {
-		// Heap-allocation injection: a tripped Alloc fails like an
-		// exhausted region, which Thread.Alloc surfaces as a (contained)
-		// kernel panic on the non-speculative thread.
-		space.Heap.Trip = func(int) bool {
-			return o.FaultPlan.Decide(faultinject.SiteAlloc) == faultinject.KindPanic
-		}
-	}
 	for r := 1; r <= o.NumCPUs; r++ {
 		gb, err := gbuf.NewBackend(space.Arena, o.GBuf)
 		if err != nil {
 			return nil, err
-		}
-		if o.FaultPlan != nil {
-			// Store-seam injection: forced Full statuses exercise the real
-			// overflow rollback path through handleBufferStatus.
-			gb = &gbuf.FaultyBackend{Backend: gb, Trip: func() bool {
-				return o.FaultPlan.Decide(faultinject.SiteStore) == faultinject.KindOverflow
-			}}
 		}
 		lb, err := lbuf.New(o.LBuf)
 		if err != nil {
@@ -440,6 +430,8 @@ func (rt *Runtime) CPULimit() int { return int(rt.cpuLimit.Load()) }
 // gates exactly as at a normal run end — so it is reusable afterwards. A
 // cancelled run's partial effects on the simulated address space are
 // unspecified; a pooled runtime recycles (Recycle) before its next tenant.
+// A fault-injection plan the context carries (faultinject.NewContext)
+// decides at the run's seams; it does not outlive the run.
 func (rt *Runtime) RunCtx(ctx context.Context, fn func(t *Thread)) (vclock.Cost, error) {
 	if rt.closed.Load() {
 		return 0, ErrClosed
@@ -468,6 +460,7 @@ func (rt *Runtime) RunCtx(ctx context.Context, fn func(t *Thread)) (vclock.Cost,
 	rt.inOrderTail.Store(0)
 	rt.cancelled.Store(false)
 	rt.done = ctx.Done()
+	rt.plan = faultinject.From(ctx)
 	// Each run's clock restarts at zero, so the previous run's freeAt
 	// stamps would make every CPU look virtually busy until the new clock
 	// catches up — refusing all early forks on a reused (pooled) runtime.
@@ -531,6 +524,7 @@ func (rt *Runtime) runCounted(t *Thread, fn func(t *Thread)) (err error) {
 		procBusy.Add(-1)
 		rt.cancelled.Store(false)
 		rt.done = nil // a pooled runtime must not keep the request's context
+		rt.plan = nil
 	}()
 	fn(t)
 	return nil
@@ -970,7 +964,7 @@ func (rt *Runtime) validateAndCommit(t *Thread, c *cpu) bool {
 		td.reason = RollbackInjected
 		return false
 	}
-	if plan := rt.opts.FaultPlan; plan != nil {
+	if plan := rt.plan; plan != nil {
 		// This seam runs on the worker outside runRegion's recover, so a
 		// raised panic would crash the process: every destructive kind
 		// degrades to a forced rollback here, which is what a commit-time

@@ -5,6 +5,7 @@ import (
 	"math"
 	"unsafe"
 
+	"repro/internal/faultinject"
 	"repro/internal/gbuf"
 	"repro/internal/mem"
 	"repro/internal/vclock"
@@ -128,6 +129,7 @@ func (t *Thread) store(p mem.Addr, size int, v uint64) {
 		t.wrote(p, size)
 		return
 	}
+	t.injectAt(faultinject.SiteStore)
 	t.handleBufferStatus(t.cpu.gb.Store(p, size, v))
 }
 
@@ -239,6 +241,7 @@ func (t *Thread) storeRange(p mem.Addr, src []byte) {
 		t.wrote(p, len(src))
 		return
 	}
+	t.injectAt(faultinject.SiteStore)
 	t.handleBufferStatus(t.cpu.gb.StoreRange(p, src))
 }
 
@@ -385,6 +388,7 @@ func (t *Thread) Alloc(n int) mem.Addr {
 	if t.speculative {
 		t.rollbackNow(RollbackUnsafeOp)
 	}
+	t.injectAt(faultinject.SiteAlloc)
 	p, err := t.rt.space.Heap.Alloc(n)
 	if err != nil {
 		panic(err)

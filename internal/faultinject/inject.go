@@ -1,21 +1,23 @@
-// Package faultinject is the deterministic fault-injection plane of the
-// chaos harness: a seeded Plan is wired into the runtime's poll, fork,
-// join, store, commit and lease-acquire seams and decides — reproducibly
-// for a given seed and decision order — when to inject a kernel panic, a
+// Package faultinject is the fault-injection plane of the chaos harness: a
+// seeded Plan, carried by a run's context (NewContext), decides at the
+// runtime's poll, fork, join, store, commit and alloc seams and at the
+// pool's acquire, queue and grant seams when to inject a kernel panic, a
 // forced rollback, a GlobalBuffer overflow, a scheduling delay, a run
-// cancellation or a lease-acquire failure. The plan exists to prove the
-// containment contract: every injected storm must leave checksums equal
-// to the sequential execution and the process free of leaked goroutines.
+// cancellation, a lease-acquire failure or a degraded grant. The plan
+// exists to prove the containment contract: every injected storm must
+// leave checksums equal to the sequential execution and the process free
+// of leaked goroutines.
 //
-// The decision stream of each site is a pure function of (seed, site,
-// decision index), so a storm replays exactly under the same seed as long
-// as each site's decisions happen in the same order. Concurrent sites
-// interleave nondeterministically, but each site's own sequence — and
-// therefore the total injection mix — is stable, which is what reproducing
-// a chaos failure needs.
+// The seed fixes each site's decision stream: the n-th decision drawn at a
+// site is a pure function of (seed, site, n). How many decisions a run
+// draws, and which execution draws each one, follow the schedule — which
+// thread claims a free CPU, how far a speculation gets before it is
+// squashed — so two runs under one seed may inject different counts at
+// different places. A seed replays the plan, not the run.
 package faultinject
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -83,7 +85,8 @@ const (
 	SiteFork
 	// SiteJoin is the Join entry seam (non-speculative thread).
 	SiteJoin
-	// SiteStore is the speculative GlobalBuffer store seam (gbuf wrapper).
+	// SiteStore is the speculative thread's buffered store seam: every
+	// word or range store that goes to its GlobalBuffer.
 	SiteStore
 	// SiteCommit is the validate/commit seam inside the join protocol.
 	SiteCommit
@@ -152,17 +155,16 @@ func (e *InjectedPanic) Error() string {
 	return fmt.Sprintf("faultinject: injected panic at %v seam (decision %d)", e.Site, e.Seq)
 }
 
-// Plan is one armed injection mix. The zero value is unusable; build with
+// Plan is one injection mix. The zero value is unusable; build with
 // NewPlan. A nil *Plan is a valid "no injection" plan for every method.
 type Plan struct {
 	seed  uint64
-	armed atomic.Bool
 	rules [numSites][]Rule
 	seq   [numSites]atomic.Uint64
 	hits  [numSites][numKinds]atomic.Int64
 }
 
-// NewPlan builds an armed plan from the seed and rules. Rules with
+// NewPlan builds a plan from the seed and rules. Rules with
 // non-positive probability are dropped; probabilities above 1 saturate.
 func NewPlan(seed uint64, rules []Rule) *Plan {
 	p := &Plan{seed: seed}
@@ -175,28 +177,28 @@ func NewPlan(seed uint64, rules []Rule) *Plan {
 		}
 		p.rules[r.Site] = append(p.rules[r.Site], r)
 	}
-	p.armed.Store(true)
 	return p
 }
 
-// Seed returns the plan's seed (echoed by harness output for replays).
-func (p *Plan) Seed() uint64 { return p.seed }
+type contextKey struct{}
 
-// Disarm turns every subsequent decision into KindNone. Used by the chaos
-// harness to prove a stormed runtime still executes cleanly.
-func (p *Plan) Disarm() { p.armed.Store(false) }
+// NewContext returns a copy of ctx that carries plan: a run or an Acquire
+// under it injects at its seams. A context without a plan injects nothing.
+func NewContext(ctx context.Context, plan *Plan) context.Context {
+	return context.WithValue(ctx, contextKey{}, plan)
+}
 
-// Arm re-enables decisions after a Disarm.
-func (p *Plan) Arm() { p.armed.Store(true) }
-
-// Armed reports whether decisions may inject.
-func (p *Plan) Armed() bool { return p != nil && p.armed.Load() }
+// From returns the plan ctx carries, nil for none.
+func From(ctx context.Context) *Plan {
+	p, _ := ctx.Value(contextKey{}).(*Plan)
+	return p
+}
 
 // Decide draws the next decision for a site. It is safe for concurrent
-// use and O(rules) with no allocation; a nil or disarmed plan always
-// returns KindNone without consuming a decision index.
+// use and O(rules) with no allocation; a nil plan always returns KindNone
+// without consuming a decision index.
 func (p *Plan) Decide(site Site) Kind {
-	if p == nil || !p.armed.Load() || site >= numSites {
+	if p == nil || site >= numSites {
 		return KindNone
 	}
 	rules := p.rules[site]

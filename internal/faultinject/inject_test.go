@@ -1,6 +1,9 @@
 package faultinject
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // TestDeterminism: two plans with the same seed and rules must produce the
 // same decision stream per site.
@@ -43,35 +46,11 @@ func TestSeedsDiffer(t *testing.T) {
 	}
 }
 
-// TestDisarm: a disarmed plan injects nothing and consumes no decisions.
-func TestDisarm(t *testing.T) {
-	p := NewPlan(7, []Rule{{Site: SiteFork, Kind: KindDelay, Prob: 1}})
-	if k := p.Decide(SiteFork); k != KindDelay {
-		t.Fatalf("armed plan at prob 1: got %v", k)
-	}
-	p.Disarm()
-	if p.Armed() {
-		t.Fatal("Armed after Disarm")
-	}
-	seq := p.Seq(SiteFork)
-	for i := 0; i < 100; i++ {
-		if k := p.Decide(SiteFork); k != KindNone {
-			t.Fatalf("disarmed plan injected %v", k)
-		}
-	}
-	if p.Seq(SiteFork) != seq {
-		t.Fatal("disarmed decisions consumed sequence indices")
-	}
-	p.Arm()
-	if k := p.Decide(SiteFork); k != KindDelay {
-		t.Fatalf("re-armed plan at prob 1: got %v", k)
-	}
-}
-
-// TestNilPlan: a nil plan is a valid no-op for every method.
+// TestNilPlan: a nil plan — what a context without one carries — is a
+// valid no-op for every method.
 func TestNilPlan(t *testing.T) {
-	var p *Plan
-	if p.Armed() || p.Decide(SitePoll) != KindNone || p.Total() != 0 {
+	p := From(context.Background())
+	if p != nil || p.Decide(SitePoll) != KindNone || p.Seq(SitePoll) != 0 || p.Total() != 0 {
 		t.Fatal("nil plan is not inert")
 	}
 	if p.String() != "clean" {

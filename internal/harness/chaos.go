@@ -16,10 +16,12 @@ import (
 	"repro/mutls/pool"
 )
 
-// ChaosConfig drives RunChaos, the deterministic fault-injection sweep.
+// ChaosConfig drives RunChaos, the seeded fault-injection sweep.
 type ChaosConfig struct {
-	// Seed derives every storm's injection plan; the same seed replays the
-	// same faults at the same protocol seams.
+	// Seed derives every combination's injection plan: it fixes each
+	// seam's decision stream. How many decisions a run draws, and which
+	// execution draws each, follow the schedule, so two sweeps under one
+	// seed may inject different counts.
 	Seed uint64
 	// Quick restricts the sweep to a CI-sized subset (three kernels, one
 	// storm per combination).
@@ -35,9 +37,9 @@ type ChaosConfig struct {
 // chaosMixes are the injection mixes the sweep rotates through. Each mix
 // stresses a different containment surface: spec-side panics (the
 // panic-as-misspeculation path), protocol-seam panics on either side
-// (kernel containment, open-fork abandonment), forced rollbacks and
-// overflows (squash/re-execute machinery), and latency (delays that shift
-// the schedule without faulting anything).
+// (kernel containment, open-fork abandonment, a failed allocation),
+// forced rollbacks and overflows (squash/re-execute machinery), and
+// latency (delays that shift the schedule without faulting anything).
 var chaosMixes = []struct {
 	name  string
 	rules []faultinject.Rule
@@ -48,6 +50,7 @@ var chaosMixes = []struct {
 	{"seam-panic", []faultinject.Rule{
 		{Site: faultinject.SiteFork, Kind: faultinject.KindPanic, Prob: 0.01},
 		{Site: faultinject.SiteJoin, Kind: faultinject.KindPanic, Prob: 0.005},
+		{Site: faultinject.SiteAlloc, Kind: faultinject.KindPanic, Prob: 0.004},
 	}},
 	{"squash", []faultinject.Rule{
 		{Site: faultinject.SitePoll, Kind: faultinject.KindRollback, Prob: 0.005},
@@ -67,21 +70,24 @@ var chaosMixes = []struct {
 		{Site: faultinject.SiteCommit, Kind: faultinject.KindRollback, Prob: 0.05},
 		{Site: faultinject.SiteCommit, Kind: faultinject.KindDelay, Prob: 0.01},
 		{Site: faultinject.SiteFork, Kind: faultinject.KindCancel, Prob: 0.001},
+		{Site: faultinject.SiteAlloc, Kind: faultinject.KindPanic, Prob: 0.002},
 	}},
 }
 
 // chaosModels is the full forking-model axis.
 var chaosModels = []mutls.Model{mutls.InOrder, mutls.OutOfOrder, mutls.Mixed, mutls.MixedLinear}
 
-// RunChaos sweeps deterministic fault storms over the benchmark suite:
-// every kernel × forking model × GlobalBuffer backend runs Storms injected
-// executions followed by one disarmed execution, asserting after each run
-// that (a) a run that completes without error produced the sequential
-// checksum — injected faults may change the schedule, never the result;
-// (b) a run may only fail with the typed containment errors (KernelPanic
-// from a seam panic on the non-speculative thread, ErrCancelled from an
-// injected cancel); and (c) no goroutines leak once the runtime closes.
-// The sweep is fully reproducible from cfg.Seed.
+// RunChaos sweeps seeded fault storms over the benchmark suite: every
+// kernel × forking model × GlobalBuffer backend runs Storms executions
+// whose context carries the combination's plan, followed by one execution
+// without a plan, asserting after each run that (a) a run that completes
+// without error produced the sequential checksum — injected faults may
+// change the schedule, never the result; (b) a run may only fail with the
+// typed containment errors (KernelPanic from a seam panic on the
+// non-speculative thread, ErrCancelled from an injected cancel); and (c)
+// no goroutines leak once the runtime closes. cfg.Seed fixes each seam's
+// decision stream, not the schedule: the table's injection counts may
+// differ between two sweeps under one seed.
 func RunChaos(cfg ChaosConfig, out io.Writer) error {
 	if cfg.CPUs <= 0 {
 		cfg.CPUs = 7
@@ -115,15 +121,15 @@ func RunChaos(cfg ChaosConfig, out io.Writer) error {
 			for _, backend := range backends {
 				mix := chaosMixes[combo%len(chaosMixes)]
 				combo++
-				contained, injected := 0, int64(0)
+				plan := faultinject.NewPlan(cfg.Seed^uint64(combo)*0x9E3779B97F4A7C15, mix.rules)
+				contained := 0
 				for storm := 0; storm < cfg.Storms+1; storm++ {
-					// The last iteration runs the same combination with the
-					// plan disarmed: a post-storm runtime configuration must
+					// The last iteration runs the same combination without
+					// the plan: a post-storm runtime configuration must
 					// produce clean sequential-equivalent runs.
-					plan := faultinject.NewPlan(
-						cfg.Seed^uint64(combo)*0x9E3779B97F4A7C15^uint64(storm), mix.rules)
+					faults := plan
 					if storm == cfg.Storms {
-						plan.Disarm()
+						faults = nil
 					}
 					runCfg := bench.RunConfig{
 						CPUs:         cfg.CPUs,
@@ -131,7 +137,7 @@ func RunChaos(cfg ChaosConfig, out io.Writer) error {
 						Model:        model,
 						Timing:       mutls.Virtual,
 						Buffering:    mutls.Buffering{Backend: backend},
-						Faults:       plan,
+						Faults:       faults,
 						SpecDeadline: 250 * time.Millisecond,
 					}
 					m, err := bench.MeasureSpec(w, runCfg)
@@ -143,7 +149,7 @@ func RunChaos(cfg ChaosConfig, out io.Writer) error {
 						}
 					case isContained(err):
 						if storm == cfg.Storms {
-							return fmt.Errorf("chaos %s/%v/%s/%s: disarmed run still failed: %w",
+							return fmt.Errorf("chaos %s/%v/%s/%s: run without a plan still failed: %w",
 								w.Name, model, backend, mix.name, err)
 						}
 						contained++
@@ -151,14 +157,13 @@ func RunChaos(cfg ChaosConfig, out io.Writer) error {
 						return fmt.Errorf("chaos %s/%v/%s/%s storm %d: uncontained failure: %w",
 							w.Name, model, backend, mix.name, storm, err)
 					}
-					injected += plan.Total()
 				}
 				if leaked, n := goroutineLeak(baseline); leaked {
 					return fmt.Errorf("chaos %s/%v/%s/%s: goroutine leak (%d > baseline %d)",
 						w.Name, model, backend, mix.name, n, baseline)
 				}
-				fmt.Fprintf(tw, "%s\t%v\t%s\t%s\t%d\t%d\t%d\n",
-					w.Name, model, backend, mix.name, cfg.Storms+1, contained, injected)
+				fmt.Fprintf(tw, "%s\t%v\t%s\t%s\t%d\t%d\t%v\n",
+					w.Name, model, backend, mix.name, cfg.Storms+1, contained, plan)
 			}
 		}
 	}
@@ -173,8 +178,9 @@ func RunChaos(cfg ChaosConfig, out io.Writer) error {
 // seams are all armed. The invariants mirror the run-plane ones — a shed
 // Acquire may only fail with ErrOverloaded, a degraded (zero-CPU) lease
 // must still produce the sequential checksum, the budget high-water mark
-// never exceeds the host budget, a disarmed pool serves cleanly, and
-// nothing leaks on Close.
+// never exceeds the host budget, a tenant without a plan is served
+// cleanly, and nothing leaks on Close. The tenants' Acquire contexts carry
+// the plan; their runs do not.
 func poolStorm(cfg ChaosConfig, out io.Writer, baseline int) error {
 	w := bench.X3P1
 	size := w.CISize
@@ -196,7 +202,6 @@ func poolStorm(cfg ChaosConfig, out io.Writer, baseline int) error {
 		Runtime: mutls.Options{
 			CPUs:      2,
 			HeapBytes: w.HeapBytes(size),
-			FaultPlan: plan,
 		},
 	})
 	if err != nil {
@@ -207,6 +212,7 @@ func poolStorm(cfg ChaosConfig, out io.Writer, baseline int) error {
 	if cfg.Quick {
 		tenants = 8
 	}
+	stormCtx := faultinject.NewContext(context.Background(), plan)
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
@@ -218,7 +224,7 @@ func poolStorm(cfg ChaosConfig, out io.Writer, baseline int) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			err := p.Do(context.Background(), func(lease *pool.Lease) error {
+			err := p.Do(stormCtx, func(lease *pool.Lease) error {
 				var sum uint64
 				_, err := lease.Runtime().RunCtx(context.Background(), func(t *mutls.Thread) {
 					sum = w.Spec(t, size, bench.SpecOptions{Model: w.DefaultModel})
@@ -257,8 +263,8 @@ func poolStorm(cfg ChaosConfig, out io.Writer, baseline int) error {
 		return fmt.Errorf("chaos pool: %d acquired but %d released", st.Acquired, st.Released)
 	}
 
-	// Post-storm: the disarmed pool serves a clean, verified tenant.
-	plan.Disarm()
+	// Post-storm: a tenant whose context carries no plan is served a
+	// clean, verified run.
 	var sum uint64
 	if err := p.Do(context.Background(), func(lease *pool.Lease) error {
 		_, err := lease.Runtime().RunCtx(context.Background(), func(t *mutls.Thread) {
@@ -266,10 +272,10 @@ func poolStorm(cfg ChaosConfig, out io.Writer, baseline int) error {
 		})
 		return err
 	}); err != nil {
-		return fmt.Errorf("chaos pool disarmed tenant: %w", err)
+		return fmt.Errorf("chaos pool tenant without a plan: %w", err)
 	}
 	if sum != seq.Checksum {
-		return fmt.Errorf("chaos pool disarmed run: checksum %#x != sequential %#x", sum, seq.Checksum)
+		return fmt.Errorf("chaos pool run without a plan: checksum %#x != sequential %#x", sum, seq.Checksum)
 	}
 
 	p.Close()

@@ -26,12 +26,6 @@ type Allocator struct {
 	inUse  int          // live bytes
 	allocs uint64       // total Alloc calls
 	frees  uint64       // total Free calls
-
-	// Trip, when non-nil, is consulted at every Alloc with the requested
-	// byte count; returning true fails the allocation as if the region
-	// were exhausted. It is the fault-injection seam for chaos testing
-	// allocation-failure handling without actually shrinking the heap.
-	Trip func(n int) bool
 }
 
 // NewAllocator manages [start, start+size) of an arena, registering
@@ -86,9 +80,6 @@ func alignUp(p Addr) Addr { return (p + Word - 1) &^ (Word - 1) }
 func (al *Allocator) Alloc(n int) (Addr, error) {
 	if n <= 0 {
 		return NilAddr, fmt.Errorf("mem: alloc of %d bytes", n)
-	}
-	if al.Trip != nil && al.Trip(n) {
-		return NilAddr, fmt.Errorf("mem: out of memory allocating %d bytes (injected)", n)
 	}
 	need := (n + Word - 1) &^ (Word - 1)
 	for i, blk := range al.free {

@@ -36,6 +36,10 @@
 // buffered range access (a single batched clock charge, one GlobalBuffer
 // crossing) instead of one probe per word. What mutls removes is the
 // protocol plumbing around that code.
+//
+// Every driver interns its body as a fork/join point of its own
+// (Runtime.PointFor; a Tree at Collect), so two drivers' bodies never
+// share a profile, a pay-off verdict or a fault count.
 package mutls
 
 import (
@@ -43,7 +47,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/faultinject"
 	"repro/internal/gbuf"
 	"repro/internal/lbuf"
 	"repro/internal/mem"
@@ -141,7 +144,8 @@ type BufferCounters = gbuf.Counters
 // the valid values of Buffering.Backend.
 func Backends() []string { return gbuf.Backends() }
 
-// Predictor selects a live-variable value prediction strategy for Reduce.
+// Predictor selects a live-variable value prediction strategy for Reduce
+// and Pipeline.
 type Predictor = predict.Kind
 
 // Value predictors (§VI future work): last-value and stride.
@@ -152,6 +156,9 @@ const (
 
 // Options configures a Runtime. The zero value of every field selects a
 // sensible default, so Options{CPUs: 8} is a complete configuration.
+// Nothing here injects faults: the module's chaos tests hand a plan to one
+// run through its context (RunCtx), and a run without one pays a pointer
+// check per seam.
 type Options struct {
 	// CPUs is the number of speculative virtual CPUs (ranks 1..CPUs); the
 	// non-speculative thread runs besides them. Zero disables speculation
@@ -198,11 +205,6 @@ type Options struct {
 	// larger of SpecDeadline and 8x the point's observed mean chunk
 	// latency. Zero (the default) disables it.
 	SpecDeadline time.Duration
-
-	// FaultPlan wires the deterministic fault-injection plane
-	// (internal/faultinject) into the runtime's protocol seams for chaos
-	// testing. Nil injects nothing.
-	FaultPlan *faultinject.Plan
 }
 
 // coreOptions lowers the façade options onto core.Options.
@@ -214,7 +216,6 @@ func (o Options) coreOptions() core.Options {
 		RollbackProb: o.RollbackProb,
 		Seed:         o.Seed,
 		SpecDeadline: o.SpecDeadline,
-		FaultPlan:    o.FaultPlan,
 	}
 	if o.StaticBytes != 0 || o.HeapBytes != 0 || o.StackBytes != 0 {
 		// Unset sizes keep the core defaults.

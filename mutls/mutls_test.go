@@ -3,6 +3,7 @@ package mutls_test
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/mutls"
@@ -359,6 +360,65 @@ func TestTreeCancelUnwindsAtAJoin(t *testing.T) {
 	}
 	if !errors.Is(err, context.Canceled) || joined != 0 {
 		t.Fatalf("err=%v joined=%d, want context.Canceled before the first join", err, joined)
+	}
+}
+
+// TestTreeForksAtItsOwnPoint: a Tree interns its Body like every driver.
+// A For body whose speculative chunks panic gets its fork point disabled,
+// and the verdict outlives the call; a Tree on the same runtime must still
+// spawn its subtrees, and each driver's executions must show on its own
+// point. (The Tree runs in a run of its own so that the squashed chunks'
+// CPUs are idle again and only a fork point can refuse its spawns.)
+func TestTreeForksAtItsOwnPoint(t *testing.T) {
+	tree := &mutls.Tree{Model: mutls.Mixed}
+	tree.Body = func(c *mutls.Thread, tt *mutls.TreeThread, task mutls.Task) {
+		c.Tick(100)
+		tt.SetResultInt64(task.Args[0])
+	}
+	rt := newRuntime(t, 4, nil)
+	spawned := 0
+	var total int64
+	body := func(c *mutls.Thread, idx int) {
+		if c.Speculative() {
+			panic("speculative sabotage")
+		}
+		c.Tick(100)
+	}
+	rt.Run(func(t0 *mutls.Thread) {
+		mutls.For(t0, 16, mutls.ForOptions{Model: mutls.InOrder}, body)
+	})
+	rt.Run(func(t0 *mutls.Thread) {
+		roots := tree.Collect(t0, func(tt *mutls.TreeThread) {
+			for i := 4; i >= 1; i-- { // logically later subtrees first
+				task := mutls.Task{Seq: int64(i), Span: 1, Args: [4]int64{int64(i)}}
+				if tt.Spawn(t0, task) {
+					spawned++
+				} else {
+					_, res := tree.Exec(t0, task)
+					total += res.Int64()
+				}
+			}
+		})
+		tree.Drive(t0, roots, func(_ mutls.Task, res mutls.TreeResult) { total += res.Int64() })
+	})
+	if total != 1+2+3+4 {
+		t.Fatalf("tree sum = %d, want 10", total)
+	}
+	if spawned != 4 {
+		t.Fatalf("Tree spawned %d of 4 subtrees after a For disabled its own point", spawned)
+	}
+	// Both bodies are interned already: PointFor returns their ids.
+	forPoint := rt.PointFor(reflect.ValueOf(body).Pointer())
+	treePoint := rt.PointFor(reflect.ValueOf(tree.Body).Pointer())
+	if forPoint == treePoint {
+		t.Fatalf("For and Tree bodies share fork point %d", forPoint)
+	}
+	pp := rt.Stats().PerPoint
+	if f := pp[forPoint]; f.Commits != 0 || f.Rollbacks == 0 {
+		t.Errorf("For's point %d: %+v, want rollbacks only", forPoint, f)
+	}
+	if tr := pp[treePoint]; tr.Commits != 4 || tr.Rollbacks != 0 {
+		t.Errorf("Tree's point %d: %+v, want its 4 commits", treePoint, tr)
 	}
 }
 

@@ -68,9 +68,10 @@ func TestInjectedQueueShed(t *testing.T) {
 	opts := testOptions()
 	opts.Runtimes = 1
 	opts.HostBudget = 4
-	opts.Runtime.FaultPlan = faultinject.NewPlan(1, []faultinject.Rule{
+	plan := faultinject.NewPlan(1, []faultinject.Rule{
 		{Site: faultinject.SiteQueue, Kind: faultinject.KindLeaseFail, Prob: 1},
 	})
+	ctx := faultinject.NewContext(context.Background(), plan)
 	p, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -78,27 +79,27 @@ func TestInjectedQueueShed(t *testing.T) {
 	defer p.Close()
 
 	// Fast path: the single runtime is free, SiteQueue is never reached.
-	lease, err := p.Acquire(context.Background())
+	lease, err := p.Acquire(ctx)
 	if err != nil {
 		t.Fatalf("fast-path acquire under a queue-seam plan: %v", err)
 	}
-	if n := opts.Runtime.FaultPlan.Seq(faultinject.SiteQueue); n != 0 {
+	if n := plan.Seq(faultinject.SiteQueue); n != 0 {
 		t.Fatalf("fast path consumed %d queue-seam decisions, want 0", n)
 	}
 
 	// Contended path: the injection sheds before the waiter ever queues.
-	if _, err := p.Acquire(context.Background()); !errors.Is(err, ErrOverloaded) {
+	if _, err := p.Acquire(ctx); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("contended acquire error %v, want ErrOverloaded", err)
 	}
 	if got := p.Stats().Rejected; got != 1 {
 		t.Errorf("Rejected = %d after one injected shed, want 1", got)
 	}
-	if n := opts.Runtime.FaultPlan.Injected(faultinject.SiteQueue, faultinject.KindLeaseFail); n != 1 {
+	if n := plan.Injected(faultinject.SiteQueue, faultinject.KindLeaseFail); n != 1 {
 		t.Errorf("queue/leasefail injections = %d, want 1", n)
 	}
 
-	// Disarmed, the same contended shape queues and is served on Release.
-	opts.Runtime.FaultPlan.Disarm()
+	// Without the plan, the same contended shape queues and is served on
+	// Release.
 	done := make(chan error, 1)
 	go func() {
 		l2, err := p.Acquire(context.Background())
@@ -109,7 +110,7 @@ func TestInjectedQueueShed(t *testing.T) {
 	}()
 	lease.Release()
 	if err := <-done; err != nil {
-		t.Fatalf("disarmed queued acquire: %v", err)
+		t.Fatalf("queued acquire without a plan: %v", err)
 	}
 }
 
@@ -121,16 +122,16 @@ func TestInjectedGrantDegrade(t *testing.T) {
 	opts := testOptions()
 	opts.Runtimes = 1
 	opts.HostBudget = 4
-	opts.Runtime.FaultPlan = faultinject.NewPlan(2, []faultinject.Rule{
+	ctx := faultinject.NewContext(context.Background(), faultinject.NewPlan(2, []faultinject.Rule{
 		{Site: faultinject.SiteGrant, Kind: faultinject.KindDegrade, Prob: 1},
-	})
+	}))
 	p, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
 
-	lease, err := p.Acquire(context.Background())
+	lease, err := p.Acquire(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,14 +161,13 @@ func TestInjectedGrantDegrade(t *testing.T) {
 	}
 	lease.Release()
 
-	// Disarmed, the next lease gets a real grant again.
-	opts.Runtime.FaultPlan.Disarm()
+	// Without the plan, the next lease gets a real grant again.
 	lease, err = p.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer lease.Release()
 	if lease.CPUs() == 0 {
-		t.Error("disarmed lease still degraded")
+		t.Error("lease without a plan still degraded")
 	}
 }

@@ -221,6 +221,8 @@ func (p *Pool) Do(ctx context.Context, fn func(*Lease) error) error {
 // waits — bounded by QueueLimit (ErrOverloaded beyond it), by ctx and by
 // Close. On success the lease's runtime has its CPU limit set to the
 // granted budget share. The lease must be released; Do does that itself.
+// A fault-injection plan ctx carries (faultinject.NewContext) decides at
+// the acquire, queue and grant seams.
 func (p *Pool) Acquire(ctx context.Context) (*Lease, error) {
 	select {
 	case <-p.closing:
@@ -230,8 +232,8 @@ func (p *Pool) Acquire(ctx context.Context) (*Lease, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if plan := p.opts.Runtime.FaultPlan; plan != nil &&
-		plan.Decide(faultinject.SiteAcquire) == faultinject.KindLeaseFail {
+	plan := faultinject.From(ctx)
+	if plan.Decide(faultinject.SiteAcquire) == faultinject.KindLeaseFail {
 		// Injected admission failure: shaped exactly like a full queue so
 		// callers exercise their shed/retry handling.
 		p.rejected.Add(1)
@@ -240,7 +242,7 @@ func (p *Pool) Acquire(ctx context.Context) (*Lease, error) {
 	// Fast path: a runtime is free right now.
 	select {
 	case rt := <-p.free:
-		return p.lease(rt)
+		return p.lease(rt, plan)
 	default:
 	}
 
@@ -248,14 +250,12 @@ func (p *Pool) Acquire(ctx context.Context) (*Lease, error) {
 	// to queue (or shed). An injected shed exercises the caller's
 	// backpressure handling on the contended path specifically; an injected
 	// delay widens the window in which the queue fills behind this waiter.
-	if plan := p.opts.Runtime.FaultPlan; plan != nil {
-		switch plan.Decide(faultinject.SiteQueue) {
-		case faultinject.KindLeaseFail:
-			p.rejected.Add(1)
-			return nil, ErrOverloaded
-		case faultinject.KindDelay:
-			time.Sleep(faultinject.Delay)
-		}
+	switch plan.Decide(faultinject.SiteQueue) {
+	case faultinject.KindLeaseFail:
+		p.rejected.Add(1)
+		return nil, ErrOverloaded
+	case faultinject.KindDelay:
+		time.Sleep(faultinject.Delay)
 	}
 
 	p.mu.Lock()
@@ -278,7 +278,7 @@ func (p *Pool) Acquire(ctx context.Context) (*Lease, error) {
 
 	select {
 	case rt := <-p.free:
-		return p.lease(rt)
+		return p.lease(rt, plan)
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	case <-p.closing:
@@ -289,15 +289,11 @@ func (p *Pool) Acquire(ctx context.Context) (*Lease, error) {
 // lease claims a budget share for rt and wraps it. If the pool closed
 // while the runtime was in flight, it is handed back to the shutdown
 // collector instead.
-func (p *Pool) lease(rt *mutls.Runtime) (*Lease, error) {
+func (p *Pool) lease(rt *mutls.Runtime, plan *faultinject.Plan) (*Lease, error) {
 	// Budget-grant seam: an injected degrade is shaped exactly like an
 	// exhausted host budget — zero CPUs granted, nothing claimed, and the
 	// tenant's run must still complete sequentially with the right result.
-	forceDegrade := false
-	if plan := p.opts.Runtime.FaultPlan; plan != nil &&
-		plan.Decide(faultinject.SiteGrant) == faultinject.KindDegrade {
-		forceDegrade = true
-	}
+	forceDegrade := plan.Decide(faultinject.SiteGrant) == faultinject.KindDegrade
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()

@@ -403,30 +403,29 @@ func TestPoolDoRefusesWithoutCallingFn(t *testing.T) {
 	expired, expire := context.WithCancel(context.Background())
 	expire()
 	bg := context.Background()
+	failing := faultinject.NewContext(bg, faultinject.NewPlan(1, []faultinject.Rule{
+		{Site: faultinject.SiteAcquire, Kind: faultinject.KindLeaseFail, Prob: 1},
+	}))
 	cases := []struct {
 		name  string
-		plan  *faultinject.Plan
 		queue int
 		do    func(p *Pool, fn func(*Lease) error) error
 		want  error
 	}{
-		{"injected acquire failure", faultinject.NewPlan(1, []faultinject.Rule{
-			{Site: faultinject.SiteAcquire, Kind: faultinject.KindLeaseFail, Prob: 1},
-		}), 0, func(p *Pool, fn func(*Lease) error) error { return p.Do(bg, fn) }, ErrOverloaded},
-		{"full queue", nil, NoQueue, func(p *Pool, fn func(*Lease) error) error {
+		{"injected acquire failure", 0, func(p *Pool, fn func(*Lease) error) error { return p.Do(failing, fn) }, ErrOverloaded},
+		{"full queue", NoQueue, func(p *Pool, fn func(*Lease) error) error {
 			return p.Do(bg, func(*Lease) error { return p.Do(bg, fn) })
 		}, ErrOverloaded},
-		{"closed pool", nil, 0, func(p *Pool, fn func(*Lease) error) error {
+		{"closed pool", 0, func(p *Pool, fn func(*Lease) error) error {
 			p.Close()
 			return p.Do(bg, fn)
 		}, ErrClosed},
-		{"done context", nil, 0, func(p *Pool, fn func(*Lease) error) error { return p.Do(expired, fn) }, context.Canceled},
+		{"done context", 0, func(p *Pool, fn func(*Lease) error) error { return p.Do(expired, fn) }, context.Canceled},
 	}
 	for _, c := range cases {
 		opts := testOptions()
 		opts.Runtimes = 1
 		opts.QueueLimit = c.queue
-		opts.Runtime.FaultPlan = c.plan
 		p, err := New(opts)
 		if err != nil {
 			t.Fatal(err)

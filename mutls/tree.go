@@ -56,6 +56,9 @@ type Tree struct {
 	// re-executes a rolled-back subtree — it must be deterministic in
 	// (task, simulated memory).
 	Body func(c *Thread, tt *TreeThread, task Task)
+
+	// point is Body's fork/join point, interned by Collect.
+	point int
 }
 
 // TreeThread collects the tasks one region (or one driver-side execution)
@@ -85,8 +88,9 @@ func (tt *TreeThread) Spawn(c *Thread, task Task) bool {
 	if c.Speculative() && len(tt.tasks) >= tt.capacity(c) {
 		return false
 	}
-	ranks := []Rank{0}
-	h := c.Fork(ranks, 0, tt.tree.Model)
+	p := tt.tree.point
+	ranks := make([]Rank, p+1)
+	h := c.Fork(ranks, p, tt.tree.Model)
 	if h == nil {
 		return false
 	}
@@ -96,7 +100,7 @@ func (tt *TreeThread) Spawn(c *Thread, task Task) bool {
 	h.SetRegvarInt64(taskSeqSlot, task.Seq)
 	h.SetRegvarInt64(taskSpanSlot, task.Span)
 	h.Start(tt.tree.region())
-	task.Rank = ranks[0]
+	task.Rank = ranks[p]
 	tt.tasks = append(tt.tasks, task)
 	return true
 }
@@ -181,10 +185,16 @@ func saveTasks(c *Thread, tasks []Task) {
 // order. It is the driver-side entry point: the root of the computation
 // runs inside fn, speculating subtrees through the collector, and the
 // returned tasks are then completed with Drive (or Join for custom
-// completion orders).
+// completion orders). It interns Body as the tree's fork/join point, as
+// the other drivers intern theirs, so the tree's spawns and joins never
+// share a point with another driver's body; Spawn, Join and Exec belong
+// after it.
 func (tr *Tree) Collect(t *Thread, fn func(tt *TreeThread)) []Task {
 	if t.Speculative() {
 		panic("mutls: Tree.Collect on a speculative thread — collectors belong to the driver")
+	}
+	if p := t.Runtime().PointFor(bodyKey(tr.Body)); p != tr.point {
+		tr.point = p // written only when it moves: earlier spawns may still read it
 	}
 	tt := &TreeThread{tree: tr}
 	fn(tt)
@@ -209,8 +219,9 @@ func (tr *Tree) Exec(t *Thread, task Task) ([]Task, TreeResult) {
 // (RunCtx) unwinds here, before the join.
 func (tr *Tree) Join(t *Thread, task Task) ([]Task, TreeResult, bool) {
 	t.CancelPoint()
-	ranks := []Rank{task.Rank}
-	res := t.Join(ranks, 0)
+	ranks := make([]Rank, tr.point+1)
+	ranks[tr.point] = task.Rank
+	res := t.Join(ranks, tr.point)
 	if !res.Committed() {
 		return nil, TreeResult{}, false
 	}
