@@ -204,10 +204,9 @@ type cpu struct {
 	stack mem.Range // this CPU's speculative stack region
 
 	// snap is the stamp-table sequence the current execution read before
-	// its first arena load; dirtyFn is the prebuilt ValidateDirty oracle
-	// closing over it (built once so the commit path stays alloc-free).
-	snap    uint64
-	dirtyFn func(base mem.Addr, nBytes int) bool
+	// its first arena load: its join compares only the read-set words on
+	// pages stamped after it.
+	snap uint64
 
 	// deadline is the wall-clock unixnano past which CheckPoint rolls the
 	// current execution back (RollbackDeadline), set by runSpec at region
@@ -375,9 +374,6 @@ func NewRuntime(opts Options) (*Runtime, error) {
 		c.td.gate.init()
 		c.td.forkRegs = make([]uint64, o.LBuf.RegSlots)
 		c.td.forkLive = make([]bool, o.LBuf.RegSlots)
-		c.dirtyFn = func(base mem.Addr, nBytes int) bool {
-			return rt.stamps.DirtySince(base, nBytes, c.snap)
-		}
 		rt.cpus[r] = c
 		rt.wg.Add(1)
 		go rt.worker(c)
@@ -979,11 +975,11 @@ func (rt *Runtime) validateAndCommit(t *Thread, c *cpu) bool {
 			rt.CancelRun()
 		}
 	}
-	// Only the read-set runs on pages stamped since the region began can
-	// differ from the arena; verdict and counters are those of a full
-	// Validate at this instant.
+	// Only the read-set words on pages stamped since the region began can
+	// differ from the arena; the verdict is a full Validate's at this
+	// instant.
 	sw := t.clock.Start(vclock.Validation)
-	if !c.gb.ValidateDirty(c.dirtyFn) {
+	if !c.gb.ValidateDirty(rt.stamps, c.snap) {
 		sw.Stop()
 		td.reason = RollbackValidation
 		return false

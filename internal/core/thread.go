@@ -321,7 +321,7 @@ type elem interface {
 // memory as bytes. p must be aligned to the element size: misalignment is
 // an unsafe operation, so speculative threads roll back and the
 // non-speculative thread panics. On a little-endian host, the only kind
-// this package builds for (bigendian.go), the bytes are exactly the
+// internal/mem builds for (mem/bigendian.go), the bytes are exactly the
 // little-endian image the arena and the GlobalBuffer move, so the caller's
 // slice is the range itself: no copy, no conversion. A rolled-back load
 // leaves it unspecified.

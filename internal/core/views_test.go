@@ -84,7 +84,7 @@ type viewCase struct {
 
 // pageBytes is the bitmap page and the write-stamp page: a run starting
 // offset bytes before a multiple of it straddles a page border (word 512).
-const pageBytes = mem.DefaultStampPageBytes
+const pageBytes = mem.StampPageBytes
 
 var viewCases = []viewCase{
 	{"empty", 0, 4, 0},

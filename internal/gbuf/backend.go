@@ -50,15 +50,13 @@ type Backend interface {
 	StoreRange(p mem.Addr, src []byte) Status
 	// Validate checks the read set against the arena.
 	Validate() bool
-	// ValidateDirty compares only the read-set runs for which
-	// dirty(base, nBytes) reports a possible write since a stamp snapshot
-	// taken before the speculation's first load, and trusts the rest: each
-	// was loaded after the snapshot, so it still matches the arena unless
-	// its page was written since. With a sound oracle (a run whose pages
-	// were written after the snapshot reports dirty) its verdict and
-	// counter effects are identical to a full Validate at the same instant;
-	// a nil oracle is Validate.
-	ValidateDirty(dirty func(base mem.Addr, nBytes int) bool) bool
+	// ValidateDirty compares only the read-set words on pages stamps marked
+	// after snap, a stamps.Snapshot taken before the speculation's first
+	// load, and trusts the rest: each was loaded after the snapshot, so it
+	// still matches the arena unless its page was written since. Its
+	// verdict is a full Validate's at the same instant, and WordsValidated
+	// counts the words it compared; nil stamps is Validate.
+	ValidateDirty(stamps *mem.WriteStamps, snap uint64) bool
 	// Commit applies the write set to the arena as maximal runs, each
 	// through mem.Arena.CommitWords: stamped in stamps, or — stamps nil,
 	// when no other thread can be reading the arena — stored plainly.
@@ -201,6 +199,26 @@ func mergeLoad(rWord, wData, wMarks []byte, off, size int) uint64 {
 		}
 	}
 	return readLE(tmp[off : off+size])
+}
+
+// commitMarked applies a run of consecutive buffered words whose marks may
+// be partial: each maximal fully-marked stretch is spliced with one arena
+// write, each partially-marked word takes commitWord's marked-byte walk.
+func commitMarked(arena *mem.Arena, c *Counters, base mem.Addr, data, marks []byte, stamps *mem.WriteStamps) {
+	n := len(data) / mem.Word
+	for s := 0; s < n; {
+		f := s
+		for f < n && allMarked8(marks[f*mem.Word:]) {
+			f++
+		}
+		if f > s {
+			commitRun(arena, c, base+mem.Addr(s*mem.Word), data[s*mem.Word:f*mem.Word], stamps)
+			s = f
+			continue
+		}
+		commitWord(arena, c, base+mem.Addr(s*mem.Word), data[s*mem.Word:(s+1)*mem.Word], marks[s*mem.Word:(s+1)*mem.Word], stamps)
+		s++
+	}
 }
 
 // commitWord merges one buffered word into the arena: whole words at once

@@ -166,7 +166,7 @@ func TestChainReadYourOwnWrites(t *testing.T) {
 // TestBitmapDenseWrites: a dense sweep touches few pages, counts words
 // exactly, and commits whole words on the fast path.
 func TestBitmapDenseWrites(t *testing.T) {
-	arena, _ := mem.NewArena(4 * mem.DefaultStampPageBytes)
+	arena, _ := mem.NewArena(4 * mem.StampPageBytes)
 	b, err := NewBackend(arena, Config{Backend: "bitmap"})
 	if err != nil {
 		t.Fatal(err)
@@ -219,10 +219,10 @@ func TestBitmapSubWordMerge(t *testing.T) {
 // TestBitmapPageRecycling: pages freed by Finalize are reused, and recycled
 // pages carry no stale data.
 func TestBitmapPageRecycling(t *testing.T) {
-	arena, _ := mem.NewArena(4 * mem.DefaultStampPageBytes)
+	arena, _ := mem.NewArena(4 * mem.StampPageBytes)
 	b, _ := NewBackend(arena, Config{Backend: "bitmap"})
 	for round := 0; round < 4; round++ {
-		base := mem.Addr(8 + round*mem.DefaultStampPageBytes) // a new page each round
+		base := mem.Addr(8 + round*mem.StampPageBytes) // a new page each round
 		arena.WriteWord(base, uint64(round)+7)
 		if v, st := b.Load(base, 8); st != OK || v != uint64(round)+7 {
 			t.Fatalf("round %d: load = %d, %v", round, v, st)

@@ -28,10 +28,14 @@ type bitmapBuffer struct {
 	C          Counters
 }
 
-// pageWords is the bitmap page in words: the arena's write-stamp page, so
-// mem alone says what a page is. It is a power of two, so splitting an
-// address into page and slot is a constant shift and mask.
-const pageWords = mem.DefaultStampPageBytes / mem.Word
+// pageBytes is the bitmap page: the arena's write-stamp page, so mem alone
+// says what a page is and ValidateDirty checks one stamp per page.
+// pageWords is a power of two, so splitting an address into page and slot
+// is a constant shift and mask.
+const (
+	pageBytes = mem.StampPageBytes
+	pageWords = pageBytes / mem.Word
+)
 
 // bitmapPage shadows one page of one set. present guards data and mark: a
 // word's bytes mean something only while its bit is set, and every first
@@ -107,7 +111,7 @@ func (s *bitmapSet) reset() {
 // newBitmapBackend builds the backend: one table slot per page of the arena,
 // per set — 8 bytes per 4 KiB page, 0.2 % of the arena.
 func newBitmapBackend(arena *mem.Arena, _ Config) (Backend, error) {
-	nPages := (arena.Size() + mem.DefaultStampPageBytes - 1) / mem.DefaultStampPageBytes
+	nPages := (arena.Size() + pageBytes - 1) / pageBytes
 	return &bitmapBuffer{
 		arena: arena,
 		read:  bitmapSet{table: make([]*bitmapPage, nPages)},
@@ -374,79 +378,79 @@ func (b *bitmapBuffer) StoreRange(p mem.Addr, src []byte) Status {
 	return OK
 }
 
-// forEachRun visits every maximal run of consecutive buffered words of a
-// set (runs are clipped at 64-slot bitmap-word boundaries) as
-// (base, data, marks); marks is nil for the read set.
-func (b *bitmapBuffer) forEachRun(s *bitmapSet, fn func(base mem.Addr, data, marks []byte) bool) bool {
-	for _, pg := range s.order {
-		pageBase := pg.pageIdx * pageWords * mem.Word
-		for wi, set := range pg.present {
-			for set != 0 {
-				start := bits.TrailingZeros64(set)
-				run := bits.TrailingZeros64(^(set >> uint(start)))
-				slot := wi*64 + start
-				off := slot * mem.Word
-				base := mem.Addr(pageBase + uint64(off))
-				var marks []byte
-				if pg.mark != nil {
-					marks = pg.mark[off : off+run*mem.Word]
-				}
-				if !fn(base, pg.data[off:off+run*mem.Word], marks) {
-					return false
-				}
-				if start+run >= 64 {
-					set = 0
-				} else {
-					set &^= rangeMask(uint(start), run)
-				}
+// nextRun returns the first maximal run of set bits of bm at or after bit
+// from as (start, n), n 0 when there is none. A run is not cut at 64-bit
+// word borders: it ends at the first clear bit or at the bitmap's end.
+func nextRun(bm []uint64, from int) (start, n int) {
+	wi := from / 64
+	if wi >= len(bm) {
+		return 0, 0
+	}
+	w := bm[wi] &^ (1<<uint(from%64) - 1)
+	for w == 0 {
+		if wi++; wi == len(bm) {
+			return 0, 0
+		}
+		w = bm[wi]
+	}
+	start = wi*64 + bits.TrailingZeros64(w)
+	w = ^bm[wi] &^ (1<<uint(start%64) - 1)
+	for w == 0 {
+		if wi++; wi == len(bm) {
+			return start, len(bm)*64 - start
+		}
+		w = ^bm[wi]
+	}
+	return start, wi*64 + bits.TrailingZeros64(w) - start
+}
+
+// base returns the arena address of the page's first word.
+func (pg *bitmapPage) base() mem.Addr { return mem.Addr(pg.pageIdx * pageBytes) }
+
+// Validate checks every read-set word against the arena.
+func (b *bitmapBuffer) Validate() bool { return b.ValidateDirty(nil, 0) }
+
+// ValidateDirty walks the read set page by page. A page not stamped since
+// snap is skipped whole after one stamp check — the bitmap page is the
+// stamp page, so the check reads one slot — and every maximal run of a
+// stamped page is compared with one bulk comparison. nil stamps compares
+// every page.
+func (b *bitmapBuffer) ValidateDirty(stamps *mem.WriteStamps, snap uint64) bool {
+	b.C.Validations++
+	for _, pg := range b.read.order {
+		base := pg.base()
+		if stamps != nil && !stamps.DirtySince(base, pageBytes, snap) {
+			continue
+		}
+		for s, n := nextRun(pg.present, 0); n > 0; s, n = nextRun(pg.present, s+n) {
+			b.C.WordsValidated += uint64(n)
+			off := s * mem.Word
+			if !b.arena.EqualWords(base+mem.Addr(off), pg.data[off:off+n*mem.Word]) {
+				b.C.ValidationFail++
+				return false
 			}
 		}
 	}
 	return true
 }
 
-// validateWalk is the read-set comparison shared by Validate and
-// ValidateDirty: one bulk comparison per run of consecutive buffered
-// words; a non-nil dirty oracle skips runs on clean pages.
-func (b *bitmapBuffer) validateWalk(dirty func(mem.Addr, int) bool) bool {
-	return b.forEachRun(&b.read, func(base mem.Addr, data, _ []byte) bool {
-		if dirty != nil && !dirty(base, len(data)) {
-			return true
-		}
-		b.C.WordsValidated += uint64(len(data) / mem.Word)
-		return b.arena.EqualWords(base, data)
-	})
-}
-
-// Validate checks every read-set word against the arena.
-func (b *bitmapBuffer) Validate() bool { return b.ValidateDirty(nil) }
-
-// ValidateDirty compares only the possibly-dirty runs, with Validate's
-// counter effects.
-func (b *bitmapBuffer) ValidateDirty(dirty func(base mem.Addr, nBytes int) bool) bool {
-	b.C.Validations++
-	if !b.validateWalk(dirty) {
-		b.C.ValidationFail++
-		return false
-	}
-	return true
-}
-
-// Commit applies the write set to the arena: fully-marked runs are spliced
-// with one arena write each, partially-marked words fall back to the
-// marked-byte walk.
+// Commit applies the write set to the arena page by page, one maximal run
+// at a time: with no sub-word store in the speculation every run is
+// spliced with one arena write, otherwise commitMarked splits it at
+// partially-marked words.
 func (b *bitmapBuffer) Commit(stamps *mem.WriteStamps) {
 	b.C.Commits++
-	b.forEachRun(&b.write, func(base mem.Addr, data, marks []byte) bool {
-		if !b.anyPartial || allMarkedWords(marks) {
-			commitRun(b.arena, &b.C, base, data, stamps)
-			return true
+	for _, pg := range b.write.order {
+		base := pg.base()
+		for s, n := nextRun(pg.present, 0); n > 0; s, n = nextRun(pg.present, s+n) {
+			off, end := s*mem.Word, (s+n)*mem.Word
+			if b.anyPartial {
+				commitMarked(b.arena, &b.C, base+mem.Addr(off), pg.data[off:end], pg.mark[off:end], stamps)
+			} else {
+				commitRun(b.arena, &b.C, base+mem.Addr(off), pg.data[off:end], stamps)
+			}
 		}
-		for w := 0; w < len(data); w += mem.Word {
-			commitWord(b.arena, &b.C, base+mem.Addr(w), data[w:w+mem.Word], marks[w:w+mem.Word], stamps)
-		}
-		return true
-	})
+	}
 }
 
 // Finalize clears both sets in time proportional to the pages touched.

@@ -246,32 +246,23 @@ func (b *chainBuffer) StoreRange(p mem.Addr, src []byte) Status {
 	return OK
 }
 
-// validateWalk is the read-set comparison shared by Validate and
-// ValidateDirty; a non-nil dirty oracle skips words on clean pages.
-func (b *chainBuffer) validateWalk(dirty func(mem.Addr, int) bool) bool {
+// Validate checks every read-set word against the arena.
+func (b *chainBuffer) Validate() bool { return b.ValidateDirty(nil, 0) }
+
+// ValidateDirty compares the read set with the arena word by word, trusting
+// the words on pages stamps has not marked since snap.
+func (b *chainBuffer) ValidateDirty(stamps *mem.WriteStamps, snap uint64) bool {
+	b.C.Validations++
 	for i := range b.read.entries {
 		e := &b.read.entries[i]
-		if dirty != nil && !dirty(e.base, mem.Word) {
+		if stamps != nil && !stamps.DirtySince(e.base, mem.Word, snap) {
 			continue
 		}
 		b.C.WordsValidated++
 		if binary.LittleEndian.Uint64(e.data[:]) != b.arena.ReadWord(e.base) {
+			b.C.ValidationFail++
 			return false
 		}
-	}
-	return true
-}
-
-// Validate checks every read-set word against the arena.
-func (b *chainBuffer) Validate() bool { return b.ValidateDirty(nil) }
-
-// ValidateDirty compares only the possibly-dirty words, with Validate's
-// counter effects.
-func (b *chainBuffer) ValidateDirty(dirty func(base mem.Addr, nBytes int) bool) bool {
-	b.C.Validations++
-	if !b.validateWalk(dirty) {
-		b.C.ValidationFail++
-		return false
 	}
 	return true
 }

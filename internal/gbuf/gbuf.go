@@ -509,29 +509,35 @@ func (b *Buffer) StoreRange(p mem.Addr, src []byte) Status {
 	return st
 }
 
-// validateWalk is the read-set comparison shared by Validate and
-// ValidateDirty. Conflicts only occur when the speculative thread read
-// an address before the non-speculative thread wrote it, so equality of the
-// snapshot with current memory is exactly the paper's validation criterion.
-// Bulk loads claim consecutive slots for consecutive addresses, so the walk
-// batches such runs into one arena comparison each; isolated words compare
-// one at a time. A non-nil dirty oracle skips runs whose pages are known
-// clean since the speculation's snapshot.
-func (b *Buffer) validateWalk(dirty func(mem.Addr, int) bool) bool {
+// Validate checks every read-set word against the arena.
+func (b *Buffer) Validate() bool { return b.ValidateDirty(nil, 0) }
+
+// ValidateDirty compares the read set with the arena. Conflicts only occur
+// when the speculative thread read an address before the non-speculative
+// thread wrote it, so equality of the snapshot with current memory is
+// exactly the paper's validation criterion. Bulk loads claim consecutive
+// slots for consecutive addresses, so the walk batches such runs, cut at
+// stamp-page borders, into one arena comparison each; isolated words compare
+// one at a time. A run on a page stamps has not marked since snap is
+// trusted uncompared.
+func (b *Buffer) ValidateDirty(stamps *mem.WriteStamps, snap uint64) bool {
+	b.C.Validations++
 	for k := 0; k < b.read.top; {
 		i := int(b.read.used[k])
 		base := b.read.addrs[i]
 		run := 1
 		for k+run < b.read.top {
 			j := int(b.read.used[k+run])
-			if j != i+run || b.read.addrs[j] != base+mem.Addr(run*mem.Word) {
+			next := base + mem.Addr(run*mem.Word)
+			if j != i+run || b.read.addrs[j] != next || next%pageBytes == 0 {
 				break
 			}
 			run++
 		}
-		if dirty == nil || dirty(base, run*mem.Word) {
+		if stamps == nil || stamps.DirtySince(base, run*mem.Word, snap) {
 			b.C.WordsValidated += uint64(run)
 			if !b.arena.EqualWords(base, b.read.buf[i*mem.Word:(i+run)*mem.Word]) {
+				b.C.ValidationFail++
 				return false
 			}
 		}
@@ -539,27 +545,14 @@ func (b *Buffer) validateWalk(dirty func(mem.Addr, int) bool) bool {
 	}
 	for k := range b.readOv {
 		e := &b.readOv[k]
-		if dirty != nil && !dirty(e.base, mem.Word) {
+		if stamps != nil && !stamps.DirtySince(e.base, mem.Word, snap) {
 			continue
 		}
 		b.C.WordsValidated++
 		if binary.LittleEndian.Uint64(e.data[:]) != b.arena.ReadWord(e.base) {
+			b.C.ValidationFail++
 			return false
 		}
-	}
-	return true
-}
-
-// Validate checks every read-set word against the arena.
-func (b *Buffer) Validate() bool { return b.ValidateDirty(nil) }
-
-// ValidateDirty compares only the runs the dirty oracle reports possibly
-// written since the speculation's snapshot, with Validate's counter effects.
-func (b *Buffer) ValidateDirty(dirty func(base mem.Addr, nBytes int) bool) bool {
-	b.C.Validations++
-	if !b.validateWalk(dirty) {
-		b.C.ValidationFail++
-		return false
 	}
 	return true
 }
@@ -574,35 +567,18 @@ func (b *Buffer) Commit(stamps *mem.WriteStamps) {
 	for k := 0; k < w.top; {
 		i := int(w.used[k])
 		base := w.addrs[i]
-		// Maximal consecutive-address run first (the shape bulk stores
-		// leave behind), then split it at partially-marked words — two
-		// tight loops instead of one with every check fused.
 		n := 1
 		for k+n < w.top && int(w.used[k+n]) == i+n &&
 			w.addrs[i+n] == base+mem.Addr(n*mem.Word) {
 			n++
 		}
-		if !b.anyPartial {
+		data := w.buf[i*mem.Word : (i+n)*mem.Word]
+		if b.anyPartial {
+			commitMarked(b.arena, &b.C, base, data, w.mark[i*mem.Word:(i+n)*mem.Word], stamps)
+		} else {
 			// No sub-word store happened: every mark is full by
 			// construction, the whole address run splices at once.
-			commitRun(b.arena, &b.C, base, w.buf[i*mem.Word:(i+n)*mem.Word], stamps)
-			k += n
-			continue
-		}
-		marks := w.mark[i*mem.Word : (i+n)*mem.Word]
-		for s := 0; s < n; {
-			f := s
-			for f < n && binary.LittleEndian.Uint64(marks[f*mem.Word:]) == onesWord {
-				f++
-			}
-			if f > s {
-				commitRun(b.arena, &b.C, base+mem.Addr(s*mem.Word),
-					w.buf[(i+s)*mem.Word:(i+f)*mem.Word], stamps)
-				s = f
-				continue
-			}
-			commitWord(b.arena, &b.C, base+mem.Addr(s*mem.Word), w.word(i+s), w.markWord(i+s), stamps)
-			s++
+			commitRun(b.arena, &b.C, base, data, stamps)
 		}
 		k += n
 	}

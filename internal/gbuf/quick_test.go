@@ -87,7 +87,7 @@ func oracleConfigs() map[string]Config {
 }
 
 // quickArenaBytes is two bitmap pages.
-const quickArenaBytes = 2 * mem.DefaultStampPageBytes
+const quickArenaBytes = 2 * mem.StampPageBytes
 
 // quickSlot returns the address of a random word of an n-word window
 // centred on the boundary between the two pages of a quickArenaBytes arena,

@@ -26,6 +26,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Word is the buffering granularity in bytes, matching the paper's WORD size
@@ -173,10 +174,11 @@ func (a *Arena) WriteWords(p Addr, src []byte) {
 
 // CommitWords is the one way a speculative write set reaches the arena: it
 // stores the len(src)/Word little-endian words of src at the word-aligned
-// address p, then stamps their pages. stamps is nil when nobody can read the
-// arena until an atomic store publishes the commit (core's commitStamps):
-// the words are then plain stores — no XCHG per word — and nothing is
-// stamped.
+// address p, then stamps their pages with one Mark. stamps is nil when
+// nobody can read the arena until an atomic store publishes the commit
+// (core's commitStamps): the run is then one plain copy of its bytes — on a
+// little-endian host, the only kind this package builds for (bigendian.go),
+// src is already the words' memory image — and nothing is stamped.
 func (a *Arena) CommitWords(p Addr, src []byte, stamps *WriteStamps) {
 	if stamps != nil {
 		a.WriteWords(p, src)
@@ -185,9 +187,7 @@ func (a *Arena) CommitWords(p Addr, src []byte, stamps *WriteStamps) {
 	}
 	a.checkRun(p, len(src))
 	w := a.words[p>>3 : int(p>>3)+len(src)/Word]
-	for i := range w {
-		w[i] = binary.LittleEndian.Uint64(src[i*Word:])
-	}
+	copy(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(w))), len(src)), src)
 }
 
 // EqualWords reports whether the len(data)/Word words at the word-aligned

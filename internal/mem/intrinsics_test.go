@@ -95,9 +95,6 @@ func TestWriteStamps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ws.PageBytes() != DefaultStampPageBytes {
-		t.Fatalf("PageBytes = %d", ws.PageBytes())
-	}
 	snap := ws.Snapshot()
 	if ws.DirtySince(0, 1<<16, snap) {
 		t.Fatal("fresh table reports dirty")
@@ -126,8 +123,44 @@ func TestWriteStamps(t *testing.T) {
 	if !ws.DirtySince(4096, 8, snap2) || !ws.DirtySince(8192, 8, snap2) {
 		t.Fatal("straddling mark missed a page")
 	}
-	if _, err := NewWriteStamps(64, 3); err == nil {
-		t.Fatal("non-power-of-two page size accepted")
+	if _, err := NewWriteStamps(64, StampPageBytes/2); err == nil {
+		t.Fatal("a page size other than the fixed one accepted")
+	}
+}
+
+// TestCommitWordsPaths: CommitWords leaves the arena image WriteWords
+// leaves whether it is stamped or not — the unstamped copy moves the run's
+// little-endian bytes as the words' memory — and only the stamped one
+// marks, exactly the pages the run overlaps. Runs cross page borders and
+// start and end anywhere in a page; an empty run changes nothing.
+func TestCommitWordsPaths(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const size = 8 * StampPageBytes
+	want, _ := NewArena(size)
+	plain, _ := NewArena(size)
+	stamped, _ := NewArena(size)
+	ws, _ := NewWriteStamps(size, 0)
+	src := make([]byte, 3*StampPageBytes)
+	for trial := 0; trial < 200; trial++ {
+		n := rng.Intn(len(src)/Word+1) * Word
+		p := Addr(Word * (1 + rng.Intn((size-n)/Word-1)))
+		rng.Read(src[:n])
+		snap := ws.Snapshot()
+		want.WriteWords(p, src[:n])
+		plain.CommitWords(p, src[:n], nil)
+		stamped.CommitWords(p, src[:n], ws)
+		for q := Addr(Word); q < size; q += Word {
+			if w := want.ReadWord(q); plain.ReadWord(q) != w || stamped.ReadWord(q) != w {
+				t.Fatalf("trial %d, run [%d,+%d): word %d reads %#x unstamped, %#x stamped, want %#x",
+					trial, p, n, q, plain.ReadWord(q), stamped.ReadWord(q), w)
+			}
+		}
+		for pg := Addr(0); pg < size; pg += StampPageBytes {
+			overlaps := n > 0 && pg < p+Addr(n) && p < pg+StampPageBytes
+			if got := ws.DirtySince(pg, StampPageBytes, snap); got != overlaps {
+				t.Fatalf("trial %d, run [%d,+%d): page %d dirty %v, want %v", trial, p, n, pg/StampPageBytes, got, overlaps)
+			}
+		}
 	}
 }
 

@@ -5,10 +5,15 @@ import (
 	"sync/atomic"
 )
 
-// DefaultStampPageBytes is the dirty-table granularity: coarse enough that
-// the table stays small and marking a bulk store touches few entries, fine
-// enough that an unrelated hot write rarely dirties a validated page.
-const DefaultStampPageBytes = 4096
+// StampPageBytes is the dirty-table granularity: coarse enough that the
+// table stays small and marking a bulk store touches few entries, fine
+// enough that an unrelated hot write rarely dirties a validated page. It is
+// fixed: the bitmap GlobalBuffer's page is this page, so its validation
+// reads one stamp per page.
+const (
+	StampPageBytes = 1 << stampPageShift
+	stampPageShift = 12
+)
 
 // WriteStamps is a page-granularity dirty table over an arena: every direct
 // arena write (non-speculative stores, write-set commits) stamps the pages
@@ -40,41 +45,22 @@ const DefaultStampPageBytes = 4096
 // The stamp slots are atomics, so marking and checking race cleanly with
 // each other and with the arena's racy-by-design reads.
 type WriteStamps struct {
-	seq       atomic.Uint64
-	pageShift uint
-	pageMask  Addr
-	stamps    []atomic.Uint64
+	seq    atomic.Uint64
+	stamps []atomic.Uint64
 }
 
-// NewWriteStamps builds a dirty table covering size arena bytes with the
-// given page granularity (a power of two; 0 selects DefaultStampPageBytes).
+// NewWriteStamps builds a dirty table covering size arena bytes in
+// StampPageBytes pages. pageBytes must be 0: the page is not a setting, and
+// the parameter is kept only so existing callers still build.
 func NewWriteStamps(size, pageBytes int) (*WriteStamps, error) {
-	if pageBytes == 0 {
-		pageBytes = DefaultStampPageBytes
-	}
-	if pageBytes < Word || pageBytes&(pageBytes-1) != 0 {
-		return nil, fmt.Errorf("mem: stamp page size %d must be a power of two ≥ %d", pageBytes, Word)
+	if pageBytes != 0 {
+		return nil, fmt.Errorf("mem: stamp page size %d: the page is fixed at %d bytes, pass 0", pageBytes, StampPageBytes)
 	}
 	if size < 0 {
 		return nil, fmt.Errorf("mem: negative stamp coverage %d", size)
 	}
-	nPages := (size + pageBytes - 1) / pageBytes
-	if nPages == 0 {
-		nPages = 1
-	}
-	shift := uint(0)
-	for 1<<shift != pageBytes {
-		shift++
-	}
-	return &WriteStamps{
-		pageShift: shift,
-		pageMask:  Addr(pageBytes - 1),
-		stamps:    make([]atomic.Uint64, nPages),
-	}, nil
+	return &WriteStamps{stamps: make([]atomic.Uint64, max(1, (size+StampPageBytes-1)/StampPageBytes))}, nil
 }
-
-// PageBytes returns the table's page granularity.
-func (ws *WriteStamps) PageBytes() int { return 1 << ws.pageShift }
 
 // Snapshot returns the current sequence number. A speculation takes it
 // before loading any arena word its join will validate.
@@ -87,8 +73,8 @@ func (ws *WriteStamps) Mark(p Addr, n int) {
 		return
 	}
 	s := ws.seq.Add(1)
-	first := int(uint64(p) >> ws.pageShift)
-	last := int(uint64(p+Addr(n)-1) >> ws.pageShift)
+	first := int(uint64(p) >> stampPageShift)
+	last := int(uint64(p+Addr(n)-1) >> stampPageShift)
 	if last >= len(ws.stamps) {
 		last = len(ws.stamps) - 1
 	}
@@ -103,8 +89,8 @@ func (ws *WriteStamps) DirtySince(p Addr, n int, snap uint64) bool {
 	if n <= 0 {
 		return false
 	}
-	first := int(uint64(p) >> ws.pageShift)
-	last := int(uint64(p+Addr(n)-1) >> ws.pageShift)
+	first := int(uint64(p) >> stampPageShift)
+	last := int(uint64(p+Addr(n)-1) >> stampPageShift)
 	if last >= len(ws.stamps) {
 		last = len(ws.stamps) - 1
 	}
