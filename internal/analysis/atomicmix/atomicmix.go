@@ -66,17 +66,12 @@ func run(pass *analysis.Pass) error {
 
 // --- ATOM001: mixed atomic and plain access ---
 
-type access struct {
-	pos  token.Pos
-	line int
-}
-
 func checkMixed(pass *analysis.Pass) {
 	info := pass.TypesInfo
 
 	// Pass 1: variables reached through &x as an argument of a
 	// sync/atomic function, and the spans of those argument expressions.
-	atomicObjs := make(map[*types.Var]access)
+	atomicObjs := make(map[*types.Var]int) // the line of the first atomic use
 	var atomicSpans []span
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -99,7 +94,7 @@ func checkMixed(pass *analysis.Pass) {
 				}
 				if v != nil {
 					if _, seen := atomicObjs[v]; !seen {
-						atomicObjs[v] = access{arg.Pos(), pass.Fset.Position(arg.Pos()).Line}
+						atomicObjs[v] = pass.Fset.Position(arg.Pos()).Line
 					}
 				}
 			}
@@ -164,7 +159,7 @@ func checkMixed(pass *analysis.Pass) {
 			}
 			reported[v] = true
 			pass.Reportf(id.Pos(), CodeMixed,
-				"%q is accessed with sync/atomic (line %d) and plainly here; the plain access races with the atomic ones — use one discipline for every access", v.Name(), first.line)
+				"%q is accessed with sync/atomic (line %d) and plainly here; the plain access races with the atomic ones — use one discipline for every access", v.Name(), first)
 			return true
 		})
 	}

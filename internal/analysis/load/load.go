@@ -4,9 +4,7 @@
 // Module-internal packages (import paths under the module path from
 // go.mod) are parsed and type-checked from source, recursively. Standard
 // library imports are satisfied from compiler export data located with
-// `go list -export` (the build cache keeps this fast and fully offline);
-// if the go tool is unavailable the loader falls back to the stdlib
-// source importer.
+// `go list -export` (the build cache keeps this fast and fully offline).
 package load
 
 import (
@@ -53,11 +51,8 @@ type Loader struct {
 	pkgs    map[string]*Package // loaded module packages, by import path
 	loading map[string]bool     // cycle detection
 
-	gcImp     types.Importer // export-data importer for non-module imports
-	srcImp    types.Importer // source importer fallback
-	exportMu  map[string]string
-	gcBroken  bool
-	typeCheck types.Config
+	gcImp    types.Importer // export-data importer for non-module imports
+	exportMu map[string]string
 }
 
 // New builds a loader for the module rooted at dir (go.mod gives the
@@ -87,8 +82,8 @@ func New(dir string) (*Loader, error) {
 		loading:    make(map[string]bool),
 		exportMu:   make(map[string]string),
 	}
-	// Pure-Go builds only: the simulated runtime has no cgo, and disabling
-	// it keeps the source-importer fallback usable for net-style packages.
+	// Pure-Go builds only: the simulated runtime has no cgo, and the export
+	// data comes from CGO_ENABLED=0 builds.
 	l.ctxt.CgoEnabled = false
 	l.gcImp = importer.ForCompiler(l.Fset, "gc", l.lookupExport)
 	return l, nil
@@ -120,7 +115,7 @@ func (l *Loader) lookupExport(path string) (io.ReadCloser, error) {
 }
 
 // Import implements types.Importer over the module: module-internal paths
-// load from source, everything else from export data (source fallback).
+// load from source, everything else from export data.
 func (l *Loader) Import(path string) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil
@@ -132,19 +127,7 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 		}
 		return pkg.Types, nil
 	}
-	if !l.gcBroken {
-		pkg, err := l.gcImp.Import(path)
-		if err == nil {
-			return pkg, nil
-		}
-		// The go tool (or its cache) is unusable: degrade to the source
-		// importer for the rest of the session.
-		l.gcBroken = true
-	}
-	if l.srcImp == nil {
-		l.srcImp = importer.ForCompiler(l.Fset, "source", nil)
-	}
-	return l.srcImp.Import(path)
+	return l.gcImp.Import(path)
 }
 
 func (l *Loader) isModulePath(path string) bool {

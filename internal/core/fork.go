@@ -30,7 +30,6 @@ type ForkHandle struct {
 	child   *cpu
 	epoch   uint64
 	started bool
-	nSaved  int
 	// pay and payStart time the fork for the body's pay-off estimate; nil
 	// unless the non-speculative thread forks for a driver (ForkBody).
 	pay      *payoff
@@ -140,7 +139,6 @@ func (t *Thread) forkAt(ranks []Rank, p int, model Model, guarded bool) *ForkHan
 	td.point = p
 	td.guarded = guarded
 	td.model = model
-	td.parentRank.Store(int32(t.rank))
 	td.validStatus.Store(validNull)
 	td.forceInvalid.Store(false)
 	td.syncTime.Store(0)
@@ -255,7 +253,6 @@ func (h *ForkHandle) setRegvar(slot int, v uint64) {
 	}
 	h.child.td.forkRegs[slot] = v
 	h.child.td.forkLive[slot] = true
-	h.nSaved++
 	cost := h.t.clock.Model
 	h.t.clock.Charge(vclock.Fork, cost.SaveLocal)
 }

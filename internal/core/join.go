@@ -206,18 +206,8 @@ func (t *Thread) Join(ranks []Rank, p int) JoinResult {
 
 	// Adopt the child's children in both outcomes: local conflicts must not
 	// discard the subtree's committed-future work (§IV-F).
-	if len(td.children) > 0 {
-		*cs = append(*cs, td.children...)
-		for _, g := range td.children {
-			gtd := &t.rt.cpus[g.rank].td
-			// Skip stale grandchildren (already squashed and reclaimed):
-			// the epoch check keeps us from touching a new occupant.
-			if gtd.epoch() == g.epoch {
-				gtd.parentRank.Store(int32(t.rank))
-			}
-		}
-		td.children = td.children[:0]
-	}
+	*cs = append(*cs, td.children...)
+	td.children = td.children[:0]
 
 	// The joining thread idles until the child finishes validation and
 	// commit; under virtual timing the gap is explicit.

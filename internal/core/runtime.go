@@ -108,8 +108,6 @@ type threadData struct {
 	// forceInvalid is set by the parent when MUTLS_validate_local detects a
 	// live register misprediction; the child's validation then fails.
 	forceInvalid atomic.Bool
-	// parentRank tracks the current parent; adoption rewrites it.
-	parentRank atomic.Int32
 	// syncTime is the parent's clock when it signals SYNC (virtual mode).
 	syncTime atomic.Int64
 
@@ -299,9 +297,6 @@ type Runtime struct {
 	evictNext       int
 	pointsExhausted atomic.Int64
 
-	// nonSpecStackTop is the bump pointer of the non-speculative stack.
-	nonSpecStackTop mem.Addr
-
 	// stamps is the page-granularity dirty table over the arena that keeps
 	// read-set validation short: direct writers (non-speculative stores,
 	// commits beside a live sibling — see commitStamps) mark the pages they
@@ -336,11 +331,6 @@ func NewRuntime(opts Options) (*Runtime, error) {
 		points:    make([]pointState, NumPoints),
 		collector: stats.NewCollector(o.NumCPUs),
 	}
-	r0, err := space.StackRegion(0)
-	if err != nil {
-		return nil, err
-	}
-	rt.nonSpecStackTop = r0.Start
 	rt.drainGate.init()
 	rt.cpuLimit.Store(int32(o.NumCPUs))
 	if o.NumCPUs > 0 {

@@ -40,8 +40,8 @@ type Backend interface {
 	// bytes. It is exactly equivalent to a word-at-a-time Load loop —
 	// identical read/write sets, statuses (the worst per-word outcome is
 	// returned; a Full aborts the walk where the loop would roll back) and
-	// counters — but pays the interface crossing, the set probes and the
-	// data movement once per run instead of once per word. Misaligned
+	// Conflicts count — but pays the interface crossing, the set probes and
+	// the data movement once per run instead of once per word. Misaligned
 	// geometry (p or len(dst) not word-multiple) returns Misaligned.
 	LoadRange(p mem.Addr, dst []byte) Status
 	// StoreRange performs a buffered write of len(src)/WORD consecutive
@@ -117,16 +117,11 @@ func NewBackend(arena *mem.Arena, cfg Config) (Backend, error) {
 // Add accumulates another counter set into c (used to aggregate per-CPU
 // backend counters into a run summary).
 func (c *Counters) Add(o *Counters) {
-	c.Loads += o.Loads
-	c.Stores += o.Stores
-	c.ReadSetHits += o.ReadSetHits
 	c.Conflicts += o.Conflicts
 	c.Validations += o.Validations
 	c.ValidationFail += o.ValidationFail
 	c.WordsValidated += o.WordsValidated
-	c.Commits += o.Commits
 	c.WordsCommitted += o.WordsCommitted
-	c.BytesCommitted += o.BytesCommitted
 }
 
 // rangeGeometry validates a bulk access and returns its word count.
@@ -236,7 +231,6 @@ func commitWord(arena *mem.Arena, c *Counters, base mem.Addr, data, marks []byte
 	for i := range merged {
 		if marks[i] == fullMark {
 			merged[i] = data[i]
-			c.BytesCommitted++
 		}
 	}
 	arena.CommitWords(base, merged[:], stamps)

@@ -156,7 +156,6 @@ func (b *bitmapBuffer) readWordEntry(base mem.Addr) []byte {
 	off := slot * mem.Word
 	word := pg.data[off : off+mem.Word]
 	if pg.present[slot/64]&(1<<uint(slot%64)) != 0 {
-		b.C.ReadSetHits++
 		return word
 	}
 	pg.present[slot/64] |= 1 << uint(slot%64)
@@ -170,12 +169,10 @@ func (b *bitmapBuffer) Load(p mem.Addr, size int) (uint64, Status) {
 	if !validSize(size) || !mem.Aligned(p, size) {
 		return 0, Misaligned
 	}
-	b.C.Loads++
 	base := mem.WordBase(p)
 	off := mem.WordOffset(p)
 	wData, wMarks := b.writeEntry(base)
 	if wData != nil && allMarked(wMarks[off:off+size]) {
-		b.C.ReadSetHits++
 		return readLE(wData[off : off+size]), OK
 	}
 	rWord := b.readWordEntry(base)
@@ -187,7 +184,6 @@ func (b *bitmapBuffer) Store(p mem.Addr, size int, v uint64) Status {
 	if !validSize(size) || !mem.Aligned(p, size) {
 		return Misaligned
 	}
-	b.C.Stores++
 	if size < mem.Word {
 		b.anyPartial = true
 	}
@@ -267,7 +263,6 @@ func (b *bitmapBuffer) LoadRange(p mem.Addr, dst []byte) Status {
 	if !ok {
 		return Misaligned
 	}
-	b.C.Loads += uint64(nWords)
 	for nWords > 0 {
 		pageIdx, slot := b.locate(p)
 		count := pageWords - slot
@@ -296,7 +291,6 @@ func (b *bitmapBuffer) loadPageRange(p mem.Addr, pageIdx uint64, slot, count int
 		// The speculation's own stores cover the span (fft's in-place
 		// butterflies): served from the write shadow, the read set and the
 		// arena stay out of it.
-		b.C.ReadSetHits += uint64(count)
 		copy(dst, wpg.data[off:end])
 		return
 	}
@@ -309,7 +303,6 @@ func (b *bitmapBuffer) loadPageRange(p mem.Addr, pageIdx uint64, slot, count int
 			copy(dst, rpg.data[off:end])
 			return
 		case count: // whole span buffered: serve the snapshots in one splice
-			b.C.ReadSetHits += uint64(count)
 			copy(dst, rpg.data[off:end])
 			return
 		}
@@ -327,14 +320,12 @@ func (b *bitmapBuffer) loadPageRange(p mem.Addr, pageIdx uint64, slot, count int
 		if wpg != nil && wpg.present[wi]&bit != 0 {
 			wData, wMarks = wpg.data[wordOff:wordOff+mem.Word], wpg.mark[wordOff:wordOff+mem.Word]
 			if allMarked8(wMarks) {
-				b.C.ReadSetHits++
 				copy(out, wData)
 				continue
 			}
 		}
 		rWord := rpg.data[wordOff : wordOff+mem.Word]
 		if rpg.present[wi]&bit != 0 {
-			b.C.ReadSetHits++
 			copy(out, rWord)
 		} else {
 			rpg.present[wi] |= bit
@@ -359,7 +350,6 @@ func (b *bitmapBuffer) StoreRange(p mem.Addr, src []byte) Status {
 	if !ok {
 		return Misaligned
 	}
-	b.C.Stores += uint64(nWords)
 	for nWords > 0 {
 		pageIdx, slot := b.locate(p)
 		count := pageWords - slot
@@ -439,7 +429,6 @@ func (b *bitmapBuffer) ValidateDirty(stamps *mem.WriteStamps, snap uint64) bool 
 // spliced with one arena write, otherwise commitMarked splits it at
 // partially-marked words.
 func (b *bitmapBuffer) Commit(stamps *mem.WriteStamps) {
-	b.C.Commits++
 	for _, pg := range b.write.order {
 		base := pg.base()
 		for s, n := nextRun(pg.present, 0); n > 0; s, n = nextRun(pg.present, s+n) {

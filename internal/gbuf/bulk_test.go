@@ -316,9 +316,6 @@ func TestLoadRangeOwnWrites(t *testing.T) {
 		if be.ReadSetSize() != 0 {
 			t.Fatalf("own-write loads put %d words in the read set", be.ReadSetSize())
 		}
-		if c := be.Counters(); c.Loads != nRange+nFill+50 || c.ReadSetHits != c.Loads {
-			t.Fatalf("counters %+v: every load must count as a hit", *c)
-		}
 		for w := 0; w < nRange+nFill; w++ {
 			p := base + mem.Addr(w*mem.Word)
 			arena.WriteWord(p, ^arena.ReadWord(p))

@@ -123,7 +123,6 @@ func (b *chainBuffer) Counters() *Counters { return &b.C }
 // from the arena on first touch.
 func (b *chainBuffer) readWordEntry(base mem.Addr) []byte {
 	if e := b.read.lookup(base); e != nil {
-		b.C.ReadSetHits++
 		return e.data[:]
 	}
 	e := b.read.insert(base)
@@ -136,7 +135,6 @@ func (b *chainBuffer) Load(p mem.Addr, size int) (uint64, Status) {
 	if !validSize(size) || !mem.Aligned(p, size) {
 		return 0, Misaligned
 	}
-	b.C.Loads++
 	base := mem.WordBase(p)
 	off := mem.WordOffset(p)
 	var wData, wMarks []byte
@@ -144,7 +142,6 @@ func (b *chainBuffer) Load(p mem.Addr, size int) (uint64, Status) {
 		wData, wMarks = e.data[:], e.mark[:]
 	}
 	if wData != nil && allMarked(wMarks[off:off+size]) {
-		b.C.ReadSetHits++
 		return readLE(wData[off : off+size]), OK
 	}
 	rWord := b.readWordEntry(base)
@@ -156,7 +153,6 @@ func (b *chainBuffer) Store(p mem.Addr, size int, v uint64) Status {
 	if !validSize(size) || !mem.Aligned(p, size) {
 		return Misaligned
 	}
-	b.C.Stores++
 	if size < mem.Word {
 		b.anyPartial = true
 	}
@@ -190,7 +186,6 @@ func (b *chainBuffer) LoadRange(p mem.Addr, dst []byte) Status {
 	if nWords == 0 {
 		return OK
 	}
-	b.C.Loads += uint64(nWords)
 	b.arena.ReadWords(p, dst)
 	hasWrites := len(b.write.entries) > 0
 	for k := 0; k < nWords; k++ {
@@ -201,14 +196,12 @@ func (b *chainBuffer) LoadRange(p mem.Addr, dst []byte) Status {
 			if e := b.write.lookup(base); e != nil {
 				wData, wMarks = e.data[:], e.mark[:]
 				if allMarked8(wMarks) {
-					b.C.ReadSetHits++
 					copy(out, wData)
 					continue
 				}
 			}
 		}
 		if e := b.read.lookup(base); e != nil {
-			b.C.ReadSetHits++
 			copy(out, e.data[:])
 		} else {
 			// Snapshot the arena word already sitting in dst.
@@ -233,7 +226,6 @@ func (b *chainBuffer) StoreRange(p mem.Addr, src []byte) Status {
 	if !ok {
 		return Misaligned
 	}
-	b.C.Stores += uint64(nWords)
 	for k := 0; k < nWords; k++ {
 		base := p + mem.Addr(k*mem.Word)
 		e := b.write.lookup(base)
@@ -274,7 +266,6 @@ func (b *chainBuffer) ValidateDirty(stamps *mem.WriteStamps, snap uint64) bool {
 // Chained insertion order is hash order, so without the sort even a dense
 // writer would commit word at a time.
 func (b *chainBuffer) Commit(stamps *mem.WriteStamps) {
-	b.C.Commits++
 	n := len(b.write.entries)
 	if n == 0 {
 		return

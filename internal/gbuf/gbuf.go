@@ -145,16 +145,11 @@ func (m *hashMap) reset() {
 
 // Counters accumulates GlobalBuffer activity for the statistics module.
 type Counters struct {
-	Loads          uint64 // buffered load operations
-	Stores         uint64 // buffered store operations
-	ReadSetHits    uint64 // loads served from read or write set
 	Conflicts      uint64 // accesses diverted to the overflow buffer
 	Validations    uint64 // Validate calls
 	ValidationFail uint64 // Validate calls that found a conflict
 	WordsValidated uint64 // read-set words compared against the arena
-	Commits        uint64 // Commit calls
 	WordsCommitted uint64 // whole words applied on the fast path
-	BytesCommitted uint64 // bytes applied on the marked-byte slow path
 }
 
 // Buffer is one speculative thread's GlobalBuffer: a read set, a write set
@@ -198,10 +193,6 @@ type Config struct {
 	// and NoOverflow as "no overflow slots".
 	OverflowCap int
 }
-
-// DefaultConfig returns the default backend with every backend's default
-// sizing filled in (see WithDefaults).
-func DefaultConfig() Config { return Config{}.WithDefaults() }
 
 // NoOverflow as OverflowCap requests a buffer with no overflow parking at
 // all: the first hash conflict returns Full and the thread rolls back.
@@ -296,11 +287,9 @@ func (b *Buffer) writeEntry(base mem.Addr) (data, marks []byte) {
 // from the arena on first touch. ok=false means the overflow buffer is full.
 func (b *Buffer) readWordEntry(base mem.Addr) (word []byte, st Status) {
 	if i := b.read.lookup(base); i >= 0 {
-		b.C.ReadSetHits++
 		return b.read.word(i), OK
 	}
 	if e := b.findReadOv(base); e != nil {
-		b.C.ReadSetHits++
 		return e.data[:], OK
 	}
 	if i, ok := b.read.insert(base); ok {
@@ -330,12 +319,10 @@ func (b *Buffer) Load(p mem.Addr, size int) (uint64, Status) {
 	if !validSize(size) || !mem.Aligned(p, size) {
 		return 0, Misaligned
 	}
-	b.C.Loads++
 	base := mem.WordBase(p)
 	off := mem.WordOffset(p)
 	wData, wMarks := b.writeEntry(base)
 	if wData != nil && allMarked(wMarks[off:off+size]) {
-		b.C.ReadSetHits++
 		return readLE(wData[off : off+size]), OK
 	}
 	// Need the underlying word: read set (snapshotting it for validation).
@@ -354,7 +341,6 @@ func (b *Buffer) Store(p mem.Addr, size int, v uint64) Status {
 	if !validSize(size) || !mem.Aligned(p, size) {
 		return Misaligned
 	}
-	b.C.Stores++
 	if size < mem.Word {
 		b.anyPartial = true
 	}
@@ -403,7 +389,6 @@ func (b *Buffer) LoadRange(p mem.Addr, dst []byte) Status {
 	if nWords == 0 {
 		return OK
 	}
-	b.C.Loads += uint64(nWords)
 	// Seed dst with the current arena words in one splice; buffered
 	// snapshots overwrite their words below.
 	b.arena.ReadWords(p, dst)
@@ -418,14 +403,12 @@ func (b *Buffer) LoadRange(p mem.Addr, dst []byte) Status {
 		if hasWrites {
 			wData, wMarks = b.writeEntry(base)
 			if wData != nil && allMarked8(wMarks) {
-				b.C.ReadSetHits++
 				copy(out, wData)
 				continue
 			}
 		}
 		switch b.read.addrs[i] {
 		case base:
-			b.C.ReadSetHits++
 			copy(out, b.read.word(i))
 		case mem.NilAddr:
 			// First touch: claim the slot and snapshot the arena word
@@ -438,9 +421,6 @@ func (b *Buffer) LoadRange(p mem.Addr, dst []byte) Status {
 			// Foreign address in the slot: the overflow path, one word.
 			rWord, rst := b.readWordEntry(base)
 			if rst == Full {
-				// The caller rolls back here; uncount the words the
-				// word-at-a-time loop would never have reached.
-				b.C.Loads -= uint64(nWords - k - 1)
 				return Full
 			}
 			st = worse(st, rst)
@@ -468,7 +448,6 @@ func (b *Buffer) StoreRange(p mem.Addr, src []byte) Status {
 	if nWords == 0 {
 		return OK
 	}
-	b.C.Stores += uint64(nWords)
 	st := OK
 	i := b.write.slot(p)
 	mask := int(b.write.mask)
@@ -491,9 +470,6 @@ func (b *Buffer) StoreRange(p mem.Addr, src []byte) Status {
 			} else {
 				b.C.Conflicts++
 				if len(b.writeOv) >= b.ovCap {
-					// The caller rolls back here; uncount the words the
-					// word-at-a-time loop would never have reached.
-					b.C.Stores -= uint64(nWords - k - 1)
 					return Full
 				}
 				b.writeOv = append(b.writeOv, ovEntry{base: base})
@@ -562,7 +538,6 @@ func (b *Buffer) ValidateDirty(stamps *mem.WriteStamps, snap uint64) bool {
 // individually otherwise. Fully-marked runs over consecutive slots — the
 // shape bulk stores leave behind — are spliced with one arena write each.
 func (b *Buffer) Commit(stamps *mem.WriteStamps) {
-	b.C.Commits++
 	w := &b.write
 	for k := 0; k < w.top; {
 		i := int(w.used[k])

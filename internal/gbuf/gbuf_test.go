@@ -128,9 +128,6 @@ func TestSubWordCommitAppliesOnlyMarkedBytes(t *testing.T) {
 	if got := arena.ReadWord(64); got != 0x11111111BB1111AA {
 		t.Fatalf("commit result %#x", got)
 	}
-	if b.C.BytesCommitted != 2 {
-		t.Fatalf("BytesCommitted = %d, want 2", b.C.BytesCommitted)
-	}
 	if b.C.WordsCommitted != 0 {
 		t.Fatalf("WordsCommitted = %d, want 0", b.C.WordsCommitted)
 	}
@@ -326,11 +323,21 @@ func TestCountersAccumulate(t *testing.T) {
 	b.Load(64, 8)
 	b.Load(64, 8)
 	b.Store(72, 8, 2)
-	if b.C.Loads != 2 || b.C.Stores != 1 {
-		t.Fatalf("counters %+v", b.C)
+	if b.ReadSetSize() != 1 || b.WriteSetSize() != 1 {
+		t.Fatalf("sets of %d/%d words, want 1/1 (the second load is a read-set hit)", b.ReadSetSize(), b.WriteSetSize())
 	}
-	if b.C.ReadSetHits != 1 {
-		t.Fatalf("ReadSetHits = %d, want 1 (second load)", b.C.ReadSetHits)
+	if !b.Validate() {
+		t.Fatal("validation failed with no foreign write")
+	}
+	b.Commit(nil)
+	if want := (Counters{Validations: 1, WordsValidated: 1, WordsCommitted: 1}); b.C != want {
+		t.Fatalf("counters %+v, want %+v", b.C, want)
+	}
+	var sum Counters
+	sum.Add(&b.C)
+	sum.Add(&b.C)
+	if want := (Counters{Validations: 2, WordsValidated: 2, WordsCommitted: 2}); sum != want {
+		t.Fatalf("Add summed %+v, want %+v", sum, want)
 	}
 }
 

@@ -133,9 +133,6 @@ func (b *Buffer) Depth() int { return len(b.frames) }
 // Top returns the current (innermost) frame.
 func (b *Buffer) Top() *Frame { return b.frames[len(b.frames)-1] }
 
-// Entry returns the speculative entry frame.
-func (b *Buffer) Entry() *Frame { return b.frames[0] }
-
 // PushFrame registers a new stack frame for a nested function call — the
 // paper's MUTLS_enter_point. funcID identifies the callee; callSite is the
 // synchronization counter of the enter point block in the caller, which the
@@ -195,12 +192,6 @@ func (b *Buffer) GetRegvar(slot int) (uint64, error) {
 		return 0, fmt.Errorf("lbuf: register slot %d read before set", slot)
 	}
 	return f.regs[slot], nil
-}
-
-// RegvarLive reports whether the slot holds a value in the top frame.
-func (b *Buffer) RegvarLive(slot int) bool {
-	f := b.Top()
-	return slot >= 0 && slot < len(f.regLive) && f.regLive[slot]
 }
 
 // SetStackvar copies a stack variable into the top frame

@@ -29,6 +29,12 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// regvarLive reports whether the top frame holds a value in the slot.
+func regvarLive(b *Buffer, slot int) bool {
+	_, err := b.GetRegvar(slot)
+	return err == nil
+}
+
 func TestRegvarRoundTrip(t *testing.T) {
 	b := newTestBuffer(t)
 	if err := b.SetRegvar(3, 42); err != nil {
@@ -38,7 +44,7 @@ func TestRegvarRoundTrip(t *testing.T) {
 	if err != nil || v != 42 {
 		t.Fatalf("GetRegvar = %d, %v", v, err)
 	}
-	if !b.RegvarLive(3) || b.RegvarLive(2) {
+	if !regvarLive(b, 3) || regvarLive(b, 2) {
 		t.Fatal("liveness wrong")
 	}
 }
@@ -226,7 +232,7 @@ func TestResetRestoresEntryFrame(t *testing.T) {
 	if b.Depth() != 1 {
 		t.Fatalf("depth after reset %d", b.Depth())
 	}
-	if b.RegvarLive(0) {
+	if regvarLive(b, 0) {
 		t.Fatal("regvar survived reset")
 	}
 	if len(b.Records()) != 0 {
@@ -333,7 +339,7 @@ func TestQuickPointerMapping(t *testing.T) {
 // frames parked on the free list for the next PushFrame.
 func TestResetClearsOnlyWhatWentLive(t *testing.T) {
 	b := newTestBuffer(t)
-	entry := b.Entry()
+	entry := b.frames[0]
 	b.SetRegvar(5, 50)
 	b.SetRegvar(2, 20)
 	b.SetRegvar(5, 51) // a second store to a live slot lists it once
@@ -346,10 +352,10 @@ func TestResetClearsOnlyWhatWentLive(t *testing.T) {
 	nested := b.PushFrame(7, 3)
 	nested.regs[0] = 99 // as a SetRegvar on the nested frame would
 	b.Reset()
-	if b.Entry() != entry {
+	if b.frames[0] != entry {
 		t.Fatal("Reset replaced the entry frame instead of clearing it")
 	}
-	if b.Depth() != 1 || len(b.EntryLive()) != 0 || b.RegvarLive(5) || b.RegvarLive(2) {
+	if b.Depth() != 1 || len(b.EntryLive()) != 0 || regvarLive(b, 5) || regvarLive(b, 2) {
 		t.Fatal("entry frame not empty after Reset")
 	}
 	if len(b.PtrMappings()) != 0 {
@@ -360,7 +366,7 @@ func TestResetClearsOnlyWhatWentLive(t *testing.T) {
 	}
 	if got := b.PushFrame(8, 4); got != nested {
 		t.Fatal("PushFrame allocated although a popped frame was free")
-	} else if got.FuncID != 8 || got.CallSite != 4 || b.RegvarLive(0) {
+	} else if got.FuncID != 8 || got.CallSite != 4 || regvarLive(b, 0) {
 		t.Fatalf("recycled frame carries old state: %+v", got)
 	}
 }

@@ -18,14 +18,12 @@ import (
 // speculative threads from allocating or deallocating memory because they
 // may roll back, so only the non-speculative thread ever calls it.
 type Allocator struct {
-	reg    *Registry
-	free   []Range      // sorted, coalesced free blocks
-	sizes  map[Addr]int // live allocation sizes
-	start  Addr         // start of the managed region (word-aligned)
-	limit  Addr         // end of the managed region
-	inUse  int          // live bytes
-	allocs uint64       // total Alloc calls
-	frees  uint64       // total Free calls
+	reg   *Registry
+	free  []Range      // sorted, coalesced free blocks
+	sizes map[Addr]int // live allocation sizes
+	start Addr         // start of the managed region (word-aligned)
+	limit Addr         // end of the managed region
+	inUse int          // live bytes
 }
 
 // NewAllocator manages [start, start+size) of an arena, registering
@@ -95,7 +93,6 @@ func (al *Allocator) Alloc(n int) (Addr, error) {
 		}
 		al.sizes[p] = need
 		al.inUse += need
-		al.allocs++
 		if err := al.reg.Register(p, need); err != nil {
 			return NilAddr, err
 		}
@@ -113,7 +110,6 @@ func (al *Allocator) Free(p Addr) error {
 	}
 	delete(al.sizes, p)
 	al.inUse -= size
-	al.frees++
 	if err := al.reg.Deregister(p, size); err != nil {
 		return err
 	}
@@ -134,25 +130,5 @@ func (al *Allocator) Free(p Addr) error {
 	return nil
 }
 
-// SizeOf returns the rounded size of the live block at p, or 0 if p is not
-// a live allocation.
-func (al *Allocator) SizeOf(p Addr) int { return al.sizes[p] }
-
 // InUse returns the number of live allocated bytes.
 func (al *Allocator) InUse() int { return al.inUse }
-
-// FreeBytes returns the number of bytes available for allocation.
-func (al *Allocator) FreeBytes() int {
-	total := 0
-	for _, blk := range al.free {
-		total += blk.Len()
-	}
-	return total
-}
-
-// Stats returns the cumulative number of Alloc and Free calls.
-func (al *Allocator) Stats() (allocs, frees uint64) { return al.allocs, al.frees }
-
-// FreeBlockCount returns the number of distinct free blocks; after freeing
-// everything it should be 1 (full coalescing).
-func (al *Allocator) FreeBlockCount() int { return len(al.free) }

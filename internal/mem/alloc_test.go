@@ -25,8 +25,8 @@ func TestAllocatorBasics(t *testing.T) {
 	if p == NilAddr || p%Word != 0 {
 		t.Fatalf("Alloc returned unaligned or nil address %d", p)
 	}
-	if al.SizeOf(p) != 16 { // 10 rounded up to words
-		t.Fatalf("SizeOf = %d, want 16", al.SizeOf(p))
+	if al.InUse() != 16 { // 10 rounded up to words
+		t.Fatalf("InUse = %d, want 16", al.InUse())
 	}
 	if !reg.Contains(p, 10) {
 		t.Fatal("allocation not registered")
@@ -89,13 +89,10 @@ func TestAllocatorCoalescing(t *testing.T) {
 	// Free in an order that requires both successor and predecessor merges.
 	al.Free(a)
 	al.Free(c)
-	if al.FreeBlockCount() != 2 {
-		t.Fatalf("FreeBlockCount = %d, want 2", al.FreeBlockCount())
+	if p, err := al.Alloc(2 * Word); err == nil {
+		t.Fatalf("two one-word holes served a two-word block at %d", p)
 	}
 	al.Free(b)
-	if al.FreeBlockCount() != 1 {
-		t.Fatalf("after middle free FreeBlockCount = %d, want 1", al.FreeBlockCount())
-	}
 	if _, err := al.Alloc(3 * Word); err != nil {
 		t.Fatalf("coalesced block not allocatable: %v", err)
 	}
@@ -138,10 +135,6 @@ func TestAllocatorInUseAccounting(t *testing.T) {
 	if al.InUse() != 0 {
 		t.Fatalf("InUse after all frees = %d, want 0", al.InUse())
 	}
-	allocs, frees := al.Stats()
-	if allocs != 2 || frees != 2 {
-		t.Fatalf("Stats = (%d,%d), want (2,2)", allocs, frees)
-	}
 }
 
 func TestNewAllocatorRejectsNilStart(t *testing.T) {
@@ -169,16 +162,17 @@ func TestNewAllocatorAlignsStart(t *testing.T) {
 }
 
 // Property: random alloc/free sequences never leak, never overlap, always
-// fully coalesce when everything is freed, and keep the registry in sync.
+// fully coalesce when everything is freed (the whole region is one block
+// again), and keep the registry in sync.
 func TestQuickAllocatorRandomChurn(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		reg := NewRegistry()
-		al, err := NewAllocator(reg, 64, 1<<14)
+		const capacity = 1 << 14
+		al, err := NewAllocator(reg, 64, capacity)
 		if err != nil {
 			return false
 		}
-		capacity := al.FreeBytes()
 		live := map[Addr]int{}
 		for op := 0; op < 300; op++ {
 			if len(live) == 0 || rng.Intn(2) == 0 {
@@ -211,7 +205,11 @@ func TestQuickAllocatorRandomChurn(t *testing.T) {
 				return false
 			}
 		}
-		return al.InUse() == 0 && al.FreeBlockCount() == 1 && al.FreeBytes() == capacity
+		if al.InUse() != 0 {
+			return false
+		}
+		p, err := al.Alloc(capacity)
+		return err == nil && reg.Contains(p, capacity)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)

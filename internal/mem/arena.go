@@ -267,25 +267,6 @@ func (a *Arena) Snapshot(p Addr, n int) []byte {
 	return out
 }
 
-// WriteBytes stores the given bytes starting at p: sub-word head and tail,
-// one bulk word splice for the aligned middle.
-func (a *Arena) WriteBytes(p Addr, data []byte) {
-	n := len(data)
-	a.check(p, n)
-	head, nWords, tail := splitRun(p, n)
-	if head > 0 {
-		a.writeSub(p, head, getLEBytes(data[:head]))
-		p += Addr(head)
-	}
-	if nWords > 0 {
-		a.WriteWords(p, data[head:head+nWords*Word])
-		p += Addr(nWords * Word)
-	}
-	if tail > 0 {
-		a.writeSub(p, tail, getLEBytes(data[n-tail:]))
-	}
-}
-
 // Zero clears n bytes starting at p: sub-word head and tail, ZeroWords for
 // the aligned middle.
 func (a *Arena) Zero(p Addr, n int) {
@@ -309,15 +290,6 @@ func putLEBytes(b []byte, v uint64) {
 	for i := range b {
 		b[i] = byte(v >> (8 * i))
 	}
-}
-
-// getLEBytes packs len(b) little-endian bytes into the low bytes of a word.
-func getLEBytes(b []byte) uint64 {
-	var v uint64
-	for i := len(b) - 1; i >= 0; i-- {
-		v = v<<8 | uint64(b[i])
-	}
-	return v
 }
 
 // Aligned reports whether p is aligned to size bytes. The paper supports

@@ -68,10 +68,10 @@ func TestUnalignedWordAccessPanics(t *testing.T) {
 	a.ReadWord(13)
 }
 
-func TestSnapshotAndWriteBytes(t *testing.T) {
+func TestSnapshotCopiesBytes(t *testing.T) {
 	a, _ := NewArena(128)
 	src := []byte{9, 8, 7, 6, 5}
-	a.WriteBytes(21, src)
+	writeBytes(a, 21, src)
 	got := a.Snapshot(21, 5)
 	for i := range src {
 		if got[i] != src[i] {

@@ -117,26 +117,3 @@ func (r *Registry) Contains(p Addr, n int) bool {
 	i := sort.Search(len(rs), func(i int) bool { return rs[i].End > p })
 	return i < len(rs) && rs[i].Start <= p && end <= rs[i].End
 }
-
-// ContainsAddr reports whether the single address p is registered.
-func (r *Registry) ContainsAddr(p Addr) bool { return r.Contains(p, 1) }
-
-// Ranges returns a snapshot of the registered ranges in address order.
-func (r *Registry) Ranges() []Range {
-	rs := *r.ranges.Load()
-	out := make([]Range, len(rs))
-	copy(out, rs)
-	return out
-}
-
-// Count returns the number of distinct registered ranges (post-merge).
-func (r *Registry) Count() int { return len(*r.ranges.Load()) }
-
-// TotalBytes returns the total registered size in bytes.
-func (r *Registry) TotalBytes() int {
-	total := 0
-	for _, rg := range *r.ranges.Load() {
-		total += rg.Len()
-	}
-	return total
-}

@@ -12,7 +12,7 @@ func TestRegistryEmpty(t *testing.T) {
 	if r.Contains(8, 1) {
 		t.Fatal("empty registry contains an address")
 	}
-	if r.Count() != 0 || r.TotalBytes() != 0 {
+	if len(rangesOf(r)) != 0 {
 		t.Fatal("empty registry has ranges")
 	}
 }
@@ -58,19 +58,19 @@ func TestRegistryMergesAdjacent(t *testing.T) {
 	r := NewRegistry()
 	r.Register(100, 50)
 	r.Register(150, 50) // exactly adjacent
-	if r.Count() != 1 {
-		t.Fatalf("adjacent ranges not merged: %v", r.Ranges())
+	if len(rangesOf(r)) != 1 {
+		t.Fatalf("adjacent ranges not merged: %v", rangesOf(r))
 	}
 	if !r.Contains(100, 100) {
 		t.Fatal("merged range not contiguous")
 	}
 	r.Register(300, 10)
-	if r.Count() != 2 {
-		t.Fatalf("disjoint range merged: %v", r.Ranges())
+	if len(rangesOf(r)) != 2 {
+		t.Fatalf("disjoint range merged: %v", rangesOf(r))
 	}
 	r.Register(200, 100) // bridges the gap [200,300)
-	if r.Count() != 1 {
-		t.Fatalf("bridge did not merge everything: %v", r.Ranges())
+	if len(rangesOf(r)) != 1 {
+		t.Fatalf("bridge did not merge everything: %v", rangesOf(r))
 	}
 	if !r.Contains(100, 210) {
 		t.Fatal("bridged range not contiguous")
@@ -81,12 +81,12 @@ func TestRegistryMergeOverlapping(t *testing.T) {
 	r := NewRegistry()
 	r.Register(100, 100)
 	r.Register(150, 100) // overlaps tail
-	if r.Count() != 1 || !r.Contains(100, 150) {
-		t.Fatalf("overlap not merged: %v", r.Ranges())
+	if len(rangesOf(r)) != 1 || !r.Contains(100, 150) {
+		t.Fatalf("overlap not merged: %v", rangesOf(r))
 	}
 	r.Register(50, 500) // swallows everything
-	if r.Count() != 1 || !r.Contains(50, 500) {
-		t.Fatalf("swallow not merged: %v", r.Ranges())
+	if len(rangesOf(r)) != 1 || !r.Contains(50, 500) {
+		t.Fatalf("swallow not merged: %v", rangesOf(r))
 	}
 }
 
@@ -94,8 +94,8 @@ func TestRegistryDeregisterSplits(t *testing.T) {
 	r := NewRegistry()
 	r.Register(100, 100)
 	r.Deregister(140, 20)
-	if r.Count() != 2 {
-		t.Fatalf("split produced %d ranges: %v", r.Count(), r.Ranges())
+	if len(rangesOf(r)) != 2 {
+		t.Fatalf("split produced %d ranges: %v", len(rangesOf(r)), rangesOf(r))
 	}
 	if !r.Contains(100, 40) || !r.Contains(160, 40) {
 		t.Fatal("split halves missing")
@@ -109,14 +109,14 @@ func TestRegistryDeregisterWholeAndEdges(t *testing.T) {
 	r := NewRegistry()
 	r.Register(100, 100)
 	r.Deregister(100, 100)
-	if r.Count() != 0 {
-		t.Fatalf("full deregister left %v", r.Ranges())
+	if len(rangesOf(r)) != 0 {
+		t.Fatalf("full deregister left %v", rangesOf(r))
 	}
 	r.Register(100, 100)
 	r.Deregister(100, 30) // trim head
 	r.Deregister(170, 30) // trim tail
 	if !r.Contains(130, 40) || r.Contains(100, 31) || r.Contains(169, 2) {
-		t.Fatalf("edge trims wrong: %v", r.Ranges())
+		t.Fatalf("edge trims wrong: %v", rangesOf(r))
 	}
 }
 
@@ -131,14 +131,8 @@ func TestRegistryDeregisterUnregisteredIsNoop(t *testing.T) {
 	}
 }
 
-func TestRegistryTotalBytes(t *testing.T) {
-	r := NewRegistry()
-	r.Register(100, 10)
-	r.Register(200, 30)
-	if r.TotalBytes() != 40 {
-		t.Fatalf("TotalBytes = %d, want 40", r.TotalBytes())
-	}
-}
+// rangesOf is the registered range set in address order.
+func rangesOf(r *Registry) []Range { return *r.ranges.Load() }
 
 // refIntervals is a brute-force model: a byte set.
 type refIntervals map[Addr]bool
@@ -196,7 +190,7 @@ func TestQuickRegistryMatchesReference(t *testing.T) {
 			}
 		}
 		// Ranges must be sorted, non-empty, non-touching.
-		rs := reg.Ranges()
+		rs := rangesOf(reg)
 		for i, rg := range rs {
 			if rg.Len() <= 0 {
 				return false
@@ -229,7 +223,7 @@ func TestRegistryConcurrentReaders(t *testing.T) {
 					return
 				default:
 					r.Contains(1500, 8)
-					r.ContainsAddr(1)
+					r.Contains(1, 1)
 				}
 			}
 		}()

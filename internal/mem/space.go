@@ -113,12 +113,6 @@ func (s *Space) StackRegion(rank int) (Range, error) {
 	return Range{base, base + Addr(s.stackSize)}, nil
 }
 
-// NumStacks returns the number of per-thread stacks carved out.
-func (s *Space) NumStacks() int { return s.numStacks }
-
-// StackBytes returns the per-thread stack size.
-func (s *Space) StackBytes() int { return s.stackSize }
-
 // InGlobal reports whether [p,p+n) is valid global space (static, live heap
 // or non-speculative stack).
 func (s *Space) InGlobal(p Addr, n int) bool { return s.Registry.Contains(p, n) }

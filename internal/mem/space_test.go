@@ -107,12 +107,9 @@ func TestSpaceStackRegionBounds(t *testing.T) {
 	if _, err := s.StackRegion(2); err == nil {
 		t.Error("out-of-range rank accepted")
 	}
-	if s.NumStacks() != 2 {
-		t.Errorf("NumStacks = %d", s.NumStacks())
-	}
-	r, _ := s.StackRegion(1)
-	if r.Len() != s.StackBytes() {
-		t.Errorf("stack region len %d != StackBytes %d", r.Len(), s.StackBytes())
+	r, err := s.StackRegion(1)
+	if err != nil || r.Len() != 1<<10 {
+		t.Errorf("stack region %v (%v), want the configured 1 KiB", r, err)
 	}
 }
 

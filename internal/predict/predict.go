@@ -6,13 +6,13 @@
 // (§IV-G4); values that are not known yet must be predicted, and the join
 // validates the prediction with MUTLS_validate_local. This package provides
 // the two classic predictors — last value and stride — keyed by (fork point,
-// slot), plus accuracy accounting so the ablation bench can report how
-// prediction quality translates into locals-validation rollbacks.
+// slot). A history is a sequence of observed words (Observe); a float64
+// history is observed as its bits.
 //
-// Integer histories use exact two's-complement arithmetic (Predict/Observe);
-// float64 histories use float arithmetic for the stride extrapolation
-// (PredictFloat64/ObserveFloat64). Either way a prediction is scored, and
-// validated at the join, by bit equality with the actual value.
+// Integer predictions use exact two's-complement arithmetic (Predict);
+// float64 predictions use float arithmetic for the stride extrapolation
+// (PredictFloat64). Either way the join validates a prediction by bit
+// equality with the actual value.
 package predict
 
 import (
@@ -60,19 +60,12 @@ type Predictor struct {
 
 	mu      sync.Mutex
 	entries map[key]*entry
-
-	hits   uint64
-	misses uint64
-	cold   uint64 // predictions issued with no history
 }
 
 // New creates a predictor of the given kind.
 func New(kind Kind) *Predictor {
 	return &Predictor{kind: kind, entries: make(map[key]*entry)}
 }
-
-// Kind returns the predictor's strategy.
-func (p *Predictor) Kind() Kind { return p.kind }
 
 // Predict returns the predicted value for the slot at the fork point and
 // whether any history backed it (cold predictions return the zero value and
@@ -82,7 +75,6 @@ func (p *Predictor) Predict(point, slot int) (uint64, bool) {
 	defer p.mu.Unlock()
 	e, ok := p.entries[key{point, slot}]
 	if !ok || e.samples == 0 {
-		p.cold++
 		return 0, false
 	}
 	switch p.kind {
@@ -124,7 +116,6 @@ func (p *Predictor) PredictFloat64(point, slot int) (float64, bool) {
 	defer p.mu.Unlock()
 	e, ok := p.entries[key{point, slot}]
 	if !ok || e.samples == 0 {
-		p.cold++
 		return 0, false
 	}
 	last := math.Float64frombits(e.last)
@@ -135,8 +126,8 @@ func (p *Predictor) PredictFloat64(point, slot int) (float64, bool) {
 	return last, true
 }
 
-// Observe records the actual value seen at the join point and scores the
-// prediction that was (or would have been) made.
+// Observe records the actual value seen at the join point; a float64
+// value is observed as its bits.
 func (p *Predictor) Observe(point, slot int, actual uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -146,77 +137,7 @@ func (p *Predictor) Observe(point, slot int, actual uint64) {
 		e = &entry{}
 		p.entries[k] = e
 	}
-	if e.samples > 0 {
-		var predicted uint64
-		switch {
-		case p.kind == Stride && e.samples >= 2:
-			predicted = e.last + (e.last - e.prev)
-		default:
-			predicted = e.last
-		}
-		if predicted == actual {
-			p.hits++
-		} else {
-			p.misses++
-		}
-	}
 	e.prev = e.last
 	e.last = actual
 	e.samples++
-}
-
-// ObserveFloat64 records the actual float64 value seen at the join point
-// and scores the float prediction that was (or would have been) made: a
-// hit is bit equality, as the join validates it.
-func (p *Predictor) ObserveFloat64(point, slot int, actual float64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	k := key{point, slot}
-	e, ok := p.entries[k]
-	if !ok {
-		e = &entry{}
-		p.entries[k] = e
-	}
-	if e.samples > 0 {
-		last := math.Float64frombits(e.last)
-		predicted := last
-		if p.kind == Stride && e.samples >= 2 {
-			predicted = last + (last - math.Float64frombits(e.prev))
-		}
-		if math.Float64bits(predicted) == math.Float64bits(actual) {
-			p.hits++
-		} else {
-			p.misses++
-		}
-	}
-	e.prev = e.last
-	e.last = math.Float64bits(actual)
-	e.samples++
-}
-
-// Accuracy returns hits/(hits+misses), or 0 with no scored predictions.
-func (p *Predictor) Accuracy() float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	total := p.hits + p.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(p.hits) / float64(total)
-}
-
-// Stats returns the raw counters: scored hits, scored misses and cold
-// (history-less) predictions.
-func (p *Predictor) Stats() (hits, misses, cold uint64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.hits, p.misses, p.cold
-}
-
-// Reset clears all history and counters.
-func (p *Predictor) Reset() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.entries = make(map[key]*entry)
-	p.hits, p.misses, p.cold = 0, 0, 0
 }

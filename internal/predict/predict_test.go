@@ -7,38 +7,53 @@ import (
 	"testing/quick"
 )
 
+// observeScored asks for each value's prediction before observing it and
+// counts the warm predictions that matched it (hits) and that did not
+// (misses); a cold prediction is not scored.
+func observeScored(p *Predictor, point, slot int, values ...uint64) (hits, misses int) {
+	for _, v := range values {
+		if pred, ok := p.Predict(point, slot); ok {
+			if pred == v {
+				hits++
+			} else {
+				misses++
+			}
+		}
+		p.Observe(point, slot, v)
+	}
+	return hits, misses
+}
+
 func TestColdPrediction(t *testing.T) {
 	p := New(LastValue)
 	v, ok := p.Predict(0, 0)
 	if ok || v != 0 {
 		t.Fatalf("cold prediction = %d, %v", v, ok)
 	}
-	_, _, cold := p.Stats()
-	if cold != 1 {
-		t.Fatalf("cold count %d", cold)
+	p.Observe(0, 1, 5)
+	if v, ok := p.Predict(0, 0); ok || v != 0 {
+		t.Fatalf("prediction %d, %v from another slot's history", v, ok)
 	}
 }
 
 func TestLastValuePredictsConstant(t *testing.T) {
 	p := New(LastValue)
-	for i := 0; i < 10; i++ {
-		p.Observe(1, 2, 42)
+	values := make([]uint64, 10)
+	for i := range values {
+		values[i] = 42
+	}
+	if hits, misses := observeScored(p, 1, 2, values...); hits != 9 || misses != 0 {
+		t.Fatalf("constant: hits=%d misses=%d, want 9 and 0", hits, misses)
 	}
 	if v, ok := p.Predict(1, 2); !ok || v != 42 {
 		t.Fatalf("prediction %d, %v", v, ok)
-	}
-	if acc := p.Accuracy(); acc != 1.0 {
-		t.Fatalf("constant accuracy %v", acc)
 	}
 }
 
 func TestLastValueMissesOnChange(t *testing.T) {
 	p := New(LastValue)
-	p.Observe(0, 0, 1)
-	p.Observe(0, 0, 2) // predicted 1, saw 2: miss
-	p.Observe(0, 0, 2) // predicted 2, saw 2: hit
-	hits, misses, _ := p.Stats()
-	if hits != 1 || misses != 1 {
+	// 1 is cold; 2 was predicted as 1: miss; 2 again predicted as 2: hit.
+	if hits, misses := observeScored(p, 0, 0, 1, 2, 2); hits != 1 || misses != 1 {
 		t.Fatalf("hits=%d misses=%d", hits, misses)
 	}
 }
@@ -47,33 +62,34 @@ func TestStridePredictsArithmeticSequence(t *testing.T) {
 	p := New(Stride)
 	// Loop induction variable: 10, 14, 18, ... The stride predictor locks
 	// on after two samples; last-value would miss every time.
-	for i := 0; i < 12; i++ {
-		p.Observe(3, 1, uint64(10+4*i))
+	values := make([]uint64, 12)
+	for i := range values {
+		values[i] = uint64(10 + 4*i)
 	}
+	hits, misses := observeScored(p, 3, 1, values...)
 	v, ok := p.Predict(3, 1)
 	if !ok || v != uint64(10+4*12) {
 		t.Fatalf("stride prediction %d, %v", v, ok)
 	}
-	hits, misses, _ := p.Stats()
-	// First observation unscored, second scored with last-value fallback
-	// (miss), from the third on the stride hits.
+	// First observation cold, second predicted with the last-value
+	// fallback (miss), from the third on the stride hits.
 	if misses != 1 || hits != 10 {
 		t.Fatalf("hits=%d misses=%d", hits, misses)
 	}
 }
 
 func TestLastValueVsStrideOnInduction(t *testing.T) {
-	lv, st := New(LastValue), New(Stride)
-	for i := 0; i < 50; i++ {
-		lv.Observe(0, 0, uint64(i))
-		st.Observe(0, 0, uint64(i))
+	values := make([]uint64, 50)
+	for i := range values {
+		values[i] = uint64(i)
 	}
-	if lv.Accuracy() >= st.Accuracy() {
-		t.Fatalf("stride (%v) must beat last-value (%v) on induction variables",
-			st.Accuracy(), lv.Accuracy())
+	lvHits, _ := observeScored(New(LastValue), 0, 0, values...)
+	stHits, stMisses := observeScored(New(Stride), 0, 0, values...)
+	if lvHits >= stHits {
+		t.Fatalf("stride (%d hits) must beat last-value (%d) on induction variables", stHits, lvHits)
 	}
-	if st.Accuracy() < 0.9 {
-		t.Fatalf("stride accuracy %v too low on a perfect sequence", st.Accuracy())
+	if stMisses > 1 {
+		t.Fatalf("stride missed %d times on a perfect sequence", stMisses)
 	}
 }
 
@@ -90,19 +106,6 @@ func TestSlotsAndPointsIndependent(t *testing.T) {
 		if v, ok := p.Predict(c.point, c.slot); !ok || v != c.want {
 			t.Fatalf("Predict(%d,%d) = %d, %v", c.point, c.slot, v, ok)
 		}
-	}
-}
-
-func TestReset(t *testing.T) {
-	p := New(Stride)
-	p.Observe(0, 0, 1)
-	p.Observe(0, 0, 2)
-	p.Reset()
-	if _, ok := p.Predict(0, 0); ok {
-		t.Fatal("history survived reset")
-	}
-	if h, m, c := p.Stats(); h != 0 || m != 0 || c != 1 {
-		t.Fatalf("counters after reset: %d/%d/%d", h, m, c)
 	}
 }
 
@@ -126,25 +129,39 @@ func TestConcurrentUse(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if acc := p.Accuracy(); acc < 0 || acc > 1 {
-		t.Fatalf("accuracy out of range: %v", acc)
+	// Each goroutine owns its point, so every slot saw 192+s then 196+s.
+	for w := 0; w < 8; w++ {
+		for s := 0; s < 4; s++ {
+			if v, ok := p.Predict(w, s); !ok || v != uint64(200+s) {
+				t.Fatalf("Predict(%d,%d) = %d, %v; want %d", w, s, v, ok, 200+s)
+			}
+		}
 	}
 }
 
-// Property: accuracy is always within [0,1] and hits+misses grows by at
-// most one per Observe.
+// Property: on any history the stride predictor predicts last + (last -
+// prev) in two's-complement arithmetic (the last value after one sample),
+// so every observation but the first is scored and a sequence of constant
+// stride misses at most once.
 func TestQuickAccuracyBounds(t *testing.T) {
-	f := func(values []uint64) bool {
+	f := func(values []uint64, start, stride uint64) bool {
 		p := New(Stride)
 		for i, v := range values {
-			p.Observe(0, 0, v)
-			h, m, _ := p.Stats()
-			if h+m > uint64(i) { // first observation is never scored
+			pred, ok := p.Predict(0, 0)
+			switch {
+			case i == 0 && ok,
+				i == 1 && (!ok || pred != values[0]),
+				i >= 2 && (!ok || pred != 2*values[i-1]-values[i-2]):
 				return false
 			}
+			p.Observe(0, 0, v)
 		}
-		acc := p.Accuracy()
-		return acc >= 0 && acc <= 1
+		seq := make([]uint64, 1+len(values))
+		for i := range seq {
+			seq[i] = start + uint64(i)*stride
+		}
+		hits, misses := observeScored(New(Stride), 0, 0, seq...)
+		return hits+misses == len(seq)-1 && misses <= 1
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -182,18 +199,16 @@ func TestPredictFloat64Stride(t *testing.T) {
 	if _, ok := p.PredictFloat64(0, 0); ok {
 		t.Fatal("cold float prediction claimed history")
 	}
-	p.ObserveFloat64(0, 0, 1.5)
-	p.ObserveFloat64(0, 0, 2.75)
+	p.Observe(0, 0, math.Float64bits(1.5))
+	p.Observe(0, 0, math.Float64bits(2.75))
 	got, ok := p.PredictFloat64(0, 0)
 	if !ok || got != 4.0 {
 		t.Fatalf("float stride = %v, %v; want 4.0 (1.5, 2.75, +1.25)", got, ok)
 	}
-	// A hit is bit equality: the exact 4.0 scores, 5.25 off by one ulp
-	// does not (nor did 2.75 against the cold last-value 1.5).
-	p.ObserveFloat64(0, 0, 4.0)
-	p.ObserveFloat64(0, 0, math.Nextafter(5.25, 6))
-	if h, m, _ := p.Stats(); h != 1 || m != 2 {
-		t.Fatalf("float scoring: %d hits, %d misses; want 1 and 2", h, m)
+	// The join validates by bit equality, so the stride must stay exact.
+	p.Observe(0, 0, math.Float64bits(4.0))
+	if got, _ := p.PredictFloat64(0, 0); got != 5.25 {
+		t.Fatalf("float stride after 4.0 = %v, want exactly 5.25", got)
 	}
 	// The float stride is float arithmetic, not bit arithmetic: a bitwise
 	// stride over these patterns would not land on 4.0.

@@ -59,10 +59,6 @@ type FaultStats struct {
 // MaxFaultRecords caps the retained fault captures per collector.
 const MaxFaultRecords = 32
 
-// Total returns the number of contained faults (panics, not deadline
-// kills: a deadline kill is a schedule decision, not a fault capture).
-func (f *FaultStats) Total() int64 { return f.SpecPanics + f.KernelPanics }
-
 // Collector accumulates executions. Each virtual CPU's worker folds only
 // into its own accumulator (no locking, no atomics: Summarize reads them
 // once the run has drained); the non-speculative thread's ledger is set once
@@ -359,14 +355,6 @@ func Breakdown(ledger vclock.Ledger, runtime vclock.Cost, phases []vclock.Phase)
 		out[p] = float64(ledger[p]) / float64(runtime)
 	}
 	return out
-}
-
-// RollbackRate returns rollbacks / executions, or 0 with no executions.
-func (s *Summary) RollbackRate() float64 {
-	if s.Executions == 0 {
-		return 0
-	}
-	return float64(s.Rollbacks) / float64(s.Executions)
 }
 
 // String renders a compact one-line summary.

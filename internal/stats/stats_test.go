@@ -90,7 +90,7 @@ func TestEfficienciesMatchPaperDefinitions(t *testing.T) {
 func TestZeroGuards(t *testing.T) {
 	s := &Summary{}
 	if s.CritEfficiency() != 0 || s.SpecEfficiency() != 0 || s.Coverage() != 0 ||
-		s.PowerEfficiency(10) != 0 || s.Speedup(10) != 0 || s.RollbackRate() != 0 {
+		s.PowerEfficiency(10) != 0 || s.Speedup(10) != 0 {
 		t.Fatal("zero-state metrics not guarded")
 	}
 	if len(Breakdown(vclock.Ledger{}, 0, CritBreakdownPhases)) != 0 {
@@ -144,8 +144,8 @@ func TestPerPointStats(t *testing.T) {
 	if got := s.PointsSorted(); len(got) != 2 || got[0] != 0 || got[1] != 1 {
 		t.Fatalf("PointsSorted = %v", got)
 	}
-	if got := s.RollbackRate(); math.Abs(got-1.0/3) > 1e-12 {
-		t.Fatalf("rollback rate %v", got)
+	if s.Rollbacks != 1 || s.Executions != 3 {
+		t.Fatalf("%d rollbacks of %d executions, want 1 of 3", s.Rollbacks, s.Executions)
 	}
 }
 

@@ -264,6 +264,3 @@ func (c *Clock) Span(p Phase) func() {
 
 // Ledger returns the accumulated phase ledger.
 func (c *Clock) Ledger() Ledger { return c.ledger }
-
-// ResetLedger clears the ledger for a new execution without touching time.
-func (c *Clock) ResetLedger() { c.ledger = Ledger{} }

@@ -106,20 +106,6 @@ func TestRealSpanMeasures(t *testing.T) {
 	}
 }
 
-func TestResetLedgerKeepsTime(t *testing.T) {
-	m := DefaultCostModel()
-	c := NewClock(Virtual, &m, time.Now())
-	c.Charge(Work, 123)
-	c.ResetLedger()
-	if c.Now() != 123 {
-		t.Fatal("reset moved time")
-	}
-	l := c.Ledger()
-	if l.Total() != 0 {
-		t.Fatal("reset kept ledger")
-	}
-}
-
 func TestCostModelsOrdering(t *testing.T) {
 	c := DefaultCostModel()
 	f := FortranCostModel()

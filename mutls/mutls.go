@@ -137,7 +137,8 @@ type Summary = stats.Summary
 type Buffering = gbuf.Config
 
 // BufferCounters is the aggregated GlobalBuffer activity of a run
-// (Summary.GBuf): loads, stores, conflict parks, committed words/bytes.
+// (Summary.GBuf): conflict parks, validations and their failures, and the
+// words validated and committed.
 type BufferCounters = gbuf.Counters
 
 // Backends returns the registered GlobalBuffer backend names, sorted —

@@ -529,15 +529,15 @@ func TestForAcrossBufferBackends(t *testing.T) {
 			if s.Commits == 0 {
 				t.Fatal("no commits recorded")
 			}
-			if s.GBuf.Stores == 0 {
-				t.Fatal("no buffered stores counted")
+			if s.GBuf.WordsCommitted == 0 {
+				t.Fatal("no committed words counted")
 			}
 			if s.WriteSetPeak == 0 {
 				t.Fatal("no write-set high-water mark recorded")
 			}
 			rt.ResetStats()
-			if s = rt.Stats(); s.GBuf.Stores != 0 || s.Commits != 0 {
-				t.Fatalf("ResetStats left stores=%d commits=%d", s.GBuf.Stores, s.Commits)
+			if s = rt.Stats(); s.GBuf.WordsCommitted != 0 || s.Commits != 0 {
+				t.Fatalf("ResetStats left words_committed=%d commits=%d", s.GBuf.WordsCommitted, s.Commits)
 			}
 		})
 	}

@@ -107,7 +107,7 @@ func ReduceFloat64(t *Thread, nChunks int, init float64, opts ReduceOptions, bod
 			v, ok := pred.PredictFloat64(0, 0)
 			return math.Float64bits(v), ok
 		},
-		observe: func(actual uint64) { pred.ObserveFloat64(0, 0, math.Float64frombits(actual)) },
+		observe: func(actual uint64) { pred.Observe(0, 0, actual) },
 	}
 	out := reduceWord(t, nChunks, math.Float64bits(init), opts.Model, hooks, bodyKey(body),
 		func(c *Thread, idx int, acc uint64) uint64 {
