@@ -37,17 +37,19 @@ race:
 # TestStackvarRollbackLeavesHome, and the polls' TestCtxCancelUnwindsAtTheNextPoll,
 # TestRunCtxCancelMidRun, TestNoGoroutineBesidesTheWorkers and
 # TestWatchdogKillsRunaway among them — the guard's, the stage groups', the
-# fork points' and Tree's cancellation driver tests in mutls, the pool's
+# fork points' and Tree's cancellation driver tests in mutls and the
+# pipeline's re-entry detector, the pool's
 # two-lease test, Do's release on return, error and panic and its refusals,
 # and Acquire's refusal of a done context), then the pool and the serving
 # layer once more at the host's own width. The hand-off tests skip under
-# -race: TestWorkerStaysThroughForkGaps, TestSpinPipelineRarelyParks and
-# TestPipelineTokenDoesNotAllocate run plain in CI's hand-off step instead.
+# -race: TestWorkerStaysThroughForkGaps, TestSpinPipelineRarelyParks,
+# TestPipelineTokenDoesNotAllocate and TestStencilAllocationsDoNotGrowWithTokens
+# run plain in CI's hand-off step instead.
 # TestStencilPipelineForksOneBalancedGroup runs in neither: it fails 2-5
 # times in 20 on a shared host (ROADMAP item 13), so only `make test` has it.
 race-repeat:
 	$(GO) test -race -count=2 -cpu 1,2,4 ./internal/core
-	$(GO) test -race -count=2 -cpu 1,2,4 -run 'TinyBodies|GuardInactive|GroupsKeepTheirOwn|CutStages|DriversStartedOnSpeculative|DriverRunsUseDistinct|TreeCancelUnwinds' ./mutls
+	$(GO) test -race -count=2 -cpu 1,2,4 -run 'TinyBodies|GuardInactive|GroupsKeepTheirOwn|CutStages|StageNeverRunsBesideItself|DriversStartedOnSpeculative|DriverRunsUseDistinct|TreeCancelUnwinds' ./mutls
 	$(GO) test -race -count=2 -cpu 1,2,4 -run 'ConcurrentLeasesDoNotForkPastTheProcs|PoolDoReleasesOnEveryPath|PoolDoRefusesWithoutCallingFn|PoolAcquireContext' ./mutls/pool
 	$(GO) test -race -count=2 ./mutls/pool ./internal/serve
 
@@ -112,7 +114,7 @@ chaos:
 # PR that grows the tree has to raise the number here, in its own diff.
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l); \
-	echo "non-test Go outside benchmark/ and testdata/: $$n lines (ceiling 15394, target 16500)"; \
+	echo "non-test Go outside benchmark/ and testdata/: $$n lines (ceiling 15422, target 16500)"; \
 	v=$$(find internal/analysis cmd/mutls-vet -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l); \
 	echo "  of which internal/analysis + cmd/mutls-vet: $$v lines"; \
-	if [ $$n -gt 15394 ]; then echo "code size is over the ceiling: shrink, or raise it in the Makefile" >&2; exit 1; fi
+	if [ $$n -gt 15422 ]; then echo "code size is over the ceiling: shrink, or raise it in the Makefile" >&2; exit 1; fi

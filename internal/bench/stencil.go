@@ -88,25 +88,34 @@ func stencilBounds(n, blk int) (lo, hi int) {
 	return mutls.ChunkPolicy{}.Bounds(n, stencilBlocks, blk)
 }
 
+// stencilScratch is a sweep's working storage, two buffers by rank: a rank
+// runs its stages one after another, where under MixedLinear a squashed
+// stage can still be running beside its re-execution (mutls.Stage).
+type stencilScratch [][2][]float32
+
+// of returns c's rank's buffers, made at its first use for the largest
+// block (the first) plus its halo.
+func (s stencilScratch) of(c *mutls.Thread, n int) (a, b []float32) {
+	bufs := &s[c.Rank()]
+	if bufs[0] == nil {
+		lo, hi := stencilBounds(n, 0)
+		bufs[0], bufs[1] = make([]float32, hi-lo+2), make([]float32, hi-lo+2)
+	}
+	return bufs[0], bufs[1]
+}
+
 // stencilPass applies the 3-point smoothing kernel src→out over [lo, hi),
 // clamping the halo at the field edges. The block plus halo is loaded with
 // one float32 bulk range access and the block stored with another — the
 // sub-word slice views on the single-charge range contract.
-func stencilPass(c *mutls.Thread, src, out mem.Addr, n, lo, hi int) {
+func stencilPass(c *mutls.Thread, scr stencilScratch, src, out mem.Addr, n, lo, hi int) {
 	if lo >= hi {
 		return
 	}
-	haloLo := lo - 1
-	if haloLo < 0 {
-		haloLo = 0
-	}
-	haloHi := hi + 1
-	if haloHi > n {
-		haloHi = n
-	}
-	in := make([]float32, haloHi-haloLo)
+	haloLo, haloHi := max(lo-1, 0), min(hi+1, n)
+	in, res := scr.of(c, n)
+	in, res = in[:haloHi-haloLo], res[:hi-lo]
 	c.LoadFloat32s(src+mem.Addr(4*haloLo), in)
-	res := make([]float32, hi-lo)
 	at := func(i int) float32 {
 		if i < 0 {
 			i = 0
@@ -126,12 +135,12 @@ func stencilPass(c *mutls.Thread, src, out mem.Addr, n, lo, hi int) {
 
 // stencilResidual folds Σ|dst-src| over [lo, hi) into the accumulator
 // cell.
-func stencilResidual(c *mutls.Thread, src, dst, acc mem.Addr, lo, hi int) {
+func stencilResidual(c *mutls.Thread, scr stencilScratch, src, dst, acc mem.Addr, n, lo, hi int) {
 	if lo >= hi {
 		return
 	}
-	a := make([]float32, hi-lo)
-	b := make([]float32, hi-lo)
+	a, b := scr.of(c, n)
+	a, b = a[:hi-lo], b[:hi-lo]
 	c.LoadFloat32s(src+mem.Addr(4*lo), a)
 	c.LoadFloat32s(dst+mem.Addr(4*lo), b)
 	sum := c.LoadFloat64(acc)
@@ -145,20 +154,21 @@ func stencilResidual(c *mutls.Thread, src, dst, acc mem.Addr, lo, hi int) {
 // stencilStages builds one sweep's stage list over the (src, dst) buffer
 // roles. Seq and Spec drive the same closures in the same token order, so
 // the floating-point order is identical.
-func stencilStages(st stencilState, src, dst mem.Addr) []mutls.Stage {
+func stencilStages(t *mutls.Thread, st stencilState, src, dst mem.Addr) []mutls.Stage {
+	scr := make(stencilScratch, t.Runtime().NumCPUs()+1)
 	stage0 := func(c *mutls.Thread, token int, in uint64) uint64 {
 		lo, hi := stencilBounds(st.n, token)
-		stencilPass(c, src, st.tmp, st.n, lo, hi)
+		stencilPass(c, scr, src, st.tmp, st.n, lo, hi)
 		return in + 1
 	}
 	stage1 := func(c *mutls.Thread, token int, in uint64) uint64 {
 		lo, hi := stencilBounds(st.n, token-stencilSkew1)
-		stencilPass(c, st.tmp, dst, st.n, lo, hi)
+		stencilPass(c, scr, st.tmp, dst, st.n, lo, hi)
 		return in + 1
 	}
 	stage2 := func(c *mutls.Thread, token int, in uint64) uint64 {
 		lo, hi := stencilBounds(st.n, token-stencilSkew2)
-		stencilResidual(c, src, dst, st.acc, lo, hi)
+		stencilResidual(c, scr, src, dst, st.acc, st.n, lo, hi)
 		return in + 1
 	}
 	return []mutls.Stage{stage0, stage1, stage2}
@@ -183,7 +193,7 @@ func stencilSeq(t *mutls.Thread, s Size) uint64 {
 	defer st.free(t)
 	src, dst := st.bufA, st.bufB
 	for step := 0; step < s.Steps; step++ {
-		stages := stencilStages(st, src, dst)
+		stages := stencilStages(t, st, src, dst)
 		in := uint64(0)
 		for token := 0; token < stencilTokens; token++ {
 			for _, stage := range stages {
@@ -201,7 +211,7 @@ func stencilSpec(t *mutls.Thread, s Size, o SpecOptions) uint64 {
 	opts := mutls.PipelineOptions{Model: o.Model, Predictor: mutls.Stride}
 	src, dst := st.bufA, st.bufB
 	for step := 0; step < s.Steps; step++ {
-		mutls.Pipeline(t, stencilTokens, 0, opts, stencilStages(st, src, dst)...)
+		mutls.Pipeline(t, stencilTokens, 0, opts, stencilStages(t, st, src, dst)...)
 		src, dst = dst, src
 	}
 	return stencilChecksum(t, st, src)

@@ -233,9 +233,9 @@ func (t *Thread) Join(ranks []Rank, p int) JoinResult {
 	if td.model == MixedLinear {
 		t.rt.linearRemove(want)
 	}
-	guarded := td.guarded // the CPU is someone else's once released
+	guarded, wakeNS := td.guarded, td.wakeNS // the CPU is someone else's once released
 	t.rt.releaseCPU(child, td.finalTime)
-	if ps := &t.rt.points[p]; guarded && ps.estimate().observeJoin(t.clock.Now()-waitStart, committed) {
+	if ps := &t.rt.points[p]; guarded && ps.estimate().observeJoin(t.clock.Now()-waitStart, wakeNS, committed) {
 		ps.coldJoins.Add(1)
 	}
 	return res

@@ -18,8 +18,8 @@ import (
 //
 // One rule decides. Two windows hold a body's last inline times and its last
 // fork/join costs, with which of those joins committed; each reads as its
-// mean without its largest sample — the join that waited a whole chunk, the
-// probe's first fork that woke a parked worker. Once payoffWindow joins are
+// mean without its largest sample — the join that waited a whole chunk, a
+// run's first fork that woke a parked worker. Once payoffWindow joins are
 // in, a fork is refused while cost > inline × paid. A refusing body probes
 // with a run of forks whose joins land in the same window. The numbers
 // below were read on two vCPUs (go1.24, GOMAXPROCS 2).
@@ -38,9 +38,10 @@ const (
 	// payoffMaxProbe is the longest probe gap, in refusals: a losing body
 	// spends under 0.2 % of its attempts on probes after the first 2 000.
 	payoffMaxProbe = 1024
-	// payoffProbeLoss is the loss, in gains, that stops a probe: a cold first
-	// join (8-43 us on loop-memory's group, warm ones 3 at the median) fits
-	// in it, and a body that loses on every fork spends it in two.
+	// payoffProbeLoss is the loss, in gains, that stops a probe: a body whose
+	// forks each lose more than a gain spends it in two. A probe's cold first
+	// join is charged without the wake-up (observeJoin); with it (up to
+	// 150 us on loop-memory's group, warm joins 3-20 us) it spent the budget.
 	payoffProbeLoss = 2
 )
 
@@ -166,11 +167,16 @@ func (pe *payoff) observeFork(ns int64, cold bool) {
 }
 
 // observeJoin takes in one join: what it and the forks since the last one
-// cost, and whether it committed. A probe stops once its joins have lost
-// more than payoffProbeLoss gains. It reports whether the join was cold.
-func (pe *payoff) observeJoin(ns int64, committed bool) (cold bool) {
+// cost, the child's wake-up, and whether it committed. A refusing body's
+// cold join is charged without the wake-up: the refusals parked the worker.
+// A probe stops once its joins have lost more than payoffProbeLoss gains. It
+// reports whether the join was cold.
+func (pe *payoff) observeJoin(ns, wakeNS int64, committed bool) (cold bool) {
 	ns, cold = ns+pe.forkNS, pe.forkCold
 	pe.forkNS, pe.forkCold = 0, false
+	if cold && pe.noPay.Load() {
+		ns = max(ns-wakeNS, 0)
+	}
 	pe.cost.add(ns)
 	pe.paid <<= 1
 	if committed {

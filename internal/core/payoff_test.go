@@ -13,11 +13,11 @@ import (
 // simToken is one token of a synthetic driver: what the region costs inline,
 // what a fork/join on it costs the joining thread, and whether the fork
 // commits. coldCost, when set, is what the fork costs instead when it wakes a
-// parked worker — when the token before it did not fork. Nanoseconds, no
-// clock.
+// parked worker — when the token before it did not fork — and wake the part
+// of it the worker's wake-up took. Nanoseconds, no clock.
 type simToken struct {
-	inline, cost, coldCost int64
-	committed              bool
+	inline, cost, coldCost, wake int64
+	committed                    bool
 }
 
 // simulate drives pe the way Pipeline drives one stage, through the same
@@ -36,12 +36,13 @@ func simulate(pe *payoff, from, to int, token func(i int) simToken) (forked []in
 		}
 		if fork {
 			cold := tk.coldCost > 0 && (len(forked) == 0 || forked[len(forked)-1] != i-1)
+			wake := int64(0)
 			if cold {
-				tk.cost = tk.coldCost
+				tk.cost, wake = tk.coldCost, tk.wake
 			}
 			pe.forked()
 			pe.observeFork(tk.cost/2, cold)
-			pe.observeJoin(tk.cost-tk.cost/2, tk.committed)
+			pe.observeJoin(tk.cost-tk.cost/2, wake, tk.committed)
 			forked = append(forked, i)
 		}
 		if (!fork || !tk.committed) && pe.timeInline() {
@@ -304,24 +305,83 @@ func TestPayoffBurstsRejudgeOnWarmJoins(t *testing.T) {
 	}
 }
 
+// TestPayoffProbesPriceTheirJoinsWithoutTheWakeUp: a probe's first fork
+// wakes the worker that the refusals parked, so its join costs what the
+// wake-up took on top of a warm one — 150 us where a warm join costs
+// 12 us, five gains of a 27 us group. Charged in full, that one join spent
+// every probe's loss budget and a group refused for ever once a bad spell
+// had taught it to. Charged without the wake-up, a group whose warm joins
+// pay forks again from its second probe at the latest, while a body whose
+// warm forks lose — 40 us against a 10 us region — still stops each probe
+// after two forks.
+func TestPayoffProbesPriceTheirJoinsWithoutTheWakeUp(t *testing.T) {
+	// bursts are the runs of consecutive tokens in forked.
+	bursts := func(forked []int) (lens []int) {
+		for i, tok := range forked {
+			if i == 0 || forked[i-1] != tok-1 {
+				lens = append(lens, 0)
+			}
+			lens[len(lens)-1]++
+		}
+		return lens
+	}
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var pe payoff
+		simulate(&pe, 0, 200, func(int) simToken { return simToken{inline: 27_000, cost: 60_000, committed: true} })
+		if !pe.noPay.Load() {
+			t.Fatalf("seed %d: still forking after a spell in which every join lost", seed)
+		}
+		group := func(int) simToken {
+			wake := 130_000 + rng.Int63n(20_000)
+			return simToken{inline: 27_000, cost: 9_000 + rng.Int63n(6_000), coldCost: 12_000 + wake, wake: wake, committed: true}
+		}
+		const resumed = 200 + 3*payoffMaxProbe
+		forked, _ := simulate(&pe, 200, resumed, group)
+		// A probe is at most payoffWindow forks: the first longer run is the
+		// group forking again.
+		lens := bursts(forked)
+		first := slices.IndexFunc(lens, func(n int) bool { return n > payoffWindow })
+		if first < 0 || first > 1 {
+			t.Fatalf("seed %d: after the spell the group forked in runs of %v (gain %d cost %d): want forking again from its second probe at the latest",
+				seed, lens, pe.gain(), pe.cost.mean())
+		}
+		if forked, refused := simulate(&pe, resumed, resumed+3000, group); refused != 0 || len(forked) < 3000-3000/(2*payoffWindow)-1 {
+			t.Fatalf("seed %d: %d of 3 000 tokens forked, %d refused", seed, len(forked), refused)
+		}
+
+		pe = payoff{}
+		forked, _ = simulate(&pe, 0, 6000, func(int) simToken {
+			wake := 130_000 + rng.Int63n(20_000)
+			return simToken{inline: 10_000, cost: 40_000, coldCost: 40_000 + wake, wake: wake, committed: true}
+		})
+		lens = bursts(forked)
+		if !pe.noPay.Load() || len(lens) < 2 || lens[0] != payoffWindow || slices.Max(lens[1:]) > 2 {
+			t.Fatalf("seed %d: a losing body forked in runs of %v, noPay %v: want %d forks to learn, then probes of at most two",
+				seed, lens, pe.noPay.Load(), payoffWindow)
+		}
+	}
+}
+
 // TestPayoffBurstsDoNoHarm: probes must not talk a point whose warm forks
 // lose into forking. Whether a fork loses steadily, with a cold first join
 // that loses little, or only on average (half the joins cost a third of the
 // gain, half two and a half times it), the probes cost under 5 % of the
-// attempts.
+// attempts — with their cold first joins charged without the wake-up, as
+// the first and last cases' are.
 func TestPayoffBurstsDoNoHarm(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		tk   func(rng *rand.Rand) simToken
 	}{
 		{"steady", func(*rand.Rand) simToken {
-			return simToken{inline: 10_000, cost: 15_000, coldCost: 40_000, committed: true}
+			return simToken{inline: 10_000, cost: 15_000, coldCost: 40_000, wake: 25_000, committed: true}
 		}},
 		{"cheap cold", func(*rand.Rand) simToken {
 			return simToken{inline: 10_000, cost: 15_000, coldCost: 12_000, committed: true}
 		}},
 		{"tail", func(rng *rand.Rand) simToken {
-			return simToken{inline: 27_000, cost: []int64{9_000, 70_000}[rng.Intn(2)], coldCost: 40_000, committed: true}
+			return simToken{inline: 27_000, cost: []int64{9_000, 70_000}[rng.Intn(2)], coldCost: 40_000, wake: 31_000, committed: true}
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

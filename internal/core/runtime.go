@@ -132,7 +132,9 @@ type threadData struct {
 	// still working) and join (the verdict was out, the joiner not yet
 	// running).
 	validStamp vclock.Cost
-	reason     RollbackReason
+	// wakeNS is the hand-off latency, Start stamp to region entry.
+	wakeNS int64
+	reason RollbackReason
 	// readPeak/writePeak are the GlobalBuffer set sizes captured just
 	// before finalization: the execution's buffer-pressure high-water
 	// marks.
@@ -783,8 +785,9 @@ func (rt *Runtime) runSpec(c *cpu, task specTask) {
 	// waking up or noticing the task — and is booked as fork time; under
 	// virtual timing the clock was just set to startAt and there is no gap.
 	execStart := task.startAt
-	t.clock.Book(vclock.Fork, t.clock.Now()-execStart)
 	td := &c.td
+	td.wakeNS = t.clock.Now() - execStart
+	t.clock.Book(vclock.Fork, td.wakeNS)
 	epoch := td.epoch()
 	var wallStart int64
 	if d := int64(rt.opts.SpecDeadline); d > 0 {

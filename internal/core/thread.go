@@ -340,7 +340,9 @@ func elemBytes[E elem](t *Thread, p mem.Addr, s []E) []byte {
 // LoadWords reads len(dst) consecutive words starting at the word-aligned
 // address p — one buffered range access with a single batched clock
 // charge. Misalignment is an unsafe operation: speculative threads roll
-// back, the non-speculative thread panics.
+// back, the non-speculative thread panics. A typed view's slice escapes to
+// the heap through the Backend interface call, so a buffer made for one
+// access is one allocation: kernels make theirs outside per-iteration code.
 func (t *Thread) LoadWords(p mem.Addr, dst []uint64) { t.LoadBytes(p, elemBytes(t, p, dst)) }
 
 // StoreWords writes len(src) consecutive words at the word-aligned
@@ -365,7 +367,7 @@ func (t *Thread) StoreFloat64s(p mem.Addr, src []float64) { t.StoreBytes(p, elem
 // 4-aligned address p: at most one 4-byte head access, one bulk word-run
 // (a single batched clock charge, one Backend range crossing) for the
 // aligned middle, and at most one 4-byte tail access — the sub-word slice
-// view on the single-charge range contract.
+// view on the single-charge range contract. dst escapes (see LoadWords).
 func (t *Thread) LoadFloat32s(p mem.Addr, dst []float32) { t.LoadBytes(p, elemBytes(t, p, dst)) }
 
 // StoreFloat32s writes len(src) consecutive float32s at the 4-aligned

@@ -36,6 +36,13 @@ import (
 // own live-out. It must contain only TLS-instrumented work and be
 // deterministic in (token, in, simulated memory), since rolled-back stages
 // re-execute.
+//
+// Under InOrder, OutOfOrder and Mixed a stage never runs beside itself: a
+// token's groups are all joined before the next token forks, and a rolled
+// back group re-runs only after its child stopped. Under MixedLinear a
+// rollback squashes the later groups, whose children may still be running
+// when they re-run inline: Go storage a stage keeps across tokens is safe
+// there only per c.Rank() — a rank runs one thread, its stages in turn.
 type Stage func(c *Thread, token int, in uint64) uint64
 
 // PipelineOptions configures Pipeline.

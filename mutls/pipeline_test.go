@@ -2,7 +2,9 @@ package mutls_test
 
 import (
 	"math"
+	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"repro/mutls"
@@ -141,6 +143,59 @@ func TestPipelineUnderForcedRollbacks(t *testing.T) {
 		if prob == 1.0 {
 			if s := rt.Stats(); s.Rollbacks == 0 {
 				t.Fatal("RollbackProb=1 produced no rollbacks")
+			}
+		}
+	}
+}
+
+// TestPipelineStageNeverRunsBesideItself checks the guarantee Stage states,
+// with a re-entry detector on every stage and on every rank. Forced
+// rollbacks put inline re-executions next to the forks they replace, and the
+// last stage is the slow one, so its fork is still running when an earlier
+// group's join comes back. On 1-3 CPUs under InOrder, OutOfOrder and Mixed
+// no stage runs while it already runs; under every model, MixedLinear
+// included, no rank runs two stages at once.
+func TestPipelineStageNeverRunsBesideItself(t *testing.T) {
+	const tokens = 120
+	for _, model := range models4 {
+		for cpus := 1; cpus <= 3; cpus++ {
+			rt := newRuntime(t, cpus, func(o *mutls.Options) {
+				o.RollbackProb = 0.5
+				o.Seed = 3
+			})
+			var inStage [3]atomic.Int32
+			inRank := make([]atomic.Int32, cpus+1)
+			var stageHits, rankHits atomic.Int32
+			stages := make([]mutls.Stage, len(inStage))
+			for s := range stages {
+				stages[s] = func(c *mutls.Thread, token int, in uint64) uint64 {
+					if inStage[s].Add(1) != 1 {
+						stageHits.Add(1)
+					}
+					if inRank[c.Rank()].Add(1) != 1 {
+						rankHits.Add(1)
+					}
+					for i := 0; i < 1+50*(s/2); i++ {
+						c.Tick(10)
+						runtime.Gosched()
+					}
+					inRank[c.Rank()].Add(-1)
+					inStage[s].Add(-1)
+					return in + 1
+				}
+			}
+			var got uint64
+			rt.Run(func(t0 *mutls.Thread) {
+				got = mutls.Pipeline(t0, tokens, 0, mutls.PipelineOptions{Model: model, Predictor: mutls.Stride}, stages...)
+			})
+			s := rt.Stats()
+			if got != 3*tokens || s.Rollbacks == 0 || s.Commits == 0 {
+				t.Fatalf("%v on %d CPUs: live-out %d (want %d), %d commits, %d rollbacks: want both",
+					model, cpus, got, 3*tokens, s.Commits, s.Rollbacks)
+			}
+			if rankHits.Load() != 0 || model != mutls.MixedLinear && stageHits.Load() != 0 {
+				t.Fatalf("%v on %d CPUs: a stage started while it was running %d times, on a rank already running one %d times",
+					model, cpus, stageHits.Load(), rankHits.Load())
 			}
 		}
 	}
