@@ -43,8 +43,9 @@ race:
 # and Acquire's refusal of a done context), then the pool and the serving
 # layer once more at the host's own width. The hand-off tests skip under
 # -race: TestWorkerStaysThroughForkGaps, TestSpinPipelineRarelyParks,
-# TestPipelineTokenDoesNotAllocate and TestStencilAllocationsDoNotGrowWithTokens
-# run plain in CI's hand-off step instead.
+# TestPipelineTokenDoesNotAllocate and the allocation tests
+# TestStencilAllocationsDoNotGrowWithTokens, TestPipelineCallStateStaysSmall
+# and TestFFTWorksInPerRankScratch run plain in CI's hand-off step instead.
 # TestStencilPipelineForksOneBalancedGroup runs in neither: it fails 2-5
 # times in 20 on a shared host (ROADMAP item 13), so only `make test` has it.
 race-repeat:
@@ -114,7 +115,7 @@ chaos:
 # PR that grows the tree has to raise the number here, in its own diff.
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l); \
-	echo "non-test Go outside benchmark/ and testdata/: $$n lines (ceiling 15422, target 16500)"; \
+	echo "non-test Go outside benchmark/ and testdata/: $$n lines (ceiling 15448, target 16500)"; \
 	v=$$(find internal/analysis cmd/mutls-vet -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l); \
 	echo "  of which internal/analysis + cmd/mutls-vet: $$v lines"; \
-	if [ $$n -gt 15422 ]; then echo "code size is over the ceiling: shrink, or raise it in the Makefile" >&2; exit 1; fi
+	if [ $$n -gt 15448 ]; then echo "code size is over the ceiling: shrink, or raise it in the Makefile" >&2; exit 1; fi

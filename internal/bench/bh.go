@@ -69,17 +69,24 @@ func bhInit(t *mutls.Thread, s Size) *bhState {
 		meta:  t.Alloc(16),
 		n:     n,
 	}
+	buf := make([]float64, 3*n)
 	for i := 0; i < n; i++ {
 		// Deterministic pseudo-random cloud in [0,1)³.
 		h := uint64(i)*0x9E3779B97F4A7C15 + 12345
 		for d := 0; d < 3; d++ {
 			h ^= h >> 29
 			h *= 0xBF58476D1CE4E5B9
-			t.StoreFloat64(st.pos+mem.Addr(8*(3*i+d)), float64(h%1000)/1000.0)
-			t.StoreFloat64(st.vel+mem.Addr(8*(3*i+d)), 0)
+			buf[3*i+d] = float64(h%1000) / 1000.0
 		}
-		t.StoreFloat64(st.mass+mem.Addr(8*i), 1.0+float64(i%7)/7.0)
 	}
+	t.StoreFloat64s(st.pos, buf)
+	clear(buf)
+	t.StoreFloat64s(st.vel, buf)
+	mass := buf[:n]
+	for i := range mass {
+		mass[i] = 1.0 + float64(i%7)/7.0
+	}
+	t.StoreFloat64s(st.mass, mass)
 	return st
 }
 
@@ -326,8 +333,10 @@ var bhPolicy = mutls.ChunkPolicy{MaxChunks: 64, MinPerChunk: 8}
 
 func bhChecksum(t *mutls.Thread, st *bhState) uint64 {
 	sum := uint64(0)
-	for i := 0; i < 3*st.n; i++ {
-		sum = mix(sum, math.Float64bits(t.LoadFloat64(st.pos+mem.Addr(8*i))))
+	pos := make([]float64, 3*st.n)
+	t.LoadFloat64s(st.pos, pos)
+	for _, v := range pos {
+		sum = mix(sum, math.Float64bits(v))
 	}
 	return sum
 }

@@ -49,14 +49,36 @@ func log2(n int) int {
 type fftCtx struct {
 	re, im mem.Addr
 	n      int
+	scr    fftScratch
 }
 
+// fftScratch is the transform's working storage by rank: a rank runs one
+// thread at a time, and every thread works in its own rank's buffer. The
+// prologue, the driver's combines and the checksum share rank 0's.
+type fftScratch [][]float64
+
+// of returns n floats of c's rank's buffer, which is made at the rank's
+// first use and made again when a caller needs more.
+func (s fftScratch) of(c *mutls.Thread, n int) []float64 {
+	buf := &s[c.Rank()]
+	if len(*buf) < n {
+		*buf = make([]float64, n)
+	}
+	return (*buf)[:n]
+}
+
+// fftInit fills both arrays in Go and writes each with one bulk store.
 func fftInit(t *mutls.Thread, s Size) fftCtx {
 	n := s.N
-	ctx := fftCtx{re: t.Alloc(8 * n), im: t.Alloc(8 * n), n: n}
-	for i := 0; i < n; i++ {
-		ctx.store(t, i, math.Sin(0.3*float64(i))+0.1*float64(i%17), math.Cos(0.7*float64(i)))
+	ctx := fftCtx{re: t.Alloc(8 * n), im: t.Alloc(8 * n), n: n,
+		scr: make(fftScratch, t.Runtime().NumCPUs()+1)}
+	buf := ctx.scr.of(t, 2*n)
+	re, im := buf[:n], buf[n:]
+	for i := range re {
+		re[i], im[i] = math.Sin(0.3*float64(i))+0.1*float64(i%17), math.Cos(0.7*float64(i))
 	}
+	t.StoreFloat64s(ctx.re, re)
+	t.StoreFloat64s(ctx.im, im)
 	return ctx
 }
 
@@ -65,25 +87,19 @@ func (ctx fftCtx) free(t *mutls.Thread) {
 	t.Free(ctx.im)
 }
 
-func (ctx fftCtx) load(c *mutls.Thread, i int) (float64, float64) {
-	return c.LoadFloat64(ctx.re + mem.Addr(8*i)), c.LoadFloat64(ctx.im + mem.Addr(8*i))
-}
-
-func (ctx fftCtx) store(c *mutls.Thread, i int, re, im float64) {
-	c.StoreFloat64(ctx.re+mem.Addr(8*i), re)
-	c.StoreFloat64(ctx.im+mem.Addr(8*i), im)
-}
-
-// bitReverse permutes the input so the contiguous-halves recursion computes
-// a decimation-in-time FFT.
+// fftBitReverse permutes the input so the contiguous-halves recursion
+// computes a decimation-in-time FFT: one bulk load and one bulk store per
+// array around the swaps in Go.
 func fftBitReverse(t *mutls.Thread, ctx fftCtx) {
 	n := ctx.n
+	buf := ctx.scr.of(t, 2*n)
+	re, im := buf[:n], buf[n:]
+	t.LoadFloat64s(ctx.re, re)
+	t.LoadFloat64s(ctx.im, im)
 	for i, j := 0, 0; i < n; i++ {
 		if i < j {
-			ar, ai := ctx.load(t, i)
-			br, bi := ctx.load(t, j)
-			ctx.store(t, i, br, bi)
-			ctx.store(t, j, ar, ai)
+			re[i], re[j] = re[j], re[i]
+			im[i], im[j] = im[j], im[i]
 		}
 		bit := n >> 1
 		for ; j&bit != 0; bit >>= 1 {
@@ -92,17 +108,19 @@ func fftBitReverse(t *mutls.Thread, ctx fftCtx) {
 		j |= bit
 	}
 	t.Tick(int64(n))
+	t.StoreFloat64s(ctx.re, re)
+	t.StoreFloat64s(ctx.im, im)
 }
 
 // fftCombine merges two transformed halves of [start, start+length) with
 // twiddle-factor butterflies. Both halves are moved with bulk range
 // accesses — four loads and four stores for the whole combine instead of
 // eight scalar accesses per butterfly — with unchanged per-word modelled
-// charges and bit-identical floating point per element. buf is caller
-// scratch of at least 2*length floats (hoisted so the transform's hot
-// path stays alloc-free per combine).
-func fftCombine(c *mutls.Thread, ctx fftCtx, start, length int, buf []float64) {
+// charges and bit-identical floating point per element, in c's rank's
+// scratch.
+func fftCombine(c *mutls.Thread, ctx fftCtx, start, length int) {
 	half := length / 2
+	buf := ctx.scr.of(c, 2*length)
 	ar := buf[:half]
 	ai := buf[half : 2*half]
 	br := buf[2*half : 3*half]
@@ -132,10 +150,9 @@ func fftCombine(c *mutls.Thread, ctx fftCtx, start, length int, buf []float64) {
 // drain the block (a parked or join-signalled thread still completes the
 // block: tree regions have no mid-body resume protocol).
 func fftBlock(c *mutls.Thread, ctx fftCtx, lo, m int) {
-	buf := make([]float64, 2*m)
 	for length := 2; length <= m; length <<= 1 {
 		for start := lo; start < lo+m; start += length {
-			fftCombine(c, ctx, start, length, buf)
+			fftCombine(c, ctx, start, length)
 			c.CheckPoint()
 		}
 	}
@@ -197,7 +214,7 @@ func fftSpec(t *mutls.Thread, s Size, o SpecOptions) uint64 {
 		fftBlock(c, ctx, lo+half, half)
 		if tt.Pending() == nBefore {
 			// Both halves are complete locally: combine now.
-			fftCombine(c, ctx, lo, m, make([]float64, 2*m))
+			fftCombine(c, ctx, lo, m)
 			return
 		}
 		// The left half deferred combines: this node's combine must run
@@ -212,9 +229,7 @@ func fftSpec(t *mutls.Thread, s Size, o SpecOptions) uint64 {
 	// node's combine once its right half has joined (reverse in-order
 	// traversal = sequential order, §IV-F). fft interleaves driver-side
 	// combines with the joins, so it completes the tree with Tree.Join
-	// directly instead of Tree.Drive. One scratch serves every driver-side
-	// combine (the non-speculative thread runs them sequentially).
-	buf := make([]float64, 2*ctx.n)
+	// directly instead of Tree.Drive.
 	var complete func(task mutls.Task)
 	complete = func(task mutls.Task) {
 		if task.Rank == 0 {
@@ -224,7 +239,7 @@ func fftSpec(t *mutls.Thread, s Size, o SpecOptions) uint64 {
 		if committed {
 			for _, ch := range sub {
 				complete(ch)
-				fftCombine(t, ctx, int(ch.Args[0]), int(ch.Args[2]), buf)
+				fftCombine(t, ctx, int(ch.Args[0]), int(ch.Args[2]))
 			}
 			return
 		}
@@ -237,15 +252,15 @@ func fftSpec(t *mutls.Thread, s Size, o SpecOptions) uint64 {
 	})
 	for _, task := range roots {
 		complete(task)
-		fftCombine(t, ctx, int(task.Args[0]), int(task.Args[2]), buf)
+		fftCombine(t, ctx, int(task.Args[0]), int(task.Args[2]))
 	}
 	return fftChecksum(t, ctx)
 }
 
 func fftChecksum(t *mutls.Thread, ctx fftCtx) uint64 {
 	sum := uint64(0)
-	re := make([]float64, ctx.n)
-	im := make([]float64, ctx.n)
+	buf := ctx.scr.of(t, 2*ctx.n)
+	re, im := buf[:ctx.n], buf[ctx.n:]
 	t.LoadFloat64s(ctx.re, re)
 	t.LoadFloat64s(ctx.im, im)
 	for i := 0; i < ctx.n; i++ {

@@ -45,11 +45,14 @@ type mmCtx struct {
 func mmInit(t *mutls.Thread, s Size) mmCtx {
 	n := s.N
 	ctx := mmCtx{a: t.Alloc(8 * n * n), b: t.Alloc(8 * n * n), c: t.Alloc(8 * n * n), n: n}
-	for i := 0; i < n*n; i++ {
-		t.StoreFloat64(ctx.a+mem.Addr(8*i), float64((i*13)%17)/17.0)
-		t.StoreFloat64(ctx.b+mem.Addr(8*i), float64((i*7)%23)/23.0)
-		t.StoreFloat64(ctx.c+mem.Addr(8*i), 0)
+	a, b := make([]float64, n*n), make([]float64, n*n)
+	for i := range a {
+		a[i], b[i] = float64((i*13)%17)/17.0, float64((i*7)%23)/23.0
 	}
+	t.StoreFloat64s(ctx.a, a)
+	t.StoreFloat64s(ctx.b, b)
+	clear(a)
+	t.StoreFloat64s(ctx.c, a)
 	return ctx
 }
 

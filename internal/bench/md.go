@@ -49,13 +49,15 @@ func mdInit(t *mutls.Thread, s Size) mdState {
 		n:     n,
 	}
 	// Deterministic lattice-ish initial positions, zero velocities.
+	pos := make([]float64, 3*n)
 	for i := 0; i < n; i++ {
 		for d := 0; d < 3; d++ {
-			v := float64((i*7+d*13)%31)/31.0 + 0.05*float64(d)
-			t.StoreFloat64(st.pos+mem.Addr(8*(3*i+d)), v)
-			t.StoreFloat64(st.vel+mem.Addr(8*(3*i+d)), 0)
+			pos[3*i+d] = float64((i*7+d*13)%31)/31.0 + 0.05*float64(d)
 		}
 	}
+	t.StoreFloat64s(st.pos, pos)
+	clear(pos)
+	t.StoreFloat64s(st.vel, pos)
 	return st
 }
 

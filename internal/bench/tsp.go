@@ -37,6 +37,7 @@ const tspForkDepth = 2
 // speculative threads read).
 func tspDist(t *mutls.Thread, n int) mem.Addr {
 	d := t.Alloc(8 * n * n)
+	dist := make([]float64, n*n)
 	for i := 0; i < n; i++ {
 		xi := float64((i*37)%19) / 19.0
 		yi := float64((i*53)%23) / 23.0
@@ -44,9 +45,10 @@ func tspDist(t *mutls.Thread, n int) mem.Addr {
 			xj := float64((j*37)%19) / 19.0
 			yj := float64((j*53)%23) / 23.0
 			dx, dy := xi-xj, yi-yj
-			t.StoreFloat64(d+mem.Addr(8*(i*n+j)), math.Sqrt(dx*dx+dy*dy))
+			dist[i*n+j] = math.Sqrt(dx*dx + dy*dy)
 		}
 	}
+	t.StoreFloat64s(d, dist)
 	return d
 }
 

@@ -1,10 +1,35 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/mem"
 )
+
+// watchdog fails a test still running after d by name: a child no thread
+// will ever join leaves the run's drain waiting forever, which would
+// otherwise show only as go test's timeout. It panics — the test goroutine
+// is the one that hangs — with each CPU's state, epoch and the runtime's
+// active count; the test's end disarms it.
+func watchdog(t *testing.T, rt *Runtime, d time.Duration) {
+	timer := time.AfterFunc(d, func() {
+		names := [...]string{cpuIdle: "idle", cpuClaimed: "claimed", cpuRunning: "running", cpuReady: "ready"}
+		var b strings.Builder
+		fmt.Fprintf(&b, "%s: still running after %v (a lost child?); rt.active = %d", t.Name(), d, rt.active.Load())
+		for r, c := range rt.cpus[1:] {
+			fmt.Fprintf(&b, "\n  cpu %d: state %s, epoch %d", r+1, names[c.td.state.Load()], c.td.syncWord.Load()>>2)
+		}
+		panic(b.String())
+	})
+	t.Cleanup(func() { timer.Stop() })
+}
+
+// hangAfter is how long the join-protocol tests armed with a watchdog may
+// run: each takes milliseconds.
+const hangAfter = 20 * time.Second
 
 // chunkSum builds the in-order loop pattern of the paper's 3x+1 benchmark:
 // the array is split into nChunks chunks; each region forks the next chunk
@@ -71,6 +96,7 @@ func chunkSum(t *testing.T, rt *Runtime, model Model, n, nChunks int) int64 {
 
 func TestInOrderChunkedLoop(t *testing.T) {
 	rt := newRT(t, 8, nil)
+	watchdog(t, rt, hangAfter)
 	n := 64
 	got := chunkSum(t, rt, InOrder, n, 8)
 	want := int64(n * (n + 1) / 2)
@@ -286,6 +312,7 @@ func TestMixedModelSpeculativeThreadForks(t *testing.T) {
 	// A speculative thread forks a grandchild and hands it upward with
 	// SyncParent; the non-speculative thread joins child then grandchild.
 	rt := newRT(t, 4, nil)
+	watchdog(t, rt, hangAfter)
 	rt.Run(func(t0 *Thread) {
 		arr := t0.Alloc(16)
 		ranks := make([]Rank, 1)
@@ -357,6 +384,7 @@ func TestAdoptionAcrossRollback(t *testing.T) {
 	// children are preserved — adopted by the joining thread — and can
 	// still commit ("local conflicts do not incur global rollbacks").
 	rt := newRT(t, 4, nil)
+	watchdog(t, rt, hangAfter)
 	rt.Run(func(t0 *Thread) {
 		arr := t0.Alloc(32)
 		t0.StoreInt64(arr, 1)

@@ -245,17 +245,13 @@ func (t *Thread) InlineNS(p int) int64 {
 	return 0
 }
 
-// Fuse tells the estimates of points ps that a fork at ps[0] runs their
-// regions in turn, so that it buys their inline times together. Pipeline
-// fuses the stages of a group. A no-op wherever InlineNS knows nothing.
-func (t *Thread) Fuse(ps []int) {
-	for i, p := range ps {
-		if pe := t.estimate(p); pe != nil {
-			pe.next = nil
-			if i+1 < len(ps) {
-				pe.next = t.estimate(ps[i+1])
-			}
-		}
+// Fuse tells p's estimate that a fork at a point before it runs next's
+// region right after p's (next -1: none), so that the fork buys their inline
+// times together. Pipeline fuses the stages of a group. A no-op wherever
+// InlineNS knows nothing.
+func (t *Thread) Fuse(p, next int) {
+	if pe := t.estimate(p); pe != nil {
+		pe.next = t.estimate(next)
 	}
 }
 

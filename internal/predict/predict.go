@@ -47,10 +47,56 @@ type key struct {
 	slot  int
 }
 
-type entry struct {
-	last    uint64
-	prev    uint64
-	samples int
+// History is one slot's observed words, what a Predictor keeps per (fork
+// point, slot). A driver that alone observes and predicts a slot can keep
+// its History itself: it takes no lock and no allocation.
+type History struct {
+	last, prev uint64
+	samples    int
+}
+
+// Observe records the actual value seen at the join point.
+func (h *History) Observe(actual uint64) {
+	h.prev, h.last = h.last, actual
+	h.samples++
+}
+
+// Warm reports whether the history is long enough for the strategy to
+// extrapolate rather than guess: one sample for last-value, two for stride
+// (one sample leaves the stride unknown, so the predicted value would just
+// be the last observation — wrong for any accumulator with a nonzero
+// per-chunk delta). Drivers that fork a speculation from a predicted value
+// should hold the fork until the slot is warm; the cold-start fork is the
+// one that is guaranteed to roll back on growing accumulators.
+func (h *History) Warm(kind Kind) bool {
+	return h.samples >= 2 || h.samples == 1 && kind != Stride
+}
+
+// Predict returns the predicted value and whether any history backed it
+// (cold predictions return the zero value and false, matching the
+// "uninitialized value" case of §IV-G4).
+func (h *History) Predict(kind Kind) (uint64, bool) {
+	if h.samples == 0 {
+		return 0, false
+	}
+	if kind == Stride && h.samples >= 2 {
+		return h.last + (h.last - h.prev), true
+	}
+	return h.last, true
+}
+
+// PredictFloat64 is Predict over a float64 history: the stride is
+// extrapolated in float arithmetic (last + (last - prev)), not over the raw
+// bit patterns, so a constant float delta is followed exactly.
+func (h *History) PredictFloat64(kind Kind) (float64, bool) {
+	if h.samples == 0 {
+		return 0, false
+	}
+	last := math.Float64frombits(h.last)
+	if kind == Stride && h.samples >= 2 {
+		return last + (last - math.Float64frombits(h.prev)), true
+	}
+	return last, true
 }
 
 // Predictor predicts live register values per (fork point, slot).
@@ -59,71 +105,40 @@ type Predictor struct {
 	kind Kind
 
 	mu      sync.Mutex
-	entries map[key]*entry
+	entries map[key]*History
 }
 
 // New creates a predictor of the given kind.
 func New(kind Kind) *Predictor {
-	return &Predictor{kind: kind, entries: make(map[key]*entry)}
+	return &Predictor{kind: kind, entries: make(map[key]*History)}
 }
 
-// Predict returns the predicted value for the slot at the fork point and
-// whether any history backed it (cold predictions return the zero value and
-// false, matching the "uninitialized value" case of §IV-G4).
+// Predict is History.Predict for the slot at the fork point.
 func (p *Predictor) Predict(point, slot int) (uint64, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	e, ok := p.entries[key{point, slot}]
-	if !ok || e.samples == 0 {
-		return 0, false
+	if e, ok := p.entries[key{point, slot}]; ok {
+		return e.Predict(p.kind)
 	}
-	switch p.kind {
-	case Stride:
-		if e.samples >= 2 {
-			return e.last + (e.last - e.prev), true
-		}
-		return e.last, true
-	default:
-		return e.last, true
-	}
+	return 0, false
 }
 
-// Warm reports whether the slot has enough history for its strategy to
-// extrapolate rather than guess: one sample for last-value, two for stride
-// (one sample leaves the stride unknown, so the predicted value would just
-// be the last observation — wrong for any accumulator with a nonzero
-// per-chunk delta). Drivers that fork a speculation from a predicted value
-// should hold the fork until the slot is warm; the cold-start fork is the
-// one that is guaranteed to roll back on growing accumulators.
+// Warm is History.Warm for the slot at the fork point.
 func (p *Predictor) Warm(point, slot int) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	e, ok := p.entries[key{point, slot}]
-	if !ok {
-		return false
-	}
-	if p.kind == Stride {
-		return e.samples >= 2
-	}
-	return e.samples >= 1
+	return ok && e.Warm(p.kind)
 }
 
-// PredictFloat64 is Predict over a float64 history: the stride is
-// extrapolated in float arithmetic (last + (last - prev)), not over the raw
-// bit patterns, so a constant float delta is followed exactly.
+// PredictFloat64 is History.PredictFloat64 for the slot at the fork point.
 func (p *Predictor) PredictFloat64(point, slot int) (float64, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	e, ok := p.entries[key{point, slot}]
-	if !ok || e.samples == 0 {
-		return 0, false
+	if e, ok := p.entries[key{point, slot}]; ok {
+		return e.PredictFloat64(p.kind)
 	}
-	last := math.Float64frombits(e.last)
-	if p.kind == Stride && e.samples >= 2 {
-		prev := math.Float64frombits(e.prev)
-		return last + (last - prev), true
-	}
-	return last, true
+	return 0, false
 }
 
 // Observe records the actual value seen at the join point; a float64
@@ -134,10 +149,8 @@ func (p *Predictor) Observe(point, slot int, actual uint64) {
 	k := key{point, slot}
 	e, ok := p.entries[k]
 	if !ok {
-		e = &entry{}
+		e = &History{}
 		p.entries[k] = e
 	}
-	e.prev = e.last
-	e.last = actual
-	e.samples++
+	e.Observe(actual)
 }

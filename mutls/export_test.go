@@ -8,5 +8,19 @@ func PipelineUnkeyed(t *Thread, nTokens int, init uint64, opts PipelineOptions, 
 	return pipeline(t, nTokens, init, opts, false, stages)
 }
 
-// CutStages is Pipeline's stage cut, a pure function TestCutStages tables.
-var CutStages = cutStages
+// CutStages is Pipeline's stage cut, a pure function TestCutStages tables:
+// the inline times in, each group's first stage out.
+func CutStages(weights []int64, width int) []int {
+	ps := make([]pipeStage, len(weights))
+	for s, w := range weights {
+		ps[s].weight = w
+	}
+	cutStages(ps, width)
+	var firsts []int
+	for s := range ps {
+		if ps[s].end >= 0 {
+			firsts = append(firsts, s)
+		}
+	}
+	return firsts
+}

@@ -1,8 +1,6 @@
 package mutls
 
 import (
-	"slices"
-
 	"repro/internal/core"
 	"repro/internal/predict"
 )
@@ -90,55 +88,40 @@ func pipeline(t *Thread, nTokens int, init uint64, opts PipelineOptions, keyed b
 		model = OutOfOrder
 	}
 	rt := t.Runtime()
-	// One fork point per stage, interned under the stage's body key plus its
-	// position — stages made by one constructor share a code pointer and
-	// must not share a point: the stages that can head a forked group in
-	// stage order, then stages[0], which only runs inline and is timed for
-	// the cut.
-	points := make([]int, nStages)
+	// The call's state: on the stack up to four stages, one allocation
+	// past that. One fork point per stage, interned under the stage's body
+	// key plus its position — stages made by one constructor share a code
+	// pointer and must not share a point: the stages that can head a forked
+	// group in stage order, then stages[0], which only runs inline and is
+	// timed for the cut.
+	var short [4]pipeStage
+	ps := short[:min(nStages, len(short))]
+	if nStages > len(short) {
+		ps = make([]pipeStage, nStages)
+	}
 	for i := 1; i <= nStages; i++ {
 		s := i % nStages
-		points[s] = core.NumPoints - i
+		ps[s].point = core.NumPoints - i
 		if keyed {
-			points[s] = rt.PointFor(bodyKey(stages[s]) + uintptr(i-1))
+			ps[s].point = rt.PointFor(bodyKey(stages[s]) + uintptr(i-1))
 		}
 	}
-	ranks := make([]Rank, core.NumPoints)
+	var ranks [core.NumPoints]Rank
 
-	pred := predict.New(opts.Predictor)
-	predictIn := func(s int) (uint64, bool) {
-		if !pred.Warm(s, 0) {
-			return 0, false
-		}
-		return pred.Predict(s, 0)
-	}
-
-	// The cut: firsts holds each group's first stage, regions the forked
-	// groups' region closures by first stage, cutAt the inline times the cut
-	// was made from.
 	width := rt.CPULimit()
-	var firsts []int
-	regions := make([]RegionFunc, nStages)
-	weights, cutAt := make([]int64, nStages), make([]int64, nStages)
-	last := func(g int) int {
-		if g+1 < len(firsts) {
-			return firsts[g+1] - 1
-		}
-		return nStages - 1
-	}
 	cut := func() {
-		firsts = cutStages(weights, width)
-		copy(cutAt, weights)
-		for g, s := range firsts {
-			regions[s] = groupRegion(stages[s : last(g)+1])
-			t.Fuse(points[s : last(g)+1])
+		cutStages(ps, width)
+		for k := range ps {
+			ps[k].cutAt = ps[k].weight
+			next := -1 // a group's last stage ends its chain
+			if k+1 < nStages && ps[k+1].end < 0 {
+				next = ps[k+1].point
+			}
+			t.Fuse(ps[k].point, next)
 		}
 	}
 	cut()
 
-	// forked and tried mark, by a group's first stage, the groups forked and
-	// those that were fork candidates (warm predictor) this token.
-	forked, tried := make([]bool, nStages), make([]bool, nStages)
 	in := init
 	for token := 0; token < nTokens; token++ {
 		// Cooperative cancellation between tokens (see For).
@@ -147,46 +130,47 @@ func pipeline(t *Thread, nTokens int, init uint64, opts PipelineOptions, keyed b
 		// slow spells (loop-memory's pass 2: 9.5-15 us); the cut follows a
 		// move past that band, not every sample.
 		moved := false
-		for s, p := range points {
-			w := t.InlineNS(p)
-			moved = moved || 4*w < 3*cutAt[s] || 3*w > 4*cutAt[s]
-			weights[s] = w
+		for s := range ps {
+			w := t.InlineNS(ps[s].point)
+			moved = moved || 4*w < 3*ps[s].cutAt || 3*w > 4*ps[s].cutAt
+			ps[s].weight = w
 		}
 		if moved {
 			cut()
 		}
 		// Fork the later groups in reverse order so the children stack pops
 		// them in join order — the same logically-later-subtrees-first
-		// discipline as tree-form recursion.
-		for g := len(firsts) - 1; g >= 1; g-- {
-			s := firsts[g]
-			predicted, ok := predictIn(s)
-			tried[s] = ok
-			if !ok {
+		// discipline as tree-form recursion. A group forks only once its
+		// live-in history supports a real prediction.
+		for s := nStages - 1; s >= 1; s-- {
+			st := &ps[s]
+			st.tried = st.end >= 0 && st.live.Warm(opts.Predictor)
+			if !st.tried {
 				continue
 			}
-			if h := t.ForkBody(ranks, points[s], model); h != nil {
+			predicted, _ := st.live.Predict(opts.Predictor)
+			if h := t.ForkBody(ranks[:], st.point, model); h != nil {
 				h.SetRegvarInt64(0, int64(token))
 				h.SetRegvarInt64(1, int64(predicted))
-				h.Start(regions[s])
-				forked[s] = true
+				h.Start(st.regionFor(stages[s : st.end+1]))
+				st.forked = true
 			}
 		}
 		cur := in
-		for g, s := range firsts {
-			e := last(g)
+		for s := 0; s < nStages; s = ps[s].end + 1 {
+			st, e := &ps[s], ps[s].end
 			// cur is the actual live-in of stage s for this token: extend
 			// the stage's prediction history before resolving its fork.
 			if s > 0 {
-				pred.Observe(s, 0, cur)
+				st.live.Observe(cur)
 			}
-			if forked[s] {
-				forked[s] = false
-				t.ValidateRegvarInt64(ranks, points[s], 1, int64(cur))
-				res := t.Join(ranks, points[s])
+			if st.forked {
+				st.forked = false
+				t.ValidateRegvarInt64(ranks[:], st.point, 1, int64(cur))
+				res := t.Join(ranks[:], st.point)
 				if res.Committed() {
 					for k := s + 1; k <= e; k++ {
-						pred.Observe(k, 0, uint64(res.RegvarInt64(1+k-s)))
+						ps[k].live.Observe(uint64(res.RegvarInt64(1 + k - s)))
 					}
 					cur = uint64(res.RegvarInt64(2 + e - s))
 					continue
@@ -194,15 +178,15 @@ func pipeline(t *Thread, nTokens int, init uint64, opts PipelineOptions, keyed b
 			}
 			for k := s; k <= e; k++ {
 				if k > s {
-					pred.Observe(k, 0, cur)
+					ps[k].live.Observe(cur)
 				}
 				// A forked group's run is timed only when it stands in for a
 				// fork: the tokens a cold predictor keeps inline are a call's
 				// first, whose skewed stages have no block yet and would read
 				// as a fraction of a microsecond.
 				var span core.InlineSpan
-				if g == 0 || tried[s] {
-					span = t.StartInline(points[k])
+				if s == 0 || st.tried {
+					span = t.StartInline(ps[k].point)
 				}
 				cur = stages[k](t, token, cur)
 				span.Stop()
@@ -213,62 +197,87 @@ func pipeline(t *Thread, nTokens int, init uint64, opts PipelineOptions, keyed b
 	return in
 }
 
-// groupRegion is the region of one forked group: fetch (token, in), run
-// the group's stages in turn, save each one's live-out (the first in slot
-// 2) — the join reads the last as the group's and the others as the live-ins
-// it observes for the stages after the first.
-func groupRegion(group []Stage) RegionFunc {
-	return func(c *Thread) uint32 {
-		token := int(c.GetRegvarInt64(0))
-		in := uint64(c.GetRegvarInt64(1))
-		for k, stage := range group {
-			in = stage(c, token, in)
-			c.SaveRegvarInt64(2+k, int64(in))
-		}
-		return 0
-	}
+// pipeStage is one stage's part of a Pipeline call's state. end is the last
+// stage of the group it heads (-1: none); forked and tried mark that group
+// forked, and a fork candidate (warm predictor), this token; region is the
+// group's region, made at its first fork in the shape the cut gave it.
+type pipeStage struct {
+	point         int
+	live          predict.History // the stage's live-in history
+	weight, cutAt int64           // inline time now and at the last cut
+	end           int
+	forked, tried bool
+	region        RegionFunc
+	regionLen     int
 }
 
-// cutStages cuts stages of the given inline times into width + 1
-// contiguous groups whose heaviest is as light as a cut can make it, and
-// returns each group's first stage. Of equally light cuts it takes the one
-// that puts the most in the early groups: a later group runs speculatively,
-// where the same work costs more. Without a time for every stage, or with a
-// CPU for every stage but the first, every stage is its own group.
-func cutStages(weights []int64, width int) []int {
-	n := len(weights)
-	if width < 1 || width >= n-1 || slices.Min(weights) <= 0 {
-		firsts := make([]int, n)
-		for s := range firsts {
-			firsts[s] = s
-		}
-		return firsts
-	}
-	sum := make([]int64, n+1) // sum[j]-sum[i] weighs stages [i, j)
-	for i, w := range weights {
-		sum[i+1] = sum[i] + w
-	}
-	// best[j][i] is the heaviest group of the best cut of stages [i, n) into
-	// j groups.
-	groups := width + 1
-	best := make([][]int64, groups+1)
-	for j := 1; j <= groups; j++ {
-		best[j] = make([]int64, n)
-		for i := 0; i+j <= n; i++ {
-			best[j][i] = sum[n] - sum[i]
-			for e := i + 1; j > 1 && e+j-1 <= n; e++ {
-				best[j][i] = min(best[j][i], max(sum[e]-sum[i], best[j-1][e]))
+// regionFor returns the group's region: fetch (token, in), run the
+// group's stages in turn, save each one's live-out (the first in slot 2) —
+// the join reads the last as the group's and the others as the live-ins it
+// observes for the stages after the first.
+func (st *pipeStage) regionFor(group []Stage) RegionFunc {
+	if st.region == nil || st.regionLen != len(group) {
+		st.region, st.regionLen = func(c *Thread) uint32 {
+			token := int(c.GetRegvarInt64(0))
+			in := uint64(c.GetRegvarInt64(1))
+			for k, stage := range group {
+				in = stage(c, token, in)
+				c.SaveRegvarInt64(2+k, int64(in))
 			}
+			return 0
+		}, len(group)
+	}
+	return st.region
+}
+
+// cutStages cuts the stages, by weight, into width + 1 contiguous groups
+// whose heaviest is as light as a cut can make it, and sets each stage's
+// end. Of equally light cuts it takes the one that puts the most in the
+// early groups: a later group runs speculatively, where the same work costs
+// more. Without a time for every stage, or with a CPU for every stage but
+// the first, every stage is its own group.
+func cutStages(ps []pipeStage, width int) {
+	n := len(ps)
+	timed := true
+	for s := range ps {
+		timed = timed && ps[s].weight > 0
+		ps[s].end = s
+	}
+	if width < 1 || width >= n-1 || !timed {
+		return
+	}
+	// sum[j]-sum[i] weighs stages [i, j); best[j*n+i] is the heaviest group
+	// of the best cut of stages [i, n) into j groups. Small cuts keep their
+	// tables on the stack.
+	groups := width + 1
+	var small [64]int64
+	tables := small[:]
+	if need := n + 1 + (groups+1)*n; need > len(small) {
+		tables = make([]int64, need)
+	}
+	sum, best := tables[:n+1], tables[n+1:]
+	for i := range ps {
+		sum[i+1] = sum[i] + ps[i].weight
+	}
+	for j := 1; j <= groups; j++ {
+		for i := 0; i+j <= n; i++ {
+			b := sum[n] - sum[i]
+			for e := i + 1; j > 1 && e+j-1 <= n; e++ {
+				b = min(b, max(sum[e]-sum[i], best[(j-1)*n+e]))
+			}
+			best[j*n+i] = b
 		}
 	}
-	firsts := []int{0}
-	for i, j := 0, groups; j > 1; j-- {
+	for s := range ps {
+		ps[s].end = -1
+	}
+	i := 0
+	for j := groups; j > 1; j-- {
 		e := n - j + 1
-		for max(sum[e]-sum[i], best[j-1][e]) > best[j][i] {
+		for max(sum[e]-sum[i], best[(j-1)*n+e]) > best[j*n+i] {
 			e--
 		}
-		firsts = append(firsts, e)
-		i = e
+		ps[i].end, i = e-1, e
 	}
-	return firsts
+	ps[i].end = n - 1
 }

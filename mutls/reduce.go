@@ -15,8 +15,8 @@ import (
 // inline with the true accumulator.
 //
 // Three accumulator domains share one driver engine (reduceWord), which
-// moves raw 64-bit words, validates them bit-exactly and delegates
-// prediction to per-domain hooks:
+// moves raw 64-bit words and validates them bit-exactly; only the float
+// domain predicts in its own arithmetic:
 //
 //   - Reduce        — int64, exact two's-complement stride prediction.
 //   - ReduceFloat64 — float64, float-arithmetic stride prediction,
@@ -33,16 +33,6 @@ type ReduceOptions struct {
 	// per-chunk increments); ReduceFloat64 extrapolates it in float64
 	// arithmetic, so it follows a constant float delta exactly.
 	Predictor Predictor
-}
-
-// reduceHooks are the per-domain prediction callbacks of the shared
-// reduction engine. predict must return ok=false until the predictor is
-// warm — the cold-start fork is the one guaranteed to roll back on a
-// growing accumulator (and, before the warm gate existed, to run from
-// accumulator 0 whenever init != 0).
-type reduceHooks struct {
-	predict func() (uint64, bool)
-	observe func(actual uint64)
 }
 
 // Reduce folds body over the chunks [0, nChunks) starting from init and
@@ -76,17 +66,7 @@ func ReduceFunc(t *Thread, nChunks int, init uint64, opts ReduceOptions, body fu
 
 // reduceFunc is ReduceFunc under the caller's body key (see bodyKey).
 func reduceFunc(t *Thread, nChunks int, init uint64, opts ReduceOptions, key uintptr, body func(c *Thread, idx int, acc uint64) uint64) uint64 {
-	pred := predict.New(opts.Predictor)
-	hooks := reduceHooks{
-		predict: func() (uint64, bool) {
-			if !pred.Warm(0, 0) {
-				return 0, false
-			}
-			return pred.Predict(0, 0)
-		},
-		observe: func(actual uint64) { pred.Observe(0, 0, actual) },
-	}
-	return reduceWord(t, nChunks, init, opts.Model, hooks, key, body)
+	return reduceWord(t, nChunks, init, opts, false, key, body)
 }
 
 // ReduceFloat64 folds body over the chunks [0, nChunks) starting from init
@@ -98,18 +78,7 @@ func reduceFunc(t *Thread, nChunks int, init uint64, opts ReduceOptions, key uin
 // fold that ran in that same order from the exact live-in — so the result
 // is bit-identical to the sequential fold.
 func ReduceFloat64(t *Thread, nChunks int, init float64, opts ReduceOptions, body func(c *Thread, idx int, acc float64) float64) float64 {
-	pred := predict.New(opts.Predictor)
-	hooks := reduceHooks{
-		predict: func() (uint64, bool) {
-			if !pred.Warm(0, 0) {
-				return 0, false
-			}
-			v, ok := pred.PredictFloat64(0, 0)
-			return math.Float64bits(v), ok
-		},
-		observe: func(actual uint64) { pred.Observe(0, 0, actual) },
-	}
-	out := reduceWord(t, nChunks, math.Float64bits(init), opts.Model, hooks, bodyKey(body),
+	out := reduceWord(t, nChunks, math.Float64bits(init), opts, true, bodyKey(body),
 		func(c *Thread, idx int, acc uint64) uint64 {
 			return math.Float64bits(body(c, idx, math.Float64frombits(acc)))
 		})
@@ -123,11 +92,13 @@ func ReduceFloat64(t *Thread, nChunks int, init float64, opts ReduceOptions, bod
 // boundary's accumulator value is observed exactly once by the predictor —
 // including init itself and the boundaries of chunks that were never
 // forked, so the prediction history always matches the join-point value
-// sequence (a refused fork punches no hole in the stride).
-func reduceWord(t *Thread, nChunks int, init uint64, model Model, hooks reduceHooks, key uintptr, body func(c *Thread, idx int, acc uint64) uint64) uint64 {
+// sequence (a refused fork punches no hole in the stride). float predicts
+// in float64 arithmetic.
+func reduceWord(t *Thread, nChunks int, init uint64, opts ReduceOptions, float bool, key uintptr, body func(c *Thread, idx int, acc uint64) uint64) uint64 {
 	if nChunks <= 0 {
 		return init
 	}
+	model := opts.Model
 	if model == InOrder {
 		// InOrder is the Model zero value and an in-order chain cannot
 		// carry a predicted accumulator (each link would need the previous
@@ -149,10 +120,11 @@ func reduceWord(t *Thread, nChunks int, init uint64, model Model, hooks reduceHo
 	}
 
 	acc := init
-	// Seed the predictor with the fold's entry value: the first chunk
+	// Seed the history with the fold's entry value: the first chunk
 	// boundary the continuation forks will predict is extrapolated from
 	// here, not from a zero-filled cold entry.
-	hooks.observe(acc)
+	var live predict.History
+	live.Observe(acc)
 	for idx := 0; idx < nChunks; idx++ {
 		// Cooperative cancellation between chunks (see For).
 		t.CancelPoint()
@@ -161,7 +133,12 @@ func reduceWord(t *Thread, nChunks int, init uint64, model Model, hooks reduceHo
 			// Fork only from a warm prediction: a cold fork's continuation
 			// would run from a guessed accumulator and roll back on any
 			// nonzero per-chunk delta, wasting the CPU it claimed.
-			if raw, ok := hooks.predict(); ok {
+			if live.Warm(opts.Predictor) {
+				raw, _ := live.Predict(opts.Predictor)
+				if float {
+					v, _ := live.PredictFloat64(opts.Predictor)
+					raw = math.Float64bits(v)
+				}
 				if h = t.ForkBody(ranks, point, model); h != nil {
 					h.SetRegvarInt64(0, int64(raw))
 					h.SetRegvarInt64(1, int64(idx+1))
@@ -178,7 +155,7 @@ func reduceWord(t *Thread, nChunks int, init uint64, model Model, hooks reduceHo
 		// The boundary value after the inline chunk is exactly the value a
 		// concurrent fork predicted; record it before validation so the
 		// predictor's history stays one-to-one with the boundary sequence.
-		hooks.observe(acc)
+		live.Observe(acc)
 		if h == nil {
 			continue // fork refused, predictor cold, or the last chunk
 		}
@@ -188,7 +165,7 @@ func reduceWord(t *Thread, nChunks int, init uint64, model Model, hooks reduceHo
 			acc = uint64(res.RegvarInt64(3))
 			// Keep the predictor's history aligned with the join-point
 			// values it predicts: the adopted live-out is the next one.
-			hooks.observe(acc)
+			live.Observe(acc)
 			idx++ // the speculation consumed the next chunk
 		}
 		// Rolled back: the next iteration re-executes the chunk inline.
