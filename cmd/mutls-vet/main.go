@@ -1,8 +1,8 @@
 // Command mutls-vet is the multichecker for the mutls speculation
-// contract: it runs the internal/analysis suite (speccheck, pollcheck,
-// atomicmix) over this module's packages. It always loads the packages
-// it is given from source and builds the effect index over all of them at
-// once, so the answer does not depend on how it was invoked.
+// contract: it runs the internal/analysis suite (speccheck, pollcheck)
+// over this module's packages. It always loads the packages it is given
+// from source and builds the effect index over all of them at once, so the
+// answer does not depend on how it was invoked.
 //
 //	go run ./cmd/mutls-vet ./...          # whole module (default)
 //	go run ./cmd/mutls-vet -list          # analyzer and code reference

@@ -14,9 +14,9 @@
 // builds what the analyzers share once — the interprocedural effect index
 // (internal/analysis/effects) over every package, and each package's
 // speculative-kernel index (internal/analysis/kernel) — and hands both to
-// every Pass. The analyzers are kernel.Speccheck and kernel.Pollcheck
-// (what a kernel body may touch, and whether its loops reach a check
-// point) and atomicmix (the runtime's own atomics and gate protocol).
+// every Pass. The analyzers are kernel.Speccheck and kernel.Pollcheck:
+// what a kernel body may touch, and whether its loops reach a check point
+// (the runtime's own atomics are left to go test -race and its tests).
 //
 // Suppression: a diagnostic is silenced by a
 //

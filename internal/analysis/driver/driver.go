@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/atomicmix"
 	"repro/internal/analysis/effects"
 	"repro/internal/analysis/kernel"
 	"repro/internal/analysis/load"
@@ -20,7 +19,6 @@ func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		kernel.Speccheck,
 		kernel.Pollcheck,
-		atomicmix.Analyzer,
 	}
 }
 

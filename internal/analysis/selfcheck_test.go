@@ -41,10 +41,9 @@ func TestNoFalsePositiveCorpus(t *testing.T) {
 		"./mutls", "./mutls/pool", "./internal/serve", "./internal/core", "./internal/mem")
 }
 
-// TestWholeModuleClean is the regression gate for the violations PR 8
-// fixed (poll-free example kernels, mixed atomic/plain LoadReport
-// counters) and the interprocedural purity gate: the full module must
-// stay free of findings, mirroring the CI `make vet` step. Every kernel
+// TestWholeModuleClean is the regression gate for poll-free example
+// kernels and the interprocedural purity gate: the full module must stay
+// free of findings, mirroring the CI `make vet` step. Every kernel
 // in the tree — drivers, benches, examples, the serving layer, whether it
 // is handed to its driver as a literal or by name — must be effect-free.
 func TestWholeModuleClean(t *testing.T) {

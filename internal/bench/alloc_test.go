@@ -46,11 +46,13 @@ func perRun(t *testing.T, w *Workload, size Size, cpus int, spec bool) (allocs, 
 		float64(after.NumGC-before.NumGC) / runs
 }
 
-// TestStencilAllocationsDoNotGrowWithTokens: the stencil's stages work in
-// per-rank scratch made once a sweep, so a run's allocations grow by what a
-// sweep sets up, not by what its tokens do — doubling the sweeps of a
-// CI-size run adds fewer allocations than it adds tokens, Seq and Spec
-// alike.
+// TestStencilAllocationsDoNotGrowWithTokens: the stencil makes its two
+// stage lists and its per-rank scratch once a run, so doubling the sweeps of
+// a CI-size run adds no allocation to Seq (the mean may move by a fraction:
+// the count is the process's; when they were made every sweep, each added
+// seven). Spec drives the same lists through Pipeline, whose allocations
+// follow the schedule — a region for each group it forks, again after a
+// rollback — so it adds fewer allocations than it adds tokens.
 func TestStencilAllocationsDoNotGrowWithTokens(t *testing.T) {
 	for _, spec := range []bool{false, true} {
 		allocs := func(steps int) float64 {
@@ -59,9 +61,13 @@ func TestStencilAllocationsDoNotGrowWithTokens(t *testing.T) {
 		}
 		two, four := allocs(2), allocs(4)
 		t.Logf("spec %v: %.0f allocations at 2 sweeps, %.0f at 4", spec, two, four)
-		if tokens := 2.0 * stencilTokens; four-two >= tokens {
-			t.Fatalf("spec %v: two more sweeps (%.0f tokens) made %.0f more allocations (%.0f at 2 sweeps, %.0f at 4)",
-				spec, tokens, four-two, two, four)
+		below := 1.0
+		if spec {
+			below = 2 * stencilTokens
+		}
+		if four-two >= below {
+			t.Fatalf("spec %v: two more sweeps made %.1f more allocations (%.0f at 2 sweeps, %.0f at 4), want fewer than %.0f",
+				spec, four-two, two, four, below)
 		}
 	}
 }

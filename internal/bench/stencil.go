@@ -53,15 +53,15 @@ const (
 
 // stencilState holds the field buffers in the simulated address space.
 type stencilState struct {
-	bufA, bufB, tmp mem.Addr // N float32 each
-	acc             mem.Addr // one float64 residual cell
-	n               int
+	bufs [2]mem.Addr // N float32 each
+	tmp  mem.Addr    // N float32
+	acc  mem.Addr    // one float64 residual cell
+	n    int
 }
 
 func stencilInit(t *mutls.Thread, s Size) stencilState {
 	st := stencilState{
-		bufA: t.Alloc(4 * s.N),
-		bufB: t.Alloc(4 * s.N),
+		bufs: [2]mem.Addr{t.Alloc(4 * s.N), t.Alloc(4 * s.N)},
 		tmp:  t.Alloc(4 * s.N),
 		acc:  t.Alloc(8),
 		n:    s.N,
@@ -70,14 +70,14 @@ func stencilInit(t *mutls.Thread, s Size) stencilState {
 	for i := range init {
 		init[i] = float32((i*13+7)%97) / 97.0
 	}
-	t.StoreFloat32s(st.bufA, init)
+	t.StoreFloat32s(st.bufs[0], init)
 	t.StoreFloat64(st.acc, 0)
 	return st
 }
 
 func (st stencilState) free(t *mutls.Thread) {
-	t.Free(st.bufA)
-	t.Free(st.bufB)
+	t.Free(st.bufs[0])
+	t.Free(st.bufs[1])
 	t.Free(st.tmp)
 	t.Free(st.acc)
 }
@@ -88,9 +88,9 @@ func stencilBounds(n, blk int) (lo, hi int) {
 	return mutls.ChunkPolicy{}.Bounds(n, stencilBlocks, blk)
 }
 
-// stencilScratch is a sweep's working storage, two buffers by rank: a rank
-// runs its stages one after another, where under MixedLinear a squashed
-// stage can still be running beside its re-execution (mutls.Stage).
+// stencilScratch is a run's working storage, two buffers by rank: a rank
+// runs its stages one after another, and a squashed one keeps its rank
+// until it releases, even running beside its re-execution (mutls.Stage).
 type stencilScratch [][2][]float32
 
 // of returns c's rank's buffers, made at its first use for the largest
@@ -151,27 +151,32 @@ func stencilResidual(c *mutls.Thread, scr stencilScratch, src, dst, acc mem.Addr
 	c.StoreFloat64(acc, sum)
 }
 
-// stencilStages builds one sweep's stage list over the (src, dst) buffer
-// roles. Seq and Spec drive the same closures in the same token order, so
-// the floating-point order is identical.
-func stencilStages(t *mutls.Thread, st stencilState, src, dst mem.Addr) []mutls.Stage {
+// stencilStages builds a run's two stage lists, once, over one scratch:
+// list k smooths bufs[k] into the other buffer, and sweep k runs list k%2.
+// Seq and Spec drive the same closures in the same token order, so the
+// floating-point order is identical.
+func stencilStages(t *mutls.Thread, st stencilState) (lists [2][]mutls.Stage) {
 	scr := make(stencilScratch, t.Runtime().NumCPUs()+1)
-	stage0 := func(c *mutls.Thread, token int, in uint64) uint64 {
-		lo, hi := stencilBounds(st.n, token)
-		stencilPass(c, scr, src, st.tmp, st.n, lo, hi)
-		return in + 1
+	for k := range lists {
+		src, dst := st.bufs[k], st.bufs[1-k]
+		stage0 := func(c *mutls.Thread, token int, in uint64) uint64 {
+			lo, hi := stencilBounds(st.n, token)
+			stencilPass(c, scr, src, st.tmp, st.n, lo, hi)
+			return in + 1
+		}
+		stage1 := func(c *mutls.Thread, token int, in uint64) uint64 {
+			lo, hi := stencilBounds(st.n, token-stencilSkew1)
+			stencilPass(c, scr, st.tmp, dst, st.n, lo, hi)
+			return in + 1
+		}
+		stage2 := func(c *mutls.Thread, token int, in uint64) uint64 {
+			lo, hi := stencilBounds(st.n, token-stencilSkew2)
+			stencilResidual(c, scr, src, dst, st.acc, st.n, lo, hi)
+			return in + 1
+		}
+		lists[k] = []mutls.Stage{stage0, stage1, stage2}
 	}
-	stage1 := func(c *mutls.Thread, token int, in uint64) uint64 {
-		lo, hi := stencilBounds(st.n, token-stencilSkew1)
-		stencilPass(c, scr, st.tmp, dst, st.n, lo, hi)
-		return in + 1
-	}
-	stage2 := func(c *mutls.Thread, token int, in uint64) uint64 {
-		lo, hi := stencilBounds(st.n, token-stencilSkew2)
-		stencilResidual(c, scr, src, dst, st.acc, st.n, lo, hi)
-		return in + 1
-	}
-	return []mutls.Stage{stage0, stage1, stage2}
+	return lists
 }
 
 // stencilTokens is the token count of one sweep: every block must pass
@@ -191,28 +196,25 @@ func stencilChecksum(t *mutls.Thread, st stencilState, cur mem.Addr) uint64 {
 func stencilSeq(t *mutls.Thread, s Size) uint64 {
 	st := stencilInit(t, s)
 	defer st.free(t)
-	src, dst := st.bufA, st.bufB
+	lists := stencilStages(t, st)
 	for step := 0; step < s.Steps; step++ {
-		stages := stencilStages(t, st, src, dst)
 		in := uint64(0)
 		for token := 0; token < stencilTokens; token++ {
-			for _, stage := range stages {
+			for _, stage := range lists[step%2] {
 				in = stage(t, token, in)
 			}
 		}
-		src, dst = dst, src
 	}
-	return stencilChecksum(t, st, src)
+	return stencilChecksum(t, st, st.bufs[s.Steps%2])
 }
 
 func stencilSpec(t *mutls.Thread, s Size, o SpecOptions) uint64 {
 	st := stencilInit(t, s)
 	defer st.free(t)
 	opts := mutls.PipelineOptions{Model: o.Model, Predictor: mutls.Stride}
-	src, dst := st.bufA, st.bufB
+	lists := stencilStages(t, st)
 	for step := 0; step < s.Steps; step++ {
-		mutls.Pipeline(t, stencilTokens, 0, opts, stencilStages(t, st, src, dst)...)
-		src, dst = dst, src
+		mutls.Pipeline(t, stencilTokens, 0, opts, lists[step%2]...)
 	}
-	return stencilChecksum(t, st, src)
+	return stencilChecksum(t, st, st.bufs[s.Steps%2])
 }

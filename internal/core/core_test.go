@@ -10,7 +10,9 @@ import (
 	"repro/internal/vclock"
 )
 
-// newRT builds a small runtime for tests. Cleanup closes it.
+// newRT builds a small runtime for tests. Cleanup closes it. A test (not a
+// benchmark) that builds one is armed with watchdog, so a lost wakeup or a
+// lost child fails it by name after hangAfter.
 func newRT(t testing.TB, cpus int, tweak func(*Options)) *Runtime {
 	t.Helper()
 	o := Options{
@@ -31,6 +33,9 @@ func newRT(t testing.TB, cpus int, tweak func(*Options)) *Runtime {
 		t.Fatal(err)
 	}
 	t.Cleanup(rt.Close)
+	if tt, ok := t.(*testing.T); ok {
+		watchdog(tt, rt)
+	}
 	return rt
 }
 

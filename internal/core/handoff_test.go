@@ -29,11 +29,16 @@ func gateCaller() func() {
 	return func() { procBusy.Add(-1) }
 }
 
+// gateHangAfter is how long a gate test may run: each takes well under a
+// second, under -race too.
+const gateHangAfter = 5 * time.Second
+
 // TestGateNoMissedWakeup hammers the publish-then-wake / register-then-check
 // handshake: the waker publishes rounds back to back, the waiter must
 // observe every one, whether it is spinning, registering or asleep when the
-// publish lands. A lost wakeup hangs the test.
+// publish lands. A lost wakeup fails the test by name at gateHangAfter.
 func TestGateNoMissedWakeup(t *testing.T) {
+	deadline(t, gateHangAfter, func() string { return "" })
 	for _, spin := range []func() bool{always, never} {
 		var g waitGate
 		g.init()
@@ -73,6 +78,7 @@ func TestGateNoMissedWakeup(t *testing.T) {
 func TestGateManyWaiters(t *testing.T) {
 	var g waitGate
 	g.init()
+	deadline(t, gateHangAfter, func() string { return fmt.Sprintf("; parked = %d", g.parked.Load()) })
 	var level atomic.Int64
 	const waiters = 8
 	var wg sync.WaitGroup
@@ -147,6 +153,7 @@ func TestTaskSlotNeverDoublesOrDrops(t *testing.T) {
 // their workers may still be in the mailbox spin or on the way to parking.
 // Close must not hang and must leave no worker behind.
 func TestCloseRacesSpinningWorker(t *testing.T) {
+	deadline(t, hangAfter, func() string { return "" }) // its runtimes are not newRT's
 	before := runtime.NumGoroutine()
 	for i := 0; i < 50; i++ {
 		rt, err := NewRuntime(Options{NumCPUs: 2, Timing: vclock.Real})
@@ -674,6 +681,7 @@ func TestForkJoinDoesNotAllocate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation count needs a quiet run")
 	}
+	deadline(t, hangAfter, func() string { return "" }) // the benchmark's runtime has no watchdog
 	res := testing.Benchmark(BenchmarkForkJoin)
 	if a := res.AllocsPerOp(); a != 0 {
 		t.Fatalf("fork/join round trip allocates %d objects per op", a)

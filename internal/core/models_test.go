@@ -9,26 +9,34 @@ import (
 	"repro/internal/mem"
 )
 
-// watchdog fails a test still running after d by name: a child no thread
-// will ever join leaves the run's drain waiting forever, which would
-// otherwise show only as go test's timeout. It panics — the test goroutine
-// is the one that hangs — with each CPU's state, epoch and the runtime's
-// active count; the test's end disarms it.
-func watchdog(t *testing.T, rt *Runtime, d time.Duration) {
+// deadline fails a test still running after d by name: a child no thread
+// will ever join, or a waiter whose wakeup was lost, leaves the test
+// waiting forever, which would otherwise show only as go test's timeout. It
+// panics — the test goroutine is the one that hangs — with what state
+// reports; the test's end disarms it.
+func deadline(t *testing.T, d time.Duration, state func() string) {
 	timer := time.AfterFunc(d, func() {
-		names := [...]string{cpuIdle: "idle", cpuClaimed: "claimed", cpuRunning: "running", cpuReady: "ready"}
-		var b strings.Builder
-		fmt.Fprintf(&b, "%s: still running after %v (a lost child?); rt.active = %d", t.Name(), d, rt.active.Load())
-		for r, c := range rt.cpus[1:] {
-			fmt.Fprintf(&b, "\n  cpu %d: state %s, epoch %d", r+1, names[c.td.state.Load()], c.td.syncWord.Load()>>2)
-		}
-		panic(b.String())
+		panic(fmt.Sprintf("%s: still running after %v (a lost child or wakeup?)%s", t.Name(), d, state()))
 	})
 	t.Cleanup(func() { timer.Stop() })
 }
 
-// hangAfter is how long the join-protocol tests armed with a watchdog may
-// run: each takes milliseconds.
+// watchdog arms deadline at hangAfter with rt's state: its active count and
+// each CPU's state and epoch.
+func watchdog(t *testing.T, rt *Runtime) {
+	deadline(t, hangAfter, func() string {
+		names := [...]string{cpuIdle: "idle", cpuClaimed: "claimed", cpuRunning: "running", cpuReady: "ready"}
+		var b strings.Builder
+		fmt.Fprintf(&b, "; rt.active = %d", rt.active.Load())
+		for r, c := range rt.cpus[1:] {
+			fmt.Fprintf(&b, "\n  cpu %d: state %s, epoch %d", r+1, names[c.td.state.Load()], c.td.syncWord.Load()>>2)
+		}
+		return b.String()
+	})
+}
+
+// hangAfter is how long a test that builds its runtime with newRT may run:
+// the slowest takes about 6 s under -race -cpu 1,2,4 on two vCPUs.
 const hangAfter = 20 * time.Second
 
 // chunkSum builds the in-order loop pattern of the paper's 3x+1 benchmark:
@@ -96,7 +104,6 @@ func chunkSum(t *testing.T, rt *Runtime, model Model, n, nChunks int) int64 {
 
 func TestInOrderChunkedLoop(t *testing.T) {
 	rt := newRT(t, 8, nil)
-	watchdog(t, rt, hangAfter)
 	n := 64
 	got := chunkSum(t, rt, InOrder, n, 8)
 	want := int64(n * (n + 1) / 2)
@@ -312,7 +319,6 @@ func TestMixedModelSpeculativeThreadForks(t *testing.T) {
 	// A speculative thread forks a grandchild and hands it upward with
 	// SyncParent; the non-speculative thread joins child then grandchild.
 	rt := newRT(t, 4, nil)
-	watchdog(t, rt, hangAfter)
 	rt.Run(func(t0 *Thread) {
 		arr := t0.Alloc(16)
 		ranks := make([]Rank, 1)
@@ -384,7 +390,6 @@ func TestAdoptionAcrossRollback(t *testing.T) {
 	// children are preserved — adopted by the joining thread — and can
 	// still commit ("local conflicts do not incur global rollbacks").
 	rt := newRT(t, 4, nil)
-	watchdog(t, rt, hangAfter)
 	rt.Run(func(t0 *Thread) {
 		arr := t0.Alloc(32)
 		t0.StoreInt64(arr, 1)
