@@ -7,7 +7,7 @@ GO ?= go
 # checker vocabulary or the gate flaps across versions.
 STATICCHECK_VERSION ?= 2023.1.7
 
-.PHONY: all build test race race-repeat vet fmt mutls-vet staticcheck smoke chaos loc
+.PHONY: all build test race race-repeat vet fmt mutls-vet staticcheck smoke chaos loc handoff
 
 # Seed for the fault-injection sweep; override to replay a failing CI
 # run's plans: `make chaos CHAOS_SEED=<seed from the log>`.
@@ -34,7 +34,8 @@ race:
 # TestWriteDuringRegionRollsBack (a table of the non-speculative thread's
 # direct write paths, each of which must stamp its page), the stack-variable
 # protocol's TestStackvarCommitAndPointerMapping and
-# TestStackvarRollbackLeavesHome, and the polls' TestCtxCancelUnwindsAtTheNextPoll,
+# TestStackvarRollbackLeavesHome, the epoch-tagged reset's
+# TestVerdictNeverOutlivesItsExecution, and the polls' TestCtxCancelUnwindsAtTheNextPoll,
 # TestRunCtxCancelMidRun, TestNoGoroutineBesidesTheWorkers and
 # TestWatchdogKillsRunaway among them — the guard's, the stage groups', the
 # fork points' and Tree's cancellation driver tests in mutls and the
@@ -108,6 +109,13 @@ chaos:
 	$(GO) run -race ./cmd/mutls-bench -chaos -quick -seed $(CHAOS_SEED)
 	$(GO) test -race -run TestMatmultRefusalStorm -count=3 ./internal/bench
 
+# handoff prints the hand-off micro-benchmarks: one empty fork/join round
+# trip, one Pipeline token and one refused fork, five times each. CI puts
+# the output in the job summary; it is reported, not gated, because the
+# host is shared and its speed drifts in spells of minutes.
+handoff:
+	$(GO) test -bench 'ForkJoin|PipelineToken|ForkRefused' -count 5 -run '^$$' ./internal/core ./mutls
+
 # loc reports the size ROADMAP aim 2 tracks: non-test Go outside the
 # benchmark and the analyzers' testdata, against the deletion round's
 # target; the second line is the static-analysis suite's share of it. It
@@ -115,7 +123,7 @@ chaos:
 # PR that grows the tree has to raise the number here, in its own diff.
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l); \
-	echo "non-test Go outside benchmark/ and testdata/: $$n lines (ceiling 15029, target 15000)"; \
+	echo "non-test Go outside benchmark/ and testdata/: $$n lines (ceiling 15233, target 15000)"; \
 	v=$$(find internal/analysis cmd/mutls-vet -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l); \
 	echo "  of which internal/analysis + cmd/mutls-vet: $$v lines"; \
-	if [ $$n -gt 15029 ]; then echo "code size is over the ceiling: shrink, or raise it in the Makefile" >&2; exit 1; fi
+	if [ $$n -gt 15233 ]; then echo "code size is over the ceiling: shrink, or raise it in the Makefile" >&2; exit 1; fi

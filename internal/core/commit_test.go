@@ -135,7 +135,7 @@ func TestSiblingReadBeforeACommitRollsBack(t *testing.T) {
 		})
 		waitReady(rt, ranks[0])
 		b := 3 - ranks[0] // the other CPU
-		gate := &rt.cpus[b].td.gate
+		gate := &rt.cpus[b].td.workGate
 		if rt.cpus[b].td.state.Load() != cpuRunning {
 			release.Store(true)
 			t.Fatal("A did not fork B")

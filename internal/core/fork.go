@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/faultinject"
 	"repro/internal/mem"
@@ -29,11 +30,14 @@ type ForkHandle struct {
 	t       *Thread
 	child   *cpu
 	epoch   uint64
+	point   int
 	started bool
-	// pay and payStart time the fork for the body's pay-off estimate; nil
-	// unless the non-speculative thread forks for a driver (ForkBody).
-	pay      *payoff
-	payStart vclock.Cost
+	// at is the forker's clock right after the claim: the child's start
+	// under real timing, and the start of the fork's cost for pay, the
+	// body's pay-off estimate (nil unless the non-speculative thread forks
+	// for a driver: ForkBody).
+	at  vclock.Cost
+	pay *payoff
 }
 
 // check panics when the fork window is closed: Start already ran, or the
@@ -68,7 +72,10 @@ func (t *Thread) ForkBody(ranks []Rank, p int, model Model) *ForkHandle {
 	return t.forkAt(ranks, p, model, true)
 }
 
-// forkAt is Fork; guarded says the body's pay-off estimate has a say.
+// forkAt is Fork; guarded says the body's pay-off estimate has a say. The
+// refusals that cost a load or two come first, then the estimate, then the
+// claim; a refused fork reads no clock, and a granted one reads it once,
+// after its claim.
 func (t *Thread) forkAt(ranks []Rank, p int, model Model, guarded bool) *ForkHandle {
 	if p < 0 || p >= len(ranks) || p >= NumPoints {
 		panic(fmt.Sprintf("core: fork point %d out of range", p))
@@ -78,8 +85,25 @@ func (t *Thread) forkAt(ranks []Rank, p int, model Model, guarded bool) *ForkHan
 	}
 	t.injectAt(faultinject.SiteFork)
 	ps := &t.rt.points[p]
-	if ps.disabled.Load() {
+	if ps.disabled.Load() || t.rt.stopped() {
+		// A cancelled run stops growing its speculative frontier: the
+		// remaining work runs sequentially until a CancelPoint unwinds it.
 		return nil
+	}
+	// Forking-model policy (§II, §IV-F).
+	switch model {
+	case InOrder:
+		if t.rt.inOrderTail.Load() != t.tailWord() {
+			return nil
+		}
+	case OutOfOrder:
+		if t.speculative {
+			return nil
+		}
+	case Mixed, MixedLinear:
+		// Every thread may speculate.
+	default:
+		panic(fmt.Sprintf("core: unknown forking model %v", model))
 	}
 	// Host-aware admission comes before the pay-off guard: a fork refused
 	// for want of a proc is neither one of the guard's probes nor a sample
@@ -105,52 +129,33 @@ func (t *Thread) forkAt(ranks []Rank, p int, model Model, guarded bool) *ForkHan
 			return nil
 		}
 	}
-	if t.rt.stopped() {
-		// A cancelled run stops growing its speculative frontier: the
-		// remaining work runs sequentially until a CancelPoint unwinds it.
-		return nil
-	}
-	// Forking-model policy (§II, §IV-F).
-	switch model {
-	case InOrder:
-		if t.rt.inOrderTail.Load() != t.tailWord() {
-			return nil
-		}
-	case OutOfOrder:
-		if t.speculative {
-			return nil
-		}
-	case Mixed, MixedLinear:
-		// Every thread may speculate.
-	default:
-		panic(fmt.Sprintf("core: unknown forking model %v", model))
-	}
 
-	cost := t.clock.Model
-	t.clock.Charge(vclock.FindCPU, cost.FindCPUCost)
-	sw := t.clock.Start(vclock.FindCPU)
-	child := t.rt.claimIdleCPU(sw.Started())
-	sw.Stop()
+	t.clock.Charge(vclock.FindCPU, t.clock.Model.FindCPUCost)
+	// Under virtual timing a CPU must also be virtually free by now; real
+	// time has no later free time than now, and the claim reads no clock.
+	now := vclock.Cost(math.MaxInt64)
+	if t.clock.Mode == vclock.Virtual {
+		now = t.clock.Now()
+	}
+	child := t.rt.claimIdleCPU(now)
 	if child == nil {
 		return nil
 	}
+	// Under real timing the claim is not timed on its own (its few atomics
+	// cost less than the two readings that timed them): the one reading
+	// after it starts the child's execution and the fork's cost.
+	at := t.clock.Now()
 
+	// The mailbox starts empty; the live-ins follow.
+	task := &child.task
+	task.nIn, task.inSpill = 0, task.inSpill[:0]
+	if len(task.inVars) > 0 {
+		clear(task.inVars)
+		task.inVars = task.inVars[:0]
+	}
 	td := &child.td
-	td.point = p
 	td.guarded = guarded
 	td.model = model
-	td.validStatus.Store(validNull)
-	td.forceInvalid.Store(false)
-	td.syncTime.Store(0)
-	td.stopCounter = 0
-	td.finalTime = 0
-	td.reason = RollbackNone
-	td.children = td.children[:0]
-	for i := range td.forkLive {
-		td.forkLive[i] = false
-	}
-	child.lb.Reset()
-
 	ranks[p] = td.rank
 	ref := childRef{rank: td.rank, epoch: td.epoch()}
 	cs := t.childrenRef()
@@ -163,12 +168,12 @@ func (t *Thread) forkAt(ranks []Rank, p int, model Model, guarded bool) *ForkHan
 		t.rt.linearInsert(t.rank, ref)
 	}
 	h := &t.fork
-	*h = ForkHandle{t: t, child: child, epoch: ref.epoch}
+	*h = ForkHandle{t: t, child: child, epoch: ref.epoch, point: p, at: at}
 	if pe != nil {
 		if pe.forked() {
 			ps.probes.Add(1)
 		}
-		h.pay, h.payStart = pe, sw.Started()
+		h.pay = pe
 	}
 	t.openFork = h
 	return h
@@ -221,13 +226,13 @@ func (rt *Runtime) claimIdleCPU(now vclock.Cost) *cpu {
 	limit := int(rt.cpuLimit.Load())
 	for r := 1; r <= limit; r++ {
 		c := rt.cpus[r]
-		if c.td.state.Load() != cpuIdle || c.freeAt.Load() > now {
+		if c.td.state.Load() != cpuIdle || c.td.freeAt.Load() > now {
 			continue
 		}
-		if c.td.state.CompareAndSwap(cpuIdle, cpuClaimed) {
+		if c.td.state.CompareAndSwap(cpuIdle, cpuRunning) {
 			// Re-check under the claim: the pre-scan freeAt read may have
 			// been stale against a release that happened in between.
-			if c.freeAt.Load() > now {
+			if c.td.freeAt.Load() > now {
 				c.td.state.Store(cpuIdle)
 				continue
 			}
@@ -243,16 +248,26 @@ func (rt *Runtime) claimIdleCPU(now vclock.Cost) *cpu {
 func (h *ForkHandle) Rank() Rank { return h.child.td.rank }
 
 // setRegvar is MUTLS_set_regvar_*: the proxy function saving one live-in.
+// It goes into the child's mailbox; the worker moves it into its
+// LocalBuffer at region entry.
 func (h *ForkHandle) setRegvar(slot int, v uint64) {
 	h.check("SetRegvar")
-	if err := h.child.lb.SetRegvar(slot, v); err != nil {
+	td := &h.child.td
+	if slot < 0 || slot >= len(td.forkRegs) {
 		// Too many live variables: the paper's speculator pass reports an
 		// error and speculation fails; surface it as a panic since it is a
 		// static protocol violation, not a dynamic conflict.
-		panic(err)
+		panic(fmt.Errorf("core: register slot %d exceeds capacity %d", slot, len(td.forkRegs)))
 	}
-	h.child.td.forkRegs[slot] = v
-	h.child.td.forkLive[slot] = true
+	task, r := &h.child.task, regPair{slot: int32(slot), val: v}
+	if task.nIn < inlineIn {
+		task.in[task.nIn] = r
+	} else {
+		task.inSpill = append(task.inSpill, r)
+	}
+	task.nIn++
+	td.forkRegs[slot] = v
+	td.forkLive[slot] = h.epoch + 1
 	cost := h.t.clock.Model
 	h.t.clock.Charge(vclock.Fork, cost.SaveLocal)
 }
@@ -264,43 +279,41 @@ func (h *ForkHandle) SetRegvarInt64(slot int, v int64) { h.setRegvar(slot, uint6
 func (h *ForkHandle) SetRegvarAddr(slot int, v mem.Addr) { h.setRegvar(slot, uint64(v)) }
 
 // SetStackvar is MUTLS_set_stackvar_*: it copies the stack variable at
-// homeAddr into the child's LocalBuffer.
+// homeAddr into the child's mailbox, bound for its LocalBuffer.
 func (h *ForkHandle) SetStackvar(slot int, homeAddr mem.Addr, size int) {
 	h.check("SetStackvar")
+	if n := h.t.rt.opts.LBuf.StackSlots; slot < 0 || slot >= n {
+		panic(fmt.Errorf("core: stack slot %d exceeds capacity %d", slot, n))
+	}
 	data := make([]byte, size)
 	h.t.LoadBytes(homeAddr, data)
-	if err := h.child.lb.SetStackvar(slot, homeAddr, data); err != nil {
-		panic(err)
-	}
+	task := &h.child.task
+	task.inVars = append(task.inVars, stackIn{slot: slot, home: homeAddr, data: data})
 	cost := h.t.clock.Model
 	h.t.clock.Charge(vclock.Fork, cost.SaveLocal*vclock.Cost(1+size/mem.Word))
 }
 
-// Start is MUTLS_speculate: it hands the region to the claimed CPU's worker
-// and sets the CPU RUNNING. The child enters through the stub, fetching its
+// Start is MUTLS_speculate: it hands the region to the claimed CPU's
+// worker. The child enters through the stub, fetching its
 // live-ins with Thread.GetRegvar*.
 func (h *ForkHandle) Start(region RegionFunc) {
 	h.check("Start")
 	h.started = true
-	if h.t.openFork == h {
-		h.t.openFork = nil
+	t, c := h.t, h.child
+	if t.openFork == h {
+		t.openFork = nil
 	}
-	cost := h.t.clock.Model
-	h.t.clock.Charge(vclock.Fork, cost.ForkCost)
-	startAt := h.t.clock.Now()
-	if fa := h.child.freeAt.Load(); fa > startAt {
-		startAt = fa
+	t.clock.Charge(vclock.Fork, t.clock.Model.ForkCost)
+	startAt := h.at
+	if t.clock.Mode == vclock.Virtual {
+		startAt = max(t.clock.Now(), c.td.freeAt.Load())
 	}
-	c := h.child
-	c.td.state.Store(cpuRunning)
-	// The worker's share of the active count, taken on its behalf before it
-	// can possibly finish.
-	h.t.rt.active.Add(1)
-	c.task = specTask{region: region, startAt: startAt}
-	c.taskReady.Store(true)
-	cold := c.td.gate.wake()
+	c.task.region, c.task.startAt, c.task.epoch, c.task.point = region, startAt, h.epoch, h.point
+	c.posted.Store(h.epoch + 1)
+	cold := c.td.workGate.wake()
 	if h.pay != nil {
-		h.pay.observeFork(h.t.clock.Now()-h.payStart, cold)
+		// After the publish: the child is already on its way.
+		h.pay.observeFork(t.clock.Now()-h.at, cold)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/gbuf"
 	"repro/internal/raceflag"
 	"repro/internal/vclock"
 )
@@ -66,8 +67,8 @@ func TestGateNoMissedWakeup(t *testing.T) {
 		if g.parked.Load() != 0 {
 			t.Fatalf("parked count %d after all waiters returned", g.parked.Load())
 		}
-		if n := g.spins.Load(); n < g.spinHits.Load() {
-			t.Fatalf("spin hits %d exceed spin phases %d", g.spinHits.Load(), n)
+		if n := g.spins.Load(); n < g.spunOut.Load() || g.spinHits() < 0 {
+			t.Fatalf("spin phases %d, of which %d ran out", n, g.spunOut.Load())
 		}
 	}
 }
@@ -253,12 +254,13 @@ func TestStaleForkHandlePanics(t *testing.T) {
 		if h == nil {
 			t.Fatal("fork refused after a stale Start")
 		}
+		posted := rt.cpus[1].posted.Load()
 		t0.abandonOpenFork()
 		ranks[0] = 0
 		if !panics(func() { h.Start(region) }) {
 			t.Fatal("Start on an abandoned claim did not panic")
 		}
-		if rt.cpus[1].td.state.Load() != cpuIdle || rt.cpus[1].taskReady.Load() {
+		if rt.cpus[1].td.state.Load() != cpuIdle || rt.cpus[1].posted.Load() != posted {
 			t.Fatal("stale Start touched the released CPU")
 		}
 		if st := forkJoinEmpty(t0, ranks); st != JoinCommitted {
@@ -676,14 +678,115 @@ func BenchmarkForkJoin(b *testing.B) {
 	b.ReportMetric(float64(s.HandoffParks)/float64(b.N), "parks/op")
 }
 
-// TestForkJoinDoesNotAllocate pins the benchmark's allocs/op at zero.
+// BenchmarkForkRefused is one refused fork: the CPU limit is 0, so Fork
+// gets past every cheap refusal and finds no CPU to claim — what a driver
+// pays for each chunk a pool's lease runs inline. A refused fork reads no
+// clock and must not allocate.
+func BenchmarkForkRefused(b *testing.B) {
+	rt := newRT(b, 1, func(o *Options) { o.Timing = vclock.Real })
+	rt.SetCPULimit(0)
+	b.ReportAllocs()
+	rt.Run(func(t0 *Thread) {
+		ranks := make([]Rank, 1)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if t0.Fork(ranks, 0, OutOfOrder) != nil {
+				b.Fatal("fork granted at CPU limit 0")
+			}
+		}
+		b.StopTimer()
+	})
+}
+
+// TestForkJoinDoesNotAllocate pins the benchmarks' allocs/op at zero: the
+// round trip's and the refusal's.
 func TestForkJoinDoesNotAllocate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation count needs a quiet run")
 	}
 	deadline(t, hangAfter, func() string { return "" }) // the benchmark's runtime has no watchdog
-	res := testing.Benchmark(BenchmarkForkJoin)
-	if a := res.AllocsPerOp(); a != 0 {
+	if a := testing.Benchmark(BenchmarkForkJoin).AllocsPerOp(); a != 0 {
 		t.Fatalf("fork/join round trip allocates %d objects per op", a)
+	}
+	if a := testing.Benchmark(BenchmarkForkRefused).AllocsPerOp(); a != 0 {
+		t.Fatalf("a refused fork allocates %d objects per op", a)
+	}
+}
+
+// TestVerdictNeverOutlivesItsExecution drives one CPU through rounds of
+// three kinds in turn — a commit, a rollback forced by a mispredicted
+// live-in (ValidateRegvarInt64), and a NOSYNC squash (a Join on a rank the
+// children stack does not hold) — on every backend and under both clocks.
+// Nothing but releaseCPU resets the CPU and the verdict, the forced
+// invalidation and the signal are tagged with the execution's epoch, so at
+// each claim none of them may read as the new execution's, and each join
+// must report its own round's outcome, counter and registers.
+func TestVerdictNeverOutlivesItsExecution(t *testing.T) {
+	const rounds = 10000
+	for timing, clock := range map[vclock.Mode]string{vclock.Virtual: "virtual", vclock.Real: "real"} {
+		for _, backend := range gbuf.Backends() {
+			t.Run(clock+"/"+backend, func(t *testing.T) {
+				rt := newRT(t, 1, func(o *Options) {
+					o.Timing = timing
+					o.GBuf = gbuf.Config{Backend: backend}
+				})
+				commits := 0
+				rt.Run(func(t0 *Thread) {
+					p := t0.Alloc(8)
+					ranks := make([]Rank, 2)
+					last := int64(-1) // the word's value after the last commit
+					for i := 0; i < rounds; i++ {
+						h := t0.Fork(ranks, 0, Mixed)
+						for h == nil {
+							// A squashed child releases its CPU itself.
+							t0.Tick(1000)
+							runtime.Gosched()
+							h = t0.Fork(ranks, 0, Mixed)
+						}
+						td, task := &rt.cpus[1].td, &rt.cpus[1].task
+						if v := td.verdict(h.epoch); v != validNull {
+							t.Fatalf("round %d: the new execution already reads verdict %d", i, v)
+						}
+						if td.forceInvalid.Load() == h.epoch+1 || td.syncStatus() != syncNull || len(td.children) != 0 || task.nIn != 0 {
+							t.Fatalf("round %d: the claim found the last execution's state", i)
+						}
+						h.SetRegvarInt64(0, int64(i))
+						h.Start(func(c *Thread) uint32 {
+							v := c.GetRegvarInt64(0)
+							c.StoreInt64(p, v)
+							c.SaveRegvarInt64(1, 2*v+1)
+							return uint32(1 + v%7)
+						})
+						switch i % 3 {
+						case 0:
+							res := t0.Join(ranks, 0)
+							if !res.Committed() || res.Counter != uint32(1+i%7) || res.RegvarInt64(1) != int64(2*i+1) ||
+								res.RegvarInt64(0) != int64(i) || res.RegvarLive(2) {
+								t.Fatalf("round %d: commit joined %v (%v), counter %d", i, res.Status, res.Reason, res.Counter)
+							}
+							commits++
+							last = int64(i)
+						case 1:
+							t0.ValidateRegvarInt64(ranks, 0, 0, int64(i+1))
+							if res := t0.Join(ranks, 0); res.Status != JoinRolledBack || res.Reason != RollbackLocals {
+								t.Fatalf("round %d: mispredicted live-in joined %v (%v)", i, res.Status, res.Reason)
+							}
+						case 2:
+							ranks[1] = Rank(2)
+							if res := t0.Join(ranks, 1); res.Status != JoinRolledBack || res.Reason != RollbackNoSync {
+								t.Fatalf("round %d: squash joined %v (%v)", i, res.Status, res.Reason)
+							}
+							ranks[0] = 0
+						}
+						if got := t0.LoadInt64(p); got != last {
+							t.Fatalf("round %d: word %d after the join, want %d", i, got, last)
+						}
+					}
+				})
+				if s := rt.Stats(); s.Commits != commits || s.Commits+s.Rollbacks != rounds {
+					t.Fatalf("commits %d rollbacks %d, want %d of %d", s.Commits, s.Rollbacks, commits, rounds)
+				}
+			})
+		}
 	}
 }

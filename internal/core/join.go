@@ -74,21 +74,6 @@ type regPair struct {
 	val  uint64
 }
 
-// setRegs copies the live entry-frame registers of the child's LocalBuffer
-// and returns how many there are.
-func (r *JoinResult) setRegs(lb *lbuf.Buffer) int {
-	for _, s := range lb.EntryLive() {
-		p := regPair{slot: s, val: lb.EntryReg(s)}
-		if r.nRegs < inlineRegs {
-			r.inline[r.nRegs] = p
-		} else {
-			r.spill = append(r.spill, p)
-		}
-		r.nRegs++
-	}
-	return r.nRegs
-}
-
 // lookup finds a restored register.
 func (r *JoinResult) lookup(slot int) (uint64, bool) {
 	for _, p := range r.inline[:min(r.nRegs, inlineRegs)] {
@@ -112,13 +97,24 @@ func (t *Thread) ValidateRegvarInt64(ranks []Rank, p int, slot int, actual int64
 	t.validateRegvar(ranks, p, slot, uint64(actual))
 }
 
+// The prediction and the forced invalidation are both tagged with the
+// child's fork-time epoch, taken from this thread's children stack: a CPU
+// that has moved on since is left alone (its join rolls back anyway).
 func (t *Thread) validateRegvar(ranks []Rank, p int, slot int, actual uint64) {
 	if p < 0 || p >= len(ranks) || ranks[p] == 0 {
 		return
 	}
-	td := &t.rt.cpus[ranks[p]].td
-	if slot < 0 || slot >= len(td.forkRegs) || !td.forkLive[slot] || td.forkRegs[slot] != actual {
-		td.forceInvalid.Store(true)
+	cs := *t.childrenRef()
+	i := len(cs) - 1
+	for i >= 0 && cs[i].rank != ranks[p] {
+		i--
+	}
+	if i < 0 {
+		return
+	}
+	td, tag := &t.rt.cpus[ranks[p]].td, cs[i].epoch+1
+	if slot < 0 || slot >= len(td.forkRegs) || td.forkLive[slot] != tag || td.forkRegs[slot] != actual {
+		td.forceInvalid.Store(tag)
 	}
 }
 
@@ -180,34 +176,36 @@ func (t *Thread) Join(ranks []Rank, p int) JoinResult {
 	// time-bounded spin on the child's gate, parked only past it).
 	t.clock.Charge(vclock.Join, cost.SyncCost)
 	waitStart := t.clock.Now()
-	td.syncTime.Store(waitStart)
+	if t.clock.Mode == vclock.Virtual {
+		td.syncTime.Store(waitStart)
+	}
 	if !td.signal(ref.epoch, syncSync) {
 		// A third party squashed the child first (linear cascade), or the
 		// epoch is stale because the squashed child already self-released:
 		// the speculation is gone either way.
 		return JoinResult{Status: JoinRolledBack, Reason: RollbackNoSync}
 	}
-	td.gate.wait(func() bool { return td.validStatus.Load() != validNull }, t.rt.spareProc, true)
+	verdict := td.verdict(ref.epoch)
+	if verdict == validNull {
+		td.joinGate.wait(func() bool {
+			verdict = td.verdict(ref.epoch)
+			return verdict != validNull
+		}, t.rt.spareProc, true)
+	}
 	if t.clock.Mode == vclock.Real {
 		// The wait up to the child's valid_status stamp was for work still
 		// running: idle. Past the stamp the verdict was out and this thread
 		// was not yet running again — the hand-off's own latency: join.
-		now, pub := t.clock.Now(), td.validStamp
-		if pub < waitStart {
-			pub = waitStart
-		}
-		if pub > now {
-			pub = now
-		}
+		now := t.clock.Now()
+		pub := min(max(td.finalTime, waitStart), now)
 		t.clock.Book(vclock.Idle, pub-waitStart)
 		t.clock.Book(vclock.Join, now-pub)
 	}
-	committed := td.validStatus.Load() == validCommit
+	committed := verdict == validCommit
 
 	// Adopt the child's children in both outcomes: local conflicts must not
 	// discard the subtree's committed-future work (§IV-F).
 	*cs = append(*cs, td.children...)
-	td.children = td.children[:0]
 
 	// The joining thread idles until the child finishes validation and
 	// commit; under virtual timing the gap is explicit.
@@ -217,11 +215,18 @@ func (t *Thread) Join(ranks []Rank, p int) JoinResult {
 	if committed {
 		res.Status = JoinCommitted
 		res.Counter = td.stopCounter
-		nLive := res.setRegs(child.lb)
-		res.frames = child.lb.Records()
-		t.clock.Charge(vclock.Join, cost.RestoreLocal*vclock.Cost(nLive))
-		res.ptrs = child.lb.PtrMappings()
-		t.commitStackvars(child, res.ptrs)
+		res.nRegs = td.nOut
+		copy(res.inline[:], td.out[:min(td.nOut, inlineRegs)])
+		if td.nOut > inlineRegs {
+			res.spill = append([]regPair(nil), td.outSpill...)
+		}
+		res.frames, res.ptrs = td.frames, td.ptrs
+		t.clock.Charge(vclock.Join, cost.RestoreLocal*vclock.Cost(res.nRegs))
+		// Write the child's final stack-variable bytes back to their
+		// non-speculative homes (the parent side of MUTLS_get_stackvar_*).
+		for i, m := range res.ptrs {
+			t.StoreBytes(m.Home, td.stackOut[i])
+		}
 	} else {
 		res.Status = JoinRolledBack
 		if td.model == MixedLinear {
@@ -276,18 +281,6 @@ func (t *Thread) SquashChildren(mark int) {
 		t.rt.cpus[c.rank].td.signal(c.epoch, syncNoSync)
 	}
 	t.rt.inOrderTail.Store(t.tailWord())
-}
-
-// commitStackvars writes the child's final stack-variable bytes back to
-// their non-speculative homes (the parent side of MUTLS_get_stackvar_*).
-func (t *Thread) commitStackvars(child *cpu, ptrs []lbuf.PtrMapping) {
-	for _, m := range ptrs {
-		data, err := child.lb.EntryStackvarData(m.Slot)
-		if err != nil {
-			continue
-		}
-		t.StoreBytes(m.Home, data)
-	}
 }
 
 // regvar fetches one restored local from the join result.

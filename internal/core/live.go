@@ -29,6 +29,8 @@ const NumPoints = 64
 // and at Recycle. The body and its pay-off estimate stay until Close, or
 // until a 65th body evicts them.
 type pointState struct {
+	// The workers' group, written at every execution's fold.
+	//
 	// commits and rollbacks count finished speculative executions on the
 	// point (squashed/NOSYNCed executions count as rollbacks); the latency
 	// sums add up their occupied CPU intervals (virtual units or
@@ -45,7 +47,11 @@ type pointState struct {
 	// kept only when SpecDeadline is set: runSpec stretches the deadline of
 	// the point's next executions with it.
 	wallEWMA atomic.Int64
-	// disabled refuses further forks on the point (Fork reads it).
+	_        [64]byte
+
+	// The forkers' group, read at every fork. disabled refuses further
+	// forks on the point; it is written only when a fault disables it or a
+	// call clears it, so a fold does not take the line from the next fork.
 	disabled atomic.Bool
 
 	// key is the body PointFor interned here, 0 for none (under pointMu).
@@ -63,6 +69,7 @@ type pointState struct {
 	probes        atomic.Int64
 	refusedNoProc atomic.Int64
 	coldJoins     atomic.Int64
+	_             [64]byte
 }
 
 // faultDisableThreshold is the number of contained faults (panics

@@ -25,7 +25,7 @@ func deadline(t *testing.T, d time.Duration, state func() string) {
 // each CPU's state and epoch.
 func watchdog(t *testing.T, rt *Runtime) {
 	deadline(t, hangAfter, func() string {
-		names := [...]string{cpuIdle: "idle", cpuClaimed: "claimed", cpuRunning: "running", cpuReady: "ready"}
+		names := [...]string{cpuIdle: "idle", cpuRunning: "running", cpuReady: "ready"}
 		var b strings.Builder
 		fmt.Fprintf(&b, "; rt.active = %d", rt.active.Load())
 		for r, c := range rt.cpus[1:] {

@@ -140,7 +140,9 @@ func (pe *payoff) judge() {
 	if !noPay {
 		pe.probe = 0
 	}
-	pe.noPay.Store(noPay)
+	if noPay != pe.noPay.Load() {
+		pe.noPay.Store(noPay)
+	}
 }
 
 // timeInline reports whether the inline execution about to start is to be

@@ -54,11 +54,11 @@ func (e *KernelPanic) Error() string {
 }
 
 // CPU states (paper §IV-D): every virtual CPU is RUNNING, IDLE or READY TO
-// RECLAIM, initialized IDLE at program start. cpuClaimed is the transient
-// state between MUTLS_get_CPU and MUTLS_speculate.
+// RECLAIM, initialized IDLE at program start. A claim (MUTLS_get_CPU) sets
+// RUNNING: the window up to MUTLS_speculate is the forker's, and a store of
+// its own at Start would only hold the task's publication up.
 const (
 	cpuIdle int32 = iota
-	cpuClaimed
 	cpuRunning
 	cpuReady // READY TO RECLAIM: results published, waiting for the parent
 )
@@ -85,47 +85,54 @@ type childRef struct {
 	epoch uint64
 }
 
-// valid_status values.
+// valid_status values. They live in the low two bits of
+// threadData.validStatus under the epoch they were published in, like
+// sync_status in syncWord: a verdict is never reset, the release's epoch
+// bump retires it.
 const (
-	validNull int32 = iota
+	validNull uint64 = iota
 	validCommit
 	validRollback
 )
 
 // threadData is the paper's ThreadData module: the status of one
-// speculative thread. Fields below the atomics are owned by the thread
-// while it runs and read by the parent only after valid_status publishes
-// (atomic release/acquire ordering).
+// speculative thread. Its fields are grouped by who writes them, one cache
+// line apart, so that a fork/join round trip moves each group between the
+// two cores once: the parent's group (the claim, the fork's parameters,
+// SYNC), the verdict's (the worker's results, published by valid_status
+// with a release/acquire pair) and the two gates (each written only by its
+// own waiter). Nothing in a group is reset between executions but what
+// releaseCPU resets; the epoch-tagged words need no reset at all.
 type threadData struct {
 	rank Rank
 
+	// The parent's group: written by whoever claims, forks on, signals or
+	// releases the CPU; the worker reads it once it has stopped.
 	state atomic.Int32
 	// syncWord packs (epoch << 2) | sync_status. Signalling SYNC or NOSYNC
 	// is a CAS against (epoch<<2)|NULL, so signals to stale epochs fail
 	// harmlessly.
-	syncWord    atomic.Uint64
-	validStatus atomic.Int32
-	// forceInvalid is set by the parent when MUTLS_validate_local detects a
-	// live register misprediction; the child's validation then fails.
-	forceInvalid atomic.Bool
+	syncWord atomic.Uint64
+	// forceInvalid is epoch+1 of the execution the parent's
+	// MUTLS_validate_local found a live register mispredicted for (0:
+	// none); that execution's validation then fails.
+	forceInvalid atomic.Uint64
 	// syncTime is the parent's clock when it signals SYNC (virtual mode).
 	syncTime atomic.Int64
+	// freeAt is the virtual time when the CPU is next available (virtual
+	// mode; real time has no later free time than now).
+	freeAt  atomic.Int64
+	guarded bool // forked by ForkBody under a kept estimate: Join folds its cost in
+	model   Model
+	_       [64]byte
 
-	// gate blocks whoever waits on this CPU's published flags: the parent
-	// waiting for validStatus, the worker waiting for sync_status or for
-	// its next task. Wakers call gate.wake after every store those waits
-	// observe (signal, validStatus, the task slot, Close).
-	gate waitGate
-
-	// Owned by the speculating (child) thread while RUNNING; read by the
-	// parent after valid_status != NULL. Once valid_status is published the
-	// parent may reclaim the CPU and fork on it again at any moment, so the
-	// worker touches none of these fields past that store.
-	point       int
-	guarded     bool // forked by ForkBody under a kept estimate: Join folds its cost in
-	model       Model
-	children    []childRef
+	// The verdict's group: written by the worker up to the valid_status
+	// store, read by the joiner after it. From that store on the parent may
+	// reclaim the CPU and fork on it again at any moment, so the worker
+	// touches none of these fields past it.
+	validStatus atomic.Uint64 // (epoch << 2) | valid_status
 	stopCounter uint32
+	reason      RollbackReason
 	finalTime   vclock.Cost
 	// validStamp is the worker's clock at the valid_status store (real
 	// mode): the joiner splits its wait there into idle (the child was
@@ -133,18 +140,34 @@ type threadData struct {
 	// running).
 	validStamp vclock.Cost
 	// wakeNS is the hand-off latency, Start stamp to region entry.
-	wakeNS int64
-	reason RollbackReason
-	// readPeak/writePeak are the GlobalBuffer set sizes captured just
-	// before finalization: the execution's buffer-pressure high-water
-	// marks.
-	readPeak  int
-	writePeak int
+	wakeNS   int64
+	children []childRef
+	// What a committing join restores, copied out of the worker's
+	// LocalBuffer (see handBack): the entry frame's nOut live registers,
+	// the first inlineRegs in out and the rest in outSpill, the nested
+	// frame records, the stack-variable mappings and each one's final
+	// bytes.
+	nOut     int
+	out      [inlineRegs]regPair
+	outSpill []regPair
+	frames   []lbuf.FrameRecord
+	ptrs     []lbuf.PtrMapping
+	stackOut [][]byte
+	_        [64]byte
+
+	// joinGate blocks the joiner waiting for valid_status; workGate the
+	// worker waiting for its next task or for sync_status. Wakers call wake
+	// after every store those waits observe (signal and Close: workGate;
+	// validStatus: joinGate; the task slot: workGate).
+	joinGate waitGate
+	workGate waitGate
+
 	// forkRegs keeps the parent's fork-time register predictions for
 	// MUTLS_validate_local (separate from the LocalBuffer, which the child
-	// overwrites when saving its own locals at a stop point).
+	// overwrites when saving its own locals at a stop point); forkLive[s]
+	// is epoch+1 of the fork that set slot s. Only the parent touches them.
 	forkRegs []uint64
-	forkLive []bool
+	forkLive []uint64
 }
 
 // epoch returns the CPU's current generation.
@@ -153,6 +176,15 @@ func (td *threadData) epoch() uint64 { return td.syncWord.Load() >> syncStatusBi
 // syncStatus returns the current sync_status bits.
 func (td *threadData) syncStatus() uint64 { return td.syncWord.Load() & syncStatusMask }
 
+// verdict returns the valid_status published under epoch e, validNull
+// while there is none.
+func (td *threadData) verdict(e uint64) uint64 {
+	if v := td.validStatus.Load(); v>>syncStatusBits == e {
+		return v & syncStatusMask
+	}
+	return validNull
+}
+
 // signal CASes sync_status from NULL to the given status under the given
 // epoch. It fails — harmlessly — when the epoch is stale (the CPU was
 // reclaimed) or a different signal won the race. A successful signal
@@ -160,15 +192,10 @@ func (td *threadData) syncStatus() uint64 { return td.syncWord.Load() & syncStat
 func (td *threadData) signal(epoch, status uint64) bool {
 	base := epoch << syncStatusBits
 	if td.syncWord.CompareAndSwap(base|syncNull, base|status) {
-		td.gate.wake()
+		td.workGate.wake()
 		return true
 	}
 	return false
-}
-
-// bumpEpoch starts a new generation with sync_status NULL (done at release).
-func (td *threadData) bumpEpoch() {
-	td.syncWord.Store((td.epoch() + 1) << syncStatusBits)
 }
 
 // tailWord packs a speculative thread's identity for the in-order tail
@@ -179,26 +206,38 @@ func tailWord(rank Rank, epoch uint64) uint64 {
 
 // cpu bundles one virtual CPU: its ThreadData, GlobalBuffer and LocalBuffer
 // (the paper's ThreadManager maintains exactly this triple per CPU), plus
-// the worker's task slot and the virtual time at which the CPU becomes free.
+// the worker's mailbox and what only the worker touches.
 // The GlobalBuffer is held behind the gbuf.Backend interface, so the
 // buffering organization is a per-runtime choice (Options.GBuf.Backend).
 type cpu struct {
-	td     threadData
-	gb     gbuf.Backend
-	lb     *lbuf.Buffer
-	freeAt atomic.Int64 // virtual time when the CPU is next available
+	td threadData
+	gb gbuf.Backend
+	lb *lbuf.Buffer
 
-	// The worker's mailbox: ForkHandle.Start fills task, sets taskReady and
-	// wakes td.gate; the worker clears taskReady when it takes the task. A
-	// CPU is claimed by one forker at a time and only after its previous
-	// task was taken, so the slot never holds two.
-	task      specTask
-	taskReady atomic.Bool
+	// The worker's mailbox, written only in the fork window: the parent
+	// saves the live-ins into task, Start fills in the rest, stores the
+	// fork's epoch+1 in posted and wakes td.workGate; the worker runs a
+	// task once posted differs from the last it took, and moves the
+	// live-ins into its LocalBuffer. posted has a line of its own: the
+	// idle worker spins on it, and a store beside it would have to take
+	// the line back from the spinner once per store. A CPU is claimed by
+	// one forker at a time and only after its previous task was taken, so
+	// the slot never holds two.
+	_      [64]byte
+	posted atomic.Uint64
+	_      [64]byte
+	task   specTask
+	_      [64]byte
 
-	// The speculative thread and its clock, re-initialized per speculation
-	// instead of allocated.
-	thread Thread
-	clock  vclock.Clock
+	// The worker's own: the last posted value it took, the last one whose
+	// execution it has finished folding (the CPU may be released while the
+	// worker still clears its buffers; Quiescent compares it with posted),
+	// and the speculative thread and its clock, re-initialized per
+	// speculation instead of allocated.
+	taken    uint64
+	finished atomic.Uint64
+	thread   Thread
+	clock    vclock.Clock
 
 	rng   splitMix64
 	stack mem.Range // this CPU's speculative stack region
@@ -217,10 +256,40 @@ type cpu struct {
 // specTask is one speculation handed to a worker.
 type specTask struct {
 	region RegionFunc
-	// startAt is the child's clock at entry: the forker's clock at Start
-	// (real mode: the stamp the child's wake-up latency is measured from),
-	// or the CPU's later virtual free time.
+	// startAt is the child's clock at entry: the forker's stamp at its
+	// claim (real mode: the stamp the child's wake-up latency is measured
+	// from), or the later of its clock at Start and the CPU's virtual free
+	// time.
 	startAt vclock.Cost
+	// epoch and point are the fork's: the worker reads its generation and
+	// fork/join point from the mailbox, not from the parent's group.
+	epoch uint64
+	point int
+	// The live-ins, in the order the parent saved them: nIn registers, the
+	// first inlineIn in place, and the stack variables.
+	nIn     int
+	in      [inlineIn]regPair
+	inSpill []regPair
+	inVars  []stackIn
+}
+
+// liveIn returns the i-th live-in register.
+func (task *specTask) liveIn(i int) *regPair {
+	if i < inlineIn {
+		return &task.in[i]
+	}
+	return &task.inSpill[i-inlineIn]
+}
+
+// inlineIn is the number of live-in registers a task carries in place;
+// every driver saves at most three but Tree, which saves its arguments.
+const inlineIn = 4
+
+// stackIn is one stack-variable live-in saved in the fork window.
+type stackIn struct {
+	slot int
+	home mem.Addr
+	data []byte
 }
 
 // RegionFunc is the speculative continuation: the code from a join point to
@@ -260,14 +329,16 @@ type Runtime struct {
 	wg        sync.WaitGroup
 	closed    atomic.Bool
 
-	// active counts claimed virtual CPUs plus workers inside runSpec (a
-	// started speculation holds two shares: the CPU's, dropped when it is
-	// released, and the worker's, dropped when runSpec returns — the parent
-	// may release the CPU while the worker still clears its buffers).
-	// Draining waits for zero: a sequential all-IDLE scan is not enough,
+	// active counts claimed virtual CPUs: a claim adds one, a release
+	// drops it. A worker still folding an execution whose CPU was released
+	// shows in its own finished mark instead (Quiescent reads both).
+	// Draining waits for none of either: a sequential all-IDLE scan is not enough,
 	// because a not-yet-squashed thread can fork onto a CPU the scan
-	// already passed.
+	// already passed. Forks and releases write it and a commit may read it:
+	// it keeps a line to itself.
+	_      [64]byte
 	active atomic.Int64
+	_      [56]byte
 
 	// running marks a run in flight (RunCtx entry to drained exit); idle
 	// workers spin for their next task only while it is set.
@@ -309,8 +380,8 @@ type Runtime struct {
 	stamps *mem.WriteStamps
 	markFn func(mem.Addr, int)
 
-	// drainGate blocks the non-speculative thread in drain until active
-	// reaches zero; every decrement wakes it.
+	// drainGate blocks the non-speculative thread in drain until the
+	// runtime is quiescent; every release and every worker's end wakes it.
 	drainGate waitGate
 }
 
@@ -363,9 +434,13 @@ func NewRuntime(opts Options) (*Runtime, error) {
 			stack: stack,
 		}
 		c.td.rank = Rank(r)
-		c.td.gate.init()
+		c.td.joinGate.init()
+		c.td.workGate.init()
 		c.td.forkRegs = make([]uint64, o.LBuf.RegSlots)
-		c.td.forkLive = make([]bool, o.LBuf.RegSlots)
+		c.td.forkLive = make([]uint64, o.LBuf.RegSlots)
+		// What a speculation's Thread is for this CPU; runSpec resets the
+		// rest.
+		c.thread = Thread{rt: rt, rank: Rank(r), cpu: c, clock: &c.clock, stack: stack, speculative: true}
 		rt.cpus[r] = c
 		rt.wg.Add(1)
 		go rt.worker(c)
@@ -455,7 +530,7 @@ func (rt *Runtime) RunCtx(ctx context.Context, fn func(t *Thread)) (vclock.Cost,
 	// The runtime is quiescent here: the previous drain waited for every
 	// worker, and workers only read freeAt after a fork hands them a task.
 	for r := Rank(1); int(r) <= rt.opts.NumCPUs; r++ {
-		rt.cpus[r].freeAt.Store(0)
+		rt.cpus[r].td.freeAt.Store(0)
 	}
 	err := rt.runCounted(t, fn)
 	runtime := t.clock.Now()
@@ -591,12 +666,6 @@ func (rt *Runtime) drain(t *Thread) {
 	rt.drainGate.wait(rt.Quiescent, rt.spareProc, true)
 }
 
-// retire drops one share of the active count and wakes a draining thread.
-func (rt *Runtime) retire() {
-	rt.active.Add(-1)
-	rt.drainGate.wake()
-}
-
 // Stats summarizes the executions since the last ResetStats, from the
 // per-CPU accumulators and the per-point counters. The GlobalBuffer
 // counters are aggregated over all virtual CPUs; the runtime must be
@@ -639,17 +708,18 @@ func (rt *Runtime) Stats() *stats.Summary {
 func (rt *Runtime) handoffCounts() (spins, spinHits, parks int64) {
 	rt.eachGate(func(g *waitGate) {
 		spins += g.spins.Load()
-		spinHits += g.spinHits.Load()
+		spinHits += g.spinHits()
 		parks += g.parks.Load()
 	})
 	return spins, spinHits, parks
 }
 
-// eachGate visits the drain gate and every virtual CPU's gate.
+// eachGate visits the drain gate and every virtual CPU's two gates.
 func (rt *Runtime) eachGate(fn func(g *waitGate)) {
 	fn(&rt.drainGate)
 	for r := 1; r <= rt.opts.NumCPUs; r++ {
-		fn(&rt.cpus[r].td.gate)
+		fn(&rt.cpus[r].td.joinGate)
+		fn(&rt.cpus[r].td.workGate)
 	}
 }
 
@@ -667,7 +737,7 @@ func (rt *Runtime) ResetStats() {
 	rt.pointsExhausted.Store(0)
 	rt.eachGate(func(g *waitGate) {
 		g.spins.Store(0)
-		g.spinHits.Store(0)
+		g.spunOut.Store(0)
 		g.parks.Store(0)
 	})
 }
@@ -680,7 +750,7 @@ func (rt *Runtime) Close() {
 	}
 	// closed is what an idle worker's wait reads; it was published above.
 	for r := 1; r <= rt.opts.NumCPUs; r++ {
-		rt.cpus[r].td.gate.wake()
+		rt.cpus[r].td.workGate.wake()
 	}
 	rt.wg.Wait()
 }
@@ -688,25 +758,40 @@ func (rt *Runtime) Close() {
 // Quiescent reports whether no virtual CPU is claimed and no worker is
 // inside a speculation — the precondition for Recycle and the pool's
 // reuse-after-fault verification.
-func (rt *Runtime) Quiescent() bool { return rt.active.Load() == 0 }
+//
+// No CPU claimed means no region running, so none can claim one and post a
+// task: a worker that has finished every task posted by then is done.
+func (rt *Runtime) Quiescent() bool {
+	if rt.active.Load() != 0 {
+		return false
+	}
+	for r := 1; r <= rt.opts.NumCPUs; r++ {
+		if c := rt.cpus[r]; c.finished.Load() != c.posted.Load() {
+			return false
+		}
+	}
+	return true
+}
 
-// worker is a virtual CPU's goroutine: it waits on the CPU's gate for a
-// task in its slot and runs it through the stop/validate/commit protocol.
-// Between two speculations of a run it spins for the next fork (idleSpin)
-// before it parks, so a chain of forks on this CPU never pays a wake-up.
+// worker is a virtual CPU's goroutine: it waits on the CPU's work gate for
+// a task in its mailbox and runs it through the stop/validate/commit
+// protocol. Between two speculations of a run it spins for the next fork
+// (idleSpin) before it parks, so a chain of forks on this CPU never pays a
+// wake-up.
 func (rt *Runtime) worker(c *cpu) {
 	defer rt.wg.Done()
 	procBusy.Add(1)
 	defer procBusy.Add(-1)
 	for {
-		c.td.gate.wait(func() bool { return c.taskReady.Load() || rt.closed.Load() }, rt.idleSpin, false)
-		if !c.taskReady.Load() {
+		c.td.workGate.wait(func() bool { return c.posted.Load() != c.taken || rt.closed.Load() }, rt.idleSpin, false)
+		posted := c.posted.Load()
+		if posted == c.taken {
 			return // closed
 		}
-		task := c.task
-		c.taskReady.Store(false)
-		rt.runSpec(c, task)
-		rt.retire()
+		c.taken = posted
+		rt.runSpec(c, &c.task)
+		c.finished.Store(posted)
+		rt.drainGate.wake()
 	}
 }
 
@@ -760,42 +845,51 @@ func runRegion(t *Thread, region RegionFunc) (out regionOutcome) {
 //
 // The fold has two halves around the verdict, which is published as soon as
 // it exists. Everything the joiner reads — final time (with the virtual
-// finalize charge already booked), set peaks, the point's counters and
-// whether the point may still fork — is written before the valid_status
-// store; clearing the buffers and closing the execution into this CPU's
+// finalize charge already booked), the stop counter, the reason, the
+// hand-off latency, the point's counters and whether the point may still
+// fork — is written right before the valid_status store, in one go, so the
+// joiner spinning on that line sees it move once; the set peaks stay in
+// locals. Clearing the buffers and closing the execution into this CPU's
 // accumulator come after it, on this worker's time, while the joiner is
 // already running again. From that store on the parent may reclaim the CPU
 // and fork on it, so the second half works from locals and from state only
-// the worker owns (its GlobalBuffer, its clock, its accumulator).
-func (rt *Runtime) runSpec(c *cpu, task specTask) {
+// the worker owns (its GlobalBuffer, its clock, its accumulator); the task is
+// the mailbox's, which the next fork refills, so nothing reads it past the
+// verdict either.
+//
+// Under real timing one stopwatch runs from the region's end to the
+// execution's: each clock reading ends one phase and starts the next
+// (wait, validation, commit, finalize), four readings from region entry to
+// the verdict and one after it.
+func (rt *Runtime) runSpec(c *cpu, task *specTask) {
 	t := &c.thread
+	t.stackTop, t.openFork = c.stack.Start, nil
 	c.clock.Init(rt.opts.Timing, &rt.opts.Cost, rt.epoch)
-	*t = Thread{
-		rt:          rt,
-		rank:        c.td.rank,
-		cpu:         c,
-		clock:       &c.clock,
-		stack:       c.stack,
-		stackTop:    c.stack.Start,
-		speculative: true,
+	c.clock.SetNow(task.startAt)
+	// The execution occupies its CPU from the fork's claim. Under real
+	// timing the gap up to here is the hand-off latency — the parent saving
+	// the live-ins and starting, the worker waking up or noticing the task
+	// — and is booked as fork time; under virtual timing the clock was just
+	// set to startAt and there is no gap.
+	wakeNS := c.clock.Now() - task.startAt
+	c.clock.Book(vclock.Fork, wakeNS)
+	td, epoch := &c.td, task.epoch
+	// The stub's side of the live-ins: the LocalBuffer is the worker's
+	// alone, so a region's every access to it stays on this core.
+	for i := 0; i < task.nIn; i++ {
+		r := task.liveIn(i)
+		c.lb.SetRegvar(int(r.slot), r.val) // in range: setRegvar checked
 	}
-	t.clock.SetNow(task.startAt)
-	// The execution occupies its CPU from the fork's Start stamp. Under
-	// real timing the gap up to here is the hand-off latency — the worker
-	// waking up or noticing the task — and is booked as fork time; under
-	// virtual timing the clock was just set to startAt and there is no gap.
-	execStart := task.startAt
-	td := &c.td
-	td.wakeNS = t.clock.Now() - execStart
-	t.clock.Book(vclock.Fork, td.wakeNS)
-	epoch := td.epoch()
+	for _, v := range task.inVars {
+		c.lb.SetStackvar(v.slot, v.home, v.data)
+	}
 	var wallStart int64
 	if d := int64(rt.opts.SpecDeadline); d > 0 {
 		// The runaway deadline, fixed at region entry and stretched for a
 		// point whose regions are legitimately slow: CheckPoint rolls the
 		// execution back at its first poll past it.
 		wallStart = time.Now().UnixNano()
-		c.deadline = wallStart + max(d, 8*rt.points[td.point].wallEWMA.Load())
+		c.deadline = wallStart + max(d, 8*rt.points[task.point].wallEWMA.Load())
 	}
 
 	// Before the region's first arena load: every write the region can have
@@ -809,13 +903,14 @@ func (rt *Runtime) runSpec(c *cpu, task specTask) {
 	}
 
 	// Reach a verdict, or learn that the parent wants none.
-	verdict := validRollback
+	verdict, reason, counter := validRollback, out.reason, uint32(0)
 	awaitSync := false
+	var sw vclock.Stopwatch
 	if out.rolledBack {
 		if out.reason == RollbackFault {
 			rt.collector.CountSpecPanic(stats.FaultRecord{
 				Rank:  int(td.rank),
-				Point: td.point,
+				Point: task.point,
 				Value: fmt.Sprint(out.panicVal),
 				Stack: truncateStack(out.panicStack),
 			})
@@ -825,133 +920,172 @@ func (rt *Runtime) runSpec(c *cpu, task specTask) {
 		// then waits for the parent's signal so children are handed to
 		// exactly one side. Whatever the signal, the execution counts as a
 		// rollback.
-		td.reason = out.reason
-		td.stopCounter = 0
 		td.state.Store(cpuReady)
 		awaitSync = true
+		sw = t.clock.Start(vclock.Finalize)
 	} else {
 		// Stopped at a check point, barrier point, terminate point or the
 		// region's end. Publish the stop, then wait for the join signal. A
 		// thread stopped by a hash-conflict overflow waits on overflow time.
-		td.stopCounter = out.counter
 		waitPhase := vclock.Idle
 		if c.gb.MustStop() {
 			waitPhase = vclock.Overflow
 		}
+		counter = out.counter
 		td.state.Store(cpuReady)
-		if rt.waitSync(t, c, epoch, waitPhase) == syncNoSync {
+		var st uint64
+		if st, sw = rt.waitSync(t, c, epoch, waitPhase, vclock.Validation); st == syncNoSync {
 			verdict = validNull
 		} else {
 			// Both threads have stopped: the speculative thread validates
 			// and commits or rolls back (paper §IV-E).
 			t.clock.AdvanceTo(td.syncTime.Load(), waitPhase)
-			if rt.validateAndCommit(t, c) {
-				td.reason = RollbackNone
+			if reason = rt.validateAndCommit(t, c, epoch, &sw); reason == RollbackNone {
 				verdict = validCommit
 			}
 		}
 	}
 
 	// The fold, first half: the point's counters, before the verdict.
-	rt.bookFinalize(t, c)
-	now := t.clock.Now()
-	td.finalTime = now
+	reads, writes := rt.bookFinalize(t, c)
+	now := sw.Lap(vclock.Finalize)
 	rec := stats.ExecRecord{
 		Rank:         int(td.rank),
-		Start:        execStart,
+		Start:        task.startAt,
 		Committed:    verdict == validCommit,
-		ReadSetPeak:  td.readPeak,
-		WriteSetPeak: td.writePeak,
+		ReadSetPeak:  reads,
+		WriteSetPeak: writes,
 	}
-	rt.points[td.point].observe(execOutcome{
+	rt.points[task.point].observe(execOutcome{
 		committed: rec.Committed,
 		fault:     out.reason == RollbackFault,
-		latency:   now - execStart,
+		latency:   now - task.startAt,
 		wallNS:    wallNS,
 	})
+	if verdict == validCommit {
+		c.handBack()
+	}
 	if verdict != validNull {
 		// The parent adopts children, copies locals and reclaims the CPU
-		// from here on; the rest is this worker's own housekeeping.
-		publishVerdict(td, now, verdict)
+		// from here on; the rest is this worker's own housekeeping. These
+		// stores and the verdict's drain together at its fence; stored at
+		// the region's end they would drain at the READY store's, apart.
+		td.stopCounter, td.reason, td.finalTime, td.wakeNS = counter, reason, now, wakeNS
+		td.validStatus.Store(epoch<<syncStatusBits | verdict)
+		td.joinGate.wake()
 	}
-	rt.clearBuffers(t, c)
-	if awaitSync && rt.waitSync(t, c, epoch, vclock.Idle) == syncNoSync {
-		verdict = validNull
+	c.gb.Finalize()
+	c.lb.Reset()
+	rec.End = sw.Stop()
+	if awaitSync {
+		var st uint64
+		if st, sw = rt.waitSync(t, c, epoch, vclock.Idle, vclock.Idle); st == syncNoSync {
+			verdict = validNull
+		}
+		rec.End = sw.Stop()
 	}
 	if verdict == validNull {
-		rt.finishNoSync(c)
+		rt.finishNoSync(c, now)
 	}
 
 	// Second half: the occupied interval and its ledger, closed only now so
 	// that real-mode finalize time and the waits above are booked.
-	rec.End = t.clock.Now()
 	rec.Ledger = t.clock.Ledger()
 	rt.collector.Add(rec)
 }
 
-// publishVerdict stores valid_status — the release point of everything the
-// execution wrote to its ThreadData — stamped with the worker's clock, and
-// wakes the joiner.
-func publishVerdict(td *threadData, now vclock.Cost, status int32) {
-	td.validStamp = now
-	td.validStatus.Store(status)
-	td.gate.wake()
+// handBack copies what a committing join restores out of the LocalBuffer
+// into the verdict's group, so the joiner reads it with the verdict instead
+// of chasing the buffer's frames across the two cores, and the worker
+// alone touches its buffer.
+func (c *cpu) handBack() {
+	td, lb := &c.td, c.lb
+	live := lb.EntryLive()
+	td.nOut = len(live)
+	if len(td.outSpill) > 0 {
+		td.outSpill = td.outSpill[:0]
+	}
+	for i, s := range live {
+		r := regPair{slot: s, val: lb.EntryReg(s)}
+		if i < inlineRegs {
+			td.out[i] = r
+		} else {
+			td.outSpill = append(td.outSpill, r)
+		}
+	}
+	// The rest is there only for nested frames and stack variables; a
+	// store of nil over nil would take the line from the joiner for
+	// nothing.
+	if frames := lb.Records(); frames != nil || td.frames != nil {
+		td.frames = frames
+	}
+	if ptrs := lb.PtrMappings(); ptrs != nil || td.ptrs != nil {
+		td.ptrs = ptrs
+		td.stackOut = td.stackOut[:0]
+		for _, m := range ptrs {
+			// The bytes stay in the buffer's slot, untouched by Reset, until
+			// a later fork on this CPU — after the joiner has stored them.
+			data, _ := lb.EntryStackvarData(m.Slot)
+			td.stackOut = append(td.stackOut, data)
+		}
+	}
 }
 
 // waitSync waits (time-bounded spin, then parked) until the parent signals
-// SYNC or NOSYNC on the execution's epoch and returns the signal. In real
-// mode the wait is booked to the given phase. The predicate keeps
-// the one word it loaded: a self-rolled-back execution has published its
-// verdict already, so after SYNC the parent may reclaim the CPU — bumping
-// the epoch and clearing sync_status — before this thread looks again. An
-// epoch that moved on therefore means SYNC: a NOSYNCed thread releases its
-// CPU itself.
-func (rt *Runtime) waitSync(t *Thread, c *cpu, epoch uint64, phase vclock.Phase) uint64 {
-	sw := t.clock.Start(phase)
+// SYNC or NOSYNC on the execution's epoch and returns the signal, with a
+// stopwatch running on phase next from the moment it was seen. A signal
+// that is already there costs one clock reading; a wait is booked to phase.
+// The predicate keeps the one word it loaded: a self-rolled-back execution
+// has published its verdict already, so after SYNC the parent may reclaim
+// the CPU — bumping the epoch and clearing sync_status — before this thread
+// looks again. An epoch that moved on therefore means SYNC: a NOSYNCed
+// thread releases its CPU itself.
+func (rt *Runtime) waitSync(t *Thread, c *cpu, epoch uint64, phase, next vclock.Phase) (uint64, vclock.Stopwatch) {
 	null := epoch << syncStatusBits
-	var w uint64
-	c.td.gate.wait(func() bool {
-		w = c.td.syncWord.Load()
-		return w != null
-	}, rt.spareProc, true)
-	sw.Stop()
-	if w>>syncStatusBits != epoch {
-		return syncSync
+	w := c.td.syncWord.Load()
+	var sw vclock.Stopwatch
+	if w == null {
+		sw = t.clock.Start(phase)
+		c.td.workGate.wait(func() bool {
+			w = c.td.syncWord.Load()
+			return w != null
+		}, rt.spareProc, true)
+		sw.Lap(next)
+	} else {
+		sw = t.clock.Start(next)
 	}
-	return w & syncStatusMask
+	if w>>syncStatusBits != epoch {
+		return syncSync, sw
+	}
+	return w & syncStatusMask, sw
 }
 
 // finishNoSync is the self-cleanup of a squashed thread: squash the
 // subtree, release the CPU. The thread still owns its ThreadData here —
 // nobody reclaims a NOSYNCed CPU but its own worker.
-func (rt *Runtime) finishNoSync(c *cpu) {
-	td := &c.td
-	for _, child := range td.children {
+func (rt *Runtime) finishNoSync(c *cpu, now vclock.Cost) {
+	for _, child := range c.td.children {
 		rt.cpus[child.rank].td.signal(child.epoch, syncNoSync)
 	}
-	td.children = td.children[:0]
-	td.reason = RollbackNoSync
-	rt.linearRemove(td.rank)
-	rt.releaseCPU(c, td.finalTime)
+	rt.linearRemove(c.td.rank)
+	rt.releaseCPU(c, now)
 }
 
 // validateAndCommit runs local-prediction, injected and read-set validation
-// and, on success, commits the write set. It returns whether the execution
-// committed.
-func (rt *Runtime) validateAndCommit(t *Thread, c *cpu) bool {
+// and, on success, commits the write set. It returns RollbackNone when the
+// execution committed, and why it rolls back otherwise. sw runs on
+// validation at entry and on commit past a validation that passed.
+func (rt *Runtime) validateAndCommit(t *Thread, c *cpu, epoch uint64, sw *vclock.Stopwatch) RollbackReason {
 	model := &rt.opts.Cost
 	reads := c.gb.ReadSetSize()
 	writes := c.gb.WriteSetSize()
 	t.clock.Charge(vclock.Validation, vclock.Cost(reads)*model.ValidatePerWord)
 
-	td := &c.td
-	if td.forceInvalid.Load() {
-		td.reason = RollbackLocals
-		return false
+	if c.td.forceInvalid.Load() == epoch+1 {
+		return RollbackLocals
 	}
 	if rt.opts.RollbackProb > 0 && c.rng.float64() < rt.opts.RollbackProb {
-		td.reason = RollbackInjected
-		return false
+		return RollbackInjected
 	}
 	if plan := rt.plan; plan != nil {
 		// This seam runs on the worker outside runRegion's recover, so a
@@ -960,8 +1094,7 @@ func (rt *Runtime) validateAndCommit(t *Thread, c *cpu) bool {
 		// fault means for the protocol anyway.
 		switch plan.Decide(faultinject.SiteCommit) {
 		case faultinject.KindPanic, faultinject.KindRollback, faultinject.KindOverflow:
-			td.reason = RollbackInjected
-			return false
+			return RollbackInjected
 		case faultinject.KindDelay:
 			time.Sleep(faultinject.Delay)
 		case faultinject.KindCancel:
@@ -971,29 +1104,25 @@ func (rt *Runtime) validateAndCommit(t *Thread, c *cpu) bool {
 	// Only the read-set words on pages stamped since the region began can
 	// differ from the arena; the verdict is a full Validate's at this
 	// instant.
-	sw := t.clock.Start(vclock.Validation)
 	if !c.gb.ValidateDirty(rt.stamps, c.snap) {
-		sw.Stop()
-		td.reason = RollbackValidation
-		return false
+		return RollbackValidation
 	}
 	sw.Lap(vclock.Commit)
 	t.clock.Charge(vclock.Commit, vclock.Cost(writes)*model.CommitPerWord)
 	c.gb.Commit(rt.commitStamps())
-	sw.Stop()
-	return true
+	return RollbackNone
 }
 
 // commitStamps is where a commit stamps what it writes: the runtime's table,
 // or nil when the committer is the only live speculative thread. The
-// non-speculative thread waits in Join for the verdict, so when active holds
-// only this execution's two shares (its CPU's and its worker's) nobody can
-// read the arena or fork before the verdict's atomic store publishes the
-// commit, so no snapshot predates it; a sibling still claimed (a chained
-// For's next link) has snapshotted the stamps at its region entry and must
-// see the commit's.
+// non-speculative thread waits in Join for the verdict, so when this
+// execution's CPU is the only one claimed (always, with one speculative CPU)
+// nobody can read the arena or fork before the verdict's atomic store
+// publishes the commit, so no snapshot predates it; a sibling still claimed
+// (a chained For's next link) has snapshotted the stamps at its region entry
+// and must see the commit's.
 func (rt *Runtime) commitStamps() *mem.WriteStamps {
-	if rt.active.Load() == 2 {
+	if rt.opts.NumCPUs == 1 || rt.active.Load() == 1 {
 		return nil
 	}
 	return rt.stamps
@@ -1001,44 +1130,46 @@ func (rt *Runtime) commitStamps() *mem.WriteStamps {
 
 // bookFinalize closes the execution's buffer accounting without touching
 // the buffers: the set sizes at this point are the execution's high-water
-// marks (sets only grow during a region), and the virtual-mode clearing cost
-// — proportional to the slots actually used — is charged, so the final time
-// the verdict publishes already includes it.
-func (rt *Runtime) bookFinalize(t *Thread, c *cpu) {
-	reads, writes := c.gb.ReadSetSize(), c.gb.WriteSetSize()
-	c.td.readPeak, c.td.writePeak = reads, writes
+// marks (sets only grow during a region), which it returns, and the
+// virtual-mode clearing cost — proportional to the slots actually used — is
+// charged, so the final time the verdict publishes already includes it.
+func (rt *Runtime) bookFinalize(t *Thread, c *cpu) (reads, writes int) {
+	reads, writes = c.gb.ReadSetSize(), c.gb.WriteSetSize()
 	t.clock.Charge(vclock.Finalize, vclock.Cost(reads+writes)*rt.opts.Cost.FinalizePerWord)
-}
-
-// clearBuffers empties the GlobalBuffer, timing it as finalize under real
-// timing. It runs after the verdict is out, so it reads nothing of the
-// ThreadData.
-func (rt *Runtime) clearBuffers(t *Thread, c *cpu) {
-	sw := t.clock.Start(vclock.Finalize)
-	c.gb.Finalize()
-	sw.Stop()
+	return reads, writes
 }
 
 // releaseCPU returns a CPU to the IDLE pool at the given virtual free time,
 // updating the most-speculative pointer for the in-order policy. The
 // caller owns the ThreadData: the joining parent after valid_status, a
-// NOSYNCed worker, or a forker abandoning its claim. The worker may still
-// be clearing its buffers — it holds its own share of the active count
-// and takes its next task only when done.
+// NOSYNCed worker, or a forker abandoning its claim. It is the one place a
+// CPU's ThreadData is reset for its next execution: the children stack is
+// emptied, and the epoch bump retires the execution's signal, verdict and
+// forced invalidation, which are all tagged with it. The worker may still
+// be clearing its buffers — it has not finished its task, and takes the
+// next only when done.
 func (rt *Runtime) releaseCPU(c *cpu, freeAt vclock.Cost) {
-	c.freeAt.Store(freeAt)
+	td := &c.td
+	if rt.opts.Timing == vclock.Virtual {
+		td.freeAt.Store(freeAt)
+	}
 	// If the retiring thread was the in-order tail, the chain is fully
 	// collapsed (joins are sequential) — the non-speculative thread may
 	// fork in-order again.
-	rt.inOrderTail.CompareAndSwap(tailWord(c.td.rank, c.td.epoch()), 0)
-	c.td.validStatus.Store(validNull)
-	c.td.forceInvalid.Store(false)
-	// Start a new generation: stale references to the old epoch can no
-	// longer signal this CPU.
-	c.td.bumpEpoch()
-	c.td.state.Store(cpuIdle)
+	epoch := td.epoch()
+	if w := tailWord(td.rank, epoch); rt.inOrderTail.Load() == w {
+		rt.inOrderTail.CompareAndSwap(w, 0)
+	}
+	if len(td.children) > 0 {
+		td.children = td.children[:0]
+	}
+	// Start a new generation with sync_status NULL: stale references to the
+	// old epoch can no longer signal this CPU.
+	td.syncWord.Store((epoch + 1) << syncStatusBits)
+	td.state.Store(cpuIdle)
 	procWorking.Add(-1)
-	rt.retire()
+	rt.active.Add(-1)
+	rt.drainGate.wake()
 }
 
 // linearInsert places a MixedLinear child immediately after its parent in

@@ -239,11 +239,12 @@ func (s Stopwatch) Started() Cost { return s.start }
 
 // Lap books the time since Start (or the last Lap) to the running phase
 // and continues on phase p — one clock reading where Stop and Start would
-// take two.
-func (s *Stopwatch) Lap(p Phase) {
+// take two. It returns the reading.
+func (s *Stopwatch) Lap(p Phase) Cost {
 	now := s.c.Now()
 	s.c.Book(s.p, now-s.start)
 	s.p, s.start = p, now
+	return now
 }
 
 // Stop books the time since Start (or the last Lap) to the running phase
