@@ -33,9 +33,9 @@ type ForkHandle struct {
 	point   int
 	started bool
 	// at is the forker's clock right after the claim: the child's start
-	// under real timing, and the start of the fork's cost for pay, the
-	// body's pay-off estimate (nil unless the non-speculative thread forks
-	// for a driver: ForkBody).
+	// under real timing, and where the fork's cost for pay (the body's
+	// pay-off estimate, nil unless ForkBody on the non-speculative thread)
+	// starts.
 	at  vclock.Cost
 	pay *payoff
 }
@@ -73,9 +73,8 @@ func (t *Thread) ForkBody(ranks []Rank, p int, model Model) *ForkHandle {
 }
 
 // forkAt is Fork; guarded says the body's pay-off estimate has a say. The
-// refusals that cost a load or two come first, then the estimate, then the
-// claim; a refused fork reads no clock, and a granted one reads it once,
-// after its claim.
+// cheap refusals come first, then the estimate, then the claim: a refused
+// fork reads no clock, a granted one reads it once, after its claim.
 func (t *Thread) forkAt(ranks []Rank, p int, model Model, guarded bool) *ForkHandle {
 	if p < 0 || p >= len(ranks) || p >= NumPoints {
 		panic(fmt.Sprintf("core: fork point %d out of range", p))
@@ -131,8 +130,7 @@ func (t *Thread) forkAt(ranks []Rank, p int, model Model, guarded bool) *ForkHan
 	}
 
 	t.clock.Charge(vclock.FindCPU, t.clock.Model.FindCPUCost)
-	// Under virtual timing a CPU must also be virtually free by now; real
-	// time has no later free time than now, and the claim reads no clock.
+	// Under virtual timing a CPU must also be virtually free by now.
 	now := vclock.Cost(math.MaxInt64)
 	if t.clock.Mode == vclock.Virtual {
 		now = t.clock.Now()
@@ -141,18 +139,12 @@ func (t *Thread) forkAt(ranks []Rank, p int, model Model, guarded bool) *ForkHan
 	if child == nil {
 		return nil
 	}
-	// Under real timing the claim is not timed on its own (its few atomics
-	// cost less than the two readings that timed them): the one reading
-	// after it starts the child's execution and the fork's cost.
-	at := t.clock.Now()
-
+	at := t.clock.Now() // the claim is not timed on its own
 	// The mailbox starts empty; the live-ins follow.
 	task := &child.task
-	task.nIn, task.inSpill = 0, task.inSpill[:0]
-	if len(task.inVars) > 0 {
-		clear(task.inVars)
-		task.inVars = task.inVars[:0]
-	}
+	task.in.reset()
+	clear(task.inVars)
+	task.inVars = task.inVars[:0]
 	td := &child.td
 	td.guarded = guarded
 	td.model = model
@@ -247,9 +239,8 @@ func (rt *Runtime) claimIdleCPU(now vclock.Cost) *cpu {
 // Rank returns the claimed child's rank.
 func (h *ForkHandle) Rank() Rank { return h.child.td.rank }
 
-// setRegvar is MUTLS_set_regvar_*: the proxy function saving one live-in.
-// It goes into the child's mailbox; the worker moves it into its
-// LocalBuffer at region entry.
+// setRegvar is MUTLS_set_regvar_*: the proxy function saving one live-in
+// into the child's mailbox, which the worker moves into its LocalBuffer.
 func (h *ForkHandle) setRegvar(slot int, v uint64) {
 	h.check("SetRegvar")
 	td := &h.child.td
@@ -259,13 +250,7 @@ func (h *ForkHandle) setRegvar(slot int, v uint64) {
 		// static protocol violation, not a dynamic conflict.
 		panic(fmt.Errorf("core: register slot %d exceeds capacity %d", slot, len(td.forkRegs)))
 	}
-	task, r := &h.child.task, regPair{slot: int32(slot), val: v}
-	if task.nIn < inlineIn {
-		task.in[task.nIn] = r
-	} else {
-		task.inSpill = append(task.inSpill, r)
-	}
-	task.nIn++
+	h.child.task.in.add(regPair{slot: int32(slot), val: v})
 	td.forkRegs[slot] = v
 	td.forkLive[slot] = h.epoch + 1
 	cost := h.t.clock.Model
@@ -293,9 +278,8 @@ func (h *ForkHandle) SetStackvar(slot int, homeAddr mem.Addr, size int) {
 	h.t.clock.Charge(vclock.Fork, cost.SaveLocal*vclock.Cost(1+size/mem.Word))
 }
 
-// Start is MUTLS_speculate: it hands the region to the claimed CPU's
-// worker. The child enters through the stub, fetching its
-// live-ins with Thread.GetRegvar*.
+// Start is MUTLS_speculate: it hands the region to the claimed CPU's worker.
+// The child enters through the stub, fetching its live-ins with GetRegvar*.
 func (h *ForkHandle) Start(region RegionFunc) {
 	h.check("Start")
 	h.started = true

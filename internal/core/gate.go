@@ -25,36 +25,23 @@ import (
 // is entered (and continued) only while the process has a spare proc —
 // see Runtime.spareProc.
 //
-// A round trip crosses three gates: the worker's mailbox (posted), the
-// worker's wait for SYNC and the joiner's wait for valid_status. Each flag
-// a spinner watches sits on a line that only its one writer stores to,
-// each gate's counters on its waiter's own line, and the first burst of a
-// spin phase writes nothing: what a hand-off costs between two running
-// threads is then the flag's store, the waiter's miss on it and whatever
-// the two sides do between their hand-offs (the clock readings, one per
-// edge, and the stores the other side reads), not the gate. On 2 vCPUs
-// (go1.24) an empty BenchmarkForkJoin round trip went 2.9-3.3 us -> 1.1-1.5
-// us; a bare two-goroutine atomic ping-pong there takes 0.13-0.17 us.
+// A round trip crosses three gates: the worker's mailbox, its wait for SYNC
+// and the joiner's wait for valid_status. Each watched flag has a line only
+// its writer stores to and a spin's first burst writes nothing, so a
+// hand-off between running threads costs the flag's store and one miss.
 
 const (
 	// spinBurst is the number of predicate probes between two clock reads
 	// of a spin phase, and between two yields past its first spinYield.
 	spinBurst = 128
-	// spinYield is how long a spin phase runs before its first scheduler
-	// yield; from then on it yields after every burst. The yield keeps a
-	// spinner from holding a P against a runnable goroutine the accounting
-	// does not see (an HTTP handler, the garbage collector) or against the
-	// very thread it waits for, woken onto its P after a park. A hand-off
-	// between two running threads ends well inside the window, and a yield
-	// there cost the wait that ended during it the rest of a trip through
-	// the scheduler's global queue: BenchmarkForkJoin read 2.9-3.0 us with
-	// a yield every burst, 2.6-2.7 without, before the round trip was cut.
-	// A fixed yield every 2-20 us for the whole phase was measured and
-	// rejected (README "Wake-free fork/join hand-off").
+	// spinYield is how long a spin phase runs before it yields after every
+	// burst, so it does not hold a P against a goroutine the accounting
+	// does not see (an HTTP handler, the GC) or the thread it waits for; a
+	// hand-off between running threads ends inside the window, unyielded.
 	spinYield = 4 * time.Microsecond
 	// spinBudget is the length of a spin phase. On loop-memory (2 vCPUs,
 	// go1.24), against a spin of twice the measured resume latency (held
-	// at a 10 us floor there), it cut the tokens whose worker ran on the P
+	// at a 10 µs floor there), it cut the tokens whose worker ran on the P
 	// its parent joined from 14-16 % to 3-4 %, and a run's parks from a
 	// median of 45 to 1.
 	spinBudget = 100 * time.Microsecond
@@ -82,12 +69,9 @@ func BusyThreads() int { return int(procBusy.Load()) }
 // timing: a child that has no proc to run on buys nothing (see hostFull).
 //
 // The count is written on every fork and join, by the forking thread;
-// procBusy is read by every spinner. The padding keeps the two (and
-// whatever else the linker puts beside them) on different cache lines, or
-// each of those writes would first take the line back from the spinning
-// worker's core: without it core.fork_join_us read 3-20 % over the parent
-// in five ladder pairs out of five; in ten more runs a side +2.5 % without
-// and -2 % with, against a run-to-run spread of 9 %.
+// procBusy is read by every spinner. The padding keeps the two on different
+// cache lines, or each of those writes would first take the line back from
+// the spinning worker's core.
 var procWorking struct {
 	_ [64]byte
 	atomic.Int32
@@ -101,10 +85,9 @@ func gateNow() int64 { return int64(time.Since(gateEpoch)) }
 
 // waitGate blocks a goroutine until a predicate over published atomics
 // holds: a time-bounded spin, then a park on the condition variable. The
-// zero value is not ready; call init before use (NewRuntime does). Each
-// gate has one waiter on the hand-off path (a CPU's joiner, its worker, or
-// the draining thread), so its counters are that waiter's own line; parked,
-// which every waker reads, sits on a line no spin writes.
+// zero value is not ready; call init before use (NewRuntime does). A gate
+// has one waiter, whose line its counters are; parked, which wakers read,
+// is on a line no spin writes.
 type waitGate struct {
 	// parked counts waiters that are inside the lock, registered before
 	// their final predicate check. wake skips lock+broadcast when it reads
@@ -116,11 +99,9 @@ type waitGate struct {
 	cond   sync.Cond
 	_      [64]byte
 
-	// Hand-off counters, always on: waits whose spin phase outlasted its
-	// first burst, such spin phases that ran out of budget (the rest ended
-	// on the predicate: spin hits), and waits that slept. A spin that ends
-	// on the predicate writes none of them: an atomic add there would sit
-	// on the path it has just unblocked.
+	// Hand-off counters, always on: waits whose spin outlasted its first
+	// burst, such spins that ran out of budget (the rest are spin hits),
+	// and waits that slept. A spin that ends on the predicate writes none.
 	spins   atomic.Int64
 	spunOut atomic.Int64
 	parks   atomic.Int64
@@ -129,12 +110,9 @@ type waitGate struct {
 
 func (g *waitGate) init() { g.cond.L = &g.mu }
 
-// spinHits reports the counted spin phases the predicate ended. spunOut is
-// read first: a phase is counted in spins before it can run out.
-func (g *waitGate) spinHits() int64 {
-	out := g.spunOut.Load()
-	return g.spins.Load() - out
-}
+// spinHits reports the counted spins the predicate ended. spunOut is read
+// first: a spin is counted in spins before it can run out.
+func (g *waitGate) spinHits() int64 { out := g.spunOut.Load(); return g.spins.Load() - out }
 
 // wait returns once pred() holds. pred must read only atomics: it is
 // called both outside and inside the gate lock. maySpin says whether the

@@ -747,7 +747,7 @@ func TestVerdictNeverOutlivesItsExecution(t *testing.T) {
 						if v := td.verdict(h.epoch); v != validNull {
 							t.Fatalf("round %d: the new execution already reads verdict %d", i, v)
 						}
-						if td.forceInvalid.Load() == h.epoch+1 || td.syncStatus() != syncNull || len(td.children) != 0 || task.nIn != 0 {
+						if td.forceInvalid.Load() == h.epoch+1 || td.syncStatus() != syncNull || len(td.children) != 0 || task.in.n != 0 {
 							t.Fatalf("round %d: the claim found the last execution's state", i)
 						}
 						h.SetRegvarInt64(0, int64(i))

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/faultinject"
 	"repro/internal/lbuf"
@@ -50,13 +51,8 @@ type JoinResult struct {
 	// Reason explains a rollback.
 	Reason RollbackReason
 
-	// The child's saved entry-frame registers, live slots only, as (slot,
-	// value) pairs: the first inlineRegs in place (every loop, reduction
-	// and pipeline driver saves fewer), the rest spilled. The inline part
-	// is an array, not a slice of it: a JoinResult is returned by value.
-	nRegs  int
-	inline [inlineRegs]regPair
-	spill  []regPair
+	// regs are the child's saved entry-frame registers, live slots only.
+	regs regList
 
 	frames []lbuf.FrameRecord
 	// ptrs are the child's stack-variable mappings, snapshotted so pointer
@@ -64,26 +60,47 @@ type JoinResult struct {
 	ptrs []lbuf.PtrMapping
 }
 
-// inlineRegs is the number of restored registers a JoinResult carries
-// without allocating.
+// regList is a list of registers as (slot, value) pairs: the first
+// inlineRegs in place (every loop, reduction and pipeline driver saves
+// fewer), the rest spilled. The inline part is an array, not a slice of it:
+// a JoinResult is returned by value.
+type regList struct {
+	n      int
+	inline [inlineRegs]regPair
+	spill  []regPair
+}
+
 const inlineRegs = 8
 
-// regPair is one restored register.
+// regPair is one saved register.
 type regPair struct {
 	slot int32
 	val  uint64
 }
 
-// lookup finds a restored register.
-func (r *JoinResult) lookup(slot int) (uint64, bool) {
-	for _, p := range r.inline[:min(r.nRegs, inlineRegs)] {
-		if int(p.slot) == slot {
-			return p.val, true
-		}
+func (l *regList) reset() { l.n, l.spill = 0, l.spill[:0] }
+
+func (l *regList) add(r regPair) {
+	if l.n < inlineRegs {
+		l.inline[l.n] = r
+	} else {
+		l.spill = append(l.spill, r)
 	}
-	for _, p := range r.spill {
-		if int(p.slot) == slot {
-			return p.val, true
+	l.n++
+}
+
+func (l *regList) at(i int) regPair {
+	if i < inlineRegs {
+		return l.inline[i]
+	}
+	return l.spill[i-inlineRegs]
+}
+
+// lookup finds a register by slot.
+func (l *regList) lookup(slot int) (uint64, bool) {
+	for i := 0; i < l.n; i++ {
+		if r := l.at(i); int(r.slot) == slot {
+			return r.val, true
 		}
 	}
 	return 0, false
@@ -97,9 +114,9 @@ func (t *Thread) ValidateRegvarInt64(ranks []Rank, p int, slot int, actual int64
 	t.validateRegvar(ranks, p, slot, uint64(actual))
 }
 
-// The prediction and the forced invalidation are both tagged with the
-// child's fork-time epoch, taken from this thread's children stack: a CPU
-// that has moved on since is left alone (its join rolls back anyway).
+// The prediction and the forced invalidation are tagged with the child's
+// fork-time epoch from this thread's children stack: a CPU that has moved
+// on since is left alone.
 func (t *Thread) validateRegvar(ranks []Rank, p int, slot int, actual uint64) {
 	if p < 0 || p >= len(ranks) || ranks[p] == 0 {
 		return
@@ -215,13 +232,10 @@ func (t *Thread) Join(ranks []Rank, p int) JoinResult {
 	if committed {
 		res.Status = JoinCommitted
 		res.Counter = td.stopCounter
-		res.nRegs = td.nOut
-		copy(res.inline[:], td.out[:min(td.nOut, inlineRegs)])
-		if td.nOut > inlineRegs {
-			res.spill = append([]regPair(nil), td.outSpill...)
-		}
+		res.regs = td.out
+		res.regs.spill = slices.Clone(res.regs.spill)
 		res.frames, res.ptrs = td.frames, td.ptrs
-		t.clock.Charge(vclock.Join, cost.RestoreLocal*vclock.Cost(res.nRegs))
+		t.clock.Charge(vclock.Join, cost.RestoreLocal*vclock.Cost(res.regs.n))
 		// Write the child's final stack-variable bytes back to their
 		// non-speculative homes (the parent side of MUTLS_get_stackvar_*).
 		for i, m := range res.ptrs {
@@ -288,7 +302,7 @@ func (r *JoinResult) regvar(slot int) uint64 {
 	if r.Status != JoinCommitted {
 		panic("core: Regvar on a join that did not commit")
 	}
-	v, ok := r.lookup(slot)
+	v, ok := r.regs.lookup(slot)
 	if !ok {
 		panic(fmt.Sprintf("core: regvar slot %d was not saved by the region", slot))
 	}
@@ -308,7 +322,7 @@ func (r *JoinResult) RegvarAddr(slot int) mem.Addr {
 
 // RegvarLive reports whether the region saved the given slot.
 func (r *JoinResult) RegvarLive(slot int) bool {
-	_, ok := r.lookup(slot)
+	_, ok := r.regs.lookup(slot)
 	return ok
 }
 

@@ -29,12 +29,10 @@ const NumPoints = 64
 // and at Recycle. The body and its pay-off estimate stay until Close, or
 // until a 65th body evicts them.
 type pointState struct {
-	// The workers' group, written at every execution's fold.
-	//
-	// commits and rollbacks count finished speculative executions on the
-	// point (squashed/NOSYNCed executions count as rollbacks); the latency
-	// sums add up their occupied CPU intervals (virtual units or
-	// nanoseconds).
+	// The workers' group, written at every execution's fold. commits and
+	// rollbacks count finished speculative executions on the point
+	// (squashed/NOSYNCed ones count as rollbacks); the latency sums add up
+	// their occupied CPU intervals (virtual units or nanoseconds).
 	commits         atomic.Int64
 	rollbacks       atomic.Int64
 	commitLatency   atomic.Int64
@@ -50,8 +48,7 @@ type pointState struct {
 	_        [64]byte
 
 	// The forkers' group, read at every fork. disabled refuses further
-	// forks on the point; it is written only when a fault disables it or a
-	// call clears it, so a fold does not take the line from the next fork.
+	// forks on the point.
 	disabled atomic.Bool
 
 	// key is the body PointFor interned here, 0 for none (under pointMu).

@@ -55,8 +55,7 @@ func (e *KernelPanic) Error() string {
 
 // CPU states (paper §IV-D): every virtual CPU is RUNNING, IDLE or READY TO
 // RECLAIM, initialized IDLE at program start. A claim (MUTLS_get_CPU) sets
-// RUNNING: the window up to MUTLS_speculate is the forker's, and a store of
-// its own at Start would only hold the task's publication up.
+// RUNNING: the window up to MUTLS_speculate is the forker's.
 const (
 	cpuIdle int32 = iota
 	cpuRunning
@@ -85,10 +84,8 @@ type childRef struct {
 	epoch uint64
 }
 
-// valid_status values. They live in the low two bits of
-// threadData.validStatus under the epoch they were published in, like
-// sync_status in syncWord: a verdict is never reset, the release's epoch
-// bump retires it.
+// valid_status values, stored under the epoch they were published in like
+// sync_status: the release's epoch bump retires a verdict.
 const (
 	validNull uint64 = iota
 	validCommit
@@ -96,76 +93,53 @@ const (
 )
 
 // threadData is the paper's ThreadData module: the status of one
-// speculative thread. Its fields are grouped by who writes them, one cache
-// line apart, so that a fork/join round trip moves each group between the
-// two cores once: the parent's group (the claim, the fork's parameters,
-// SYNC), the verdict's (the worker's results, published by valid_status
-// with a release/acquire pair) and the two gates (each written only by its
-// own waiter). Nothing in a group is reset between executions but what
-// releaseCPU resets; the epoch-tagged words need no reset at all.
+// speculative thread, its fields grouped by writer a cache line apart.
+// Only releaseCPU resets any; the epoch-tagged words need no reset.
 type threadData struct {
 	rank Rank
 
-	// The parent's group: written by whoever claims, forks on, signals or
-	// releases the CPU; the worker reads it once it has stopped.
+	// The parent's group: written by whoever claims, forks, signals, releases.
 	state atomic.Int32
 	// syncWord packs (epoch << 2) | sync_status. Signalling SYNC or NOSYNC
 	// is a CAS against (epoch<<2)|NULL, so signals to stale epochs fail
 	// harmlessly.
 	syncWord atomic.Uint64
-	// forceInvalid is epoch+1 of the execution the parent's
-	// MUTLS_validate_local found a live register mispredicted for (0:
-	// none); that execution's validation then fails.
+	// forceInvalid is epoch+1 of the execution whose live register the
+	// parent's MUTLS_validate_local found mispredicted; it then rolls back.
 	forceInvalid atomic.Uint64
 	// syncTime is the parent's clock when it signals SYNC (virtual mode).
 	syncTime atomic.Int64
-	// freeAt is the virtual time when the CPU is next available (virtual
-	// mode; real time has no later free time than now).
-	freeAt  atomic.Int64
-	guarded bool // forked by ForkBody under a kept estimate: Join folds its cost in
-	model   Model
-	_       [64]byte
+	freeAt   atomic.Int64 // virtual time when the CPU is next available
+	guarded  bool         // forked by ForkBody under a kept estimate: Join folds its cost in
+	model    Model
+	_        [64]byte
 
 	// The verdict's group: written by the worker up to the valid_status
-	// store, read by the joiner after it. From that store on the parent may
-	// reclaim the CPU and fork on it again at any moment, so the worker
-	// touches none of these fields past it.
+	// store, read by the joiner after it; from that store on the parent may
+	// reclaim the CPU, so the worker touches none of it past the store.
 	validStatus atomic.Uint64 // (epoch << 2) | valid_status
 	stopCounter uint32
 	reason      RollbackReason
 	finalTime   vclock.Cost
-	// validStamp is the worker's clock at the valid_status store (real
-	// mode): the joiner splits its wait there into idle (the child was
-	// still working) and join (the verdict was out, the joiner not yet
-	// running).
-	validStamp vclock.Cost
-	// wakeNS is the hand-off latency, Start stamp to region entry.
-	wakeNS   int64
-	children []childRef
-	// What a committing join restores, copied out of the worker's
-	// LocalBuffer (see handBack): the entry frame's nOut live registers,
-	// the first inlineRegs in out and the rest in outSpill, the nested
-	// frame records, the stack-variable mappings and each one's final
-	// bytes.
-	nOut     int
-	out      [inlineRegs]regPair
-	outSpill []regPair
+	wakeNS      int64 // the hand-off latency, claim stamp to region entry
+	children    []childRef
+	// What a committing join restores, copied out of the LocalBuffer by
+	// handBack.
+	out      regList
 	frames   []lbuf.FrameRecord
 	ptrs     []lbuf.PtrMapping
 	stackOut [][]byte
 	_        [64]byte
 
 	// joinGate blocks the joiner waiting for valid_status; workGate the
-	// worker waiting for its next task or for sync_status. Wakers call wake
-	// after every store those waits observe (signal and Close: workGate;
-	// validStatus: joinGate; the task slot: workGate).
+	// worker waiting for its next task or for sync_status.
 	joinGate waitGate
 	workGate waitGate
 
 	// forkRegs keeps the parent's fork-time register predictions for
 	// MUTLS_validate_local (separate from the LocalBuffer, which the child
-	// overwrites when saving its own locals at a stop point); forkLive[s]
-	// is epoch+1 of the fork that set slot s. Only the parent touches them.
+	// overwrites at a stop point); forkLive[s] is epoch+1 of the fork that
+	// set slot s. Only the parent touches them.
 	forkRegs []uint64
 	forkLive []uint64
 }
@@ -204,36 +178,26 @@ func tailWord(rank Rank, epoch uint64) uint64 {
 	return epoch<<8 | uint64(rank)
 }
 
-// cpu bundles one virtual CPU: its ThreadData, GlobalBuffer and LocalBuffer
-// (the paper's ThreadManager maintains exactly this triple per CPU), plus
-// the worker's mailbox and what only the worker touches.
-// The GlobalBuffer is held behind the gbuf.Backend interface, so the
-// buffering organization is a per-runtime choice (Options.GBuf.Backend).
+// cpu bundles one virtual CPU: its ThreadData, GlobalBuffer (a per-runtime
+// gbuf.Backend) and LocalBuffer — the triple the paper's ThreadManager keeps
+// per CPU — plus the worker's mailbox and what only the worker touches.
 type cpu struct {
 	td threadData
 	gb gbuf.Backend
 	lb *lbuf.Buffer
 
-	// The worker's mailbox, written only in the fork window: the parent
-	// saves the live-ins into task, Start fills in the rest, stores the
-	// fork's epoch+1 in posted and wakes td.workGate; the worker runs a
-	// task once posted differs from the last it took, and moves the
-	// live-ins into its LocalBuffer. posted has a line of its own: the
-	// idle worker spins on it, and a store beside it would have to take
-	// the line back from the spinner once per store. A CPU is claimed by
-	// one forker at a time and only after its previous task was taken, so
-	// the slot never holds two.
+	// The worker's mailbox, written only in the fork window: Start fills
+	// task and stores the fork's epoch+1 in posted (on a line of its own:
+	// the idle worker spins on it); the worker runs a task once posted
+	// differs from the last it took, so the slot never holds two.
 	_      [64]byte
 	posted atomic.Uint64
 	_      [64]byte
 	task   specTask
 	_      [64]byte
 
-	// The worker's own: the last posted value it took, the last one whose
-	// execution it has finished folding (the CPU may be released while the
-	// worker still clears its buffers; Quiescent compares it with posted),
-	// and the speculative thread and its clock, re-initialized per
-	// speculation instead of allocated.
+	// The worker's own: the last posted value it took and the last it has
+	// finished folding, and the reused speculative thread and clock.
 	taken    uint64
 	finished atomic.Uint64
 	thread   Thread
@@ -257,33 +221,15 @@ type cpu struct {
 type specTask struct {
 	region RegionFunc
 	// startAt is the child's clock at entry: the forker's stamp at its
-	// claim (real mode: the stamp the child's wake-up latency is measured
-	// from), or the later of its clock at Start and the CPU's virtual free
-	// time.
+	// claim (real mode), or the later of its clock at Start and the CPU's
+	// virtual free time.
 	startAt vclock.Cost
-	// epoch and point are the fork's: the worker reads its generation and
-	// fork/join point from the mailbox, not from the parent's group.
-	epoch uint64
-	point int
-	// The live-ins, in the order the parent saved them: nIn registers, the
-	// first inlineIn in place, and the stack variables.
-	nIn     int
-	in      [inlineIn]regPair
-	inSpill []regPair
-	inVars  []stackIn
+	epoch   uint64
+	point   int
+	// The live-ins, in the order the parent saved them.
+	in     regList
+	inVars []stackIn
 }
-
-// liveIn returns the i-th live-in register.
-func (task *specTask) liveIn(i int) *regPair {
-	if i < inlineIn {
-		return &task.in[i]
-	}
-	return &task.inSpill[i-inlineIn]
-}
-
-// inlineIn is the number of live-in registers a task carries in place;
-// every driver saves at most three but Tree, which saves its arguments.
-const inlineIn = 4
 
 // stackIn is one stack-variable live-in saved in the fork window.
 type stackIn struct {
@@ -329,13 +275,10 @@ type Runtime struct {
 	wg        sync.WaitGroup
 	closed    atomic.Bool
 
-	// active counts claimed virtual CPUs: a claim adds one, a release
-	// drops it. A worker still folding an execution whose CPU was released
-	// shows in its own finished mark instead (Quiescent reads both).
-	// Draining waits for none of either: a sequential all-IDLE scan is not enough,
-	// because a not-yet-squashed thread can fork onto a CPU the scan
-	// already passed. Forks and releases write it and a commit may read it:
-	// it keeps a line to itself.
+	// active counts claimed virtual CPUs, on a line of its own. Draining
+	// waits for none, and no worker still folding (Quiescent): an all-IDLE
+	// scan is not enough, because a not-yet-squashed thread can fork onto
+	// a CPU the scan already passed.
 	_      [64]byte
 	active atomic.Int64
 	_      [56]byte
@@ -438,8 +381,6 @@ func NewRuntime(opts Options) (*Runtime, error) {
 		c.td.workGate.init()
 		c.td.forkRegs = make([]uint64, o.LBuf.RegSlots)
 		c.td.forkLive = make([]uint64, o.LBuf.RegSlots)
-		// What a speculation's Thread is for this CPU; runSpec resets the
-		// rest.
 		c.thread = Thread{rt: rt, rank: Rank(r), cpu: c, clock: &c.clock, stack: stack, speculative: true}
 		rt.cpus[r] = c
 		rt.wg.Add(1)
@@ -758,26 +699,19 @@ func (rt *Runtime) Close() {
 // Quiescent reports whether no virtual CPU is claimed and no worker is
 // inside a speculation — the precondition for Recycle and the pool's
 // reuse-after-fault verification.
-//
-// No CPU claimed means no region running, so none can claim one and post a
-// task: a worker that has finished every task posted by then is done.
+// With no CPU claimed no region runs that could post a task.
 func (rt *Runtime) Quiescent() bool {
-	if rt.active.Load() != 0 {
-		return false
+	q := rt.active.Load() == 0
+	for r := 1; q && r <= rt.opts.NumCPUs; r++ {
+		q = rt.cpus[r].finished.Load() == rt.cpus[r].posted.Load()
 	}
-	for r := 1; r <= rt.opts.NumCPUs; r++ {
-		if c := rt.cpus[r]; c.finished.Load() != c.posted.Load() {
-			return false
-		}
-	}
-	return true
+	return q
 }
 
-// worker is a virtual CPU's goroutine: it waits on the CPU's work gate for
-// a task in its mailbox and runs it through the stop/validate/commit
-// protocol. Between two speculations of a run it spins for the next fork
-// (idleSpin) before it parks, so a chain of forks on this CPU never pays a
-// wake-up.
+// worker is a virtual CPU's goroutine: it waits for a task in its mailbox
+// and runs it through the stop/validate/commit protocol. Between two
+// speculations of a run it spins for the next fork (idleSpin) before it
+// parks, so a chain of forks on this CPU never pays a wake-up.
 func (rt *Runtime) worker(c *cpu) {
 	defer rt.wg.Done()
 	procBusy.Add(1)
@@ -844,40 +778,26 @@ func runRegion(t *Thread, region RegionFunc) (out regionOutcome) {
 // validated rollback, self-rollback, NOSYNC).
 //
 // The fold has two halves around the verdict, which is published as soon as
-// it exists. Everything the joiner reads — final time (with the virtual
-// finalize charge already booked), the stop counter, the reason, the
-// hand-off latency, the point's counters and whether the point may still
-// fork — is written right before the valid_status store, in one go, so the
-// joiner spinning on that line sees it move once; the set peaks stay in
-// locals. Clearing the buffers and closing the execution into this CPU's
-// accumulator come after it, on this worker's time, while the joiner is
-// already running again. From that store on the parent may reclaim the CPU
-// and fork on it, so the second half works from locals and from state only
-// the worker owns (its GlobalBuffer, its clock, its accumulator); the task is
-// the mailbox's, which the next fork refills, so nothing reads it past the
-// verdict either.
-//
-// Under real timing one stopwatch runs from the region's end to the
-// execution's: each clock reading ends one phase and starts the next
-// (wait, validation, commit, finalize), four readings from region entry to
-// the verdict and one after it.
+// it exists. Everything the joiner reads is stored right before
+// valid_status; clearing the buffers and closing the ledger come after, on
+// this worker's time, from locals and worker-owned state only: from that
+// store on the parent may reclaim the CPU and refill the mailbox. Under real
+// timing one stopwatch runs from the region's end, each clock reading ending
+// one phase and starting the next.
 func (rt *Runtime) runSpec(c *cpu, task *specTask) {
 	t := &c.thread
 	t.stackTop, t.openFork = c.stack.Start, nil
 	c.clock.Init(rt.opts.Timing, &rt.opts.Cost, rt.epoch)
 	c.clock.SetNow(task.startAt)
 	// The execution occupies its CPU from the fork's claim. Under real
-	// timing the gap up to here is the hand-off latency — the parent saving
-	// the live-ins and starting, the worker waking up or noticing the task
-	// — and is booked as fork time; under virtual timing the clock was just
-	// set to startAt and there is no gap.
+	// timing the gap up to here is the hand-off latency, booked as fork
+	// time; under virtual timing there is no gap.
 	wakeNS := c.clock.Now() - task.startAt
 	c.clock.Book(vclock.Fork, wakeNS)
 	td, epoch := &c.td, task.epoch
-	// The stub's side of the live-ins: the LocalBuffer is the worker's
-	// alone, so a region's every access to it stays on this core.
-	for i := 0; i < task.nIn; i++ {
-		r := task.liveIn(i)
+	// The stub's side of the live-ins.
+	for i := 0; i < task.in.n; i++ {
+		r := task.in.at(i)
 		c.lb.SetRegvar(int(r.slot), r.val) // in range: setRegvar checked
 	}
 	for _, v := range task.inVars {
@@ -967,9 +887,7 @@ func (rt *Runtime) runSpec(c *cpu, task *specTask) {
 	}
 	if verdict != validNull {
 		// The parent adopts children, copies locals and reclaims the CPU
-		// from here on; the rest is this worker's own housekeeping. These
-		// stores and the verdict's drain together at its fence; stored at
-		// the region's end they would drain at the READY store's, apart.
+		// from here on; the rest is this worker's own housekeeping.
 		td.stopCounter, td.reason, td.finalTime, td.wakeNS = counter, reason, now, wakeNS
 		td.validStatus.Store(epoch<<syncStatusBits | verdict)
 		td.joinGate.wake()
@@ -995,27 +913,14 @@ func (rt *Runtime) runSpec(c *cpu, task *specTask) {
 }
 
 // handBack copies what a committing join restores out of the LocalBuffer
-// into the verdict's group, so the joiner reads it with the verdict instead
-// of chasing the buffer's frames across the two cores, and the worker
-// alone touches its buffer.
+// into the verdict's group, so the worker alone touches its buffer.
 func (c *cpu) handBack() {
 	td, lb := &c.td, c.lb
-	live := lb.EntryLive()
-	td.nOut = len(live)
-	if len(td.outSpill) > 0 {
-		td.outSpill = td.outSpill[:0]
+	td.out.reset()
+	for _, s := range lb.EntryLive() {
+		td.out.add(regPair{slot: s, val: lb.EntryReg(s)})
 	}
-	for i, s := range live {
-		r := regPair{slot: s, val: lb.EntryReg(s)}
-		if i < inlineRegs {
-			td.out[i] = r
-		} else {
-			td.outSpill = append(td.outSpill, r)
-		}
-	}
-	// The rest is there only for nested frames and stack variables; a
-	// store of nil over nil would take the line from the joiner for
-	// nothing.
+	// A store of nil over nil would take the line from the joiner.
 	if frames := lb.Records(); frames != nil || td.frames != nil {
 		td.frames = frames
 	}
@@ -1023,8 +928,8 @@ func (c *cpu) handBack() {
 		td.ptrs = ptrs
 		td.stackOut = td.stackOut[:0]
 		for _, m := range ptrs {
-			// The bytes stay in the buffer's slot, untouched by Reset, until
-			// a later fork on this CPU — after the joiner has stored them.
+			// The bytes stay in the buffer's slot, untouched by Reset,
+			// until the next execution on this CPU.
 			data, _ := lb.EntryStackvarData(m.Slot)
 			td.stackOut = append(td.stackOut, data)
 		}
@@ -1033,8 +938,7 @@ func (c *cpu) handBack() {
 
 // waitSync waits (time-bounded spin, then parked) until the parent signals
 // SYNC or NOSYNC on the execution's epoch and returns the signal, with a
-// stopwatch running on phase next from the moment it was seen. A signal
-// that is already there costs one clock reading; a wait is booked to phase.
+// stopwatch on phase next from when it was seen; a wait is booked to phase.
 // The predicate keeps the one word it loaded: a self-rolled-back execution
 // has published its verdict already, so after SYNC the parent may reclaim
 // the CPU — bumping the epoch and clearing sync_status — before this thread
@@ -1072,9 +976,8 @@ func (rt *Runtime) finishNoSync(c *cpu, now vclock.Cost) {
 }
 
 // validateAndCommit runs local-prediction, injected and read-set validation
-// and, on success, commits the write set. It returns RollbackNone when the
-// execution committed, and why it rolls back otherwise. sw runs on
-// validation at entry and on commit past a validation that passed.
+// and, on success, commits the write set, returning the rollback reason
+// (RollbackNone: committed). sw runs on validation, then on commit.
 func (rt *Runtime) validateAndCommit(t *Thread, c *cpu, epoch uint64, sw *vclock.Stopwatch) RollbackReason {
 	model := &rt.opts.Cost
 	reads := c.gb.ReadSetSize()
@@ -1116,13 +1019,12 @@ func (rt *Runtime) validateAndCommit(t *Thread, c *cpu, epoch uint64, sw *vclock
 // commitStamps is where a commit stamps what it writes: the runtime's table,
 // or nil when the committer is the only live speculative thread. The
 // non-speculative thread waits in Join for the verdict, so when this
-// execution's CPU is the only one claimed (always, with one speculative CPU)
-// nobody can read the arena or fork before the verdict's atomic store
-// publishes the commit, so no snapshot predates it; a sibling still claimed
-// (a chained For's next link) has snapshotted the stamps at its region entry
-// and must see the commit's.
+// execution's CPU is the only one claimed nobody can read the arena or fork
+// before the verdict's store publishes the commit; a sibling still claimed
+// (a chained For's next link) has snapshotted the stamps at its region
+// entry and must see the commit's.
 func (rt *Runtime) commitStamps() *mem.WriteStamps {
-	if rt.opts.NumCPUs == 1 || rt.active.Load() == 1 {
+	if rt.active.Load() == 1 {
 		return nil
 	}
 	return rt.stamps
@@ -1130,9 +1032,8 @@ func (rt *Runtime) commitStamps() *mem.WriteStamps {
 
 // bookFinalize closes the execution's buffer accounting without touching
 // the buffers: the set sizes at this point are the execution's high-water
-// marks (sets only grow during a region), which it returns, and the
-// virtual-mode clearing cost — proportional to the slots actually used — is
-// charged, so the final time the verdict publishes already includes it.
+// marks (sets only grow during a region), which it returns, and charges
+// the virtual-mode clearing cost, so the verdict's final time includes it.
 func (rt *Runtime) bookFinalize(t *Thread, c *cpu) (reads, writes int) {
 	reads, writes = c.gb.ReadSetSize(), c.gb.WriteSetSize()
 	t.clock.Charge(vclock.Finalize, vclock.Cost(reads+writes)*rt.opts.Cost.FinalizePerWord)
@@ -1143,11 +1044,9 @@ func (rt *Runtime) bookFinalize(t *Thread, c *cpu) (reads, writes int) {
 // updating the most-speculative pointer for the in-order policy. The
 // caller owns the ThreadData: the joining parent after valid_status, a
 // NOSYNCed worker, or a forker abandoning its claim. It is the one place a
-// CPU's ThreadData is reset for its next execution: the children stack is
-// emptied, and the epoch bump retires the execution's signal, verdict and
-// forced invalidation, which are all tagged with it. The worker may still
-// be clearing its buffers — it has not finished its task, and takes the
-// next only when done.
+// ThreadData is reset: the children stack is emptied, and the epoch bump
+// retires the signal, verdict and forced invalidation tagged with it. The
+// worker may still be clearing its buffers; it takes the next task after.
 func (rt *Runtime) releaseCPU(c *cpu, freeAt vclock.Cost) {
 	td := &c.td
 	if rt.opts.Timing == vclock.Virtual {
@@ -1160,11 +1059,9 @@ func (rt *Runtime) releaseCPU(c *cpu, freeAt vclock.Cost) {
 	if w := tailWord(td.rank, epoch); rt.inOrderTail.Load() == w {
 		rt.inOrderTail.CompareAndSwap(w, 0)
 	}
-	if len(td.children) > 0 {
-		td.children = td.children[:0]
-	}
-	// Start a new generation with sync_status NULL: stale references to the
-	// old epoch can no longer signal this CPU.
+	td.children = td.children[:0]
+	// A new generation with sync_status NULL: stale references can no
+	// longer signal this CPU.
 	td.syncWord.Store((epoch + 1) << syncStatusBits)
 	td.state.Store(cpuIdle)
 	procWorking.Add(-1)

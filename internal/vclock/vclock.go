@@ -234,9 +234,6 @@ type Stopwatch struct {
 // Start begins timing phase p.
 func (c *Clock) Start(p Phase) Stopwatch { return Stopwatch{c: c, p: p, start: c.Now()} }
 
-// Started returns the clock reading Start (or the last Lap) took.
-func (s Stopwatch) Started() Cost { return s.start }
-
 // Lap books the time since Start (or the last Lap) to the running phase
 // and continues on phase p — one clock reading where Stop and Start would
 // take two. It returns the reading.

@@ -145,13 +145,9 @@ func ForRange(t *Thread, n int, opts ForOptions, body func(c *Thread, lo, hi int
 // the key of the body's fork point (core's PointFor), so every call of the
 // body is profiled and judged on one id and the verdict on a loop outlives
 // the call that measured it. Closures made from one literal share the key
-// whatever they capture, and so share a point and a verdict — as long as
-// the literal is compiled once. A constructor that returns a closure is
-// inlined at each call site, each with its own copy of the literal: called
-// from two sites it makes two keys, two fork points with half the samples
-// each (the stencil's two stage lists, built by one constructor called
-// twice, split its two points into four with 33 commits each where one
-// list made 66). Build a driver's bodies at one site.
+// whatever they capture, and so share a point and a verdict — if the
+// literal is compiled once: a constructor inlined at two call sites makes
+// two keys, two fork points with half the samples each.
 func bodyKey(body any) uintptr { return reflect.ValueOf(body).Pointer() }
 
 // driveChunks is the loop controller shared by For and ForRange: the

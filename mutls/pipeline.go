@@ -41,11 +41,8 @@ import (
 // rollback squashes the later groups, whose children may still be running
 // when they re-run inline: Go storage a stage keeps across tokens is safe
 // there only per c.Rank() — a rank runs one thread, its stages in turn.
-//
-// A stage's fork point is keyed by its code pointer (see bodyKey): stages
-// built by a constructor called from two places can be two copies of one
-// literal, and then two fork points whose pay-off estimates each get half
-// the samples.
+// A constructor called from two places can build two copies of one stage
+// literal, two fork points with half the samples each (see bodyKey).
 type Stage func(c *Thread, token int, in uint64) uint64
 
 // PipelineOptions configures Pipeline.
